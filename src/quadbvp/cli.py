@@ -4,10 +4,14 @@ Subcommands::
 
     quadbvp run <config>        execute an experiment, write CSV + summary
     quadbvp validate <config>   parse and validate a config, run nothing
-    quadbvp schema <mode>       print config keys, CSV columns and gates
+    quadbvp schema <mode>       print every config key the mode accepts, with
+                                its default, plus CSV columns and gates
 
 Configs are flat INI-style text: ``[section]`` headers and ``key = value``
-lines, full-line comments starting with ``#`` or ``;``.  Modes:
+lines.  ``#`` and ``;`` start a comment, on a line of its own or after a
+value, so values cannot contain those characters.  A key the mode does not
+accept is an error.  ``[symbols] boundary`` defaults to ``row_trace``.
+Modes:
 
     solve        solve one problem with seeded compatible data, report
                  solution norms, solver diagnostics and interior residuals
@@ -29,10 +33,13 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,8 +56,6 @@ from .system import (ProblemSpec, assemble_discrete_system,
 from .comparison import (commutator_rate_sweep, kernel_gap_ratios,
                          section_gap_rate_sweep, zeta_power_gap)
 
-MODES = ("solve", "roundtrip", "power_gap", "kernel_gap", "commutator", "section_gap")
-
 OUTPUT_ENV_VAR = "QUADBVP_OUTPUT_DIR"
 
 ROUNDTRIP_TOL = 1.0e-6
@@ -61,6 +66,10 @@ KERNEL_GAP_GROWTH_TOL = 0.10
 SECTION_GAP_SLOPE_MIN = 0.9
 COMMUTATOR_SLOPE_FACTOR = 0.9
 
+BOUNDARY_OPERATORS = {"identity": identity_boundary_operators,
+                      "zeta": zeta_boundary_operators,
+                      "row_trace": row_trace_boundary_operators}
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -70,8 +79,8 @@ def parse_config_text(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        line = re.split("[#;]", raw, maxsplit=1)[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
@@ -91,235 +100,51 @@ def parse_config_text(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated experiment description."""
-
-    mode: str
-    seed: int
-    output: Path
-    # lattice problem (solve, roundtrip)
-    family: str | None = None
-    family_params: dict[str, float] = field(default_factory=dict)
-    boundary: str = "zeta"
-    s: float | None = None
-    n: int | None = None
-    delta: float | None = None
-    grid_n: int | None = None
-    h: float | None = None
-    # continuous problem (comparison modes)
-    betas: tuple[float, ...] = ()
-    gammas: tuple[float, ...] = ()
-    h_values: tuple[float, ...] = ()
-    nodes_per_window: int = 32
-    lambda_factor: float = 4.0
-    k_max: int = 4
-    samples: int = 10000
+class ExperimentConfig(SimpleNamespace):
+    """Validated experiment: one attribute per field of the mode, named by
+    its key, with ``output`` as a path, plus ``problem``, the library problem
+    the fields describe (a ``ProblemSpec`` for solve and roundtrip, a
+    ``ContinuousProblem`` for the rate modes, None for power_gap)."""
 
 
-_SCHEMA: dict[str, dict] = {
-    "solve": {
-        "columns": ("h", "N", "point_i1", "point_i2", "abs_residual"),
-        "gates": ("solve_residual: linear-solve residual <= 1e-10 when condition <= 1e8",
-                  "homogeneous_residual: |A u| <= 1e-6 ||u|| at interior points"),
-        "keys": ("[experiment] mode seed output", "[symbols] family a p q c kappa boundary",
-                 "[problem] s n delta", "[grid] N h"),
-    },
-    "roundtrip": {
-        "columns": ("h", "N", "rel_error", "condition", "residual"),
-        "gates": ("roundtrip_rel_error: recovered traces within 1e-6 of planted",
-                  "solve_residual: linear-solve residual <= 1e-10 when condition <= 1e8"),
-        "keys": ("[experiment] mode seed output", "[symbols] family a p q c kappa boundary",
-                 "[problem] s n delta", "[grid] N h"),
-    },
-    "power_gap": {
-        "columns": ("h", "k", "max_gap", "max_bound", "max_ratio", "violations"),
-        "gates": ("power_gap_bound: zero pointwise violations of the first-order bound",),
-        "keys": ("[experiment] mode seed output", "[sweep] h_values k_max samples"),
-    },
-    "kernel_gap": {
-        "columns": ("h", "j", "k", "family", "ratio"),
-        "gates": ("kernel_gap_growth: per-family max ratio grows <= 10% per h halving",),
-        "keys": ("[experiment] mode seed output", "[continuous] s n delta betas gammas",
-                 "[sweep] h_values nodes_per_window lambda_factor"),
-    },
-    "commutator": {
-        "columns": ("h", "window_nodes", "norm"),
-        "gates": ("commutator_slope: fitted slope >= 0.9 * predicted exponent",),
-        "keys": ("[experiment] mode seed output", "[continuous] s n delta betas gammas",
-                 "[sweep] h_values nodes_per_window lambda_factor"),
-    },
-    "section_gap": {
-        "columns": ("h", "window_nodes", "norm"),
-        "gates": ("section_gap_slope: fitted slope >= 0.9",),
-        "keys": ("[experiment] mode seed output", "[continuous] s n delta betas gammas",
-                 "[sweep] h_values nodes_per_window lambda_factor"),
-    },
-}
-
-_KNOWN_KEYS = {
-    "experiment": {"mode", "seed", "output"},
-    "symbols": {"family", "a", "p", "q", "c", "kappa", "boundary"},
-    "problem": {"s", "n", "delta"},
-    "grid": {"N", "h"},
-    "continuous": {"s", "n", "delta", "betas", "gammas"},
-    "sweep": {"h_values", "nodes_per_window", "lambda_factor", "k_max", "samples"},
-}
+def _floats(text: str) -> tuple[float, ...]:
+    parts = text.replace(",", " ").split()
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(float(p) for p in parts)
 
 
-class _Reader:
-    def __init__(self, sections: dict[str, dict[str, tuple[str, int]]]):
-        self.sections = sections
-
-    def check_known(self) -> None:
-        for name, body in self.sections.items():
-            if name not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown section [{name}]")
-            for key, (_, line) in body.items():
-                if key not in _KNOWN_KEYS[name]:
-                    raise ConfigError(f"unknown key {key!r} in [{name}]", line=line)
-
-    def get(self, section: str, key: str, required: bool = False) -> tuple[str, int] | None:
-        entry = self.sections.get(section, {}).get(key)
-        if entry is None and required:
-            raise ConfigError(f"missing required field {key!r} in section [{section}]")
-        return entry
-
-    def _parse(self, section: str, key: str, conv, required: bool, default):
-        entry = self.get(section, key, required)
-        if entry is None:
-            return default
-        value, line = entry
-        try:
-            return conv(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}", line=line) from None
-
-    def float_(self, section, key, required=False, default=None):
-        return self._parse(section, key, float, required, default)
-
-    def int_(self, section, key, required=False, default=None):
-        return self._parse(section, key, int, required, default)
-
-    def str_(self, section, key, required=False, default=None):
-        return self._parse(section, key, str, required, default)
-
-    def floats(self, section, key, required=False, default=()):
-        def conv(v: str) -> tuple[float, ...]:
-            parts = v.replace(",", " ").split()
-            if not parts:
-                raise ValueError("empty list")
-            return tuple(float(p) for p in parts)
-        return self._parse(section, key, conv, required, tuple(default))
+def _decreasing(text: str) -> tuple[float, ...]:
+    hs = _floats(text)
+    if any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("h_values must be a non-empty strictly decreasing list")
+    return hs
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a config file."""
-    text = Path(path).read_text()
-    reader = _Reader(parse_config_text(text))
-    reader.check_known()
-
-    mode = reader.str_("experiment", "mode", required=True)
-    if mode not in MODES:
-        entry = reader.get("experiment", "mode")
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}",
-                          line=entry[1] if entry else None)
-    cfg = ExperimentConfig(
-        mode=mode,
-        seed=reader.int_("experiment", "seed", default=0),
-        output=Path(os.environ.get(OUTPUT_ENV_VAR)
-                    or reader.str_("experiment", "output", default="out")),
-    )
-
-    if mode in ("solve", "roundtrip"):
-        cfg.family = reader.str_("symbols", "family", required=True)
-        if cfg.family == "geometric":
-            cfg.family_params = {
-                "a": reader.float_("symbols", "a", required=True),
-                "p": reader.int_("symbols", "p", default=1),
-                "q": reader.int_("symbols", "q", default=1),
-            }
-        elif cfg.family == "shifted_zeta":
-            cfg.family_params = {
-                "c": reader.float_("symbols", "c", required=True),
-                "kappa": reader.float_("symbols", "kappa", required=True),
-            }
-        else:
-            entry = reader.get("symbols", "family")
-            raise ConfigError(
-                f"unknown symbol family {cfg.family!r}; expected geometric or shifted_zeta",
-                line=entry[1] if entry else None)
-        cfg.boundary = reader.str_("symbols", "boundary", default="row_trace")
-        if cfg.boundary not in ("identity", "zeta", "row_trace"):
-            raise ConfigError(f"unknown boundary family {cfg.boundary!r}")
-        cfg.s = reader.float_("problem", "s", required=True)
-        cfg.n = reader.int_("problem", "n", required=True)
-        cfg.delta = reader.float_("problem", "delta", required=True)
-        cfg.grid_n = reader.int_("grid", "N", required=True)
-        cfg.h = reader.float_("grid", "h", required=True)
-        if cfg.grid_n % 2 != 0 or cfg.grid_n <= 0:
-            raise ConfigError(f"grid N must be a positive even integer, got {cfg.grid_n}")
-        if cfg.h <= 0:
-            raise ConfigError(f"grid h must be positive, got {cfg.h}")
-        # factorization consistency is checked here so bad configs fail
-        # before any computation
-        try:
-            fac = _build_factorization(cfg)
-            if not math.isclose(fac.index - cfg.s, cfg.n + cfg.delta, abs_tol=1e-9):
-                raise ConfigError(
-                    f"index - s = {fac.index - cfg.s} must equal n + delta = "
-                    f"{cfg.n + cfg.delta}")
-            if not abs(cfg.delta) < 0.5:
-                raise ConfigError(f"delta must satisfy |delta| < 1/2, got {cfg.delta}")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    elif mode == "power_gap":
-        cfg.h_values = reader.floats("sweep", "h_values",
-                                     default=(1.0, 0.5, 0.25, 0.125))
-        cfg.k_max = reader.int_("sweep", "k_max", default=4)
-        cfg.samples = reader.int_("sweep", "samples", default=10000)
-        if cfg.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {cfg.k_max}")
-        if cfg.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
-    else:
-        defaults = {
-            "kernel_gap": (8.25, 2, -0.25, (0.0, -1.0), (0.0, -1.0), (1.0, 0.5, 0.25), 64),
-            "commutator": (2.25, 1, -0.25, (0.0,), (0.0,), (0.5, 0.25, 0.125, 0.0625), 32),
-            "section_gap": (3.25, 2, -0.25, (0.0, -1.0), (0.0, -1.0),
-                            (0.5, 0.25, 0.125, 0.0625), 32),
-        }[mode]
-        cfg.s = reader.float_("continuous", "s", default=defaults[0])
-        cfg.n = reader.int_("continuous", "n", default=defaults[1])
-        cfg.delta = reader.float_("continuous", "delta", default=defaults[2])
-        cfg.betas = reader.floats("continuous", "betas", default=defaults[3])
-        cfg.gammas = reader.floats("continuous", "gammas", default=defaults[4])
-        cfg.h_values = reader.floats("sweep", "h_values", default=defaults[5])
-        cfg.nodes_per_window = reader.int_("sweep", "nodes_per_window", default=defaults[6])
-        cfg.lambda_factor = reader.float_("sweep", "lambda_factor", default=4.0)
-        if len(cfg.betas) != cfg.n or len(cfg.gammas) != cfg.n:
-            raise ConfigError(
-                f"betas and gammas must each have n = {cfg.n} entries, got "
-                f"{len(cfg.betas)} and {len(cfg.gammas)}")
-        if not abs(cfg.delta) < 0.5:
-            raise ConfigError(f"delta must satisfy |delta| < 1/2, got {cfg.delta}")
-        if any(b >= a for a, b in zip(cfg.h_values, cfg.h_values[1:])) or not cfg.h_values:
-            raise ConfigError("h_values must be a non-empty strictly decreasing list")
-    return cfg
+def _int_where(ok: Callable[[int], bool], what: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value}")
+        return value
+    return parse
 
 
-def _build_factorization(cfg: ExperimentConfig):
-    return builtin_factor_family(cfg.family, cfg.h, **cfg.family_params)
-
-
-def _build_problem_spec(cfg: ExperimentConfig) -> ProblemSpec:
-    fac = _build_factorization(cfg)
-    families = {"identity": identity_boundary_operators,
-                "zeta": zeta_boundary_operators,
-                "row_trace": row_trace_boundary_operators}
-    bottom, left = families[cfg.boundary](cfg.n, cfg.h)
+def _lattice_problem(cfg: ExperimentConfig) -> ProblemSpec:
+    fac = builtin_factor_family(cfg.family, cfg.h, a=cfg.a, p=cfg.p, q=cfg.q,
+                                c=cfg.c, kappa=cfg.kappa)
+    bottom, left = BOUNDARY_OPERATORS[cfg.boundary](cfg.n, cfg.h)
     return ProblemSpec(s=cfg.s, factorization=fac, n=cfg.n, delta=cfg.delta,
                        bottom_ops=bottom, left_ops=left)
+
+
+def _continuous_problem(cfg: ExperimentConfig):
+    if len(cfg.betas) != cfg.n or len(cfg.gammas) != cfg.n:
+        raise ConfigError(
+            f"betas and gammas must each have n = {cfg.n} entries, got "
+            f"{len(cfg.betas)} and {len(cfg.gammas)}")
+    return radial_power_problem(s=cfg.s, n=cfg.n, delta=cfg.delta,
+                                bottom_orders=cfg.betas, left_orders=cfg.gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +170,11 @@ class ExperimentReport:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(_fmt(v) for v in value)
     if isinstance(value, float):
-        return repr(value)
+        # numpy float scalars are floats too; repr them as plain numbers
+        return repr(float(value))
     return str(value)
 
 
@@ -356,7 +184,7 @@ def write_report(report: ExperimentReport, outdir: Path,
     csv_path = outdir / f"{report.mode}.csv"
     with open(csv_path, "w") as f:
         f.write(f"# schema={report.mode}-v1\n")
-        f.write(",".join(_SCHEMA[report.mode]["columns"]) + "\n")
+        f.write(",".join(MODES[report.mode].columns) + "\n")
         for row in report.rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
     summary_path = outdir / f"{report.mode}_summary.txt"
@@ -384,19 +212,19 @@ def _solve_residual_gate(condition: float, residual: float) -> GateVerdict:
 # mode runners
 
 def _run_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
-    spec = _build_problem_spec(cfg)
-    grid = FrequencyGrid(cfg.h, cfg.grid_n)
-    grid1 = FrequencyGrid(cfg.h, cfg.grid_n, ndim=1)
+    spec = cfg.problem
+    grid = FrequencyGrid(cfg.h, cfg.N)
+    grid1 = FrequencyGrid(cfg.h, cfg.N, ndim=1)
     rng = np.random.default_rng(cfg.seed)
     planted = random_trace_vector(rng, grid1, cfg.n)
     rep = manufactured_roundtrip(spec, planted, grid)
-    rows = [(cfg.h, cfg.grid_n, rep.rel_error, rep.condition, rep.residual)]
+    rows = [(cfg.h, cfg.N, rep.rel_error, rep.condition, rep.residual)]
     verdicts = [
         GateVerdict("roundtrip_rel_error", rep.rel_error <= ROUNDTRIP_TOL,
                     f"rel_error {rep.rel_error:.3e} vs {ROUNDTRIP_TOL:.0e}"),
         _solve_residual_gate(rep.condition, rep.residual),
     ]
-    summary = {"h": cfg.h, "N": cfg.grid_n, "seed": cfg.seed,
+    summary = {"h": cfg.h, "N": cfg.N, "seed": cfg.seed,
                "family": spec.factorization.label, "boundary": cfg.boundary,
                "rel_error": rep.rel_error, "condition": rep.condition,
                "residual": rep.residual}
@@ -404,9 +232,9 @@ def _run_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
-    spec = _build_problem_spec(cfg)
-    grid = FrequencyGrid(cfg.h, cfg.grid_n)
-    grid1 = FrequencyGrid(cfg.h, cfg.grid_n, ndim=1)
+    spec = cfg.problem
+    grid = FrequencyGrid(cfg.h, cfg.N)
+    grid1 = FrequencyGrid(cfg.h, cfg.N, ndim=1)
     rng = np.random.default_rng(cfg.seed)
     planted = random_trace_vector(rng, grid1, cfg.n)
     # compatible data: two-edge data must agree at the corner, so it is
@@ -431,7 +259,7 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     for i, j in points:
         r = abs(residual_fn.values[i - a1, j - a2])
         worst = max(worst, r)
-        rows.append((cfg.h, cfg.grid_n, i, j, r))
+        rows.append((cfg.h, cfg.N, i, j, r))
 
     verdicts = [
         _solve_residual_gate(rep.condition, rep.residual),
@@ -439,7 +267,7 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
                     f"max |A u| {worst:.3e} vs {HOMOGENEOUS_TOL:.0e} * ||u|| "
                     f"= {HOMOGENEOUS_TOL * u_norm:.3e}"),
     ]
-    summary = {"h": cfg.h, "N": cfg.grid_n, "seed": cfg.seed,
+    summary = {"h": cfg.h, "N": cfg.N, "seed": cfg.seed,
                "family": spec.factorization.label, "boundary": cfg.boundary,
                "condition": rep.condition, "residual": rep.residual,
                "solution_norm": u_norm,
@@ -469,18 +297,11 @@ def _run_power_gap(cfg: ExperimentConfig) -> ExperimentReport:
                             f"{total_violations} violations over "
                             f"{len(cfg.h_values) * cfg.k_max * cfg.samples} samples")]
     summary = {"seed": cfg.seed, "samples": cfg.samples, "k_max": cfg.k_max,
-               "h_values": " ".join(repr(h) for h in cfg.h_values),
-               "total_violations": total_violations}
+               "h_values": cfg.h_values, "total_violations": total_violations}
     return ExperimentReport("power_gap", rows, verdicts, summary)
 
 
-def _continuous_problem(cfg: ExperimentConfig):
-    return radial_power_problem(s=cfg.s, n=cfg.n, delta=cfg.delta,
-                                bottom_orders=cfg.betas, left_orders=cfg.gammas)
-
-
 def _run_kernel_gap(cfg: ExperimentConfig) -> ExperimentReport:
-    problem = _continuous_problem(cfg)
     families = ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult")
     rows = []
     per_family: dict[str, list[float]] = {f: [] for f in families}
@@ -488,7 +309,7 @@ def _run_kernel_gap(cfg: ExperimentConfig) -> ExperimentReport:
         worst = {f: 0.0 for f in families}
         for j in range(cfg.n):
             for k in range(cfg.n):
-                ratios = kernel_gap_ratios(problem, float(h), j, k,
+                ratios = kernel_gap_ratios(cfg.problem, float(h), j, k,
                                            nodes_per_window=cfg.nodes_per_window,
                                            lambda_factor=cfg.lambda_factor)
                 for f in families:
@@ -505,8 +326,7 @@ def _run_kernel_gap(cfg: ExperimentConfig) -> ExperimentReport:
     verdicts = [GateVerdict(
         "kernel_gap_growth", growth_worst <= KERNEL_GAP_GROWTH_TOL,
         f"worst per-halving growth {growth_worst:+.2%} vs {KERNEL_GAP_GROWTH_TOL:.0%}")]
-    summary = {"s": cfg.s, "n": cfg.n, "delta": cfg.delta,
-               "h_values": " ".join(repr(h) for h in cfg.h_values),
+    summary = {"s": cfg.s, "n": cfg.n, "delta": cfg.delta, "h_values": cfg.h_values,
                "nodes_per_window": cfg.nodes_per_window,
                "worst_growth": growth_worst}
     for f in families:
@@ -516,15 +336,11 @@ def _run_kernel_gap(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _rate_mode(cfg: ExperimentConfig, sweep_fn, gate_name: str,
                slope_floor_fn) -> ExperimentReport:
-    problem = _continuous_problem(cfg)
-    report = sweep_fn(problem, cfg.h_values,
+    report = sweep_fn(cfg.problem, cfg.h_values,
                       nodes_per_window=cfg.nodes_per_window,
                       lambda_factor=cfg.lambda_factor)
-    window_nodes = [int(round(2 * math.pi / (h * (2 * math.pi / max(cfg.h_values))
-                                             / cfg.nodes_per_window)))
-                    for h in cfg.h_values]
     rows = [(float(h), wn, float(norm))
-            for h, wn, norm in zip(report.h_values, window_nodes, report.norms)]
+            for h, wn, norm in zip(report.h_values, report.window_nodes, report.norms)]
     floor = slope_floor_fn(report)
     if report.degenerate or report.slope is None:
         verdicts = [GateVerdict(gate_name, False,
@@ -532,35 +348,155 @@ def _rate_mode(cfg: ExperimentConfig, sweep_fn, gate_name: str,
     else:
         verdicts = [GateVerdict(gate_name, report.slope >= floor,
                                 f"slope {report.slope:.4f} vs floor {floor:.4f}")]
-    summary = {"s": cfg.s, "n": cfg.n, "delta": cfg.delta,
-               "h_values": " ".join(repr(h) for h in cfg.h_values),
+    summary = {"s": cfg.s, "n": cfg.n, "delta": cfg.delta, "h_values": cfg.h_values,
                "nodes_per_window": cfg.nodes_per_window,
                "lambda_factor": cfg.lambda_factor,
                "slope": report.slope if report.slope is not None else "degenerate",
                "epsilon": report.epsilon,
-               "monotone_violations": " ".join(str(i) for i in report.monotone_violations)
-               or "none"}
+               "monotone_violations": report.monotone_violations or "none"}
     return ExperimentReport(cfg.mode, rows, verdicts, summary)
 
 
-def _run_commutator(cfg: ExperimentConfig) -> ExperimentReport:
-    return _rate_mode(cfg, commutator_rate_sweep, "commutator_slope",
-                      lambda rep: COMMUTATOR_SLOPE_FACTOR * rep.epsilon)
+# ---------------------------------------------------------------------------
+# mode and field tables
+
+class Mode(NamedTuple):
+    run: Callable[[ExperimentConfig], ExperimentReport]
+    # builds the library problem the fields describe; ValueError if they
+    # are inconsistent
+    build: Callable[[ExperimentConfig], object]
+    columns: tuple[str, ...]
+    gates: tuple[str, ...]
 
 
-def _run_section_gap(cfg: ExperimentConfig) -> ExperimentReport:
-    return _rate_mode(cfg, section_gap_rate_sweep, "section_gap_slope",
-                      lambda rep: SECTION_GAP_SLOPE_MIN)
+_SOLVE_GATE = "solve_residual: linear-solve residual <= 1e-10 when condition <= 1e8"
+_RATE_COLUMNS = ("h", "window_nodes", "norm")
 
-
-_RUNNERS = {
-    "solve": _run_solve,
-    "roundtrip": _run_roundtrip,
-    "power_gap": _run_power_gap,
-    "kernel_gap": _run_kernel_gap,
-    "commutator": _run_commutator,
-    "section_gap": _run_section_gap,
+# The sweeps are looked up when a run starts, not bound here, so that
+# replacing them on this module (as a profiler's wrappers do) takes effect.
+MODES = {
+    "solve": Mode(
+        _run_solve, _lattice_problem,
+        ("h", "N", "point_i1", "point_i2", "abs_residual"),
+        (_SOLVE_GATE, "homogeneous_residual: |A u| <= 1e-6 ||u|| at interior points")),
+    "roundtrip": Mode(
+        _run_roundtrip, _lattice_problem,
+        ("h", "N", "rel_error", "condition", "residual"),
+        ("roundtrip_rel_error: recovered traces within 1e-6 of planted", _SOLVE_GATE)),
+    "power_gap": Mode(
+        _run_power_gap, lambda cfg: None,
+        ("h", "k", "max_gap", "max_bound", "max_ratio", "violations"),
+        ("power_gap_bound: zero pointwise violations of the first-order bound",)),
+    "kernel_gap": Mode(
+        _run_kernel_gap, _continuous_problem,
+        ("h", "j", "k", "family", "ratio"),
+        ("kernel_gap_growth: per-family max ratio grows <= 10% per h halving",)),
+    "commutator": Mode(
+        lambda cfg: _rate_mode(cfg, commutator_rate_sweep, "commutator_slope",
+                               lambda rep: COMMUTATOR_SLOPE_FACTOR * rep.epsilon),
+        _continuous_problem, _RATE_COLUMNS,
+        ("commutator_slope: fitted slope >= 0.9 * predicted exponent",)),
+    "section_gap": Mode(
+        lambda cfg: _rate_mode(cfg, section_gap_rate_sweep, "section_gap_slope",
+                               lambda rep: SECTION_GAP_SLOPE_MIN),
+        _continuous_problem, _RATE_COLUMNS,
+        ("section_gap_slope: fitted slope >= 0.9",)),
 }
+
+REQUIRED = object()
+
+
+class Field(NamedTuple):
+    section: str
+    key: str
+    parse: Callable[[str], object] | tuple[str, ...]  # converter, or the choices
+    modes: tuple[str, ...]
+    default: object = REQUIRED  # a value, REQUIRED, or {mode: value}
+
+
+LATTICE = ("solve", "roundtrip")
+RATES = ("kernel_gap", "commutator", "section_gap")
+_HALVING = (0.5, 0.25, 0.125, 0.0625)
+_ORDERS = {"kernel_gap": (0.0, -1.0), "commutator": (0.0,), "section_gap": (0.0, -1.0)}
+_AT_LEAST_ONE = _int_where(lambda v: v >= 1, ">= 1")
+
+FIELDS = (
+    Field("experiment", "mode", tuple(MODES), tuple(MODES)),
+    Field("experiment", "seed", int, tuple(MODES), 0),
+    Field("experiment", "output", str, tuple(MODES), "out"),
+    Field("symbols", "family", ("geometric", "shifted_zeta"), LATTICE),
+    Field("symbols", "a", float, LATTICE, None),
+    Field("symbols", "p", int, LATTICE, 1),
+    Field("symbols", "q", int, LATTICE, 1),
+    Field("symbols", "c", float, LATTICE, None),
+    Field("symbols", "kappa", float, LATTICE, None),
+    Field("symbols", "boundary", tuple(BOUNDARY_OPERATORS), LATTICE, "row_trace"),
+    Field("problem", "s", float, LATTICE),
+    Field("problem", "n", int, LATTICE),
+    Field("problem", "delta", float, LATTICE),
+    Field("grid", "N", _int_where(lambda v: v > 0 and v % 2 == 0,
+                                  "a positive even integer"), LATTICE),
+    Field("grid", "h", float, LATTICE),
+    Field("continuous", "s", float, RATES,
+          {"kernel_gap": 8.25, "commutator": 2.25, "section_gap": 3.25}),
+    Field("continuous", "n", int, RATES, {"kernel_gap": 2, "commutator": 1, "section_gap": 2}),
+    Field("continuous", "delta", float, RATES, -0.25),
+    Field("continuous", "betas", _floats, RATES, _ORDERS),
+    Field("continuous", "gammas", _floats, RATES, _ORDERS),
+    Field("sweep", "h_values", _floats, ("power_gap",), (1.0, 0.5, 0.25, 0.125)),
+    Field("sweep", "h_values", _decreasing, RATES,
+          {"kernel_gap": (1.0, 0.5, 0.25), "commutator": _HALVING, "section_gap": _HALVING}),
+    Field("sweep", "nodes_per_window", int, RATES,
+          {"kernel_gap": 64, "commutator": 32, "section_gap": 32}),
+    Field("sweep", "lambda_factor", float, RATES, 4.0),
+    Field("sweep", "k_max", _AT_LEAST_ONE, ("power_gap",), 4),
+    Field("sweep", "samples", _AT_LEAST_ONE, ("power_gap",), 10000),
+)
+
+
+def _default(field: Field, mode: str):
+    return field.default[mode] if isinstance(field.default, dict) else field.default
+
+
+def _read(field: Field, sections: dict[str, dict[str, tuple[str, int]]], mode: str):
+    entry = sections.get(field.section, {}).get(field.key)
+    if entry is None:
+        default = _default(field, mode)
+        if default is REQUIRED:
+            raise ConfigError(
+                f"missing required field {field.key!r} in section [{field.section}]")
+        return default
+    text, line = entry
+    if isinstance(field.parse, tuple):
+        if text not in field.parse:
+            raise ConfigError(f"unknown {field.key} {text!r}; expected one of "
+                              f"{', '.join(field.parse)}", line=line)
+        return text
+    try:
+        return field.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {field.key!r}: {exc}", line=line) from None
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse and validate a config file, and build the problem it describes."""
+    sections = parse_config_text(Path(path).read_text())
+    mode = _read(FIELDS[0], sections, "")  # the mode picks the other fields
+    fields = [f for f in FIELDS if mode in f.modes]
+    known = {(f.section, f.key) for f in fields}
+    for name, body in sections.items():
+        if name not in {section for section, _ in known}:
+            raise ConfigError(f"unknown section [{name}]")
+        for key, (_, line) in body.items():
+            if (name, key) not in known:
+                raise ConfigError(f"unknown key {key!r} in [{name}]", line=line)
+    cfg = ExperimentConfig(**{f.key: _read(f, sections, mode) for f in fields})
+    cfg.output = Path(os.environ.get(OUTPUT_ENV_VAR) or cfg.output)
+    try:
+        cfg.problem = MODES[mode].build(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +504,7 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, Path, Path]:
     start = time.perf_counter()
-    report = _RUNNERS[cfg.mode](cfg)
+    report = MODES[cfg.mode].run(cfg)
     wall = time.perf_counter() - start
     csv_path, summary_path = write_report(report, cfg.output, wall)
     return report, csv_path, summary_path
@@ -605,19 +541,24 @@ def _cmd_validate(path: str) -> int:
 
 
 def _cmd_schema(mode: str) -> int:
-    if mode not in _SCHEMA:
+    if mode not in MODES:
         print(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}",
               file=sys.stderr)
         return 2
-    info = _SCHEMA[mode]
     print(f"mode: {mode}")
     print(f"csv header: # schema={mode}-v1")
-    print(f"csv columns: {', '.join(info['columns'])}")
-    print("config keys:")
-    for line in info["keys"]:
-        print(f"  {line}")
+    print(f"csv columns: {', '.join(MODES[mode].columns)}")
+    print("config keys (every key the mode accepts):")
+    for f in FIELDS:
+        if mode in f.modes:
+            default = _default(f, mode)
+            shown = ("required" if default is REQUIRED else "no default"
+                     if default is None else f"default {_fmt(default)}")
+            if isinstance(f.parse, tuple):
+                shown += f"; one of {', '.join(f.parse)}"
+            print(f"  [{f.section}] {f.key}: {shown}")
     print("gates:")
-    for gate in info["gates"]:
+    for gate in MODES[mode].gates:
         print(f"  {gate}")
     return 0
 

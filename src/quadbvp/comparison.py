@@ -194,7 +194,8 @@ class RateReport:
 
     ``epsilon`` is the predicted exponent the slope is gated against;
     ``monotone_violations`` lists sweep indices whose norm exceeds the
-    previous (coarser) one.
+    previous (coarser) one; ``window_nodes`` counts the grid nodes inside
+    each torus window.
     """
 
     h_values: tuple[float, ...]
@@ -203,6 +204,7 @@ class RateReport:
     epsilon: float | None
     degenerate: bool = False
     monotone_violations: tuple[int, ...] = ()
+    window_nodes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         hs = self.h_values
@@ -250,16 +252,18 @@ def _frame_from_blocks(raw, nodes, quad, exponents, weights) -> WeightedOperator
                                  weight_exponents=exponents, blocks=blocks)
 
 
-def _report(h_values, norms, epsilon) -> RateReport:
+def _report(h_values, norms, epsilon, grid: LineGrid) -> RateReport:
     hs = tuple(float(v) for v in h_values)
     ns = tuple(float(v) for v in norms)
+    window_nodes = tuple(int(window_mask(grid, h).sum()) for h in hs)
     violations = tuple(i for i in range(1, len(ns)) if ns[i] > ns[i - 1])
     if all(v == 0.0 for v in ns):
         return RateReport(hs, ns, slope=None, epsilon=epsilon, degenerate=True,
-                          monotone_violations=violations)
+                          monotone_violations=violations, window_nodes=window_nodes)
     fit = fit_rate(hs, ns)
     return RateReport(hs, ns, slope=fit.slope, epsilon=epsilon,
-                      degenerate=fit.degenerate, monotone_violations=violations)
+                      degenerate=fit.degenerate, monotone_violations=violations,
+                      window_nodes=window_nodes)
 
 
 def commutator_rate_sweep(problem: ContinuousProblem, h_values,
@@ -297,7 +301,7 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
 
     epsilon = min(min(problem.s - b - 1.0 for b in problem.bottom_orders),
                   min(problem.s - g - 1.0 for g in problem.left_orders))
-    return _report(h_values, norms, epsilon)
+    return _report(h_values, norms, epsilon, grid)
 
 
 def _restricted_blocks(q_full: BlockSystem, win: np.ndarray, n: int):
@@ -350,7 +354,7 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
         frame = _frame_from_blocks(raw, wnodes, quad, tuple(exponents), weights)
         norms.append(estimate_operator_norm(frame))
 
-    return _report(h_values, norms, epsilon=1.0)
+    return _report(h_values, norms, 1.0, grid)
 
 
 def kernel_gap_ratios(problem: ContinuousProblem, h: float, j: int, k: int,

@@ -1,8 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from quadbvp.cli import (OUTPUT_ENV_VAR, load_config, main, parse_config_text)
+from quadbvp.cli import (MODES, OUTPUT_ENV_VAR, load_config, main, parse_config_text,
+                         run_experiment)
 from quadbvp.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ROUNDTRIP_CONFIG = """\
 [experiment]
@@ -24,6 +30,20 @@ delta = 0.25
 N = 64
 h = 1
 """
+
+
+SMALL_CONFIGS = {
+    "solve": ROUNDTRIP_CONFIG.replace("mode = roundtrip", "mode = {mode}"),
+    "roundtrip": ROUNDTRIP_CONFIG.replace("mode = roundtrip", "mode = {mode}"),
+    "power_gap": "[experiment]\nmode = {mode}\noutput = {out}\n"
+                 "[sweep]\nh_values = 1 0.5\nk_max = 2\nsamples = 100\n",
+    "kernel_gap": "[experiment]\nmode = {mode}\noutput = {out}\n"
+                  "[sweep]\nh_values = 1 0.5\nnodes_per_window = 16\n",
+    "commutator": "[experiment]\nmode = {mode}\noutput = {out}\n"
+                  "[sweep]\nh_values = 0.5 0.25 0.125\nnodes_per_window = 8\n",
+    "section_gap": "[experiment]\nmode = {mode}\noutput = {out}\n"
+                   "[sweep]\nh_values = 0.5 0.25 0.125\nnodes_per_window = 8\n",
+}
 
 
 def write_config(tmp_path, text, name="cfg.ini"):
@@ -63,9 +83,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"line \d+: unknown key 'wat'"):
             load_config(write_config(tmp_path, text))
 
-    def test_bad_value_is_line_referenced(self, tmp_path):
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path).replace("N = 64", "N = sixty")
-        with pytest.raises(ConfigError, match="bad value for 'N'"):
+    @pytest.mark.parametrize("old, new, pattern", [
+        ("N = 64", "N = sixty", "bad value for 'N'"),
+        ("boundary = zeta", "boundary = wat", r"line 9: unknown boundary 'wat'"),
+        ("family = geometric", "family = wat", r"line 7: unknown family 'wat'"),
+    ], ids=["N", "boundary", "family"])
+    def test_bad_value_is_line_referenced(self, tmp_path, old, new, pattern):
+        text = ROUNDTRIP_CONFIG.format(out=tmp_path).replace(old, new)
+        with pytest.raises(ConfigError, match=pattern):
             load_config(write_config(tmp_path, text))
 
     def test_index_split_mismatch_rejected(self, tmp_path):
@@ -163,6 +188,32 @@ class TestRunCommand:
         assert "gate_commutator_slope = PASS" in summary
         assert "epsilon = 1.25" in summary
 
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_every_csv_cell_parses_as_its_column_type(self, tmp_path, mode):
+        int_columns = {"N", "point_i1", "point_i2", "k", "j", "violations", "window_nodes"}
+        cfg = load_config(write_config(tmp_path, SMALL_CONFIGS[mode].format(
+            mode=mode, out=tmp_path / "out")))
+        _, csv_path, _ = run_experiment(cfg)
+        lines = csv_path.read_text().splitlines()
+        columns = lines[1].split(",")
+        assert lines[0] == f"# schema={mode}-v1" and len(lines) > 2
+        for line in lines[2:]:
+            cells = line.split(",")
+            assert len(cells) == len(columns)
+            for column, cell in zip(columns, cells):
+                if column in int_columns:
+                    int(cell)
+                elif column != "family":
+                    float(cell)
+
+    def test_readme_example_runs_verbatim(self, tmp_path, monkeypatch):
+        readme = (ROOT / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "out"))
+        path = write_config(tmp_path, block)
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path)]) == 0
+
     def test_section_gap_mode_passes_on_small_grid(self, tmp_path):
         text = ("[experiment]\nmode = section_gap\n"
                 f"output = {tmp_path / 'out'}\n"
@@ -192,10 +243,28 @@ class TestOtherCommands:
     def test_schema_unknown_mode_exits_2(self, capsys):
         assert main(["schema", "wat"]) == 2
 
+    def test_schema_lists_exactly_the_accepted_keys(self, tmp_path, capsys):
+        listed = {}
+        for mode in MODES:
+            assert main(["schema", mode]) == 0
+            listed[mode] = set(re.findall(r"^  \[(\w+)\] (\w+):", capsys.readouterr().out,
+                                          re.MULTILINE))
+        candidates = set().union(*listed.values()) | {("sweep", "wat"), ("wat", "x")}
+        for mode in MODES:
+            accepted = set()
+            for section, key in candidates - {("experiment", "mode")}:
+                text = f"[experiment]\nmode = {mode}\n[{section}]\n{key} = 1\n"
+                try:
+                    load_config(write_config(tmp_path, text))
+                except ConfigError as exc:
+                    if re.search("unknown (key|section)", str(exc)):
+                        continue
+                accepted.add((section, key))
+            assert listed[mode] == accepted | {("experiment", "mode")}, mode
+
 
 @pytest.fixture
 def repo_configs():
-    from pathlib import Path
-    configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+    configs = sorted((ROOT / "configs").glob("*.ini"))
     assert configs, "shipped configs missing"
     return configs

@@ -177,6 +177,15 @@ class TestCommutatorSweep:
         assert rep.slope >= 1.0
         assert rep.monotone_violations == ()
 
+    def test_window_nodes_count_the_grid_on_a_non_halving_sweep(self):
+        problem = radial_power_problem(s=2.25, n=1, delta=-0.25,
+                                       bottom_orders=[0.0], left_orders=[0.0])
+        hs = [0.5, 0.3, 0.2]
+        rep = commutator_rate_sweep(problem, hs, nodes_per_window=32)
+        grid = aligned_line_grid(hs, nodes_per_window=32)
+        assert rep.window_nodes == tuple(int(window_mask(grid, h).sum()) for h in hs)
+        assert rep.window_nodes == (32, 54, 80)
+
     def test_hypothesis_violation_rejected(self):
         problem = radial_power_problem(s=1.5, n=1, delta=-0.25,
                                        bottom_orders=[0.0], left_orders=[0.0])
