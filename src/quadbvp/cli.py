@@ -69,6 +69,8 @@ COMMUTATOR_SLOPE_FACTOR = 0.9
 BOUNDARY_OPERATORS = {"identity": identity_boundary_operators,
                       "zeta": zeta_boundary_operators,
                       "row_trace": row_trace_boundary_operators}
+# the [symbols] parameters each factor family needs
+FAMILY_FIELDS = {"geometric": ("a",), "shifted_zeta": ("c", "kappa")}
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +133,10 @@ def _int_where(ok: Callable[[int], bool], what: str) -> Callable[[str], int]:
 
 
 def _lattice_problem(cfg: ExperimentConfig) -> ProblemSpec:
+    for key in FAMILY_FIELDS[cfg.family]:
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"missing required field {key!r} for family "
+                              f"{cfg.family} in section [symbols]")
     fac = builtin_factor_family(cfg.family, cfg.h, a=cfg.a, p=cfg.p, q=cfg.q,
                                 c=cfg.c, kappa=cfg.kappa)
     bottom, left = BOUNDARY_OPERATORS[cfg.boundary](cfg.n, cfg.h)
@@ -424,7 +430,7 @@ FIELDS = (
     Field("experiment", "mode", tuple(MODES), tuple(MODES)),
     Field("experiment", "seed", int, tuple(MODES), 0),
     Field("experiment", "output", str, tuple(MODES), "out"),
-    Field("symbols", "family", ("geometric", "shifted_zeta"), LATTICE),
+    Field("symbols", "family", tuple(FAMILY_FIELDS), LATTICE),
     Field("symbols", "a", float, LATTICE, None),
     Field("symbols", "p", int, LATTICE, 1),
     Field("symbols", "q", int, LATTICE, 1),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MeshMismatchError
 from .lattice import (FrequencyGrid, LatticeFunction, SpectralFunction,
-                      discrete_fourier)
+                      discrete_fourier, inverse_discrete_fourier)
 from .symbols import PeriodicSymbol
 
 __all__ = [
@@ -61,15 +61,15 @@ def apply_symbol_to_spectrum(symbol: PeriodicSymbol, u_hat: SpectralFunction,
     points = [(int(i1), int(i2)) for i1, i2 in window]
     if not points:
         raise ValueError("window must contain at least one lattice point")
+    idx = np.array(points)
+    lo, hi = idx.min(axis=0), idx.max(axis=0)
+    box = ((int(lo[0]), int(hi[0])), (int(lo[1]), int(hi[1])))
     x1, x2 = grid.nodes_2d()
-    weighted = symbol(x1, x2) * u_hat.values * (grid.axis_weight ** 2 / (2.0 * math.pi) ** 2)
-    box = ((min(i for i, _ in points), max(i for i, _ in points)),
-           (min(j for _, j in points), max(j for _, j in points)))
-    vals = np.zeros((box[0][1] - box[0][0] + 1, box[1][1] - box[1][0] + 1), dtype=complex)
-    xi = grid.axis_nodes
-    for i1, i2 in points:
-        phase = np.exp(-1j * grid.h * (i1 * xi[:, None] + i2 * xi[None, :]))
-        vals[i1 - box[0][0], i2 - box[1][0]] = np.sum(weighted * phase)
+    whole = inverse_discrete_fourier(SpectralFunction(grid, symbol(x1, x2) * u_hat.values), box)
+    # the whole box is evaluated; lattice points outside the window read zero
+    rows, cols = (idx - lo).T
+    vals = np.zeros_like(whole.values)
+    vals[rows, cols] = whole.values[rows, cols]
     return LatticeFunction(grid.h, box, vals)
 
 

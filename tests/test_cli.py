@@ -142,6 +142,24 @@ class TestRunCommand:
         assert main(["run", str(write_config(tmp_path, text))]) == 2
         assert "missing required field 'n'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, params, missing", [
+        ("geometric", "a = 0.5\n", "a"),
+        ("shifted_zeta", "c = 5\nkappa = 1\n", "c"),
+        ("shifted_zeta", "c = 5\nkappa = 1\n", "kappa"),
+    ], ids=["a", "c", "kappa"])
+    def test_missing_family_parameter_exits_2(self, tmp_path, capsys,
+                                              family, params, missing):
+        kept = "".join(line + "\n" for line in params.splitlines()
+                       if not line.startswith(missing + " "))
+        text = ROUNDTRIP_CONFIG.format(out=tmp_path).replace(
+            "family = geometric\na = 0.5\n", f"family = {family}\n{kept}")
+        if family == "shifted_zeta":
+            text = text.replace("s = -1.25", "s = -0.25")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert f"missing required field '{missing}' for family {family}" in err
+        assert "[symbols]" in err
+
     def test_singular_problem_exits_3(self, tmp_path, capsys):
         text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out")
         text = text.replace("boundary = zeta", "boundary = identity")

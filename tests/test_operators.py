@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from quadbvp import (BoundaryOperatorSpec, FrequencyGrid, LatticeFunction,
                      MeshMismatchError, PeriodicSymbol, SpectralFunction,
-                     apply_digital_pdo, boundary_trace_spectrum,
+                     apply_digital_pdo, apply_symbol_to_spectrum,
+                     boundary_trace_spectrum,
                      discrete_fourier, zeta)
 
 
@@ -95,6 +96,28 @@ class TestApplyDigitalPdo:
         expected = alpha * out1.values + beta * out2.values
         scale = max(np.max(np.abs(expected)), 1.0)
         assert np.max(np.abs(combo.values - expected)) <= 1e-12 * scale
+
+    def test_matches_the_per_point_phase_sum(self, rng):
+        # reference: one full phase sum over the grid per window point;
+        # points of the support box outside the window read zero
+        h, N = 0.5, 24
+        g = FrequencyGrid(h, N)
+        spectrum = SpectralFunction(
+            g, rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+        sym = PeriodicSymbol(lambda x1, x2: 1.0 + 0.3 * np.exp(1j * h * (x1 - 2 * x2)),
+                             0.0, h)
+        window = [(0, 0), (3, -2), (5, 7), (1, 1)]
+        out = apply_symbol_to_spectrum(sym, spectrum, window)
+        assert out.support_box == ((0, 5), (-2, 7))
+
+        x1, x2 = g.nodes_2d()
+        weighted = sym(x1, x2) * spectrum.values * g.axis_weight ** 2 / (2 * math.pi) ** 2
+        expected = np.zeros((6, 10), dtype=complex)
+        for i1, i2 in window:
+            phase = np.exp(-1j * h * (i1 * x1 + i2 * x2))
+            expected[i1, i2 + 2] = np.sum(weighted * phase)
+        scale = np.sum(np.abs(weighted))
+        assert np.max(np.abs(out.values - expected)) <= 1e-14 * scale
 
     def test_mesh_mismatch_rejected(self):
         u = LatticeFunction.delta(0.5, (0, 0))

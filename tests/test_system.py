@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadbvp import (AssemblyError, BoundaryOperatorSpec, FrequencyGrid,
                      NearSingularError, PeriodicSymbol, ProblemSpec,
@@ -14,7 +17,7 @@ from quadbvp import (AssemblyError, BoundaryOperatorSpec, FrequencyGrid,
                      sobolev_norm_1d, sobolev_norm_2d, solve_block_system,
                      structural_null_basis, trace_exponents, zeta,
                      zeta_boundary_operators, apply_symbol_to_spectrum,
-                     aligned_line_grid)
+                     aligned_line_grid, boundary_trace_spectrum)
 from conftest import ones_symbol
 
 
@@ -147,6 +150,27 @@ class TestSolve:
             solve_block_system(assemble_discrete_system(trivial_spec(n=2), grid))
         assert err.value.condition > 1e12
 
+    def test_corner_incompatible_data_leave_a_gauge_residual(self, rng):
+        # two-edge data drawn independently disagree at the corner, so they
+        # are not in the range of A: the bordered solve leaves b - A x in
+        # the span of the gauge basis, and the residual reports its size
+        h, N = 1.0, 32
+        fac = builtin_factor_family("geometric", h, a=0.5, p=1, q=1)
+        bottom, left = row_trace_boundary_operators(1, h)
+        grid1 = FrequencyGrid(h, N, ndim=1)
+        data_bottom, data_left = (
+            SpectralFunction(grid1, random_bumps(rng, math.pi)(grid1.axis_nodes))
+            for _ in range(2))
+        spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
+                           bottom_ops=bottom, left_ops=left,
+                           bottom_data=(data_bottom,), left_data=(data_left,))
+        sys = assemble_discrete_system(spec, FrequencyGrid(h, N))
+        traces, rep = solve_block_system(sys)
+        assert rep.residual >= 1e-3
+        r = sys.full_rhs() - sys.full_matrix() @ stacked_values(traces)
+        q, _ = np.linalg.qr(structural_null_basis(sys))
+        assert np.linalg.norm(r - q @ (q.conj().T @ r)) <= 1e-12 * np.linalg.norm(r)
+
     def test_residual_small_at_moderate_condition(self, rng):
         h = 1.0
         fac = builtin_factor_family("geometric", h, a=0.5, p=1, q=1)
@@ -159,6 +183,77 @@ class TestSolve:
         rep = manufactured_roundtrip(spec, planted, grid)
         assert rep.condition <= 1e8
         assert rep.residual <= 1e-10
+
+
+def svd_min_norm_solve(system):
+    """Oracle: least-squares minimum-norm solve by the full SVD, inverting
+    every singular value outside the structural gauge space, with one
+    refinement step; returns the solution and the deflated condition."""
+    a = system.full_matrix()
+    b = system.full_rhs()
+    u, sig, vh = np.linalg.svd(a)
+    rank = system.size - system.n ** 2
+
+    def pinv(v):
+        return vh[:rank].conj().T @ ((u[:, :rank].conj().T @ v) / sig[:rank])
+
+    x = pinv(b)
+    x = x + pinv(b - a @ x)
+    return x, float(sig[0] / sig[rank - 1])
+
+
+def stacked_values(traces):
+    return np.concatenate([f.values for f in traces.bottom + traces.left])
+
+
+families = st.one_of(
+    st.builds(lambda a, p, q: ("geometric", dict(a=a, p=p, q=q)),
+              st.floats(-0.9, 0.9), st.integers(0, 2), st.integers(0, 2)),
+    st.builds(lambda shift, kappa: ("shifted_zeta", dict(c=shift, kappa=kappa)),
+              st.floats(0.25, 8.0), st.floats(0.5, 3.0)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(family=families, n=st.integers(1, 3), zeta_ops=st.booleans(),
+       h=st.sampled_from([1.0, 0.5]), N=st.sampled_from([32, 64]),
+       seed=st.integers(0, 2**31))
+def test_solver_properties(family, n, zeta_ops, h, N, seed):
+    # every drawn problem is either reported as not uniquely solvable or
+    # solved to the SVD oracle's minimum-norm solution
+    kind, params = family
+    if kind == "shifted_zeta":
+        params = dict(params, c=4.0 / h + params["c"])  # c > 4/h
+    fac = builtin_factor_family(kind, h, **params)
+    operators = zeta_boundary_operators if zeta_ops and n == 1 \
+        else row_trace_boundary_operators
+    bottom, left = operators(n, h)
+    spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=fac, n=n,
+                       delta=0.25, bottom_ops=bottom, left_ops=left)
+    grid = FrequencyGrid(h, N)
+    planted = random_trace_vector(np.random.default_rng(seed),
+                                  FrequencyGrid(h, N, ndim=1), n)
+    u_hat = reconstruct_solution(planted, fac, grid)
+    system = assemble_discrete_system(
+        replace(spec,
+                bottom_data=tuple(boundary_trace_spectrum(op, u_hat) for op in bottom),
+                left_data=tuple(boundary_trace_spectrum(op, u_hat) for op in left)),
+        grid)
+    try:
+        traces, rep = solve_block_system(system)
+    except NearSingularError:
+        return
+    assert manufactured_roundtrip(spec, planted, grid).rel_error <= 1e-6
+    if rep.condition <= 1e8:
+        assert rep.residual <= 1e-10
+
+    a = system.full_matrix()
+    q, _ = np.linalg.qr(structural_null_basis(system))
+    assert np.linalg.norm(a @ q, 2) <= 1e-12 * np.linalg.norm(a, 2)
+
+    want, condition = svd_min_norm_solve(system)
+    got = stacked_values(traces)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert rep.condition == pytest.approx(condition, rel=0.05)
 
 
 class TestStructuralGauge:
@@ -362,7 +457,6 @@ class TestContinuousAssembly:
             s=0.75, n=1, delta=0.25, bottom_orders=[0.0], left_orders=[0.0])
         grid = aligned_line_grid([1.0], 32, lambda_factor=2.0)
         bump = random_bumps(rng, math.pi)
-        from dataclasses import replace
         problem = replace(problem, bottom_data=(bump,), left_data=(bump,))
         sys = assemble_continuous_system(problem, grid)
         traces, rep = solve_block_system(sys)
