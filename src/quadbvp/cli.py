@@ -116,10 +116,12 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _decreasing(text: str) -> tuple[float, ...]:
+def _mesh_sizes(text: str) -> tuple[float, ...]:
     hs = _floats(text)
+    if not all(0.0 < h < math.inf for h in hs):
+        raise ValueError(f"mesh sizes must be positive and finite, got {_fmt(hs)}")
     if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("h_values must be a non-empty strictly decreasing list")
+        raise ValueError("mesh sizes must be strictly decreasing")
     return hs
 
 
@@ -308,24 +310,18 @@ def _run_power_gap(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_kernel_gap(cfg: ExperimentConfig) -> ExperimentReport:
-    families = ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult")
     rows = []
-    per_family: dict[str, list[float]] = {f: [] for f in families}
+    per_family: dict[str, list[float]] = {}
     for h in cfg.h_values:
-        worst = {f: 0.0 for f in families}
-        for j in range(cfg.n):
-            for k in range(cfg.n):
-                ratios = kernel_gap_ratios(cfg.problem, float(h), j, k,
-                                           nodes_per_window=cfg.nodes_per_window,
-                                           lambda_factor=cfg.lambda_factor)
-                for f in families:
-                    worst[f] = max(worst[f], ratios[f])
-                    rows.append((float(h), j, k, f, ratios[f]))
-        for f in families:
-            per_family[f].append(worst[f])
+        ratios = kernel_gap_ratios(cfg.problem, float(h),
+                                   nodes_per_window=cfg.nodes_per_window,
+                                   lambda_factor=cfg.lambda_factor)
+        for j, k in np.ndindex(cfg.n, cfg.n):
+            rows.extend((float(h), j, k, f, float(r[j, k])) for f, r in ratios.items())
+        for f, r in ratios.items():
+            per_family.setdefault(f, []).append(float(r.max()))
     growth_worst = 0.0
-    for f in families:
-        vals = per_family[f]
+    for vals in per_family.values():
         for a, b in zip(vals, vals[1:]):
             if a > 0:
                 growth_worst = max(growth_worst, b / a - 1.0)
@@ -335,8 +331,8 @@ def _run_kernel_gap(cfg: ExperimentConfig) -> ExperimentReport:
     summary = {"s": cfg.s, "n": cfg.n, "delta": cfg.delta, "h_values": cfg.h_values,
                "nodes_per_window": cfg.nodes_per_window,
                "worst_growth": growth_worst}
-    for f in families:
-        summary[f"max_ratio_{f}"] = max(per_family[f])
+    for f, vals in per_family.items():
+        summary[f"max_ratio_{f}"] = max(vals)
     return ExperimentReport("kernel_gap", rows, verdicts, summary)
 
 
@@ -449,9 +445,9 @@ FIELDS = (
     Field("continuous", "delta", float, RATES, -0.25),
     Field("continuous", "betas", _floats, RATES, _ORDERS),
     Field("continuous", "gammas", _floats, RATES, _ORDERS),
-    Field("sweep", "h_values", _floats, ("power_gap",), (1.0, 0.5, 0.25, 0.125)),
-    Field("sweep", "h_values", _decreasing, RATES,
-          {"kernel_gap": (1.0, 0.5, 0.25), "commutator": _HALVING, "section_gap": _HALVING}),
+    Field("sweep", "h_values", _mesh_sizes, ("power_gap",) + RATES,
+          {"power_gap": (1.0, 0.5, 0.25, 0.125), "kernel_gap": (1.0, 0.5, 0.25),
+           "commutator": _HALVING, "section_gap": _HALVING}),
     Field("sweep", "nodes_per_window", int, RATES,
           {"kernel_gap": 64, "commutator": 32, "section_gap": 32}),
     Field("sweep", "lambda_factor", float, RATES, 4.0),

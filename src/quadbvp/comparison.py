@@ -80,6 +80,8 @@ def aligned_line_grid(h_values, nodes_per_window: int,
     window nodes form exact midpoint grids of their tori.
     """
     hs = [float(v) for v in h_values]
+    if not all(0.0 < h < math.inf for h in hs):
+        raise InvalidConfigurationError(f"h_values must be positive and finite, got {hs}")
     if not hs or any(b >= a for a, b in zip(hs, hs[1:])):
         raise InvalidConfigurationError("h_values must be strictly decreasing")
     if nodes_per_window <= 0 or nodes_per_window % 2 != 0:
@@ -111,48 +113,54 @@ class WeightedOperatorFrame:
     norms Euclidean.
 
     ``blocks[i][j]`` maps input block j to output block i; ``None`` marks a
-    block known to vanish.  Entries already include the quadrature and
-    weight scalings, so each block's contribution to the operator norm is
-    its largest singular value, and the direct-sum (sum of block norms)
-    convention makes the full norm the largest column sum of those values.
+    block known to vanish, and a 1-D array is a diagonal block given by its
+    diagonal.  Entries already include the quadrature and weight scalings,
+    so each block's contribution to the operator norm is its largest
+    singular value, and the direct-sum (sum of block norms) convention
+    makes the full norm the largest column sum of those values.
     """
 
-    nodes: np.ndarray
-    quad_weight: float
-    weight_exponents: tuple[float, ...]
     blocks: tuple[tuple[np.ndarray | None, ...], ...]
 
 
-def _sigma_max(block: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> float:
-    """Largest singular value by power iteration on the normal matrix.
+# power iteration on dense blocks: relative tolerance on the squared value
+# and iteration budget
+_POWER_TOL = 1e-8
+_POWER_MAX_ITER = 10000
 
-    Deterministic all-ones start; relative tolerance on the squared value.
+
+def _sigma_max(block: np.ndarray) -> float:
+    """Largest singular value of a block: ``max|d|`` for a diagonal block
+    given as its diagonal ``d``, power iteration on the normal matrix from a
+    deterministic all-ones start for a dense one.
     """
     b = np.asarray(block)
     if b.size == 0 or not np.any(b):
         return 0.0
+    if b.ndim == 1:
+        return float(np.max(np.abs(b)))
+    adjoint = b.conj().T
     v = np.ones(b.shape[1], dtype=complex)
     v /= np.linalg.norm(v)
     lam_prev = None
     lam = 0.0
-    for iteration in range(1, max_iter + 1):
-        w = b.conj().T @ (b @ v)
+    for _ in range(_POWER_MAX_ITER):
+        w = adjoint @ (b @ v)
         lam = float(np.real(np.vdot(v, w)))
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
+        if lam_prev is not None and abs(lam - lam_prev) <= _POWER_TOL * max(abs(lam), 1e-300):
             return math.sqrt(max(lam, 0.0))
         lam_prev = lam
     raise NormEstimateError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last value {lam:.6e})", iterations=max_iter, last_value=lam,
+        f"power iteration did not converge in {_POWER_MAX_ITER} iterations "
+        f"(last value {lam:.6e})", iterations=_POWER_MAX_ITER, last_value=lam,
         last_delta=abs(lam - (lam_prev or 0.0)))
 
 
-def estimate_operator_norm(frame: WeightedOperatorFrame, tol: float = 1e-8,
-                           max_iter: int = 10000) -> float:
+def estimate_operator_norm(frame: WeightedOperatorFrame) -> float:
     """Operator norm of the frame under the sum-of-block-norms convention."""
     n_out = len(frame.blocks)
     n_in = len(frame.blocks[0]) if n_out else 0
@@ -162,7 +170,7 @@ def estimate_operator_norm(frame: WeightedOperatorFrame, tol: float = 1e-8,
         for i in range(n_out):
             block = frame.blocks[i][j]
             if block is not None:
-                col += _sigma_max(block, tol=tol, max_iter=max_iter)
+                col += _sigma_max(block)
         best = max(best, col)
     return best
 
@@ -238,18 +246,27 @@ def _weighted(block: np.ndarray, w_out: np.ndarray, w_in: np.ndarray,
               quad: float) -> np.ndarray:
     s_out = np.sqrt(w_out * quad)
     s_in = np.sqrt(w_in * quad)
-    return (s_out[:, None] * block) / s_in[None, :]
+    if block.ndim == 2:
+        s_out = s_out[:, None]
+    return (s_out * block) / s_in
 
 
-def _frame_from_blocks(raw, nodes, quad, exponents, weights) -> WeightedOperatorFrame:
-    n2 = len(raw)
-    blocks = tuple(
-        tuple(None if raw[i][j] is None
-              else _weighted(raw[i][j], weights[i], weights[j], quad)
-              for j in range(n2))
-        for i in range(n2))
-    return WeightedOperatorFrame(nodes=nodes, quad_weight=quad,
-                                 weight_exponents=exponents, blocks=blocks)
+def _frame(quadrants, weights, quad) -> WeightedOperatorFrame:
+    """Weighted frame of the 2n x 2n block operator ``[[A, B], [C, D]]``.
+
+    ``quadrants`` is ``(A, B, C, D)``, each an ``(n, n, ...)`` stack of
+    blocks (diagonals or matrices) or None when the quadrant vanishes.
+    """
+    n = len(weights) // 2
+
+    def block(i: int, j: int):
+        quadrant = quadrants[2 * (i // n) + j // n]
+        if quadrant is None:
+            return None
+        return _weighted(quadrant[i % n, j % n], weights[i], weights[j], quad)
+
+    return WeightedOperatorFrame(blocks=tuple(
+        tuple(block(i, j) for j in range(2 * n)) for i in range(2 * n)))
 
 
 def _report(h_values, norms, epsilon, grid: LineGrid) -> RateReport:
@@ -280,37 +297,46 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     _hypotheses(problem, 1.0, 2.0, "commutator sweep")
     grid = aligned_line_grid(h_values, nodes_per_window, lam, lambda_factor)
     q_full = assemble_continuous_system(problem, grid)
-    nodes = grid.axis_nodes
-    quad = grid.axis_weight
-    n = problem.n
     exps = problem.trace_exponents
-    exponents = exps + exps
-    weights = [_line_weights(nodes, e) for e in exponents]
+    weights = [_line_weights(grid.axis_nodes, e) for e in exps + exps]
 
     norms = []
     for h in h_values:
         chi = window_mask(grid, h).astype(float)
         sign = chi[:, None] - chi[None, :]
-        raw: list[list[np.ndarray | None]] = [[None] * (2 * n) for _ in range(2 * n)]
-        for j in range(n):
-            for k in range(n):
-                raw[j][n + k] = sign * q_full.bottom_kernel[j, k]
-                raw[n + j][k] = sign * q_full.left_kernel[j, k]
-        frame = _frame_from_blocks(raw, nodes, quad, tuple(exponents), weights)
-        norms.append(estimate_operator_norm(frame))
+        quadrants = (None, sign * q_full.bottom_kernel, sign * q_full.left_kernel, None)
+        norms.append(estimate_operator_norm(_frame(quadrants, weights, grid.axis_weight)))
 
     epsilon = min(min(problem.s - b - 1.0 for b in problem.bottom_orders),
                   min(problem.s - g - 1.0 for g in problem.left_orders))
     return _report(h_values, norms, epsilon, grid)
 
 
-def _restricted_blocks(q_full: BlockSystem, win: np.ndarray, n: int):
-    """Blocks of the window-restricted continuous operator."""
-    mult_b = q_full.bottom_mult[:, :, win]
-    mult_l = q_full.left_mult[:, :, win]
-    ker_b = q_full.bottom_kernel[:, :, win][:, :, :, win]
-    ker_l = q_full.left_kernel[:, :, win][:, :, :, win]
-    return mult_b, ker_b, ker_l, mult_l
+def _window_gaps(problem: ContinuousProblem, q_full: BlockSystem, grid: LineGrid,
+                 h: float):
+    """Window nodes and the gap between the window-restricted continuous
+    operator and the lattice operator assembled on the same window nodes.
+
+    The gap comes as ``(mult_b, ker_b, ker_l, mult_l)``, continuous minus
+    lattice, shaped like the ``BlockSystem`` fields of the same names: the
+    multiplier gaps are diagonals, the kernel gaps matrices, all with the
+    quadrature weight folded in.  The lattice side uses the restriction of
+    the continuous symbols to the window (their periodic continuation
+    agrees there) and difference-symbol powers.
+    """
+    win = window_mask(grid, h)
+    wnodes = grid.axis_nodes[win]
+    zeros = np.zeros((problem.n, len(wnodes)), dtype=complex)
+    lattice = _assemble(n=problem.n, nodes=wnodes, weight=grid.axis_weight, h=float(h),
+                        plus_factor=problem.plus_factor,
+                        bottom_symbols=problem.bottom_symbols,
+                        left_symbols=problem.left_symbols,
+                        rhs_bottom=zeros, rhs_left=zeros)
+    rows, cols = np.ix_(win, win)
+    return wnodes, (q_full.bottom_mult[:, :, win] - lattice.bottom_mult,
+                    q_full.bottom_kernel[..., rows, cols] - lattice.bottom_kernel,
+                    q_full.left_kernel[..., rows, cols] - lattice.left_kernel,
+                    q_full.left_mult[:, :, win] - lattice.left_mult)
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
@@ -318,99 +344,57 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
                            lam: float | None = None,
                            lambda_factor: float = 4.0) -> RateReport:
     """Rate of the gap between the window-restricted continuous operator and
-    the lattice operator assembled on the same window nodes.
-
-    The lattice side uses the restriction of the continuous symbols to the
-    window (their periodic continuation agrees there) and difference-symbol
-    powers; the predicted rate is first order in ``h``.
+    the lattice operator assembled on the same window nodes; the predicted
+    rate is first order in ``h``.
     """
     _hypotheses(problem, 3.0, 3.0, "section gap sweep")
     grid = aligned_line_grid(h_values, nodes_per_window, lam, lambda_factor)
     q_full = assemble_continuous_system(problem, grid)
-    quad = grid.axis_weight
-    n = problem.n
     exps = problem.trace_exponents
-    exponents = exps + exps
 
     norms = []
     for h in h_values:
-        win = window_mask(grid, h)
-        wnodes = grid.axis_nodes[win]
-        mult_b, ker_b, ker_l, mult_l = _restricted_blocks(q_full, win, n)
-        zeros = np.zeros((n, len(wnodes)), dtype=complex)
-        lattice = _assemble(n=n, nodes=wnodes, weight=quad, h=float(h),
-                            plus_factor=problem.plus_factor,
-                            bottom_symbols=problem.bottom_symbols,
-                            left_symbols=problem.left_symbols,
-                            rhs_bottom=zeros, rhs_left=zeros)
-        raw: list[list[np.ndarray | None]] = [[None] * (2 * n) for _ in range(2 * n)]
-        for j in range(n):
-            for k in range(n):
-                raw[j][k] = np.diag(mult_b[j, k] - lattice.bottom_mult[j, k])
-                raw[j][n + k] = ker_b[j, k] - lattice.bottom_kernel[j, k]
-                raw[n + j][k] = ker_l[j, k] - lattice.left_kernel[j, k]
-                raw[n + j][n + k] = np.diag(mult_l[j, k] - lattice.left_mult[j, k])
-        weights = [_torus_weights(wnodes, e, float(h)) for e in exponents]
-        frame = _frame_from_blocks(raw, wnodes, quad, tuple(exponents), weights)
-        norms.append(estimate_operator_norm(frame))
+        wnodes, gaps = _window_gaps(problem, q_full, grid, h)
+        weights = [_torus_weights(wnodes, e, float(h)) for e in exps + exps]
+        norms.append(estimate_operator_norm(_frame(gaps, weights, grid.axis_weight)))
 
     return _report(h_values, norms, 1.0, grid)
 
 
-def kernel_gap_ratios(problem: ContinuousProblem, h: float, j: int, k: int,
+def kernel_gap_ratios(problem: ContinuousProblem, h: float,
                       nodes_per_window: int = 64,
-                      lambda_factor: float = 4.0) -> dict[str, float]:
+                      lambda_factor: float = 4.0) -> dict[str, np.ndarray]:
     """Max kernel gaps normalized by their predicted ``h`` rate and weight.
 
     For each of the four block families the gap between the continuous
     kernel (full-line integrals truncated at the grid edge) and its lattice
-    counterpart on the window is divided by ``h (1 + |xi|)^e`` with the
-    family's growth exponent; the max over window nodes is returned under
-    the keys ``bottom_kernel``, ``left_kernel``, ``bottom_mult``,
-    ``left_mult``.
+    counterpart on the window, with kernel gaps taken per unit quadrature
+    weight, is divided by ``h (1 + |xi|)^e``, where ``e`` is the growth
+    exponent of block ``(j, k)``: ``order_j - index + k + 1`` for kernels
+    and ``+ 2`` for multipliers.  The max over window nodes is returned as
+    an ``(n, n)`` array indexed by ``(j, k)`` under the keys
+    ``bottom_mult``, ``bottom_kernel``, ``left_kernel``, ``left_mult``.
     """
     _hypotheses(problem, 2.0, 2.0, "kernel gap ratios")
-    if not (0 <= j < problem.n and 0 <= k < problem.n):
-        raise ValueError(f"block indices (j={j}, k={k}) out of range for n={problem.n}")
     grid = aligned_line_grid([h], nodes_per_window, lambda_factor=lambda_factor)
-    nodes = grid.axis_nodes
-    quad = grid.axis_weight
-    win = window_mask(grid, h)
-    wnodes = nodes[win]
-    index = problem.index
-    beta = problem.bottom_orders[j]
-    gamma = problem.left_orders[j]
-
+    q_full = assemble_continuous_system(problem, grid)
+    wnodes, (mult_b, ker_b, ker_l, mult_l) = _window_gaps(problem, q_full, grid, h)
     x1, x2 = np.meshgrid(wnodes, wnodes, indexing="ij")
-    inv_plus = 1.0 / np.asarray(problem.plus_factor(x1, x2), dtype=complex)
-    weight_2d = (1.0 + np.hypot(x1, x2))
-    pow_cont = (1j * wnodes) ** k
-    pow_disc = zeta(wnodes, h) ** k
-
-    core_b = np.asarray(problem.bottom_symbols[j](x1, x2), dtype=complex) * inv_plus
-    core_l = np.asarray(problem.left_symbols[j](x1, x2), dtype=complex) * inv_plus
-    # kernel blocks differ only through the powers of the outer variable
-    gap_b = np.abs(core_b * (pow_cont - pow_disc)[:, None])
-    gap_l = np.abs(core_l * (pow_cont - pow_disc)[None, :])
-    ratio_bk = float(np.max(gap_b / (h * weight_2d ** (beta - index + k + 1))))
-    ratio_lk = float(np.max(gap_l / (h * weight_2d ** (gamma - index + k + 1))))
-
-    # multiplier blocks: continuous integrals run over the whole grid,
-    # lattice integrals over the window only
-    y1, t = np.meshgrid(wnodes, nodes, indexing="ij")
-    inv_plus_line = 1.0 / np.asarray(problem.plus_factor(y1, t), dtype=complex)
-    cb_line = np.asarray(problem.bottom_symbols[j](y1, t), dtype=complex) * inv_plus_line
-    cl_line = np.asarray(problem.left_symbols[j](t, y1), dtype=complex) \
-        / np.asarray(problem.plus_factor(t, y1), dtype=complex)
-    cont_b = (cb_line * ((1j * t) ** k)).sum(axis=1) * quad
-    cont_l = (cl_line * ((1j * t) ** k)).sum(axis=1) * quad
-    disc_b = (cb_line[:, win] * pow_disc[None, :]).sum(axis=1) * quad
-    disc_l = (cl_line[:, win] * pow_disc[None, :]).sum(axis=1) * quad
+    weight_2d = 1.0 + np.hypot(x1, x2)
     weight_1d = 1.0 + np.abs(wnodes)
-    ratio_bm = float(np.max(np.abs(cont_b - disc_b)
-                            / (h * weight_1d ** (beta - index + k + 2))))
-    ratio_lm = float(np.max(np.abs(cont_l - disc_l)
-                            / (h * weight_1d ** (gamma - index + k + 2))))
-
-    return {"bottom_kernel": ratio_bk, "left_kernel": ratio_lk,
-            "bottom_mult": ratio_bm, "left_mult": ratio_lm}
+    quad = grid.axis_weight
+    # family: |gap|, growth weight, exponent offset, symbol orders
+    families = {
+        "bottom_mult": (np.abs(mult_b), weight_1d, 2, problem.bottom_orders),
+        "bottom_kernel": (np.abs(ker_b) / quad, weight_2d, 1, problem.bottom_orders),
+        "left_kernel": (np.abs(ker_l) / quad, weight_2d, 1, problem.left_orders),
+        "left_mult": (np.abs(mult_l), weight_1d, 2, problem.left_orders),
+    }
+    n = problem.n
+    ratios = {}
+    for family, (gap, weight, offset, orders) in families.items():
+        ratios[family] = np.empty((n, n))
+        for j, k in np.ndindex(n, n):
+            e = orders[j] - problem.index + k + offset
+            ratios[family][j, k] = np.max(gap[j, k] / (h * weight ** e))
+    return ratios

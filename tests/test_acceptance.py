@@ -17,8 +17,9 @@ A6  the restriction commutator decays with fitted slope at least 0.9
 A7  the solution-norm to trace-norm ratio varies at most 2x over a mesh
     halving sweep
 A8  numerics hygiene: Parseval to 1e-10, norm estimator vs direct SVD to
-    1e-6 up to 200x200, linear-solve residual below 1e-10 whenever the
-    condition estimate is below 1e8
+    1e-6 up to 200x200 and on every block of the A5 frames and the coarsest
+    A6 frame, linear-solve residual below 1e-10 whenever the condition
+    estimate is below 1e8
 """
 
 import math
@@ -27,6 +28,7 @@ import time
 import numpy as np
 import pytest
 
+from quadbvp import comparison
 from quadbvp import (FrequencyGrid, LatticeFunction, PeriodicSymbol,
                      ProblemSpec, SpectralFunction, TraceVector,
                      WeightedOperatorFrame, apply_symbol_to_spectrum,
@@ -109,26 +111,32 @@ def test_a4_kernel_gap_growth():
     families = ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult")
     per_family = {f: [] for f in families}
     for h in (1.0, 0.5, 0.25):
-        worst = {f: 0.0 for f in families}
-        for j in range(2):
-            for k in range(2):
-                ratios = kernel_gap_ratios(problem, h, j, k, nodes_per_window=64)
-                for f in families:
-                    worst[f] = max(worst[f], ratios[f])
+        ratios = kernel_gap_ratios(problem, h, nodes_per_window=64)
         for f in families:
-            per_family[f].append(worst[f])
+            assert ratios[f].shape == (2, 2)
+            per_family[f].append(float(ratios[f].max()))
     growth = max((b / a - 1.0) for vals in per_family.values()
                  for a, b in zip(vals, vals[1:]) if a > 0)
     check("A4 kernel gap ratio growth", growth <= 0.10,
           f"worst per-halving growth {growth:+.2%} (tol +10%) over h in 1, 1/2, 1/4")
 
 
+RATE_SWEEP = [0.5, 0.25, 0.125, 0.0625]
+
+
+def section_gap_problem():
+    return radial_power_problem(s=3.25, n=2, delta=-0.25,
+                                bottom_orders=[0.0, -1.0], left_orders=[0.0, -1.0])
+
+
+def commutator_problem():
+    return radial_power_problem(s=2.25, n=1, delta=-0.25,
+                                bottom_orders=[0.0], left_orders=[0.0])
+
+
 def test_a5_section_gap_rate():
     start = time.perf_counter()
-    problem = radial_power_problem(s=3.25, n=2, delta=-0.25,
-                                   bottom_orders=[0.0, -1.0],
-                                   left_orders=[0.0, -1.0])
-    rep = section_gap_rate_sweep(problem, [0.5, 0.25, 0.125, 0.0625],
+    rep = section_gap_rate_sweep(section_gap_problem(), RATE_SWEEP,
                                  nodes_per_window=32)
     wall = time.perf_counter() - start
     check("A5 section gap first-order rate",
@@ -138,9 +146,7 @@ def test_a5_section_gap_rate():
 
 def test_a6_commutator_rate():
     start = time.perf_counter()
-    problem = radial_power_problem(s=2.25, n=1, delta=-0.25,
-                                   bottom_orders=[0.0], left_orders=[0.0])
-    rep = commutator_rate_sweep(problem, [0.5, 0.25, 0.125, 0.0625],
+    rep = commutator_rate_sweep(commutator_problem(), RATE_SWEEP,
                                 nodes_per_window=32)
     wall = time.perf_counter() - start
     floor = 0.9 * rep.epsilon
@@ -176,7 +182,7 @@ def test_a7_norm_ratio_mesh_stability():
           f"ratio span {span:.3f}x (tol 2x) over h in 1, 1/2, 1/4")
 
 
-def test_a8_numerics_hygiene():
+def test_a8_numerics_hygiene(monkeypatch):
     # Parseval
     rng = np.random.default_rng(5)
     vals = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
@@ -190,11 +196,25 @@ def test_a8_numerics_hygiene():
     svd_err = 0.0
     for size in (20, 50, 100, 200):
         m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-        frame = WeightedOperatorFrame(nodes=np.zeros(1), quad_weight=1.0,
-                                      weight_exponents=(0.0,), blocks=((m,),))
-        est = estimate_operator_norm(frame)
+        est = estimate_operator_norm(WeightedOperatorFrame(blocks=((m,),)))
         exact = float(np.linalg.svd(m, compute_uv=False)[0])
         svd_err = max(svd_err, abs(est - exact) / exact)
+
+    # ... and on every block of the frames the rate sweeps build: the whole
+    # A5 section gap sweep and the coarsest frame of the A6 commutator sweep
+    frames = []
+    estimate = comparison.estimate_operator_norm
+    monkeypatch.setattr(comparison, "estimate_operator_norm",
+                        lambda frame: frames.append(frame) or estimate(frame))
+    section_gap_rate_sweep(section_gap_problem(), RATE_SWEEP, nodes_per_window=32)
+    commutator_rate_sweep(commutator_problem(), RATE_SWEEP, nodes_per_window=32)
+    assert len(frames) == 2 * len(RATE_SWEEP)
+    sweep_err = 0.0
+    for frame in frames[:len(RATE_SWEEP) + 1]:
+        for block in (b for row in frame.blocks for b in row if b is not None):
+            est = estimate(WeightedOperatorFrame(blocks=((block,),)))
+            exact = np.linalg.norm(np.diag(block) if block.ndim == 1 else block, 2)
+            sweep_err = max(sweep_err, abs(est - exact) / exact if exact else est)
 
     # linear-solve residual at moderate condition
     residual_worst = 0.0
@@ -207,7 +227,9 @@ def test_a8_numerics_hygiene():
         assert rep.condition <= 1e8
         residual_worst = max(residual_worst, rep.residual)
 
-    passed = parseval_err <= 1e-10 and svd_err <= 1e-6 and residual_worst <= 1e-10
+    passed = (parseval_err <= 1e-10 and svd_err <= 1e-6 and sweep_err <= 1e-6
+              and residual_worst <= 1e-10)
     check("A8 numerics hygiene", passed,
           f"parseval {parseval_err:.2e} (tol 1e-10), norm-vs-svd {svd_err:.2e} "
-          f"(tol 1e-06), solve residual {residual_worst:.2e} (tol 1e-10)")
+          f"(tol 1e-06), on sweep blocks {sweep_err:.2e} (tol 1e-06), "
+          f"solve residual {residual_worst:.2e} (tol 1e-10)")

@@ -160,6 +160,21 @@ class TestRunCommand:
         assert f"missing required field '{missing}' for family {family}" in err
         assert "[symbols]" in err
 
+    @pytest.mark.parametrize("mode", ["kernel_gap", "commutator", "section_gap", "power_gap"])
+    @pytest.mark.parametrize("h_values, reason", [
+        ("1 0.5 0", "positive"),
+        ("0.5 0.25 -0.125", "positive"),
+        ("0.25 0.5 1", "strictly decreasing"),
+    ], ids=["zero", "negative", "increasing"])
+    def test_bad_mesh_sizes_exit_2_line_referenced(self, tmp_path, capsys, mode,
+                                                   h_values, reason):
+        text = (f"[experiment]\nmode = {mode}\noutput = {tmp_path / 'out'}\n"
+                f"[sweep]\nh_values = {h_values}\n")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert "line 5: bad value for 'h_values'" in err
+        assert reason in err
+
     def test_singular_problem_exits_3(self, tmp_path, capsys):
         text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out")
         text = text.replace("boundary = zeta", "boundary = identity")
@@ -231,6 +246,15 @@ class TestRunCommand:
         path = write_config(tmp_path, block)
         assert main(["validate", str(path)]) == 0
         assert main(["run", str(path)]) == 0
+
+    def test_readme_library_example_runs_verbatim(self, capsys):
+        readme = (ROOT / "README.md").read_text()
+        block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["report"].rel_error <= 1e-6
+        rel_error, condition = map(float, capsys.readouterr().out.split())
+        assert rel_error == namespace["report"].rel_error
 
     def test_section_gap_mode_passes_on_small_grid(self, tmp_path):
         text = ("[experiment]\nmode = section_gap\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadbvp import comparison
 from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      NormEstimateError, RateReport, WeightedOperatorFrame,
                      aligned_line_grid, assemble_continuous_system,
@@ -60,10 +61,7 @@ class TestZetaPowerGap:
 class TestOperatorNormEstimate:
     @staticmethod
     def frame(*matrices_rows):
-        n = len(matrices_rows[0][0]) if matrices_rows else 0
         return WeightedOperatorFrame(
-            nodes=np.zeros(1), quad_weight=1.0,
-            weight_exponents=(0.0,) * len(matrices_rows),
             blocks=tuple(tuple(m for m in row) for row in matrices_rows))
 
     def test_zero_matrix(self):
@@ -86,17 +84,22 @@ class TestOperatorNormEstimate:
         # contributes the sum of their spectral norms
         a = rng.normal(size=(10, 10))
         b = rng.normal(size=(10, 10))
-        f = WeightedOperatorFrame(
-            nodes=np.zeros(1), quad_weight=1.0, weight_exponents=(0.0, 0.0),
-            blocks=((a, None), (b, None)))
+        f = WeightedOperatorFrame(blocks=((a, None), (b, None)))
         expected = (np.linalg.svd(a, compute_uv=False)[0]
                     + np.linalg.svd(b, compute_uv=False)[0])
         assert estimate_operator_norm(f) == pytest.approx(expected, rel=1e-6)
 
-    def test_iteration_budget_exhaustion_is_reported(self, rng):
+    def test_diagonal_block_norm_is_exact(self, rng):
+        d = rng.normal(size=40) + 1j * rng.normal(size=40)
+        assert estimate_operator_norm(self.frame([d])) == np.max(np.abs(d))
+
+    def test_iteration_budget_exhaustion_is_reported(self, rng, monkeypatch):
+        monkeypatch.setattr(comparison, "_POWER_TOL", 0.0)
+        monkeypatch.setattr(comparison, "_POWER_MAX_ITER", 3)
         m = rng.normal(size=(6, 6))
-        with pytest.raises(NormEstimateError):
-            estimate_operator_norm(self.frame([m]), tol=0.0, max_iter=3)
+        with pytest.raises(NormEstimateError) as info:
+            estimate_operator_norm(self.frame([m]))
+        assert info.value.iterations == 3
 
 
 class TestFitRate:
@@ -142,6 +145,11 @@ class TestGridsAndMasks:
     def test_nondecreasing_sweep_rejected(self):
         with pytest.raises(InvalidConfigurationError, match="decreasing"):
             aligned_line_grid([0.5, 0.5], 16)
+
+    @pytest.mark.parametrize("hs", [[1.0, 0.5, 0.0], [0.5, 0.25, -0.125]])
+    def test_nonpositive_mesh_size_rejected(self, hs):
+        with pytest.raises(InvalidConfigurationError, match="h_values must be positive"):
+            aligned_line_grid(hs, 16)
 
 
 class TestRateReport:
@@ -239,37 +247,72 @@ class TestKernelGapRatios:
         problem = radial_power_problem(s=8.25, n=2, delta=-0.25,
                                        bottom_orders=[0.0, -1.0],
                                        left_orders=[0.0, -1.0])
-        ratios = kernel_gap_ratios(problem, 1.0, j=0, k=0, nodes_per_window=32)
-        assert ratios["bottom_kernel"] == 0.0
-        assert ratios["left_kernel"] == 0.0
-        assert ratios["bottom_mult"] > 0.0
+        ratios = kernel_gap_ratios(problem, 1.0, nodes_per_window=32)
+        assert list(ratios) == ["bottom_mult", "bottom_kernel", "left_kernel", "left_mult"]
+        assert all(r.shape == (2, 2) for r in ratios.values())
+        assert np.all(ratios["bottom_kernel"][:, 0] == 0.0)
+        assert np.all(ratios["left_kernel"][:, 0] == 0.0)
+        assert ratios["bottom_mult"][0, 0] > 0.0
 
     def test_ratios_finite_and_positive_for_first_power(self):
         problem = radial_power_problem(s=8.25, n=2, delta=-0.25,
                                        bottom_orders=[0.0, -1.0],
                                        left_orders=[0.0, -1.0])
-        ratios = kernel_gap_ratios(problem, 0.5, j=1, k=1, nodes_per_window=32)
+        ratios = kernel_gap_ratios(problem, 0.5, nodes_per_window=32)
         for value in ratios.values():
-            assert math.isfinite(value) and value > 0.0
+            assert math.isfinite(value[1, 1]) and value[1, 1] > 0.0
 
     def test_multiplier_ratio_stable_under_node_refinement(self):
         # quadrature-resolution oracle: recomputing at 4x the window nodes
         # moves the pure-tail ratio by well under a percent
         problem = radial_power_problem(s=2.25, n=1, delta=-0.25,
                                        bottom_orders=[0.0], left_orders=[0.0])
-        coarse = kernel_gap_ratios(problem, 0.5, j=0, k=0, nodes_per_window=64)
-        fine = kernel_gap_ratios(problem, 0.5, j=0, k=0, nodes_per_window=256)
-        assert fine["bottom_mult"] == pytest.approx(coarse["bottom_mult"], rel=1e-2)
+        coarse = kernel_gap_ratios(problem, 0.5, nodes_per_window=64)
+        fine = kernel_gap_ratios(problem, 0.5, nodes_per_window=256)
+        assert fine["bottom_mult"][0, 0] == pytest.approx(coarse["bottom_mult"][0, 0],
+                                                          rel=1e-2)
+
+    def test_matches_the_gaps_derived_per_block(self):
+        # reference: each (j, k) gap written out from the symbols, the kernel
+        # gaps as core times the power difference, the multiplier gaps as
+        # the full-line integral minus the window integral
+        problem = radial_power_problem(s=8.25, n=2, delta=-0.25,
+                                       bottom_orders=[0.0, -1.0],
+                                       left_orders=[0.0, -1.0])
+        h = 0.5
+        ratios = kernel_gap_ratios(problem, h, nodes_per_window=32)
+        grid = aligned_line_grid([h], 32)
+        nodes, quad = grid.axis_nodes, grid.axis_weight
+        win = window_mask(grid, h)
+        w = nodes[win]
+        x1, x2 = np.meshgrid(w, w, indexing="ij")
+        y, t = np.meshgrid(w, nodes, indexing="ij")
+        for j in range(2):
+            core = {
+                "bottom": problem.bottom_symbols[j](x1, x2) / problem.plus_factor(x1, x2),
+                "left": problem.left_symbols[j](x1, x2) / problem.plus_factor(x1, x2)}
+            line = {
+                "bottom": problem.bottom_symbols[j](y, t) / problem.plus_factor(y, t),
+                "left": problem.left_symbols[j](t, y) / problem.plus_factor(t, y)}
+            orders = {"bottom": problem.bottom_orders[j], "left": problem.left_orders[j]}
+            for k in range(2):
+                dpow = (1j * w) ** k - zeta(w, h) ** k
+                kernel_gaps = {"bottom": core["bottom"] * dpow[:, None],
+                               "left": core["left"] * dpow[None, :]}
+                for side in ("bottom", "left"):
+                    e = orders[side] - problem.index + k
+                    mult_gap = ((line[side] * (1j * t) ** k).sum(axis=1)
+                                - (line[side][:, win] * zeta(w, h) ** k).sum(axis=1)) * quad
+                    expected_kernel = np.max(np.abs(kernel_gaps[side])
+                                             / (h * (1 + np.hypot(x1, x2)) ** (e + 1)))
+                    expected_mult = np.max(np.abs(mult_gap) / (h * (1 + np.abs(w)) ** (e + 2)))
+                    assert ratios[f"{side}_kernel"][j, k] == pytest.approx(
+                        expected_kernel, rel=1e-12, abs=0.0)
+                    assert ratios[f"{side}_mult"][j, k] == pytest.approx(
+                        expected_mult, rel=1e-12)
 
     def test_hypothesis_violation_rejected(self):
         problem = radial_power_problem(s=1.0, n=1, delta=-0.25,
                                        bottom_orders=[0.0], left_orders=[0.0])
         with pytest.raises(InvalidConfigurationError, match="kernel gap"):
-            kernel_gap_ratios(problem, 1.0, j=0, k=0)
-
-    def test_block_indices_validated(self):
-        problem = radial_power_problem(s=8.25, n=2, delta=-0.25,
-                                       bottom_orders=[0.0, -1.0],
-                                       left_orders=[0.0, -1.0])
-        with pytest.raises(ValueError, match="out of range"):
-            kernel_gap_ratios(problem, 1.0, j=2, k=0)
+            kernel_gap_ratios(problem, 1.0)
