@@ -125,9 +125,10 @@ def _mesh_sizes(text: str) -> tuple[float, ...]:
     return hs
 
 
-def _int_where(ok: Callable[[int], bool], what: str) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        value = int(text)
+def _checked(convert: Callable[[str], object], ok: Callable[[object], bool],
+             what: str) -> Callable[[str], object]:
+    def parse(text: str):
+        value = convert(text)
         if not ok(value):
             raise ValueError(f"must be {what}, got {value}")
         return value
@@ -420,7 +421,8 @@ LATTICE = ("solve", "roundtrip")
 RATES = ("kernel_gap", "commutator", "section_gap")
 _HALVING = (0.5, 0.25, 0.125, 0.0625)
 _ORDERS = {"kernel_gap": (0.0, -1.0), "commutator": (0.0,), "section_gap": (0.0, -1.0)}
-_AT_LEAST_ONE = _int_where(lambda v: v >= 1, ">= 1")
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
+_POSITIVE_EVEN = _checked(int, lambda v: v > 0 and v % 2 == 0, "a positive even integer")
 
 FIELDS = (
     Field("experiment", "mode", tuple(MODES), tuple(MODES)),
@@ -436,8 +438,7 @@ FIELDS = (
     Field("problem", "s", float, LATTICE),
     Field("problem", "n", int, LATTICE),
     Field("problem", "delta", float, LATTICE),
-    Field("grid", "N", _int_where(lambda v: v > 0 and v % 2 == 0,
-                                  "a positive even integer"), LATTICE),
+    Field("grid", "N", _POSITIVE_EVEN, LATTICE),
     Field("grid", "h", float, LATTICE),
     Field("continuous", "s", float, RATES,
           {"kernel_gap": 8.25, "commutator": 2.25, "section_gap": 3.25}),
@@ -448,9 +449,10 @@ FIELDS = (
     Field("sweep", "h_values", _mesh_sizes, ("power_gap",) + RATES,
           {"power_gap": (1.0, 0.5, 0.25, 0.125), "kernel_gap": (1.0, 0.5, 0.25),
            "commutator": _HALVING, "section_gap": _HALVING}),
-    Field("sweep", "nodes_per_window", int, RATES,
+    Field("sweep", "nodes_per_window", _POSITIVE_EVEN, RATES,
           {"kernel_gap": 64, "commutator": 32, "section_gap": 32}),
-    Field("sweep", "lambda_factor", float, RATES, 4.0),
+    Field("sweep", "lambda_factor", _checked(float, lambda v: 1.0 <= v < math.inf,
+                                             "finite and >= 1"), RATES, 4.0),
     Field("sweep", "k_max", _AT_LEAST_ONE, ("power_gap",), 4),
     Field("sweep", "samples", _AT_LEAST_ONE, ("power_gap",), 10000),
 )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, NormEstimateError
 from .lattice import LineGrid, zeta
-from .system import BlockSystem, ContinuousProblem, _assemble, assemble_continuous_system
+from .system import ContinuousProblem, _assemble, assemble_continuous_system
 
 __all__ = [
     "PowerGap",
@@ -89,9 +89,9 @@ def aligned_line_grid(h_values, nodes_per_window: int,
     widest = math.pi / min(hs)
     if lam is None:
         lam = lambda_factor * widest
-    if lam < widest:
-        raise InvalidConfigurationError(
-            f"truncation half-width {lam:g} is smaller than the widest window {widest:g}")
+    if not widest <= lam < math.inf:
+        raise InvalidConfigurationError(f"truncation half-width {lam:g} must be finite "
+                                        f"and at least the widest window {widest:g}")
     delta = (2.0 * math.pi / max(hs)) / nodes_per_window
     count = int(math.ceil(2.0 * lam / delta))
     count += count % 2
@@ -299,44 +299,56 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     q_full = assemble_continuous_system(problem, grid)
     exps = problem.trace_exponents
     weights = [_line_weights(grid.axis_nodes, e) for e in exps + exps]
+    # weighted once: scaling by signs in {-1, 0, 1} below is exact
+    weighted = _frame((None, q_full.bottom_kernel, q_full.left_kernel, None),
+                      weights, grid.axis_weight).blocks
+    del q_full
 
     norms = []
     for h in h_values:
         chi = window_mask(grid, h).astype(float)
         sign = chi[:, None] - chi[None, :]
-        quadrants = (None, sign * q_full.bottom_kernel, sign * q_full.left_kernel, None)
-        norms.append(estimate_operator_norm(_frame(quadrants, weights, grid.axis_weight)))
+        norms.append(estimate_operator_norm(WeightedOperatorFrame(blocks=tuple(
+            tuple(None if b is None else sign * b for b in row) for row in weighted))))
 
     epsilon = min(min(problem.s - b - 1.0 for b in problem.bottom_orders),
                   min(problem.s - g - 1.0 for g in problem.left_orders))
     return _report(h_values, norms, epsilon, grid)
 
 
-def _window_gaps(problem: ContinuousProblem, q_full: BlockSystem, grid: LineGrid,
-                 h: float):
-    """Window nodes and the gap between the window-restricted continuous
-    operator and the lattice operator assembled on the same window nodes.
+def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
+    """For each ``h``, the window nodes and the gap between the
+    window-restricted continuous operator and the lattice operator
+    assembled on the same window nodes.
 
     The gap comes as ``(mult_b, ker_b, ker_l, mult_l)``, continuous minus
     lattice, shaped like the ``BlockSystem`` fields of the same names: the
     multiplier gaps are diagonals, the kernel gaps matrices, all with the
-    quadrature weight folded in.  The lattice side uses the restriction of
-    the continuous symbols to the window (their periodic continuation
-    agrees there) and difference-symbol powers.
+    quadrature weight folded in.  The continuous side is sliced from one
+    strip with its equations on the finest window, which holds the coarser
+    ones.  The lattice side uses the restriction of the continuous symbols
+    to the window (their periodic continuation agrees there) and
+    difference-symbol powers.
     """
-    win = window_mask(grid, h)
-    wnodes = grid.axis_nodes[win]
-    zeros = np.zeros((problem.n, len(wnodes)), dtype=complex)
-    lattice = _assemble(n=problem.n, nodes=wnodes, weight=grid.axis_weight, h=float(h),
-                        plus_factor=problem.plus_factor,
-                        bottom_symbols=problem.bottom_symbols,
-                        left_symbols=problem.left_symbols,
-                        rhs_bottom=zeros, rhs_left=zeros)
-    rows, cols = np.ix_(win, win)
-    return wnodes, (q_full.bottom_mult[:, :, win] - lattice.bottom_mult,
-                    q_full.bottom_kernel[..., rows, cols] - lattice.bottom_kernel,
-                    q_full.left_kernel[..., rows, cols] - lattice.left_kernel,
-                    q_full.left_mult[:, :, win] - lattice.left_mult)
+    def assemble(nodes, h, rows=None):
+        zeros = np.zeros((problem.n, len(nodes) if rows is None else rows.sum()), complex)
+        return _assemble(n=problem.n, nodes=nodes, weight=grid.axis_weight, h=h,
+                         plus_factor=problem.plus_factor,
+                         bottom_symbols=problem.bottom_symbols,
+                         left_symbols=problem.left_symbols,
+                         rhs_bottom=zeros, rhs_left=zeros, rows=rows)
+
+    rows = window_mask(grid, min(h_values))
+    strip = assemble(grid.axis_nodes, None, rows)
+    for h in h_values:
+        win = window_mask(grid, h)
+        lattice = assemble(grid.axis_nodes[win], float(h))
+        sub = win[rows]
+        out, cols = np.ix_(sub, win)
+        yield lattice.nodes, (strip.bottom_mult[:, :, sub] - lattice.bottom_mult,
+                              strip.bottom_kernel[..., out, cols] - lattice.bottom_kernel,
+                              strip.left_kernel[..., out, cols] - lattice.left_kernel,
+                              strip.left_mult[:, :, sub] - lattice.left_mult)
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
@@ -349,12 +361,10 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
     """
     _hypotheses(problem, 3.0, 3.0, "section gap sweep")
     grid = aligned_line_grid(h_values, nodes_per_window, lam, lambda_factor)
-    q_full = assemble_continuous_system(problem, grid)
     exps = problem.trace_exponents
 
     norms = []
-    for h in h_values:
-        wnodes, gaps = _window_gaps(problem, q_full, grid, h)
+    for h, (wnodes, gaps) in zip(h_values, _window_gaps(problem, grid, h_values)):
         weights = [_torus_weights(wnodes, e, float(h)) for e in exps + exps]
         norms.append(estimate_operator_norm(_frame(gaps, weights, grid.axis_weight)))
 
@@ -377,8 +387,7 @@ def kernel_gap_ratios(problem: ContinuousProblem, h: float,
     """
     _hypotheses(problem, 2.0, 2.0, "kernel gap ratios")
     grid = aligned_line_grid([h], nodes_per_window, lambda_factor=lambda_factor)
-    q_full = assemble_continuous_system(problem, grid)
-    wnodes, (mult_b, ker_b, ker_l, mult_l) = _window_gaps(problem, q_full, grid, h)
+    wnodes, (mult_b, ker_b, ker_l, mult_l) = next(_window_gaps(problem, grid, [h]))
     x1, x2 = np.meshgrid(wnodes, wnodes, indexing="ij")
     weight_2d = 1.0 + np.hypot(x1, x2)
     weight_1d = 1.0 + np.abs(wnodes)

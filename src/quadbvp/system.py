@@ -205,6 +205,9 @@ class BlockSystem:
     * ``left_kernel[j, k]``   matrix applying the bottom traces in the left
       equations,
     * ``left_mult[j, k]``     diagonal values multiplying the left traces.
+
+    A strip (``_assemble`` with ``rows``) is not square: ``size``,
+    ``full_matrix`` and the solver do not apply to it.
     """
 
     n: int
@@ -270,44 +273,55 @@ class TraceVector:
         return len(self.bottom)
 
 
-def _plus_values(fac, x1: np.ndarray, x2: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _plus_values(fac, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Evaluate an inverse-safe plus factor on the mesh, flagging zeros."""
     plus = fac.plus_factor if isinstance(fac, WaveFactorization) else fac
     vals = np.asarray(plus(x1, x2), dtype=complex)
     mags = np.abs(vals)
     if np.min(mags) < 1e-300 or not np.all(np.isfinite(mags)):
-        i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
+        at = np.unravel_index(int(np.argmin(mags)), mags.shape)
         raise AssemblyError(
-            f"plus factor vanishes at node (xi1={nodes[i]:.6g}, xi2={nodes[j]:.6g})")
+            f"plus factor vanishes at node (xi1={x1[at]:.6g}, xi2={x2[at]:.6g})")
     return vals
 
 
 def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
               plus_factor, bottom_symbols, left_symbols,
-              rhs_bottom: np.ndarray, rhs_left: np.ndarray) -> BlockSystem:
+              rhs_bottom: np.ndarray, rhs_left: np.ndarray,
+              rows: np.ndarray | None = None) -> BlockSystem:
     """Shared assembly core; ``h`` selects difference powers (set) or
-    ``(i xi)`` powers (None)."""
-    N = len(nodes)
-    x1, x2 = np.meshgrid(nodes, nodes, indexing="ij")
-    inv_plus = 1.0 / _plus_values(plus_factor, x1, x2, nodes)
+    ``(i xi)`` powers (None).
+
+    A boolean mask ``rows`` makes a strip, the full assembly sliced to
+    ``[..., rows, :]``: equations at the R masked nodes, integrals over all N,
+    multipliers ``(n, n, R)``, kernels ``(n, n, R, N)``, data rows ``(n, R)``.
+    """
+    out = nodes if rows is None else nodes[rows]
+    N, R = len(nodes), len(out)
+    # bottom equations on the (R x N) mesh, left equations on (N x R)
+    xb1, xb2 = np.meshgrid(out, nodes, indexing="ij")
+    xl1, xl2 = (xb1, xb2) if rows is None else np.meshgrid(nodes, out, indexing="ij")
+    inv_plus_b = 1.0 / _plus_values(plus_factor, xb1, xb2)
+    inv_plus_l = inv_plus_b if rows is None else 1.0 / _plus_values(plus_factor, xl1, xl2)
     powers = zeta(nodes, h) if h is not None else 1j * nodes
 
-    bottom_mult = np.empty((n, n, N), dtype=complex)
-    bottom_kernel = np.empty((n, n, N, N), dtype=complex)
-    left_kernel = np.empty((n, n, N, N), dtype=complex)
-    left_mult = np.empty((n, n, N), dtype=complex)
+    bottom_mult = np.empty((n, n, R), dtype=complex)
+    bottom_kernel = np.empty((n, n, R, N), dtype=complex)
+    left_kernel = np.empty((n, n, R, N), dtype=complex)
+    left_mult = np.empty((n, n, R), dtype=complex)
 
     for j in range(n):
-        core_b = np.asarray(bottom_symbols[j](x1, x2), dtype=complex) * inv_plus
-        core_l = np.asarray(left_symbols[j](x1, x2), dtype=complex) * inv_plus
+        core_b = np.asarray(bottom_symbols[j](xb1, xb2), dtype=complex) * inv_plus_b
+        core_l = np.asarray(left_symbols[j](xl1, xl2), dtype=complex) * inv_plus_l
         for k in range(n):
             pk = powers ** k
+            pk_out = pk if rows is None else pk[rows]
             # bottom equations: collocated in xi1 (rows), integrate over xi2
             bottom_mult[j, k] = (core_b * pk[None, :]).sum(axis=1) * weight
-            bottom_kernel[j, k] = core_b * pk[:, None] * weight
+            bottom_kernel[j, k] = core_b * pk_out[:, None] * weight
             # left equations: collocated in xi2, integrate over xi1; the
             # kernel matrix is transposed so rows index the output axis
-            left_kernel[j, k] = (core_l * pk[None, :]).T * weight
+            left_kernel[j, k] = (core_l * pk_out[None, :]).T * weight
             left_mult[j, k] = (core_l * pk[:, None]).sum(axis=0) * weight
 
     return BlockSystem(n=n, nodes=nodes, weight=weight, h=h,
@@ -507,7 +521,7 @@ def reconstruct_solution(traces: TraceVector, fac, grid: FrequencyGrid,
     nodes = grid.axis_nodes
     x1, x2 = grid.nodes_2d()
     powers = (1j * nodes) if continuous else zeta(nodes, grid.h)
-    plus = _plus_values(fac, x1, x2, nodes)
+    plus = _plus_values(fac, x1, x2)
     num = np.zeros_like(plus)
     for k in range(traces.n):
         num += traces.bottom[k].values[:, None] * powers[None, :] ** k

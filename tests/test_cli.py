@@ -175,6 +175,25 @@ class TestRunCommand:
         assert "line 5: bad value for 'h_values'" in err
         assert reason in err
 
+    @pytest.mark.parametrize("mode", ["kernel_gap", "commutator", "section_gap"])
+    @pytest.mark.parametrize("key, value, reason", [
+        ("nodes_per_window", "31", "positive even"),
+        ("nodes_per_window", "-4", "positive even"),
+        ("nodes_per_window", "0", "positive even"),
+        ("lambda_factor", "0.5", "finite and >= 1"),
+        ("lambda_factor", "nan", "finite and >= 1"),
+        ("lambda_factor", "inf", "finite and >= 1"),
+    ], ids=["odd", "negative", "zero", "narrow", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_sweep_grid_exits_2_line_referenced(self, tmp_path, capsys, mode,
+                                                    key, value, reason, command):
+        text = (f"[experiment]\nmode = {mode}\noutput = {tmp_path / 'out'}\n"
+                f"[sweep]\n{key} = {value}\n")
+        assert main([command, str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert f"line 5: bad value for '{key}'" in err
+        assert reason in err
+
     def test_singular_problem_exits_3(self, tmp_path, capsys):
         text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out")
         text = text.replace("boundary = zeta", "boundary = identity")

@@ -142,6 +142,14 @@ class TestGridsAndMasks:
         with pytest.raises(InvalidConfigurationError, match="half-width"):
             aligned_line_grid([0.5], 16, lam=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"lam": math.nan}, {"lam": math.inf},
+        {"lambda_factor": math.nan}, {"lambda_factor": math.inf},
+        {"lambda_factor": -math.inf}])
+    def test_non_finite_truncation_rejected(self, kwargs):
+        with pytest.raises(InvalidConfigurationError, match="half-width .* finite"):
+            aligned_line_grid([0.5], 16, **kwargs)
+
     def test_nondecreasing_sweep_rejected(self):
         with pytest.raises(InvalidConfigurationError, match="decreasing"):
             aligned_line_grid([0.5, 0.5], 16)
@@ -316,3 +324,97 @@ class TestKernelGapRatios:
                                        bottom_orders=[0.0], left_orders=[0.0])
         with pytest.raises(InvalidConfigurationError, match="kernel gap"):
             kernel_gap_ratios(problem, 1.0)
+
+
+def skewed_problem():
+    """n = 2 problem whose symbols are neither radial nor symmetric in
+    (xi1, xi2), so a transposed mesh or a misplaced power shows."""
+    def plus(x1, x2):
+        return (1.0 + x1 ** 2 + 2.0 * x2 ** 2) ** 0.75 * (2.0 + 1j * np.tanh(x1 - 0.3 * x2))
+
+    def symbol(a, b, c):
+        return lambda x1, x2: (1.0 + a * x1 ** 2 + b * x2 ** 2) ** -0.5 * (2.0 + 1j * c * x1)
+
+    return ContinuousProblem(
+        s=3.25, n=2, delta=-0.25, plus_factor=plus, index=5.0,
+        bottom_symbols=(symbol(0.5, 1.0, 0.2), symbol(1.0, 3.0, -0.4)),
+        left_symbols=(symbol(2.0, 0.7, 0.1), symbol(0.3, 1.5, 0.6)),
+        bottom_orders=(0.0, -1.0), left_orders=(0.0, -1.0))
+
+
+class TestStripAssembly:
+    @staticmethod
+    def assemble(problem, nodes, h, rows=None):
+        zeros = np.zeros((problem.n, len(nodes) if rows is None else rows.sum()), complex)
+        return _assemble(n=problem.n, nodes=nodes, weight=0.1, h=h,
+                         plus_factor=problem.plus_factor,
+                         bottom_symbols=problem.bottom_symbols,
+                         left_symbols=problem.left_symbols,
+                         rhs_bottom=zeros, rhs_left=zeros, rows=rows)
+
+    @pytest.mark.parametrize("h", [None, 0.5])
+    def test_strip_is_the_full_assembly_sliced_exactly(self, rng, h):
+        problem = skewed_problem()
+        nodes = (np.arange(40) - 19.5) * 0.1 * (1 if h is None else 1.5)
+        full = self.assemble(problem, nodes, h)
+        masks = {"scattered": rng.random(40) < 0.3, "window": np.abs(nodes) < 1.0,
+                 "every node": np.ones(40, bool)}
+        for name, rows in masks.items():
+            assert 0 < rows.sum() <= 40, name
+            strip = self.assemble(problem, nodes, h, rows)
+            assert strip.bottom_kernel.shape == (2, 2, rows.sum(), 40)
+            assert strip.bottom_mult.shape == (2, 2, rows.sum())
+            for field in ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult"):
+                sliced = getattr(full, field)[:, :, rows]
+                assert np.array_equal(getattr(strip, field), sliced), (name, field)
+
+    def test_skewed_problem_is_not_symmetric(self):
+        # the exactness test catches a transposed mesh only because every
+        # symbol changes when (xi1, xi2) are swapped
+        problem = skewed_problem()
+        x1, x2 = np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-2, 3, 7), indexing="ij")
+        for ev in (problem.plus_factor,) + problem.bottom_symbols + problem.left_symbols:
+            assert not np.allclose(ev(x1, x2), ev(x2, x1))
+
+
+class TestSweepsAssembleOnlyWhatTheyRead:
+    def test_gap_sweeps_never_assemble_the_full_continuous_system(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full continuous assembly in a gap sweep")
+
+        strips = []  # kernel shapes of the continuous assemblies
+
+        def recording(**kwargs):
+            system = _assemble(**kwargs)
+            if kwargs["h"] is None:
+                strips.append(system.bottom_kernel.shape[-2:])
+            return system
+
+        monkeypatch.setattr(comparison, "assemble_continuous_system", refuse)
+        monkeypatch.setattr(comparison, "_assemble", recording)
+        hs = [0.5, 0.25, 0.125]
+        rep = section_gap_rate_sweep(skewed_problem(), hs, nodes_per_window=8)
+        assert all(v > 0.0 for v in rep.norms)
+        grid = aligned_line_grid(hs, 8)
+        assert strips == [(rep.window_nodes[-1], grid.nodes_count)]
+        ratios = kernel_gap_ratios(skewed_problem(), 0.5, nodes_per_window=16)
+        assert all(np.all(np.isfinite(r)) for r in ratios.values())
+        assert strips[1:] == [(16, aligned_line_grid([0.5], 16).nodes_count)]
+
+    def test_commutator_norms_equal_the_per_h_weighting(self):
+        # reference: the signed kernels formed and weighted anew for every h
+        problem, hs = skewed_problem(), [0.5, 0.25, 0.125]
+        grid = aligned_line_grid(hs, 8)
+        q_full = assemble_continuous_system(problem, grid)
+        exps = problem.trace_exponents
+        weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in exps + exps]
+        expected = []
+        for h in hs:
+            chi = window_mask(grid, h).astype(float)
+            sign = chi[:, None] - chi[None, :]
+            quadrants = (None, sign * q_full.bottom_kernel, sign * q_full.left_kernel, None)
+            expected.append(estimate_operator_norm(
+                comparison._frame(quadrants, weights, grid.axis_weight)))
+        rep = commutator_rate_sweep(problem, hs, nodes_per_window=8)
+        assert rep.norms == tuple(expected)
+        assert all(v > 0.0 for v in expected)
