@@ -346,8 +346,10 @@ def _rate_mode(cfg: ExperimentConfig, sweep_fn, gate_name: str,
             for h, wn, norm in zip(report.h_values, report.window_nodes, report.norms)]
     floor = slope_floor_fn(report)
     if report.degenerate or report.slope is None:
-        verdicts = [GateVerdict(gate_name, False,
-                                "degenerate sweep: no positive norms to fit")]
+        h, norm = next((h, v) for h, v in zip(report.h_values, report.norms)
+                       if not 0.0 < v < math.inf)
+        verdicts = [GateVerdict(gate_name, False, f"degenerate sweep: norm {norm!r} "
+                                f"at h = {h:g} is not positive and finite")]
     else:
         verdicts = [GateVerdict(gate_name, report.slope >= floor,
                                 f"slope {report.slope:.4f} vs floor {floor:.4f}")]

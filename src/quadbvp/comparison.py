@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, NormEstimateError
 from .lattice import LineGrid, zeta
-from .system import ContinuousProblem, _assemble, assemble_continuous_system
+from .system import ContinuousProblem, _assemble, _kernel_strips
 
 __all__ = [
     "PowerGap",
@@ -113,11 +113,15 @@ class WeightedOperatorFrame:
     norms Euclidean.
 
     ``blocks[i][j]`` maps input block j to output block i; ``None`` marks a
-    block known to vanish, and a 1-D array is a diagonal block given by its
-    diagonal.  Entries already include the quadrature and weight scalings,
-    so each block's contribution to the operator norm is its largest
-    singular value, and the direct-sum (sum of block norms) convention
-    makes the full norm the largest column sum of those values.
+    block known to vanish.  A 2-D array is a dense block, a 1-D array a
+    diagonal block given by its diagonal, and a 3-D array of shape
+    ``(2, r, c)`` the block ``[[0, X], [-Y^T, 0]]`` (in some ordering of its
+    rows and columns) given by the pair ``(X, Y)``: its largest singular
+    value is ``max(sigma_max(X), sigma_max(Y))``.  Entries already include
+    the quadrature and weight scalings, so each block's contribution to the
+    operator norm is its largest singular value, and the direct-sum (sum of
+    block norms) convention makes the full norm the largest column sum of
+    those values.
     """
 
     blocks: tuple[tuple[np.ndarray | None, ...], ...]
@@ -131,7 +135,8 @@ _POWER_MAX_ITER = 10000
 
 def _sigma_max(block: np.ndarray) -> float:
     """Largest singular value of a block: ``max|d|`` for a diagonal block
-    given as its diagonal ``d``, power iteration on the normal matrix from a
+    given as its diagonal ``d``, the larger of its two slices' values for a
+    3-D pair block, power iteration on the normal matrix from a
     deterministic all-ones start for a dense one.
     """
     b = np.asarray(block)
@@ -139,6 +144,8 @@ def _sigma_max(block: np.ndarray) -> float:
         return 0.0
     if b.ndim == 1:
         return float(np.max(np.abs(b)))
+    if b.ndim == 3:
+        return max(_sigma_max(part) for part in b)
     adjoint = b.conj().T
     v = np.ones(b.shape[1], dtype=complex)
     v /= np.linalg.norm(v)
@@ -293,23 +300,44 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     The multiplier blocks commute with the restriction exactly, so only the
     integral blocks contribute.  The predicted exponent is
     ``min_j(s - bottom_order_j - 1, s - left_order_j - 1)``.
+
+    A kernel block of the commutator is ``S o K`` with
+    ``S_ab = chi_a - chi_b``; with the window nodes ``W`` listed first it is
+    ``[[0, K[W, W^c]], [-K[W^c, W], 0]]``, so its norm is exactly the larger
+    of the two rectangles' largest singular values.  Each frame block is
+    that pair, ``K[W, W^c]`` and ``K[W^c, W]^T`` as one ``(2, w, N - w)``
+    array, sliced from the weighted row and column kernel strips through
+    the finest window, which holds the coarser ones.
     """
     _hypotheses(problem, 1.0, 2.0, "commutator sweep")
     grid = aligned_line_grid(h_values, nodes_per_window, lam, lambda_factor)
-    q_full = assemble_continuous_system(problem, grid)
-    exps = problem.trace_exponents
-    weights = [_line_weights(grid.axis_nodes, e) for e in exps + exps]
-    # weighted once: scaling by signs in {-1, 0, 1} below is exact
-    weighted = _frame((None, q_full.bottom_kernel, q_full.left_kernel, None),
-                      weights, grid.axis_weight).blocks
-    del q_full
+    nodes, quad = grid.axis_nodes, grid.axis_weight
+    finest = window_mask(grid, min(h_values))
+    n = problem.n
+    weights = [_line_weights(nodes, e) for e in problem.trace_exponents]
+    inner = [w[finest] for w in weights]
+
+    def weigh(stack, w_out, w_in):
+        return np.array([[_weighted(stack[j, k], w_out[j], w_in[k], quad)
+                          for k in range(n)] for j in range(n)])
+
+    # weighted once: the row strip K[W*, :] and column strip K[:, W*] of the
+    # bottom and the left family
+    strips = [(weigh(rows, inner, weights), weigh(cols, weights, inner))
+              for rows, cols in _kernel_strips(problem, nodes, quad, finest)]
+
+    def pair(family, j, k, win):
+        rows, cols = strips[family]
+        inside = win[finest]
+        return np.stack([rows[j, k][inside][:, ~win], cols[j, k][~win][:, inside].T])
 
     norms = []
     for h in h_values:
-        chi = window_mask(grid, h).astype(float)
-        sign = chi[:, None] - chi[None, :]
+        win = window_mask(grid, h)
+        # bottom equations take left traces and left equations bottom ones
         norms.append(estimate_operator_norm(WeightedOperatorFrame(blocks=tuple(
-            tuple(None if b is None else sign * b for b in row) for row in weighted))))
+            tuple(pair(i // n, i % n, j % n, win) if (i < n) != (j < n) else None
+                  for j in range(2 * n)) for i in range(2 * n)))))
 
     epsilon = min(min(problem.s - b - 1.0 for b in problem.bottom_orders),
                   min(problem.s - g - 1.0 for g in problem.left_orders))

@@ -224,9 +224,7 @@ class BlockSystem:
     def __post_init__(self) -> None:
         for name in ("bottom_mult", "bottom_kernel", "left_kernel",
                      "left_mult", "rhs_bottom", "rhs_left"):
-            arr = getattr(self, name)
-            if not np.all(np.isfinite(arr.view(float))):
-                raise AssemblyError(f"non-finite entries in block {name}")
+            _require_finite(name, getattr(self, name))
 
     @property
     def size(self) -> int:
@@ -273,6 +271,11 @@ class TraceVector:
         return len(self.bottom)
 
 
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr.view(float))):
+        raise AssemblyError(f"non-finite entries in block {name}")
+
+
 def _plus_values(fac, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Evaluate an inverse-safe plus factor on the mesh, flagging zeros."""
     plus = fac.plus_factor if isinstance(fac, WaveFactorization) else fac
@@ -283,6 +286,33 @@ def _plus_values(fac, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         raise AssemblyError(
             f"plus factor vanishes at node (xi1={x1[at]:.6g}, xi2={x2[at]:.6g})")
     return vals
+
+
+def _power_base(nodes: np.ndarray, h: float | None) -> np.ndarray:
+    """``zeta(xi, h)`` on the torus, ``i xi`` on the line (``h`` None)."""
+    return zeta(nodes, h) if h is not None else 1j * nodes
+
+
+def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
+                   powers: np.ndarray, weight: float, transpose: bool = False):
+    """One kernel family on one mesh of node pairs ``(x1, x2)``.
+
+    Returns the cores ``symbol_j / plus`` on the mesh and the kernel stack
+    ``kernel[j, k] = core_j * p^k * weight``, with ``p`` the power base
+    ``powers`` at the output nodes.  The output nodes run along the mesh's
+    first axis (bottom equations, collocated in xi1) or, with ``transpose``,
+    its second (left equations, collocated in xi2), and the stack is
+    transposed so that its rows index them: ``(n, n, out, in)`` either way.
+    """
+    n = len(symbols)
+    cores = [np.asarray(sym(x1, x2), dtype=complex) * inv_plus for sym in symbols]
+    kernels = np.empty((n, n) + (x1.T.shape if transpose else x1.shape), dtype=complex)
+    for j, core in enumerate(cores):
+        for k in range(n):
+            pk = powers ** k
+            kernels[j, k] = ((core * pk[None, :]).T if transpose
+                             else core * pk[:, None]) * weight
+    return cores, kernels
 
 
 def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
@@ -297,37 +327,57 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     multipliers ``(n, n, R)``, kernels ``(n, n, R, N)``, data rows ``(n, R)``.
     """
     out = nodes if rows is None else nodes[rows]
-    N, R = len(nodes), len(out)
     # bottom equations on the (R x N) mesh, left equations on (N x R)
     xb1, xb2 = np.meshgrid(out, nodes, indexing="ij")
     xl1, xl2 = (xb1, xb2) if rows is None else np.meshgrid(nodes, out, indexing="ij")
     inv_plus_b = 1.0 / _plus_values(plus_factor, xb1, xb2)
     inv_plus_l = inv_plus_b if rows is None else 1.0 / _plus_values(plus_factor, xl1, xl2)
-    powers = zeta(nodes, h) if h is not None else 1j * nodes
-
-    bottom_mult = np.empty((n, n, R), dtype=complex)
-    bottom_kernel = np.empty((n, n, R, N), dtype=complex)
-    left_kernel = np.empty((n, n, R, N), dtype=complex)
-    left_mult = np.empty((n, n, R), dtype=complex)
-
-    for j in range(n):
-        core_b = np.asarray(bottom_symbols[j](xb1, xb2), dtype=complex) * inv_plus_b
-        core_l = np.asarray(left_symbols[j](xl1, xl2), dtype=complex) * inv_plus_l
-        for k in range(n):
-            pk = powers ** k
-            pk_out = pk if rows is None else pk[rows]
-            # bottom equations: collocated in xi1 (rows), integrate over xi2
-            bottom_mult[j, k] = (core_b * pk[None, :]).sum(axis=1) * weight
-            bottom_kernel[j, k] = core_b * pk_out[:, None] * weight
-            # left equations: collocated in xi2, integrate over xi1; the
-            # kernel matrix is transposed so rows index the output axis
-            left_kernel[j, k] = (core_l * pk_out[None, :]).T * weight
-            left_mult[j, k] = (core_l * pk[:, None]).sum(axis=0) * weight
+    powers = _power_base(nodes, h)
+    powers_out = powers if rows is None else powers[rows]
+    bottom_mult = np.empty((n, n, len(out)), dtype=complex)
+    left_mult = np.empty((n, n, len(out)), dtype=complex)
+    # one family's cores alive at a time; bottom equations integrate over
+    # xi2, left equations over xi1
+    cores, bottom_kernel = _kernel_family(bottom_symbols, inv_plus_b, xb1, xb2,
+                                          powers_out, weight)
+    for j, k in np.ndindex(n, n):
+        bottom_mult[j, k] = (cores[j] * (powers ** k)[None, :]).sum(axis=1) * weight
+    del cores
+    cores, left_kernel = _kernel_family(left_symbols, inv_plus_l, xl1, xl2,
+                                        powers_out, weight, transpose=True)
+    for j, k in np.ndindex(n, n):
+        left_mult[j, k] = (cores[j] * (powers ** k)[:, None]).sum(axis=0) * weight
 
     return BlockSystem(n=n, nodes=nodes, weight=weight, h=h,
                        bottom_mult=bottom_mult, bottom_kernel=bottom_kernel,
                        left_kernel=left_kernel, left_mult=left_mult,
                        rhs_bottom=rhs_bottom, rhs_left=rhs_left)
+
+
+def _kernel_strips(problem: ContinuousProblem, nodes: np.ndarray, weight: float,
+                   rows: np.ndarray):
+    """Row and column strips of the continuous kernels through the masked
+    nodes: ``(K[..., rows, :], K[..., :, rows])`` for the bottom and then
+    the left family, each entry equal to the full assembly's.
+
+    The mesh ``(rows x all)`` of ``(xi1, xi2)`` pairs carries the bottom row
+    strip and the left column strip, ``(all x rows)`` the other two; the
+    plus factor is evaluated once per mesh.
+    """
+    def on_mesh(x1, x2):
+        inv_plus = 1.0 / _plus_values(problem.plus_factor, x1, x2)
+        _, bottom = _kernel_family(problem.bottom_symbols, inv_plus, x1, x2,
+                                   _power_base(x1[:, 0], None), weight)
+        _, left = _kernel_family(problem.left_symbols, inv_plus, x1, x2,
+                                 _power_base(x2[0], None), weight, transpose=True)
+        _require_finite("bottom_kernel", bottom)
+        _require_finite("left_kernel", left)
+        return bottom, left
+
+    out = nodes[rows]
+    bottom_rows, left_cols = on_mesh(*np.meshgrid(out, nodes, indexing="ij"))
+    bottom_cols, left_rows = on_mesh(*np.meshgrid(nodes, out, indexing="ij"))
+    return (bottom_rows, bottom_cols), (left_rows, left_cols)
 
 
 def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSystem:
@@ -391,7 +441,7 @@ def structural_null_basis(system: BlockSystem) -> np.ndarray:
     """
     n, nodes = system.n, system.nodes
     N = len(nodes)
-    powers = zeta(nodes, system.h) if system.h is not None else 1j * nodes
+    powers = _power_base(nodes, system.h)
     cols = []
     for k in range(n):
         for m in range(n):
@@ -520,7 +570,7 @@ def reconstruct_solution(traces: TraceVector, fac, grid: FrequencyGrid,
         raise ValueError("reconstruct_solution requires a 2D grid")
     nodes = grid.axis_nodes
     x1, x2 = grid.nodes_2d()
-    powers = (1j * nodes) if continuous else zeta(nodes, grid.h)
+    powers = _power_base(nodes, None if continuous else grid.h)
     plus = _plus_values(fac, x1, x2)
     num = np.zeros_like(plus)
     for k in range(traces.n):

@@ -240,6 +240,21 @@ class TestRunCommand:
         assert "gate_commutator_slope = PASS" in summary
         assert "epsilon = 1.25" in summary
 
+    def test_degenerate_sweep_names_the_first_bad_norm(self, tmp_path, capsys):
+        # lambda_factor 1 truncates the line at the finest window, so only
+        # the last commutator norm vanishes
+        text = ("[experiment]\nmode = commutator\n"
+                f"output = {tmp_path / 'out'}\n"
+                "[sweep]\nh_values = 0.5 0.25 0.125 0.0625\nnodes_per_window = 8\n"
+                "lambda_factor = 1\n")
+        assert main(["run", str(write_config(tmp_path, text))]) == 1
+        detail = "degenerate sweep: norm 0.0 at h = 0.0625 is not positive and finite"
+        assert f"[FAIL] commutator_slope: {detail}" in capsys.readouterr().out
+        summary = (tmp_path / "out" / "commutator_summary.txt").read_text()
+        assert f"gate_commutator_slope = FAIL ({detail})" in summary
+        rows = (tmp_path / "out" / "commutator.csv").read_text().splitlines()[2:]
+        assert [float(r.split(",")[2]) > 0.0 for r in rows] == [True, True, True, False]
+
     @pytest.mark.parametrize("mode", list(MODES))
     def test_every_csv_cell_parses_as_its_column_type(self, tmp_path, mode):
         int_columns = {"N", "point_i1", "point_i2", "k", "j", "violations", "window_nodes"}

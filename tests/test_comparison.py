@@ -13,7 +13,8 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      kernel_gap_ratios, radial_power_problem,
                      section_gap_rate_sweep, window_mask, zeta,
                      zeta_power_gap)
-from quadbvp.system import ContinuousProblem, _assemble
+from quadbvp import system
+from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips
 
 
 class TestZetaPowerGap:
@@ -92,6 +93,17 @@ class TestOperatorNormEstimate:
     def test_diagonal_block_norm_is_exact(self, rng):
         d = rng.normal(size=40) + 1j * rng.normal(size=40)
         assert estimate_operator_norm(self.frame([d])) == np.max(np.abs(d))
+
+    def test_pair_block_norm_is_the_antisymmetric_blocks_norm(self, rng):
+        # the pair (X, Y) stands for [[0, X], [-Y^T, 0]], whose singular
+        # values are those of X and of Y together
+        x = rng.normal(size=(6, 15)) + 1j * rng.normal(size=(6, 15))
+        y = rng.normal(size=(6, 15)) + 1j * rng.normal(size=(6, 15))
+        for x, y in ((3.0 * x, y), (x, 3.0 * y)):
+            full = np.block([[np.zeros((6, 6)), x], [-y.T, np.zeros((15, 15))]])
+            est = estimate_operator_norm(self.frame([np.stack([x, y])]))
+            assert est == pytest.approx(np.linalg.norm(full, 2), rel=1e-6)
+        assert estimate_operator_norm(self.frame([np.zeros((2, 6, 0))])) == 0.0
 
     def test_iteration_budget_exhaustion_is_reported(self, rng, monkeypatch):
         monkeypatch.setattr(comparison, "_POWER_TOL", 0.0)
@@ -379,9 +391,8 @@ class TestStripAssembly:
 
 class TestSweepsAssembleOnlyWhatTheyRead:
     def test_gap_sweeps_never_assemble_the_full_continuous_system(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("full continuous assembly in a gap sweep")
-
+        # the full assembly is not even in reach of the sweeps
+        assert not hasattr(comparison, "assemble_continuous_system")
         strips = []  # kernel shapes of the continuous assemblies
 
         def recording(**kwargs):
@@ -390,7 +401,6 @@ class TestSweepsAssembleOnlyWhatTheyRead:
                 strips.append(system.bottom_kernel.shape[-2:])
             return system
 
-        monkeypatch.setattr(comparison, "assemble_continuous_system", refuse)
         monkeypatch.setattr(comparison, "_assemble", recording)
         hs = [0.5, 0.25, 0.125]
         rep = section_gap_rate_sweep(skewed_problem(), hs, nodes_per_window=8)
@@ -401,20 +411,110 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         assert all(np.all(np.isfinite(r)) for r in ratios.values())
         assert strips[1:] == [(16, aligned_line_grid([0.5], 16).nodes_count)]
 
-    def test_commutator_norms_equal_the_per_h_weighting(self):
-        # reference: the signed kernels formed and weighted anew for every h
+    def test_commutator_builds_no_full_continuous_stack(self, monkeypatch):
+        kernels, frames = [], []
+        kernel_family = system._kernel_family
+        estimate = comparison.estimate_operator_norm
+
+        def recording(*args, **kwargs):
+            cores, stack = kernel_family(*args, **kwargs)
+            kernels.append(stack.shape)
+            return cores, stack
+
+        def refuse(**kwargs):
+            raise AssertionError("block system assembled in the commutator sweep")
+
+        monkeypatch.setattr(system, "_kernel_family", recording)
+        monkeypatch.setattr(comparison, "_assemble", refuse)
+        monkeypatch.setattr(comparison, "estimate_operator_norm",
+                            lambda frame: frames.append(frame) or estimate(frame))
+        hs = [0.5, 0.25, 0.125]
+        rep = commutator_rate_sweep(skewed_problem(), hs, nodes_per_window=8)
+        N, R = aligned_line_grid(hs, 8).nodes_count, rep.window_nodes[-1]
+        assert R < N
+        # both families on the (W* x line) and the (line x W*) mesh
+        assert kernels == [(2, 2, R, N), (2, 2, N, R), (2, 2, N, R), (2, 2, R, N)]
+        for w, frame in zip(rep.window_nodes, frames):
+            shapes = {None if b is None else b.shape for row in frame.blocks for b in row}
+            assert shapes == {None, (2, w, N - w)}
+
+    def test_commutator_pairs_are_slices_of_the_full_weighted_kernels(self, monkeypatch):
+        frames = []
+        estimate = comparison.estimate_operator_norm
+        monkeypatch.setattr(comparison, "estimate_operator_norm",
+                            lambda frame: frames.append(frame) or estimate(frame))
         problem, hs = skewed_problem(), [0.5, 0.25, 0.125]
+        commutator_rate_sweep(problem, hs, nodes_per_window=8)
         grid = aligned_line_grid(hs, 8)
-        q_full = assemble_continuous_system(problem, grid)
-        exps = problem.trace_exponents
-        weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in exps + exps]
-        expected = []
-        for h in hs:
-            chi = window_mask(grid, h).astype(float)
-            sign = chi[:, None] - chi[None, :]
-            quadrants = (None, sign * q_full.bottom_kernel, sign * q_full.left_kernel, None)
-            expected.append(estimate_operator_norm(
-                comparison._frame(quadrants, weights, grid.axis_weight)))
+        full = full_weighted_kernels(problem, grid)
+        for h, frame in zip(hs, frames):
+            win = window_mask(grid, h)
+            for i, j in np.ndindex(4, 4):
+                block = frame.blocks[i][j]
+                if full[i][j] is None:
+                    assert block is None
+                    continue
+                k = full[i][j]
+                assert np.array_equal(block[0], k[win][:, ~win]), (h, i, j)
+                assert np.array_equal(block[1], k[~win][:, win].T), (h, i, j)
+
+    def test_kernel_strips_are_slices_of_the_full_assembly(self, rng):
+        problem = skewed_problem()
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        full = assemble_continuous_system(problem, grid)
+        for rows in (window_mask(grid, 0.25), rng.random(len(nodes)) < 0.3):
+            (b_rows, b_cols), (l_rows, l_cols) = _kernel_strips(
+                problem, nodes, grid.axis_weight, rows)
+            assert np.array_equal(b_rows, full.bottom_kernel[:, :, rows])
+            assert np.array_equal(b_cols, full.bottom_kernel[:, :, :, rows])
+            assert np.array_equal(l_rows, full.left_kernel[:, :, rows])
+            assert np.array_equal(l_cols, full.left_kernel[:, :, :, rows])
+
+    def test_commutator_norms_equal_the_per_h_weighting(self):
+        # power iteration runs on each rectangle of a block separately, so
+        # the norms agree to rounding rather than bit for bit
+        problem, hs = skewed_problem(), [0.5, 0.25, 0.125]
+        expected = per_h_commutator_norms(problem, hs, 8)
         rep = commutator_rate_sweep(problem, hs, nodes_per_window=8)
-        assert rep.norms == tuple(expected)
         assert all(v > 0.0 for v in expected)
+        for got, want in zip(rep.norms, expected):
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_window_covering_the_line_leaves_a_zero_commutator(self):
+        # lambda_factor 1 truncates the line at the finest window, so W^c
+        # is empty there and the last frame is exactly zero
+        problem, hs = skewed_problem(), [0.5, 0.25, 0.125]
+        rep = commutator_rate_sweep(problem, hs, nodes_per_window=8, lambda_factor=1.0)
+        grid = aligned_line_grid(hs, 8, lambda_factor=1.0)
+        assert rep.window_nodes[-1] == grid.nodes_count
+        expected = per_h_commutator_norms(problem, hs, 8, lambda_factor=1.0)
+        assert rep.norms[-1] == expected[-1] == 0.0
+        assert rep.degenerate and rep.slope is None
+        for got, want in zip(rep.norms[:-1], expected[:-1]):
+            assert want > 0.0 and abs(got - want) <= 1e-12 * want
+
+
+def full_weighted_kernels(problem, grid):
+    """Weighted frame blocks of the continuous kernels on the whole line."""
+    q_full = assemble_continuous_system(problem, grid)
+    exps = problem.trace_exponents
+    weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in exps + exps]
+    return comparison._frame((None, q_full.bottom_kernel, q_full.left_kernel, None),
+                             weights, grid.axis_weight).blocks
+
+
+def per_h_commutator_norms(problem, hs, nodes_per_window, lambda_factor=4.0):
+    """Reference: the signed full kernels formed and weighted anew for every h."""
+    grid = aligned_line_grid(hs, nodes_per_window, lambda_factor=lambda_factor)
+    q_full = assemble_continuous_system(problem, grid)
+    exps = problem.trace_exponents
+    weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in exps + exps]
+    norms = []
+    for h in hs:
+        chi = window_mask(grid, h).astype(float)
+        sign = chi[:, None] - chi[None, :]
+        quadrants = (None, sign * q_full.bottom_kernel, sign * q_full.left_kernel, None)
+        norms.append(estimate_operator_norm(
+            comparison._frame(quadrants, weights, grid.axis_weight)))
+    return norms
