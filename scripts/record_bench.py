@@ -127,6 +127,7 @@ def main(argv=None) -> int:
             raise SystemExit(f"--src: no perfbench/run.py under {args.src}")
         trees["src"] = args.src.resolve()
     counts = pair_counts(args.pairs, args.workload or list(WORKLOADS))
+    revisions = {side: revision(tree) for side, tree in trees.items()}
 
     runs = []
     for workload, count in counts.items():
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
         "label": args.label, "note": NOTE,
         "settings": {"seconds": args.seconds, "size": args.size, "trace": 0,
                      "pairs": counts},
-        "trees": {side: revision(tree) for side, tree in trees.items()},
+        "trees": revisions,
         "summary": summarize(runs, list(trees)),
         "runs": runs}, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
