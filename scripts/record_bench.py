@@ -11,13 +11,16 @@ Usage, from anywhere::
 Each run is the measured tree's own ``perfbench/run.py --trace 0``,
 unmodified, started in that tree.  With ``--src``, the runs come in pairs
 on the same seed (pair ``i`` uses seed ``i + 1``), and the side that runs
-first alternates from pair to pair.  ``--pairs K`` sets the number of
+first alternates from pair to pair.  After the pairs, each tree runs
+``perfbench/run.py --trace 1`` once per workload on seed 1, for its
+per-layer metrics (self times and work counts of each layer).  ``--pairs K`` sets the number of
 pairs (or of runs, without ``--src``) for every workload, default 3, and
 ``--pairs WORKLOAD=K`` for one of them; ``--workload`` restricts the
 workloads.  The file holds every run's JSON result line and ``# facts``
-line, the git revision of each tree, and per workload and metric each
-tree's median and quartiles over its runs and the number of pairs in which
-this checkout did better.  Exits 1 if a run failed or verified wrongly;
+line, the git revision of each tree, per workload and metric each tree's
+median and quartiles over its runs and the number of pairs in which this
+checkout did better, and the traced runs with their per-layer metrics side
+by side.  Exits 1 if a run failed or verified wrongly;
 the file is written either way.
 """
 
@@ -64,9 +67,9 @@ def revision(tree: Path) -> dict:
                                             "--untracked-files=no"))}
 
 
-def run_once(tree: Path, workload: str, seed: int, args) -> dict:
+def run_once(tree: Path, workload: str, seed: int, args, trace: int = 0) -> dict:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0",
+           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(trace),
            "--size", args.size]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=args.seconds + 900)
@@ -110,6 +113,17 @@ def summarize(runs: list[dict], sides: list[str]) -> dict:
     return summary
 
 
+def per_layer(traced: list[dict]) -> dict:
+    """Per workload and per-layer metric, each tree's value from its traced run."""
+    table = {}
+    for r in traced:
+        if r["result"]:
+            rows = table.setdefault(r["workload"], {})
+            for name, metric in r["result"]["metrics"].items():
+                rows.setdefault(name, {})[r["tree"]] = metric["value"]
+    return table
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
@@ -138,17 +152,26 @@ def main(argv=None) -> int:
                 record = run_once(trees[side], workload, pair + 1, args)
                 runs.append({"workload": workload, "pair": pair, "seed": pair + 1,
                              "tree": side, "order": order, **record})
+    traced = []
+    for index, workload in enumerate(counts):
+        sides = list(trees) if index % 2 == 0 else list(trees)[::-1]
+        for side in sides:
+            print(f"{workload} traced: {side}", file=sys.stderr)
+            record = run_once(trees[side], workload, 1, args, trace=1)
+            traced.append({"workload": workload, "seed": 1, "tree": side, **record})
 
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps({
         "label": args.label, "note": NOTE,
         "settings": {"seconds": args.seconds, "size": args.size, "trace": 0,
-                     "pairs": counts},
+                     "pairs": counts, "traced_runs_per_tree": 1},
         "trees": revisions,
         "summary": summarize(runs, list(trees)),
-        "runs": runs}, indent=1) + "\n")
+        "per_layer": per_layer(traced),
+        "runs": runs,
+        "traced_runs": traced}, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
-    bad = [r for r in runs if not (r["result"] and r["result"]["correct"])]
+    bad = [r for r in runs + traced if not (r["result"] and r["result"]["correct"])]
     return 1 if bad else 0
 
 

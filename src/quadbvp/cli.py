@@ -236,7 +236,8 @@ def _run_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
     summary = {"h": cfg.h, "N": cfg.N, "seed": cfg.seed,
                "family": spec.factorization.label, "boundary": cfg.boundary,
                "rel_error": rep.rel_error, "condition": rep.condition,
-               "residual": rep.residual}
+               "residual": rep.residual,
+               "multiplier_condition": rep.multiplier_condition}
     return ExperimentReport("roundtrip", rows, verdicts, summary)
 
 
@@ -279,6 +280,7 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     summary = {"h": cfg.h, "N": cfg.N, "seed": cfg.seed,
                "family": spec.factorization.label, "boundary": cfg.boundary,
                "condition": rep.condition, "residual": rep.residual,
+               "multiplier_condition": rep.multiplier_condition,
                "solution_norm": u_norm,
                "max_interior_residual": worst}
     for k, s_k in enumerate(spec.trace_exponents):

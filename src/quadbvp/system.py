@@ -475,25 +475,132 @@ _ESTIMATE_POWER_STEPS = 4
 _ESTIMATE_SEED = 0
 
 
-def _sigma_max_estimate(m: np.ndarray) -> float:
-    """Estimate of the largest singular value of a square matrix, from
-    below; about 1% low at worst on the block systems' flat top spectra.
+def _sigma_max_estimate(apply: Callable[[np.ndarray], np.ndarray],
+                        adjoint: Callable[[np.ndarray], np.ndarray], dim: int) -> float:
+    """Estimate of the largest singular value of a square operator of size
+    ``dim``, given as the products ``apply(v) = M v`` and ``adjoint(v) =
+    M^H v`` on column blocks; from below, about 1% low at worst on the
+    block systems' flat top spectra.
 
     The blocks are only rescaled between steps: the final QR spans the same
     Krylov space as orthonormalizing every step would.
     """
     rng = np.random.default_rng(_ESTIMATE_SEED)
-    shape = (m.shape[1], _ESTIMATE_BLOCK)
-    block = m @ (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    mh = m.conj().T
+    shape = (dim, _ESTIMATE_BLOCK)
+    block = apply(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     blocks = [block / np.linalg.norm(block)]
     for _ in range(_ESTIMATE_POWER_STEPS):
-        block = m @ (mh @ blocks[-1])
+        block = apply(adjoint(blocks[-1]))
         blocks.append(block / np.linalg.norm(block))
     basis, _ = np.linalg.qr(np.hstack(blocks))
-    projected = mh @ basis
+    projected = adjoint(basis)
     top = np.linalg.eigvalsh(projected.conj().T @ projected)[-1]
     return math.sqrt(max(float(top), 0.0))
+
+
+def _per_node(mult: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply the per-node matrices ``mult[:, :, i]`` (``mult`` of shape
+    ``(n, n, N)``) to a block of stacked traces of shape ``(n N, k)``."""
+    n, _, N = mult.shape
+    if n == 1:  # the common scalar case, without einsum's call overhead
+        return mult[0, 0][:, None] * v
+    return np.einsum("jki,kil->jil", mult, v.reshape(n, N, -1)).reshape(v.shape)
+
+
+def _adjoint_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m^H v`` without copying ``m``."""
+    return (m.T @ v.conj()).conj()
+
+
+class _EliminatedSystem:
+    """``A`` and ``P``, the leading ``2m x 2m`` block of the bordered
+    inverse, with their adjoints, applied through the blocks of the
+    bordered matrix and never formed at size ``2m``.
+
+    With ``m = nN`` and the gauge basis ``Q = [Q_b; Q_l]``, the bordered
+    matrix is ``B = [[D_b, E], [F, G]]`` with ``E = [K_b, Q_b]``, ``F =
+    [[K_l], [Q_b^H]]`` and ``G = [[D_l, Q_l], [Q_l^H, 0]]``.  ``D_b`` is
+    block diagonal over the nodes, so it is inverted node by node
+    (``mult_inv``), and only the Schur complement ``S = G - F D_b^-1 E``,
+    of size ``m + n^2``, is inverted densely.  ``P`` and ``P^H`` then act
+    by the block-inverse formulas.
+    """
+
+    def __init__(self, system: BlockSystem, q: np.ndarray, mult_inv: np.ndarray):
+        n, N = system.n, len(system.nodes)
+        m, g = n * N, q.shape[1]
+        self.m = m
+        self.db, self.dl = system.bottom_mult, system.left_mult
+        self.db_h = self.db.transpose(1, 0, 2).conj()
+        self.dl_h = self.dl.transpose(1, 0, 2).conj()
+        self.dinv = mult_inv
+        self.dinv_h = mult_inv.transpose(1, 0, 2).conj()
+        # kernel stacks (n, n, N, N) as (nN, nN) operator matrices
+        self.kb = system.bottom_kernel.transpose(0, 2, 1, 3).reshape(m, m)
+        self.f = np.empty((m + g, m), dtype=complex)
+        self.f[:m] = system.left_kernel.transpose(0, 2, 1, 3).reshape(m, m)
+        self.f[m:] = q[:m].conj().T
+        self.kl = self.f[:m]
+        e = np.empty((m, m + g), dtype=complex)
+        e[:, :m] = self.kb
+        e[:, m:] = q[:m]
+        self.e = _per_node(mult_inv, e)  # D_b^-1 E
+        s = self.f @ self.e
+        np.negative(s, out=s)
+        idx = np.arange(N)
+        s[:m, :m].reshape(n, N, n, N)[:, idx, :, idx] += self.dl.transpose(2, 0, 1)
+        s[:m, m:] += q[m:]
+        s[m:, :m] += q[m:].conj().T
+        self.s_inv = np.linalg.inv(s)
+
+    def a(self, v: np.ndarray) -> np.ndarray:
+        m = self.m
+        return np.concatenate([_per_node(self.db, v[:m]) + self.kb @ v[m:],
+                               self.kl @ v[:m] + _per_node(self.dl, v[m:])])
+
+    def a_h(self, v: np.ndarray) -> np.ndarray:
+        m = self.m
+        return np.concatenate([_per_node(self.db_h, v[:m]) + _adjoint_mul(self.kl, v[m:]),
+                               _adjoint_mul(self.kb, v[:m]) + _per_node(self.dl_h, v[m:])])
+
+    def p(self, v: np.ndarray) -> np.ndarray:
+        # y = D_b^-1 v_b, z = S^-1 ([v_l; 0] - F y), P v = [y - D_b^-1 E z; z_l]
+        m = self.m
+        y = _per_node(self.dinv, v[:m])
+        z = self.f @ y
+        np.negative(z, out=z)
+        z[:m] += v[m:]
+        z = self.s_inv @ z
+        return np.concatenate([y - self.e @ z, z[:m]])
+
+    def p_h(self, v: np.ndarray) -> np.ndarray:
+        # w = S^-H ([v_l; 0] - (D_b^-1 E)^H v_b), P^H v = [D_b^-H (v_b - F^H w); w_l]
+        m = self.m
+        w = _adjoint_mul(self.e, v[:m])
+        np.negative(w, out=w)
+        w[:m] += v[m:]
+        w = _adjoint_mul(self.s_inv, w)
+        return np.concatenate([_per_node(self.dinv_h, v[:m] - _adjoint_mul(self.f, w)),
+                               w[:m]])
+
+
+def _invert_multipliers(system: BlockSystem) -> tuple[np.ndarray, float]:
+    """Invert the per-node bottom multiplier matrices ``bottom_mult[:, :, i]``
+    in one batch; returns the inverses, shape ``(n, n, N)``, and their
+    largest 2-norm condition.  Raises :class:`NearSingularError` naming the
+    node where a matrix is singular to working precision."""
+    stack = system.bottom_mult.transpose(2, 0, 1)
+    sig = np.linalg.svd(stack, compute_uv=False)
+    cond = np.full(len(sig), math.inf)
+    np.divide(sig[:, 0], sig[:, -1], out=cond, where=sig[:, -1] > 0)
+    worst = int(np.argmax(cond))
+    if not cond[worst] <= CONDITION_LIMIT:
+        raise NearSingularError(
+            f"bottom multiplier matrix at node xi1={system.nodes[worst]:.6g} has "
+            f"condition {cond[worst]:.3e} > {CONDITION_LIMIT:.0e}: the bottom edge "
+            "condition fails; system not uniquely solvable by elimination",
+            condition=math.inf)
+    return np.linalg.inv(stack).transpose(1, 2, 0), float(cond[worst])
 
 
 @dataclass(frozen=True)
@@ -504,49 +611,56 @@ class SolveReport:
     lands within a few percent of the singular-value ratio.  ``residual``
     is ``|b - A x| / |b|``; for data outside the range of ``A`` it measures
     the incompatible part.  ``gauge_dim`` is the number of deflated
-    directions."""
+    directions.  ``multiplier_condition`` is the largest 2-norm condition
+    of the per-node bottom multiplier matrices the solver eliminates: the
+    bottom edge's own boundary problem, node by node."""
 
     condition: float
     residual: float
     gauge_dim: int
+    multiplier_condition: float
 
 
 def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
     """Dense minimum-norm solve of the Nystrom system.
 
-    With ``Q`` an orthonormal basis of the structural gauge directions, the
-    bordered matrix ``B = [[A, Q], [Q^H, 0]]`` is inverted once and
-    ``x = P b`` with ``P = (B^-1)[:m, :m]``, followed by one refinement
-    step.  For data in the range of ``A`` this is the unique solution
-    orthogonal to the gauge directions.  Raises :class:`NearSingularError`
-    when ``B`` is singular or the condition estimate exceeds
-    ``CONDITION_LIMIT`` (read: the system is not uniquely solvable even
-    modulo gauge).
+    With ``Q`` an orthonormal basis of the structural gauge directions,
+    ``x = P b`` with ``P`` the leading ``2nN x 2nN`` block of the inverse of
+    the bordered matrix ``B = [[A, Q], [Q^H, 0]]``, followed by one
+    refinement step.  For data in the range of ``A`` this is the unique
+    solution orthogonal to the gauge directions.
+
+    Neither ``A`` nor ``B`` nor ``P`` is formed: the bottom multiplier
+    blocks are inverted node by node, only their Schur complement in
+    ``B``, of size ``nN + n^2``, is inverted densely, and ``A``, ``P`` and
+    their adjoints act through the blocks (:class:`_EliminatedSystem`);
+    the condition estimate uses the same products.  Raises
+    :class:`NearSingularError` when a per-node bottom multiplier matrix is
+    singular to working precision (``condition`` is then ``inf``), when
+    the Schur complement is singular, or when the condition estimate
+    exceeds ``CONDITION_LIMIT`` (read: the system is not uniquely solvable
+    even modulo gauge).
     """
-    a = system.full_matrix()
-    rhs = system.full_rhs()
-    size = system.size
-    q = _gauge_basis(system)
-    bordered = np.zeros((size + q.shape[1],) * 2, dtype=complex)
-    bordered[:size, :size] = a
-    bordered[:size, size:] = q
-    bordered[size:, :size] = q.conj().T
+    mult_inv, mult_cond = _invert_multipliers(system)
     try:
-        p = np.linalg.inv(bordered)[:size, :size]
-    except np.linalg.LinAlgError:  # B singular: rank loss beyond the gauge
-        p = None
-    cond = (_sigma_max_estimate(a) * _sigma_max_estimate(p)
-            if p is not None and np.isfinite(p).all() else math.inf)
+        ops = _EliminatedSystem(system, _gauge_basis(system), mult_inv)
+    except np.linalg.LinAlgError:  # S singular: rank loss beyond the gauge
+        ops = None
+    size = system.size
+    cond = (_sigma_max_estimate(ops.a, ops.a_h, size)
+            * _sigma_max_estimate(ops.p, ops.p_h, size)
+            if ops is not None and np.isfinite(ops.s_inv).all() else math.inf)
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise NearSingularError(
             f"deflated condition estimate {cond:.3e} exceeds "
             f"{CONDITION_LIMIT:.0e}; system not uniquely solvable", condition=cond)
 
-    x = p @ rhs
+    rhs = system.full_rhs()[:, None]
+    x = ops.p(rhs)
     # one refinement step keeps the residual at rounding level
-    x = x + p @ (rhs - a @ x)
+    x = x + ops.p(rhs - ops.a(x))
     rhs_norm = float(np.linalg.norm(rhs))
-    res = float(np.linalg.norm(rhs - a @ x))
+    res = float(np.linalg.norm(rhs - ops.a(x)))
     residual = res / rhs_norm if rhs_norm > 0 else res
 
     N = len(system.nodes)
@@ -556,7 +670,8 @@ def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
         bottom=tuple(SpectralFunction(grid, parts[k]) for k in range(system.n)),
         left=tuple(SpectralFunction(grid, parts[system.n + k]) for k in range(system.n)))
     return traces, SolveReport(condition=cond, residual=residual,
-                               gauge_dim=system.n ** 2)
+                               gauge_dim=system.n ** 2,
+                               multiplier_condition=mult_cond)
 
 
 def reconstruct_solution(traces: TraceVector, fac, grid: FrequencyGrid,
@@ -585,6 +700,7 @@ class RoundtripReport:
     rel_error: float
     condition: float
     residual: float
+    multiplier_condition: float
 
 
 def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
@@ -620,7 +736,8 @@ def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
         err = sobolev_norm_1d(diff, s_k)
         worst = max(worst, err / scale if scale > 0 else err)
     return RoundtripReport(recovered=recovered, rel_error=worst,
-                           condition=report.condition, residual=report.residual)
+                           condition=report.condition, residual=report.residual,
+                           multiplier_condition=report.multiplier_condition)
 
 
 def identity_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperatorSpec, ...],

@@ -199,7 +199,19 @@ class TestRunCommand:
         text = text.replace("boundary = zeta", "boundary = identity")
         text = text.replace("s = -1.25", "s = -2.25").replace("n = 1", "n = 2")
         assert main(["run", str(write_config(tmp_path, text))]) == 3
-        assert "not uniquely solvable" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not uniquely solvable" in err
+        # identical order-zero rows make every per-node bottom multiplier
+        # matrix rank one; the message names the node
+        assert re.search(r"bottom multiplier matrix at node xi1=-?[0-9.]+ has condition", err)
+
+    @pytest.mark.parametrize("mode", ["solve", "roundtrip"])
+    def test_solver_modes_report_the_multiplier_condition(self, tmp_path, mode):
+        text = SMALL_CONFIGS[mode].format(mode=mode, out=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 0
+        summary = (tmp_path / "out" / f"{mode}_summary.txt").read_text()
+        value = re.search(r"^multiplier_condition = (\S+)$", summary, re.M).group(1)
+        assert 1.0 <= float(value) < 1e12
 
     def test_solve_mode_reports_interior_residuals(self, tmp_path):
         text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out")

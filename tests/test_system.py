@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadbvp import (AssemblyError, BoundaryOperatorSpec, FrequencyGrid,
-                     NearSingularError, PeriodicSymbol, ProblemSpec,
+from quadbvp import (AssemblyError, BlockSystem, BoundaryOperatorSpec,
+                     FrequencyGrid, NearSingularError, PeriodicSymbol, ProblemSpec,
                      SpectralFunction, TraceVector, WaveFactorization,
                      assemble_continuous_system, assemble_discrete_system,
                      builtin_factor_family, identity_boundary_operators,
@@ -18,6 +18,7 @@ from quadbvp import (AssemblyError, BoundaryOperatorSpec, FrequencyGrid,
                      structural_null_basis, trace_exponents, zeta,
                      zeta_boundary_operators, apply_symbol_to_spectrum,
                      aligned_line_grid, boundary_trace_spectrum)
+from quadbvp.system import _sigma_max_estimate
 from conftest import ones_symbol
 
 
@@ -154,17 +155,7 @@ class TestSolve:
         # two-edge data drawn independently disagree at the corner, so they
         # are not in the range of A: the bordered solve leaves b - A x in
         # the span of the gauge basis, and the residual reports its size
-        h, N = 1.0, 32
-        fac = builtin_factor_family("geometric", h, a=0.5, p=1, q=1)
-        bottom, left = row_trace_boundary_operators(1, h)
-        grid1 = FrequencyGrid(h, N, ndim=1)
-        data_bottom, data_left = (
-            SpectralFunction(grid1, random_bumps(rng, math.pi)(grid1.axis_nodes))
-            for _ in range(2))
-        spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
-                           bottom_ops=bottom, left_ops=left,
-                           bottom_data=(data_bottom,), left_data=(data_left,))
-        sys = assemble_discrete_system(spec, FrequencyGrid(h, N))
+        sys = corner_incompatible_system(rng)
         traces, rep = solve_block_system(sys)
         assert rep.residual >= 1e-3
         r = sys.full_rhs() - sys.full_matrix() @ stacked_values(traces)
@@ -254,6 +245,133 @@ def test_solver_properties(family, n, zeta_ops, h, N, seed):
     got = stacked_values(traces)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert rep.condition == pytest.approx(condition, rel=0.05)
+
+
+def dense_bordered_solve(system):
+    """Oracle: the dense bordered-inverse algorithm, ``B = [[A, Q], [Q^H,
+    0]]`` formed and inverted at full size, ``x = P b`` with one refinement
+    step and the condition ``sigma_max(A) sigma_max(P)`` from the same
+    seeded estimator on the dense matrices."""
+    a = system.full_matrix()
+    b = system.full_rhs()
+    size = system.size
+    q, _ = np.linalg.qr(structural_null_basis(system))
+    bordered = np.zeros((size + q.shape[1],) * 2, dtype=complex)
+    bordered[:size, :size] = a
+    bordered[:size, size:] = q
+    bordered[size:, :size] = q.conj().T
+    p = np.linalg.inv(bordered)[:size, :size]
+    x = p @ b
+    x = x + p @ (b - a @ x)
+
+    def sigma(m):
+        return _sigma_max_estimate(lambda v: m @ v, lambda v: m.conj().T @ v, size)
+
+    return x, sigma(a) * sigma(p)
+
+
+def compatible_system(fac, ops, n, N, h, seed):
+    bottom, left = ops(n, h)
+    spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=fac, n=n,
+                       delta=0.25, bottom_ops=bottom, left_ops=left)
+    grid = FrequencyGrid(h, N)
+    planted = random_trace_vector(np.random.default_rng(seed),
+                                  FrequencyGrid(h, N, ndim=1), n)
+    u_hat = reconstruct_solution(planted, fac, grid)
+    return assemble_discrete_system(
+        replace(spec,
+                bottom_data=tuple(boundary_trace_spectrum(op, u_hat) for op in bottom),
+                left_data=tuple(boundary_trace_spectrum(op, u_hat) for op in left)),
+        grid)
+
+
+def corner_incompatible_system(rng, N=32):
+    h = 1.0
+    fac = builtin_factor_family("geometric", h, a=0.5, p=1, q=1)
+    bottom, left = row_trace_boundary_operators(1, h)
+    grid1 = FrequencyGrid(h, N, ndim=1)
+    data_bottom, data_left = (
+        SpectralFunction(grid1, random_bumps(rng, math.pi)(grid1.axis_nodes))
+        for _ in range(2))
+    spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
+                       bottom_ops=bottom, left_ops=left,
+                       bottom_data=(data_bottom,), left_data=(data_left,))
+    return assemble_discrete_system(spec, FrequencyGrid(h, N))
+
+
+ELIMINATION_CASES = {
+    "row_trace_n1": lambda rng: compatible_system(
+        builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1),
+        row_trace_boundary_operators, 1, 48, 1.0, 1),
+    "row_trace_n2": lambda rng: compatible_system(
+        builtin_factor_family("geometric", 0.5, a=-0.4, p=2, q=1),
+        row_trace_boundary_operators, 2, 32, 0.5, 2),
+    "row_trace_n3": lambda rng: compatible_system(
+        builtin_factor_family("geometric", 1.0, a=0.3, p=1, q=2),
+        row_trace_boundary_operators, 3, 32, 1.0, 3),
+    "zeta_n1": lambda rng: compatible_system(
+        builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1),
+        zeta_boundary_operators, 1, 64, 1.0, 4),
+    "shifted_zeta": lambda rng: compatible_system(
+        builtin_factor_family("shifted_zeta", 1.0, c=5.0, kappa=1.0),
+        row_trace_boundary_operators, 2, 32, 1.0, 5),
+    "corner_incompatible": corner_incompatible_system,
+}
+
+
+class TestEliminatedSolve:
+    @pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
+    def test_matches_the_dense_bordered_inverse(self, rng, case):
+        system = ELIMINATION_CASES[case](rng)
+        traces, rep = solve_block_system(system)
+        want, condition = dense_bordered_solve(system)
+        got = stacked_values(traces)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert rep.condition == pytest.approx(condition, rel=1e-12)
+
+    def test_inverts_nothing_larger_than_the_schur_complement(self, monkeypatch):
+        n, N = 2, 32
+        system = ELIMINATION_CASES["row_trace_n2"](None)
+        shapes = []
+        inv = np.linalg.inv
+
+        def recording_inv(m):
+            shapes.append(np.shape(m))
+            return inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        solve_block_system(system)
+        assert shapes
+        for shape in shapes:
+            assert shape[-1] == shape[-2] <= n * N + n ** 2
+
+    def test_never_forms_the_full_matrix(self, monkeypatch):
+        system = ELIMINATION_CASES["row_trace_n2"](None)
+
+        def refuse(self):
+            raise AssertionError("full_matrix called by the solver")
+
+        monkeypatch.setattr(BlockSystem, "full_matrix", refuse)
+        _, rep = solve_block_system(system)
+        assert rep.residual <= 1e-10
+
+    @pytest.mark.parametrize("case", ["row_trace_n2", "row_trace_n3", "shifted_zeta"])
+    def test_multiplier_condition_is_the_worst_node(self, case):
+        system = ELIMINATION_CASES[case](None)
+        _, rep = solve_block_system(system)
+        per_node = [np.linalg.cond(system.bottom_mult[:, :, i])
+                    for i in range(len(system.nodes))]
+        assert rep.multiplier_condition == pytest.approx(max(per_node), rel=1e-12)
+
+    def test_vanishing_multiplier_names_the_node(self):
+        system = ELIMINATION_CASES["row_trace_n2"](None)
+        bottom_mult = system.bottom_mult.copy()
+        bottom_mult[:, :, 5] = 0.0
+        bad = replace(system, bottom_mult=bottom_mult)
+        with pytest.raises(NearSingularError,
+                           match=f"bottom multiplier.*xi1={system.nodes[5]:.6g}") as err:
+            solve_block_system(bad)
+        assert err.value.condition == math.inf
 
 
 class TestStructuralGauge:
