@@ -499,12 +499,14 @@ def _sigma_max_estimate(apply: Callable[[np.ndarray], np.ndarray],
 
 
 def _per_node(mult: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the per-node matrices ``mult[:, :, i]`` (``mult`` of shape
-    ``(n, n, N)``) to a block of stacked traces of shape ``(n N, k)``."""
-    n, _, N = mult.shape
+    """Apply the per-node matrices ``mult[..., :, :, i]`` (``mult`` of shape
+    ``(..., n, n, N)``) to blocks of stacked traces ``v`` of shape
+    ``(..., n N, k)``."""
+    n, N = mult.shape[-2:]
     if n == 1:  # the common scalar case, without einsum's call overhead
-        return mult[0, 0][:, None] * v
-    return np.einsum("jki,kil->jil", mult, v.reshape(n, N, -1)).reshape(v.shape)
+        return mult[..., 0, 0, :, None] * v
+    return np.einsum("...jki,...kil->...jil", mult,
+                     v.reshape(v.shape[:-2] + (n, N, -1))).reshape(v.shape)
 
 
 def _adjoint_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -530,13 +532,13 @@ class _EliminatedSystem:
         n, N = system.n, len(system.nodes)
         m, g = n * N, q.shape[1]
         self.m = m
-        self.db, self.dl = system.bottom_mult, system.left_mult
-        self.db_h = self.db.transpose(1, 0, 2).conj()
-        self.dl_h = self.dl.transpose(1, 0, 2).conj()
-        self.dinv = mult_inv
-        self.dinv_h = mult_inv.transpose(1, 0, 2).conj()
+        # the per-node multipliers of both edges, one stack
+        self.mult = np.stack([system.bottom_mult, system.left_mult])
+        self.mult_h = np.ascontiguousarray(self.mult.transpose(0, 2, 1, 3).conj())
         # kernel stacks (n, n, N, N) as (nN, nN) operator matrices
         self.kb = system.bottom_kernel.transpose(0, 2, 1, 3).reshape(m, m)
+        self.dinv = mult_inv
+        self.dinv_h = np.ascontiguousarray(mult_inv.transpose(1, 0, 2).conj())
         self.f = np.empty((m + g, m), dtype=complex)
         self.f[:m] = system.left_kernel.transpose(0, 2, 1, 3).reshape(m, m)
         self.f[m:] = q[:m].conj().T
@@ -548,20 +550,24 @@ class _EliminatedSystem:
         s = self.f @ self.e
         np.negative(s, out=s)
         idx = np.arange(N)
-        s[:m, :m].reshape(n, N, n, N)[:, idx, :, idx] += self.dl.transpose(2, 0, 1)
+        s[:m, :m].reshape(n, N, n, N)[:, idx, :, idx] += system.left_mult.transpose(2, 0, 1)
         s[:m, m:] += q[m:]
         s[m:, :m] += q[m:].conj().T
         self.s_inv = np.linalg.inv(s)
 
     def a(self, v: np.ndarray) -> np.ndarray:
-        m = self.m
-        return np.concatenate([_per_node(self.db, v[:m]) + self.kb @ v[m:],
-                               self.kl @ v[:m] + _per_node(self.dl, v[m:])])
+        v2 = v.reshape(2, self.m, -1)
+        out = _per_node(self.mult, v2)
+        out[0] += self.kb @ v2[1]
+        out[1] += self.kl @ v2[0]
+        return out.reshape(v.shape)
 
     def a_h(self, v: np.ndarray) -> np.ndarray:
-        m = self.m
-        return np.concatenate([_per_node(self.db_h, v[:m]) + _adjoint_mul(self.kl, v[m:]),
-                               _adjoint_mul(self.kb, v[:m]) + _per_node(self.dl_h, v[m:])])
+        v2 = v.reshape(2, self.m, -1)
+        out = _per_node(self.mult_h, v2)
+        out[0] += _adjoint_mul(self.kl, v2[1])
+        out[1] += _adjoint_mul(self.kb, v2[0])
+        return out.reshape(v.shape)
 
     def p(self, v: np.ndarray) -> np.ndarray:
         # y = D_b^-1 v_b, z = S^-1 ([v_l; 0] - F y), P v = [y - D_b^-1 E z; z_l]
@@ -600,7 +606,7 @@ def _invert_multipliers(system: BlockSystem) -> tuple[np.ndarray, float]:
             f"condition {cond[worst]:.3e} > {CONDITION_LIMIT:.0e}: the bottom edge "
             "condition fails; system not uniquely solvable by elimination",
             condition=math.inf)
-    return np.linalg.inv(stack).transpose(1, 2, 0), float(cond[worst])
+    return np.ascontiguousarray(np.linalg.inv(stack).transpose(1, 2, 0)), float(cond[worst])
 
 
 @dataclass(frozen=True)
