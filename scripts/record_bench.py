@@ -13,15 +13,15 @@ unmodified, started in that tree.  With ``--src``, the runs come in pairs
 on the same seed (pair ``i`` uses seed ``i + 1``), and the side that runs
 first alternates from pair to pair.  After the pairs, each tree runs
 ``perfbench/run.py --trace 1`` once per workload on seed 1, for its
-per-layer metrics (self times and work counts of each layer).  ``--pairs K`` sets the number of
-pairs (or of runs, without ``--src``) for every workload, default 3, and
-``--pairs WORKLOAD=K`` for one of them; ``--workload`` restricts the
-workloads.  The file holds every run's JSON result line and ``# facts``
-line, the git revision of each tree, per workload and metric each tree's
-median and quartiles over its runs and the number of pairs in which this
-checkout did better, and the traced runs with their per-layer metrics side
-by side.  Exits 1 if a run failed or verified wrongly;
-the file is written either way.
+per-layer metrics (self times and work counts of each layer).  ``--pairs
+K`` sets the number of pairs (or of runs, without ``--src``) for every
+workload, default 3, and ``--pairs WORKLOAD=K`` for one of them;
+``--workload`` restricts the workloads.  The file holds every run's JSON
+result line and ``# facts`` line, the git revision of each tree, per
+workload and metric each tree's median and quartiles over its runs and the
+number of pairs in which this checkout did better, and the traced runs
+with their per-layer metrics side by side.  Exits 1 if a run failed or
+verified wrongly; the file is written either way.
 """
 
 from __future__ import annotations

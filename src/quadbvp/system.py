@@ -535,10 +535,10 @@ class _EliminatedSystem:
         # the per-node multipliers of both edges, one stack
         self.mult = np.stack([system.bottom_mult, system.left_mult])
         self.mult_h = np.ascontiguousarray(self.mult.transpose(0, 2, 1, 3).conj())
-        # kernel stacks (n, n, N, N) as (nN, nN) operator matrices
-        self.kb = system.bottom_kernel.transpose(0, 2, 1, 3).reshape(m, m)
         self.dinv = mult_inv
         self.dinv_h = np.ascontiguousarray(mult_inv.transpose(1, 0, 2).conj())
+        # kernel stacks (n, n, N, N) as (nN, nN) operator matrices
+        self.kb = system.bottom_kernel.transpose(0, 2, 1, 3).reshape(m, m)
         self.f = np.empty((m + g, m), dtype=complex)
         self.f[:m] = system.left_kernel.transpose(0, 2, 1, 3).reshape(m, m)
         self.f[m:] = q[:m].conj().T
@@ -549,7 +549,7 @@ class _EliminatedSystem:
         self.e = _per_node(mult_inv, e)  # D_b^-1 E
         s = self.f @ self.e
         np.negative(s, out=s)
-        idx = np.arange(N)
+        idx = np.arange(N)  # D_l couples row (j, i) only to column (k, i)
         s[:m, :m].reshape(n, N, n, N)[:, idx, :, idx] += system.left_mult.transpose(2, 0, 1)
         s[:m, m:] += q[m:]
         s[m:, :m] += q[m:].conj().T

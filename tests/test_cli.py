@@ -203,7 +203,7 @@ class TestRunCommand:
         assert "not uniquely solvable" in err
         # identical order-zero rows make every per-node bottom multiplier
         # matrix rank one; the message names the node
-        assert re.search(r"bottom multiplier matrix at node xi1=-?[0-9.]+ has condition", err)
+        assert re.search(r"bottom multiplier matrix at node xi1=\S+ has condition", err)
 
     @pytest.mark.parametrize("mode", ["solve", "roundtrip"])
     def test_solver_modes_report_the_multiplier_condition(self, tmp_path, mode):

@@ -197,6 +197,24 @@ def stacked_values(traces):
     return np.concatenate([f.values for f in traces.bottom + traces.left])
 
 
+def compatible_problem(fac, operators, n, N, h, seed):
+    """A problem spec, seeded planted traces, and the system assembled with
+    the corner-compatible data synthesized from them."""
+    bottom, left = operators(n, h)
+    spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=fac, n=n,
+                       delta=0.25, bottom_ops=bottom, left_ops=left)
+    grid = FrequencyGrid(h, N)
+    planted = random_trace_vector(np.random.default_rng(seed),
+                                  FrequencyGrid(h, N, ndim=1), n)
+    u_hat = reconstruct_solution(planted, fac, grid)
+    system = assemble_discrete_system(
+        replace(spec,
+                bottom_data=tuple(boundary_trace_spectrum(op, u_hat) for op in bottom),
+                left_data=tuple(boundary_trace_spectrum(op, u_hat) for op in left)),
+        grid)
+    return spec, planted, system
+
+
 families = st.one_of(
     st.builds(lambda a, p, q: ("geometric", dict(a=a, p=p, q=q)),
               st.floats(-0.9, 0.9), st.integers(0, 2), st.integers(0, 2)),
@@ -217,18 +235,8 @@ def test_solver_properties(family, n, zeta_ops, h, N, seed):
     fac = builtin_factor_family(kind, h, **params)
     operators = zeta_boundary_operators if zeta_ops and n == 1 \
         else row_trace_boundary_operators
-    bottom, left = operators(n, h)
-    spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=fac, n=n,
-                       delta=0.25, bottom_ops=bottom, left_ops=left)
+    spec, planted, system = compatible_problem(fac, operators, n, N, h, seed)
     grid = FrequencyGrid(h, N)
-    planted = random_trace_vector(np.random.default_rng(seed),
-                                  FrequencyGrid(h, N, ndim=1), n)
-    u_hat = reconstruct_solution(planted, fac, grid)
-    system = assemble_discrete_system(
-        replace(spec,
-                bottom_data=tuple(boundary_trace_spectrum(op, u_hat) for op in bottom),
-                left_data=tuple(boundary_trace_spectrum(op, u_hat) for op in left)),
-        grid)
     try:
         traces, rep = solve_block_system(system)
     except NearSingularError:
@@ -270,23 +278,8 @@ def dense_bordered_solve(system):
     return x, sigma(a) * sigma(p)
 
 
-def compatible_system(fac, ops, n, N, h, seed):
-    bottom, left = ops(n, h)
-    spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=fac, n=n,
-                       delta=0.25, bottom_ops=bottom, left_ops=left)
-    grid = FrequencyGrid(h, N)
-    planted = random_trace_vector(np.random.default_rng(seed),
-                                  FrequencyGrid(h, N, ndim=1), n)
-    u_hat = reconstruct_solution(planted, fac, grid)
-    return assemble_discrete_system(
-        replace(spec,
-                bottom_data=tuple(boundary_trace_spectrum(op, u_hat) for op in bottom),
-                left_data=tuple(boundary_trace_spectrum(op, u_hat) for op in left)),
-        grid)
-
-
-def corner_incompatible_system(rng, N=32):
-    h = 1.0
+def corner_incompatible_system(rng):
+    h, N = 1.0, 32
     fac = builtin_factor_family("geometric", h, a=0.5, p=1, q=1)
     bottom, left = row_trace_boundary_operators(1, h)
     grid1 = FrequencyGrid(h, N, ndim=1)
@@ -300,21 +293,21 @@ def corner_incompatible_system(rng, N=32):
 
 
 ELIMINATION_CASES = {
-    "row_trace_n1": lambda rng: compatible_system(
+    "row_trace_n1": lambda rng: compatible_problem(
         builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1),
-        row_trace_boundary_operators, 1, 48, 1.0, 1),
-    "row_trace_n2": lambda rng: compatible_system(
+        row_trace_boundary_operators, 1, 48, 1.0, 1)[2],
+    "row_trace_n2": lambda rng: compatible_problem(
         builtin_factor_family("geometric", 0.5, a=-0.4, p=2, q=1),
-        row_trace_boundary_operators, 2, 32, 0.5, 2),
-    "row_trace_n3": lambda rng: compatible_system(
+        row_trace_boundary_operators, 2, 32, 0.5, 2)[2],
+    "row_trace_n3": lambda rng: compatible_problem(
         builtin_factor_family("geometric", 1.0, a=0.3, p=1, q=2),
-        row_trace_boundary_operators, 3, 32, 1.0, 3),
-    "zeta_n1": lambda rng: compatible_system(
+        row_trace_boundary_operators, 3, 32, 1.0, 3)[2],
+    "zeta_n1": lambda rng: compatible_problem(
         builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1),
-        zeta_boundary_operators, 1, 64, 1.0, 4),
-    "shifted_zeta": lambda rng: compatible_system(
+        zeta_boundary_operators, 1, 64, 1.0, 4)[2],
+    "shifted_zeta": lambda rng: compatible_problem(
         builtin_factor_family("shifted_zeta", 1.0, c=5.0, kappa=1.0),
-        row_trace_boundary_operators, 2, 32, 1.0, 5),
+        row_trace_boundary_operators, 2, 32, 1.0, 5)[2],
     "corner_incompatible": corner_incompatible_system,
 }
 
