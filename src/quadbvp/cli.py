@@ -36,7 +36,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -47,12 +47,11 @@ from .errors import (AssemblyError, ConfigError, InvalidConfigurationError,
                      NearSingularError, NormEstimateError)
 from .lattice import FrequencyGrid, sobolev_norm_1d, sobolev_norm_2d
 from .symbols import PeriodicSymbol, builtin_factor_family
-from .operators import apply_symbol_to_spectrum, boundary_trace_spectrum
-from .system import (ProblemSpec, assemble_discrete_system,
-                     identity_boundary_operators, manufactured_roundtrip,
-                     radial_power_problem, random_trace_vector,
-                     reconstruct_solution, row_trace_boundary_operators,
-                     solve_block_system, zeta_boundary_operators)
+from .operators import apply_symbol_to_spectrum
+from .system import (ProblemSpec, RoundtripReport, identity_boundary_operators,
+                     manufactured_roundtrip, radial_power_problem,
+                     random_trace_vector, reconstruct_solution,
+                     row_trace_boundary_operators, zeta_boundary_operators)
 from .comparison import (commutator_rate_sweep, kernel_gap_ratios,
                          section_gap_rate_sweep, zeta_power_gap)
 
@@ -116,13 +115,18 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _mesh_sizes(text: str) -> tuple[float, ...]:
-    hs = _floats(text)
-    if not all(0.0 < h < math.inf for h in hs):
-        raise ValueError(f"mesh sizes must be positive and finite, got {_fmt(hs)}")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("mesh sizes must be strictly decreasing")
-    return hs
+def _mesh_sizes(minimum: int) -> Callable[[str], tuple[float, ...]]:
+    """Parser of a mesh sweep of at least ``minimum`` sizes."""
+    def parse(text: str) -> tuple[float, ...]:
+        hs = _floats(text)
+        if not all(0.0 < h < math.inf for h in hs):
+            raise ValueError(f"mesh sizes must be positive and finite, got {_fmt(hs)}")
+        if any(b >= a for a, b in zip(hs, hs[1:])):
+            raise ValueError("mesh sizes must be strictly decreasing")
+        if len(hs) < minimum:
+            raise ValueError(f"need at least {minimum} mesh sizes, got {len(hs)}")
+        return hs
+    return parse
 
 
 def _checked(convert: Callable[[str], object], ok: Callable[[object], bool],
@@ -220,13 +224,18 @@ def _solve_residual_gate(condition: float, residual: float) -> GateVerdict:
 # ---------------------------------------------------------------------------
 # mode runners
 
+def _planted_roundtrip(cfg: ExperimentConfig) -> RoundtripReport:
+    """Round trip of seeded planted traces.  Two-edge data must agree at the
+    corner, so the data are synthesized from a planted spectrum rather than
+    drawn independently."""
+    grid1 = FrequencyGrid(cfg.h, cfg.N, ndim=1)
+    planted = random_trace_vector(np.random.default_rng(cfg.seed), grid1, cfg.n)
+    return manufactured_roundtrip(cfg.problem, planted, FrequencyGrid(cfg.h, cfg.N))
+
+
 def _run_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
     spec = cfg.problem
-    grid = FrequencyGrid(cfg.h, cfg.N)
-    grid1 = FrequencyGrid(cfg.h, cfg.N, ndim=1)
-    rng = np.random.default_rng(cfg.seed)
-    planted = random_trace_vector(rng, grid1, cfg.n)
-    rep = manufactured_roundtrip(spec, planted, grid)
+    rep = _planted_roundtrip(cfg)
     rows = [(cfg.h, cfg.N, rep.rel_error, rep.condition, rep.residual)]
     verdicts = [
         GateVerdict("roundtrip_rel_error", rep.rel_error <= ROUNDTRIP_TOL,
@@ -243,20 +252,9 @@ def _run_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     spec = cfg.problem
-    grid = FrequencyGrid(cfg.h, cfg.N)
-    grid1 = FrequencyGrid(cfg.h, cfg.N, ndim=1)
-    rng = np.random.default_rng(cfg.seed)
-    planted = random_trace_vector(rng, grid1, cfg.n)
-    # compatible data: two-edge data must agree at the corner, so it is
-    # synthesized from a planted spectrum rather than drawn independently
-    u_planted = reconstruct_solution(planted, spec.factorization, grid)
-    spec = replace(
-        spec,
-        bottom_data=tuple(boundary_trace_spectrum(op, u_planted) for op in spec.bottom_ops),
-        left_data=tuple(boundary_trace_spectrum(op, u_planted) for op in spec.left_ops))
-    system = assemble_discrete_system(spec, grid)
-    traces, rep = solve_block_system(system)
-    u_hat = reconstruct_solution(traces, spec.factorization, grid)
+    rep = _planted_roundtrip(cfg)
+    traces = rep.recovered
+    u_hat = reconstruct_solution(traces, spec.factorization, FrequencyGrid(cfg.h, cfg.N))
     u_norm = sobolev_norm_2d(u_hat, cfg.s)
 
     full = PeriodicSymbol(lambda a, b: spec.factorization.full_symbol(a, b),
@@ -347,7 +345,7 @@ def _rate_mode(cfg: ExperimentConfig, sweep_fn, gate_name: str,
     rows = [(float(h), wn, float(norm))
             for h, wn, norm in zip(report.h_values, report.window_nodes, report.norms)]
     floor = slope_floor_fn(report)
-    if report.degenerate or report.slope is None:
+    if report.degenerate:
         h, norm = next((h, v) for h, v in zip(report.h_values, report.norms)
                        if not 0.0 < v < math.inf)
         verdicts = [GateVerdict(gate_name, False, f"degenerate sweep: norm {norm!r} "
@@ -423,7 +421,6 @@ class Field(NamedTuple):
 
 LATTICE = ("solve", "roundtrip")
 RATES = ("kernel_gap", "commutator", "section_gap")
-_HALVING = (0.5, 0.25, 0.125, 0.0625)
 _ORDERS = {"kernel_gap": (0.0, -1.0), "commutator": (0.0,), "section_gap": (0.0, -1.0)}
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
 _POSITIVE_EVEN = _checked(int, lambda v: v > 0 and v % 2 == 0, "a positive even integer")
@@ -450,9 +447,11 @@ FIELDS = (
     Field("continuous", "delta", float, RATES, -0.25),
     Field("continuous", "betas", _floats, RATES, _ORDERS),
     Field("continuous", "gammas", _floats, RATES, _ORDERS),
-    Field("sweep", "h_values", _mesh_sizes, ("power_gap",) + RATES,
-          {"power_gap": (1.0, 0.5, 0.25, 0.125), "kernel_gap": (1.0, 0.5, 0.25),
-           "commutator": _HALVING, "section_gap": _HALVING}),
+    # a growth needs two sizes, a fitted slope three
+    Field("sweep", "h_values", _mesh_sizes(1), ("power_gap",), (1.0, 0.5, 0.25, 0.125)),
+    Field("sweep", "h_values", _mesh_sizes(2), ("kernel_gap",), (1.0, 0.5, 0.25)),
+    Field("sweep", "h_values", _mesh_sizes(3), ("commutator", "section_gap"),
+          (0.5, 0.25, 0.125, 0.0625)),
     Field("sweep", "nodes_per_window", _POSITIVE_EVEN, RATES,
           {"kernel_gap": 64, "commutator": 32, "section_gap": 32}),
     Field("sweep", "lambda_factor", _checked(float, lambda v: 1.0 <= v < math.inf,
@@ -518,11 +517,18 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, Path, Path]
     return report, csv_path, summary_path
 
 
-def _cmd_run(path: str) -> int:
+def _load_or_report(path: str) -> ExperimentConfig | None:
+    """The config at ``path``, or None after reporting why it cannot be used."""
     try:
-        cfg = load_config(path)
-    except (ConfigError, FileNotFoundError) as exc:
+        return load_config(path)
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_run(path: str) -> int:
+    cfg = _load_or_report(path)
+    if cfg is None:
         return 2
     try:
         report, csv_path, summary_path = run_experiment(cfg)
@@ -539,10 +545,8 @@ def _cmd_run(path: str) -> int:
 
 
 def _cmd_validate(path: str) -> int:
-    try:
-        cfg = load_config(path)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    cfg = _load_or_report(path)
+    if cfg is None:
         return 2
     print(f"OK: mode={cfg.mode} seed={cfg.seed} output={cfg.output}")
     return 0

@@ -70,14 +70,15 @@ def zeta_power_gap(xi, k: int, h: float) -> PowerGap:
 
 
 def aligned_line_grid(h_values, nodes_per_window: int,
-                      lam: float | None = None,
                       lambda_factor: float = 4.0) -> LineGrid:
-    """Midpoint grid on ``[-lam, lam]`` whose spacing subdivides every torus
-    window of the sweep.
+    """Midpoint grid on ``[-lam, lam]``, ``lam = lambda_factor * pi / min(h)``,
+    whose spacing subdivides every torus window of the sweep.
 
     The spacing is the coarsest window width over ``nodes_per_window``; for
     halving sweeps every window boundary then falls on a cell edge and the
-    window nodes form exact midpoint grids of their tori.
+    window nodes form exact midpoint grids of their tori.  This is where the
+    sweep's ``h_values`` are checked: positive, finite and strictly
+    decreasing.
     """
     hs = [float(v) for v in h_values]
     if not all(0.0 < h < math.inf for h in hs):
@@ -87,8 +88,7 @@ def aligned_line_grid(h_values, nodes_per_window: int,
     if nodes_per_window <= 0 or nodes_per_window % 2 != 0:
         raise InvalidConfigurationError("nodes_per_window must be a positive even integer")
     widest = math.pi / min(hs)
-    if lam is None:
-        lam = lambda_factor * widest
+    lam = lambda_factor * widest
     if not widest <= lam < math.inf:
         raise InvalidConfigurationError(f"truncation half-width {lam:g} must be finite "
                                         f"and at least the widest window {widest:g}")
@@ -185,22 +185,20 @@ def estimate_operator_norm(frame: WeightedOperatorFrame) -> float:
 @dataclass(frozen=True)
 class RateFit:
     slope: float | None
-    intercept: float | None
     degenerate: bool
-    reason: str | None = None
 
 
 def fit_rate(h_values, norms) -> RateFit:
-    """Least-squares slope of ``log(norm)`` against ``log(h)``."""
+    """Least-squares slope of ``log(norm)`` against ``log(h)``; degenerate,
+    with no slope, when a norm is not positive and finite."""
     hs = np.asarray(list(h_values), dtype=float)
     ns = np.asarray(list(norms), dtype=float)
     if len(hs) < 3 or len(ns) != len(hs):
         raise ValueError("need at least 3 matching (h, norm) pairs")
     if np.any(~np.isfinite(ns)) or np.any(ns <= 0.0):
-        return RateFit(slope=None, intercept=None, degenerate=True,
-                       reason="nonpositive or non-finite norm in sweep")
-    slope, intercept = np.polyfit(np.log(hs), np.log(ns), 1)
-    return RateFit(slope=float(slope), intercept=float(intercept), degenerate=False)
+        return RateFit(slope=None, degenerate=True)
+    slope, _ = np.polyfit(np.log(hs), np.log(ns), 1)
+    return RateFit(slope=float(slope), degenerate=False)
 
 
 @dataclass(frozen=True)
@@ -220,11 +218,6 @@ class RateReport:
     degenerate: bool = False
     monotone_violations: tuple[int, ...] = ()
     window_nodes: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        hs = self.h_values
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("h_values must be strictly decreasing")
 
 
 def _hypotheses(problem: ContinuousProblem, bottom_gap: float, left_gap: float,
@@ -249,28 +242,32 @@ def _torus_weights(nodes: np.ndarray, exponent: float, h: float) -> np.ndarray:
     return (1.0 + np.abs(zeta(nodes, h)) ** 2) ** exponent
 
 
-def _weighted(block: np.ndarray, w_out: np.ndarray, w_in: np.ndarray,
-              quad: float) -> np.ndarray:
-    s_out = np.sqrt(w_out * quad)
-    s_in = np.sqrt(w_in * quad)
-    if block.ndim == 2:
-        s_out = s_out[:, None]
-    return (s_out * block) / s_in
+def _weigh(stack: np.ndarray, w_out, w_in, quad: float) -> np.ndarray:
+    """Weighted copy of an ``(n, n, ...)`` stack of blocks (diagonals or
+    matrices): block ``(j, k)`` has its rows scaled by ``sqrt(w_out[j] quad)``
+    and its columns by ``1 / sqrt(w_in[k] quad)``."""
+    out = np.empty(stack.shape, dtype=complex)
+    for j, k in np.ndindex(stack.shape[:2]):
+        s_out = np.sqrt(w_out[j] * quad)
+        s_in = np.sqrt(w_in[k] * quad)
+        if stack.ndim == 4:
+            s_out = s_out[:, None]
+        out[j, k] = (s_out * stack[j, k]) / s_in
+    return out
 
 
-def _frame(quadrants, weights, quad) -> WeightedOperatorFrame:
-    """Weighted frame of the 2n x 2n block operator ``[[A, B], [C, D]]``.
+def _frame(quadrants) -> WeightedOperatorFrame:
+    """Frame of the 2n x 2n block operator ``[[A, B], [C, D]]``.
 
     ``quadrants`` is ``(A, B, C, D)``, each an ``(n, n, ...)`` stack of
-    blocks (diagonals or matrices) or None when the quadrant vanishes.
+    weighted blocks or None when the quadrant vanishes; block ``(i, j)`` of
+    the frame is block ``(i mod n, j mod n)`` of its quadrant.
     """
-    n = len(weights) // 2
+    n = len(next(q for q in quadrants if q is not None))
 
     def block(i: int, j: int):
         quadrant = quadrants[2 * (i // n) + j // n]
-        if quadrant is None:
-            return None
-        return _weighted(quadrant[i % n, j % n], weights[i], weights[j], quad)
+        return None if quadrant is None else quadrant[i % n, j % n]
 
     return WeightedOperatorFrame(blocks=tuple(
         tuple(block(i, j) for j in range(2 * n)) for i in range(2 * n)))
@@ -281,9 +278,6 @@ def _report(h_values, norms, epsilon, grid: LineGrid) -> RateReport:
     ns = tuple(float(v) for v in norms)
     window_nodes = tuple(int(window_mask(grid, h).sum()) for h in hs)
     violations = tuple(i for i in range(1, len(ns)) if ns[i] > ns[i - 1])
-    if all(v == 0.0 for v in ns):
-        return RateReport(hs, ns, slope=None, epsilon=epsilon, degenerate=True,
-                          monotone_violations=violations, window_nodes=window_nodes)
     fit = fit_rate(hs, ns)
     return RateReport(hs, ns, slope=fit.slope, epsilon=epsilon,
                       degenerate=fit.degenerate, monotone_violations=violations,
@@ -292,7 +286,6 @@ def _report(h_values, norms, epsilon, grid: LineGrid) -> RateReport:
 
 def commutator_rate_sweep(problem: ContinuousProblem, h_values,
                           nodes_per_window: int = 32,
-                          lam: float | None = None,
                           lambda_factor: float = 4.0) -> RateReport:
     """Decay rate of the commutator of the continuous block operator with
     the window restriction.
@@ -310,34 +303,27 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     the finest window, which holds the coarser ones.
     """
     _hypotheses(problem, 1.0, 2.0, "commutator sweep")
-    grid = aligned_line_grid(h_values, nodes_per_window, lam, lambda_factor)
+    grid = aligned_line_grid(h_values, nodes_per_window, lambda_factor)
     nodes, quad = grid.axis_nodes, grid.axis_weight
     finest = window_mask(grid, min(h_values))
-    n = problem.n
     weights = [_line_weights(nodes, e) for e in problem.trace_exponents]
     inner = [w[finest] for w in weights]
-
-    def weigh(stack, w_out, w_in):
-        return np.array([[_weighted(stack[j, k], w_out[j], w_in[k], quad)
-                          for k in range(n)] for j in range(n)])
-
     # weighted once: the row strip K[W*, :] and column strip K[:, W*] of the
     # bottom and the left family
-    strips = [(weigh(rows, inner, weights), weigh(cols, weights, inner))
+    strips = [(_weigh(rows, inner, weights, quad), _weigh(cols, weights, inner, quad))
               for rows, cols in _kernel_strips(problem, nodes, quad, finest)]
 
-    def pair(family, j, k, win):
-        rows, cols = strips[family]
+    def pairs(rows, cols, win):
         inside = win[finest]
-        return np.stack([rows[j, k][inside][:, ~win], cols[j, k][~win][:, inside].T])
+        return np.stack([rows[:, :, inside][..., ~win],
+                         cols[:, :, ~win][..., inside].swapaxes(-1, -2)], axis=2)
 
     norms = []
     for h in h_values:
         win = window_mask(grid, h)
         # bottom equations take left traces and left equations bottom ones
-        norms.append(estimate_operator_norm(WeightedOperatorFrame(blocks=tuple(
-            tuple(pair(i // n, i % n, j % n, win) if (i < n) != (j < n) else None
-                  for j in range(2 * n)) for i in range(2 * n)))))
+        bottom, left = (pairs(rows, cols, win) for rows, cols in strips)
+        norms.append(estimate_operator_norm(_frame((None, bottom, left, None))))
 
     epsilon = min(min(problem.s - b - 1.0 for b in problem.bottom_orders),
                   min(problem.s - g - 1.0 for g in problem.left_orders))
@@ -381,20 +367,19 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
                            nodes_per_window: int = 32,
-                           lam: float | None = None,
                            lambda_factor: float = 4.0) -> RateReport:
     """Rate of the gap between the window-restricted continuous operator and
     the lattice operator assembled on the same window nodes; the predicted
     rate is first order in ``h``.
     """
     _hypotheses(problem, 3.0, 3.0, "section gap sweep")
-    grid = aligned_line_grid(h_values, nodes_per_window, lam, lambda_factor)
-    exps = problem.trace_exponents
+    grid = aligned_line_grid(h_values, nodes_per_window, lambda_factor)
 
     norms = []
     for h, (wnodes, gaps) in zip(h_values, _window_gaps(problem, grid, h_values)):
-        weights = [_torus_weights(wnodes, e, float(h)) for e in exps + exps]
-        norms.append(estimate_operator_norm(_frame(gaps, weights, grid.axis_weight)))
+        weights = [_torus_weights(wnodes, e, float(h)) for e in problem.trace_exponents]
+        norms.append(estimate_operator_norm(_frame(
+            tuple(_weigh(gap, weights, weights, grid.axis_weight) for gap in gaps))))
 
     return _report(h_values, norms, 1.0, grid)
 

@@ -81,8 +81,8 @@ class FrequencyGrid:
     ndim: int = 2
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError(f"mesh size must be positive, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"mesh size h must be positive and finite, got {self.h}")
         if self.nodes_per_axis <= 0 or self.nodes_per_axis % 2 != 0:
             raise ValueError(
                 f"nodes_per_axis must be a positive even integer, got {self.nodes_per_axis}")

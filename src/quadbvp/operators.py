@@ -11,7 +11,6 @@ normalization factor is applied to that integral).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -35,18 +34,15 @@ SIDE_LEFT = "left"       # trace on the x1 = 0 column, output a function of xi2
 
 @dataclass(frozen=True, eq=False)
 class BoundaryOperatorSpec:
-    """A boundary operator: which edge it traces on, its symbol, its order."""
+    """A boundary operator: which edge it traces on, and its symbol, whose
+    ``order`` is the operator's order."""
 
     side: str
     symbol: PeriodicSymbol
-    order: float
 
     def __post_init__(self) -> None:
         if self.side not in (SIDE_BOTTOM, SIDE_LEFT):
             raise ValueError(f"side must be {SIDE_BOTTOM!r} or {SIDE_LEFT!r}, got {self.side!r}")
-        if not math.isclose(self.order, self.symbol.order, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError(
-                f"declared order {self.order} does not match symbol order {self.symbol.order}")
 
 
 def apply_symbol_to_spectrum(symbol: PeriodicSymbol, u_hat: SpectralFunction,

@@ -14,6 +14,7 @@ families with known index are built in for experiments and tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -159,11 +160,11 @@ def builtin_factor_family(kind: str, h: float, *, a: float | None = None,
         power is holomorphic; the minus factor uses the conjugate
         differences ``(e^{-i h xi} - 1)/h``.  Index ``kappa``.
     """
-    if h <= 0:
-        raise ValueError("mesh size must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"mesh size h must be positive and finite, got {h}")
     hbar = 1.0 / h
     if kind == "geometric":
-        if a is None or abs(a) >= 1.0:
+        if a is None or not abs(a) < 1.0:
             raise ValueError(f"family 'geometric' needs |a| < 1, got a={a}")
         if p < 0 or q < 0 or int(p) != p or int(q) != q:
             raise ValueError(f"exponents p, q must be non-negative integers, got p={p}, q={q}")
@@ -180,11 +181,11 @@ def builtin_factor_family(kind: str, h: float, *, a: float | None = None,
                                  label=f"geometric(a={a}, p={p}, q={q})")
 
     if kind == "shifted_zeta":
-        if c is None or c <= 4.0 * hbar:
-            raise ValueError(
-                f"family 'shifted_zeta' needs c > 4/h = {4.0 * hbar:g}, got c={c}")
-        if kappa is None:
-            raise ValueError("family 'shifted_zeta' needs kappa")
+        if c is None or not 4.0 * hbar < c < math.inf:
+            raise ValueError(f"family 'shifted_zeta' needs finite c > 4/h = "
+                             f"{4.0 * hbar:g}, got c={c}")
+        if kappa is None or not math.isfinite(kappa):
+            raise ValueError(f"family 'shifted_zeta' needs a finite kappa, got kappa={kappa}")
 
         def plus(x1, x2, _c=c, _k=kappa, _h=h):
             return (_c + zeta(x1, _h) + zeta(x2, _h)) ** _k

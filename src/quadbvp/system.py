@@ -121,7 +121,7 @@ class ProblemSpec:
             if len(data) != self.n:
                 raise ValueError(f"{name}_data must have n = {self.n} components")
             for j, (f, op) in enumerate(zip(data, ops)):
-                norm = sobolev_norm_1d(f, self.s - op.order - 0.5)
+                norm = sobolev_norm_1d(f, self.s - op.symbol.order - 0.5)
                 if not math.isfinite(norm):
                     raise ValueError(
                         f"{name} data component {j} has non-finite trace norm")
@@ -617,14 +617,13 @@ class SolveReport:
     ``sigma_max(A) * sigma_max(P)`` with ``P`` the bordered inverse, which
     lands within a few percent of the singular-value ratio.  ``residual``
     is ``|b - A x| / |b|``; for data outside the range of ``A`` it measures
-    the incompatible part.  ``gauge_dim`` is the number of deflated
+    the incompatible part.  The solver deflates the ``n^2`` structural gauge
     directions.  ``multiplier_condition`` is the largest 2-norm condition
     of the per-node bottom multiplier matrices the solver eliminates: the
     bottom edge's own boundary problem, node by node."""
 
     condition: float
     residual: float
-    gauge_dim: int
     multiplier_condition: float
 
 
@@ -677,7 +676,6 @@ def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
         bottom=tuple(SpectralFunction(grid, parts[k]) for k in range(system.n)),
         left=tuple(SpectralFunction(grid, parts[system.n + k]) for k in range(system.n)))
     return traces, SolveReport(condition=cond, residual=residual,
-                               gauge_dim=system.n ** 2,
                                multiplier_condition=mult_cond)
 
 
@@ -755,8 +753,8 @@ def identity_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperato
     construction; use the difference-power family there.
     """
     one = PeriodicSymbol(lambda x1, x2: np.ones(np.broadcast(x1, x2).shape), 0.0, h)
-    bottom = tuple(BoundaryOperatorSpec(SIDE_BOTTOM, one, 0.0) for _ in range(n))
-    left = tuple(BoundaryOperatorSpec(SIDE_LEFT, one, 0.0) for _ in range(n))
+    bottom = tuple(BoundaryOperatorSpec(SIDE_BOTTOM, one) for _ in range(n))
+    left = tuple(BoundaryOperatorSpec(SIDE_LEFT, one) for _ in range(n))
     return bottom, left
 
 
@@ -775,8 +773,8 @@ def zeta_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperatorSpe
         k = j + 1
         sb = PeriodicSymbol(lambda x1, x2, _k=k, _h=h: zeta(x2, _h) ** _k, float(k), h)
         sl = PeriodicSymbol(lambda x1, x2, _k=k, _h=h: zeta(x1, _h) ** _k, float(k), h)
-        bottom.append(BoundaryOperatorSpec(SIDE_BOTTOM, sb, float(k)))
-        left.append(BoundaryOperatorSpec(SIDE_LEFT, sl, float(k)))
+        bottom.append(BoundaryOperatorSpec(SIDE_BOTTOM, sb))
+        left.append(BoundaryOperatorSpec(SIDE_LEFT, sl))
     return tuple(bottom), tuple(left)
 
 
@@ -796,8 +794,8 @@ def row_trace_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperat
                             * np.ones(np.broadcast(x1, x2).shape), 0.0, h)
         sl = PeriodicSymbol(lambda x1, x2, _j=j, _h=h: np.exp(-1j * _j * _h * np.asarray(x1))
                             * np.ones(np.broadcast(x1, x2).shape), 0.0, h)
-        bottom.append(BoundaryOperatorSpec(SIDE_BOTTOM, sb, 0.0))
-        left.append(BoundaryOperatorSpec(SIDE_LEFT, sl, 0.0))
+        bottom.append(BoundaryOperatorSpec(SIDE_BOTTOM, sb))
+        left.append(BoundaryOperatorSpec(SIDE_LEFT, sl))
     return tuple(bottom), tuple(left)
 
 
@@ -817,29 +815,28 @@ class GaussianBumps:
         return out
 
 
-def random_bumps(rng: np.random.Generator, half_width: float,
-                 count: int = 3) -> GaussianBumps:
+# bumps per random trace function
+_BUMPS = 3
+
+
+def random_bumps(rng: np.random.Generator, half_width: float) -> GaussianBumps:
     """Seeded random bump parameters with centers well inside the window."""
     amps = tuple(rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
-                 for _ in range(count))
-    centers = tuple(rng.uniform(-0.75, 0.75) * half_width for _ in range(count))
-    widths = tuple(rng.uniform(0.08, 0.25) * half_width for _ in range(count))
+                 for _ in range(_BUMPS))
+    centers = tuple(rng.uniform(-0.75, 0.75) * half_width for _ in range(_BUMPS))
+    widths = tuple(rng.uniform(0.08, 0.25) * half_width for _ in range(_BUMPS))
     return GaussianBumps(amps, centers, widths)
 
 
-def random_trace_vector(rng: np.random.Generator, grid: FrequencyGrid, n: int,
-                        half_width: float | None = None) -> TraceVector:
-    """Seeded random trace vector of smooth bumps on the grid's 1D node set.
-
-    ``half_width`` bounds the bump centers; pass the smallest window of a
-    mesh sweep to keep the same bumps representable across the sweep.
-    """
+def random_trace_vector(rng: np.random.Generator, grid: FrequencyGrid,
+                        n: int) -> TraceVector:
+    """Seeded random trace vector of smooth bumps on the grid's 1D node set,
+    their centers within three quarters of the torus half-width."""
     if grid.ndim != 1:
         raise ValueError("random_trace_vector requires a 1D grid")
-    hw = half_width if half_width is not None else grid.half_width
     nodes = grid.axis_nodes
     return TraceVector(
-        bottom=tuple(SpectralFunction(grid, random_bumps(rng, hw)(nodes))
+        bottom=tuple(SpectralFunction(grid, random_bumps(rng, grid.half_width)(nodes))
                      for _ in range(n)),
-        left=tuple(SpectralFunction(grid, random_bumps(rng, hw)(nodes))
+        left=tuple(SpectralFunction(grid, random_bumps(rng, grid.half_width)(nodes))
                    for _ in range(n)))

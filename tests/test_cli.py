@@ -160,20 +160,28 @@ class TestRunCommand:
         assert f"missing required field '{missing}' for family {family}" in err
         assert "[symbols]" in err
 
-    @pytest.mark.parametrize("mode", ["kernel_gap", "commutator", "section_gap", "power_gap"])
-    @pytest.mark.parametrize("h_values, reason", [
-        ("1 0.5 0", "positive"),
-        ("0.5 0.25 -0.125", "positive"),
-        ("0.25 0.5 1", "strictly decreasing"),
-    ], ids=["zero", "negative", "increasing"])
+    @pytest.mark.parametrize("mode, h_values, reason", [
+        pytest.param(mode, h_values, reason, id=f"{case}-{mode}")
+        for case, h_values, reason in [("zero", "1 0.5 0", "positive"),
+                                       ("negative", "0.5 0.25 -0.125", "positive"),
+                                       ("increasing", "0.25 0.5 1", "strictly decreasing")]
+        for mode in ["kernel_gap", "commutator", "section_gap", "power_gap"]
+    ] + [
+        # a slope fit needs three sizes, a growth two
+        pytest.param("commutator", "0.5 0.25", "at least 3", id="two-commutator"),
+        pytest.param("section_gap", "0.5 0.25", "at least 3", id="two-section_gap"),
+        pytest.param("kernel_gap", "0.5", "at least 2", id="one-kernel_gap"),
+    ])
     def test_bad_mesh_sizes_exit_2_line_referenced(self, tmp_path, capsys, mode,
                                                    h_values, reason):
         text = (f"[experiment]\nmode = {mode}\noutput = {tmp_path / 'out'}\n"
                 f"[sweep]\nh_values = {h_values}\n")
-        assert main(["run", str(write_config(tmp_path, text))]) == 2
-        err = capsys.readouterr().err
-        assert "line 5: bad value for 'h_values'" in err
-        assert reason in err
+        path = str(write_config(tmp_path, text))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert "line 5: bad value for 'h_values'" in err
+            assert reason in err
 
     @pytest.mark.parametrize("mode", ["kernel_gap", "commutator", "section_gap"])
     @pytest.mark.parametrize("key, value, reason", [
@@ -193,6 +201,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"line 5: bad value for '{key}'" in err
         assert reason in err
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("h = 1", "h = nan", "mesh size h"), ("h = 1", "h = inf", "mesh size h"),
+        ("a = 0.5", "a = nan", "a=nan"),
+        ("family = geometric\na = 0.5", "family = shifted_zeta\nc = nan\nkappa = 1",
+         "c=nan"),
+        ("family = geometric\na = 0.5", "family = shifted_zeta\nc = inf\nkappa = 1",
+         "c=inf"),
+        ("family = geometric\na = 0.5", "family = shifted_zeta\nc = 5\nkappa = nan",
+         "kappa=nan"),
+    ], ids=["h-nan", "h-inf", "a-nan", "c-nan", "c-inf", "kappa-nan"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_symbol_parameter_exits_2(self, tmp_path, capsys, old, new,
+                                                 named, command):
+        text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out").replace(old, new)
+        if "shifted_zeta" in new:
+            text = text.replace("s = -1.25", "s = -0.25")
+        assert main([command, str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "out").exists()
 
     def test_singular_problem_exits_3(self, tmp_path, capsys):
         text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out")
@@ -320,6 +349,18 @@ class TestOtherCommands:
         bad = write_config(tmp_path, "[experiment]\nmode = wat\n")
         assert main(["validate", str(bad)]) == 2
         assert "unknown mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_directory_as_config_exits_2(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_binary_config_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.ini"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00")
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_schema_prints_columns_and_gates(self, capsys):
         assert main(["schema", "roundtrip"]) == 0

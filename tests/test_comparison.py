@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadbvp import comparison
 from quadbvp import (FrequencyGrid, InvalidConfigurationError,
-                     NormEstimateError, RateReport, WeightedOperatorFrame,
+                     NormEstimateError, WeightedOperatorFrame,
                      aligned_line_grid, assemble_continuous_system,
                      commutator_rate_sweep, estimate_operator_norm, fit_rate,
                      kernel_gap_ratios, radial_power_problem,
@@ -152,10 +152,9 @@ class TestGridsAndMasks:
 
     def test_truncation_narrower_than_window_rejected(self):
         with pytest.raises(InvalidConfigurationError, match="half-width"):
-            aligned_line_grid([0.5], 16, lam=1.0)
+            aligned_line_grid([0.5], 16, lambda_factor=0.5)
 
     @pytest.mark.parametrize("kwargs", [
-        {"lam": math.nan}, {"lam": math.inf},
         {"lambda_factor": math.nan}, {"lambda_factor": math.inf},
         {"lambda_factor": -math.inf}])
     def test_non_finite_truncation_rejected(self, kwargs):
@@ -170,12 +169,6 @@ class TestGridsAndMasks:
     def test_nonpositive_mesh_size_rejected(self, hs):
         with pytest.raises(InvalidConfigurationError, match="h_values must be positive"):
             aligned_line_grid(hs, 16)
-
-
-class TestRateReport:
-    def test_h_values_must_decrease(self):
-        with pytest.raises(ValueError, match="decreasing"):
-            RateReport(h_values=(0.5, 1.0), norms=(1.0, 2.0), slope=None, epsilon=None)
 
 
 def radial(order):
@@ -495,26 +488,31 @@ class TestSweepsAssembleOnlyWhatTheyRead:
             assert want > 0.0 and abs(got - want) <= 1e-12 * want
 
 
+def weighted_frame(quadrants, weights, quad):
+    """Frame of the quadrants, each weighted with the same line weights."""
+    return comparison._frame(tuple(
+        None if q is None else comparison._weigh(q, weights, weights, quad)
+        for q in quadrants))
+
+
 def full_weighted_kernels(problem, grid):
     """Weighted frame blocks of the continuous kernels on the whole line."""
     q_full = assemble_continuous_system(problem, grid)
-    exps = problem.trace_exponents
-    weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in exps + exps]
-    return comparison._frame((None, q_full.bottom_kernel, q_full.left_kernel, None),
-                             weights, grid.axis_weight).blocks
+    weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in problem.trace_exponents]
+    return weighted_frame((None, q_full.bottom_kernel, q_full.left_kernel, None),
+                          weights, grid.axis_weight).blocks
 
 
 def per_h_commutator_norms(problem, hs, nodes_per_window, lambda_factor=4.0):
     """Reference: the signed full kernels formed and weighted anew for every h."""
     grid = aligned_line_grid(hs, nodes_per_window, lambda_factor=lambda_factor)
     q_full = assemble_continuous_system(problem, grid)
-    exps = problem.trace_exponents
-    weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in exps + exps]
+    weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in problem.trace_exponents]
     norms = []
     for h in hs:
         chi = window_mask(grid, h).astype(float)
         sign = chi[:, None] - chi[None, :]
         quadrants = (None, sign * q_full.bottom_kernel, sign * q_full.left_kernel, None)
         norms.append(estimate_operator_norm(
-            comparison._frame(quadrants, weights, grid.axis_weight)))
+            weighted_frame(quadrants, weights, grid.axis_weight)))
     return norms

@@ -33,6 +33,11 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(-1.0, 8)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_mesh_rejected(self, h):
+        with pytest.raises(ValueError, match="mesh size h must be positive and finite"):
+            FrequencyGrid(h, 8)
+
 
 class TestDiscreteFourier:
     def test_unit_mass_at_origin_gives_constant_one(self):

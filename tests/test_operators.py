@@ -12,9 +12,9 @@ from quadbvp import (BoundaryOperatorSpec, FrequencyGrid, LatticeFunction,
                      discrete_fourier, zeta)
 
 
-def const_symbol(h, value=1.0, order=0.0):
+def const_symbol(h, value=1.0):
     return PeriodicSymbol(lambda x1, x2: np.full(np.broadcast(x1, x2).shape, value),
-                          order, h)
+                          0.0, h)
 
 
 class TestApplyDigitalPdo:
@@ -128,7 +128,7 @@ class TestApplyDigitalPdo:
 class TestBoundaryTraceSpectrum:
     def test_unit_symbol_integrates_the_torus_width(self):
         g = FrequencyGrid(1.0, 16)
-        op = BoundaryOperatorSpec("bottom", const_symbol(1.0), 0.0)
+        op = BoundaryOperatorSpec("bottom", const_symbol(1.0))
         out = boundary_trace_spectrum(op, SpectralFunction(g, np.ones((16, 16))))
         assert out.grid.ndim == 1
         assert np.allclose(out.values, 2 * math.pi, rtol=1e-14)
@@ -138,7 +138,7 @@ class TestBoundaryTraceSpectrum:
         x1, x2 = g.nodes_2d()
         fv = np.exp(1j * 0.5 * x1[:, 0])
         gv = 1.0 / (1.0 + x2[0] ** 2)
-        op = BoundaryOperatorSpec("bottom", const_symbol(0.5), 0.0)
+        op = BoundaryOperatorSpec("bottom", const_symbol(0.5))
         out = boundary_trace_spectrum(op, SpectralFunction(g, np.outer(fv, gv)))
         expected = fv * (np.sum(gv) * g.axis_weight)
         assert np.allclose(out.values, expected, rtol=1e-13)
@@ -148,14 +148,14 @@ class TestBoundaryTraceSpectrum:
         h = 1.0
         g = FrequencyGrid(h, 16)
         sym = PeriodicSymbol(lambda x1, x2: zeta(x2, h), 1.0, h)
-        op = BoundaryOperatorSpec("bottom", sym, 1.0)
+        op = BoundaryOperatorSpec("bottom", sym)
         out = boundary_trace_spectrum(op, SpectralFunction(g, np.ones((16, 16))))
         assert np.allclose(out.values, -2 * math.pi, atol=1e-12)
 
     def test_left_edge_integrates_first_axis(self):
         g = FrequencyGrid(1.0, 8)
         x1, _ = g.nodes_2d()
-        op = BoundaryOperatorSpec("left", const_symbol(1.0), 0.0)
+        op = BoundaryOperatorSpec("left", const_symbol(1.0))
         out = boundary_trace_spectrum(op, SpectralFunction(g, x1.astype(complex)))
         # odd integrand over the symmetric node set sums to zero
         assert np.allclose(out.values, 0.0, atol=1e-12)
@@ -167,7 +167,7 @@ class TestBoundaryTraceSpectrum:
         u = LatticeFunction.from_points(h, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): -1.0})
         g = FrequencyGrid(h, 16)
         f = discrete_fourier(u, g)
-        op = BoundaryOperatorSpec("bottom", const_symbol(h), 0.0)
+        op = BoundaryOperatorSpec("bottom", const_symbol(h))
         out = boundary_trace_spectrum(op, f)
         xi = g.axis_nodes
         # hand evaluation: each mass contributes h^2 e^{i i1 h xi1} times the
@@ -179,10 +179,6 @@ class TestBoundaryTraceSpectrum:
             manual += v * h ** 2 * phase1 * integral2
         assert np.allclose(out.values, manual, atol=1e-12)
 
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="order"):
-            BoundaryOperatorSpec("bottom", const_symbol(1.0, order=0.0), 1.0)
-
     def test_unknown_side_rejected(self):
         with pytest.raises(ValueError, match="side"):
-            BoundaryOperatorSpec("top", const_symbol(1.0), 0.0)
+            BoundaryOperatorSpec("top", const_symbol(1.0))

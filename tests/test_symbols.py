@@ -108,6 +108,18 @@ class TestBuiltinFamilies:
         with pytest.raises(ValueError, match="unknown"):
             builtin_factor_family("nope", 1.0)
 
+    @pytest.mark.parametrize("kind, h, params, name", [
+        ("geometric", math.nan, dict(a=0.5), "mesh size h"),
+        ("geometric", math.inf, dict(a=0.5), "mesh size h"),
+        ("geometric", 1.0, dict(a=math.nan), "a=nan"),
+        ("shifted_zeta", 1.0, dict(c=math.nan, kappa=1.0), "c=nan"),
+        ("shifted_zeta", 1.0, dict(c=math.inf, kappa=1.0), "c=inf"),
+        ("shifted_zeta", 1.0, dict(c=5.0, kappa=math.nan), "kappa=nan"),
+    ], ids=["h-nan", "h-inf", "a-nan", "c-nan", "c-inf", "kappa-nan"])
+    def test_non_finite_parameters_rejected(self, kind, h, params, name):
+        with pytest.raises(ValueError, match=name):
+            builtin_factor_family(kind, h, **params)
+
     @pytest.mark.parametrize("kind,params", [
         ("geometric", dict(a=0.5, p=1, q=2)),
         ("geometric", dict(a=-0.3, p=2, q=1)),
