@@ -252,7 +252,7 @@ def _weigh(stack: np.ndarray, w_out, w_in, quad: float) -> np.ndarray:
         s_in = np.sqrt(w_in[k] * quad)
         if stack.ndim == 4:
             s_out = s_out[:, None]
-        out[j, k] = (s_out * stack[j, k]) / s_in
+        np.divide(np.multiply(s_out, stack[j, k], out=out[j, k]), s_in, out=out[j, k])
     return out
 
 
