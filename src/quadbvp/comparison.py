@@ -252,7 +252,10 @@ def _weigh(stack: np.ndarray, w_out, w_in, quad: float) -> np.ndarray:
         s_in = np.sqrt(w_in[k] * quad)
         if stack.ndim == 4:
             s_out = s_out[:, None]
-        np.divide(np.multiply(s_out, stack[j, k], out=out[j, k]), s_in, out=out[j, k])
+        # in place: no temporary copy of the block
+        block = out[j, k]
+        np.multiply(s_out, stack[j, k], out=block)
+        block /= s_in
     return out
 
 
