@@ -7,17 +7,14 @@ shrinks.
 """
 
 from .errors import (AssemblyError, ConfigError, InvalidConfigurationError,
-                     MeshMismatchError, NearSingularError, NormEstimateError,
-                     UnsupportedCapabilityError)
+                     MeshMismatchError, NearSingularError, NormEstimateError)
 from .lattice import (FrequencyGrid, LatticeFunction, LineGrid,
                       SpectralFunction, discrete_fourier,
                       inverse_discrete_fourier, sobolev_norm_1d,
                       sobolev_norm_2d, zeta, zeta_squared_2d)
-from .symbols import (ClassReport, ContinuousSymbol, PeriodicSymbol,
-                      TubeReport, WaveFactorization, builtin_factor_family,
-                      check_symbol_class, periodize, sample_tube_holomorphy)
-from .operators import (BoundaryOperatorSpec, apply_digital_pdo,
-                        apply_symbol_to_spectrum, boundary_trace_spectrum)
+from .symbols import PeriodicSymbol, WaveFactorization, builtin_factor_family
+from .operators import (BoundaryOperatorSpec, apply_symbol_to_spectrum,
+                        boundary_trace_spectrum)
 from .system import (BlockSystem, ContinuousProblem, GaussianBumps,
                      ProblemSpec, RoundtripReport, SolveReport, TraceVector,
                      assemble_continuous_system, assemble_discrete_system,
@@ -27,7 +24,7 @@ from .system import (BlockSystem, ContinuousProblem, GaussianBumps,
                      row_trace_boundary_operators, solve_block_system,
                      structural_null_basis, trace_exponents,
                      zeta_boundary_operators)
-from .comparison import (PowerGap, RateFit, RateReport, WeightedOperatorFrame,
+from .comparison import (PowerGap, RateReport, WeightedOperatorFrame,
                          aligned_line_grid, commutator_rate_sweep,
                          estimate_operator_norm, fit_rate, kernel_gap_ratios,
                          section_gap_rate_sweep, window_mask, zeta_power_gap)

@@ -277,6 +277,7 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     summary = {"h": cfg.h, "N": cfg.N, "seed": cfg.seed,
                "family": spec.factorization.label, "boundary": cfg.boundary,
+               "rel_error": rep.rel_error,
                "condition": rep.condition, "residual": rep.residual,
                "multiplier_condition": rep.multiplier_condition,
                "solution_norm": u_norm,
@@ -345,7 +346,7 @@ def _rate_mode(cfg: ExperimentConfig, sweep_fn, gate_name: str,
     rows = [(float(h), wn, float(norm))
             for h, wn, norm in zip(report.h_values, report.window_nodes, report.norms)]
     floor = slope_floor_fn(report)
-    if report.degenerate:
+    if report.slope is None:
         h, norm = next((h, v) for h, v in zip(report.h_values, report.norms)
                        if not 0.0 < v < math.inf)
         verdicts = [GateVerdict(gate_name, False, f"degenerate sweep: norm {norm!r} "

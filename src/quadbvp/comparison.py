@@ -32,7 +32,6 @@ from .system import ContinuousProblem, _assemble, _kernel_strips
 
 __all__ = [
     "PowerGap",
-    "RateFit",
     "RateReport",
     "WeightedOperatorFrame",
     "zeta_power_gap",
@@ -182,29 +181,24 @@ def estimate_operator_norm(frame: WeightedOperatorFrame) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class RateFit:
-    slope: float | None
-    degenerate: bool
-
-
-def fit_rate(h_values, norms) -> RateFit:
-    """Least-squares slope of ``log(norm)`` against ``log(h)``; degenerate,
-    with no slope, when a norm is not positive and finite."""
+def fit_rate(h_values, norms) -> float | None:
+    """Least-squares slope of ``log(norm)`` against ``log(h)``; None (a
+    degenerate sweep) when a norm is not positive and finite."""
     hs = np.asarray(list(h_values), dtype=float)
     ns = np.asarray(list(norms), dtype=float)
     if len(hs) < 3 or len(ns) != len(hs):
         raise ValueError("need at least 3 matching (h, norm) pairs")
     if np.any(~np.isfinite(ns)) or np.any(ns <= 0.0):
-        return RateFit(slope=None, degenerate=True)
+        return None
     slope, _ = np.polyfit(np.log(hs), np.log(ns), 1)
-    return RateFit(slope=float(slope), degenerate=False)
+    return float(slope)
 
 
 @dataclass(frozen=True)
 class RateReport:
     """Measured norms over a mesh sweep with the fitted decay rate.
 
+    ``slope`` is None for a degenerate sweep (see :func:`fit_rate`);
     ``epsilon`` is the predicted exponent the slope is gated against;
     ``monotone_violations`` lists sweep indices whose norm exceeds the
     previous (coarser) one; ``window_nodes`` counts the grid nodes inside
@@ -215,7 +209,6 @@ class RateReport:
     norms: tuple[float, ...]
     slope: float | None
     epsilon: float | None
-    degenerate: bool = False
     monotone_violations: tuple[int, ...] = ()
     window_nodes: tuple[int, ...] = ()
 
@@ -276,15 +269,22 @@ def _frame(quadrants) -> WeightedOperatorFrame:
         tuple(block(i, j) for j in range(2 * n)) for i in range(2 * n)))
 
 
+def _sweep_grid(h_values, nodes_per_window: int, lambda_factor: float) -> LineGrid:
+    """The rate sweep's line grid, checked before any assembly: a fitted
+    slope needs at least three mesh sizes."""
+    if len(h_values) < 3:
+        raise InvalidConfigurationError(
+            f"h_values needs at least 3 mesh sizes for a fitted slope, got {len(h_values)}")
+    return aligned_line_grid(h_values, nodes_per_window, lambda_factor)
+
+
 def _report(h_values, norms, epsilon, grid: LineGrid) -> RateReport:
     hs = tuple(float(v) for v in h_values)
     ns = tuple(float(v) for v in norms)
     window_nodes = tuple(int(window_mask(grid, h).sum()) for h in hs)
     violations = tuple(i for i in range(1, len(ns)) if ns[i] > ns[i - 1])
-    fit = fit_rate(hs, ns)
-    return RateReport(hs, ns, slope=fit.slope, epsilon=epsilon,
-                      degenerate=fit.degenerate, monotone_violations=violations,
-                      window_nodes=window_nodes)
+    return RateReport(hs, ns, slope=fit_rate(hs, ns), epsilon=epsilon,
+                      monotone_violations=violations, window_nodes=window_nodes)
 
 
 def commutator_rate_sweep(problem: ContinuousProblem, h_values,
@@ -306,7 +306,7 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     the finest window, which holds the coarser ones.
     """
     _hypotheses(problem, 1.0, 2.0, "commutator sweep")
-    grid = aligned_line_grid(h_values, nodes_per_window, lambda_factor)
+    grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
     nodes, quad = grid.axis_nodes, grid.axis_weight
     finest = window_mask(grid, min(h_values))
     weights = [_line_weights(nodes, e) for e in problem.trace_exponents]
@@ -376,7 +376,7 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
     rate is first order in ``h``.
     """
     _hypotheses(problem, 3.0, 3.0, "section gap sweep")
-    grid = aligned_line_grid(h_values, nodes_per_window, lambda_factor)
+    grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
 
     norms = []
     for h, (wnodes, gaps) in zip(h_values, _window_gaps(problem, grid, h_values)):

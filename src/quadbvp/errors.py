@@ -21,10 +21,6 @@ class NearSingularError(RuntimeError):
         self.condition = condition
 
 
-class UnsupportedCapabilityError(TypeError):
-    """An evaluator does not support the requested kind of argument."""
-
-
 class NormEstimateError(RuntimeError):
     """Power iteration failed to converge within the iteration budget."""
 

@@ -18,12 +18,11 @@ import numpy as np
 
 from .errors import MeshMismatchError
 from .lattice import (FrequencyGrid, LatticeFunction, SpectralFunction,
-                      discrete_fourier, inverse_discrete_fourier)
+                      inverse_discrete_fourier)
 from .symbols import PeriodicSymbol
 
 __all__ = [
     "BoundaryOperatorSpec",
-    "apply_digital_pdo",
     "apply_symbol_to_spectrum",
     "boundary_trace_spectrum",
 ]
@@ -67,16 +66,6 @@ def apply_symbol_to_spectrum(symbol: PeriodicSymbol, u_hat: SpectralFunction,
     vals = np.zeros_like(whole.values)
     vals[rows, cols] = whole.values[rows, cols]
     return LatticeFunction(grid.h, box, vals)
-
-
-def apply_digital_pdo(symbol: PeriodicSymbol, u: LatticeFunction,
-                      window: Iterable[tuple[int, int]],
-                      grid: FrequencyGrid) -> LatticeFunction:
-    """Apply the digital operator with the given symbol to ``u`` at the
-    window points, using the grid's quadrature for the frequency integral."""
-    if not grid.matches_mesh(u.h):
-        raise MeshMismatchError(f"lattice mesh {u.h} does not match grid mesh {grid.h}")
-    return apply_symbol_to_spectrum(symbol, discrete_fourier(u, grid), window)
 
 
 def boundary_trace_spectrum(op: BoundaryOperatorSpec,

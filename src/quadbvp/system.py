@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AssemblyError, NearSingularError
+from .errors import AssemblyError, MeshMismatchError, NearSingularError
 from .lattice import (FrequencyGrid, LineGrid, SpectralFunction,
                       sobolev_norm_1d, zeta)
 from .operators import (SIDE_BOTTOM, SIDE_LEFT, BoundaryOperatorSpec,
@@ -135,8 +135,8 @@ class ProblemSpec:
 class ContinuousProblem:
     """Continuous counterpart: symbols on the frequency plane, truncated line.
 
-    Symbol evaluators take ``(xi1, xi2)`` arrays.  Orders are declared, and
-    the growth sandwich is checked by sampling where tests need it.
+    Symbol evaluators take ``(xi1, xi2)`` arrays.  Orders are declared, not
+    checked: the growth sandwich is a hypothesis of the problem.
     """
 
     s: float
@@ -382,21 +382,28 @@ def _kernel_strips(problem: ContinuousProblem, nodes: np.ndarray, weight: float,
 
 def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSystem:
     """Assemble the lattice block system on the grid's midpoint nodes."""
-    if spec.factorization.h is None or not grid.matches_mesh(spec.factorization.h):
-        raise ValueError("factorization mesh does not match the grid")
+    fac_h = spec.factorization.h
+    if fac_h is None or not grid.matches_mesh(fac_h):
+        raise MeshMismatchError(
+            f"factorization mesh {fac_h} does not match grid mesh {grid.h}")
     for op in spec.bottom_ops + spec.left_ops:
         if not grid.matches_mesh(op.symbol.h):
-            raise ValueError(
+            raise MeshMismatchError(
                 f"boundary symbol mesh {op.symbol.h} does not match grid mesh {grid.h}")
     N = grid.nodes_per_axis
     nodes = grid.axis_nodes
 
-    def data_rows(data):
+    def data_rows(data, edge):
         if data is None:
             return np.zeros((spec.n, N), dtype=complex)
-        for f in data:
-            if f.grid.ndim != 1 or len(f.values) != N:
-                raise ValueError("boundary data must live on the grid's 1D node set")
+        # ProblemSpec has checked that every component is on a 1D torus grid
+        for j, f in enumerate(data):
+            if not f.grid.matches_mesh(grid.h):
+                raise MeshMismatchError(f"{edge} data component {j} mesh {f.grid.h} "
+                                        f"does not match grid mesh {grid.h}")
+            if len(f.values) != N:
+                raise ValueError(f"{edge} data component {j} has {len(f.values)} "
+                                 f"nodes, the grid {N}")
         return np.stack([f.values for f in data])
 
     return _assemble(
@@ -404,8 +411,8 @@ def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSys
         plus_factor=spec.factorization,
         bottom_symbols=[op.symbol for op in spec.bottom_ops],
         left_symbols=[op.symbol for op in spec.left_ops],
-        rhs_bottom=data_rows(spec.bottom_data),
-        rhs_left=data_rows(spec.left_data))
+        rhs_bottom=data_rows(spec.bottom_data, "bottom"),
+        rhs_left=data_rows(spec.left_data, "left"))
 
 
 def assemble_continuous_system(problem: ContinuousProblem, grid: LineGrid) -> BlockSystem:
@@ -679,18 +686,13 @@ def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
                                multiplier_condition=mult_cond)
 
 
-def reconstruct_solution(traces: TraceVector, fac, grid: FrequencyGrid,
-                         continuous: bool = False) -> SpectralFunction:
-    """Build the two-axis spectrum from trace functions and the plus factor.
-
-    With ``continuous=True`` the powers are ``(i xi)^k`` instead of the
-    difference-symbol powers; the grid then only supplies the node set.
-    """
+def reconstruct_solution(traces: TraceVector, fac, grid: FrequencyGrid) -> SpectralFunction:
+    """Build the two-axis spectrum from trace functions and the plus factor,
+    pairing each trace with powers of the difference symbol."""
     if grid.ndim != 2:
         raise ValueError("reconstruct_solution requires a 2D grid")
-    nodes = grid.axis_nodes
     x1, x2 = grid.nodes_2d()
-    powers = _power_base(nodes, None if continuous else grid.h)
+    powers = zeta(grid.axis_nodes, grid.h)
     plus = _plus_values(fac, x1, x2)
     num = np.zeros_like(plus)
     for k in range(traces.n):

@@ -241,6 +241,9 @@ class TestRunCommand:
         summary = (tmp_path / "out" / f"{mode}_summary.txt").read_text()
         value = re.search(r"^multiplier_condition = (\S+)$", summary, re.M).group(1)
         assert 1.0 <= float(value) < 1e12
+        # both modes plant and recover traces; both report how well
+        rel_error = re.search(r"^rel_error = (\S+)$", summary, re.M).group(1)
+        assert 0.0 <= float(rel_error) <= 1e-6
 
     def test_solve_mode_reports_interior_residuals(self, tmp_path):
         text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out")

@@ -117,19 +117,16 @@ class TestOperatorNormEstimate:
 class TestFitRate:
     def test_exact_power_laws(self):
         hs = (1.0, 0.5, 0.25, 0.125)
-        assert fit_rate(hs, [3.0 * h for h in hs]).slope == pytest.approx(1.0, abs=1e-12)
-        assert fit_rate(hs, [0.2 * h ** 2 for h in hs]).slope == pytest.approx(2.0, abs=1e-12)
+        assert fit_rate(hs, [3.0 * h for h in hs]) == pytest.approx(1.0, abs=1e-12)
+        assert fit_rate(hs, [0.2 * h ** 2 for h in hs]) == pytest.approx(2.0, abs=1e-12)
 
     def test_noisy_power_law_recovered(self, rng):
         hs = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
         noise = np.exp(rng.normal(scale=0.05, size=hs.size))
-        fit = fit_rate(hs, 0.7 * hs ** 1.25 * noise)
-        assert abs(fit.slope - 1.25) <= 0.1
+        assert abs(fit_rate(hs, 0.7 * hs ** 1.25 * noise) - 1.25) <= 0.1
 
     def test_nonpositive_norm_degenerates(self):
-        fit = fit_rate((1.0, 0.5, 0.25), (1.0, 0.0, 0.1))
-        assert fit.degenerate
-        assert fit.slope is None
+        assert fit_rate((1.0, 0.5, 0.25), (1.0, 0.0, 0.1)) is None
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -177,6 +174,17 @@ def radial(order):
     return ev
 
 
+def count_assembly_calls(monkeypatch):
+    """Record each call of the sweeps' continuous assembly entry points."""
+    calls = []
+    for name in ("_assemble", "_kernel_strips"):
+        def counted(*args, _name=name, _original=getattr(comparison, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(comparison, name, counted)
+    return calls
+
+
 class TestCommutatorSweep:
     def test_all_zero_kernels_flagged_degenerate(self):
         zero = lambda x1, x2: np.zeros(np.broadcast(x1, x2).shape)
@@ -185,7 +193,6 @@ class TestCommutatorSweep:
             bottom_symbols=(zero,), left_symbols=(zero,),
             bottom_orders=(0.0,), left_orders=(0.0,))
         rep = commutator_rate_sweep(problem, [1.0, 0.5, 0.25], nodes_per_window=8)
-        assert rep.degenerate
         assert rep.slope is None
         assert all(v == 0.0 for v in rep.norms)
 
@@ -213,6 +220,12 @@ class TestCommutatorSweep:
         with pytest.raises(InvalidConfigurationError, match="commutator"):
             commutator_rate_sweep(problem, [1.0, 0.5, 0.25])
 
+    def test_short_sweep_rejected_before_any_work(self, monkeypatch):
+        calls = count_assembly_calls(monkeypatch)
+        with pytest.raises(InvalidConfigurationError, match="h_values needs at least 3"):
+            commutator_rate_sweep(skewed_problem(), [0.5, 0.25], nodes_per_window=8)
+        assert calls == []
+
 
 class TestSectionGapSweep:
     def test_first_order_rate_on_builtin_problem(self):
@@ -230,6 +243,12 @@ class TestSectionGapSweep:
                                        bottom_orders=[0.0], left_orders=[0.0])
         with pytest.raises(InvalidConfigurationError, match="section gap"):
             section_gap_rate_sweep(problem, [1.0, 0.5, 0.25])
+
+    def test_short_sweep_rejected_before_any_work(self, monkeypatch):
+        calls = count_assembly_calls(monkeypatch)
+        with pytest.raises(InvalidConfigurationError, match="h_values needs at least 3"):
+            section_gap_rate_sweep(skewed_problem(), [0.5, 0.25], nodes_per_window=8)
+        assert calls == []
 
     def test_restricted_multiplier_gap_matches_arctan_tail(self):
         # with unit boundary symbol and squared-radius factor, the gap
@@ -483,7 +502,7 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         assert rep.window_nodes[-1] == grid.nodes_count
         expected = per_h_commutator_norms(problem, hs, 8, lambda_factor=1.0)
         assert rep.norms[-1] == expected[-1] == 0.0
-        assert rep.degenerate and rep.slope is None
+        assert rep.slope is None
         for got, want in zip(rep.norms[:-1], expected[:-1]):
             assert want > 0.0 and abs(got - want) <= 1e-12 * want
 

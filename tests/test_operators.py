@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from quadbvp import (BoundaryOperatorSpec, FrequencyGrid, LatticeFunction,
                      MeshMismatchError, PeriodicSymbol, SpectralFunction,
-                     apply_digital_pdo, apply_symbol_to_spectrum,
-                     boundary_trace_spectrum,
+                     apply_symbol_to_spectrum, boundary_trace_spectrum,
                      discrete_fourier, zeta)
 
 
@@ -23,7 +22,8 @@ class TestApplyDigitalPdo:
         vals = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
         u = LatticeFunction(h, ((-1, 1), (0, 3)), vals)
         window = [(i, j) for i in range(-1, 2) for j in range(0, 4)]
-        out = apply_digital_pdo(const_symbol(h), u, window, FrequencyGrid(h, 16))
+        out = apply_symbol_to_spectrum(const_symbol(h),
+                                       discrete_fourier(u, FrequencyGrid(h, 16)), window)
         assert np.max(np.abs(out.values - vals)) <= 1e-10 * np.max(np.abs(vals))
 
     def test_difference_symbol_on_unit_mass(self):
@@ -33,7 +33,7 @@ class TestApplyDigitalPdo:
         h = 1.0
         sym = PeriodicSymbol(lambda x1, x2: zeta(x1, h), 1.0, h)
         u = LatticeFunction.delta(h, (0, 0))
-        out = apply_digital_pdo(sym, u, [(0, 0)], FrequencyGrid(h, 32))
+        out = apply_symbol_to_spectrum(sym, discrete_fourier(u, FrequencyGrid(h, 32)), [(0, 0)])
         assert out.values[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
         dense = FrequencyGrid(h, 320)
@@ -47,14 +47,15 @@ class TestApplyDigitalPdo:
         h = 1.0
         sym = PeriodicSymbol(lambda x1, x2: np.exp(-1j * h * np.asarray(x1)), 0.0, h)
         u = LatticeFunction.delta(h, (1, 0))
-        out = apply_digital_pdo(sym, u, [(0, 0)], FrequencyGrid(h, 16))
+        out = apply_symbol_to_spectrum(sym, discrete_fourier(u, FrequencyGrid(h, 16)), [(0, 0)])
         assert out.values[0, 0] == pytest.approx(1.0, abs=1e-13)
 
     def test_forward_phase_symbol_pushes_mass_up(self):
         h = 1.0
         sym = PeriodicSymbol(lambda x1, x2: np.exp(1j * h * np.asarray(x1)), 0.0, h)
         u = LatticeFunction.delta(h, (1, 0))
-        out = apply_digital_pdo(sym, u, [(0, 0), (2, 0)], FrequencyGrid(h, 16))
+        out = apply_symbol_to_spectrum(sym, discrete_fourier(u, FrequencyGrid(h, 16)),
+                                       [(0, 0), (2, 0)])
         assert out.values[0, 0] == pytest.approx(0.0, abs=1e-13)
         assert out.values[2, 0] == pytest.approx(1.0, abs=1e-13)
 
@@ -71,8 +72,9 @@ class TestApplyDigitalPdo:
         q = PeriodicSymbol(lambda x1, x2: np.exp(-1j * h * np.asarray(x2))
                            - 0.25 * np.exp(1j * h * np.asarray(x1)), 0.0, h)
         pq = PeriodicSymbol(lambda x1, x2: p(x1, x2) * q(x1, x2), 0.0, h)
-        step = apply_digital_pdo(q, apply_digital_pdo(p, u, window, g), window, g)
-        direct = apply_digital_pdo(pq, u, window, g)
+        first = apply_symbol_to_spectrum(p, discrete_fourier(u, g), window)
+        step = apply_symbol_to_spectrum(q, discrete_fourier(first, g), window)
+        direct = apply_symbol_to_spectrum(pq, discrete_fourier(u, g), window)
         scale = np.max(np.abs(direct.values))
         assert np.max(np.abs(step.values - direct.values)) <= 1e-8 * scale
 
@@ -89,10 +91,12 @@ class TestApplyDigitalPdo:
         box = ((0, 1), (0, 1))
         sym = PeriodicSymbol(lambda x1, x2: 1.0 + 0.3 * np.exp(1j * (x1 - x2)), 0.0, h)
         window = [(0, 0), (1, 1)]
-        out1 = apply_digital_pdo(sym, LatticeFunction(h, box, v1), window, g)
-        out2 = apply_digital_pdo(sym, LatticeFunction(h, box, v2), window, g)
-        combo = apply_digital_pdo(
-            sym, LatticeFunction(h, box, alpha * v1 + beta * v2), window, g)
+        def apply(v):
+            return apply_symbol_to_spectrum(
+                sym, discrete_fourier(LatticeFunction(h, box, v), g), window)
+
+        out1, out2 = apply(v1), apply(v2)
+        combo = apply(alpha * v1 + beta * v2)
         expected = alpha * out1.values + beta * out2.values
         scale = max(np.max(np.abs(expected)), 1.0)
         assert np.max(np.abs(combo.values - expected)) <= 1e-12 * scale
@@ -120,9 +124,14 @@ class TestApplyDigitalPdo:
         assert np.max(np.abs(out.values - expected)) <= 1e-14 * scale
 
     def test_mesh_mismatch_rejected(self):
+        # the symbol against the spectrum's grid, the lattice function
+        # against the grid it is transformed on
         u = LatticeFunction.delta(0.5, (0, 0))
-        with pytest.raises(MeshMismatchError):
-            apply_digital_pdo(const_symbol(1.0), u, [(0, 0)], FrequencyGrid(1.0, 8))
+        spectrum = discrete_fourier(u, FrequencyGrid(0.5, 8))
+        with pytest.raises(MeshMismatchError, match="symbol mesh 1.0 .* grid mesh 0.5"):
+            apply_symbol_to_spectrum(const_symbol(1.0), spectrum, [(0, 0)])
+        with pytest.raises(MeshMismatchError, match="lattice mesh 0.5 .* grid mesh 1.0"):
+            discrete_fourier(u, FrequencyGrid(1.0, 8))
 
 
 class TestBoundaryTraceSpectrum:

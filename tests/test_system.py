@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadbvp import (AssemblyError, BlockSystem, BoundaryOperatorSpec,
-                     FrequencyGrid, NearSingularError, PeriodicSymbol, ProblemSpec,
+                     FrequencyGrid, MeshMismatchError, NearSingularError,
+                     PeriodicSymbol, ProblemSpec,
                      SpectralFunction, TraceVector, WaveFactorization,
                      assemble_continuous_system, assemble_discrete_system,
                      builtin_factor_family, identity_boundary_operators,
@@ -57,6 +58,13 @@ class TestProblemSpecValidation:
             ProblemSpec(s=-2.25, factorization=fac, n=2, delta=0.25,
                         bottom_ops=bottom, left_ops=left)
 
+    def test_left_operator_on_bottom_edge_rejected(self):
+        fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
+        _, left = identity_boundary_operators(1, 1.0)
+        with pytest.raises(ValueError, match="bottom_ops must have side 'bottom'"):
+            ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
+                        bottom_ops=left, left_ops=left)
+
     def test_non_finite_data_rejected(self):
         grid1 = FrequencyGrid(1.0, 8, ndim=1)
         bad = SpectralFunction(grid1, np.full(8, np.nan, dtype=complex))
@@ -90,6 +98,38 @@ class TestAssembly:
         grid = FrequencyGrid(h, 16)
         sys = assemble_discrete_system(spec, grid)
         assert np.allclose(sys.bottom_kernel[0, 0], grid.axis_weight, rtol=1e-12)
+
+    def test_factorization_mesh_must_match_grid(self):
+        with pytest.raises(MeshMismatchError,
+                           match="factorization mesh 0.5 does not match grid mesh 1.0"):
+            assemble_discrete_system(trivial_spec(h=0.5), FrequencyGrid(1.0, 8))
+
+    def test_boundary_symbol_mesh_must_match_grid(self):
+        fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
+        bottom, left = identity_boundary_operators(1, 0.5)
+        spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
+                           bottom_ops=bottom, left_ops=left)
+        with pytest.raises(MeshMismatchError,
+                           match="boundary symbol mesh 0.5 does not match grid mesh 1.0"):
+            assemble_discrete_system(spec, FrequencyGrid(1.0, 8))
+
+    @pytest.mark.parametrize("edge", ["bottom", "left"])
+    def test_data_on_another_mesh_rejected(self, edge):
+        # same node count, so only the mesh tells the data apart
+        ok = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
+        other = SpectralFunction(FrequencyGrid(0.5, 16, ndim=1), np.ones(16))
+        data = {"data_bottom": (ok,), "data_left": (ok,), f"data_{edge}": (other,)}
+        with pytest.raises(MeshMismatchError,
+                           match=f"{edge} data component 0 mesh 0.5 does not match "
+                                 "grid mesh 1.0"):
+            assemble_discrete_system(trivial_spec(**data), FrequencyGrid(1.0, 16))
+
+    def test_data_of_wrong_length_rejected(self):
+        ok = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
+        short = SpectralFunction(FrequencyGrid(1.0, 8, ndim=1), np.ones(8))
+        spec = trivial_spec(data_bottom=(ok,), data_left=(short,))
+        with pytest.raises(ValueError, match="left data component 0 has 8 nodes, the grid 16"):
+            assemble_discrete_system(spec, FrequencyGrid(1.0, 16))
 
     def test_vanishing_plus_factor_names_the_node(self):
         h = 1.0
@@ -419,9 +459,6 @@ class TestReconstruction:
         u = reconstruct_solution(traces, trivial_factorization, grid)
         x1, _ = grid.nodes_2d()
         assert np.allclose(u.values, zeta(x1, 1.0), atol=1e-14)
-        u_cont = reconstruct_solution(traces, trivial_factorization, grid,
-                                      continuous=True)
-        assert np.allclose(u_cont.values, 1j * x1, atol=1e-14)
 
 
 class TestHomogeneousResidual:
