@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError, NormEstimateError
-from .lattice import LineGrid, zeta
+from .lattice import LineGrid, _open_mesh, zeta
 from .system import ContinuousProblem, _assemble, _kernel_strips
 
 __all__ = [
@@ -404,8 +404,7 @@ def kernel_gap_ratios(problem: ContinuousProblem, h: float,
     _hypotheses(problem, 2.0, 2.0, "kernel gap ratios")
     grid = aligned_line_grid([h], nodes_per_window, lambda_factor=lambda_factor)
     wnodes, (mult_b, ker_b, ker_l, mult_l) = next(_window_gaps(problem, grid, [h]))
-    x1, x2 = np.meshgrid(wnodes, wnodes, indexing="ij")
-    weight_2d = 1.0 + np.hypot(x1, x2)
+    weight_2d = 1.0 + np.hypot(*_open_mesh(wnodes, wnodes))
     weight_1d = 1.0 + np.abs(wnodes)
     quad = grid.axis_weight
     # family: |gap|, growth weight, exponent offset, symbol orders

@@ -55,6 +55,15 @@ def zeta_squared_2d(xi1, xi2, h: float):
     return zeta(xi1, h) ** 2 + zeta(xi2, h) ** 2
 
 
+def _open_mesh(axis1: np.ndarray, axis2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Open ``ij`` mesh of two node axes, shapes ``(len(axis1), 1)`` and
+    ``(1, len(axis2))``: the layout every symbol, factor and weight evaluator
+    receives.  Broadcasting evaluates each one-axis piece once per node and
+    only the combination on the whole mesh.
+    """
+    return np.meshgrid(axis1, axis2, indexing="ij", sparse=True)
+
+
 def _midpoint_nodes(half_width: float, count: int) -> np.ndarray:
     step = 2.0 * half_width / count
     return -half_width + (np.arange(count) + 0.5) * step
@@ -107,9 +116,11 @@ class FrequencyGrid:
         return 2.0 * self.half_width / self.nodes_per_axis
 
     def nodes_2d(self) -> tuple[np.ndarray, np.ndarray]:
+        """The torus nodes as an open mesh, ``xi1`` of shape ``(N, 1)`` and
+        ``xi2`` of shape ``(1, N)``; broadcast them for dense arrays."""
         if self.ndim != 2:
             raise ValueError("nodes_2d requires a 2D grid")
-        return np.meshgrid(self.axis_nodes, self.axis_nodes, indexing="ij")
+        return _open_mesh(self.axis_nodes, self.axis_nodes)
 
     def matches_mesh(self, h: float) -> bool:
         return math.isclose(self.h, h, rel_tol=1e-12, abs_tol=0.0)

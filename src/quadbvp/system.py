@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AssemblyError, MeshMismatchError, NearSingularError
-from .lattice import (FrequencyGrid, LineGrid, SpectralFunction,
+from .lattice import (FrequencyGrid, LineGrid, SpectralFunction, _open_mesh,
                       sobolev_norm_1d, zeta)
 from .operators import (SIDE_BOTTOM, SIDE_LEFT, BoundaryOperatorSpec,
                         boundary_trace_spectrum)
@@ -135,8 +135,10 @@ class ProblemSpec:
 class ContinuousProblem:
     """Continuous counterpart: symbols on the frequency plane, truncated line.
 
-    Symbol evaluators take ``(xi1, xi2)`` arrays.  Orders are declared, not
-    checked: the growth sandwich is a hypothesis of the problem.
+    Symbol and factor evaluators take ``(xi1, xi2)`` as an open mesh, arrays
+    of shapes ``(R, 1)`` and ``(1, N)``, and may return any array that
+    broadcasts to ``(R, N)``.  Orders are declared, not checked: the growth
+    sandwich is a hypothesis of the problem.
     """
 
     s: float
@@ -276,13 +278,31 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
         raise AssemblyError(f"non-finite entries in block {name}")
 
 
+def _check_mesh(what: str, h: float | None, grid: FrequencyGrid) -> None:
+    if h is None or not grid.matches_mesh(h):
+        raise MeshMismatchError(f"{what} mesh {h} does not match grid mesh {grid.h}")
+
+
+def _check_on_grid(what: str, functions, grid: FrequencyGrid) -> None:
+    """Reject one-axis functions whose mesh or node count is not the grid's."""
+    N = grid.nodes_per_axis
+    for j, f in enumerate(functions):
+        _check_mesh(f"{what} component {j}", getattr(f.grid, "h", None), grid)
+        if f.values.shape != (N,):
+            raise MeshMismatchError(
+                f"{what} component {j} has {f.values.size} nodes, the grid {N}")
+
+
 def _plus_values(fac, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Evaluate an inverse-safe plus factor on the mesh, flagging zeros."""
+    """Evaluate an inverse-safe plus factor on the open mesh ``(x1, x2)``,
+    broadcast to the whole mesh, flagging zeros."""
     plus = fac.plus_factor if isinstance(fac, WaveFactorization) else fac
-    vals = np.asarray(plus(x1, x2), dtype=complex)
+    vals = np.broadcast_to(np.asarray(plus(x1, x2), dtype=complex),
+                           np.broadcast_shapes(x1.shape, x2.shape))
     mags = np.abs(vals)
     if np.min(mags) < 1e-300 or not np.all(np.isfinite(mags)):
         at = np.unravel_index(int(np.argmin(mags)), mags.shape)
+        x1, x2 = np.broadcast_arrays(x1, x2)
         raise AssemblyError(
             f"plus factor vanishes at node (xi1={x1[at]:.6g}, xi2={x2[at]:.6g})")
     return vals
@@ -295,7 +315,8 @@ def _power_base(nodes: np.ndarray, h: float | None) -> np.ndarray:
 
 def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
                    powers: np.ndarray, weight: float, transpose: bool = False):
-    """One kernel family on one mesh of node pairs ``(x1, x2)``.
+    """One kernel family on one open mesh of node pairs ``(x1, x2)``, with
+    ``inv_plus`` the inverse plus factor on the whole mesh.
 
     Returns the cores ``symbol_j / plus`` on the mesh and the kernel stack
     ``kernel[j, k] = core_j * p^k * weight``, with ``p`` the power base
@@ -306,7 +327,8 @@ def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray
     """
     n = len(symbols)
     cores = [np.asarray(sym(x1, x2), dtype=complex) * inv_plus for sym in symbols]
-    kernels = np.empty((n, n) + (x1.T.shape if transpose else x1.shape), dtype=complex)
+    kernels = np.empty((n, n) + (inv_plus.T.shape if transpose else inv_plus.shape),
+                       dtype=complex)
     for j, core in enumerate(cores):
         for k in range(n):
             pk = powers ** k
@@ -328,8 +350,8 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     """
     out = nodes if rows is None else nodes[rows]
     # bottom equations on the (R x N) mesh, left equations on (N x R)
-    xb1, xb2 = np.meshgrid(out, nodes, indexing="ij")
-    xl1, xl2 = (xb1, xb2) if rows is None else np.meshgrid(nodes, out, indexing="ij")
+    xb1, xb2 = _open_mesh(out, nodes)
+    xl1, xl2 = (xb1, xb2) if rows is None else _open_mesh(nodes, out)
     inv_plus_b = 1.0 / _plus_values(plus_factor, xb1, xb2)
     inv_plus_l = inv_plus_b if rows is None else 1.0 / _plus_values(plus_factor, xl1, xl2)
     powers = _power_base(nodes, h)
@@ -375,39 +397,25 @@ def _kernel_strips(problem: ContinuousProblem, nodes: np.ndarray, weight: float,
         return bottom, left
 
     out = nodes[rows]
-    bottom_rows, left_cols = on_mesh(*np.meshgrid(out, nodes, indexing="ij"))
-    bottom_cols, left_rows = on_mesh(*np.meshgrid(nodes, out, indexing="ij"))
+    bottom_rows, left_cols = on_mesh(*_open_mesh(out, nodes))
+    bottom_cols, left_rows = on_mesh(*_open_mesh(nodes, out))
     return (bottom_rows, bottom_cols), (left_rows, left_cols)
 
 
 def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSystem:
     """Assemble the lattice block system on the grid's midpoint nodes."""
-    fac_h = spec.factorization.h
-    if fac_h is None or not grid.matches_mesh(fac_h):
-        raise MeshMismatchError(
-            f"factorization mesh {fac_h} does not match grid mesh {grid.h}")
+    _check_mesh("factorization", spec.factorization.h, grid)
     for op in spec.bottom_ops + spec.left_ops:
-        if not grid.matches_mesh(op.symbol.h):
-            raise MeshMismatchError(
-                f"boundary symbol mesh {op.symbol.h} does not match grid mesh {grid.h}")
-    N = grid.nodes_per_axis
-    nodes = grid.axis_nodes
+        _check_mesh("boundary symbol", op.symbol.h, grid)
 
     def data_rows(data, edge):
         if data is None:
-            return np.zeros((spec.n, N), dtype=complex)
-        # ProblemSpec has checked that every component is on a 1D torus grid
-        for j, f in enumerate(data):
-            if not f.grid.matches_mesh(grid.h):
-                raise MeshMismatchError(f"{edge} data component {j} mesh {f.grid.h} "
-                                        f"does not match grid mesh {grid.h}")
-            if len(f.values) != N:
-                raise ValueError(f"{edge} data component {j} has {len(f.values)} "
-                                 f"nodes, the grid {N}")
+            return np.zeros((spec.n, grid.nodes_per_axis), dtype=complex)
+        _check_on_grid(f"{edge} data", data, grid)
         return np.stack([f.values for f in data])
 
     return _assemble(
-        n=spec.n, nodes=nodes, weight=grid.axis_weight, h=grid.h,
+        n=spec.n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=grid.h,
         plus_factor=spec.factorization,
         bottom_symbols=[op.symbol for op in spec.bottom_ops],
         left_symbols=[op.symbol for op in spec.left_ops],
@@ -686,15 +694,23 @@ def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
                                multiplier_condition=mult_cond)
 
 
-def reconstruct_solution(traces: TraceVector, fac, grid: FrequencyGrid) -> SpectralFunction:
+def reconstruct_solution(traces: TraceVector, fac: WaveFactorization,
+                         grid: FrequencyGrid) -> SpectralFunction:
     """Build the two-axis spectrum from trace functions and the plus factor,
-    pairing each trace with powers of the difference symbol."""
+    pairing each trace with powers of the difference symbol.
+
+    The traces and the factorization must be on the grid's mesh, the traces
+    with its node count.
+    """
     if grid.ndim != 2:
         raise ValueError("reconstruct_solution requires a 2D grid")
+    _check_mesh("factorization", fac.h, grid)
+    _check_on_grid("bottom trace", traces.bottom, grid)
+    _check_on_grid("left trace", traces.left, grid)
     x1, x2 = grid.nodes_2d()
     powers = zeta(grid.axis_nodes, grid.h)
     plus = _plus_values(fac, x1, x2)
-    num = np.zeros_like(plus)
+    num = np.zeros(plus.shape, dtype=complex)
     for k in range(traces.n):
         num += traces.bottom[k].values[:, None] * powers[None, :] ** k
         num += traces.left[k].values[None, :] * powers[:, None] ** k
@@ -792,10 +808,10 @@ def row_trace_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperat
     bottom = []
     left = []
     for j in range(n):
-        sb = PeriodicSymbol(lambda x1, x2, _j=j, _h=h: np.exp(-1j * _j * _h * np.asarray(x2))
-                            * np.ones(np.broadcast(x1, x2).shape), 0.0, h)
-        sl = PeriodicSymbol(lambda x1, x2, _j=j, _h=h: np.exp(-1j * _j * _h * np.asarray(x1))
-                            * np.ones(np.broadcast(x1, x2).shape), 0.0, h)
+        sb = PeriodicSymbol(lambda x1, x2, _j=j, _h=h: np.exp(-1j * _j * _h * np.asarray(x2)),
+                            0.0, h)
+        sl = PeriodicSymbol(lambda x1, x2, _j=j, _h=h: np.exp(-1j * _j * _h * np.asarray(x1)),
+                            0.0, h)
         bottom.append(BoundaryOperatorSpec(SIDE_BOTTOM, sb))
         left.append(BoundaryOperatorSpec(SIDE_LEFT, sl))
     return tuple(bottom), tuple(left)

@@ -1,12 +1,28 @@
 import numpy as np
 import pytest
 
-from quadbvp import WaveFactorization
+from quadbvp import ContinuousProblem, WaveFactorization
 
 
 def ones_symbol(*args):
     return np.ones(np.broadcast(*args).shape) if len(args) > 1 \
         else np.ones(np.asarray(args[0]).shape)
+
+
+def skewed_problem():
+    """n = 2 problem whose symbols are neither radial nor symmetric in
+    (xi1, xi2), so a transposed mesh or a misplaced power shows."""
+    def plus(x1, x2):
+        return (1.0 + x1 ** 2 + 2.0 * x2 ** 2) ** 0.75 * (2.0 + 1j * np.tanh(x1 - 0.3 * x2))
+
+    def symbol(a, b, c):
+        return lambda x1, x2: (1.0 + a * x1 ** 2 + b * x2 ** 2) ** -0.5 * (2.0 + 1j * c * x1)
+
+    return ContinuousProblem(
+        s=3.25, n=2, delta=-0.25, plus_factor=plus, index=5.0,
+        bottom_symbols=(symbol(0.5, 1.0, 0.2), symbol(1.0, 3.0, -0.4)),
+        left_symbols=(symbol(2.0, 0.7, 0.1), symbol(0.3, 1.5, 0.6)),
+        bottom_orders=(0.0, -1.0), left_orders=(0.0, -1.0))
 
 
 @pytest.fixture

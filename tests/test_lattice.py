@@ -78,7 +78,7 @@ class TestInverseDiscreteFourier:
 
     def test_phase_spectrum_shifts_the_mass(self):
         g = FrequencyGrid(1.0, 8)
-        x1, _ = g.nodes_2d()
+        x1, _ = np.broadcast_arrays(*g.nodes_2d())
         u = inverse_discrete_fourier(SpectralFunction(g, np.exp(1j * x1)),
                                      ((0, 2), (-1, 1)))
         expected = np.zeros((3, 3))

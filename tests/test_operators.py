@@ -37,7 +37,7 @@ class TestApplyDigitalPdo:
         assert out.values[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
         dense = FrequencyGrid(h, 320)
-        x1, _ = dense.nodes_2d()
+        x1, _ = np.broadcast_arrays(*dense.nodes_2d())
         oracle = np.sum(zeta(x1, h)) * dense.axis_weight ** 2 / (2 * math.pi) ** 2
         assert out.values[0, 0] == pytest.approx(oracle, abs=1e-12)
 
@@ -163,7 +163,7 @@ class TestBoundaryTraceSpectrum:
 
     def test_left_edge_integrates_first_axis(self):
         g = FrequencyGrid(1.0, 8)
-        x1, _ = g.nodes_2d()
+        x1, _ = np.broadcast_arrays(*g.nodes_2d())
         op = BoundaryOperatorSpec("left", const_symbol(1.0))
         out = boundary_trace_spectrum(op, SpectralFunction(g, x1.astype(complex)))
         # odd integrand over the symmetric node set sums to zero

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadbvp import (AssemblyError, BlockSystem, BoundaryOperatorSpec,
-                     FrequencyGrid, MeshMismatchError, NearSingularError,
+                     ContinuousProblem, FrequencyGrid, MeshMismatchError, NearSingularError,
                      PeriodicSymbol, ProblemSpec,
                      SpectralFunction, TraceVector, WaveFactorization,
                      assemble_continuous_system, assemble_discrete_system,
@@ -18,9 +19,10 @@ from quadbvp import (AssemblyError, BlockSystem, BoundaryOperatorSpec,
                      sobolev_norm_1d, sobolev_norm_2d, solve_block_system,
                      structural_null_basis, trace_exponents, zeta,
                      zeta_boundary_operators, apply_symbol_to_spectrum,
-                     aligned_line_grid, boundary_trace_spectrum)
-from quadbvp.system import _sigma_max_estimate
-from conftest import ones_symbol
+                     aligned_line_grid, boundary_trace_spectrum, window_mask)
+from quadbvp import lattice
+from quadbvp.system import _assemble, _kernel_strips, _sigma_max_estimate
+from conftest import ones_symbol, skewed_problem
 
 
 def trivial_spec(n=1, h=1.0, delta=0.25, boundary="identity",
@@ -128,7 +130,8 @@ class TestAssembly:
         ok = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
         short = SpectralFunction(FrequencyGrid(1.0, 8, ndim=1), np.ones(8))
         spec = trivial_spec(data_bottom=(ok,), data_left=(short,))
-        with pytest.raises(ValueError, match="left data component 0 has 8 nodes, the grid 16"):
+        with pytest.raises(MeshMismatchError,
+                           match="left data component 0 has 8 nodes, the grid 16"):
             assemble_discrete_system(spec, FrequencyGrid(1.0, 16))
 
     def test_vanishing_plus_factor_names_the_node(self):
@@ -460,6 +463,33 @@ class TestReconstruction:
         x1, _ = grid.nodes_2d()
         assert np.allclose(u.values, zeta(x1, 1.0), atol=1e-14)
 
+    def test_traces_on_another_mesh_rejected(self, rng):
+        # same node count, so only the mesh tells the traces apart
+        fac = builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1)
+        bottom, left = row_trace_boundary_operators(1, 1.0)
+        spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
+                           bottom_ops=bottom, left_ops=left)
+        planted = random_trace_vector(rng, FrequencyGrid(0.5, 32, ndim=1), 1)
+        with pytest.raises(MeshMismatchError,
+                           match="bottom trace component 0 mesh 0.5 does not match "
+                                 "grid mesh 1.0"):
+            manufactured_roundtrip(spec, planted, FrequencyGrid(1.0, 32))
+
+    def test_traces_with_another_node_count_rejected(self, trivial_factorization):
+        one = SpectralFunction(FrequencyGrid(1.0, 32, ndim=1), np.ones(32))
+        short = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
+        traces = TraceVector(bottom=(one, one), left=(one, short))
+        with pytest.raises(MeshMismatchError,
+                           match="left trace component 1 has 16 nodes, the grid 32"):
+            reconstruct_solution(traces, trivial_factorization, FrequencyGrid(1.0, 32))
+
+    def test_factorization_on_another_mesh_rejected(self, rng):
+        fac = builtin_factor_family("geometric", 0.5, a=0.5, p=1, q=1)
+        traces = random_trace_vector(rng, FrequencyGrid(1.0, 32, ndim=1), 1)
+        with pytest.raises(MeshMismatchError,
+                           match="factorization mesh 0.5 does not match grid mesh 1.0"):
+            reconstruct_solution(traces, fac, FrequencyGrid(1.0, 32))
+
 
 class TestHomogeneousResidual:
     @pytest.mark.parametrize("n,s", [(1, -1.25), (2, -2.25)])
@@ -609,3 +639,153 @@ class TestContinuousAssembly:
         traces, rep = solve_block_system(sys)
         assert rep.residual <= 1e-10
         assert traces.bottom[0].grid.ndim == 1
+
+
+def dense(ev):
+    """The evaluator on the dense mesh its open-mesh arguments broadcast to."""
+    return lambda x1, x2: ev(*np.broadcast_arrays(x1, x2))
+
+
+def with_evaluators(wrap, fac, ops):
+    """The factorization and boundary operators with every evaluator wrapped."""
+    fac = replace(fac, plus_factor=wrap(fac.plus_factor),
+                  minus_factor=wrap(fac.minus_factor))
+    ops = tuple(tuple(BoundaryOperatorSpec(op.side, replace(op.symbol,
+                                                            evaluate=wrap(op.symbol.evaluate)))
+                      for op in edge) for edge in ops)
+    return fac, ops
+
+
+def with_continuous_evaluators(wrap, problem):
+    return replace(problem, plus_factor=wrap(problem.plus_factor),
+                   bottom_symbols=tuple(map(wrap, problem.bottom_symbols)),
+                   left_symbols=tuple(map(wrap, problem.left_symbols)))
+
+
+def strip(problem, nodes, rows, h=None):
+    zeros = np.zeros((problem.n, rows.sum()), dtype=complex)
+    return _assemble(n=problem.n, nodes=nodes, weight=0.1, h=h,
+                     plus_factor=problem.plus_factor,
+                     bottom_symbols=problem.bottom_symbols,
+                     left_symbols=problem.left_symbols,
+                     rhs_bottom=zeros, rhs_left=zeros, rows=rows)
+
+
+BLOCKS = ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult")
+
+
+class TestOpenMesh:
+    """Evaluators receive open meshes, (R, 1) and (1, N) node arrays, and
+    every block is the one the dense mesh gives, bit for bit."""
+
+    def test_no_evaluator_sees_more_than_one_axis_of_nodes(self, rng, monkeypatch):
+        h, N, n = 1.0, 16, 2
+        sizes = []
+
+        def record(ev):
+            def recorded(*xi):
+                sizes.append(max(np.size(x) for x in xi))
+                return ev(*xi)
+            return recorded
+
+        fac, (bottom, left) = with_evaluators(
+            record, builtin_factor_family("geometric", h, a=0.5, p=1, q=1),
+            row_trace_boundary_operators(n, h))
+        spec = ProblemSpec(s=-2.25, factorization=fac, n=n, delta=0.25,
+                           bottom_ops=bottom, left_ops=left)
+        grid = FrequencyGrid(h, N)
+        planted = random_trace_vector(rng, FrequencyGrid(h, N, ndim=1), n)
+        problem = with_continuous_evaluators(
+            record, radial_power_problem(s=2.25, n=1, delta=-0.25,
+                                         bottom_orders=[0.0], left_orders=[0.0]))
+        nodes = grid.axis_nodes
+        rows = np.abs(nodes) < 1.0
+        u_hat = reconstruct_solution(planted, fac, grid)
+        monkeypatch.setattr(lattice, "zeta_squared_2d", record(lattice.zeta_squared_2d))
+        full = PeriodicSymbol(record(fac.full_symbol), 0.0, h)
+        steps = {
+            "reconstruct_solution": lambda: reconstruct_solution(planted, fac, grid),
+            "boundary_trace_spectrum": lambda: [boundary_trace_spectrum(op, u_hat)
+                                                for op in bottom + left],
+            "assemble_discrete_system": lambda: assemble_discrete_system(spec, grid),
+            "rows strip": lambda: strip(problem, nodes, rows),
+            "_kernel_strips": lambda: _kernel_strips(problem, nodes, 0.1, rows),
+            "apply_symbol_to_spectrum": lambda: apply_symbol_to_spectrum(
+                full, u_hat, [(2, 2), (3, 4)]),
+            "sobolev_norm_2d": lambda: sobolev_norm_2d(u_hat, -2.25),
+        }
+        for name, step in steps.items():
+            sizes.clear()
+            step()
+            assert sizes, name
+            assert max(sizes) <= N, (name, max(sizes))
+
+    @pytest.mark.parametrize("family,params", [
+        ("geometric", dict(a=0.5, p=2, q=0)),
+        ("geometric", dict(a=-0.3, p=1, q=1)),
+        ("shifted_zeta", dict(c=9.5, kappa=1.5)),
+    ])
+    @pytest.mark.parametrize("operators", [row_trace_boundary_operators,
+                                           zeta_boundary_operators])
+    def test_lattice_blocks_equal_the_dense_mesh_blocks(self, family, params, operators):
+        h, n = 0.5, 2
+        fac = builtin_factor_family(family, h, **params)
+        grid = FrequencyGrid(h, 24)
+        blocks = []
+        for wrap in (lambda ev: ev, dense):
+            wfac, (bottom, left) = with_evaluators(wrap, fac, operators(n, h))
+            spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=wfac, n=n,
+                               delta=0.25, bottom_ops=bottom, left_ops=left)
+            blocks.append(assemble_discrete_system(spec, grid))
+        for field in BLOCKS:
+            assert np.array_equal(getattr(blocks[0], field), getattr(blocks[1], field)), field
+
+    @pytest.mark.parametrize("make", [
+        lambda: radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
+                                     left_orders=[0.5, 0.0]),
+        skewed_problem,
+    ], ids=["radial", "skewed"])
+    def test_continuous_blocks_equal_the_dense_mesh_blocks(self, make):
+        problem = make()
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        rows = window_mask(grid, 0.25)
+        open_, dense_ = problem, with_continuous_evaluators(dense, problem)
+        pairs = [(assemble_continuous_system(open_, grid),
+                  assemble_continuous_system(dense_, grid)),
+                 (strip(open_, nodes, rows), strip(dense_, nodes, rows))]
+        for got, want in pairs:
+            for field in BLOCKS:
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_vanishing_plus_factor_names_both_coordinates(self, rng):
+        # the factor vanishes at exactly one node, (3, 11); each mesh that
+        # contains it names the node's two coordinates
+        h, N = 1.0, 16
+        grid = FrequencyGrid(h, N)
+        nodes = grid.axis_nodes
+        a, b = nodes[3], nodes[11]
+
+        def plus(x1, x2):
+            return (x1 - a) + 1j * (x2 - b)
+
+        where = re.escape(f"plus factor vanishes at node (xi1={a:.6g}, xi2={b:.6g})")
+        fac = WaveFactorization(plus, ones_symbol, index=0.0, h=h)
+        bottom, left = row_trace_boundary_operators(1, h)
+        spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
+                           bottom_ops=bottom, left_ops=left)
+        problem = ContinuousProblem(
+            s=-1.25, n=1, delta=0.25, plus_factor=plus, index=0.0,
+            bottom_symbols=(ones_symbol,), left_symbols=(ones_symbol,),
+            bottom_orders=(0.0,), left_orders=(0.0,))
+        with pytest.raises(AssemblyError, match=where):
+            assemble_discrete_system(spec, grid)
+        # as an equation row of the bottom strip, then of the left one
+        for node in (3, 11):
+            rows = np.zeros(N, dtype=bool)
+            rows[[node, 7]] = True
+            with pytest.raises(AssemblyError, match=where):
+                strip(problem, nodes, rows, h=h)
+        traces = random_trace_vector(rng, FrequencyGrid(h, N, ndim=1), 1)
+        with pytest.raises(AssemblyError, match=where):
+            reconstruct_solution(traces, fac, grid)
