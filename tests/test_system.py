@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadbvp import (AssemblyError, BlockSystem, BoundaryOperatorSpec,
-                     ContinuousProblem, FrequencyGrid, MeshMismatchError, NearSingularError,
-                     PeriodicSymbol, ProblemSpec,
+                     ContinuousProblem, FrequencyGrid, MeshMismatchError,
+                     NearSingularError, PeriodicSymbol, ProblemSpec,
                      SpectralFunction, TraceVector, WaveFactorization,
                      assemble_continuous_system, assemble_discrete_system,
                      builtin_factor_family, identity_boundary_operators,
@@ -648,12 +648,12 @@ def dense(ev):
 
 def with_evaluators(wrap, fac, ops):
     """The factorization and boundary operators with every evaluator wrapped."""
+    def wrapped(op):
+        return BoundaryOperatorSpec(op.side, replace(op.symbol, evaluate=wrap(op.symbol.evaluate)))
+
     fac = replace(fac, plus_factor=wrap(fac.plus_factor),
                   minus_factor=wrap(fac.minus_factor))
-    ops = tuple(tuple(BoundaryOperatorSpec(op.side, replace(op.symbol,
-                                                            evaluate=wrap(op.symbol.evaluate)))
-                      for op in edge) for edge in ops)
-    return fac, ops
+    return fac, tuple(tuple(map(wrapped, edge)) for edge in ops)
 
 
 def with_continuous_evaluators(wrap, problem):
