@@ -246,7 +246,9 @@ def _run_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
                "family": spec.factorization.label, "boundary": cfg.boundary,
                "rel_error": rep.rel_error, "condition": rep.condition,
                "residual": rep.residual,
-               "multiplier_condition": rep.multiplier_condition}
+               "multiplier_condition": rep.multiplier_condition,
+               "kernel_rank_bottom": rep.kernel_rank[0],
+               "kernel_rank_left": rep.kernel_rank[1]}
     return ExperimentReport("roundtrip", rows, verdicts, summary)
 
 
@@ -280,6 +282,8 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
                "rel_error": rep.rel_error,
                "condition": rep.condition, "residual": rep.residual,
                "multiplier_condition": rep.multiplier_condition,
+               "kernel_rank_bottom": rep.kernel_rank[0],
+               "kernel_rank_left": rep.kernel_rank[1],
                "solution_norm": u_norm,
                "max_interior_residual": worst}
     for k, s_k in enumerate(spec.trace_exponents):

@@ -11,8 +11,10 @@ Feeding this into the boundary conditions written in Fourier images yields a
 ``2n x 2n`` system of one-dimensional integral equations for the traces:
 diagonal multiplier blocks on the own-axis unknowns and integral-kernel
 blocks on the cross-axis unknowns.  The system is discretized by a Nystrom
-rule on the same midpoint grid that carries the unknowns, and solved
-densely.
+rule on the same midpoint grid that carries the unknowns.  Its kernels are
+analytic when the plus factor is holomorphic and nonvanishing in the tube,
+so the solver compresses them to their numerical rank and solves by a
+Woodbury update; see :func:`solve_block_system`.
 
 The continuous counterpart replaces ``zeta(xi)^k`` by ``(i xi)^k`` and the
 torus by the full frequency line, truncated to a symmetric segment.
@@ -529,18 +531,66 @@ def _adjoint_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m.T @ v.conj()).conj()
 
 
-class _EliminatedSystem:
-    """``A`` and ``P``, the leading ``2m x 2m`` block of the bordered
-    inverse, with their adjoints, applied through the blocks of the
-    bordered matrix and never formed at size ``2m``.
+# Adaptive randomized range finder (Halko, Martinsson & Tropp 2011) in
+# blocks of real Gaussian samples.  A block of ``cols`` samples scales the
+# kernel's singular values, and the rounding noise of the product, by about
+# ``sqrt(cols)``; directions are kept down to ``_RANGE_TOL`` times the
+# kernel's Frobenius norm in the kernel's own scale.
+_RANGE_BLOCK = 16
+_RANGE_TOL = 1e-13
 
-    With ``m = nN`` and the gauge basis ``Q = [Q_b; Q_l]``, the bordered
-    matrix is ``B = [[D_b, E], [F, G]]`` with ``E = [K_b, Q_b]``, ``F =
-    [[K_l], [Q_b^H]]`` and ``G = [[D_l, Q_l], [Q_l^H, 0]]``.  ``D_b`` is
-    block diagonal over the nodes, so it is inverted node by node
-    (``mult_inv``), and only the Schur complement ``S = G - F D_b^-1 E``,
-    of size ``m + n^2``, is inverted densely.  ``P`` and ``P^H`` then act
-    by the block-inverse formulas.
+
+def _compress(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low-rank factors of a square kernel matrix: ``U`` with orthonormal
+    columns spanning its numerical range and ``V = K^H U``, so that ``K``
+    is ``U V^H`` to ``_RANGE_TOL`` times its Frobenius norm.
+
+    Each sample block is projected twice against the basis so far, and its
+    singular directions above the floor join the basis; the first block
+    that drops a direction ends the search.  Seeded, so a rerun compresses
+    alike.
+    """
+    m = k.shape[0]
+    rng = np.random.default_rng(_ESTIMATE_SEED)
+    floor = _RANGE_TOL * float(np.linalg.norm(k))
+    u = np.empty((m, 0), dtype=complex)
+    while u.shape[1] < m:
+        cols = min(_RANGE_BLOCK, m - u.shape[1])
+        y = k @ rng.standard_normal((m, cols))
+        for _ in range(2):
+            y -= u @ (u.conj().T @ y)
+        dirs, sig, _ = np.linalg.svd(y, full_matrices=False)
+        keep = sig > floor * math.sqrt(cols)
+        # the SVD leaves a direction near the floor orthogonal to the basis
+        # only to rounding over the floor; one more projection restores it
+        kept = dirs[:, keep]
+        kept -= u @ (u.conj().T @ kept)
+        u = np.hstack([u, kept])
+        if not keep.all():
+            break
+    return u, _adjoint_mul(k, u)
+
+
+class _CompressedSystem:
+    """``A`` and ``P``, the leading ``2m x 2m`` block of the bordered
+    inverse, applied through the blocks of the bordered matrix and never
+    formed at size ``2m``.
+
+    With ``m = nN``, ``D = blkdiag(D_b, D_l)`` the per-node multipliers and
+    the kernels compressed to ``K_b ~ U_b V_b^H`` and ``K_l ~ U_l V_l^H``
+    (:func:`_compress`), ``A ~ D + W_r Z_r^H`` with ``W_r = [[U_b, 0], [0,
+    U_l]]`` and ``Z_r = [[0, V_l], [V_b, 0]]``.  Appending the gauge basis
+    ``Q`` to both, ``W = [W_r, Q]`` and ``Z = [Z_r, Q]``, the bordered
+    equations ``A x + Q lam = v``, ``Q^H x = 0`` reduce to the capacitance
+    matrix ``C = Z^H D^-1 W + blkdiag(I_r, 0)``, of size ``r_b + r_l +
+    n^2``, on the unknowns ``[Z_r^H x; lam]``, and the Woodbury identity
+    (Hager 1989) gives ``P = (I - G Z^H) D^-1`` with ``G = D^-1 W C^-1``.
+    ``D`` is inverted node by node (``mult_inv``, shape ``(2, n, n, N)``)
+    and only ``C`` densely.
+
+    ``a`` applies the exact ``A``; ``a_low`` and ``a_low_h`` apply the
+    compressed one and its adjoint, ``p`` and ``p_h`` the Woodbury ``P``
+    and its adjoint.
     """
 
     def __init__(self, system: BlockSystem, q: np.ndarray, mult_inv: np.ndarray):
@@ -552,24 +602,25 @@ class _EliminatedSystem:
         self.mult = np.stack([system.bottom_mult, system.left_mult])
         self.mult_h = np.ascontiguousarray(self.mult.transpose(0, 2, 1, 3).conj())
         self.dinv = mult_inv
-        self.dinv_h = np.ascontiguousarray(mult_inv.transpose(1, 0, 2).conj())
+        self.dinv_h = np.ascontiguousarray(mult_inv.transpose(0, 2, 1, 3).conj())
         # kernel stacks (n, n, N, N) as (nN, nN) operator matrices
         self.kb = system.bottom_kernel.transpose(0, 2, 1, 3).reshape(m, m)
-        self.f = np.empty((m + g, m), dtype=complex)
-        self.f[:m] = system.left_kernel.transpose(0, 2, 1, 3).reshape(m, m)
-        self.f[m:] = q[:m].conj().T
-        self.kl = self.f[:m]
-        e = np.empty((m, m + g), dtype=complex)
-        e[:, :m] = self.kb
-        e[:, m:] = q[:m]
-        self.e = _per_node(mult_inv, e)  # D_b^-1 E
-        s = self.f @ self.e
-        np.negative(s, out=s)
-        idx = np.arange(N)  # D_l couples row (j, i) only to column (k, i)
-        s[:m, :m].reshape(n, N, n, N)[:, idx, :, idx] += system.left_mult.transpose(2, 0, 1)
-        s[:m, m:] += q[m:]
-        s[m:, :m] += q[m:].conj().T
-        self.s_inv = np.linalg.inv(s)
+        self.kl = system.left_kernel.transpose(0, 2, 1, 3).reshape(m, m)
+        (ub, vb), (ul, vl) = _compress(self.kb), _compress(self.kl)
+        rb, rl = ub.shape[1], ul.shape[1]
+        self.rank = (rb, rl)
+        r = rb + rl
+        w = np.zeros((2, m, r + g), dtype=complex)
+        z = np.zeros((2, m, r + g), dtype=complex)
+        w[0, :, :rb], w[1, :, rb:r] = ub, ul
+        z[1, :, :rb], z[0, :, rb:r] = vb, vl
+        w[..., r:] = z[..., r:] = q.reshape(2, m, g)
+        dw = _per_node(mult_inv, w).reshape(2 * m, r + g)  # D^-1 W
+        w, self.z = w.reshape(2 * m, r + g), z.reshape(2 * m, r + g)
+        self.w_r, self.z_r = w[:, :r], self.z[:, :r]
+        c = _adjoint_mul(self.z, dw)
+        c[np.arange(r), np.arange(r)] += 1.0
+        self.g = dw @ np.linalg.inv(c)
 
     def a(self, v: np.ndarray) -> np.ndarray:
         v2 = v.reshape(2, self.m, -1)
@@ -578,51 +629,44 @@ class _EliminatedSystem:
         out[1] += self.kl @ v2[0]
         return out.reshape(v.shape)
 
-    def a_h(self, v: np.ndarray) -> np.ndarray:
-        v2 = v.reshape(2, self.m, -1)
-        out = _per_node(self.mult_h, v2)
-        out[0] += _adjoint_mul(self.kl, v2[1])
-        out[1] += _adjoint_mul(self.kb, v2[0])
-        return out.reshape(v.shape)
+    def a_low(self, v: np.ndarray) -> np.ndarray:
+        out = _per_node(self.mult, v.reshape(2, self.m, -1)).reshape(v.shape)
+        return out + self.w_r @ _adjoint_mul(self.z_r, v)
+
+    def a_low_h(self, v: np.ndarray) -> np.ndarray:
+        out = _per_node(self.mult_h, v.reshape(2, self.m, -1)).reshape(v.shape)
+        return out + self.z_r @ _adjoint_mul(self.w_r, v)
 
     def p(self, v: np.ndarray) -> np.ndarray:
-        # y = D_b^-1 v_b, z = S^-1 ([v_l; 0] - F y), P v = [y - D_b^-1 E z; z_l]
-        m = self.m
-        y = _per_node(self.dinv, v[:m])
-        z = self.f @ y
-        np.negative(z, out=z)
-        z[:m] += v[m:]
-        z = self.s_inv @ z
-        return np.concatenate([y - self.e @ z, z[:m]])
+        y = _per_node(self.dinv, v.reshape(2, self.m, -1)).reshape(v.shape)
+        return y - self.g @ _adjoint_mul(self.z, y)
 
     def p_h(self, v: np.ndarray) -> np.ndarray:
-        # w = S^-H ([v_l; 0] - (D_b^-1 E)^H v_b), P^H v = [D_b^-H (v_b - F^H w); w_l]
-        m = self.m
-        w = _adjoint_mul(self.e, v[:m])
-        np.negative(w, out=w)
-        w[:m] += v[m:]
-        w = _adjoint_mul(self.s_inv, w)
-        return np.concatenate([_per_node(self.dinv_h, v[:m] - _adjoint_mul(self.f, w)),
-                               w[:m]])
+        y = v - self.z @ _adjoint_mul(self.g, v)
+        return _per_node(self.dinv_h, y.reshape(2, self.m, -1)).reshape(v.shape)
 
 
 def _invert_multipliers(system: BlockSystem) -> tuple[np.ndarray, float]:
-    """Invert the per-node bottom multiplier matrices ``bottom_mult[:, :, i]``
-    in one batch; returns the inverses, shape ``(n, n, N)``, and their
-    largest 2-norm condition.  Raises :class:`NearSingularError` naming the
-    node where a matrix is singular to working precision."""
-    stack = system.bottom_mult.transpose(2, 0, 1)
+    """Invert the per-node multiplier matrices of both edges,
+    ``bottom_mult[:, :, i]`` and ``left_mult[:, :, i]``, in one batch;
+    returns the inverses, shape ``(2, n, n, N)`` (bottom, then left), and
+    their largest 2-norm condition.  Raises :class:`NearSingularError`
+    naming the edge and the node where a matrix is singular to working
+    precision."""
+    stack = np.stack([system.bottom_mult, system.left_mult]).transpose(0, 3, 1, 2)
     sig = np.linalg.svd(stack, compute_uv=False)
-    cond = np.full(len(sig), math.inf)
-    np.divide(sig[:, 0], sig[:, -1], out=cond, where=sig[:, -1] > 0)
-    worst = int(np.argmax(cond))
-    if not cond[worst] <= CONDITION_LIMIT:
+    cond = np.full(sig.shape[:2], math.inf)
+    np.divide(sig[..., 0], sig[..., -1], out=cond, where=sig[..., -1] > 0)
+    edge, worst = np.unravel_index(int(np.argmax(cond)), cond.shape)
+    if not cond[edge, worst] <= CONDITION_LIMIT:
+        name, coord = (("bottom", "xi1"), ("left", "xi2"))[edge]
         raise NearSingularError(
-            f"bottom multiplier matrix at node xi1={system.nodes[worst]:.6g} has "
-            f"condition {cond[worst]:.3e} > {CONDITION_LIMIT:.0e}: the bottom edge "
-            "condition fails; system not uniquely solvable by elimination",
+            f"{name} multiplier matrix at node {coord}={system.nodes[worst]:.6g} has "
+            f"condition {cond[edge, worst]:.3e} > {CONDITION_LIMIT:.0e}: the {name} "
+            "edge condition fails; system not uniquely solvable by elimination",
             condition=math.inf)
-    return np.ascontiguousarray(np.linalg.inv(stack).transpose(1, 2, 0)), float(cond[worst])
+    return (np.ascontiguousarray(np.linalg.inv(stack).transpose(0, 2, 3, 1)),
+            float(cond[edge, worst]))
 
 
 @dataclass(frozen=True)
@@ -634,43 +678,48 @@ class SolveReport:
     is ``|b - A x| / |b|``; for data outside the range of ``A`` it measures
     the incompatible part.  The solver deflates the ``n^2`` structural gauge
     directions.  ``multiplier_condition`` is the largest 2-norm condition
-    of the per-node bottom multiplier matrices the solver eliminates: the
-    bottom edge's own boundary problem, node by node."""
+    of the per-node multiplier matrices of both edges, which the solver
+    inverts: each edge's own boundary problem, node by node.
+    ``kernel_rank`` is ``(r_b, r_l)``, the numerical ranks the bottom and
+    left kernel matrices were compressed to."""
 
     condition: float
     residual: float
     multiplier_condition: float
+    kernel_rank: tuple[int, int]
 
 
 def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
-    """Dense minimum-norm solve of the Nystrom system.
+    """Minimum-norm solve of the Nystrom system on compressed kernels.
 
     With ``Q`` an orthonormal basis of the structural gauge directions,
     ``x = P b`` with ``P`` the leading ``2nN x 2nN`` block of the inverse of
     the bordered matrix ``B = [[A, Q], [Q^H, 0]]``, followed by one
-    refinement step.  For data in the range of ``A`` this is the unique
-    solution orthogonal to the gauge directions.
+    refinement step against the exact ``A``.  For data in the range of
+    ``A`` this is the unique solution orthogonal to the gauge directions.
 
-    Neither ``A`` nor ``B`` nor ``P`` is formed: the bottom multiplier
-    blocks are inverted node by node, only their Schur complement in
-    ``B``, of size ``nN + n^2``, is inverted densely, and ``A``, ``P`` and
-    their adjoints act through the blocks (:class:`_EliminatedSystem`);
-    the condition estimate uses the same products.  Raises
-    :class:`NearSingularError` when a per-node bottom multiplier matrix is
-    singular to working precision (``condition`` is then ``inf``), when
-    the Schur complement is singular, or when the condition estimate
-    exceeds ``CONDITION_LIMIT`` (read: the system is not uniquely solvable
-    even modulo gauge).
+    Neither ``A`` nor ``B`` nor ``P`` is formed (:class:`_CompressedSystem`):
+    the per-node multiplier matrices of both edges are inverted node by
+    node, each kernel matrix is compressed to its numerical rank by a
+    seeded randomized range finder, and only the Woodbury capacitance
+    matrix, of size ``r_b + r_l + n^2``, is inverted densely.  The
+    condition estimate takes ``sigma_max`` of the compressed ``A`` and of
+    the Woodbury ``P``; the refinement step and the reported residual use
+    the exact ``A``.  Raises :class:`NearSingularError` when a per-node
+    multiplier matrix of either edge is singular to working precision
+    (``condition`` is then ``inf``), when the capacitance matrix is
+    singular, or when the condition estimate exceeds ``CONDITION_LIMIT``
+    (read: the system is not uniquely solvable even modulo gauge).
     """
     mult_inv, mult_cond = _invert_multipliers(system)
     try:
-        ops = _EliminatedSystem(system, _gauge_basis(system), mult_inv)
-    except np.linalg.LinAlgError:  # S singular: rank loss beyond the gauge
+        ops = _CompressedSystem(system, _gauge_basis(system), mult_inv)
+    except np.linalg.LinAlgError:  # C singular: rank loss beyond the gauge
         ops = None
     size = system.size
-    cond = (_sigma_max_estimate(ops.a, ops.a_h, size)
+    cond = (_sigma_max_estimate(ops.a_low, ops.a_low_h, size)
             * _sigma_max_estimate(ops.p, ops.p_h, size)
-            if ops is not None and np.isfinite(ops.s_inv).all() else math.inf)
+            if ops is not None and np.isfinite(ops.g).all() else math.inf)
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise NearSingularError(
             f"deflated condition estimate {cond:.3e} exceeds "
@@ -691,7 +740,7 @@ def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
         bottom=tuple(SpectralFunction(grid, parts[k]) for k in range(system.n)),
         left=tuple(SpectralFunction(grid, parts[system.n + k]) for k in range(system.n)))
     return traces, SolveReport(condition=cond, residual=residual,
-                               multiplier_condition=mult_cond)
+                               multiplier_condition=mult_cond, kernel_rank=ops.rank)
 
 
 def reconstruct_solution(traces: TraceVector, fac: WaveFactorization,
@@ -724,6 +773,7 @@ class RoundtripReport:
     condition: float
     residual: float
     multiplier_condition: float
+    kernel_rank: tuple[int, int]
 
 
 def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
@@ -760,7 +810,8 @@ def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
         worst = max(worst, err / scale if scale > 0 else err)
     return RoundtripReport(recovered=recovered, rel_error=worst,
                            condition=report.condition, residual=report.residual,
-                           multiplier_condition=report.multiplier_condition)
+                           multiplier_condition=report.multiplier_condition,
+                           kernel_rank=report.kernel_rank)
 
 
 def identity_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperatorSpec, ...],
@@ -770,7 +821,7 @@ def identity_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperato
     Note: for n >= 2 the rows repeat and the system is singular by
     construction; use the difference-power family there.
     """
-    one = PeriodicSymbol(lambda x1, x2: np.ones(np.broadcast(x1, x2).shape), 0.0, h)
+    one = PeriodicSymbol(lambda x1, x2: np.ones((1, 1)), 0.0, h)  # broadcasts to the mesh
     bottom = tuple(BoundaryOperatorSpec(SIDE_BOTTOM, one) for _ in range(n))
     left = tuple(BoundaryOperatorSpec(SIDE_LEFT, one) for _ in range(n))
     return bottom, left

@@ -245,6 +245,17 @@ class TestRunCommand:
         rel_error = re.search(r"^rel_error = (\S+)$", summary, re.M).group(1)
         assert 0.0 <= float(rel_error) <= 1e-6
 
+    @pytest.mark.parametrize("mode", ["solve", "roundtrip"])
+    def test_solver_modes_report_the_kernel_ranks(self, tmp_path, mode):
+        text = SMALL_CONFIGS[mode].format(mode=mode, out=tmp_path / "out")
+        assert main(["run", str(write_config(tmp_path, text))]) == 0
+        summary = (tmp_path / "out" / f"{mode}_summary.txt").read_text()
+        n = int(re.search(r"^n = (\d+)$", text, re.M).group(1))
+        N = int(re.search(r"^N = (\d+)$", text, re.M).group(1))
+        for edge in ("bottom", "left"):
+            rank = re.search(rf"^kernel_rank_{edge} = (\S+)$", summary, re.M).group(1)
+            assert 1 <= int(rank) < n * N
+
     def test_solve_mode_reports_interior_residuals(self, tmp_path):
         text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out")
         text = text.replace("mode = roundtrip", "mode = solve")

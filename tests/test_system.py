@@ -21,7 +21,7 @@ from quadbvp import (AssemblyError, BlockSystem, BoundaryOperatorSpec,
                      zeta_boundary_operators, apply_symbol_to_spectrum,
                      aligned_line_grid, boundary_trace_spectrum, window_mask)
 from quadbvp import lattice
-from quadbvp.system import _assemble, _kernel_strips, _sigma_max_estimate
+from quadbvp.system import _assemble, _compress, _kernel_strips, _sigma_max_estimate
 from conftest import ones_symbol, skewed_problem
 
 
@@ -351,6 +351,16 @@ ELIMINATION_CASES = {
         builtin_factor_family("shifted_zeta", 1.0, c=5.0, kappa=1.0),
         row_trace_boundary_operators, 2, 32, 1.0, 5)[2],
     "corner_incompatible": corner_incompatible_system,
+    # n = 3 shifted_zeta draws of the property-test domain whose kernels
+    # compress to ranks 54 and 55 of 96, far from both one and full rank
+    "shifted_zeta_n3_low_kappa": lambda rng: compatible_problem(
+        builtin_factor_family("shifted_zeta", 0.5, c=8.3644832943618087,
+                              kappa=0.5793647777649842),
+        row_trace_boundary_operators, 3, 32, 0.5, 1888378549)[2],
+    "shifted_zeta_n3_high_kappa": lambda rng: compatible_problem(
+        builtin_factor_family("shifted_zeta", 0.5, c=8.267239217489608,
+                              kappa=2.1651038796480253),
+        row_trace_boundary_operators, 3, 32, 0.5, 273045675)[2],
 }
 
 
@@ -364,9 +374,12 @@ class TestEliminatedSolve:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert rep.condition == pytest.approx(condition, rel=1e-12)
 
-    def test_inverts_nothing_larger_than_the_schur_complement(self, monkeypatch):
-        n, N = 2, 32
-        system = ELIMINATION_CASES["row_trace_n2"](None)
+    @pytest.mark.parametrize("case", ["row_trace_n2", "shifted_zeta"])
+    def test_inverts_nothing_larger_than_the_capacitance_matrix(self, monkeypatch, case):
+        # the per-node multipliers in one batch, then densely only the
+        # Woodbury capacitance matrix of size r_b + r_l + n^2
+        system = ELIMINATION_CASES[case](None)
+        n = system.n
         shapes = []
         inv = np.linalg.inv
 
@@ -375,10 +388,10 @@ class TestEliminatedSolve:
             return inv(m)
 
         monkeypatch.setattr(np.linalg, "inv", recording_inv)
-        solve_block_system(system)
-        assert shapes
-        for shape in shapes:
-            assert shape[-1] == shape[-2] <= n * N + n ** 2
+        _, rep = solve_block_system(system)
+        r_b, r_l = rep.kernel_rank
+        assert shapes == [(2, len(system.nodes), n, n), (r_b + r_l + n ** 2,) * 2]
+        assert r_b + r_l < 2 * n * len(system.nodes)
 
     def test_never_forms_the_full_matrix(self, monkeypatch):
         system = ELIMINATION_CASES["row_trace_n2"](None)
@@ -394,7 +407,8 @@ class TestEliminatedSolve:
     def test_multiplier_condition_is_the_worst_node(self, case):
         system = ELIMINATION_CASES[case](None)
         _, rep = solve_block_system(system)
-        per_node = [np.linalg.cond(system.bottom_mult[:, :, i])
+        per_node = [np.linalg.cond(mult[:, :, i])
+                    for mult in (system.bottom_mult, system.left_mult)
                     for i in range(len(system.nodes))]
         assert rep.multiplier_condition == pytest.approx(max(per_node), rel=1e-12)
 
@@ -407,6 +421,46 @@ class TestEliminatedSolve:
                            match=f"bottom multiplier.*xi1={system.nodes[5]:.6g}") as err:
             solve_block_system(bad)
         assert err.value.condition == math.inf
+
+    def test_vanishing_left_multiplier_names_the_node(self):
+        system = ELIMINATION_CASES["row_trace_n2"](None)
+        left_mult = system.left_mult.copy()
+        left_mult[:, :, 5] = 0.0
+        bad = replace(system, left_mult=left_mult)
+        with pytest.raises(NearSingularError,
+                           match=f"left multiplier.*xi2={system.nodes[5]:.6g}") as err:
+            solve_block_system(bad)
+        assert err.value.condition == math.inf
+
+    @pytest.mark.parametrize("case", ["row_trace_n3", "shifted_zeta_n3_high_kappa"])
+    def test_compressed_kernels_reproduce_the_kernels(self, case):
+        # U orthonormal and U V^H = U U^H K within the range finder's floor,
+        # 1e-13 of the Frobenius norm
+        system = ELIMINATION_CASES[case](None)
+        m = system.n * len(system.nodes)
+        for stack in (system.bottom_kernel, system.left_kernel):
+            k = stack.transpose(0, 2, 1, 3).reshape(m, m)
+            u, v = _compress(k)
+            assert u.shape == v.shape and 1 <= u.shape[1] < m
+            assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) <= 1e-14
+            assert np.linalg.norm(k - u @ v.conj().T, 2) <= 1e-12 * np.linalg.norm(k)
+
+    @pytest.mark.parametrize("family, params", [
+        ("geometric", dict(a=0.5, p=1, q=1)),
+        ("shifted_zeta", dict(c=5.0, kappa=2.5))])
+    def test_kernel_rank_does_not_grow_with_the_mesh(self, family, params):
+        # analytic kernels: the numerical rank the solver compresses to is
+        # set by the symbols, not by N
+        ranks = []
+        for N in (128, 256):
+            system = compatible_problem(builtin_factor_family(family, 1.0, **params),
+                                        row_trace_boundary_operators, 2, N, 1.0, 7)[2]
+            _, rep = solve_block_system(system)
+            assert rep.residual <= 1e-10
+            ranks.append(rep.kernel_rank)
+        for r_small, r_large in zip(*ranks):
+            assert 1 <= r_small < 2 * 128
+            assert abs(r_large - r_small) <= 2
 
 
 class TestStructuralGauge:
