@@ -13,8 +13,7 @@ from .lattice import (FrequencyGrid, LatticeFunction, LineGrid,
                       inverse_discrete_fourier, sobolev_norm_1d,
                       sobolev_norm_2d, zeta, zeta_squared_2d)
 from .symbols import PeriodicSymbol, WaveFactorization, builtin_factor_family
-from .operators import (BoundaryOperatorSpec, apply_symbol_to_spectrum,
-                        boundary_trace_spectrum)
+from .operators import apply_symbol_to_spectrum, boundary_trace_spectrum
 from .system import (BlockSystem, ContinuousProblem, GaussianBumps,
                      ProblemSpec, RoundtripReport, SolveReport, TraceVector,
                      assemble_continuous_system, assemble_discrete_system,

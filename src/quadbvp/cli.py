@@ -16,10 +16,14 @@ Modes:
     solve        solve one problem with seeded compatible data, report
                  solution norms, solver diagnostics and interior residuals
     roundtrip    plant seeded traces, synthesize data, solve, compare
-    power_gap    sampled bound check for |(i xi)^k - zeta^k|
+    power_gap    sampled bound check for |(i xi)^k - zeta^k|, up to a k_max
+                 whose bound stays finite
     kernel_gap   lattice-vs-continuous kernel gap ratios over a mesh sweep
     commutator   decay rate of the restriction commutator
     section_gap  decay rate of the restricted-minus-lattice operator gap
+
+Only solve, roundtrip and power_gap draw random numbers and take
+``[experiment] seed``, a non-negative integer.
 
 Each run writes ``<mode>.csv`` (first line ``# schema=<mode>-v1``) and
 ``<mode>_summary.txt`` (key = value lines, one gate verdict per line) into
@@ -52,8 +56,8 @@ from .system import (ProblemSpec, RoundtripReport, identity_boundary_operators,
                      manufactured_roundtrip, radial_power_problem,
                      random_trace_vector, reconstruct_solution,
                      row_trace_boundary_operators, zeta_boundary_operators)
-from .comparison import (commutator_rate_sweep, kernel_gap_ratios,
-                         section_gap_rate_sweep, zeta_power_gap)
+from .comparison import (FIT_MIN_SIZES, check_sweep_length, commutator_rate_sweep,
+                         kernel_gap_ratios, section_gap_rate_sweep, zeta_power_gap)
 
 OUTPUT_ENV_VAR = "QUADBVP_OUTPUT_DIR"
 
@@ -123,8 +127,7 @@ def _mesh_sizes(minimum: int) -> Callable[[str], tuple[float, ...]]:
             raise ValueError(f"mesh sizes must be positive and finite, got {_fmt(hs)}")
         if any(b >= a for a, b in zip(hs, hs[1:])):
             raise ValueError("mesh sizes must be strictly decreasing")
-        if len(hs) < minimum:
-            raise ValueError(f"need at least {minimum} mesh sizes, got {len(hs)}")
+        check_sweep_length(len(hs), minimum)
         return hs
     return parse
 
@@ -428,11 +431,12 @@ LATTICE = ("solve", "roundtrip")
 RATES = ("kernel_gap", "commutator", "section_gap")
 _ORDERS = {"kernel_gap": (0.0, -1.0), "commutator": (0.0,), "section_gap": (0.0, -1.0)}
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE_EVEN = _checked(int, lambda v: v > 0 and v % 2 == 0, "a positive even integer")
 
 FIELDS = (
     Field("experiment", "mode", tuple(MODES), tuple(MODES)),
-    Field("experiment", "seed", int, tuple(MODES), 0),
+    Field("experiment", "seed", _NON_NEGATIVE, ("solve", "roundtrip", "power_gap"), 0),
     Field("experiment", "output", str, tuple(MODES), "out"),
     Field("symbols", "family", tuple(FAMILY_FIELDS), LATTICE),
     Field("symbols", "a", float, LATTICE, None),
@@ -455,7 +459,7 @@ FIELDS = (
     # a growth needs two sizes, a fitted slope three
     Field("sweep", "h_values", _mesh_sizes(1), ("power_gap",), (1.0, 0.5, 0.25, 0.125)),
     Field("sweep", "h_values", _mesh_sizes(2), ("kernel_gap",), (1.0, 0.5, 0.25)),
-    Field("sweep", "h_values", _mesh_sizes(3), ("commutator", "section_gap"),
+    Field("sweep", "h_values", _mesh_sizes(FIT_MIN_SIZES), ("commutator", "section_gap"),
           (0.5, 0.25, 0.125, 0.0625)),
     Field("sweep", "nodes_per_window", _POSITIVE_EVEN, RATES,
           {"kernel_gap": 64, "commutator": 32, "section_gap": 32}),
@@ -553,7 +557,8 @@ def _cmd_validate(path: str) -> int:
     cfg = _load_or_report(path)
     if cfg is None:
         return 2
-    print(f"OK: mode={cfg.mode} seed={cfg.seed} output={cfg.output}")
+    seed = f" seed={cfg.seed}" if "seed" in vars(cfg) else ""
+    print(f"OK: mode={cfg.mode}{seed} output={cfg.output}")
     return 0
 
 

@@ -58,13 +58,20 @@ def zeta_power_gap(xi, k: int, h: float) -> PowerGap:
 
     The bound ``k e^(k pi) h |xi|^(k+1)`` assembles the chain
     ``|zeta - i xi| <= e^pi h xi^2`` and ``|zeta| <= e^pi |xi|``, both valid
-    for ``|xi| <= pi / h``.
+    for ``|xi| <= pi / h``.  A bound that overflows would pass any check, so
+    it raises :class:`InvalidConfigurationError` naming ``k`` and ``h``.
     """
     if k < 1 or int(k) != k:
         raise ValueError(f"power k must be a positive integer, got {k}")
     xi = np.asarray(xi, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            bound = k * math.exp(k * math.pi) * h * np.abs(xi) ** (k + 1)
+        except OverflowError:  # from math.exp
+            bound = None
+    if bound is None or not np.all(np.isfinite(bound)):
+        raise InvalidConfigurationError(f"the first-order bound overflows at k = {k}, h = {h:g}")
     gap = np.abs((1j * xi) ** k - zeta(xi, h) ** k)
-    bound = k * math.exp(k * math.pi) * h * np.abs(xi) ** (k + 1)
     return PowerGap(gap=gap, bound=bound)
 
 
@@ -126,6 +133,17 @@ class WeightedOperatorFrame:
     blocks: tuple[tuple[np.ndarray | None, ...], ...]
 
 
+# a fitted slope needs at least this many mesh sizes
+FIT_MIN_SIZES = 3
+
+
+def check_sweep_length(count: int, minimum: int) -> None:
+    """Reject a mesh sweep of ``count`` sizes, fewer than ``minimum``."""
+    if count < minimum:
+        raise InvalidConfigurationError(
+            f"h_values needs at least {minimum} mesh sizes, got {count}")
+
+
 # power iteration on dense blocks: relative tolerance on the squared value
 # and iteration budget
 _POWER_TOL = 1e-8
@@ -162,8 +180,7 @@ def _sigma_max(block: np.ndarray) -> float:
         lam_prev = lam
     raise NormEstimateError(
         f"power iteration did not converge in {_POWER_MAX_ITER} iterations "
-        f"(last value {lam:.6e})", iterations=_POWER_MAX_ITER, last_value=lam,
-        last_delta=abs(lam - (lam_prev or 0.0)))
+        f"(last value {lam:.6e})", iterations=_POWER_MAX_ITER)
 
 
 def estimate_operator_norm(frame: WeightedOperatorFrame) -> float:
@@ -186,8 +203,9 @@ def fit_rate(h_values, norms) -> float | None:
     degenerate sweep) when a norm is not positive and finite."""
     hs = np.asarray(list(h_values), dtype=float)
     ns = np.asarray(list(norms), dtype=float)
-    if len(hs) < 3 or len(ns) != len(hs):
-        raise ValueError("need at least 3 matching (h, norm) pairs")
+    check_sweep_length(len(hs), FIT_MIN_SIZES)
+    if len(ns) != len(hs):
+        raise ValueError(f"need one norm per mesh size, got {len(ns)} for {len(hs)}")
     if np.any(~np.isfinite(ns)) or np.any(ns <= 0.0):
         return None
     slope, _ = np.polyfit(np.log(hs), np.log(ns), 1)
@@ -270,11 +288,8 @@ def _frame(quadrants) -> WeightedOperatorFrame:
 
 
 def _sweep_grid(h_values, nodes_per_window: int, lambda_factor: float) -> LineGrid:
-    """The rate sweep's line grid, checked before any assembly: a fitted
-    slope needs at least three mesh sizes."""
-    if len(h_values) < 3:
-        raise InvalidConfigurationError(
-            f"h_values needs at least 3 mesh sizes for a fitted slope, got {len(h_values)}")
+    """The rate sweep's line grid, its mesh sizes checked before any assembly."""
+    check_sweep_length(len(h_values), FIT_MIN_SIZES)
     return aligned_line_grid(h_values, nodes_per_window, lambda_factor)
 
 

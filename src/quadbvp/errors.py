@@ -24,12 +24,9 @@ class NearSingularError(RuntimeError):
 class NormEstimateError(RuntimeError):
     """Power iteration failed to converge within the iteration budget."""
 
-    def __init__(self, message: str, iterations: int = 0, last_value: float = 0.0,
-                 last_delta: float = 0.0):
+    def __init__(self, message: str, iterations: int = 0):
         super().__init__(message)
         self.iterations = iterations
-        self.last_value = last_value
-        self.last_delta = last_delta
 
 
 class InvalidConfigurationError(ValueError):
@@ -39,11 +36,10 @@ class InvalidConfigurationError(ValueError):
 class ConfigError(ValueError):
     """A config file failed to parse or validate.
 
-    ``line`` is the 1-based line number when the offending text is known.
+    ``line``, when known, is the 1-based line number the message starts with.
     """
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line

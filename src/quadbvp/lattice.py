@@ -99,12 +99,9 @@ class FrequencyGrid:
             raise ValueError(f"ndim must be 1 or 2, got {self.ndim}")
 
     @property
-    def hbar(self) -> float:
-        return 1.0 / self.h
-
-    @property
     def half_width(self) -> float:
-        return math.pi * self.hbar
+        """``pi / h``, taken as ``pi`` times the dual spacing ``1 / h``."""
+        return math.pi * (1.0 / self.h)
 
     @property
     def axis_nodes(self) -> np.ndarray:
@@ -112,7 +109,7 @@ class FrequencyGrid:
 
     @property
     def axis_weight(self) -> float:
-        """Uniform quadrature weight per node, ``2 pi hbar / N``."""
+        """Uniform quadrature weight per node, ``2 pi / (h N)``."""
         return 2.0 * self.half_width / self.nodes_per_axis
 
     def nodes_2d(self) -> tuple[np.ndarray, np.ndarray]:
@@ -173,21 +170,6 @@ class LatticeFunction:
         if vals.shape != shape:
             raise ValueError(f"values shape {vals.shape} does not match box shape {shape}")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_points(cls, h: float, points: dict[tuple[int, int], complex]) -> "LatticeFunction":
-        idx = np.array(list(points.keys()))
-        box = ((int(idx[:, 0].min()), int(idx[:, 0].max())),
-               (int(idx[:, 1].min()), int(idx[:, 1].max())))
-        vals = np.zeros((box[0][1] - box[0][0] + 1, box[1][1] - box[1][0] + 1), dtype=complex)
-        for (i1, i2), v in points.items():
-            vals[i1 - box[0][0], i2 - box[1][0]] = v
-        return cls(h, box, vals)
-
-    @classmethod
-    def delta(cls, h: float, point: tuple[int, int] = (0, 0)) -> "LatticeFunction":
-        """Unit mass at a single lattice point."""
-        return cls.from_points(h, {point: 1.0})
 
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         (a1, b1), (a2, b2) = self.support_box

@@ -3,15 +3,15 @@ in Fourier images.
 
 A digital operator multiplies the spectrum by its periodic symbol and
 transforms back; it is evaluated only at requested window points, so no
-projection operator is materialized.  Boundary operators act in Fourier
-images: the symbol multiplies the spectrum and one frequency axis is
-integrated out, leaving a one-axis spectral function (no trace
-normalization factor is applied to that integral).
+projection operator is materialized.  A boundary operator is its symbol
+and acts in Fourier images on one edge: the symbol multiplies the spectrum
+and the axis transverse to the edge is integrated out, leaving a one-axis
+spectral function (no trace normalization factor is applied to that
+integral).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -22,26 +22,12 @@ from .lattice import (FrequencyGrid, LatticeFunction, SpectralFunction,
 from .symbols import PeriodicSymbol
 
 __all__ = [
-    "BoundaryOperatorSpec",
     "apply_symbol_to_spectrum",
     "boundary_trace_spectrum",
 ]
 
 SIDE_BOTTOM = "bottom"   # trace on the x2 = 0 row, output a function of xi1
 SIDE_LEFT = "left"       # trace on the x1 = 0 column, output a function of xi2
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryOperatorSpec:
-    """A boundary operator: which edge it traces on, and its symbol, whose
-    ``order`` is the operator's order."""
-
-    side: str
-    symbol: PeriodicSymbol
-
-    def __post_init__(self) -> None:
-        if self.side not in (SIDE_BOTTOM, SIDE_LEFT):
-            raise ValueError(f"side must be {SIDE_BOTTOM!r} or {SIDE_LEFT!r}, got {self.side!r}")
 
 
 def apply_symbol_to_spectrum(symbol: PeriodicSymbol, u_hat: SpectralFunction,
@@ -68,22 +54,23 @@ def apply_symbol_to_spectrum(symbol: PeriodicSymbol, u_hat: SpectralFunction,
     return LatticeFunction(grid.h, box, vals)
 
 
-def boundary_trace_spectrum(op: BoundaryOperatorSpec,
-                            u_hat: SpectralFunction) -> SpectralFunction:
-    """Integrate ``symbol * u_hat`` over the axis transverse to the edge.
-
-    Bottom-edge operators integrate over ``xi2`` and return a function of
-    ``xi1``; left-edge operators the other way around.
+def boundary_trace_spectrum(symbol: PeriodicSymbol, u_hat: SpectralFunction,
+                            side: str) -> SpectralFunction:
+    """Integrate ``symbol * u_hat`` over the axis transverse to the edge
+    ``side``: over ``xi2`` on the ``"bottom"`` edge, returning a function of
+    ``xi1``, and the other way around on the ``"left"`` edge.
     """
+    if side not in (SIDE_BOTTOM, SIDE_LEFT):
+        raise ValueError(f"side must be {SIDE_BOTTOM!r} or {SIDE_LEFT!r}, got {side!r}")
     grid = u_hat.grid
     if not isinstance(grid, FrequencyGrid) or grid.ndim != 2:
         raise ValueError("boundary_trace_spectrum requires a 2D frequency grid")
-    if not grid.matches_mesh(op.symbol.h):
+    if not grid.matches_mesh(symbol.h):
         raise MeshMismatchError(
-            f"symbol mesh {op.symbol.h} does not match grid mesh {grid.h}")
+            f"symbol mesh {symbol.h} does not match grid mesh {grid.h}")
     x1, x2 = grid.nodes_2d()
-    integrand = op.symbol(x1, x2) * u_hat.values
-    axis = 1 if op.side == SIDE_BOTTOM else 0
+    integrand = symbol(x1, x2) * u_hat.values
+    axis = 1 if side == SIDE_BOTTOM else 0
     vals = integrand.sum(axis=axis) * grid.axis_weight
     out_grid = FrequencyGrid(grid.h, grid.nodes_per_axis, ndim=1)
     return SpectralFunction(out_grid, vals)

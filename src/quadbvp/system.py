@@ -38,8 +38,7 @@ import numpy as np
 from .errors import AssemblyError, MeshMismatchError, NearSingularError
 from .lattice import (FrequencyGrid, LineGrid, SpectralFunction, _open_mesh,
                       sobolev_norm_1d, zeta)
-from .operators import (SIDE_BOTTOM, SIDE_LEFT, BoundaryOperatorSpec,
-                        boundary_trace_spectrum)
+from .operators import SIDE_BOTTOM, SIDE_LEFT, boundary_trace_spectrum
 from .symbols import PeriodicSymbol, WaveFactorization
 
 __all__ = [
@@ -89,18 +88,19 @@ def _check_index_split(index: float, s: float, n: int, delta: float) -> None:
 class ProblemSpec:
     """Full statement of a discrete quadrant problem.
 
-    ``bottom_ops`` act on the x2 = 0 edge (data are functions of xi1),
-    ``left_ops`` on the x1 = 0 edge.  Data may be omitted for manufactured
-    runs; when present, each component must have a finite trace norm with
-    exponent ``s - order - 1/2``.
+    Boundary operators are their symbols, grouped by edge: ``bottom_ops``
+    act on the x2 = 0 edge (data are functions of xi1), ``left_ops`` on the
+    x1 = 0 edge.  Data may be omitted for manufactured runs; each component
+    is measured in the trace norm with exponent ``s - order - 1/2``, and
+    assembly rejects non-finite or off-mesh data.
     """
 
     s: float
     factorization: WaveFactorization
     n: int
     delta: float
-    bottom_ops: tuple[BoundaryOperatorSpec, ...]
-    left_ops: tuple[BoundaryOperatorSpec, ...]
+    bottom_ops: tuple[PeriodicSymbol, ...]
+    left_ops: tuple[PeriodicSymbol, ...]
     bottom_data: tuple[SpectralFunction, ...] | None = None
     left_data: tuple[SpectralFunction, ...] | None = None
 
@@ -110,23 +110,9 @@ class ProblemSpec:
             raise ValueError(
                 f"need n = {self.n} boundary operators per edge, got "
                 f"{len(self.bottom_ops)} bottom and {len(self.left_ops)} left")
-        for op in self.bottom_ops:
-            if op.side != SIDE_BOTTOM:
-                raise ValueError("bottom_ops must have side 'bottom'")
-        for op in self.left_ops:
-            if op.side != SIDE_LEFT:
-                raise ValueError("left_ops must have side 'left'")
-        for data, ops, name in ((self.bottom_data, self.bottom_ops, "bottom"),
-                                (self.left_data, self.left_ops, "left")):
-            if data is None:
-                continue
-            if len(data) != self.n:
+        for data, name in ((self.bottom_data, "bottom"), (self.left_data, "left")):
+            if data is not None and len(data) != self.n:
                 raise ValueError(f"{name}_data must have n = {self.n} components")
-            for j, (f, op) in enumerate(zip(data, ops)):
-                norm = sobolev_norm_1d(f, self.s - op.symbol.order - 0.5)
-                if not math.isfinite(norm):
-                    raise ValueError(
-                        f"{name} data component {j} has non-finite trace norm")
 
     @property
     def trace_exponents(self) -> tuple[float, ...]:
@@ -152,8 +138,6 @@ class ContinuousProblem:
     left_symbols: tuple[Callable[..., np.ndarray], ...]
     bottom_orders: tuple[float, ...]
     left_orders: tuple[float, ...]
-    bottom_data: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
-    left_data: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def __post_init__(self) -> None:
         _check_index_split(self.index, self.s, self.n, self.delta)
@@ -407,8 +391,8 @@ def _kernel_strips(problem: ContinuousProblem, nodes: np.ndarray, weight: float,
 def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSystem:
     """Assemble the lattice block system on the grid's midpoint nodes."""
     _check_mesh("factorization", spec.factorization.h, grid)
-    for op in spec.bottom_ops + spec.left_ops:
-        _check_mesh("boundary symbol", op.symbol.h, grid)
+    for symbol in spec.bottom_ops + spec.left_ops:
+        _check_mesh("boundary symbol", symbol.h, grid)
 
     def data_rows(data, edge):
         if data is None:
@@ -419,33 +403,25 @@ def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSys
     return _assemble(
         n=spec.n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=grid.h,
         plus_factor=spec.factorization,
-        bottom_symbols=[op.symbol for op in spec.bottom_ops],
-        left_symbols=[op.symbol for op in spec.left_ops],
+        bottom_symbols=spec.bottom_ops, left_symbols=spec.left_ops,
         rhs_bottom=data_rows(spec.bottom_data, "bottom"),
         rhs_left=data_rows(spec.left_data, "left"))
 
 
 def assemble_continuous_system(problem: ContinuousProblem, grid: LineGrid) -> BlockSystem:
-    """Assemble the continuous block system on a truncated frequency line.
+    """Assemble the continuous block system on a truncated frequency line,
+    with zero data.
 
     The truncation must be wide enough for the negative trace exponents to
     tame the tails; the half width is the caller's choice.
     """
-    N = grid.nodes_count
-    nodes = grid.axis_nodes
-
-    def data_rows(data):
-        if data is None:
-            return np.zeros((problem.n, N), dtype=complex)
-        return np.stack([np.asarray(f(nodes), dtype=complex) for f in data])
-
+    zeros = np.zeros((problem.n, grid.nodes_count), dtype=complex)
     return _assemble(
-        n=problem.n, nodes=nodes, weight=grid.axis_weight, h=None,
+        n=problem.n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=None,
         plus_factor=problem.plus_factor,
         bottom_symbols=problem.bottom_symbols,
         left_symbols=problem.left_symbols,
-        rhs_bottom=data_rows(problem.bottom_data),
-        rhs_left=data_rows(problem.left_data))
+        rhs_bottom=zeros, rhs_left=zeros)
 
 
 def structural_null_basis(system: BlockSystem) -> np.ndarray:
@@ -787,8 +763,9 @@ def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
     component measured with its own exponent.
     """
     u_hat = reconstruct_solution(planted, spec.factorization, grid)
-    data_bottom = tuple(boundary_trace_spectrum(op, u_hat) for op in spec.bottom_ops)
-    data_left = tuple(boundary_trace_spectrum(op, u_hat) for op in spec.left_ops)
+    data_bottom = tuple(boundary_trace_spectrum(op, u_hat, SIDE_BOTTOM)
+                        for op in spec.bottom_ops)
+    data_left = tuple(boundary_trace_spectrum(op, u_hat, SIDE_LEFT) for op in spec.left_ops)
     spec_with_data = replace(spec, bottom_data=data_bottom, left_data=data_left)
     system = assemble_discrete_system(spec_with_data, grid)
     recovered, report = solve_block_system(system)
@@ -814,21 +791,19 @@ def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
                            kernel_rank=report.kernel_rank)
 
 
-def identity_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperatorSpec, ...],
-                                                           tuple[BoundaryOperatorSpec, ...]]:
+def identity_boundary_operators(n: int, h: float) -> tuple[tuple[PeriodicSymbol, ...],
+                                                           tuple[PeriodicSymbol, ...]]:
     """Order-zero boundary operators (symbol one) on both edges.
 
     Note: for n >= 2 the rows repeat and the system is singular by
     construction; use the difference-power family there.
     """
     one = PeriodicSymbol(lambda x1, x2: np.ones((1, 1)), 0.0, h)  # broadcasts to the mesh
-    bottom = tuple(BoundaryOperatorSpec(SIDE_BOTTOM, one) for _ in range(n))
-    left = tuple(BoundaryOperatorSpec(SIDE_LEFT, one) for _ in range(n))
-    return bottom, left
+    return (one,) * n, (one,) * n
 
 
-def zeta_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperatorSpec, ...],
-                                                       tuple[BoundaryOperatorSpec, ...]]:
+def zeta_boundary_operators(n: int, h: float) -> tuple[tuple[PeriodicSymbol, ...],
+                                                       tuple[PeriodicSymbol, ...]]:
     """Difference-power trace operators: the bottom operator of index j has
     symbol ``zeta(xi2)^(j+1)``, the left one ``zeta(xi1)^(j+1)``.
 
@@ -836,19 +811,15 @@ def zeta_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperatorSpe
     the conditions degenerate (the multiplier block becomes rank one), so
     prefer :func:`row_trace_boundary_operators` there.
     """
-    bottom = []
-    left = []
-    for j in range(n):
-        k = j + 1
-        sb = PeriodicSymbol(lambda x1, x2, _k=k, _h=h: zeta(x2, _h) ** _k, float(k), h)
-        sl = PeriodicSymbol(lambda x1, x2, _k=k, _h=h: zeta(x1, _h) ** _k, float(k), h)
-        bottom.append(BoundaryOperatorSpec(SIDE_BOTTOM, sb))
-        left.append(BoundaryOperatorSpec(SIDE_LEFT, sl))
-    return tuple(bottom), tuple(left)
+    bottom = tuple(PeriodicSymbol(lambda x1, x2, _k=k: zeta(x2, h) ** _k, float(k), h)
+                   for k in range(1, n + 1))
+    left = tuple(PeriodicSymbol(lambda x1, x2, _k=k: zeta(x1, h) ** _k, float(k), h)
+                 for k in range(1, n + 1))
+    return bottom, left
 
 
-def row_trace_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperatorSpec, ...],
-                                                            tuple[BoundaryOperatorSpec, ...]]:
+def row_trace_boundary_operators(n: int, h: float) -> tuple[tuple[PeriodicSymbol, ...],
+                                                            tuple[PeriodicSymbol, ...]]:
     """Trace operators reading the first n lattice rows and columns.
 
     The j-th bottom operator has the unimodular symbol ``exp(-i j h xi2)``;
@@ -856,16 +827,11 @@ def row_trace_boundary_operators(n: int, h: float) -> tuple[tuple[BoundaryOperat
     lattice row at height ``j h``.  This is the discrete Cauchy-data choice
     and gives independent conditions for every n.
     """
-    bottom = []
-    left = []
-    for j in range(n):
-        sb = PeriodicSymbol(lambda x1, x2, _j=j, _h=h: np.exp(-1j * _j * _h * np.asarray(x2)),
-                            0.0, h)
-        sl = PeriodicSymbol(lambda x1, x2, _j=j, _h=h: np.exp(-1j * _j * _h * np.asarray(x1)),
-                            0.0, h)
-        bottom.append(BoundaryOperatorSpec(SIDE_BOTTOM, sb))
-        left.append(BoundaryOperatorSpec(SIDE_LEFT, sl))
-    return tuple(bottom), tuple(left)
+    bottom = tuple(PeriodicSymbol(lambda x1, x2, _j=j: np.exp(-1j * _j * h * np.asarray(x2)),
+                                  0.0, h) for j in range(n))
+    left = tuple(PeriodicSymbol(lambda x1, x2, _j=j: np.exp(-1j * _j * h * np.asarray(x1)),
+                                0.0, h) for j in range(n))
+    return bottom, left
 
 
 @dataclass(frozen=True)

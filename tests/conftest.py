@@ -1,7 +1,24 @@
 import numpy as np
 import pytest
 
-from quadbvp import ContinuousProblem, WaveFactorization
+from quadbvp import ContinuousProblem, LatticeFunction, WaveFactorization
+
+
+def lattice_function(h, points):
+    """The lattice function with the given values at the given ``(i1, i2)``
+    points, on their bounding box, and zero elsewhere."""
+    idx = np.array(list(points.keys()))
+    box = ((int(idx[:, 0].min()), int(idx[:, 0].max())),
+           (int(idx[:, 1].min()), int(idx[:, 1].max())))
+    vals = np.zeros((box[0][1] - box[0][0] + 1, box[1][1] - box[1][0] + 1), dtype=complex)
+    for (i1, i2), v in points.items():
+        vals[i1 - box[0][0], i2 - box[1][0]] = v
+    return LatticeFunction(h, box, vals)
+
+
+def unit_mass(h, point=(0, 0)):
+    """Unit mass at a single lattice point."""
+    return lattice_function(h, {point: 1.0})
 
 
 def ones_symbol(*args):

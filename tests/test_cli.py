@@ -87,7 +87,9 @@ class TestLoadConfig:
         ("N = 64", "N = sixty", "bad value for 'N'"),
         ("boundary = zeta", "boundary = wat", r"line 9: unknown boundary 'wat'"),
         ("family = geometric", "family = wat", r"line 7: unknown family 'wat'"),
-    ], ids=["N", "boundary", "family"])
+        ("seed = 11", "seed = -1",
+         r"line 3: bad value for 'seed': must be a non-negative integer, got -1"),
+    ], ids=["N", "boundary", "family", "negative-seed"])
     def test_bad_value_is_line_referenced(self, tmp_path, old, new, pattern):
         text = ROUNDTRIP_CONFIG.format(out=tmp_path).replace(old, new)
         with pytest.raises(ConfigError, match=pattern):
@@ -276,6 +278,16 @@ class TestRunCommand:
             assert float(ratio) <= 1.0
             assert violations == "0"
 
+    def test_power_gap_bound_overflow_exits_2(self, tmp_path, capsys):
+        # the bound k e^(k pi) h |xi|^(k+1) leaves the float range long
+        # before k = 150; a check against an infinite bound proves nothing
+        text = ("[experiment]\nmode = power_gap\nseed = 3\n"
+                f"output = {tmp_path / 'out'}\n"
+                "[sweep]\nk_max = 150\nsamples = 100\n")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^config error: .* overflows at k = \d+, h = [\d.]+$", err, re.M)
+
     def test_kernel_gap_mode_passes_on_small_grid(self, tmp_path):
         text = ("[experiment]\nmode = kernel_gap\n"
                 f"output = {tmp_path / 'out'}\n"
@@ -358,6 +370,26 @@ class TestOtherCommands:
     def test_validate_accepts_shipped_configs(self, repo_configs):
         for cfg in repo_configs:
             assert main(["validate", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_validate_prints_the_seed_of_seeded_modes(self, tmp_path, capsys, mode):
+        text = SMALL_CONFIGS[mode].format(mode=mode, out=tmp_path / "out")
+        assert main(["validate", str(write_config(tmp_path, text))]) == 0
+        seeded = mode in ("solve", "roundtrip", "power_gap")
+        assert ("seed=" in capsys.readouterr().out) == seeded
+
+    @pytest.mark.parametrize("mode, seed, message", [
+        (mode, "5", "line 3: unknown key 'seed' in [experiment]")
+        for mode in ("kernel_gap", "commutator", "section_gap")
+    ] + [("power_gap", "-1", "line 3: bad value for 'seed': must be a non-negative integer")])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_seed_exits_2_line_referenced(self, tmp_path, capsys, mode, seed, message,
+                                              command):
+        text = SMALL_CONFIGS[mode].format(mode=mode, out=tmp_path / "out")
+        text = text.replace(f"mode = {mode}\n", f"mode = {mode}\nseed = {seed}\n")
+        assert main([command, str(write_config(tmp_path, text))]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         bad = write_config(tmp_path, "[experiment]\nmode = wat\n")

@@ -44,6 +44,18 @@ class TestZetaPowerGap:
         with pytest.raises(ValueError):
             zeta_power_gap(1.0, 0, 1.0)
 
+    def test_overflowing_bound_rejected(self):
+        # at the torus edge of h = 1/8 the bound is ~4.4e306 at k = 110 and
+        # beyond the float range at k = 111; from k = 226 on, e^(k pi)
+        # alone overflows
+        h = 0.125
+        res = zeta_power_gap(math.pi / h, 110, h)
+        assert math.isfinite(res.bound) and res.gap <= res.bound
+        for k in (111, 300):
+            with pytest.raises(InvalidConfigurationError,
+                               match=f"overflows at k = {k}, h = 0.125"):
+                zeta_power_gap(math.pi / h, k, h)
+
     @settings(max_examples=40, deadline=None)
     @given(t=st.floats(-1, 1), k=st.integers(1, 4),
            h=st.sampled_from([1.0, 0.5, 0.25, 0.125]))

@@ -9,6 +9,7 @@ from quadbvp import (FrequencyGrid, LatticeFunction, MeshMismatchError,
                      SpectralFunction, discrete_fourier,
                      inverse_discrete_fourier, sobolev_norm_1d,
                      sobolev_norm_2d, zeta, zeta_squared_2d)
+from conftest import lattice_function, unit_mass
 
 
 class TestFrequencyGrid:
@@ -42,19 +43,19 @@ class TestFrequencyGrid:
 class TestDiscreteFourier:
     def test_unit_mass_at_origin_gives_constant_one(self):
         g = FrequencyGrid(1.0, 8)
-        f = discrete_fourier(LatticeFunction.delta(1.0, (0, 0)), g)
+        f = discrete_fourier(unit_mass(1.0, (0, 0)), g)
         assert np.allclose(f.values, 1.0, atol=1e-15)
 
     def test_unit_mass_off_origin_gives_pure_phase(self):
         g = FrequencyGrid(1.0, 8)
-        f = discrete_fourier(LatticeFunction.delta(1.0, (1, 0)), g)
+        f = discrete_fourier(unit_mass(1.0, (1, 0)), g)
         x1, _ = g.nodes_2d()
         assert np.allclose(f.values, np.exp(1j * x1), atol=1e-14)
 
     def test_two_point_sum_matches_hand_evaluation(self):
         # hand-evaluated two-term sum 0.25 (1 + exp(0.5 i xi1)) at two of the
         # h=0.5, N=8 midpoint nodes (xi1 = -7pi/4 and -pi/4)
-        u = LatticeFunction.from_points(0.5, {(0, 0): 1.0, (1, 0): 1.0})
+        u = lattice_function(0.5, {(0, 0): 1.0, (1, 0): 1.0})
         f = discrete_fourier(u, FrequencyGrid(0.5, 8))
         assert f.values[0, 0] == pytest.approx(
             0.019030116872178311 - 0.09567085809127244j, abs=1e-15)
@@ -62,7 +63,7 @@ class TestDiscreteFourier:
             0.4809698831278217 - 0.09567085809127244j, abs=1e-15)
 
     def test_mesh_mismatch_rejected(self):
-        u = LatticeFunction.delta(0.5, (0, 0))
+        u = unit_mass(0.5, (0, 0))
         with pytest.raises(MeshMismatchError):
             discrete_fourier(u, FrequencyGrid(1.0, 8))
 
@@ -86,7 +87,7 @@ class TestInverseDiscreteFourier:
         assert np.allclose(u.values, expected, atol=1e-14)
 
     def test_round_trip_recovers_two_point_function(self):
-        u = LatticeFunction.from_points(0.5, {(0, 0): 1.0, (1, 0): 1.0})
+        u = lattice_function(0.5, {(0, 0): 1.0, (1, 0): 1.0})
         f = discrete_fourier(u, FrequencyGrid(0.5, 8))
         back = inverse_discrete_fourier(f, u.support_box)
         assert np.allclose(back.values, u.values, rtol=1e-12, atol=1e-14)
@@ -154,7 +155,7 @@ class TestSobolevNorms:
         # is h^2 * 2 pi hbar = 2 pi h
         h = 0.5
         g = FrequencyGrid(h, 32)
-        f = discrete_fourier(LatticeFunction.delta(h, (0, 0)), g)
+        f = discrete_fourier(unit_mass(h, (0, 0)), g)
         assert sobolev_norm_2d(f, 0.0) == pytest.approx(2 * math.pi * h, rel=1e-13)
 
     def test_1d_zero_function(self):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadbvp import (BoundaryOperatorSpec, FrequencyGrid, LatticeFunction,
+from quadbvp import (FrequencyGrid, LatticeFunction,
                      MeshMismatchError, PeriodicSymbol, SpectralFunction,
                      apply_symbol_to_spectrum, boundary_trace_spectrum,
                      discrete_fourier, zeta)
+from conftest import lattice_function, unit_mass
 
 
 def const_symbol(h, value=1.0):
@@ -32,7 +33,7 @@ class TestApplyDigitalPdo:
         # a 10x dense quadrature oracle
         h = 1.0
         sym = PeriodicSymbol(lambda x1, x2: zeta(x1, h), 1.0, h)
-        u = LatticeFunction.delta(h, (0, 0))
+        u = unit_mass(h, (0, 0))
         out = apply_symbol_to_spectrum(sym, discrete_fourier(u, FrequencyGrid(h, 32)), [(0, 0)])
         assert out.values[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
@@ -46,14 +47,14 @@ class TestApplyDigitalPdo:
         # axis under the forward convention exp(+i x.xi)
         h = 1.0
         sym = PeriodicSymbol(lambda x1, x2: np.exp(-1j * h * np.asarray(x1)), 0.0, h)
-        u = LatticeFunction.delta(h, (1, 0))
+        u = unit_mass(h, (1, 0))
         out = apply_symbol_to_spectrum(sym, discrete_fourier(u, FrequencyGrid(h, 16)), [(0, 0)])
         assert out.values[0, 0] == pytest.approx(1.0, abs=1e-13)
 
     def test_forward_phase_symbol_pushes_mass_up(self):
         h = 1.0
         sym = PeriodicSymbol(lambda x1, x2: np.exp(1j * h * np.asarray(x1)), 0.0, h)
-        u = LatticeFunction.delta(h, (1, 0))
+        u = unit_mass(h, (1, 0))
         out = apply_symbol_to_spectrum(sym, discrete_fourier(u, FrequencyGrid(h, 16)),
                                        [(0, 0), (2, 0)])
         assert out.values[0, 0] == pytest.approx(0.0, abs=1e-13)
@@ -126,7 +127,7 @@ class TestApplyDigitalPdo:
     def test_mesh_mismatch_rejected(self):
         # the symbol against the spectrum's grid, the lattice function
         # against the grid it is transformed on
-        u = LatticeFunction.delta(0.5, (0, 0))
+        u = unit_mass(0.5, (0, 0))
         spectrum = discrete_fourier(u, FrequencyGrid(0.5, 8))
         with pytest.raises(MeshMismatchError, match="symbol mesh 1.0 .* grid mesh 0.5"):
             apply_symbol_to_spectrum(const_symbol(1.0), spectrum, [(0, 0)])
@@ -137,8 +138,8 @@ class TestApplyDigitalPdo:
 class TestBoundaryTraceSpectrum:
     def test_unit_symbol_integrates_the_torus_width(self):
         g = FrequencyGrid(1.0, 16)
-        op = BoundaryOperatorSpec("bottom", const_symbol(1.0))
-        out = boundary_trace_spectrum(op, SpectralFunction(g, np.ones((16, 16))))
+        out = boundary_trace_spectrum(const_symbol(1.0),
+                                      SpectralFunction(g, np.ones((16, 16))), "bottom")
         assert out.grid.ndim == 1
         assert np.allclose(out.values, 2 * math.pi, rtol=1e-14)
 
@@ -147,8 +148,8 @@ class TestBoundaryTraceSpectrum:
         x1, x2 = g.nodes_2d()
         fv = np.exp(1j * 0.5 * x1[:, 0])
         gv = 1.0 / (1.0 + x2[0] ** 2)
-        op = BoundaryOperatorSpec("bottom", const_symbol(0.5))
-        out = boundary_trace_spectrum(op, SpectralFunction(g, np.outer(fv, gv)))
+        out = boundary_trace_spectrum(const_symbol(0.5),
+                                      SpectralFunction(g, np.outer(fv, gv)), "bottom")
         expected = fv * (np.sum(gv) * g.axis_weight)
         assert np.allclose(out.values, expected, rtol=1e-13)
 
@@ -157,27 +158,25 @@ class TestBoundaryTraceSpectrum:
         h = 1.0
         g = FrequencyGrid(h, 16)
         sym = PeriodicSymbol(lambda x1, x2: zeta(x2, h), 1.0, h)
-        op = BoundaryOperatorSpec("bottom", sym)
-        out = boundary_trace_spectrum(op, SpectralFunction(g, np.ones((16, 16))))
+        out = boundary_trace_spectrum(sym, SpectralFunction(g, np.ones((16, 16))), "bottom")
         assert np.allclose(out.values, -2 * math.pi, atol=1e-12)
 
     def test_left_edge_integrates_first_axis(self):
         g = FrequencyGrid(1.0, 8)
         x1, _ = np.broadcast_arrays(*g.nodes_2d())
-        op = BoundaryOperatorSpec("left", const_symbol(1.0))
-        out = boundary_trace_spectrum(op, SpectralFunction(g, x1.astype(complex)))
+        out = boundary_trace_spectrum(const_symbol(1.0),
+                                      SpectralFunction(g, x1.astype(complex)), "left")
         # odd integrand over the symmetric node set sums to zero
         assert np.allclose(out.values, 0.0, atol=1e-12)
 
     def test_trace_applied_to_transform_recovers_row_sum(self):
-        # with the unit symbol, the bottom trace of a transform is 2 pi hbar
+        # with the unit symbol, the bottom trace of a transform is 2 pi / h
         # times the transform of the lattice row sum over the second axis
         h = 1.0
-        u = LatticeFunction.from_points(h, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): -1.0})
+        u = lattice_function(h, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): -1.0})
         g = FrequencyGrid(h, 16)
         f = discrete_fourier(u, g)
-        op = BoundaryOperatorSpec("bottom", const_symbol(h))
-        out = boundary_trace_spectrum(op, f)
+        out = boundary_trace_spectrum(const_symbol(h), f, "bottom")
         xi = g.axis_nodes
         # hand evaluation: each mass contributes h^2 e^{i i1 h xi1} times the
         # exact period integral of e^{i i2 h xi2}, which is 2 pi only at i2=0
@@ -189,5 +188,7 @@ class TestBoundaryTraceSpectrum:
         assert np.allclose(out.values, manual, atol=1e-12)
 
     def test_unknown_side_rejected(self):
-        with pytest.raises(ValueError, match="side"):
-            BoundaryOperatorSpec("top", const_symbol(1.0))
+        g = FrequencyGrid(1.0, 8)
+        with pytest.raises(ValueError, match="side must be 'bottom' or 'left', got 'top'"):
+            boundary_trace_spectrum(const_symbol(1.0), SpectralFunction(g, np.ones((8, 8))),
+                                    "top")

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadbvp import (AssemblyError, BlockSystem, BoundaryOperatorSpec,
-                     ContinuousProblem, FrequencyGrid, MeshMismatchError,
+from quadbvp import (AssemblyError, BlockSystem, ContinuousProblem, FrequencyGrid, MeshMismatchError,
                      NearSingularError, PeriodicSymbol, ProblemSpec,
                      SpectralFunction, TraceVector, WaveFactorization,
                      assemble_continuous_system, assemble_discrete_system,
@@ -60,19 +59,13 @@ class TestProblemSpecValidation:
             ProblemSpec(s=-2.25, factorization=fac, n=2, delta=0.25,
                         bottom_ops=bottom, left_ops=left)
 
-    def test_left_operator_on_bottom_edge_rejected(self):
-        fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
-        _, left = identity_boundary_operators(1, 1.0)
-        with pytest.raises(ValueError, match="bottom_ops must have side 'bottom'"):
-            ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
-                        bottom_ops=left, left_ops=left)
-
     def test_non_finite_data_rejected(self):
         grid1 = FrequencyGrid(1.0, 8, ndim=1)
         bad = SpectralFunction(grid1, np.full(8, np.nan, dtype=complex))
         ok = SpectralFunction(grid1, np.ones(8))
-        with pytest.raises(ValueError, match="non-finite"):
-            trivial_spec(data_bottom=(bad,), data_left=(ok,))
+        spec = trivial_spec(data_bottom=(bad,), data_left=(ok,))
+        with pytest.raises(AssemblyError, match="non-finite entries in block rhs_bottom"):
+            assemble_discrete_system(spec, FrequencyGrid(1.0, 8))
 
 
 class TestAssembly:
@@ -93,10 +86,8 @@ class TestAssembly:
         h = 1.0
         fac = builtin_factor_family("geometric", h, a=0.5, p=1, q=1)
         sym = PeriodicSymbol(lambda x1, x2: fac.plus_factor(x1, x2), 0.0, h)
-        bottom = (BoundaryOperatorSpec("bottom", sym),)
-        left = (BoundaryOperatorSpec("left", sym),)
         spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
-                           bottom_ops=bottom, left_ops=left)
+                           bottom_ops=(sym,), left_ops=(sym,))
         grid = FrequencyGrid(h, 16)
         sys = assemble_discrete_system(spec, grid)
         assert np.allclose(sys.bottom_kernel[0, 0], grid.axis_weight, rtol=1e-12)
@@ -154,10 +145,9 @@ class TestAssembly:
         inf_symbol = PeriodicSymbol(
             lambda x1, x2: np.where(np.asarray(x1) > 0, np.inf, 1.0), 0.0, h)
         fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=h)
-        bottom = (BoundaryOperatorSpec("bottom", inf_symbol),)
         left = identity_boundary_operators(1, h)[1]
         spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
-                           bottom_ops=bottom, left_ops=left)
+                           bottom_ops=(inf_symbol,), left_ops=left)
         with np.errstate(invalid="ignore"):
             with pytest.raises(AssemblyError, match="non-finite"):
                 assemble_discrete_system(spec, FrequencyGrid(h, 8))
@@ -251,8 +241,9 @@ def compatible_problem(fac, operators, n, N, h, seed):
     u_hat = reconstruct_solution(planted, fac, grid)
     system = assemble_discrete_system(
         replace(spec,
-                bottom_data=tuple(boundary_trace_spectrum(op, u_hat) for op in bottom),
-                left_data=tuple(boundary_trace_spectrum(op, u_hat) for op in left)),
+                bottom_data=tuple(boundary_trace_spectrum(op, u_hat, "bottom")
+                                  for op in bottom),
+                left_data=tuple(boundary_trace_spectrum(op, u_hat, "left") for op in left)),
         grid)
     return spec, planted, system
 
@@ -687,9 +678,9 @@ class TestContinuousAssembly:
         problem = radial_power_problem(
             s=0.75, n=1, delta=0.25, bottom_orders=[0.0], left_orders=[0.0])
         grid = aligned_line_grid([1.0], 32, lambda_factor=2.0)
-        bump = random_bumps(rng, math.pi)
-        problem = replace(problem, bottom_data=(bump,), left_data=(bump,))
-        sys = assemble_continuous_system(problem, grid)
+        bump = random_bumps(rng, math.pi)(grid.axis_nodes)[None, :]
+        sys = replace(assemble_continuous_system(problem, grid),
+                      rhs_bottom=bump, rhs_left=bump)
         traces, rep = solve_block_system(sys)
         assert rep.residual <= 1e-10
         assert traces.bottom[0].grid.ndim == 1
@@ -702,8 +693,8 @@ def dense(ev):
 
 def with_evaluators(wrap, fac, ops):
     """The factorization and boundary operators with every evaluator wrapped."""
-    def wrapped(op):
-        return BoundaryOperatorSpec(op.side, replace(op.symbol, evaluate=wrap(op.symbol.evaluate)))
+    def wrapped(symbol):
+        return replace(symbol, evaluate=wrap(symbol.evaluate))
 
     fac = replace(fac, plus_factor=wrap(fac.plus_factor),
                   minus_factor=wrap(fac.minus_factor))
@@ -759,8 +750,9 @@ class TestOpenMesh:
         full = PeriodicSymbol(record(fac.full_symbol), 0.0, h)
         steps = {
             "reconstruct_solution": lambda: reconstruct_solution(planted, fac, grid),
-            "boundary_trace_spectrum": lambda: [boundary_trace_spectrum(op, u_hat)
-                                                for op in bottom + left],
+            "boundary_trace_spectrum": lambda: [
+                boundary_trace_spectrum(op, u_hat, side)
+                for ops, side in ((bottom, "bottom"), (left, "left")) for op in ops],
             "assemble_discrete_system": lambda: assemble_discrete_system(spec, grid),
             "rows strip": lambda: strip(problem, nodes, rows),
             "_kernel_strips": lambda: _kernel_strips(problem, nodes, 0.1, rows),
