@@ -20,8 +20,9 @@ workload, default 3, and ``--pairs WORKLOAD=K`` for one of them;
 result line and ``# facts`` line, the git revision of each tree, per
 workload and metric each tree's median and quartiles over its runs and the
 number of pairs in which this checkout did better, and the traced runs
-with their per-layer metrics side by side.  Exits 1 if a run failed or
-verified wrongly; the file is written either way.
+with their per-layer metrics side by side.  ``--out`` (default: this
+checkout) is created, with its parents, before the first run.  Exits 1 if
+a run failed or verified wrongly; the file is written either way.
 """
 
 from __future__ import annotations
@@ -142,6 +143,8 @@ def main(argv=None) -> int:
         trees["src"] = args.src.resolve()
     counts = pair_counts(args.pairs, args.workload or list(WORKLOADS))
     revisions = {side: revision(tree) for side, tree in trees.items()}
+    # before the first run, so that no run is lost to a missing directory
+    args.out.mkdir(parents=True, exist_ok=True)
 
     runs = []
     for workload, count in counts.items():

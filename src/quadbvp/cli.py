@@ -236,8 +236,16 @@ def _planted_roundtrip(cfg: ExperimentConfig) -> RoundtripReport:
     return manufactured_roundtrip(cfg.problem, planted, FrequencyGrid(cfg.h, cfg.N))
 
 
+def _solver_summary(cfg: ExperimentConfig, rep: RoundtripReport) -> dict[str, object]:
+    """The leading summary keys of the solve and roundtrip modes."""
+    return {"h": cfg.h, "N": cfg.N, "seed": cfg.seed,
+            "family": cfg.problem.factorization.label, "boundary": cfg.boundary,
+            "rel_error": rep.rel_error, "condition": rep.condition, "residual": rep.residual,
+            "multiplier_condition": rep.multiplier_condition,
+            "kernel_rank_bottom": rep.kernel_rank[0], "kernel_rank_left": rep.kernel_rank[1]}
+
+
 def _run_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
-    spec = cfg.problem
     rep = _planted_roundtrip(cfg)
     rows = [(cfg.h, cfg.N, rep.rel_error, rep.condition, rep.residual)]
     verdicts = [
@@ -245,14 +253,7 @@ def _run_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
                     f"rel_error {rep.rel_error:.3e} vs {ROUNDTRIP_TOL:.0e}"),
         _solve_residual_gate(rep.condition, rep.residual),
     ]
-    summary = {"h": cfg.h, "N": cfg.N, "seed": cfg.seed,
-               "family": spec.factorization.label, "boundary": cfg.boundary,
-               "rel_error": rep.rel_error, "condition": rep.condition,
-               "residual": rep.residual,
-               "multiplier_condition": rep.multiplier_condition,
-               "kernel_rank_bottom": rep.kernel_rank[0],
-               "kernel_rank_left": rep.kernel_rank[1]}
-    return ExperimentReport("roundtrip", rows, verdicts, summary)
+    return ExperimentReport("roundtrip", rows, verdicts, _solver_summary(cfg, rep))
 
 
 def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
@@ -280,19 +281,19 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
                     f"max |A u| {worst:.3e} vs {HOMOGENEOUS_TOL:.0e} * ||u|| "
                     f"= {HOMOGENEOUS_TOL * u_norm:.3e}"),
     ]
-    summary = {"h": cfg.h, "N": cfg.N, "seed": cfg.seed,
-               "family": spec.factorization.label, "boundary": cfg.boundary,
-               "rel_error": rep.rel_error,
-               "condition": rep.condition, "residual": rep.residual,
-               "multiplier_condition": rep.multiplier_condition,
-               "kernel_rank_bottom": rep.kernel_rank[0],
-               "kernel_rank_left": rep.kernel_rank[1],
-               "solution_norm": u_norm,
+    summary = {**_solver_summary(cfg, rep), "solution_norm": u_norm,
                "max_interior_residual": worst}
     for k, s_k in enumerate(spec.trace_exponents):
         summary[f"bottom_trace_norm_{k}"] = sobolev_norm_1d(traces.bottom[k], s_k)
         summary[f"left_trace_norm_{k}"] = sobolev_norm_1d(traces.left[k], s_k)
     return ExperimentReport("solve", rows, verdicts, summary)
+
+
+def _check_power_gap_bound(cfg: ExperimentConfig) -> None:
+    """Reject a ``k_max`` whose bound overflows before any sweep: the bound is
+    largest at ``|xi| = pi/h`` and, wherever it can overflow, grows with k."""
+    for h in cfg.h_values:
+        zeta_power_gap(math.pi / h, cfg.k_max, h)
 
 
 def _run_power_gap(cfg: ExperimentConfig) -> ExperimentReport:
@@ -397,7 +398,7 @@ MODES = {
         ("h", "N", "rel_error", "condition", "residual"),
         ("roundtrip_rel_error: recovered traces within 1e-6 of planted", _SOLVE_GATE)),
     "power_gap": Mode(
-        _run_power_gap, lambda cfg: None,
+        _run_power_gap, _check_power_gap_bound,
         ("h", "k", "max_gap", "max_bound", "max_ratio", "violations"),
         ("power_gap_bound: zero pointwise violations of the first-order bound",)),
     "kernel_gap": Mode(

@@ -363,12 +363,10 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     difference-symbol powers.
     """
     def assemble(nodes, h, rows=None):
-        zeros = np.zeros((problem.n, len(nodes) if rows is None else rows.sum()), complex)
         return _assemble(n=problem.n, nodes=nodes, weight=grid.axis_weight, h=h,
                          plus_factor=problem.plus_factor,
                          bottom_symbols=problem.bottom_symbols,
-                         left_symbols=problem.left_symbols,
-                         rhs_bottom=zeros, rhs_left=zeros, rows=rows)
+                         left_symbols=problem.left_symbols, rows=rows)
 
     rows = window_mask(grid, min(h_values))
     strip = assemble(grid.axis_nodes, None, rows)

@@ -30,7 +30,8 @@ representative; see :func:`structural_null_basis`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,13 +87,12 @@ def _check_index_split(index: float, s: float, n: int, delta: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Full statement of a discrete quadrant problem.
+    """The operator of a discrete quadrant problem.
 
     Boundary operators are their symbols, grouped by edge: ``bottom_ops``
-    act on the x2 = 0 edge (data are functions of xi1), ``left_ops`` on the
-    x1 = 0 edge.  Data may be omitted for manufactured runs; each component
-    is measured in the trace norm with exponent ``s - order - 1/2``, and
-    assembly rejects non-finite or off-mesh data.
+    act on the x2 = 0 edge (their data are functions of xi1), ``left_ops``
+    on the x1 = 0 edge.  The boundary data are not part of the problem:
+    they enter only :func:`solve_block_system`.
     """
 
     s: float
@@ -101,8 +101,6 @@ class ProblemSpec:
     delta: float
     bottom_ops: tuple[PeriodicSymbol, ...]
     left_ops: tuple[PeriodicSymbol, ...]
-    bottom_data: tuple[SpectralFunction, ...] | None = None
-    left_data: tuple[SpectralFunction, ...] | None = None
 
     def __post_init__(self) -> None:
         _check_index_split(self.factorization.index, self.s, self.n, self.delta)
@@ -110,9 +108,6 @@ class ProblemSpec:
             raise ValueError(
                 f"need n = {self.n} boundary operators per edge, got "
                 f"{len(self.bottom_ops)} bottom and {len(self.left_ops)} left")
-        for data, name in ((self.bottom_data, "bottom"), (self.left_data, "left")):
-            if data is not None and len(data) != self.n:
-                raise ValueError(f"{name}_data must have n = {self.n} components")
 
     @property
     def trace_exponents(self) -> tuple[float, ...]:
@@ -181,7 +176,7 @@ def radial_power_problem(s: float, n: int, delta: float,
 
 @dataclass(frozen=True, eq=False)
 class BlockSystem:
-    """Nystrom discretization of the reduced block system.
+    """Nystrom discretization of the reduced block operator, without data.
 
     Blocks are operator matrices acting on node-value vectors (quadrature
     weights already folded into the integral blocks):
@@ -195,7 +190,7 @@ class BlockSystem:
     * ``left_mult[j, k]``     diagonal values multiplying the left traces.
 
     A strip (``_assemble`` with ``rows``) is not square: ``size``,
-    ``full_matrix`` and the solver do not apply to it.
+    ``full_matrix``, ``gauge_basis`` and the solver do not apply to it.
     """
 
     n: int
@@ -206,12 +201,9 @@ class BlockSystem:
     bottom_kernel: np.ndarray  # (n, n, N, N)
     left_kernel: np.ndarray    # (n, n, N, N)
     left_mult: np.ndarray      # (n, n, N)
-    rhs_bottom: np.ndarray     # (n, N)
-    rhs_left: np.ndarray       # (n, N)
 
     def __post_init__(self) -> None:
-        for name in ("bottom_mult", "bottom_kernel", "left_kernel",
-                     "left_mult", "rhs_bottom", "rhs_left"):
+        for name in ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult"):
             _require_finite(name, getattr(self, name))
 
     @property
@@ -234,8 +226,12 @@ class BlockSystem:
                 a[rl + idx, cl + idx] = self.left_mult[j, k]
         return a
 
-    def full_rhs(self) -> np.ndarray:
-        return np.concatenate([self.rhs_bottom.reshape(-1), self.rhs_left.reshape(-1)])
+    @cached_property
+    def gauge_basis(self) -> np.ndarray:
+        """Orthonormal basis ``Q`` of the structural gauge directions
+        (:func:`structural_null_basis`), factored once per system."""
+        q, _ = np.linalg.qr(structural_null_basis(self))
+        return q
 
     def trace_grid(self) -> FrequencyGrid | LineGrid:
         if self.h is not None:
@@ -245,7 +241,8 @@ class BlockSystem:
 
 @dataclass(frozen=True, eq=False)
 class TraceVector:
-    """The unknowns of the block system: n bottom and n left trace functions."""
+    """n bottom and n left one-axis functions on a block system's trace grid:
+    the traces the solve returns, or the boundary data it takes."""
 
     bottom: tuple[SpectralFunction, ...]
     left: tuple[SpectralFunction, ...]
@@ -269,11 +266,12 @@ def _check_mesh(what: str, h: float | None, grid: FrequencyGrid) -> None:
         raise MeshMismatchError(f"{what} mesh {h} does not match grid mesh {grid.h}")
 
 
-def _check_on_grid(what: str, functions, grid: FrequencyGrid) -> None:
-    """Reject one-axis functions whose mesh or node count is not the grid's."""
-    N = grid.nodes_per_axis
+def _check_on_grid(what: str, functions, grid: FrequencyGrid | LineGrid) -> None:
+    """Reject one-axis functions off the grid's node count or torus mesh."""
+    N = len(grid.axis_nodes)
     for j, f in enumerate(functions):
-        _check_mesh(f"{what} component {j}", getattr(f.grid, "h", None), grid)
+        if isinstance(grid, FrequencyGrid):
+            _check_mesh(f"{what} component {j}", getattr(f.grid, "h", None), grid)
         if f.values.shape != (N,):
             raise MeshMismatchError(
                 f"{what} component {j} has {f.values.size} nodes, the grid {N}")
@@ -325,14 +323,13 @@ def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray
 
 def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
               plus_factor, bottom_symbols, left_symbols,
-              rhs_bottom: np.ndarray, rhs_left: np.ndarray,
               rows: np.ndarray | None = None) -> BlockSystem:
     """Shared assembly core; ``h`` selects difference powers (set) or
     ``(i xi)`` powers (None).
 
     A boolean mask ``rows`` makes a strip, the full assembly sliced to
     ``[..., rows, :]``: equations at the R masked nodes, integrals over all N,
-    multipliers ``(n, n, R)``, kernels ``(n, n, R, N)``, data rows ``(n, R)``.
+    multipliers ``(n, n, R)``, kernels ``(n, n, R, N)``.
     """
     out = nodes if rows is None else nodes[rows]
     # bottom equations on the (R x N) mesh, left equations on (N x R)
@@ -358,8 +355,7 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
 
     return BlockSystem(n=n, nodes=nodes, weight=weight, h=h,
                        bottom_mult=bottom_mult, bottom_kernel=bottom_kernel,
-                       left_kernel=left_kernel, left_mult=left_mult,
-                       rhs_bottom=rhs_bottom, rhs_left=rhs_left)
+                       left_kernel=left_kernel, left_mult=left_mult)
 
 
 def _kernel_strips(problem: ContinuousProblem, nodes: np.ndarray, weight: float,
@@ -393,35 +389,23 @@ def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSys
     _check_mesh("factorization", spec.factorization.h, grid)
     for symbol in spec.bottom_ops + spec.left_ops:
         _check_mesh("boundary symbol", symbol.h, grid)
-
-    def data_rows(data, edge):
-        if data is None:
-            return np.zeros((spec.n, grid.nodes_per_axis), dtype=complex)
-        _check_on_grid(f"{edge} data", data, grid)
-        return np.stack([f.values for f in data])
-
     return _assemble(
         n=spec.n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=grid.h,
         plus_factor=spec.factorization,
-        bottom_symbols=spec.bottom_ops, left_symbols=spec.left_ops,
-        rhs_bottom=data_rows(spec.bottom_data, "bottom"),
-        rhs_left=data_rows(spec.left_data, "left"))
+        bottom_symbols=spec.bottom_ops, left_symbols=spec.left_ops)
 
 
 def assemble_continuous_system(problem: ContinuousProblem, grid: LineGrid) -> BlockSystem:
-    """Assemble the continuous block system on a truncated frequency line,
-    with zero data.
+    """Assemble the continuous block system on a truncated frequency line.
 
     The truncation must be wide enough for the negative trace exponents to
     tame the tails; the half width is the caller's choice.
     """
-    zeros = np.zeros((problem.n, grid.nodes_count), dtype=complex)
     return _assemble(
         n=problem.n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=None,
         plus_factor=problem.plus_factor,
         bottom_symbols=problem.bottom_symbols,
-        left_symbols=problem.left_symbols,
-        rhs_bottom=zeros, rhs_left=zeros)
+        left_symbols=problem.left_symbols)
 
 
 def structural_null_basis(system: BlockSystem) -> np.ndarray:
@@ -445,17 +429,11 @@ def structural_null_basis(system: BlockSystem) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _gauge_basis(system: BlockSystem) -> np.ndarray:
-    """Orthonormal basis ``Q`` of the structural gauge directions."""
-    q, _ = np.linalg.qr(structural_null_basis(system))
-    return q
-
-
 def project_out_gauge(system: BlockSystem, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a stacked trace vector onto the complement
     of the structural gauge directions (the minimum-norm representative of
     its gauge orbit)."""
-    q = _gauge_basis(system)
+    q = system.gauge_basis
     return x - q @ (q.conj().T @ x)
 
 
@@ -665,14 +643,22 @@ class SolveReport:
     kernel_rank: tuple[int, int]
 
 
-def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
+def solve_block_system(system: BlockSystem,
+                       data: TraceVector) -> tuple[TraceVector, SolveReport]:
     """Minimum-norm solve of the Nystrom system on compressed kernels.
 
-    With ``Q`` an orthonormal basis of the structural gauge directions,
-    ``x = P b`` with ``P`` the leading ``2nN x 2nN`` block of the inverse of
-    the bordered matrix ``B = [[A, Q], [Q^H, 0]]``, followed by one
-    refinement step against the exact ``A``.  For data in the range of
-    ``A`` this is the unique solution orthogonal to the gauge directions.
+    ``data`` are the boundary data ``b``: n bottom and n left functions on
+    the system's trace grid (:meth:`BlockSystem.trace_grid`), each measured
+    in the trace norm with exponent ``s - order - 1/2``, ``order`` that of
+    its boundary operator.  They are checked before any factorization: a
+    wrong component count raises ``ValueError``, another mesh or node count
+    :class:`MeshMismatchError`, non-finite values :class:`AssemblyError`.
+
+    With ``Q`` the system's ``gauge_basis``, ``x = P b`` with ``P`` the
+    leading ``2nN x 2nN`` block of the inverse of the bordered matrix ``B =
+    [[A, Q], [Q^H, 0]]``, followed by one refinement step against the exact
+    ``A``.  For data in the range of ``A`` this is the unique solution
+    orthogonal to the gauge directions.
 
     Neither ``A`` nor ``B`` nor ``P`` is formed (:class:`_CompressedSystem`):
     the per-node multiplier matrices of both edges are inverted node by
@@ -687,9 +673,17 @@ def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
     singular, or when the condition estimate exceeds ``CONDITION_LIMIT``
     (read: the system is not uniquely solvable even modulo gauge).
     """
+    if data.n != system.n:
+        raise ValueError(f"data must have n = {system.n} components per edge, got {data.n}")
+    grid = system.trace_grid()
+    _check_on_grid("bottom data", data.bottom, grid)
+    _check_on_grid("left data", data.left, grid)
+    rhs = np.concatenate([f.values for f in data.bottom + data.left])[:, None]
+    for name, part in zip(("rhs_bottom", "rhs_left"), np.split(rhs, 2)):
+        _require_finite(name, part)
     mult_inv, mult_cond = _invert_multipliers(system)
     try:
-        ops = _CompressedSystem(system, _gauge_basis(system), mult_inv)
+        ops = _CompressedSystem(system, system.gauge_basis, mult_inv)
     except np.linalg.LinAlgError:  # C singular: rank loss beyond the gauge
         ops = None
     size = system.size
@@ -701,7 +695,6 @@ def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
             f"deflated condition estimate {cond:.3e} exceeds "
             f"{CONDITION_LIMIT:.0e}; system not uniquely solvable", condition=cond)
 
-    rhs = system.full_rhs()[:, None]
     x = ops.p(rhs)
     # one refinement step keeps the residual at rounding level
     x = x + ops.p(rhs - ops.a(x))
@@ -709,9 +702,7 @@ def solve_block_system(system: BlockSystem) -> tuple[TraceVector, SolveReport]:
     res = float(np.linalg.norm(rhs - ops.a(x)))
     residual = res / rhs_norm if rhs_norm > 0 else res
 
-    N = len(system.nodes)
-    grid = system.trace_grid()
-    parts = x.reshape(2 * system.n, N)
+    parts = x.reshape(2 * system.n, len(system.nodes))
     traces = TraceVector(
         bottom=tuple(SpectralFunction(grid, parts[k]) for k in range(system.n)),
         left=tuple(SpectralFunction(grid, parts[system.n + k]) for k in range(system.n)))
@@ -763,24 +754,20 @@ def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
     component measured with its own exponent.
     """
     u_hat = reconstruct_solution(planted, spec.factorization, grid)
-    data_bottom = tuple(boundary_trace_spectrum(op, u_hat, SIDE_BOTTOM)
-                        for op in spec.bottom_ops)
-    data_left = tuple(boundary_trace_spectrum(op, u_hat, SIDE_LEFT) for op in spec.left_ops)
-    spec_with_data = replace(spec, bottom_data=data_bottom, left_data=data_left)
-    system = assemble_discrete_system(spec_with_data, grid)
-    recovered, report = solve_block_system(system)
+    data = TraceVector(
+        bottom=tuple(boundary_trace_spectrum(op, u_hat, SIDE_BOTTOM) for op in spec.bottom_ops),
+        left=tuple(boundary_trace_spectrum(op, u_hat, SIDE_LEFT) for op in spec.left_ops))
+    system = assemble_discrete_system(spec, grid)
+    recovered, report = solve_block_system(system, data)
 
-    N = grid.nodes_per_axis
     stacked = np.concatenate([f.values for f in planted.bottom + planted.left])
-    gauged = project_out_gauge(system, stacked).reshape(2 * spec.n, N)
+    gauged = project_out_gauge(system, stacked).reshape(2 * spec.n, -1)
 
-    exps = spec.trace_exponents
     grid1 = recovered.bottom[0].grid
     worst = 0.0
-    for got, want, s_k in [(recovered.bottom[k], gauged[k], exps[k])
-                           for k in range(spec.n)] + \
-                          [(recovered.left[k], gauged[spec.n + k], exps[k])
-                           for k in range(spec.n)]:
+    # bottom components, then left ones, each with its own exponent
+    for got, want, s_k in zip(recovered.bottom + recovered.left, gauged,
+                              spec.trace_exponents * 2):
         diff = SpectralFunction(grid1, got.values - want)
         scale = sobolev_norm_1d(SpectralFunction(grid1, want), s_k)
         err = sobolev_norm_1d(diff, s_k)

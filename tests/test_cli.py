@@ -280,13 +280,28 @@ class TestRunCommand:
 
     def test_power_gap_bound_overflow_exits_2(self, tmp_path, capsys):
         # the bound k e^(k pi) h |xi|^(k+1) leaves the float range long
-        # before k = 150; a check against an infinite bound proves nothing
+        # before k = 150; a check against an infinite bound proves nothing,
+        # so validate and run both refuse k_max before any sweep
         text = ("[experiment]\nmode = power_gap\nseed = 3\n"
                 f"output = {tmp_path / 'out'}\n"
                 "[sweep]\nk_max = 150\nsamples = 100\n")
-        assert main(["run", str(write_config(tmp_path, text))]) == 2
-        err = capsys.readouterr().err
-        assert re.search(r"^config error: .* overflows at k = \d+, h = [\d.]+$", err, re.M)
+        path = str(write_config(tmp_path, text))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert re.search(r"^config error: .* overflows at k = 150, h = 0.5$", err, re.M)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k_max, status", [(110, 0), (111, 2)])
+    def test_power_gap_k_max_limit_of_the_shipped_sweep(self, tmp_path, capsys,
+                                                         k_max, status):
+        # at |xi| = pi/h the bound is finite up to k = 110 at every h of
+        # configs/power_gap.ini and overflows at k = 111 for h = 0.125
+        text = (ROOT / "configs" / "power_gap.ini").read_text().replace(
+            "k_max = 4", f"k_max = {k_max}")
+        assert main(["validate", str(write_config(tmp_path, text))]) == status
+        if status:
+            assert "overflows at k = 111, h = 0.125\n" in capsys.readouterr().err
 
     def test_kernel_gap_mode_passes_on_small_grid(self, tmp_path):
         text = ("[experiment]\nmode = kernel_gap\n"

@@ -274,12 +274,10 @@ class TestSectionGapSweep:
         q_full = assemble_continuous_system(problem, grid)
         win = window_mask(grid, h)
         wnodes = grid.axis_nodes[win]
-        zeros = np.zeros((1, len(wnodes)), dtype=complex)
         lattice = _assemble(n=1, nodes=wnodes, weight=grid.axis_weight, h=h,
                             plus_factor=problem.plus_factor,
                             bottom_symbols=problem.bottom_symbols,
-                            left_symbols=problem.left_symbols,
-                            rhs_bottom=zeros, rhs_left=zeros)
+                            left_symbols=problem.left_symbols)
         gap = q_full.bottom_mult[0, 0][win] - lattice.bottom_mult[0, 0]
         a = np.sqrt(1.0 + wnodes ** 2)
         exact = 2.0 / a * (np.arctan(grid.half_width / a)
@@ -366,12 +364,10 @@ class TestKernelGapRatios:
 class TestStripAssembly:
     @staticmethod
     def assemble(problem, nodes, h, rows=None):
-        zeros = np.zeros((problem.n, len(nodes) if rows is None else rows.sum()), complex)
         return _assemble(n=problem.n, nodes=nodes, weight=0.1, h=h,
                          plus_factor=problem.plus_factor,
                          bottom_symbols=problem.bottom_symbols,
-                         left_symbols=problem.left_symbols,
-                         rhs_bottom=zeros, rhs_left=zeros, rows=rows)
+                         left_symbols=problem.left_symbols, rows=rows)
 
     @pytest.mark.parametrize("h", [None, 0.5])
     def test_strip_is_the_full_assembly_sliced_exactly(self, rng, h):

@@ -24,14 +24,25 @@ from quadbvp.system import _assemble, _compress, _kernel_strips, _sigma_max_esti
 from conftest import ones_symbol, skewed_problem
 
 
-def trivial_spec(n=1, h=1.0, delta=0.25, boundary="identity",
-                 data_bottom=None, data_left=None):
+def trivial_spec(n=1, h=1.0, delta=0.25, boundary="identity"):
     fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=h)
     ops = identity_boundary_operators(n, h) if boundary == "identity" \
         else zeta_boundary_operators(n, h)
     return ProblemSpec(s=-(n + delta), factorization=fac, n=n, delta=delta,
-                       bottom_ops=ops[0], left_ops=ops[1],
-                       bottom_data=data_bottom, left_data=data_left)
+                       bottom_ops=ops[0], left_ops=ops[1])
+
+
+def trace_data(system, bottom, left):
+    """Boundary data on the system's trace grid, one value array per
+    component."""
+    grid = system.trace_grid()
+    return TraceVector(bottom=tuple(SpectralFunction(grid, v) for v in bottom),
+                       left=tuple(SpectralFunction(grid, v) for v in left))
+
+
+def zero_data(system):
+    zeros = [np.zeros(len(system.nodes))] * system.n
+    return trace_data(system, zeros, zeros)
 
 
 class TestProblemSpecValidation:
@@ -60,12 +71,13 @@ class TestProblemSpecValidation:
                         bottom_ops=bottom, left_ops=left)
 
     def test_non_finite_data_rejected(self):
+        # data are the solve's input, checked there, not the problem's
         grid1 = FrequencyGrid(1.0, 8, ndim=1)
         bad = SpectralFunction(grid1, np.full(8, np.nan, dtype=complex))
         ok = SpectralFunction(grid1, np.ones(8))
-        spec = trivial_spec(data_bottom=(bad,), data_left=(ok,))
+        system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 8))
         with pytest.raises(AssemblyError, match="non-finite entries in block rhs_bottom"):
-            assemble_discrete_system(spec, FrequencyGrid(1.0, 8))
+            solve_block_system(system, TraceVector(bottom=(bad,), left=(ok,)))
 
 
 class TestAssembly:
@@ -111,19 +123,20 @@ class TestAssembly:
         # same node count, so only the mesh tells the data apart
         ok = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
         other = SpectralFunction(FrequencyGrid(0.5, 16, ndim=1), np.ones(16))
-        data = {"data_bottom": (ok,), "data_left": (ok,), f"data_{edge}": (other,)}
+        data = {"bottom": (ok,), "left": (ok,), edge: (other,)}
+        system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
         with pytest.raises(MeshMismatchError,
                            match=f"{edge} data component 0 mesh 0.5 does not match "
                                  "grid mesh 1.0"):
-            assemble_discrete_system(trivial_spec(**data), FrequencyGrid(1.0, 16))
+            solve_block_system(system, TraceVector(**data))
 
     def test_data_of_wrong_length_rejected(self):
         ok = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
         short = SpectralFunction(FrequencyGrid(1.0, 8, ndim=1), np.ones(8))
-        spec = trivial_spec(data_bottom=(ok,), data_left=(short,))
+        system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
         with pytest.raises(MeshMismatchError,
                            match="left data component 0 has 8 nodes, the grid 16"):
-            assemble_discrete_system(spec, FrequencyGrid(1.0, 16))
+            solve_block_system(system, TraceVector(bottom=(ok,), left=(short,)))
 
     def test_vanishing_plus_factor_names_the_node(self):
         h = 1.0
@@ -157,12 +170,9 @@ class TestSolve:
     def test_all_unit_system_has_symmetric_solution(self):
         # both equations read 2 pi (c + d) = 2 pi; the gauge-orthogonal
         # representative is c = d = 1/2
-        grid = FrequencyGrid(1.0, 16)
-        grid1 = FrequencyGrid(1.0, 16, ndim=1)
-        data = SpectralFunction(grid1, np.full(16, 2 * math.pi, dtype=complex))
-        spec = trivial_spec(data_bottom=(data,), data_left=(data,))
-        sys = assemble_discrete_system(spec, grid)
-        traces, rep = solve_block_system(sys)
+        sys = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
+        data = [np.full(16, 2 * math.pi, dtype=complex)]
+        traces, rep = solve_block_system(sys, trace_data(sys, data, data))
         assert np.allclose(traces.bottom[0].values, 0.5, atol=1e-12)
         assert np.allclose(traces.left[0].values, 0.5, atol=1e-12)
         assert rep.residual <= 1e-10
@@ -170,7 +180,7 @@ class TestSolve:
     def test_zero_data_gives_zero_solution(self):
         grid = FrequencyGrid(1.0, 16)
         sys = assemble_discrete_system(trivial_spec(), grid)
-        traces, rep = solve_block_system(sys)
+        traces, rep = solve_block_system(sys, zero_data(sys))
         assert np.allclose(traces.bottom[0].values, 0.0, atol=1e-14)
         assert np.allclose(traces.left[0].values, 0.0, atol=1e-14)
         assert rep.residual == 0.0
@@ -178,19 +188,28 @@ class TestSolve:
     def test_duplicated_boundary_rows_are_near_singular(self):
         # identical order-zero operators in both rows leave the system rank
         # deficient beyond its structural gauge space
-        grid = FrequencyGrid(1.0, 16)
+        sys = assemble_discrete_system(trivial_spec(n=2), FrequencyGrid(1.0, 16))
         with pytest.raises(NearSingularError) as err:
-            solve_block_system(assemble_discrete_system(trivial_spec(n=2), grid))
+            solve_block_system(sys, zero_data(sys))
         assert err.value.condition > 1e12
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_data_with_another_component_count_rejected(self, n):
+        system = assemble_discrete_system(trivial_spec(n=2, boundary="zeta"),
+                                          FrequencyGrid(1.0, 8))
+        ones = [np.ones(8)] * n
+        with pytest.raises(ValueError, match=f"data must have n = 2 components per "
+                                             f"edge, got {n}"):
+            solve_block_system(system, trace_data(system, ones, ones))
 
     def test_corner_incompatible_data_leave_a_gauge_residual(self, rng):
         # two-edge data drawn independently disagree at the corner, so they
         # are not in the range of A: the bordered solve leaves b - A x in
         # the span of the gauge basis, and the residual reports its size
-        sys = corner_incompatible_system(rng)
-        traces, rep = solve_block_system(sys)
+        sys, data = corner_incompatible_system(rng)
+        traces, rep = solve_block_system(sys, data)
         assert rep.residual >= 1e-3
-        r = sys.full_rhs() - sys.full_matrix() @ stacked_values(traces)
+        r = stacked_values(data) - sys.full_matrix() @ stacked_values(traces)
         q, _ = np.linalg.qr(structural_null_basis(sys))
         assert np.linalg.norm(r - q @ (q.conj().T @ r)) <= 1e-12 * np.linalg.norm(r)
 
@@ -208,12 +227,12 @@ class TestSolve:
         assert rep.residual <= 1e-10
 
 
-def svd_min_norm_solve(system):
-    """Oracle: least-squares minimum-norm solve by the full SVD, inverting
-    every singular value outside the structural gauge space, with one
-    refinement step; returns the solution and the deflated condition."""
+def svd_min_norm_solve(system, b):
+    """Oracle: least-squares minimum-norm solve of ``A x = b`` by the full
+    SVD, inverting every singular value outside the structural gauge space,
+    with one refinement step; returns the solution and the deflated
+    condition."""
     a = system.full_matrix()
-    b = system.full_rhs()
     u, sig, vh = np.linalg.svd(a)
     rank = system.size - system.n ** 2
 
@@ -230,8 +249,8 @@ def stacked_values(traces):
 
 
 def compatible_problem(fac, operators, n, N, h, seed):
-    """A problem spec, seeded planted traces, and the system assembled with
-    the corner-compatible data synthesized from them."""
+    """A problem spec, seeded planted traces, the assembled system, and the
+    corner-compatible data synthesized from the traces."""
     bottom, left = operators(n, h)
     spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=fac, n=n,
                        delta=0.25, bottom_ops=bottom, left_ops=left)
@@ -239,13 +258,10 @@ def compatible_problem(fac, operators, n, N, h, seed):
     planted = random_trace_vector(np.random.default_rng(seed),
                                   FrequencyGrid(h, N, ndim=1), n)
     u_hat = reconstruct_solution(planted, fac, grid)
-    system = assemble_discrete_system(
-        replace(spec,
-                bottom_data=tuple(boundary_trace_spectrum(op, u_hat, "bottom")
-                                  for op in bottom),
-                left_data=tuple(boundary_trace_spectrum(op, u_hat, "left") for op in left)),
-        grid)
-    return spec, planted, system
+    data = TraceVector(
+        bottom=tuple(boundary_trace_spectrum(op, u_hat, "bottom") for op in bottom),
+        left=tuple(boundary_trace_spectrum(op, u_hat, "left") for op in left))
+    return spec, planted, assemble_discrete_system(spec, grid), data
 
 
 families = st.one_of(
@@ -268,10 +284,10 @@ def test_solver_properties(family, n, zeta_ops, h, N, seed):
     fac = builtin_factor_family(kind, h, **params)
     operators = zeta_boundary_operators if zeta_ops and n == 1 \
         else row_trace_boundary_operators
-    spec, planted, system = compatible_problem(fac, operators, n, N, h, seed)
+    spec, planted, system, data = compatible_problem(fac, operators, n, N, h, seed)
     grid = FrequencyGrid(h, N)
     try:
-        traces, rep = solve_block_system(system)
+        traces, rep = solve_block_system(system, data)
     except NearSingularError:
         return
     assert manufactured_roundtrip(spec, planted, grid).rel_error <= 1e-6
@@ -282,19 +298,18 @@ def test_solver_properties(family, n, zeta_ops, h, N, seed):
     q, _ = np.linalg.qr(structural_null_basis(system))
     assert np.linalg.norm(a @ q, 2) <= 1e-12 * np.linalg.norm(a, 2)
 
-    want, condition = svd_min_norm_solve(system)
+    want, condition = svd_min_norm_solve(system, stacked_values(data))
     got = stacked_values(traces)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert rep.condition == pytest.approx(condition, rel=0.05)
 
 
-def dense_bordered_solve(system):
+def dense_bordered_solve(system, b):
     """Oracle: the dense bordered-inverse algorithm, ``B = [[A, Q], [Q^H,
     0]]`` formed and inverted at full size, ``x = P b`` with one refinement
     step and the condition ``sigma_max(A) sigma_max(P)`` from the same
     seeded estimator on the dense matrices."""
     a = system.full_matrix()
-    b = system.full_rhs()
     size = system.size
     q, _ = np.linalg.qr(structural_null_basis(system))
     bordered = np.zeros((size + q.shape[1],) * 2, dtype=complex)
@@ -320,47 +335,47 @@ def corner_incompatible_system(rng):
         SpectralFunction(grid1, random_bumps(rng, math.pi)(grid1.axis_nodes))
         for _ in range(2))
     spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
-                       bottom_ops=bottom, left_ops=left,
-                       bottom_data=(data_bottom,), left_data=(data_left,))
-    return assemble_discrete_system(spec, FrequencyGrid(h, N))
+                       bottom_ops=bottom, left_ops=left)
+    return (assemble_discrete_system(spec, FrequencyGrid(h, N)),
+            TraceVector(bottom=(data_bottom,), left=(data_left,)))
 
 
 ELIMINATION_CASES = {
     "row_trace_n1": lambda rng: compatible_problem(
         builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1),
-        row_trace_boundary_operators, 1, 48, 1.0, 1)[2],
+        row_trace_boundary_operators, 1, 48, 1.0, 1)[2:],
     "row_trace_n2": lambda rng: compatible_problem(
         builtin_factor_family("geometric", 0.5, a=-0.4, p=2, q=1),
-        row_trace_boundary_operators, 2, 32, 0.5, 2)[2],
+        row_trace_boundary_operators, 2, 32, 0.5, 2)[2:],
     "row_trace_n3": lambda rng: compatible_problem(
         builtin_factor_family("geometric", 1.0, a=0.3, p=1, q=2),
-        row_trace_boundary_operators, 3, 32, 1.0, 3)[2],
+        row_trace_boundary_operators, 3, 32, 1.0, 3)[2:],
     "zeta_n1": lambda rng: compatible_problem(
         builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1),
-        zeta_boundary_operators, 1, 64, 1.0, 4)[2],
+        zeta_boundary_operators, 1, 64, 1.0, 4)[2:],
     "shifted_zeta": lambda rng: compatible_problem(
         builtin_factor_family("shifted_zeta", 1.0, c=5.0, kappa=1.0),
-        row_trace_boundary_operators, 2, 32, 1.0, 5)[2],
+        row_trace_boundary_operators, 2, 32, 1.0, 5)[2:],
     "corner_incompatible": corner_incompatible_system,
     # n = 3 shifted_zeta draws of the property-test domain whose kernels
     # compress to ranks 54 and 55 of 96, far from both one and full rank
     "shifted_zeta_n3_low_kappa": lambda rng: compatible_problem(
         builtin_factor_family("shifted_zeta", 0.5, c=8.3644832943618087,
                               kappa=0.5793647777649842),
-        row_trace_boundary_operators, 3, 32, 0.5, 1888378549)[2],
+        row_trace_boundary_operators, 3, 32, 0.5, 1888378549)[2:],
     "shifted_zeta_n3_high_kappa": lambda rng: compatible_problem(
         builtin_factor_family("shifted_zeta", 0.5, c=8.267239217489608,
                               kappa=2.1651038796480253),
-        row_trace_boundary_operators, 3, 32, 0.5, 273045675)[2],
+        row_trace_boundary_operators, 3, 32, 0.5, 273045675)[2:],
 }
 
 
 class TestEliminatedSolve:
     @pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
     def test_matches_the_dense_bordered_inverse(self, rng, case):
-        system = ELIMINATION_CASES[case](rng)
-        traces, rep = solve_block_system(system)
-        want, condition = dense_bordered_solve(system)
+        system, data = ELIMINATION_CASES[case](rng)
+        traces, rep = solve_block_system(system, data)
+        want, condition = dense_bordered_solve(system, stacked_values(data))
         got = stacked_values(traces)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert rep.condition == pytest.approx(condition, rel=1e-12)
@@ -369,7 +384,7 @@ class TestEliminatedSolve:
     def test_inverts_nothing_larger_than_the_capacitance_matrix(self, monkeypatch, case):
         # the per-node multipliers in one batch, then densely only the
         # Woodbury capacitance matrix of size r_b + r_l + n^2
-        system = ELIMINATION_CASES[case](None)
+        system, data = ELIMINATION_CASES[case](None)
         n = system.n
         shapes = []
         inv = np.linalg.inv
@@ -379,55 +394,55 @@ class TestEliminatedSolve:
             return inv(m)
 
         monkeypatch.setattr(np.linalg, "inv", recording_inv)
-        _, rep = solve_block_system(system)
+        _, rep = solve_block_system(system, data)
         r_b, r_l = rep.kernel_rank
         assert shapes == [(2, len(system.nodes), n, n), (r_b + r_l + n ** 2,) * 2]
         assert r_b + r_l < 2 * n * len(system.nodes)
 
     def test_never_forms_the_full_matrix(self, monkeypatch):
-        system = ELIMINATION_CASES["row_trace_n2"](None)
+        system, data = ELIMINATION_CASES["row_trace_n2"](None)
 
         def refuse(self):
             raise AssertionError("full_matrix called by the solver")
 
         monkeypatch.setattr(BlockSystem, "full_matrix", refuse)
-        _, rep = solve_block_system(system)
+        _, rep = solve_block_system(system, data)
         assert rep.residual <= 1e-10
 
     @pytest.mark.parametrize("case", ["row_trace_n2", "row_trace_n3", "shifted_zeta"])
     def test_multiplier_condition_is_the_worst_node(self, case):
-        system = ELIMINATION_CASES[case](None)
-        _, rep = solve_block_system(system)
+        system, data = ELIMINATION_CASES[case](None)
+        _, rep = solve_block_system(system, data)
         per_node = [np.linalg.cond(mult[:, :, i])
                     for mult in (system.bottom_mult, system.left_mult)
                     for i in range(len(system.nodes))]
         assert rep.multiplier_condition == pytest.approx(max(per_node), rel=1e-12)
 
     def test_vanishing_multiplier_names_the_node(self):
-        system = ELIMINATION_CASES["row_trace_n2"](None)
+        system, data = ELIMINATION_CASES["row_trace_n2"](None)
         bottom_mult = system.bottom_mult.copy()
         bottom_mult[:, :, 5] = 0.0
         bad = replace(system, bottom_mult=bottom_mult)
         with pytest.raises(NearSingularError,
                            match=f"bottom multiplier.*xi1={system.nodes[5]:.6g}") as err:
-            solve_block_system(bad)
+            solve_block_system(bad, data)
         assert err.value.condition == math.inf
 
     def test_vanishing_left_multiplier_names_the_node(self):
-        system = ELIMINATION_CASES["row_trace_n2"](None)
+        system, data = ELIMINATION_CASES["row_trace_n2"](None)
         left_mult = system.left_mult.copy()
         left_mult[:, :, 5] = 0.0
         bad = replace(system, left_mult=left_mult)
         with pytest.raises(NearSingularError,
                            match=f"left multiplier.*xi2={system.nodes[5]:.6g}") as err:
-            solve_block_system(bad)
+            solve_block_system(bad, data)
         assert err.value.condition == math.inf
 
     @pytest.mark.parametrize("case", ["row_trace_n3", "shifted_zeta_n3_high_kappa"])
     def test_compressed_kernels_reproduce_the_kernels(self, case):
         # U orthonormal and U V^H = U U^H K within the range finder's floor,
         # 1e-13 of the Frobenius norm
-        system = ELIMINATION_CASES[case](None)
+        system, _ = ELIMINATION_CASES[case](None)
         m = system.n * len(system.nodes)
         for stack in (system.bottom_kernel, system.left_kernel):
             k = stack.transpose(0, 2, 1, 3).reshape(m, m)
@@ -444,9 +459,9 @@ class TestEliminatedSolve:
         # set by the symbols, not by N
         ranks = []
         for N in (128, 256):
-            system = compatible_problem(builtin_factor_family(family, 1.0, **params),
-                                        row_trace_boundary_operators, 2, N, 1.0, 7)[2]
-            _, rep = solve_block_system(system)
+            system, data = compatible_problem(builtin_factor_family(family, 1.0, **params),
+                                              row_trace_boundary_operators, 2, N, 1.0, 7)[2:]
+            _, rep = solve_block_system(system, data)
             assert rep.residual <= 1e-10
             ranks.append(rep.kernel_rank)
         for r_small, r_large in zip(*ranks):
@@ -486,6 +501,27 @@ class TestStructuralGauge:
         u1 = reconstruct_solution(planted, fac, grid)
         u2 = reconstruct_solution(projected, fac, grid)
         assert np.max(np.abs(u1.values - u2.values)) <= 1e-12 * np.max(np.abs(u1.values))
+
+
+    def test_round_trip_factors_the_gauge_basis_once(self, rng, monkeypatch):
+        # the solve and the projection of the planted traces share the
+        # system's gauge basis
+        h, n, N = 1.0, 2, 16
+        fac = builtin_factor_family("geometric", h, a=0.5, p=1, q=1)
+        bottom, left = row_trace_boundary_operators(n, h)
+        spec = ProblemSpec(s=-2.25, factorization=fac, n=n, delta=0.25,
+                           bottom_ops=bottom, left_ops=left)
+        planted = random_trace_vector(rng, FrequencyGrid(h, N, ndim=1), n)
+        shapes = []
+        qr = np.linalg.qr
+
+        def recording_qr(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        manufactured_roundtrip(spec, planted, FrequencyGrid(h, N))
+        assert shapes.count((2 * n * N, n ** 2)) == 1
 
 
 class TestReconstruction:
@@ -678,12 +714,22 @@ class TestContinuousAssembly:
         problem = radial_power_problem(
             s=0.75, n=1, delta=0.25, bottom_orders=[0.0], left_orders=[0.0])
         grid = aligned_line_grid([1.0], 32, lambda_factor=2.0)
-        bump = random_bumps(rng, math.pi)(grid.axis_nodes)[None, :]
-        sys = replace(assemble_continuous_system(problem, grid),
-                      rhs_bottom=bump, rhs_left=bump)
-        traces, rep = solve_block_system(sys)
+        bump = random_bumps(rng, math.pi)(grid.axis_nodes)
+        sys = assemble_continuous_system(problem, grid)
+        traces, rep = solve_block_system(sys, trace_data(sys, [bump], [bump]))
         assert rep.residual <= 1e-10
         assert traces.bottom[0].grid.ndim == 1
+
+    def test_continuous_data_with_another_node_count_rejected(self):
+        # a line has no mesh to compare, only its node count
+        problem = radial_power_problem(
+            s=0.75, n=1, delta=0.25, bottom_orders=[0.0], left_orders=[0.0])
+        sys = assemble_continuous_system(problem, aligned_line_grid([1.0], 32, 2.0))
+        ok = SpectralFunction(sys.trace_grid(), np.ones(len(sys.nodes)))
+        short = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
+        with pytest.raises(MeshMismatchError, match="bottom data component 0 has 16 "
+                                                    f"nodes, the grid {len(sys.nodes)}"):
+            solve_block_system(sys, TraceVector(bottom=(short,), left=(ok,)))
 
 
 def dense(ev):
@@ -708,12 +754,10 @@ def with_continuous_evaluators(wrap, problem):
 
 
 def strip(problem, nodes, rows, h=None):
-    zeros = np.zeros((problem.n, rows.sum()), dtype=complex)
     return _assemble(n=problem.n, nodes=nodes, weight=0.1, h=h,
                      plus_factor=problem.plus_factor,
                      bottom_symbols=problem.bottom_symbols,
-                     left_symbols=problem.left_symbols,
-                     rhs_bottom=zeros, rhs_left=zeros, rows=rows)
+                     left_symbols=problem.left_symbols, rows=rows)
 
 
 BLOCKS = ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult")
