@@ -368,17 +368,21 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
                          bottom_symbols=problem.bottom_symbols,
                          left_symbols=problem.left_symbols, rows=rows)
 
+    def run(mask):
+        # a window on sorted nodes is one contiguous run: slice, not gather
+        at = np.flatnonzero(mask)
+        return slice(at[0], at[-1] + 1)
+
     rows = window_mask(grid, min(h_values))
     strip = assemble(grid.axis_nodes, None, rows)
     for h in h_values:
         win = window_mask(grid, h)
         lattice = assemble(grid.axis_nodes[win], float(h))
-        sub = win[rows]
-        out, cols = np.ix_(sub, win)
-        yield lattice.nodes, (strip.bottom_mult[:, :, sub] - lattice.bottom_mult,
+        out, cols = run(win[rows]), run(win)
+        yield lattice.nodes, (strip.bottom_mult[:, :, out] - lattice.bottom_mult,
                               strip.bottom_kernel[..., out, cols] - lattice.bottom_kernel,
                               strip.left_kernel[..., out, cols] - lattice.left_kernel,
-                              strip.left_mult[:, :, sub] - lattice.left_mult)
+                              strip.left_mult[:, :, out] - lattice.left_mult)
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,

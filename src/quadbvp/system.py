@@ -189,6 +189,11 @@ class BlockSystem:
       equations,
     * ``left_mult[j, k]``     diagonal values multiplying the left traces.
 
+    Assembled kernel stacks are stored in operator layout (see
+    :func:`_kernel_family`): their ``(nN, nN)`` operator matrices are views,
+    which the solver reads in place.  A stack in any other layout solves
+    alike, after one copy.
+
     A strip (``_assemble`` with ``rows``) is not square: ``size``,
     ``full_matrix``, ``gauge_basis`` and the solver do not apply to it.
     """
@@ -257,7 +262,8 @@ class TraceVector:
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr.view(float))):
+    # ravel in memory order: a view for C, Fortran and operator layouts alike
+    if not np.all(np.isfinite(arr.ravel(order="K").view(float))):
         raise AssemblyError(f"non-finite entries in block {name}")
 
 
@@ -306,18 +312,23 @@ def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray
     ``kernel[j, k] = core_j * p^k * weight``, with ``p`` the power base
     ``powers`` at the output nodes.  The output nodes run along the mesh's
     first axis (bottom equations, collocated in xi1) or, with ``transpose``,
-    its second (left equations, collocated in xi2), and the stack is
-    transposed so that its rows index them: ``(n, n, out, in)`` either way.
+    its second (left equations, collocated in xi2); the stack is indexed
+    ``(n, n, out, in)`` either way.  It is stored in operator layout, as
+    the ``(0, 2, 1, 3)`` view of a C-contiguous ``(n, out, n, in)`` array,
+    so that ``stack.transpose(0, 2, 1, 3).reshape(n out, n in)`` is the
+    block operator matrix without a copy.
     """
     n = len(symbols)
     cores = [np.asarray(sym(x1, x2), dtype=complex) * inv_plus for sym in symbols]
-    kernels = np.empty((n, n) + (inv_plus.T.shape if transpose else inv_plus.shape),
-                       dtype=complex)
+    out, inp = inv_plus.T.shape if transpose else inv_plus.shape
+    kernels = np.empty((n, out, n, inp), dtype=complex).transpose(0, 2, 1, 3)
     for j, core in enumerate(cores):
         for k in range(n):
             pk = powers ** k
-            kernels[j, k] = ((core * pk[None, :]).T if transpose
-                             else core * pk[:, None]) * weight
+            # in place: no mesh-sized temporary per block
+            block = kernels[j, k]
+            np.multiply(core.T if transpose else core, pk[:, None], out=block)
+            block *= weight
     return cores, kernels
 
 
@@ -557,7 +568,8 @@ class _CompressedSystem:
         self.mult_h = np.ascontiguousarray(self.mult.transpose(0, 2, 1, 3).conj())
         self.dinv = mult_inv
         self.dinv_h = np.ascontiguousarray(mult_inv.transpose(0, 2, 1, 3).conj())
-        # kernel stacks (n, n, N, N) as (nN, nN) operator matrices
+        # kernel stacks (n, n, N, N) as (nN, nN) operator matrices: views
+        # of stacks in operator layout, a copy of any other
         self.kb = system.bottom_kernel.transpose(0, 2, 1, 3).reshape(m, m)
         self.kl = system.left_kernel.transpose(0, 2, 1, 3).reshape(m, m)
         (ub, vb), (ul, vl) = _compress(self.kb), _compress(self.kl)

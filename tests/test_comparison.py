@@ -155,6 +155,16 @@ class TestGridsAndMasks:
             expected = FrequencyGrid(h, int(16 / h), ndim=1).axis_nodes
             assert np.allclose(grid.axis_nodes[mask], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("hs, nodes_per_window", [
+        ([1.0, 0.5, 0.25, 0.125], 8), ([0.7, 0.45, 0.3, 0.21], 16), ([1.0, 0.6, 0.35], 6)])
+    def test_window_is_one_contiguous_run(self, hs, nodes_per_window):
+        # the gap sweeps slice the window out of their strips
+        grid = aligned_line_grid(hs, nodes_per_window)
+        for h in hs:
+            at = np.flatnonzero(window_mask(grid, h))
+            assert at.size > 0
+            assert np.array_equal(at, np.arange(at[0], at[-1] + 1)), h
+
     def test_mask_is_idempotent(self):
         grid = aligned_line_grid([1.0], 16)
         chi = window_mask(grid, 1.0).astype(float)
@@ -384,6 +394,34 @@ class TestStripAssembly:
             for field in ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult"):
                 sliced = getattr(full, field)[:, :, rows]
                 assert np.array_equal(getattr(strip, field), sliced), (name, field)
+
+    @pytest.mark.parametrize("hs", [[0.5, 0.25, 0.125], [0.7, 0.45, 0.3]])
+    def test_window_gaps_equal_the_gathered_strip(self, hs):
+        # the window's rows and columns sliced from the strip, bit for bit
+        # what gathering them gives
+        problem = skewed_problem()
+        grid = aligned_line_grid(hs, 8)
+        rows = window_mask(grid, min(hs))
+        strip = _assemble(n=problem.n, nodes=grid.axis_nodes, weight=grid.axis_weight,
+                          h=None, plus_factor=problem.plus_factor,
+                          bottom_symbols=problem.bottom_symbols,
+                          left_symbols=problem.left_symbols, rows=rows)
+        for h, (wnodes, gaps) in zip(hs, comparison._window_gaps(problem, grid, hs)):
+            win = window_mask(grid, h)
+            lattice = _assemble(n=problem.n, nodes=wnodes, weight=grid.axis_weight, h=h,
+                                plus_factor=problem.plus_factor,
+                                bottom_symbols=problem.bottom_symbols,
+                                left_symbols=problem.left_symbols)
+            sub = win[rows]
+            out, cols = np.ix_(sub, win)
+            gathered = (strip.bottom_mult[:, :, sub] - lattice.bottom_mult,
+                        strip.bottom_kernel[..., out, cols] - lattice.bottom_kernel,
+                        strip.left_kernel[..., out, cols] - lattice.left_kernel,
+                        strip.left_mult[:, :, sub] - lattice.left_mult)
+            assert np.array_equal(wnodes, grid.axis_nodes[win])
+            for got, want in zip(gaps, gathered):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), h
 
     def test_skewed_problem_is_not_symmetric(self):
         # the exactness test catches a transposed mesh only because every

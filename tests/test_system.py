@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,9 @@ from quadbvp import (AssemblyError, BlockSystem, ContinuousProblem, FrequencyGri
                      zeta_boundary_operators, apply_symbol_to_spectrum,
                      aligned_line_grid, boundary_trace_spectrum, window_mask)
 from quadbvp import lattice
-from quadbvp.system import _assemble, _compress, _kernel_strips, _sigma_max_estimate
+from quadbvp import system as system_module
+from quadbvp.system import (_CompressedSystem, _assemble, _compress, _kernel_strips,
+                            _sigma_max_estimate)
 from conftest import ones_symbol, skewed_problem
 
 
@@ -467,6 +470,101 @@ class TestEliminatedSolve:
         for r_small, r_large in zip(*ranks):
             assert 1 <= r_small < 2 * 128
             assert abs(r_large - r_small) <= 2
+
+
+def window_system(problem, grid, h):
+    """The lattice system a gap sweep assembles on the window nodes of ``h``."""
+    return _assemble(n=problem.n, nodes=grid.axis_nodes[window_mask(grid, h)],
+                     weight=grid.axis_weight, h=h, plus_factor=problem.plus_factor,
+                     bottom_symbols=problem.bottom_symbols,
+                     left_symbols=problem.left_symbols)
+
+
+LAYOUT_SYSTEMS = {
+    "lattice": lambda: ELIMINATION_CASES["row_trace_n2"](None)[0],
+    "continuous": lambda: assemble_continuous_system(
+        skewed_problem(), aligned_line_grid([0.5, 0.25], 8)),
+    "window": lambda: window_system(skewed_problem(), aligned_line_grid([0.5, 0.25], 8), 0.25),
+}
+
+
+def contiguous_copy(system):
+    """The system with its kernel stacks copied to C order."""
+    return replace(system, bottom_kernel=np.ascontiguousarray(system.bottom_kernel),
+                   left_kernel=np.ascontiguousarray(system.left_kernel))
+
+
+class TestOperatorLayout:
+    """Kernel stacks are assembled in operator layout: the solver's
+    ``(nN, nN)`` matrices are views of them, and a stack in C order solves
+    to the same bits after a copy."""
+
+    @pytest.mark.parametrize("kind", sorted(LAYOUT_SYSTEMS))
+    def test_operator_matrices_are_views_of_the_stacks(self, kind):
+        system = LAYOUT_SYSTEMS[kind]()
+        n, N = system.n, len(system.nodes)
+        assert n == 2
+        m = n * N
+        for stack in (system.bottom_kernel, system.left_kernel):
+            assert stack.shape == (n, n, N, N)
+            assert np.shares_memory(stack.transpose(0, 2, 1, 3).reshape(m, m), stack)
+        # the multiplier inverses do not enter the kernel matrices
+        identity = np.broadcast_to(np.eye(n)[None, :, :, None], (2, n, n, N))
+        ops = _CompressedSystem(system, system.gauge_basis, identity)
+        assert np.shares_memory(ops.kb, system.bottom_kernel)
+        assert np.shares_memory(ops.kl, system.left_kernel)
+
+    @pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
+    def test_contiguous_stacks_solve_to_the_same_bits(self, rng, case):
+        system, data = ELIMINATION_CASES[case](rng)
+        traces, rep = solve_block_system(system, data)
+        traces_c, rep_c = solve_block_system(contiguous_copy(system), data)
+        assert np.array_equal(stacked_values(traces), stacked_values(traces_c))
+        assert rep == rep_c
+
+    def test_contiguous_stacks_round_trip_to_the_same_bits(self, monkeypatch):
+        spec, planted, _, _ = compatible_problem(
+            builtin_factor_family("geometric", 0.5, a=-0.4, p=2, q=1),
+            row_trace_boundary_operators, 2, 32, 0.5, 2)
+        grid = FrequencyGrid(0.5, 32)
+        rep = manufactured_roundtrip(spec, planted, grid)
+        assemble = system_module.assemble_discrete_system
+        monkeypatch.setattr(system_module, "assemble_discrete_system",
+                            lambda *args: contiguous_copy(assemble(*args)))
+        rep_c = manufactured_roundtrip(spec, planted, grid)
+        assert np.array_equal(stacked_values(rep.recovered), stacked_values(rep_c.recovered))
+        assert (rep.rel_error, rep.condition, rep.residual, rep.multiplier_condition,
+                rep.kernel_rank) == (rep_c.rel_error, rep_c.condition, rep_c.residual,
+                                     rep_c.multiplier_condition, rep_c.kernel_rank)
+
+    @pytest.mark.parametrize("field", ["bottom_kernel", "left_kernel"])
+    @pytest.mark.parametrize("layout", ["fortran", "swapped"])
+    def test_finiteness_check_takes_any_layout(self, field, layout):
+        system = LAYOUT_SYSTEMS["lattice"]()
+        arrange = {"fortran": np.asfortranarray,
+                   "swapped": lambda a: np.ascontiguousarray(a).swapaxes(-1, -2)}[layout]
+        block = arrange(getattr(system, field))
+        assert not block.flags.c_contiguous
+        replace(system, **{field: block})  # finite: constructs
+        bad = arrange(getattr(system, field).copy())
+        bad[(0,) * bad.ndim] = np.nan
+        with pytest.raises(AssemblyError, match=f"non-finite entries in block {field}"):
+            replace(system, **{field: bad})
+
+    def test_solve_allocates_less_than_one_kernel_stack(self):
+        # the kernel matrices are read in place: at (n, N) = (2, 384) one
+        # stack is 9 MiB, and copying both into operator matrices took 18
+        system, data = compatible_problem(
+            builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1),
+            row_trace_boundary_operators, 2, 384, 1.0, 1)[2:]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve_block_system(system, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < system.bottom_kernel.nbytes
 
 
 class TestStructuralGauge:
