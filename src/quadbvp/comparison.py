@@ -254,20 +254,18 @@ def _torus_weights(nodes: np.ndarray, exponent: float, h: float) -> np.ndarray:
 
 
 def _weigh(stack: np.ndarray, w_out, w_in, quad: float) -> np.ndarray:
-    """Weighted copy of an ``(n, n, ...)`` stack of blocks (diagonals or
-    matrices): block ``(j, k)`` has its rows scaled by ``sqrt(w_out[j] quad)``
-    and its columns by ``1 / sqrt(w_in[k] quad)``."""
-    out = np.empty(stack.shape, dtype=complex)
+    """Weigh a complex ``(n, n, ...)`` stack of blocks (diagonals or
+    matrices) in place and return it: block ``(j, k)`` has its rows scaled
+    by ``sqrt(w_out[j] quad)`` and its columns by ``1 / sqrt(w_in[k] quad)``."""
     for j, k in np.ndindex(stack.shape[:2]):
         s_out = np.sqrt(w_out[j] * quad)
         s_in = np.sqrt(w_in[k] * quad)
         if stack.ndim == 4:
             s_out = s_out[:, None]
-        # in place: no temporary copy of the block
-        block = out[j, k]
-        np.multiply(s_out, stack[j, k], out=block)
+        block = stack[j, k]
+        block *= s_out
         block /= s_in
-    return out
+    return stack
 
 
 def _frame(quadrants) -> WeightedOperatorFrame:
@@ -302,6 +300,13 @@ def _report(h_values, norms, epsilon, grid: LineGrid) -> RateReport:
                       monotone_violations=violations, window_nodes=window_nodes)
 
 
+def _run(mask: np.ndarray) -> slice:
+    """The slice of a mask that is one contiguous run, as a window on
+    sorted nodes is: a slice is a view where a mask gathers a copy."""
+    at = np.flatnonzero(mask)
+    return slice(at[0], at[-1] + 1)
+
+
 def commutator_rate_sweep(problem: ContinuousProblem, h_values,
                           nodes_per_window: int = 32,
                           lambda_factor: float = 4.0) -> RateReport:
@@ -317,8 +322,9 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     ``[[0, K[W, W^c]], [-K[W^c, W], 0]]``, so its norm is exactly the larger
     of the two rectangles' largest singular values.  Each frame block is
     that pair, ``K[W, W^c]`` and ``K[W^c, W]^T`` as one ``(2, w, N - w)``
-    array, sliced from the weighted row and column kernel strips through
-    the finest window, which holds the coarser ones.
+    array, copied from the row and column kernel strips through the finest
+    window, which holds the coarser ones.  The strips are weighted once, in
+    place; one window's pairs are alive at a time.
     """
     _hypotheses(problem, 1.0, 2.0, "commutator sweep")
     grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
@@ -332,16 +338,25 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
               for rows, cols in _kernel_strips(problem, nodes, quad, finest)]
 
     def pairs(rows, cols, win):
-        inside = win[finest]
-        return np.stack([rows[:, :, inside][..., ~win],
-                         cols[:, :, ~win][..., inside].swapaxes(-1, -2)], axis=2)
+        # W is a run of the finest window's nodes and W^c the nodes before
+        # and after it: both copied from slices straight into the pair
+        inside, run = _run(win[finest]), _run(win)
+        outside = (slice(None, run.start), slice(run.stop, None))
+        n, w = len(rows), run.stop - run.start
+        pair = np.empty((n, n, 2, w, len(win) - w), dtype=complex)
+        np.concatenate([rows[:, :, inside, part] for part in outside], axis=-1,
+                       out=pair[:, :, 0])
+        np.concatenate([cols[:, :, part, inside] for part in outside], axis=-2,
+                       out=pair[:, :, 1].swapaxes(-1, -2))
+        return pair
 
-    norms = []
-    for h in h_values:
+    def window_norm(h):
         win = window_mask(grid, h)
         # bottom equations take left traces and left equations bottom ones
         bottom, left = (pairs(rows, cols, win) for rows, cols in strips)
-        norms.append(estimate_operator_norm(_frame((None, bottom, left, None))))
+        return estimate_operator_norm(_frame((None, bottom, left, None)))
+
+    norms = [window_norm(h) for h in h_values]
 
     epsilon = min(min(problem.s - b - 1.0 for b in problem.bottom_orders),
                   min(problem.s - g - 1.0 for g in problem.left_orders))
@@ -357,10 +372,10 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     lattice, shaped like the ``BlockSystem`` fields of the same names: the
     multiplier gaps are diagonals, the kernel gaps matrices, all with the
     quadrature weight folded in.  The continuous side is sliced from one
-    strip with its equations on the finest window, which holds the coarser
-    ones.  The lattice side uses the restriction of the continuous symbols
-    to the window (their periodic continuation agrees there) and
-    difference-symbol powers.
+    square strip on the finest window, which holds the coarser ones; its
+    multipliers integrate over the whole truncated line.  The lattice side
+    uses the restriction of the continuous symbols to the window (their
+    periodic continuation agrees there) and difference-symbol powers.
     """
     def assemble(nodes, h, rows=None):
         return _assemble(n=problem.n, nodes=nodes, weight=grid.axis_weight, h=h,
@@ -368,20 +383,15 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
                          bottom_symbols=problem.bottom_symbols,
                          left_symbols=problem.left_symbols, rows=rows)
 
-    def run(mask):
-        # a window on sorted nodes is one contiguous run: slice, not gather
-        at = np.flatnonzero(mask)
-        return slice(at[0], at[-1] + 1)
-
     rows = window_mask(grid, min(h_values))
     strip = assemble(grid.axis_nodes, None, rows)
     for h in h_values:
         win = window_mask(grid, h)
         lattice = assemble(grid.axis_nodes[win], float(h))
-        out, cols = run(win[rows]), run(win)
+        out = _run(win[rows])
         yield lattice.nodes, (strip.bottom_mult[:, :, out] - lattice.bottom_mult,
-                              strip.bottom_kernel[..., out, cols] - lattice.bottom_kernel,
-                              strip.left_kernel[..., out, cols] - lattice.left_kernel,
+                              strip.bottom_kernel[..., out, out] - lattice.bottom_kernel,
+                              strip.left_kernel[..., out, out] - lattice.left_kernel,
                               strip.left_mult[:, :, out] - lattice.left_mult)
 
 

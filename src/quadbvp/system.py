@@ -194,8 +194,10 @@ class BlockSystem:
     which the solver reads in place.  A stack in any other layout solves
     alike, after one copy.
 
-    A strip (``_assemble`` with ``rows``) is not square: ``size``,
-    ``full_matrix``, ``gauge_basis`` and the solver do not apply to it.
+    A strip (``_assemble`` with ``rows``) holds ``(n, n, R)`` multipliers
+    and ``(n, n, R, R)`` kernels on R of the N nodes, but its multipliers
+    integrate over all N: it is not a system on the R nodes, and ``size``,
+    ``gauge_basis`` and the solver do not apply to it.
     """
 
     n: int
@@ -214,22 +216,6 @@ class BlockSystem:
     @property
     def size(self) -> int:
         return 2 * self.n * len(self.nodes)
-
-    def full_matrix(self) -> np.ndarray:
-        n, N = self.n, len(self.nodes)
-        a = np.zeros((2 * n * N, 2 * n * N), dtype=complex)
-        idx = np.arange(N)
-        for j in range(n):
-            rb = j * N            # bottom equation rows
-            rl = (n + j) * N      # left equation rows
-            for k in range(n):
-                cb = k * N        # bottom trace columns
-                cl = (n + k) * N  # left trace columns
-                a[rb + idx, cb + idx] = self.bottom_mult[j, k]
-                a[rb:rb + N, cl:cl + N] = self.bottom_kernel[j, k]
-                a[rl:rl + N, cb:cb + N] = self.left_kernel[j, k]
-                a[rl + idx, cl + idx] = self.left_mult[j, k]
-        return a
 
     @cached_property
     def gauge_basis(self) -> np.ndarray:
@@ -304,7 +290,8 @@ def _power_base(nodes: np.ndarray, h: float | None) -> np.ndarray:
 
 
 def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
-                   powers: np.ndarray, weight: float, transpose: bool = False):
+                   powers: np.ndarray, weight: float, transpose: bool = False,
+                   inputs: np.ndarray | None = None):
     """One kernel family on one open mesh of node pairs ``(x1, x2)``, with
     ``inv_plus`` the inverse plus factor on the whole mesh.
 
@@ -313,21 +300,28 @@ def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray
     ``powers`` at the output nodes.  The output nodes run along the mesh's
     first axis (bottom equations, collocated in xi1) or, with ``transpose``,
     its second (left equations, collocated in xi2); the stack is indexed
-    ``(n, n, out, in)`` either way.  It is stored in operator layout, as
-    the ``(0, 2, 1, 3)`` view of a C-contiguous ``(n, out, n, in)`` array,
-    so that ``stack.transpose(0, 2, 1, 3).reshape(n out, n in)`` is the
-    block operator matrix without a copy.
+    ``(n, n, out, in)`` either way.  A boolean mask ``inputs`` keeps only
+    the masked input nodes, ``kernel[..., inputs]``; the cores stay whole.
+    The stack is stored in operator layout, as the ``(0, 2, 1, 3)`` view of
+    a C-contiguous ``(n, out, n, in)`` array, so that
+    ``stack.transpose(0, 2, 1, 3).reshape(n out, n in)`` is the block
+    operator matrix without a copy.
     """
     n = len(symbols)
     cores = [np.asarray(sym(x1, x2), dtype=complex) * inv_plus for sym in symbols]
     out, inp = inv_plus.T.shape if transpose else inv_plus.shape
+    if inputs is not None:
+        inp = int(np.count_nonzero(inputs))
     kernels = np.empty((n, out, n, inp), dtype=complex).transpose(0, 2, 1, 3)
     for j, core in enumerate(cores):
+        core = core.T if transpose else core
+        if inputs is not None:
+            core = core[:, inputs]
         for k in range(n):
             pk = powers ** k
             # in place: no mesh-sized temporary per block
             block = kernels[j, k]
-            np.multiply(core.T if transpose else core, pk[:, None], out=block)
+            np.multiply(core, pk[:, None], out=block)
             block *= weight
     return cores, kernels
 
@@ -338,9 +332,11 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     """Shared assembly core; ``h`` selects difference powers (set) or
     ``(i xi)`` powers (None).
 
-    A boolean mask ``rows`` makes a strip, the full assembly sliced to
-    ``[..., rows, :]``: equations at the R masked nodes, integrals over all N,
-    multipliers ``(n, n, R)``, kernels ``(n, n, R, N)``.
+    A boolean mask ``rows`` makes a square strip, the full assembly sliced
+    to the R masked nodes: multipliers ``[..., rows]``, ``(n, n, R)``, still
+    integrating over all N nodes, and kernels ``[..., rows, :][..., rows]``,
+    ``(n, n, R, R)``.  The cores are evaluated on the ``(R x N)`` and
+    ``(N x R)`` meshes; only the kernel blocks shrink.
     """
     out = nodes if rows is None else nodes[rows]
     # bottom equations on the (R x N) mesh, left equations on (N x R)
@@ -355,12 +351,12 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     # one family's cores alive at a time; bottom equations integrate over
     # xi2, left equations over xi1
     cores, bottom_kernel = _kernel_family(bottom_symbols, inv_plus_b, xb1, xb2,
-                                          powers_out, weight)
+                                          powers_out, weight, inputs=rows)
     for j, k in np.ndindex(n, n):
         bottom_mult[j, k] = (cores[j] * (powers ** k)[None, :]).sum(axis=1) * weight
     del cores
     cores, left_kernel = _kernel_family(left_symbols, inv_plus_l, xl1, xl2,
-                                        powers_out, weight, transpose=True)
+                                        powers_out, weight, transpose=True, inputs=rows)
     for j, k in np.ndindex(n, n):
         left_mult[j, k] = (cores[j] * (powers ** k)[:, None]).sum(axis=0) * weight
 

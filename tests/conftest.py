@@ -21,6 +21,26 @@ def unit_mass(h, point=(0, 0)):
     return lattice_function(h, {point: 1.0})
 
 
+def full_matrix(system):
+    """Dense oracle: the ``(2nN, 2nN)`` matrix of a square block system,
+    rows ordered bottom then left equations, columns bottom then left
+    traces, each edge component after component."""
+    n, N = system.n, len(system.nodes)
+    a = np.zeros((2 * n * N, 2 * n * N), dtype=complex)
+    idx = np.arange(N)
+    for j in range(n):
+        rb = j * N            # bottom equation rows
+        rl = (n + j) * N      # left equation rows
+        for k in range(n):
+            cb = k * N        # bottom trace columns
+            cl = (n + k) * N  # left trace columns
+            a[rb + idx, cb + idx] = system.bottom_mult[j, k]
+            a[rb:rb + N, cl:cl + N] = system.bottom_kernel[j, k]
+            a[rl:rl + N, cb:cb + N] = system.left_kernel[j, k]
+            a[rl + idx, cl + idx] = system.left_mult[j, k]
+    return a
+
+
 def ones_symbol(*args):
     return np.ones(np.broadcast(*args).shape) if len(args) > 1 \
         else np.ones(np.asarray(args[0]).shape)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,11 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      section_gap_rate_sweep, window_mask, zeta,
                      zeta_power_gap)
 from quadbvp import system
+from quadbvp.cli import load_config
 from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips
 from conftest import skewed_problem
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestZetaPowerGap:
@@ -387,37 +392,38 @@ class TestStripAssembly:
         masks = {"scattered": rng.random(40) < 0.3, "window": np.abs(nodes) < 1.0,
                  "every node": np.ones(40, bool)}
         for name, rows in masks.items():
-            assert 0 < rows.sum() <= 40, name
+            R = rows.sum()
+            assert 0 < R <= 40, name
             strip = self.assemble(problem, nodes, h, rows)
-            assert strip.bottom_kernel.shape == (2, 2, rows.sum(), 40)
-            assert strip.bottom_mult.shape == (2, 2, rows.sum())
-            for field in ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult"):
-                sliced = getattr(full, field)[:, :, rows]
-                assert np.array_equal(getattr(strip, field), sliced), (name, field)
+            # square kernels; the multipliers still integrate over all nodes
+            for field in ("bottom_kernel", "left_kernel"):
+                kernel = getattr(strip, field)
+                assert kernel.shape == (2, 2, R, R)
+                sliced = getattr(full, field)[..., rows, :][..., rows]
+                assert np.array_equal(kernel, sliced), (name, field)
+            for field in ("bottom_mult", "left_mult"):
+                mult = getattr(strip, field)
+                assert mult.shape == (2, 2, R)
+                assert np.array_equal(mult, getattr(full, field)[..., rows]), (name, field)
 
     @pytest.mark.parametrize("hs", [[0.5, 0.25, 0.125], [0.7, 0.45, 0.3]])
     def test_window_gaps_equal_the_gathered_strip(self, hs):
-        # the window's rows and columns sliced from the strip, bit for bit
-        # what gathering them gives
+        # the window's rows and columns sliced from the square strip, bit
+        # for bit what gathering them from the full assembly gives
         problem = skewed_problem()
         grid = aligned_line_grid(hs, 8)
-        rows = window_mask(grid, min(hs))
-        strip = _assemble(n=problem.n, nodes=grid.axis_nodes, weight=grid.axis_weight,
-                          h=None, plus_factor=problem.plus_factor,
-                          bottom_symbols=problem.bottom_symbols,
-                          left_symbols=problem.left_symbols, rows=rows)
+        full = assemble_continuous_system(problem, grid)
         for h, (wnodes, gaps) in zip(hs, comparison._window_gaps(problem, grid, hs)):
             win = window_mask(grid, h)
             lattice = _assemble(n=problem.n, nodes=wnodes, weight=grid.axis_weight, h=h,
                                 plus_factor=problem.plus_factor,
                                 bottom_symbols=problem.bottom_symbols,
                                 left_symbols=problem.left_symbols)
-            sub = win[rows]
-            out, cols = np.ix_(sub, win)
-            gathered = (strip.bottom_mult[:, :, sub] - lattice.bottom_mult,
-                        strip.bottom_kernel[..., out, cols] - lattice.bottom_kernel,
-                        strip.left_kernel[..., out, cols] - lattice.left_kernel,
-                        strip.left_mult[:, :, sub] - lattice.left_mult)
+            square = np.ix_(win, win)
+            gathered = (full.bottom_mult[:, :, win] - lattice.bottom_mult,
+                        full.bottom_kernel[(...,) + square] - lattice.bottom_kernel,
+                        full.left_kernel[(...,) + square] - lattice.left_kernel,
+                        full.left_mult[:, :, win] - lattice.left_mult)
             assert np.array_equal(wnodes, grid.axis_nodes[win])
             for got, want in zip(gaps, gathered):
                 assert got.shape == want.shape
@@ -448,11 +454,32 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         hs = [0.5, 0.25, 0.125]
         rep = section_gap_rate_sweep(skewed_problem(), hs, nodes_per_window=8)
         assert all(v > 0.0 for v in rep.norms)
-        grid = aligned_line_grid(hs, 8)
-        assert strips == [(rep.window_nodes[-1], grid.nodes_count)]
+        R = rep.window_nodes[-1]
+        assert R < aligned_line_grid(hs, 8).nodes_count
+        assert strips == [(R, R)]
         ratios = kernel_gap_ratios(skewed_problem(), 0.5, nodes_per_window=16)
         assert all(np.all(np.isfinite(r)) for r in ratios.values())
-        assert strips[1:] == [(16, aligned_line_grid([0.5], 16).nodes_count)]
+        assert strips[1:] == [(16, 16)]
+
+    @pytest.mark.parametrize("mode, sweep, bound_mib", [
+        # kernel strips through the finest window on the whole line would
+        # take 57 MiB on section_gap.ini, the square strip takes 28 MiB
+        ("section_gap", section_gap_rate_sweep, 32),
+        # the commutator's weighted strips alone take 28 MiB; weighted
+        # copies and gathered pairs would add 13 MiB more
+        ("commutator", commutator_rate_sweep, 36)])
+    def test_shipped_sweep_allocates_only_the_blocks_it_reads(self, mode, sweep, bound_mib):
+        cfg = load_config(ROOT / "configs" / f"{mode}.ini")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rep = sweep(cfg.problem, cfg.h_values, nodes_per_window=cfg.nodes_per_window,
+                        lambda_factor=cfg.lambda_factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.slope is not None
+        assert peak - start < bound_mib * 2 ** 20
 
     def test_commutator_builds_no_full_continuous_stack(self, monkeypatch):
         kernels, frames = [], []
