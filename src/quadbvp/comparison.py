@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, NormEstimateError
 from .lattice import LineGrid, _open_mesh, zeta
-from .system import ContinuousProblem, _assemble, _kernel_strips
+from .system import (ContinuousProblem, _assemble, _kernel_blocks, _kernel_strips,
+                     _power_base)
 
 __all__ = [
     "PowerGap",
@@ -369,13 +370,14 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     assembled on the same window nodes.
 
     The gap comes as ``(mult_b, ker_b, ker_l, mult_l)``, continuous minus
-    lattice, shaped like the ``BlockSystem`` fields of the same names: the
-    multiplier gaps are diagonals, the kernel gaps matrices, all with the
-    quadrature weight folded in.  The continuous side is sliced from one
-    square strip on the finest window, which holds the coarser ones; its
-    multipliers integrate over the whole truncated line.  The lattice side
-    uses the restriction of the continuous symbols to the window (their
-    periodic continuation agrees there) and difference-symbol powers.
+    lattice: the multiplier gaps ``(n, n, w)`` diagonals, the kernel gaps
+    ``(n, n, w, w)`` stacks of matrices (:func:`_kernel_blocks`, one family
+    at a time), all with the quadrature weight folded in.  The continuous
+    side is sliced from one square strip on the finest window, which holds
+    the coarser ones; its multipliers integrate over the whole truncated
+    line.  The lattice side uses the restriction of the continuous symbols
+    to the window (their periodic continuation agrees there) and
+    difference-symbol powers.
     """
     def assemble(nodes, h, rows=None):
         return _assemble(n=problem.n, nodes=nodes, weight=grid.axis_weight, h=h,
@@ -385,13 +387,21 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
 
     rows = window_mask(grid, min(h_values))
     strip = assemble(grid.axis_nodes, None, rows)
+    strip_powers = _power_base(grid.axis_nodes[rows], None)
     for h in h_values:
         win = window_mask(grid, h)
         lattice = assemble(grid.axis_nodes[win], float(h))
         out = _run(win[rows])
+        lattice_powers = _power_base(lattice.nodes, lattice.h)
+
+        def kernel_gap(strip_core, lattice_core):
+            gap = _kernel_blocks(strip_core[:, out, out], strip_powers[out], grid.axis_weight)
+            gap -= _kernel_blocks(lattice_core, lattice_powers, grid.axis_weight)
+            return gap
+
         yield lattice.nodes, (strip.bottom_mult[:, :, out] - lattice.bottom_mult,
-                              strip.bottom_kernel[..., out, out] - lattice.bottom_kernel,
-                              strip.left_kernel[..., out, out] - lattice.left_kernel,
+                              kernel_gap(strip.bottom_core, lattice.bottom_core),
+                              kernel_gap(strip.left_core, lattice.left_core),
                               strip.left_mult[:, :, out] - lattice.left_mult)
 
 

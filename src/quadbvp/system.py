@@ -11,7 +11,11 @@ Feeding this into the boundary conditions written in Fourier images yields a
 ``2n x 2n`` system of one-dimensional integral equations for the traces:
 diagonal multiplier blocks on the own-axis unknowns and integral-kernel
 blocks on the cross-axis unknowns.  The system is discretized by a Nystrom
-rule on the same midpoint grid that carries the unknowns.  Its kernels are
+rule on the same midpoint grid that carries the unknowns.  Kernel block
+``(j, k)`` of an edge is one core, ``symbol_j / plus`` on the node pairs,
+times the k-th transverse power at the output node and the quadrature
+weight, so a system stores the n cores of each edge and applies the powers
+where the cores are used (:func:`_kernel_blocks`).  The kernels are
 analytic when the plus factor is holomorphic and nonvanishing in the tube,
 so the solver compresses them to their numerical rank and solves by a
 Woodbury update; see :func:`solve_block_system`.
@@ -178,24 +182,26 @@ def radial_power_problem(s: float, n: int, delta: float,
 class BlockSystem:
     """Nystrom discretization of the reduced block operator, without data.
 
-    Blocks are operator matrices acting on node-value vectors (quadrature
-    weights already folded into the integral blocks):
+    Multiplier blocks are diagonals, kernel blocks matrices acting on
+    node-value vectors (quadrature weights folded in), each kernel family
+    stored as its n cores:
 
-    * ``bottom_mult[j, k]``   diagonal values multiplying the bottom traces
+    * ``bottom_mult[j, k]`` diagonal values multiplying the bottom traces
       in the bottom equations,
-    * ``bottom_kernel[j, k]`` matrix applying the left traces in the bottom
-      equations,
-    * ``left_kernel[j, k]``   matrix applying the bottom traces in the left
-      equations,
-    * ``left_mult[j, k]``     diagonal values multiplying the left traces.
+    * ``bottom_core[j]``    core of the kernels applying the left traces in
+      the bottom equations, ``symbol_j / plus`` on the ``(xi1, xi2)`` node
+      pairs, indexed ``(out, in)``,
+    * ``left_core[j]``      core of the kernels applying the bottom traces
+      in the left equations, indexed ``(out, in)`` = ``(xi2, xi1)``,
+    * ``left_mult[j, k]``   diagonal values multiplying the left traces.
 
-    Assembled kernel stacks are stored in operator layout (see
-    :func:`_kernel_family`): their ``(nN, nN)`` operator matrices are views,
-    which the solver reads in place.  A stack in any other layout solves
-    alike, after one copy.
+    Kernel block ``(j, k)`` of an edge is ``core[j] * p^k[:, None] *
+    weight``, with ``p`` the power base (``zeta`` on the torus, ``i xi`` on
+    the line) at the output nodes: :func:`_kernel_blocks` forms the
+    ``(n, n, out, in)`` stack, the solver applies the blocks without it.
 
     A strip (``_assemble`` with ``rows``) holds ``(n, n, R)`` multipliers
-    and ``(n, n, R, R)`` kernels on R of the N nodes, but its multipliers
+    and ``(n, R, R)`` cores on R of the N nodes, but its multipliers
     integrate over all N: it is not a system on the R nodes, and ``size``,
     ``gauge_basis`` and the solver do not apply to it.
     """
@@ -205,12 +211,12 @@ class BlockSystem:
     weight: float
     h: float | None
     bottom_mult: np.ndarray    # (n, n, N)
-    bottom_kernel: np.ndarray  # (n, n, N, N)
-    left_kernel: np.ndarray    # (n, n, N, N)
+    bottom_core: np.ndarray    # (n, N, N)
+    left_core: np.ndarray      # (n, N, N)
     left_mult: np.ndarray      # (n, n, N)
 
     def __post_init__(self) -> None:
-        for name in ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult"):
+        for name in ("bottom_mult", "bottom_core", "left_core", "left_mult"):
             _require_finite(name, getattr(self, name))
 
     @property
@@ -248,7 +254,7 @@ class TraceVector:
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
-    # ravel in memory order: a view for C, Fortran and operator layouts alike
+    # ravel in memory order: a view for C and Fortran layouts alike
     if not np.all(np.isfinite(arr.ravel(order="K").view(float))):
         raise AssemblyError(f"non-finite entries in block {name}")
 
@@ -289,41 +295,61 @@ def _power_base(nodes: np.ndarray, h: float | None) -> np.ndarray:
     return zeta(nodes, h) if h is not None else 1j * nodes
 
 
+def _core(symbol, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """The core ``symbol / plus`` of one kernel on the open mesh ``(x1,
+    x2)``, in mesh order, with ``inv_plus`` the inverse plus factor on the
+    whole mesh."""
+    return np.multiply(np.asarray(symbol(x1, x2), dtype=complex), inv_plus, out=out)
+
+
 def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
                    powers: np.ndarray, weight: float, transpose: bool = False,
                    inputs: np.ndarray | None = None):
-    """One kernel family on one open mesh of node pairs ``(x1, x2)``, with
-    ``inv_plus`` the inverse plus factor on the whole mesh.
+    """One kernel family on one open mesh of node pairs ``(x1, x2)``: its
+    multipliers and its n cores.
 
-    Returns the cores ``symbol_j / plus`` on the mesh and the kernel stack
-    ``kernel[j, k] = core_j * p^k * weight``, with ``p`` the power base
-    ``powers`` at the output nodes.  The output nodes run along the mesh's
-    first axis (bottom equations, collocated in xi1) or, with ``transpose``,
-    its second (left equations, collocated in xi2); the stack is indexed
-    ``(n, n, out, in)`` either way.  A boolean mask ``inputs`` keeps only
-    the masked input nodes, ``kernel[..., inputs]``; the cores stay whole.
-    The stack is stored in operator layout, as the ``(0, 2, 1, 3)`` view of
-    a C-contiguous ``(n, out, n, in)`` array, so that
-    ``stack.transpose(0, 2, 1, 3).reshape(n out, n in)`` is the block
-    operator matrix without a copy.
+    The output nodes run along the mesh's first axis (bottom equations,
+    collocated in xi1) or, with ``transpose``, its second (left equations,
+    collocated in xi2); the input nodes along the other axis, where
+    ``powers`` holds the power base.  Returns the multipliers
+    ``mult[j, k] = weight * sum_in core_j p^k``, shape ``(n, n, out)``, and
+    the cores, shape ``(n, out, in)`` for either edge.  A boolean mask
+    ``inputs`` keeps only the masked input nodes of the cores,
+    ``core[..., inputs]``; the multipliers integrate over all of them.
     """
     n = len(symbols)
-    cores = [np.asarray(sym(x1, x2), dtype=complex) * inv_plus for sym in symbols]
-    out, inp = inv_plus.T.shape if transpose else inv_plus.shape
-    if inputs is not None:
-        inp = int(np.count_nonzero(inputs))
-    kernels = np.empty((n, out, n, inp), dtype=complex).transpose(0, 2, 1, 3)
-    for j, core in enumerate(cores):
-        core = core.T if transpose else core
-        if inputs is not None:
-            core = core[:, inputs]
+    axis = 0 if transpose else 1  # the mesh axis of the input nodes
+    mesh = inv_plus.shape
+    kept = mesh[axis] if inputs is None else int(np.count_nonzero(inputs))
+    mult = np.empty((n, n, mesh[1 - axis]), dtype=complex)
+    cores = np.empty((n, mesh[1 - axis], kept), dtype=complex)
+    weighted = np.empty(mesh, dtype=complex)
+    for j, symbol in enumerate(symbols):
+        # in mesh order, written straight into its slot when it is kept whole
+        slot = cores[j].T if transpose else cores[j]
+        core = _core(symbol, inv_plus, x1, x2, out=slot if inputs is None else None)
         for k in range(n):
-            pk = powers ** k
-            # in place: no mesh-sized temporary per block
-            block = kernels[j, k]
-            np.multiply(core, pk[:, None], out=block)
-            block *= weight
-    return cores, kernels
+            np.multiply(core, np.expand_dims(powers ** k, 1 - axis), out=weighted)
+            mult[j, k] = weighted.sum(axis=axis) * weight
+        if inputs is not None:
+            cores[j] = (core.T if transpose else core)[:, inputs]
+    return mult, cores
+
+
+def _kernel_blocks(core, powers: np.ndarray, weight: float) -> np.ndarray:
+    """The kernel stack of n cores: ``block[j, k] = core[j] * p^k[:, None]
+    * weight``, shape ``(n, n, out, in)``, with ``p`` the power base
+    ``powers`` at the output nodes.  ``core`` is an ``(n, out, in)`` array
+    or a sequence of n ``(out, in)`` matrices."""
+    n = len(core)
+    blocks = np.empty((n, n) + core[0].shape, dtype=complex)
+    for j, k in np.ndindex(n, n):
+        # in place: no mesh-sized temporary per block
+        block = blocks[j, k]
+        np.multiply(core[j], (powers ** k)[:, None], out=block)
+        block *= weight
+    return blocks
 
 
 def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
@@ -334,9 +360,9 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
 
     A boolean mask ``rows`` makes a square strip, the full assembly sliced
     to the R masked nodes: multipliers ``[..., rows]``, ``(n, n, R)``, still
-    integrating over all N nodes, and kernels ``[..., rows, :][..., rows]``,
-    ``(n, n, R, R)``.  The cores are evaluated on the ``(R x N)`` and
-    ``(N x R)`` meshes; only the kernel blocks shrink.
+    integrating over all N nodes, and cores ``[..., rows, :][..., rows]``,
+    ``(n, R, R)``.  The cores are evaluated on the ``(R x N)`` and
+    ``(N x R)`` meshes; only the stored cores shrink.
     """
     out = nodes if rows is None else nodes[rows]
     # bottom equations on the (R x N) mesh, left equations on (N x R)
@@ -345,44 +371,40 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     inv_plus_b = 1.0 / _plus_values(plus_factor, xb1, xb2)
     inv_plus_l = inv_plus_b if rows is None else 1.0 / _plus_values(plus_factor, xl1, xl2)
     powers = _power_base(nodes, h)
-    powers_out = powers if rows is None else powers[rows]
-    bottom_mult = np.empty((n, n, len(out)), dtype=complex)
-    left_mult = np.empty((n, n, len(out)), dtype=complex)
-    # one family's cores alive at a time; bottom equations integrate over
-    # xi2, left equations over xi1
-    cores, bottom_kernel = _kernel_family(bottom_symbols, inv_plus_b, xb1, xb2,
-                                          powers_out, weight, inputs=rows)
-    for j, k in np.ndindex(n, n):
-        bottom_mult[j, k] = (cores[j] * (powers ** k)[None, :]).sum(axis=1) * weight
-    del cores
-    cores, left_kernel = _kernel_family(left_symbols, inv_plus_l, xl1, xl2,
-                                        powers_out, weight, transpose=True, inputs=rows)
-    for j, k in np.ndindex(n, n):
-        left_mult[j, k] = (cores[j] * (powers ** k)[:, None]).sum(axis=0) * weight
-
+    # bottom equations integrate over xi2, left equations over xi1
+    bottom_mult, bottom_core = _kernel_family(bottom_symbols, inv_plus_b, xb1, xb2,
+                                              powers, weight, inputs=rows)
+    left_mult, left_core = _kernel_family(left_symbols, inv_plus_l, xl1, xl2,
+                                          powers, weight, transpose=True, inputs=rows)
     return BlockSystem(n=n, nodes=nodes, weight=weight, h=h,
-                       bottom_mult=bottom_mult, bottom_kernel=bottom_kernel,
-                       left_kernel=left_kernel, left_mult=left_mult)
+                       bottom_mult=bottom_mult, bottom_core=bottom_core,
+                       left_core=left_core, left_mult=left_mult)
 
 
 def _kernel_strips(problem: ContinuousProblem, nodes: np.ndarray, weight: float,
                    rows: np.ndarray):
-    """Row and column strips of the continuous kernels through the masked
-    nodes: ``(K[..., rows, :], K[..., :, rows])`` for the bottom and then
-    the left family, each entry equal to the full assembly's.
+    """Row and column strips of the continuous kernel stacks through the
+    masked nodes: ``(K[..., rows, :], K[..., :, rows])`` for the bottom and
+    then the left family, each entry equal to the full assembly's
+    :func:`_kernel_blocks`.
 
     The mesh ``(rows x all)`` of ``(xi1, xi2)`` pairs carries the bottom row
     strip and the left column strip, ``(all x rows)`` the other two; the
-    plus factor is evaluated once per mesh.
+    plus factor is evaluated once per mesh, and one family's cores are
+    alive at a time.
     """
+    def family(symbols, inv_plus, x1, x2, transpose):
+        cores = [_core(symbol, inv_plus, x1, x2) for symbol in symbols]
+        out = x2[0] if transpose else x1[:, 0]
+        return _kernel_blocks([c.T for c in cores] if transpose else cores,
+                              _power_base(out, None), weight)
+
     def on_mesh(x1, x2):
         inv_plus = 1.0 / _plus_values(problem.plus_factor, x1, x2)
-        _, bottom = _kernel_family(problem.bottom_symbols, inv_plus, x1, x2,
-                                   _power_base(x1[:, 0], None), weight)
-        _, left = _kernel_family(problem.left_symbols, inv_plus, x1, x2,
-                                 _power_base(x2[0], None), weight, transpose=True)
-        _require_finite("bottom_kernel", bottom)
-        _require_finite("left_kernel", left)
+        bottom = family(problem.bottom_symbols, inv_plus, x1, x2, False)
+        _require_finite("bottom kernel strip", bottom)
+        left = family(problem.left_symbols, inv_plus, x1, x2, True)
+        _require_finite("left kernel strip", left)
         return bottom, left
 
     out = nodes[rows]
@@ -492,6 +514,47 @@ def _adjoint_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m.T @ v.conj()).conj()
 
 
+def _kernel_apply(core: np.ndarray, scale: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``K v`` for the kernel matrix of n cores ``core``, ``(n, N, N)``, and
+    row scales ``scale[k] = weight * p^k``, ``(n, N)``, applied to blocks
+    ``v`` of shape ``(n N, c)``: output block j is ``sum_k scale[k] *
+    (core[j] @ v_k)``, from one product of the stacked cores with the n
+    input blocks side by side."""
+    n, N = scale.shape
+    if n == 1:  # the common scalar case, without the stacking
+        return scale[0, :, None] * (core[0] @ v)
+    c = v.shape[-1]
+    y = core.reshape(n * N, N) @ v.reshape(n, N, c).transpose(1, 0, 2).reshape(N, n * c)
+    y = y.reshape(n, N, n, c)
+    out = y[:, :, 0] * scale[0, :, None]
+    for k in range(1, n):
+        out += y[:, :, k] * scale[k, :, None]
+    return out.reshape(v.shape)
+
+
+def _kernel_adjoint(core: np.ndarray, scale: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``K^H u`` for the kernel of :func:`_kernel_apply`: input block k is
+    ``sum_j core[j]^H (conj(scale[k]) * u_j)``, from one product of the
+    stacked cores' adjoint with n scaled copies of the output blocks."""
+    n, N = scale.shape
+    if n == 1:
+        return _adjoint_mul(core[0], scale[0, :, None].conj() * u)
+    c = u.shape[-1]
+    # conjugated copies, since core^H x = conj(core^T conj(x)): row (j, i)
+    # holds conj(scale[k, i] u_j[i]) for k = 0 .. n-1 side by side
+    z = scale.T[None, :, :, None] * u.reshape(n, N, 1, c).conj()
+    y = core.reshape(n * N, N).T @ z.reshape(n * N, n * c)
+    return y.conj().reshape(N, n, c).transpose(1, 0, 2).reshape(u.shape)
+
+
+def _kernel_norm(core: np.ndarray, scale: np.ndarray) -> float:
+    """Frobenius norm of the kernel of :func:`_kernel_apply`, from the
+    cores' squared row norms and the row scales, with no block formed."""
+    parts = np.ascontiguousarray(core).view(float)  # real and imaginary parts
+    rows = np.einsum("jix,jix->i", parts, parts)
+    return math.sqrt(float(rows @ (np.abs(scale) ** 2).sum(axis=0)))
+
+
 # Adaptive randomized range finder (Halko, Martinsson & Tropp 2011) in
 # blocks of real Gaussian samples.  A block of ``cols`` samples scales the
 # kernel's singular values, and the rounding noise of the product, by about
@@ -501,23 +564,25 @@ _RANGE_BLOCK = 16
 _RANGE_TOL = 1e-13
 
 
-def _compress(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low-rank factors of a square kernel matrix: ``U`` with orthonormal
-    columns spanning its numerical range and ``V = K^H U``, so that ``K``
-    is ``U V^H`` to ``_RANGE_TOL`` times its Frobenius norm.
+def _compress(core: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low-rank factors of the square kernel matrix ``K`` of n cores and
+    row scales (:func:`_kernel_apply`): ``U`` with orthonormal columns
+    spanning its numerical range and ``V = K^H U``, so that ``K`` is ``U
+    V^H`` to ``_RANGE_TOL`` times its Frobenius norm.  ``K`` is applied
+    through its cores, never formed.
 
     Each sample block is projected twice against the basis so far, and its
     singular directions above the floor join the basis; the first block
     that drops a direction ends the search.  Seeded, so a rerun compresses
     alike.
     """
-    m = k.shape[0]
+    m = scale.size
     rng = np.random.default_rng(_ESTIMATE_SEED)
-    floor = _RANGE_TOL * float(np.linalg.norm(k))
+    floor = _RANGE_TOL * _kernel_norm(core, scale)
     u = np.empty((m, 0), dtype=complex)
     while u.shape[1] < m:
         cols = min(_RANGE_BLOCK, m - u.shape[1])
-        y = k @ rng.standard_normal((m, cols))
+        y = _kernel_apply(core, scale, rng.standard_normal((m, cols)))
         for _ in range(2):
             y -= u @ (u.conj().T @ y)
         dirs, sig, _ = np.linalg.svd(y, full_matrices=False)
@@ -529,7 +594,7 @@ def _compress(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = np.hstack([u, kept])
         if not keep.all():
             break
-    return u, _adjoint_mul(k, u)
+    return u, _kernel_adjoint(core, scale, u)
 
 
 class _CompressedSystem:
@@ -547,7 +612,10 @@ class _CompressedSystem:
     n^2``, on the unknowns ``[Z_r^H x; lam]``, and the Woodbury identity
     (Hager 1989) gives ``P = (I - G Z^H) D^-1`` with ``G = D^-1 W C^-1``.
     ``D`` is inverted node by node (``mult_inv``, shape ``(2, n, n, N)``)
-    and only ``C`` densely.
+    and only ``C`` densely.  The kernels are read from the system's cores:
+    block j of ``K v`` is ``weight * sum_k p^k * (core_j v_k)``, with both
+    edges' output nodes on the same grid, so they share the row scales
+    ``weight * p^k`` (:func:`_kernel_apply`).
 
     ``a`` applies the exact ``A``; ``a_low`` and ``a_low_h`` apply the
     compressed one and its adjoint, ``p`` and ``p_h`` the Woodbury ``P``
@@ -564,11 +632,10 @@ class _CompressedSystem:
         self.mult_h = np.ascontiguousarray(self.mult.transpose(0, 2, 1, 3).conj())
         self.dinv = mult_inv
         self.dinv_h = np.ascontiguousarray(mult_inv.transpose(0, 2, 1, 3).conj())
-        # kernel stacks (n, n, N, N) as (nN, nN) operator matrices: views
-        # of stacks in operator layout, a copy of any other
-        self.kb = system.bottom_kernel.transpose(0, 2, 1, 3).reshape(m, m)
-        self.kl = system.left_kernel.transpose(0, 2, 1, 3).reshape(m, m)
-        (ub, vb), (ul, vl) = _compress(self.kb), _compress(self.kl)
+        powers = _power_base(system.nodes, system.h)
+        self.scale = np.stack([system.weight * powers ** k for k in range(n)])
+        self.cores = (system.bottom_core, system.left_core)
+        (ub, vb), (ul, vl) = (_compress(core, self.scale) for core in self.cores)
         rb, rl = ub.shape[1], ul.shape[1]
         self.rank = (rb, rl)
         r = rb + rl
@@ -587,8 +654,9 @@ class _CompressedSystem:
     def a(self, v: np.ndarray) -> np.ndarray:
         v2 = v.reshape(2, self.m, -1)
         out = _per_node(self.mult, v2)
-        out[0] += self.kb @ v2[1]
-        out[1] += self.kl @ v2[0]
+        bottom, left = self.cores
+        out[0] += _kernel_apply(bottom, self.scale, v2[1])
+        out[1] += _kernel_apply(left, self.scale, v2[0])
         return out.reshape(v.shape)
 
     def a_low(self, v: np.ndarray) -> np.ndarray:

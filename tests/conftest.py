@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quadbvp import ContinuousProblem, LatticeFunction, WaveFactorization
+from quadbvp.system import _kernel_blocks, _power_base
 
 
 def lattice_function(h, points):
@@ -21,11 +22,22 @@ def unit_mass(h, point=(0, 0)):
     return lattice_function(h, {point: 1.0})
 
 
+def kernel_stacks(system, rows=None):
+    """The ``(n, n, out, in)`` bottom and left kernel stacks of a block
+    system, formed from its cores; ``rows`` is the mask a strip was
+    assembled with, which sets the output nodes of its powers."""
+    nodes = system.nodes if rows is None else system.nodes[rows]
+    powers = _power_base(nodes, system.h)
+    return tuple(_kernel_blocks(core, powers, system.weight)
+                 for core in (system.bottom_core, system.left_core))
+
+
 def full_matrix(system):
     """Dense oracle: the ``(2nN, 2nN)`` matrix of a square block system,
     rows ordered bottom then left equations, columns bottom then left
     traces, each edge component after component."""
     n, N = system.n, len(system.nodes)
+    bottom_kernel, left_kernel = kernel_stacks(system)
     a = np.zeros((2 * n * N, 2 * n * N), dtype=complex)
     idx = np.arange(N)
     for j in range(n):
@@ -35,8 +47,8 @@ def full_matrix(system):
             cb = k * N        # bottom trace columns
             cl = (n + k) * N  # left trace columns
             a[rb + idx, cb + idx] = system.bottom_mult[j, k]
-            a[rb:rb + N, cl:cl + N] = system.bottom_kernel[j, k]
-            a[rl:rl + N, cb:cb + N] = system.left_kernel[j, k]
+            a[rb:rb + N, cl:cl + N] = bottom_kernel[j, k]
+            a[rl:rl + N, cb:cb + N] = left_kernel[j, k]
             a[rl + idx, cl + idx] = system.left_mult[j, k]
     return a
 

@@ -1,4 +1,6 @@
+import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,9 @@ from quadbvp.cli import (MODES, OUTPUT_ENV_VAR, load_config, main, parse_config_
 from quadbvp.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
+# the shipped configs' outputs as scripts/run_all.py writes them to out/,
+# kept as the reference a rerun is compared with
+REFERENCE_OUT = Path(__file__).resolve().parent / "reference_out"
 
 ROUNDTRIP_CONFIG = """\
 [experiment]
@@ -379,6 +384,99 @@ class TestRunCommand:
         assert main(["run", str(write_config(tmp_path, text))]) == 0
         summary = (tmp_path / "out" / "section_gap_summary.txt").read_text()
         assert "gate_section_gap_slope = PASS" in summary
+
+
+# summary keys and CSV columns that hold rounding noise, and the bound on it
+NOISE_KEYS = {"rel_error", "residual", "abs_residual", "max_interior_residual"}
+NOISE_BOUND = 1e-13
+# relative tolerances: rate and power_gap values may move by a power
+# iteration step on another BLAS; the solver modes' conditions and norms
+# only by rounding
+RATE_MODES = {"section_gap", "commutator", "kernel_gap", "power_gap"}
+RATE_RTOL = 1e-7
+SOLVER_RTOL = 1e-10
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+def parse_cell(text):
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def output_cells(mode, path):
+    """``(name, cells)`` per line of a CSV or summary: the schema line, the
+    columns, each row's cells by column, each summary key's tokens, and each
+    gate's verdict with its detail's numbers masked.  ``wall_seconds`` is
+    left out."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".csv":
+        columns = lines[1].split(",")
+        yield "schema", [lines[0]]
+        yield "columns", columns
+        for line in lines[2:]:
+            yield from zip(columns, ([parse_cell(c)] for c in line.split(",")))
+        return
+    for line in lines:
+        key, _, value = line.partition(" = ")
+        if key == "wall_seconds":
+            continue
+        if key.startswith("gate_"):
+            yield key, [NUMBER.sub("#", value)]
+        else:
+            yield key, [parse_cell(token) for token in value.split()]
+
+
+def check_output_cell(mode, name, got, want):
+    if isinstance(want, str) or isinstance(want, int) and isinstance(got, int):
+        assert got == want, name
+    elif name in NOISE_KEYS:
+        assert 0.0 <= got <= NOISE_BOUND and want <= NOISE_BOUND, name
+    else:
+        rtol = RATE_RTOL if mode in RATE_MODES else SOLVER_RTOL
+        assert math.isclose(got, want, rel_tol=rtol, abs_tol=0.0), name
+
+
+class TestShippedOutputs:
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_rerun_matches_the_reference_outputs(self, tmp_path, monkeypatch, mode):
+        # every shipped config rerun, compared as numbers with its committed
+        # outputs: text, integers and ranks exactly, values to tolerance
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))
+        cfg = load_config(ROOT / "configs" / f"{mode}.ini")
+        _, csv_path, summary_path = run_experiment(cfg)
+        for path in (csv_path, summary_path):
+            got = list(output_cells(mode, path))
+            want = list(output_cells(mode, REFERENCE_OUT / mode / path.name))
+            assert [name for name, _ in got] == [name for name, _ in want], path.name
+            for (name, got_cells), (_, want_cells) in zip(got, want):
+                assert len(got_cells) == len(want_cells), name
+                for g, w in zip(got_cells, want_cells):
+                    check_output_cell(mode, name, g, w)
+
+    def test_solve_run_allocates_less_than_two_kernel_stacks(self, tmp_path):
+        # a solve-mode run at (n, N) = (2, 384): the cores take 9 MiB, as
+        # one stack of the n^2 kernel blocks would
+        text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out").replace(
+            "mode = roundtrip", "mode = solve").replace("N = 64", "N = 384").replace(
+            "boundary = zeta", "boundary = row_trace").replace(
+            "s = -1.25\nn = 1", "s = -2.25\nn = 2")
+        cfg = load_config(write_config(tmp_path, text))
+        assert (cfg.n, cfg.N, cfg.boundary) == (2, 384, "row_trace")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report, _, _ = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed
+        assert peak - start < 20 * 2 ** 20
 
 
 class TestOtherCommands:

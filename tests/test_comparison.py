@@ -18,7 +18,7 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
 from quadbvp import system
 from quadbvp.cli import load_config
 from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips
-from conftest import skewed_problem
+from conftest import kernel_stacks, skewed_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -395,12 +395,16 @@ class TestStripAssembly:
             R = rows.sum()
             assert 0 < R <= 40, name
             strip = self.assemble(problem, nodes, h, rows)
-            # square kernels; the multipliers still integrate over all nodes
-            for field in ("bottom_kernel", "left_kernel"):
-                kernel = getattr(strip, field)
-                assert kernel.shape == (2, 2, R, R)
+            # square cores and kernels; the multipliers still integrate over
+            # all nodes
+            for field in ("bottom_core", "left_core"):
+                core = getattr(strip, field)
+                assert core.shape == (2, R, R)
                 sliced = getattr(full, field)[..., rows, :][..., rows]
-                assert np.array_equal(kernel, sliced), (name, field)
+                assert np.array_equal(core, sliced), (name, field)
+            for kernel, whole in zip(kernel_stacks(strip, rows), kernel_stacks(full)):
+                assert kernel.shape == (2, 2, R, R)
+                assert np.array_equal(kernel, whole[..., rows, :][..., rows]), name
             for field in ("bottom_mult", "left_mult"):
                 mult = getattr(strip, field)
                 assert mult.shape == (2, 2, R)
@@ -413,6 +417,7 @@ class TestStripAssembly:
         problem = skewed_problem()
         grid = aligned_line_grid(hs, 8)
         full = assemble_continuous_system(problem, grid)
+        full_b, full_l = kernel_stacks(full)
         for h, (wnodes, gaps) in zip(hs, comparison._window_gaps(problem, grid, hs)):
             win = window_mask(grid, h)
             lattice = _assemble(n=problem.n, nodes=wnodes, weight=grid.axis_weight, h=h,
@@ -420,9 +425,10 @@ class TestStripAssembly:
                                 bottom_symbols=problem.bottom_symbols,
                                 left_symbols=problem.left_symbols)
             square = np.ix_(win, win)
+            lattice_b, lattice_l = kernel_stacks(lattice)
             gathered = (full.bottom_mult[:, :, win] - lattice.bottom_mult,
-                        full.bottom_kernel[(...,) + square] - lattice.bottom_kernel,
-                        full.left_kernel[(...,) + square] - lattice.left_kernel,
+                        full_b[(...,) + square] - lattice_b,
+                        full_l[(...,) + square] - lattice_l,
                         full.left_mult[:, :, win] - lattice.left_mult)
             assert np.array_equal(wnodes, grid.axis_nodes[win])
             for got, want in zip(gaps, gathered):
@@ -442,12 +448,12 @@ class TestSweepsAssembleOnlyWhatTheyRead:
     def test_gap_sweeps_never_assemble_the_full_continuous_system(self, monkeypatch):
         # the full assembly is not even in reach of the sweeps
         assert not hasattr(comparison, "assemble_continuous_system")
-        strips = []  # kernel shapes of the continuous assemblies
+        strips = []  # core shapes of the continuous assemblies
 
         def recording(**kwargs):
             system = _assemble(**kwargs)
             if kwargs["h"] is None:
-                strips.append(system.bottom_kernel.shape[-2:])
+                strips.append(system.bottom_core.shape[-2:])
             return system
 
         monkeypatch.setattr(comparison, "_assemble", recording)
@@ -483,18 +489,18 @@ class TestSweepsAssembleOnlyWhatTheyRead:
 
     def test_commutator_builds_no_full_continuous_stack(self, monkeypatch):
         kernels, frames = [], []
-        kernel_family = system._kernel_family
+        kernel_blocks = system._kernel_blocks
         estimate = comparison.estimate_operator_norm
 
         def recording(*args, **kwargs):
-            cores, stack = kernel_family(*args, **kwargs)
+            stack = kernel_blocks(*args, **kwargs)
             kernels.append(stack.shape)
-            return cores, stack
+            return stack
 
         def refuse(**kwargs):
             raise AssertionError("block system assembled in the commutator sweep")
 
-        monkeypatch.setattr(system, "_kernel_family", recording)
+        monkeypatch.setattr(system, "_kernel_blocks", recording)
         monkeypatch.setattr(comparison, "_assemble", refuse)
         monkeypatch.setattr(comparison, "estimate_operator_norm",
                             lambda frame: frames.append(frame) or estimate(frame))
@@ -532,14 +538,14 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         problem = skewed_problem()
         grid = aligned_line_grid([0.5, 0.25], 8)
         nodes = grid.axis_nodes
-        full = assemble_continuous_system(problem, grid)
+        bottom, left = kernel_stacks(assemble_continuous_system(problem, grid))
         for rows in (window_mask(grid, 0.25), rng.random(len(nodes)) < 0.3):
             (b_rows, b_cols), (l_rows, l_cols) = _kernel_strips(
                 problem, nodes, grid.axis_weight, rows)
-            assert np.array_equal(b_rows, full.bottom_kernel[:, :, rows])
-            assert np.array_equal(b_cols, full.bottom_kernel[:, :, :, rows])
-            assert np.array_equal(l_rows, full.left_kernel[:, :, rows])
-            assert np.array_equal(l_cols, full.left_kernel[:, :, :, rows])
+            assert np.array_equal(b_rows, bottom[:, :, rows])
+            assert np.array_equal(b_cols, bottom[:, :, :, rows])
+            assert np.array_equal(l_rows, left[:, :, rows])
+            assert np.array_equal(l_cols, left[:, :, :, rows])
 
     def test_commutator_norms_equal_the_per_h_weighting(self):
         # power iteration runs on each rectangle of a block separately, so
@@ -574,22 +580,22 @@ def weighted_frame(quadrants, weights, quad):
 
 def full_weighted_kernels(problem, grid):
     """Weighted frame blocks of the continuous kernels on the whole line."""
-    q_full = assemble_continuous_system(problem, grid)
+    bottom, left = kernel_stacks(assemble_continuous_system(problem, grid))
     weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in problem.trace_exponents]
-    return weighted_frame((None, q_full.bottom_kernel, q_full.left_kernel, None),
+    return weighted_frame((None, bottom, left, None),
                           weights, grid.axis_weight).blocks
 
 
 def per_h_commutator_norms(problem, hs, nodes_per_window, lambda_factor=4.0):
     """Reference: the signed full kernels formed and weighted anew for every h."""
     grid = aligned_line_grid(hs, nodes_per_window, lambda_factor=lambda_factor)
-    q_full = assemble_continuous_system(problem, grid)
+    bottom, left = kernel_stacks(assemble_continuous_system(problem, grid))
     weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in problem.trace_exponents]
     norms = []
     for h in hs:
         chi = window_mask(grid, h).astype(float)
         sign = chi[:, None] - chi[None, :]
-        quadrants = (None, sign * q_full.bottom_kernel, sign * q_full.left_kernel, None)
+        quadrants = (None, sign * bottom, sign * left, None)
         norms.append(estimate_operator_norm(
             weighted_frame(quadrants, weights, grid.axis_weight)))
     return norms

@@ -21,9 +21,11 @@ from quadbvp import (AssemblyError, ContinuousProblem, FrequencyGrid, MeshMismat
                      zeta_boundary_operators, apply_symbol_to_spectrum,
                      aligned_line_grid, boundary_trace_spectrum, window_mask)
 from quadbvp import lattice
-from quadbvp.system import (_CompressedSystem, _assemble, _compress, _kernel_strips,
-                            _sigma_max_estimate)
-from conftest import full_matrix, ones_symbol, skewed_problem
+from quadbvp.lattice import _open_mesh
+from quadbvp.system import (_CompressedSystem, _assemble, _compress, _kernel_adjoint,
+                            _kernel_apply, _kernel_norm, _kernel_strips, _plus_values,
+                            _power_base, _sigma_max_estimate)
+from conftest import full_matrix, kernel_stacks, ones_symbol, skewed_problem
 
 
 def trivial_spec(n=1, h=1.0, delta=0.25, boundary="identity"):
@@ -93,8 +95,8 @@ class TestAssembly:
         grid = FrequencyGrid(1.0, 16)
         sys = assemble_discrete_system(trivial_spec(), grid)
         # quadrature weight folded into the operator matrix
-        assert np.allclose(sys.bottom_kernel[0, 0], grid.axis_weight, rtol=1e-14)
-        assert np.allclose(sys.left_kernel[0, 0], grid.axis_weight, rtol=1e-14)
+        for stack in kernel_stacks(sys):
+            assert np.allclose(stack[0, 0], grid.axis_weight, rtol=1e-14)
 
     def test_boundary_symbol_cancels_plus_factor(self):
         h = 1.0
@@ -104,7 +106,7 @@ class TestAssembly:
                            bottom_ops=(sym,), left_ops=(sym,))
         grid = FrequencyGrid(h, 16)
         sys = assemble_discrete_system(spec, grid)
-        assert np.allclose(sys.bottom_kernel[0, 0], grid.axis_weight, rtol=1e-12)
+        assert np.allclose(kernel_stacks(sys)[0][0, 0], grid.axis_weight, rtol=1e-12)
 
     def test_factorization_mesh_must_match_grid(self):
         with pytest.raises(MeshMismatchError,
@@ -433,12 +435,15 @@ class TestEliminatedSolve:
     @pytest.mark.parametrize("case", ["row_trace_n3", "shifted_zeta_n3_high_kappa"])
     def test_compressed_kernels_reproduce_the_kernels(self, case):
         # U orthonormal and U V^H = U U^H K within the range finder's floor,
-        # 1e-13 of the Frobenius norm
+        # 1e-13 of the Frobenius norm, for K formed from the cores
         system, _ = ELIMINATION_CASES[case](None)
         m = system.n * len(system.nodes)
-        for stack in (system.bottom_kernel, system.left_kernel):
+        scale = np.stack([system.weight * _power_base(system.nodes, system.h) ** k
+                          for k in range(system.n)])
+        for core, stack in zip((system.bottom_core, system.left_core),
+                               kernel_stacks(system)):
             k = stack.transpose(0, 2, 1, 3).reshape(m, m)
-            u, v = _compress(k)
+            u, v = _compress(core, scale)
             assert u.shape == v.shape and 1 <= u.shape[1] < m
             assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) <= 1e-14
             assert np.linalg.norm(k - u @ v.conj().T, 2) <= 1e-12 * np.linalg.norm(k)
@@ -461,75 +466,183 @@ class TestEliminatedSolve:
             assert abs(r_large - r_small) <= 2
 
 
-def window_system(problem, grid, h):
-    """The lattice system a gap sweep assembles on the window nodes of ``h``."""
-    return _assemble(n=problem.n, nodes=grid.axis_nodes[window_mask(grid, h)],
-                     weight=grid.axis_weight, h=h, plus_factor=problem.plus_factor,
-                     bottom_symbols=problem.bottom_symbols,
-                     left_symbols=problem.left_symbols)
+def stored_kernel_family(symbols, inv_plus, x1, x2, powers, weight, transpose=False,
+                         inputs=None):
+    """Reference: one kernel family as assembly stored it before it kept
+    cores, all n^2 blocks ``core_j * p^k * weight`` written in place, with
+    ``p`` the power base at the output nodes."""
+    n = len(symbols)
+    cores = [np.asarray(sym(x1, x2), dtype=complex) * inv_plus for sym in symbols]
+    out, inp = inv_plus.T.shape if transpose else inv_plus.shape
+    if inputs is not None:
+        inp = int(np.count_nonzero(inputs))
+    kernels = np.empty((n, out, n, inp), dtype=complex).transpose(0, 2, 1, 3)
+    for j, core in enumerate(cores):
+        core = core.T if transpose else core
+        if inputs is not None:
+            core = core[:, inputs]
+        for k in range(n):
+            pk = powers ** k
+            block = kernels[j, k]
+            np.multiply(core, pk[:, None], out=block)
+            block *= weight
+    return cores, kernels
+
+
+def stored_assembly(n, nodes, weight, h, plus_factor, bottom_symbols, left_symbols,
+                    rows=None):
+    """Reference: ``(bottom_mult, bottom_kernel, left_kernel, left_mult)``
+    as ``_assemble`` returned them when it stored kernel stacks."""
+    out = nodes if rows is None else nodes[rows]
+    xb1, xb2 = _open_mesh(out, nodes)
+    xl1, xl2 = (xb1, xb2) if rows is None else _open_mesh(nodes, out)
+    inv_plus_b = 1.0 / _plus_values(plus_factor, xb1, xb2)
+    inv_plus_l = inv_plus_b if rows is None else 1.0 / _plus_values(plus_factor, xl1, xl2)
+    powers = _power_base(nodes, h)
+    powers_out = powers if rows is None else powers[rows]
+    bottom_mult = np.empty((n, n, len(out)), dtype=complex)
+    left_mult = np.empty((n, n, len(out)), dtype=complex)
+    cores, bottom_kernel = stored_kernel_family(bottom_symbols, inv_plus_b, xb1, xb2,
+                                                powers_out, weight, inputs=rows)
+    for j, k in np.ndindex(n, n):
+        bottom_mult[j, k] = (cores[j] * (powers ** k)[None, :]).sum(axis=1) * weight
+    cores, left_kernel = stored_kernel_family(left_symbols, inv_plus_l, xl1, xl2,
+                                              powers_out, weight, transpose=True,
+                                              inputs=rows)
+    for j, k in np.ndindex(n, n):
+        left_mult[j, k] = (cores[j] * (powers ** k)[:, None]).sum(axis=0) * weight
+    return bottom_mult, bottom_kernel, left_kernel, left_mult
+
+
+def skewed_assembly(h, lattice_window):
+    """``_assemble``'s arguments for the skewed problem: on the whole line
+    (``h`` None), or on a torus window with difference powers."""
+    problem = skewed_problem()
+    grid = aligned_line_grid([0.5, 0.25], 8)
+    nodes = grid.axis_nodes[window_mask(grid, lattice_window)] if h else grid.axis_nodes
+    return dict(n=problem.n, nodes=nodes, weight=grid.axis_weight, h=h,
+                plus_factor=problem.plus_factor, bottom_symbols=problem.bottom_symbols,
+                left_symbols=problem.left_symbols)
+
+
+def factorization_assembly(h=0.5, N=24):
+    """``_assemble``'s arguments for an n = 2 lattice problem of a factor
+    family with row-trace operators."""
+    fac = builtin_factor_family("geometric", h, a=-0.4, p=2, q=1)
+    bottom, left = row_trace_boundary_operators(2, h)
+    grid = FrequencyGrid(h, N)
+    return dict(n=2, nodes=grid.axis_nodes, weight=grid.axis_weight, h=h,
+                plus_factor=fac, bottom_symbols=bottom, left_symbols=left)
+
+
+ASSEMBLIES = {
+    "continuous": lambda: skewed_assembly(None, None),
+    "lattice": lambda: skewed_assembly(0.5, 0.5),
+    "factorization": factorization_assembly,
+}
 
 
 LAYOUT_SYSTEMS = {
     "lattice": lambda: ELIMINATION_CASES["row_trace_n2"](None)[0],
     "continuous": lambda: assemble_continuous_system(
         skewed_problem(), aligned_line_grid([0.5, 0.25], 8)),
-    "window": lambda: window_system(skewed_problem(), aligned_line_grid([0.5, 0.25], 8), 0.25),
+    "window": lambda: _assemble(**ASSEMBLIES["lattice"]()),
+    "shifted_zeta_n3": lambda: ELIMINATION_CASES["shifted_zeta_n3_low_kappa"](None)[0],
 }
 
 
-def contiguous_copy(system):
-    """The system with its kernel stacks copied to C order."""
-    return replace(system, bottom_kernel=np.ascontiguousarray(system.bottom_kernel),
-                   left_kernel=np.ascontiguousarray(system.left_kernel))
+def relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 class TestOperatorLayout:
-    """Kernel stacks are assembled in operator layout: the solver's
-    ``(nN, nN)`` matrices are views of them, and a stack in C order solves
-    to the same bits after a copy."""
+    """A block system stores each kernel family as its n cores: the kernel
+    stacks it stood for are formed bit for bit from them, and the solver
+    applies the kernels from the cores."""
+
+    @pytest.mark.parametrize("strip", [False, True], ids=["full", "rows"])
+    @pytest.mark.parametrize("kind", sorted(ASSEMBLIES))
+    def test_kernel_blocks_equal_the_stored_stacks(self, rng, kind, strip):
+        args = ASSEMBLIES[kind]()
+        N = len(args["nodes"])
+        rows = rng.random(N) < 0.4 if strip else None
+        system = _assemble(**args, rows=rows)
+        R = N if rows is None else int(rows.sum())
+        assert system.n == 2 and 0 < R <= N
+        for core in (system.bottom_core, system.left_core):
+            assert core.shape == (2, R, R) and core.flags.c_contiguous
+        got = (system.bottom_mult, *kernel_stacks(system, rows), system.left_mult)
+        for field, g, want in zip(("bottom_mult", "bottom_kernel", "left_kernel", "left_mult"),
+                                  got, stored_assembly(**args, rows=rows)):
+            assert g.shape == want.shape, field
+            assert np.array_equal(g, want), field
 
     @pytest.mark.parametrize("kind", sorted(LAYOUT_SYSTEMS))
-    def test_operator_matrices_are_views_of_the_stacks(self, kind):
+    def test_core_products_match_the_dense_matrix(self, rng, kind):
+        # K v, K^H u and the Frobenius norm of both kernels as the solver
+        # takes them from the cores, against the dense oracle: a transposed
+        # core or a power at the input nodes fails this
         system = LAYOUT_SYSTEMS[kind]()
-        n, N = system.n, len(system.nodes)
-        assert n == 2
-        m = n * N
-        for stack in (system.bottom_kernel, system.left_kernel):
-            assert stack.shape == (n, n, N, N)
-            assert np.shares_memory(stack.transpose(0, 2, 1, 3).reshape(m, m), stack)
-        # the multiplier inverses do not enter the kernel matrices
-        identity = np.broadcast_to(np.eye(n)[None, :, :, None], (2, n, n, N))
+        m = system.n * len(system.nodes)
+        a = full_matrix(system)
+        dense = (a[:m, m:], a[m:, :m])
+        identity = np.broadcast_to(np.eye(system.n)[None, :, :, None],
+                                   (2, system.n, system.n, len(system.nodes)))
         ops = _CompressedSystem(system, system.gauge_basis, identity)
-        assert np.shares_memory(ops.kb, system.bottom_kernel)
-        assert np.shares_memory(ops.kl, system.left_kernel)
+        v = rng.standard_normal((2 * m, 3)) + 1j * rng.standard_normal((2 * m, 3))
+        assert relative_gap(ops.a(v), a @ v) <= 1e-13
+        u = v[:m]
+        for core, k in zip(ops.cores, dense):
+            assert relative_gap(_kernel_apply(core, ops.scale, u), k @ u) <= 1e-13
+            assert relative_gap(_kernel_adjoint(core, ops.scale, u),
+                                k.conj().T @ u) <= 1e-13
+            assert _kernel_norm(core, ops.scale) == pytest.approx(np.linalg.norm(k),
+                                                                  rel=1e-13)
 
-    @pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
-    def test_contiguous_stacks_solve_to_the_same_bits(self, rng, case):
-        system, data = ELIMINATION_CASES[case](rng)
-        traces, rep = solve_block_system(system, data)
-        traces_c, rep_c = solve_block_system(contiguous_copy(system), data)
-        assert np.array_equal(stacked_values(traces), stacked_values(traces_c))
-        assert rep == rep_c
-
-    @pytest.mark.parametrize("field", ["bottom_kernel", "left_kernel"])
+    @pytest.mark.parametrize("field", ["bottom_core", "left_core"])
     @pytest.mark.parametrize("layout", ["fortran", "swapped"])
     def test_finiteness_check_takes_any_layout(self, field, layout):
+        # a non-finite core raises, naming its field, in any memory layout
         system = LAYOUT_SYSTEMS["lattice"]()
         arrange = {"fortran": np.asfortranarray,
                    "swapped": lambda a: np.ascontiguousarray(a).swapaxes(-1, -2)}[layout]
-        block = arrange(getattr(system, field))
-        assert not block.flags.c_contiguous
-        replace(system, **{field: block})  # finite: constructs
-        bad = block.copy(order="K")
+        core = arrange(getattr(system, field))
+        assert not core.flags.c_contiguous
+        replace(system, **{field: core})  # finite: constructs
+        bad = core.copy(order="K")
         assert not bad.flags.c_contiguous
-        bad[0, 0, 0, 1] = np.nan
+        bad[0, 0, 1] = np.nan
         with pytest.raises(AssemblyError, match=f"non-finite entries in block {field}"):
             replace(system, **{field: bad})
 
+    def test_assembly_retains_only_the_cores(self):
+        # n cores per edge, 2 n N^2 complex values in all, and no stack of
+        # the n^2 blocks at any time: at (n, N) = (2, 384) the cores take
+        # 9 MiB and one kernel stack alone would take 9 MiB more
+        n, N = 2, 384
+        fac = builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1)
+        bottom, left = row_trace_boundary_operators(n, 1.0)
+        spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=fac, n=n,
+                           delta=0.25, bottom_ops=bottom, left_ops=left)
+        grid = FrequencyGrid(1.0, N)
+        grid.axis_nodes  # cached before tracing
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            system = assemble_discrete_system(spec, grid)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cores = 2 * n * N * N * 16
+        assert system.bottom_core.nbytes + system.left_core.nbytes == cores
+        # the cores plus the (n, n, N) multipliers of both edges
+        assert retained - start <= cores + 2 * n * n * N * 16 + 2 ** 16
+        assert peak - start < 16 * 2 ** 20
+
     def test_solve_allocates_less_than_one_kernel_stack(self):
-        # the kernel matrices are read in place, not copied, and the dense
-        # (2nN)^2 matrix is never formed: at (n, N) = (2, 384) one stack is
-        # 9 MiB, the dense matrix 36 MiB
+        # the kernels are applied from the cores in place, and neither a
+        # kernel stack nor the dense (2nN)^2 matrix is formed: at (n, N) =
+        # (2, 384) one stack would take 9 MiB, the dense matrix 36 MiB
         system, data = compatible_problem(
             builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1),
             row_trace_boundary_operators, 2, 384, 1.0, 1)[2:]
@@ -540,7 +653,7 @@ class TestOperatorLayout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start < system.bottom_kernel.nbytes
+        assert peak - start < 9 * 2 ** 20
 
 
 class TestStructuralGauge:
@@ -834,7 +947,7 @@ def strip(problem, nodes, rows, h=None):
                      left_symbols=problem.left_symbols, rows=rows)
 
 
-BLOCKS = ("bottom_mult", "bottom_kernel", "left_kernel", "left_mult")
+BLOCKS = ("bottom_mult", "bottom_core", "left_core", "left_mult")
 
 
 class TestOpenMesh:
