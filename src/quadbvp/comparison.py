@@ -388,20 +388,20 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     rows = window_mask(grid, min(h_values))
     strip = assemble(grid.axis_nodes, None, rows)
     strip_powers = _power_base(grid.axis_nodes[rows], None)
+
+    def kernel_gap(strip_core, lattice, lattice_core, out):
+        gap = _kernel_blocks(strip_core[:, out, out], strip_powers[out], grid.axis_weight)
+        gap -= _kernel_blocks(lattice_core, _power_base(lattice.nodes, lattice.h),
+                              grid.axis_weight)
+        return gap
+
     for h in h_values:
         win = window_mask(grid, h)
         lattice = assemble(grid.axis_nodes[win], float(h))
         out = _run(win[rows])
-        lattice_powers = _power_base(lattice.nodes, lattice.h)
-
-        def kernel_gap(strip_core, lattice_core):
-            gap = _kernel_blocks(strip_core[:, out, out], strip_powers[out], grid.axis_weight)
-            gap -= _kernel_blocks(lattice_core, lattice_powers, grid.axis_weight)
-            return gap
-
         yield lattice.nodes, (strip.bottom_mult[:, :, out] - lattice.bottom_mult,
-                              kernel_gap(strip.bottom_core, lattice.bottom_core),
-                              kernel_gap(strip.left_core, lattice.left_core),
+                              kernel_gap(strip.bottom_core, lattice, lattice.bottom_core, out),
+                              kernel_gap(strip.left_core, lattice, lattice.left_core, out),
                               strip.left_mult[:, :, out] - lattice.left_mult)
 
 
