@@ -514,45 +514,50 @@ def _adjoint_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m.T @ v.conj()).conj()
 
 
-def _kernel_apply(core: np.ndarray, scale: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``K v`` for the kernel matrix of n cores ``core``, ``(n, N, N)``, and
-    row scales ``scale[k] = weight * p^k``, ``(n, N)``, applied to blocks
-    ``v`` of shape ``(n N, c)``: output block j is ``sum_k scale[k] *
-    (core[j] @ v_k)``, from one product of the stacked cores with the n
-    input blocks side by side."""
-    n, N = scale.shape
-    if n == 1:  # the common scalar case, without the stacking
-        return scale[0, :, None] * (core[0] @ v)
-    c = v.shape[-1]
-    y = core.reshape(n * N, N) @ v.reshape(n, N, c).transpose(1, 0, 2).reshape(N, n * c)
-    y = y.reshape(n, N, n, c)
-    out = y[:, :, 0] * scale[0, :, None]
-    for k in range(1, n):
-        out += y[:, :, k] * scale[k, :, None]
-    return out.reshape(v.shape)
+def _kernel_apply(core: np.ndarray, powers: np.ndarray, weight: float,
+                  v: np.ndarray) -> np.ndarray:
+    """``K v`` for the kernel matrix of n cores ``core``, ``(n, N, N)``, with
+    blocks ``core[j] * p^k[:, None] * weight`` (:func:`_kernel_blocks`),
+    applied to blocks ``v`` of shape ``(n N, c)``: output block j is
+    ``weight * sum_k p^k * (core[j] @ v_k)``, summed in Horner form over one
+    product of the stacked cores with each input block."""
+    n, N = core.shape[:2]
+    stacked = core.reshape(n * N, N)
+    out = stacked @ v[(n - 1) * N:]
+    for k in range(n - 2, -1, -1):
+        rows = out.reshape(n, N, -1)
+        rows *= powers[:, None]
+        out += stacked @ v[k * N:(k + 1) * N]
+    out *= weight
+    return out
 
 
-def _kernel_adjoint(core: np.ndarray, scale: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _kernel_adjoint(core: np.ndarray, powers: np.ndarray, weight: float,
+                    u: np.ndarray) -> np.ndarray:
     """``K^H u`` for the kernel of :func:`_kernel_apply`: input block k is
-    ``sum_j core[j]^H (conj(scale[k]) * u_j)``, from one product of the
-    stacked cores' adjoint with n scaled copies of the output blocks."""
-    n, N = scale.shape
-    if n == 1:
-        return _adjoint_mul(core[0], scale[0, :, None].conj() * u)
-    c = u.shape[-1]
-    # conjugated copies, since core^H x = conj(core^T conj(x)): row (j, i)
-    # holds conj(scale[k, i] u_j[i]) for k = 0 .. n-1 side by side
-    z = scale.T[None, :, :, None] * u.reshape(n, N, 1, c).conj()
-    y = core.reshape(n * N, N).T @ z.reshape(n * N, n * c)
-    return y.conj().reshape(N, n, c).transpose(1, 0, 2).reshape(u.shape)
+    ``weight * sum_j core[j]^H (conj(p)^k * u_j)``, one product of the
+    stacked cores' adjoint with the scaled output blocks per k."""
+    n, N = core.shape[:2]
+    stacked = core.reshape(n * N, N)
+    # core^H x = conj(core^T conj(x)), with conj(conj(p)^k u) = p^k conj(u)
+    scaled = u.conj()
+    out = np.empty((n, N, u.shape[-1]), dtype=complex)
+    for k in range(n):
+        if k:
+            scaled = (scaled.reshape(n, N, -1) * powers[:, None]).reshape(u.shape)
+        np.matmul(stacked.T, scaled, out=out[k])
+    np.conjugate(out, out=out)
+    out *= weight
+    return out.reshape(u.shape)
 
 
-def _kernel_norm(core: np.ndarray, scale: np.ndarray) -> float:
+def _kernel_norm(core: np.ndarray, powers: np.ndarray, weight: float) -> float:
     """Frobenius norm of the kernel of :func:`_kernel_apply`, from the
-    cores' squared row norms and the row scales, with no block formed."""
+    cores' squared row norms and the powers, with no block formed."""
     parts = np.ascontiguousarray(core).view(float)  # real and imaginary parts
     rows = np.einsum("jix,jix->i", parts, parts)
-    return math.sqrt(float(rows @ (np.abs(scale) ** 2).sum(axis=0)))
+    gains = sum(np.abs(powers) ** (2 * k) for k in range(len(core)))
+    return weight * math.sqrt(float(rows @ gains))
 
 
 # Adaptive randomized range finder (Halko, Martinsson & Tropp 2011) in
@@ -564,9 +569,10 @@ _RANGE_BLOCK = 16
 _RANGE_TOL = 1e-13
 
 
-def _compress(core: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low-rank factors of the square kernel matrix ``K`` of n cores and
-    row scales (:func:`_kernel_apply`): ``U`` with orthonormal columns
+def _compress(core: np.ndarray, powers: np.ndarray,
+              weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Low-rank factors of the square kernel matrix ``K`` of n cores, the
+    powers and the weight (:func:`_kernel_apply`): ``U`` with orthonormal columns
     spanning its numerical range and ``V = K^H U``, so that ``K`` is ``U
     V^H`` to ``_RANGE_TOL`` times its Frobenius norm.  ``K`` is applied
     through its cores, never formed.
@@ -576,13 +582,13 @@ def _compress(core: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarr
     that drops a direction ends the search.  Seeded, so a rerun compresses
     alike.
     """
-    m = scale.size
+    m = core.shape[0] * core.shape[1]
     rng = np.random.default_rng(_ESTIMATE_SEED)
-    floor = _RANGE_TOL * _kernel_norm(core, scale)
+    floor = _RANGE_TOL * _kernel_norm(core, powers, weight)
     u = np.empty((m, 0), dtype=complex)
     while u.shape[1] < m:
         cols = min(_RANGE_BLOCK, m - u.shape[1])
-        y = _kernel_apply(core, scale, rng.standard_normal((m, cols)))
+        y = _kernel_apply(core, powers, weight, rng.standard_normal((m, cols)))
         for _ in range(2):
             y -= u @ (u.conj().T @ y)
         dirs, sig, _ = np.linalg.svd(y, full_matrices=False)
@@ -594,7 +600,7 @@ def _compress(core: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarr
         u = np.hstack([u, kept])
         if not keep.all():
             break
-    return u, _kernel_adjoint(core, scale, u)
+    return u, _kernel_adjoint(core, powers, weight, u)
 
 
 class _CompressedSystem:
@@ -612,10 +618,10 @@ class _CompressedSystem:
     n^2``, on the unknowns ``[Z_r^H x; lam]``, and the Woodbury identity
     (Hager 1989) gives ``P = (I - G Z^H) D^-1`` with ``G = D^-1 W C^-1``.
     ``D`` is inverted node by node (``mult_inv``, shape ``(2, n, n, N)``)
-    and only ``C`` densely.  The kernels are read from the system's cores:
-    block j of ``K v`` is ``weight * sum_k p^k * (core_j v_k)``, with both
-    edges' output nodes on the same grid, so they share the row scales
-    ``weight * p^k`` (:func:`_kernel_apply`).
+    and only ``C`` densely.  The kernels are applied from the system's
+    cores: block j of ``K v`` is ``weight * sum_k p^k * (core_j v_k)``,
+    with ``p`` the power base on the grid, which carries the output nodes of
+    both edges (:func:`_kernel_apply`).
 
     ``a`` applies the exact ``A``; ``a_low`` and ``a_low_h`` apply the
     compressed one and its adjoint, ``p`` and ``p_h`` the Woodbury ``P``
@@ -632,10 +638,9 @@ class _CompressedSystem:
         self.mult_h = np.ascontiguousarray(self.mult.transpose(0, 2, 1, 3).conj())
         self.dinv = mult_inv
         self.dinv_h = np.ascontiguousarray(mult_inv.transpose(0, 2, 1, 3).conj())
-        powers = _power_base(system.nodes, system.h)
-        self.scale = np.stack([system.weight * powers ** k for k in range(n)])
+        self.kernel = (_power_base(system.nodes, system.h), system.weight)
         self.cores = (system.bottom_core, system.left_core)
-        (ub, vb), (ul, vl) = (_compress(core, self.scale) for core in self.cores)
+        (ub, vb), (ul, vl) = (_compress(core, *self.kernel) for core in self.cores)
         rb, rl = ub.shape[1], ul.shape[1]
         self.rank = (rb, rl)
         r = rb + rl
@@ -655,8 +660,8 @@ class _CompressedSystem:
         v2 = v.reshape(2, self.m, -1)
         out = _per_node(self.mult, v2)
         bottom, left = self.cores
-        out[0] += _kernel_apply(bottom, self.scale, v2[1])
-        out[1] += _kernel_apply(left, self.scale, v2[0])
+        out[0] += _kernel_apply(bottom, *self.kernel, v2[1])
+        out[1] += _kernel_apply(left, *self.kernel, v2[0])
         return out.reshape(v.shape)
 
     def a_low(self, v: np.ndarray) -> np.ndarray:

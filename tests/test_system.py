@@ -438,12 +438,11 @@ class TestEliminatedSolve:
         # 1e-13 of the Frobenius norm, for K formed from the cores
         system, _ = ELIMINATION_CASES[case](None)
         m = system.n * len(system.nodes)
-        scale = np.stack([system.weight * _power_base(system.nodes, system.h) ** k
-                          for k in range(system.n)])
+        powers = _power_base(system.nodes, system.h)
         for core, stack in zip((system.bottom_core, system.left_core),
                                kernel_stacks(system)):
             k = stack.transpose(0, 2, 1, 3).reshape(m, m)
-            u, v = _compress(core, scale)
+            u, v = _compress(core, powers, system.weight)
             assert u.shape == v.shape and 1 <= u.shape[1] < m
             assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) <= 1e-14
             assert np.linalg.norm(k - u @ v.conj().T, 2) <= 1e-12 * np.linalg.norm(k)
@@ -593,11 +592,11 @@ class TestOperatorLayout:
         assert relative_gap(ops.a(v), a @ v) <= 1e-13
         u = v[:m]
         for core, k in zip(ops.cores, dense):
-            assert relative_gap(_kernel_apply(core, ops.scale, u), k @ u) <= 1e-13
-            assert relative_gap(_kernel_adjoint(core, ops.scale, u),
+            assert relative_gap(_kernel_apply(core, *ops.kernel, u), k @ u) <= 1e-13
+            assert relative_gap(_kernel_adjoint(core, *ops.kernel, u),
                                 k.conj().T @ u) <= 1e-13
-            assert _kernel_norm(core, ops.scale) == pytest.approx(np.linalg.norm(k),
-                                                                  rel=1e-13)
+            assert _kernel_norm(core, *ops.kernel) == pytest.approx(np.linalg.norm(k),
+                                                                    rel=1e-13)
 
     @pytest.mark.parametrize("field", ["bottom_core", "left_core"])
     @pytest.mark.parametrize("layout", ["fortran", "swapped"])
