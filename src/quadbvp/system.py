@@ -639,7 +639,10 @@ class _CompressedSystem:
         self.dinv = mult_inv
         self.dinv_h = np.ascontiguousarray(mult_inv.transpose(0, 2, 1, 3).conj())
         self.kernel = (_power_base(system.nodes, system.h), system.weight)
-        self.cores = (system.bottom_core, system.left_core)
+        # cores in C order, so that a stacked core is a view and the kernel
+        # products round alike in any layout; assembled cores are not copied
+        self.cores = (np.ascontiguousarray(system.bottom_core),
+                      np.ascontiguousarray(system.left_core))
         (ub, vb), (ul, vl) = (_compress(core, *self.kernel) for core in self.cores)
         rb, rl = ub.shape[1], ul.shape[1]
         self.rank = (rb, rl)

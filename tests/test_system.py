@@ -557,7 +557,7 @@ def relative_gap(got, want):
 class TestOperatorLayout:
     """A block system stores each kernel family as its n cores: the kernel
     stacks it stood for are formed bit for bit from them, and the solver
-    applies the kernels from the cores."""
+    applies the kernels from the cores, to the same bits in any layout."""
 
     @pytest.mark.parametrize("strip", [False, True], ids=["full", "rows"])
     @pytest.mark.parametrize("kind", sorted(ASSEMBLIES))
@@ -597,6 +597,20 @@ class TestOperatorLayout:
                                 k.conj().T @ u) <= 1e-13
             assert _kernel_norm(core, *ops.kernel) == pytest.approx(np.linalg.norm(k),
                                                                     rel=1e-13)
+
+    @pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
+    def test_contiguous_stacks_solve_to_the_same_bits(self, rng, case):
+        # the solver takes the cores in C order: cores in another layout,
+        # here Fortran order, solve to the bits of the assembled C-ordered
+        # ones, at n = 1 too, where the stacked core is the core itself
+        system, data = ELIMINATION_CASES[case](rng)
+        traces, rep = solve_block_system(system, data)
+        fortran = replace(system, bottom_core=np.asfortranarray(system.bottom_core),
+                          left_core=np.asfortranarray(system.left_core))
+        assert not fortran.bottom_core.flags.c_contiguous
+        traces_f, rep_f = solve_block_system(fortran, data)
+        assert np.array_equal(stacked_values(traces), stacked_values(traces_f))
+        assert rep == rep_f
 
     @pytest.mark.parametrize("field", ["bottom_core", "left_core"])
     @pytest.mark.parametrize("layout", ["fortran", "swapped"])
