@@ -124,11 +124,12 @@ class WeightedOperatorFrame:
     diagonal block given by its diagonal, and a 3-D array of shape
     ``(2, r, c)`` the block ``[[0, X], [-Y^T, 0]]`` (in some ordering of its
     rows and columns) given by the pair ``(X, Y)``: its largest singular
-    value is ``max(sigma_max(X), sigma_max(Y))``.  Entries already include
-    the quadrature and weight scalings, so each block's contribution to the
-    operator norm is its largest singular value, and the direct-sum (sum of
-    block norms) convention makes the full norm the largest column sum of
-    those values.
+    value is ``max(sigma_max(X), sigma_max(Y))``.  A pair block may be a
+    strided view of a larger array, as the commutator's are.  Entries
+    already include the quadrature and weight scalings, so each block's
+    contribution to the operator norm is its largest singular value, and
+    the direct-sum (sum of block norms) convention makes the full norm the
+    largest column sum of those values.
     """
 
     blocks: tuple[tuple[np.ndarray | None, ...], ...]
@@ -164,13 +165,13 @@ def _sigma_max(block: np.ndarray) -> float:
         return float(np.max(np.abs(b)))
     if b.ndim == 3:
         return max(_sigma_max(part) for part in b)
-    adjoint = b.conj().T
     v = np.ones(b.shape[1], dtype=complex)
     v /= np.linalg.norm(v)
     lam_prev = None
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
-        w = adjoint @ (b @ v)
+        # b^H b v as ((b v)^H b)^H: vector products only, no adjoint copy
+        w = ((b @ v).conj() @ b).conj()
         lam = float(np.real(np.vdot(v, w)))
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
@@ -321,40 +322,36 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     A kernel block of the commutator is ``S o K`` with
     ``S_ab = chi_a - chi_b``; with the window nodes ``W`` listed first it is
     ``[[0, K[W, W^c]], [-K[W^c, W], 0]]``, so its norm is exactly the larger
-    of the two rectangles' largest singular values.  Each frame block is
-    that pair, ``K[W, W^c]`` and ``K[W^c, W]^T`` as one ``(2, w, N - w)``
-    array, copied from the row and column kernel strips through the finest
-    window, which holds the coarser ones.  The strips are weighted once, in
-    place; one window's pairs are alive at a time.
+    of the two rectangles' largest singular values.  Each kernel family is
+    evaluated once, as a pair strip (:func:`_kernel_strips`) between the
+    finest window ``W*``, in sorted order, and the line, listed from 0 out
+    to ``+lam`` and then from ``-lam`` back to 0.  In that order the
+    complement of every window is one run, ``a : N - a`` with ``a`` the
+    window's count of positive nodes, so each frame block is a view of the
+    strip, ``pair[j, k, :, inside, a:N - a]``: ``K[W, W^c]`` and ``K[W^c,
+    W]^T`` as one ``(2, w, N - w)`` array.  The strips are weighted once,
+    in place, and nothing is copied per window.
     """
     _hypotheses(problem, 1.0, 2.0, "commutator sweep")
     grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
     nodes, quad = grid.axis_nodes, grid.axis_weight
+    N = len(nodes)
     finest = window_mask(grid, min(h_values))
+    # the line from 0 out to +lam, then from -lam back to 0
+    line = np.roll(np.arange(N), N // 2)
     weights = [_line_weights(nodes, e) for e in problem.trace_exponents]
-    inner = [w[finest] for w in weights]
-    # weighted once: the row strip K[W*, :] and column strip K[:, W*] of the
-    # bottom and the left family
-    strips = [(_weigh(rows, inner, weights, quad), _weigh(cols, weights, inner, quad))
-              for rows, cols in _kernel_strips(problem, nodes, quad, finest)]
-
-    def pairs(rows, cols, win):
-        # W is a run of the finest window's nodes and W^c the nodes before
-        # and after it: both copied from slices straight into the pair
-        inside, run = _run(win[finest]), _run(win)
-        outside = (slice(None, run.start), slice(run.stop, None))
-        n, w = len(rows), run.stop - run.start
-        pair = np.empty((n, n, 2, w, len(win) - w), dtype=complex)
-        np.concatenate([rows[:, :, inside, part] for part in outside], axis=-1,
-                       out=pair[:, :, 0])
-        np.concatenate([cols[:, :, part, inside] for part in outside], axis=-2,
-                       out=pair[:, :, 1].swapaxes(-1, -2))
-        return pair
+    inner, outer = [w[finest] for w in weights], [w[line] for w in weights]
+    strips = _kernel_strips(problem, nodes[finest], nodes[line], quad)
+    for pair in strips:
+        _weigh(pair[:, :, 0], inner, outer, quad)
+        _weigh(pair[:, :, 1].swapaxes(-1, -2), outer, inner, quad)
 
     def window_norm(h):
         win = window_mask(grid, h)
+        # the window is symmetric: half its nodes are positive
+        inside, a = _run(win[finest]), int(np.count_nonzero(win)) // 2
         # bottom equations take left traces and left equations bottom ones
-        bottom, left = (pairs(rows, cols, win) for rows, cols in strips)
+        bottom, left = (pair[:, :, :, inside, a:N - a] for pair in strips)
         return estimate_operator_norm(_frame((None, bottom, left, None)))
 
     norms = [window_norm(h) for h in h_values]

@@ -277,9 +277,11 @@ def _check_on_grid(what: str, functions, grid: FrequencyGrid | LineGrid) -> None
 
 def _plus_values(fac, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Evaluate an inverse-safe plus factor on the open mesh ``(x1, x2)``,
-    broadcast to the whole mesh, flagging zeros."""
+    broadcast to the whole mesh, flagging zeros.  A real factor stays real,
+    in double precision."""
     plus = fac.plus_factor if isinstance(fac, WaveFactorization) else fac
-    vals = np.broadcast_to(np.asarray(plus(x1, x2), dtype=complex),
+    vals = np.asarray(plus(x1, x2))
+    vals = np.broadcast_to(vals.astype(np.result_type(vals, float), copy=False),
                            np.broadcast_shapes(x1.shape, x2.shape))
     mags = np.abs(vals)
     if np.min(mags) < 1e-300 or not np.all(np.isfinite(mags)):
@@ -299,8 +301,10 @@ def _core(symbol, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
           out: np.ndarray | None = None) -> np.ndarray:
     """The core ``symbol / plus`` of one kernel on the open mesh ``(x1,
     x2)``, in mesh order, with ``inv_plus`` the inverse plus factor on the
-    whole mesh."""
-    return np.multiply(np.asarray(symbol(x1, x2), dtype=complex), inv_plus, out=out)
+    whole mesh.  Real symbol values and factors enter the complex product
+    as they are: multiplying by ``c + 0j`` rounds as the real product does.
+    """
+    return np.multiply(np.asarray(symbol(x1, x2)), inv_plus, out=out, dtype=complex)
 
 
 def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
@@ -337,18 +341,22 @@ def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray
     return mult, cores
 
 
-def _kernel_blocks(core, powers: np.ndarray, weight: float) -> np.ndarray:
+def _kernel_blocks(core, powers: np.ndarray, weight: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """The kernel stack of n cores: ``block[j, k] = core[j] * p^k[:, None]
     * weight``, shape ``(n, n, out, in)``, with ``p`` the power base
     ``powers`` at the output nodes.  ``core`` is an ``(n, out, in)`` array
-    or a sequence of n ``(out, in)`` matrices."""
+    or a sequence of n ``(out, in)`` matrices.  The stack is written into
+    ``out`` when given, whose blocks ``out[:, 0]`` may hold the cores."""
     n = len(core)
-    blocks = np.empty((n, n) + core[0].shape, dtype=complex)
-    for j, k in np.ndindex(n, n):
-        # in place: no mesh-sized temporary per block
-        block = blocks[j, k]
-        np.multiply(core[j], (powers ** k)[:, None], out=block)
-        block *= weight
+    blocks = np.empty((n, n) + core[0].shape, dtype=complex) if out is None else out
+    for j in range(n):
+        # block (j, 0) last, so that it may be core j itself; in place: no
+        # mesh-sized temporary per block
+        for k in range(n - 1, -1, -1):
+            block = blocks[j, k]
+            np.multiply(core[j], (powers ** k)[:, None], out=block)
+            block *= weight
     return blocks
 
 
@@ -362,55 +370,64 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     to the R masked nodes: multipliers ``[..., rows]``, ``(n, n, R)``, still
     integrating over all N nodes, and cores ``[..., rows, :][..., rows]``,
     ``(n, R, R)``.  The cores are evaluated on the ``(R x N)`` and
-    ``(N x R)`` meshes; only the stored cores shrink.
+    ``(N x R)`` meshes; only the stored cores shrink.  The plus factor on
+    the ``(N x R)`` mesh is evaluated once the bottom family is done with
+    the ``(R x N)`` one, so one mesh's factor is alive at a time.
     """
     out = nodes if rows is None else nodes[rows]
-    # bottom equations on the (R x N) mesh, left equations on (N x R)
-    xb1, xb2 = _open_mesh(out, nodes)
-    xl1, xl2 = (xb1, xb2) if rows is None else _open_mesh(nodes, out)
-    inv_plus_b = 1.0 / _plus_values(plus_factor, xb1, xb2)
-    inv_plus_l = inv_plus_b if rows is None else 1.0 / _plus_values(plus_factor, xl1, xl2)
     powers = _power_base(nodes, h)
-    # bottom equations integrate over xi2, left equations over xi1
-    bottom_mult, bottom_core = _kernel_family(bottom_symbols, inv_plus_b, xb1, xb2,
+    # bottom equations on the (R x N) mesh, integrating over xi2
+    x1, x2 = _open_mesh(out, nodes)
+    inv_plus = 1.0 / _plus_values(plus_factor, x1, x2)
+    bottom_mult, bottom_core = _kernel_family(bottom_symbols, inv_plus, x1, x2,
                                               powers, weight, inputs=rows)
-    left_mult, left_core = _kernel_family(left_symbols, inv_plus_l, xl1, xl2,
+    if rows is not None:
+        # left equations on the (N x R) mesh, integrating over xi1
+        del inv_plus
+        x1, x2 = _open_mesh(nodes, out)
+        inv_plus = 1.0 / _plus_values(plus_factor, x1, x2)
+    left_mult, left_core = _kernel_family(left_symbols, inv_plus, x1, x2,
                                           powers, weight, transpose=True, inputs=rows)
     return BlockSystem(n=n, nodes=nodes, weight=weight, h=h,
                        bottom_mult=bottom_mult, bottom_core=bottom_core,
                        left_core=left_core, left_mult=left_mult)
 
 
-def _kernel_strips(problem: ContinuousProblem, nodes: np.ndarray, weight: float,
-                   rows: np.ndarray):
-    """Row and column strips of the continuous kernel stacks through the
-    masked nodes: ``(K[..., rows, :], K[..., :, rows])`` for the bottom and
-    then the left family, each entry equal to the full assembly's
-    :func:`_kernel_blocks`.
+def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndarray,
+                   weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pair strips of the continuous kernel stacks between the ``window``
+    and the ``line`` nodes, for the bottom and then the left family: each
+    of shape ``(n, n, 2, R, N)``, with ``[..., 0, :, :]`` the stack
+    ``K[window, line]`` and ``[..., 1, :, :]`` the transposed stack
+    ``K[line, window]^T``, both in the order the nodes are given.  Every
+    entry equals the full assembly's :func:`_kernel_blocks` at its node
+    pair.
 
-    The mesh ``(rows x all)`` of ``(xi1, xi2)`` pairs carries the bottom row
-    strip and the left column strip, ``(all x rows)`` the other two; the
-    plus factor is evaluated once per mesh, and one family's cores are
-    alive at a time.
+    The mesh ``(window x line)`` of ``(xi1, xi2)`` pairs carries the bottom
+    ``K[window, line]`` and the left ``K[line, window]``, ``(line x
+    window)`` the other two; the plus factor is evaluated once per mesh,
+    one mesh at a time.  Each core is written straight into its slot,
+    through the slot's transpose where the mesh runs the other way, and
+    scaled there with :func:`_kernel_blocks`' arithmetic.
     """
-    def family(symbols, inv_plus, x1, x2, transpose):
-        cores = [_core(symbol, inv_plus, x1, x2) for symbol in symbols]
-        out = x2[0] if transpose else x1[:, 0]
-        return _kernel_blocks([c.T for c in cores] if transpose else cores,
-                              _power_base(out, None), weight)
-
-    def on_mesh(x1, x2):
+    n, R, N = problem.n, len(window), len(line)
+    families = (problem.bottom_symbols, problem.left_symbols)
+    pairs = tuple(np.empty((n, n, 2, R, N), dtype=complex) for _ in families)
+    for mesh, (x1, x2) in enumerate((_open_mesh(window, line), _open_mesh(line, window))):
         inv_plus = 1.0 / _plus_values(problem.plus_factor, x1, x2)
-        bottom = family(problem.bottom_symbols, inv_plus, x1, x2, False)
-        _require_finite("bottom kernel strip", bottom)
-        left = family(problem.left_symbols, inv_plus, x1, x2, True)
-        _require_finite("left kernel strip", left)
-        return bottom, left
-
-    out = nodes[rows]
-    bottom_rows, left_cols = on_mesh(*_open_mesh(out, nodes))
-    bottom_cols, left_rows = on_mesh(*_open_mesh(nodes, out))
-    return (bottom_rows, bottom_cols), (left_rows, left_cols)
+        for f, (symbols, pair) in enumerate(zip(families, pairs)):
+            # bottom kernels have their output nodes on xi1, left ones on xi2;
+            # each slot in (out, in) order
+            into_window = mesh == f
+            slots = pair[:, :, 0] if into_window else pair[:, :, 1].swapaxes(-1, -2)
+            for j, symbol in enumerate(symbols):
+                _core(symbol, inv_plus, x1, x2, out=slots[j, 0].T if f else slots[j, 0])
+            _kernel_blocks(slots[:, 0], _power_base(window if into_window else line, None),
+                           weight, out=slots)
+        del inv_plus
+    for name, pair in zip(("bottom", "left"), pairs):
+        _require_finite(f"{name} kernel strip", pair)
+    return pairs
 
 
 def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSystem:
@@ -841,6 +858,8 @@ def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
     data = TraceVector(
         bottom=tuple(boundary_trace_spectrum(op, u_hat, SIDE_BOTTOM) for op in spec.bottom_ops),
         left=tuple(boundary_trace_spectrum(op, u_hat, SIDE_LEFT) for op in spec.left_ops))
+    # the planted spectrum is not needed past its boundary data
+    del u_hat
     system = assemble_discrete_system(spec, grid)
     recovered, report = solve_block_system(system, data)
 

@@ -461,7 +461,9 @@ class TestShippedOutputs:
 
     def test_solve_run_allocates_less_than_two_kernel_stacks(self, tmp_path):
         # a solve-mode run at (n, N) = (2, 384): the cores take 9 MiB, as
-        # one stack of the n^2 kernel blocks would
+        # one stack of the n^2 kernel blocks would; the planted spectrum is
+        # released once its boundary data are synthesized, which took the
+        # peak from 17 to 15 MiB
         text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out").replace(
             "mode = roundtrip", "mode = solve").replace("N = 64", "N = 384").replace(
             "boundary = zeta", "boundary = row_trace").replace(
@@ -476,7 +478,7 @@ class TestShippedOutputs:
         finally:
             tracemalloc.stop()
         assert report.all_passed
-        assert peak - start < 20 * 2 ** 20
+        assert peak - start < 16 * 2 ** 20
 
 
 class TestOtherCommands:

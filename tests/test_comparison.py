@@ -15,7 +15,6 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      kernel_gap_ratios, radial_power_problem,
                      section_gap_rate_sweep, window_mask, zeta,
                      zeta_power_gap)
-from quadbvp import system
 from quadbvp.cli import load_config
 from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips
 from conftest import kernel_stacks, skewed_problem
@@ -122,6 +121,21 @@ class TestOperatorNormEstimate:
             est = estimate_operator_norm(self.frame([np.stack([x, y])]))
             assert est == pytest.approx(np.linalg.norm(full, 2), rel=1e-6)
         assert estimate_operator_norm(self.frame([np.zeros((2, 6, 0))])) == 0.0
+
+    def test_dense_block_norm_allocates_less_than_the_block(self, rng):
+        # the power step takes b^H b v as ((b v)^H b)^H, from vector
+        # products, with no adjoint copy of b
+        b = rng.normal(size=(256, 768)) + 1j * rng.normal(size=(256, 768))
+        b += 40.0 * np.outer(rng.normal(size=256), rng.normal(size=768))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            value = comparison._sigma_max(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(np.linalg.norm(b, 2), rel=1e-6)
+        assert peak - start < b.nbytes
 
     def test_iteration_budget_exhaustion_is_reported(self, rng, monkeypatch):
         monkeypatch.setattr(comparison, "_POWER_TOL", 0.0)
@@ -467,14 +481,16 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         assert all(np.all(np.isfinite(r)) for r in ratios.values())
         assert strips[1:] == [(16, 16)]
 
-    @pytest.mark.parametrize("mode, sweep, bound_mib", [
-        # kernel strips through the finest window on the whole line would
-        # take 57 MiB on section_gap.ini, the square strip takes 28 MiB
-        ("section_gap", section_gap_rate_sweep, 32),
-        # the commutator's weighted strips alone take 28 MiB; weighted
-        # copies and gathered pairs would add 13 MiB more
-        ("commutator", commutator_rate_sweep, 36)])
-    def test_shipped_sweep_allocates_only_the_blocks_it_reads(self, mode, sweep, bound_mib):
+    @pytest.mark.parametrize("mode, sweep", [
+        # the square strip's cores take 2 MiB on section_gap.ini and one
+        # mesh's plus factor 4 MiB, beside the (n, n, N) multipliers; both
+        # meshes' complex plus factors at once peaked at 28 MiB
+        ("section_gap", section_gap_rate_sweep),
+        # the two weighted pair strips take 16 MiB on commutator.ini and the
+        # frame blocks are views of them; the finest window's gathered
+        # rectangles and an adjoint copy per block peaked at 31 MiB
+        ("commutator", commutator_rate_sweep)])
+    def test_shipped_sweep_allocates_only_the_blocks_it_reads(self, mode, sweep):
         cfg = load_config(ROOT / "configs" / f"{mode}.ini")
         tracemalloc.start()
         try:
@@ -485,22 +501,22 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         finally:
             tracemalloc.stop()
         assert rep.slope is not None
-        assert peak - start < bound_mib * 2 ** 20
+        assert peak - start < 24 * 2 ** 20
 
     def test_commutator_builds_no_full_continuous_stack(self, monkeypatch):
-        kernels, frames = [], []
-        kernel_blocks = system._kernel_blocks
+        strips, frames = [], []
+        kernel_strips = comparison._kernel_strips
         estimate = comparison.estimate_operator_norm
 
         def recording(*args, **kwargs):
-            stack = kernel_blocks(*args, **kwargs)
-            kernels.append(stack.shape)
-            return stack
+            pairs = kernel_strips(*args, **kwargs)
+            strips.extend(pairs)
+            return pairs
 
         def refuse(**kwargs):
             raise AssertionError("block system assembled in the commutator sweep")
 
-        monkeypatch.setattr(system, "_kernel_blocks", recording)
+        monkeypatch.setattr(comparison, "_kernel_strips", recording)
         monkeypatch.setattr(comparison, "_assemble", refuse)
         monkeypatch.setattr(comparison, "estimate_operator_norm",
                             lambda frame: frames.append(frame) or estimate(frame))
@@ -508,11 +524,18 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         rep = commutator_rate_sweep(skewed_problem(), hs, nodes_per_window=8)
         N, R = aligned_line_grid(hs, 8).nodes_count, rep.window_nodes[-1]
         assert R < N
-        # both families on the (W* x line) and the (line x W*) mesh
-        assert kernels == [(2, 2, R, N), (2, 2, N, R), (2, 2, N, R), (2, 2, R, N)]
+        # one pair strip per family, between the finest window and the line
+        assert [pair.shape for pair in strips] == [(2, 2, 2, R, N)] * 2
+        bottom, left = strips
         for w, frame in zip(rep.window_nodes, frames):
-            shapes = {None if b is None else b.shape for row in frame.blocks for b in row}
-            assert shapes == {None, (2, w, N - w)}
+            for i, j in np.ndindex(4, 4):
+                block = frame.blocks[i][j]
+                if (i < 2) == (j < 2):
+                    assert block is None
+                    continue
+                # bottom equations take left traces and left equations bottom ones
+                assert type(block) is np.ndarray and block.shape == (2, w, N - w)
+                assert np.shares_memory(block, bottom if i < 2 else left), (w, i, j)
 
     def test_commutator_pairs_are_slices_of_the_full_weighted_kernels(self, monkeypatch):
         frames = []
@@ -523,29 +546,35 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         commutator_rate_sweep(problem, hs, nodes_per_window=8)
         grid = aligned_line_grid(hs, 8)
         full = full_weighted_kernels(problem, grid)
+        # W^c in the strips' line order: from 0 out to +lam, then from -lam
+        # back to 0
+        line = np.roll(np.arange(grid.nodes_count), grid.nodes_count // 2)
         for h, frame in zip(hs, frames):
             win = window_mask(grid, h)
+            outside = line[~win[line]]
             for i, j in np.ndindex(4, 4):
                 block = frame.blocks[i][j]
                 if full[i][j] is None:
                     assert block is None
                     continue
                 k = full[i][j]
-                assert np.array_equal(block[0], k[win][:, ~win]), (h, i, j)
-                assert np.array_equal(block[1], k[~win][:, win].T), (h, i, j)
+                assert np.array_equal(block[0], k[win][:, outside]), (h, i, j)
+                assert np.array_equal(block[1], k[outside][:, win].T), (h, i, j)
 
     def test_kernel_strips_are_slices_of_the_full_assembly(self, rng):
         problem = skewed_problem()
         grid = aligned_line_grid([0.5, 0.25], 8)
         nodes = grid.axis_nodes
+        N = len(nodes)
         bottom, left = kernel_stacks(assemble_continuous_system(problem, grid))
-        for rows in (window_mask(grid, 0.25), rng.random(len(nodes)) < 0.3):
-            (b_rows, b_cols), (l_rows, l_cols) = _kernel_strips(
-                problem, nodes, grid.axis_weight, rows)
-            assert np.array_equal(b_rows, bottom[:, :, rows])
-            assert np.array_equal(b_cols, bottom[:, :, :, rows])
-            assert np.array_equal(l_rows, left[:, :, rows])
-            assert np.array_equal(l_cols, left[:, :, :, rows])
+        for rows in (window_mask(grid, 0.25), rng.random(N) < 0.3):
+            for line in (np.roll(np.arange(N), N // 2), rng.permutation(N)):
+                pairs = _kernel_strips(problem, nodes[rows], nodes[line], grid.axis_weight)
+                for pair, full in zip(pairs, (bottom, left)):
+                    assert pair.shape == (2, 2, 2, rows.sum(), N)
+                    assert np.array_equal(pair[:, :, 0], full[:, :, rows][..., line])
+                    assert np.array_equal(pair[:, :, 1],
+                                          full[:, :, line][..., rows].swapaxes(-1, -2))
 
     def test_commutator_norms_equal_the_per_h_weighting(self):
         # power iteration runs on each rectangle of a block separately, so

@@ -999,7 +999,7 @@ class TestOpenMesh:
                 for ops, side in ((bottom, "bottom"), (left, "left")) for op in ops],
             "assemble_discrete_system": lambda: assemble_discrete_system(spec, grid),
             "rows strip": lambda: strip(problem, nodes, rows),
-            "_kernel_strips": lambda: _kernel_strips(problem, nodes, 0.1, rows),
+            "_kernel_strips": lambda: _kernel_strips(problem, nodes[rows], nodes, 0.1),
             "apply_symbol_to_spectrum": lambda: apply_symbol_to_spectrum(
                 full, u_hat, [(2, 2), (3, 4)]),
             "sobolev_norm_2d": lambda: sobolev_norm_2d(u_hat, -2.25),
@@ -1047,6 +1047,27 @@ class TestOpenMesh:
         for got, want in pairs:
             for field in BLOCKS:
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_real_evaluators_give_the_cores_of_their_complex_casts(self):
+        # a real plus factor and real symbols stay real up to the complex
+        # core product, which rounds as the product of the complex casts
+        problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
+                                       left_orders=[0.5, 0.0])
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        rows = window_mask(grid, 0.25)
+        assert not np.iscomplexobj(problem.plus_factor(*_open_mesh(nodes, nodes)))
+        cast = with_continuous_evaluators(
+            lambda ev: lambda x1, x2: np.asarray(ev(x1, x2), dtype=complex), problem)
+        pairs = [(assemble_continuous_system(problem, grid),
+                  assemble_continuous_system(cast, grid)),
+                 (strip(problem, nodes, rows), strip(cast, nodes, rows))]
+        for got, want in pairs:
+            for field in BLOCKS:
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for got, want in zip(_kernel_strips(problem, nodes[rows], nodes, 0.1),
+                             _kernel_strips(cast, nodes[rows], nodes, 0.1)):
+            assert np.array_equal(got, want)
 
     def test_vanishing_plus_factor_names_both_coordinates(self, rng):
         # the factor vanishes at exactly one node, (3, 11); each mesh that
