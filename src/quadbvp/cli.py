@@ -383,7 +383,8 @@ class Mode(NamedTuple):
     gates: tuple[str, ...]
 
 
-_SOLVE_GATE = "solve_residual: linear-solve residual <= 1e-10 when condition <= 1e8"
+_SOLVE_GATE = (f"solve_residual: linear-solve residual <= {RESIDUAL_TOL:.0e} "
+               f"when condition <= {RESIDUAL_COND_LIMIT:.0e}")
 _RATE_COLUMNS = ("h", "window_nodes", "norm")
 
 # The sweeps are looked up when a run starts, not bound here, so that
@@ -392,11 +393,13 @@ MODES = {
     "solve": Mode(
         _run_solve, _lattice_problem,
         ("h", "N", "point_i1", "point_i2", "abs_residual"),
-        (_SOLVE_GATE, "homogeneous_residual: |A u| <= 1e-6 ||u|| at interior points")),
+        (_SOLVE_GATE, f"homogeneous_residual: |A u| <= {HOMOGENEOUS_TOL:.0e} ||u|| "
+                      "at interior points")),
     "roundtrip": Mode(
         _run_roundtrip, _lattice_problem,
         ("h", "N", "rel_error", "condition", "residual"),
-        ("roundtrip_rel_error: recovered traces within 1e-6 of planted", _SOLVE_GATE)),
+        (f"roundtrip_rel_error: recovered traces within {ROUNDTRIP_TOL:.0e} of planted",
+         _SOLVE_GATE)),
     "power_gap": Mode(
         _run_power_gap, _check_power_gap_bound,
         ("h", "k", "max_gap", "max_bound", "max_ratio", "violations"),
@@ -404,17 +407,19 @@ MODES = {
     "kernel_gap": Mode(
         _run_kernel_gap, _continuous_problem,
         ("h", "j", "k", "family", "ratio"),
-        ("kernel_gap_growth: per-family max ratio grows <= 10% per h halving",)),
+        (f"kernel_gap_growth: per-family max ratio grows <= {KERNEL_GAP_GROWTH_TOL:.0%} "
+         "per h halving",)),
     "commutator": Mode(
         lambda cfg: _rate_mode(cfg, commutator_rate_sweep, "commutator_slope",
                                lambda rep: COMMUTATOR_SLOPE_FACTOR * rep.epsilon),
         _continuous_problem, _RATE_COLUMNS,
-        ("commutator_slope: fitted slope >= 0.9 * predicted exponent",)),
+        (f"commutator_slope: fitted slope >= {COMMUTATOR_SLOPE_FACTOR:g} "
+         "* predicted exponent",)),
     "section_gap": Mode(
         lambda cfg: _rate_mode(cfg, section_gap_rate_sweep, "section_gap_slope",
                                lambda rep: SECTION_GAP_SLOPE_MIN),
         _continuous_problem, _RATE_COLUMNS,
-        ("section_gap_slope: fitted slope >= 0.9",)),
+        (f"section_gap_slope: fitted slope >= {SECTION_GAP_SLOPE_MIN:g}",)),
 }
 
 REQUIRED = object()

@@ -116,20 +116,20 @@ def window_mask(grid: LineGrid, h: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightedOperatorFrame:
-    """Block operator expressed in coordinates that make the weighted trace
-    norms Euclidean.
+    """Block operator ``[[A, B], [C, D]]`` expressed in coordinates that make
+    the weighted trace norms Euclidean.
 
-    ``blocks[i][j]`` maps input block j to output block i; ``None`` marks a
-    block known to vanish.  A 2-D array is a dense block, a 1-D array a
-    diagonal block given by its diagonal, and a 3-D array of shape
-    ``(2, r, c)`` the block ``[[0, X], [-Y^T, 0]]`` (in some ordering of its
-    rows and columns) given by the pair ``(X, Y)``: its largest singular
-    value is ``max(sigma_max(X), sigma_max(Y))``.  A pair block may be a
-    strided view of a larger array, as the commutator's are.  Entries
-    already include the quadrature and weight scalings, so each block's
-    contribution to the operator norm is its largest singular value, and
-    the direct-sum (sum of block norms) convention makes the full norm the
-    largest column sum of those values.
+    ``blocks`` is ``((A, B), (C, D))``; a quadrant is an ``(n, n, ...)``
+    stack whose block ``(j, k)`` maps input k to output j, or ``None`` when
+    it vanishes.  Its blocks are 1-D diagonals, 2-D dense blocks, or 3-D
+    arrays of shape ``(2, r, c)``: the block ``[[0, X], [-Y^T, 0]]`` (in
+    some ordering of its rows and columns) given by the pair ``(X, Y)``,
+    whose largest singular value is ``max(sigma_max(X), sigma_max(Y))``.  A
+    quadrant may be a strided view of a larger array, as the commutator's
+    are.  Entries already include the quadrature and weight scalings, so
+    each block's contribution to the operator norm is its largest singular
+    value, and the direct-sum (sum of block norms) convention makes the
+    full norm the largest column sum of those values.
     """
 
     blocks: tuple[tuple[np.ndarray | None, ...], ...]
@@ -186,18 +186,22 @@ def _sigma_max(block: np.ndarray) -> float:
 
 
 def estimate_operator_norm(frame: WeightedOperatorFrame) -> float:
-    """Operator norm of the frame under the sum-of-block-norms convention."""
-    n_out = len(frame.blocks)
-    n_in = len(frame.blocks[0]) if n_out else 0
-    best = 0.0
-    for j in range(n_in):
-        col = 0.0
-        for i in range(n_out):
-            block = frame.blocks[i][j]
-            if block is not None:
-                col += _sigma_max(block)
-        best = max(best, col)
-    return best
+    """Operator norm of the frame under the sum-of-block-norms convention:
+    the largest column sum of the ``(2n, 2n)`` table of block norms.  A
+    quadrant that is not an ``(n, n, ...)`` stack raises ``ValueError``."""
+    (a, b), (c, d) = frame.blocks
+    n = next((len(q) for q in (a, b, c, d) if q is not None), 0)
+
+    def norms(quadrant, name):
+        if quadrant is None:
+            return np.zeros((n, n))
+        if np.ndim(quadrant) < 3 or np.shape(quadrant)[:2] != (n, n):
+            raise ValueError(f"quadrant {name} of shape {np.shape(quadrant)} is not "
+                             f"an ({n}, {n}, ...) stack of blocks")
+        return np.array([[_sigma_max(block) for block in row] for row in quadrant])
+
+    table = np.block([[norms(a, "A"), norms(b, "B")], [norms(c, "C"), norms(d, "D")]])
+    return float(table.sum(axis=0).max(initial=0.0))
 
 
 def fit_rate(h_values, norms) -> float | None:
@@ -257,34 +261,17 @@ def _torus_weights(nodes: np.ndarray, exponent: float, h: float) -> np.ndarray:
 
 def _weigh(stack: np.ndarray, w_out, w_in, quad: float) -> np.ndarray:
     """Weigh a complex ``(n, n, ...)`` stack of blocks (diagonals or
-    matrices) in place and return it: block ``(j, k)`` has its rows scaled
-    by ``sqrt(w_out[j] quad)`` and its columns by ``1 / sqrt(w_in[k] quad)``."""
-    for j, k in np.ndindex(stack.shape[:2]):
-        s_out = np.sqrt(w_out[j] * quad)
-        s_in = np.sqrt(w_in[k] * quad)
-        if stack.ndim == 4:
-            s_out = s_out[:, None]
-        block = stack[j, k]
-        block *= s_out
-        block /= s_in
+    matrices), or a strided view of one, in place and return it: block
+    ``(j, k)`` has its rows scaled by ``sqrt(w_out[j] quad)`` and its
+    columns by ``1 / sqrt(w_in[k] quad)``, broadcast over the whole stack."""
+    s_out = np.sqrt(np.asarray(w_out) * quad)
+    s_in = np.sqrt(np.asarray(w_in) * quad)
+    if stack.ndim == 4:
+        s_out, s_in = s_out[:, :, None], s_in[:, None]
+    # s_out runs along axis j and the rows, s_in along axis k and the columns
+    stack *= s_out[:, None]
+    stack /= s_in
     return stack
-
-
-def _frame(quadrants) -> WeightedOperatorFrame:
-    """Frame of the 2n x 2n block operator ``[[A, B], [C, D]]``.
-
-    ``quadrants`` is ``(A, B, C, D)``, each an ``(n, n, ...)`` stack of
-    weighted blocks or None when the quadrant vanishes; block ``(i, j)`` of
-    the frame is block ``(i mod n, j mod n)`` of its quadrant.
-    """
-    n = len(next(q for q in quadrants if q is not None))
-
-    def block(i: int, j: int):
-        quadrant = quadrants[2 * (i // n) + j // n]
-        return None if quadrant is None else quadrant[i % n, j % n]
-
-    return WeightedOperatorFrame(blocks=tuple(
-        tuple(block(i, j) for j in range(2 * n)) for i in range(2 * n)))
 
 
 def _sweep_grid(h_values, nodes_per_window: int, lambda_factor: float) -> LineGrid:
@@ -352,7 +339,7 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
         inside, a = _run(win[finest]), int(np.count_nonzero(win)) // 2
         # bottom equations take left traces and left equations bottom ones
         bottom, left = (pair[:, :, :, inside, a:N - a] for pair in strips)
-        return estimate_operator_norm(_frame((None, bottom, left, None)))
+        return estimate_operator_norm(WeightedOperatorFrame(((None, bottom), (left, None))))
 
     norms = [window_norm(h) for h in h_values]
 
@@ -366,15 +353,15 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     window-restricted continuous operator and the lattice operator
     assembled on the same window nodes.
 
-    The gap comes as ``(mult_b, ker_b, ker_l, mult_l)``, continuous minus
-    lattice: the multiplier gaps ``(n, n, w)`` diagonals, the kernel gaps
-    ``(n, n, w, w)`` stacks of matrices (:func:`_kernel_blocks`, one family
-    at a time), all with the quadrature weight folded in.  The continuous
-    side is sliced from one square strip on the finest window, which holds
-    the coarser ones; its multipliers integrate over the whole truncated
-    line.  The lattice side uses the restriction of the continuous symbols
-    to the window (their periodic continuation agrees there) and
-    difference-symbol powers.
+    The gap comes as the quadrants ``((mult_b, ker_b), (ker_l, mult_l))``,
+    continuous minus lattice: the multiplier gaps ``(n, n, w)`` diagonals,
+    the kernel gaps ``(n, n, w, w)`` stacks of matrices
+    (:func:`_kernel_blocks`, one family at a time), all with the quadrature
+    weight folded in.  The continuous side is sliced from one square strip
+    on the finest window, which holds the coarser ones; its multipliers
+    integrate over the whole truncated line.  The lattice side uses the
+    restriction of the continuous symbols to the window (their periodic
+    continuation agrees there) and difference-symbol powers.
     """
     def assemble(nodes, h, rows=None):
         return _assemble(n=problem.n, nodes=nodes, weight=grid.axis_weight, h=h,
@@ -396,10 +383,10 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
         win = window_mask(grid, h)
         lattice = assemble(grid.axis_nodes[win], float(h))
         out = _run(win[rows])
-        yield lattice.nodes, (strip.bottom_mult[:, :, out] - lattice.bottom_mult,
-                              kernel_gap(strip.bottom_core, lattice, lattice.bottom_core, out),
-                              kernel_gap(strip.left_core, lattice, lattice.left_core, out),
-                              strip.left_mult[:, :, out] - lattice.left_mult)
+        ker_b = kernel_gap(strip.bottom_core, lattice, lattice.bottom_core, out)
+        ker_l = kernel_gap(strip.left_core, lattice, lattice.left_core, out)
+        yield lattice.nodes, ((strip.bottom_mult[:, :, out] - lattice.bottom_mult, ker_b),
+                              (ker_l, strip.left_mult[:, :, out] - lattice.left_mult))
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
@@ -415,8 +402,9 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
     norms = []
     for h, (wnodes, gaps) in zip(h_values, _window_gaps(problem, grid, h_values)):
         weights = [_torus_weights(wnodes, e, float(h)) for e in problem.trace_exponents]
-        norms.append(estimate_operator_norm(_frame(
-            tuple(_weigh(gap, weights, weights, grid.axis_weight) for gap in gaps))))
+        norms.append(estimate_operator_norm(WeightedOperatorFrame(tuple(
+            tuple(_weigh(gap, weights, weights, grid.axis_weight) for gap in row)
+            for row in gaps))))
 
     return _report(h_values, norms, 1.0, grid)
 
@@ -437,7 +425,7 @@ def kernel_gap_ratios(problem: ContinuousProblem, h: float,
     """
     _hypotheses(problem, 2.0, 2.0, "kernel gap ratios")
     grid = aligned_line_grid([h], nodes_per_window, lambda_factor=lambda_factor)
-    wnodes, (mult_b, ker_b, ker_l, mult_l) = next(_window_gaps(problem, grid, [h]))
+    wnodes, ((mult_b, ker_b), (ker_l, mult_l)) = next(_window_gaps(problem, grid, [h]))
     weight_2d = 1.0 + np.hypot(*_open_mesh(wnodes, wnodes))
     weight_1d = 1.0 + np.abs(wnodes)
     quad = grid.axis_weight

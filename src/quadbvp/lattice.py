@@ -128,7 +128,8 @@ class LineGrid:
     """Midpoint quadrature grid on a symmetric segment ``[-half_width, half_width]``.
 
     Used for truncations of improper integrals over the whole frequency
-    line; carries no mesh size.
+    line; carries no mesh size.  ``half_width`` must be positive and
+    finite, and ``nodes_count`` even, so that ``xi = 0`` is never a node.
     """
 
     half_width: float
@@ -136,10 +137,11 @@ class LineGrid:
     ndim: int = 1
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-        if self.nodes_count <= 0:
-            raise ValueError("nodes_count must be positive")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        if self.nodes_count <= 0 or self.nodes_count % 2 != 0:
+            raise ValueError(
+                f"nodes_count must be a positive even integer, got {self.nodes_count}")
 
     @property
     def axis_nodes(self) -> np.ndarray:

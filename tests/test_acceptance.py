@@ -196,12 +196,14 @@ def test_a8_numerics_hygiene(monkeypatch):
     svd_err = 0.0
     for size in (20, 50, 100, 200):
         m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-        est = estimate_operator_norm(WeightedOperatorFrame(blocks=((m,),)))
+        est = estimate_operator_norm(WeightedOperatorFrame(((m[None, None], None),
+                                                            (None, None))))
         exact = float(np.linalg.svd(m, compute_uv=False)[0])
         svd_err = max(svd_err, abs(est - exact) / exact)
 
-    # ... and on every block of the frames the rate sweeps build: the whole
-    # A5 section gap sweep and the coarsest frame of the A6 commutator sweep
+    # ... and on every block of every quadrant of the frames the rate sweeps
+    # build: the whole A5 section gap sweep and the coarsest frame of the A6
+    # commutator sweep
     frames = []
     estimate = comparison.estimate_operator_norm
     monkeypatch.setattr(comparison, "estimate_operator_norm",
@@ -211,11 +213,12 @@ def test_a8_numerics_hygiene(monkeypatch):
     assert len(frames) == 2 * len(RATE_SWEEP)
     sweep_err = 0.0
     for frame in frames[:len(RATE_SWEEP) + 1]:
-        for block in (b for row in frame.blocks for b in row if b is not None):
+        quadrants = [q for row in frame.blocks for q in row if q is not None]
+        for block in (b for q in quadrants for row in q for b in row):
             # a 3-D commutator block is a pair of rectangles: each one
             # against its own SVD
             for part in (block if block.ndim == 3 else (block,)):
-                est = estimate(WeightedOperatorFrame(blocks=((part,),)))
+                est = comparison._sigma_max(part)
                 exact = np.linalg.norm(np.diag(part) if part.ndim == 1 else part, 2)
                 sweep_err = max(sweep_err, abs(est - exact) / exact if exact else est)
 

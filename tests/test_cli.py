@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quadbvp import cli
 from quadbvp.cli import (MODES, OUTPUT_ENV_VAR, load_config, main, parse_config_text,
                          run_experiment)
 from quadbvp.errors import ConfigError
@@ -529,6 +530,35 @@ class TestOtherCommands:
         assert "# schema=roundtrip-v1" in out
         assert "rel_error" in out
         assert "gates:" in out
+
+    @staticmethod
+    def schema_gates(mode, capsys):
+        """The gate lines ``quadbvp schema`` prints for a mode, by gate name."""
+        assert main(["schema", mode]) == 0
+        lines = capsys.readouterr().out.split("gates:\n")[1].splitlines()
+        return dict(line.strip().split(": ", 1) for line in lines)
+
+    @pytest.mark.parametrize("mode, gate, values", [
+        ("solve", "solve_residual",
+         (f"{cli.RESIDUAL_TOL:.0e}", f"{cli.RESIDUAL_COND_LIMIT:.0e}")),
+        ("solve", "homogeneous_residual", (f"{cli.HOMOGENEOUS_TOL:.0e}",)),
+        ("roundtrip", "roundtrip_rel_error", (f"{cli.ROUNDTRIP_TOL:.0e}",)),
+        ("roundtrip", "solve_residual",
+         (f"{cli.RESIDUAL_TOL:.0e}", f"{cli.RESIDUAL_COND_LIMIT:.0e}")),
+        ("kernel_gap", "kernel_gap_growth", (f"{cli.KERNEL_GAP_GROWTH_TOL:.0%}",)),
+        ("commutator", "commutator_slope", (f"{cli.COMMUTATOR_SLOPE_FACTOR:g}",)),
+        ("section_gap", "section_gap_slope", (f"{cli.SECTION_GAP_SLOPE_MIN:g}",))])
+    def test_schema_gates_state_the_thresholds_the_runs_gate_on(self, capsys, mode, gate,
+                                                                values):
+        line = self.schema_gates(mode, capsys)[gate]
+        for value in values:
+            assert re.search(rf"(?<![\w.+-]){re.escape(value)}(?![\w.])", line), (value, line)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_schema_gates_are_the_summary_gates(self, capsys, mode):
+        summary = (REFERENCE_OUT / mode / f"{mode}_summary.txt").read_text()
+        assert (list(self.schema_gates(mode, capsys))
+                == re.findall(r"^gate_(\w+) = ", summary, re.MULTILINE))
 
     def test_schema_unknown_mode_exits_2(self, capsys):
         assert main(["schema", "wat"]) == 2

@@ -76,24 +76,44 @@ class TestZetaPowerGap:
                 assert np.all(res.gap <= res.bound * (1 + 1e-12) + 1e-300)
 
 
-class TestOperatorNormEstimate:
-    @staticmethod
-    def frame(*matrices_rows):
-        return WeightedOperatorFrame(
-            blocks=tuple(tuple(m for m in row) for row in matrices_rows))
+def single(block):
+    """Frame of one block: an n = 1 operator whose only quadrant is A."""
+    return WeightedOperatorFrame(((block[None, None], None), (None, None)))
 
+
+def column_loop_norm(quadrants):
+    """Oracle: the norm as the 2n x 2n block table and its column loop gave
+    it, from the quadrants ``(A, B, C, D)``."""
+    n = len(next(q for q in quadrants if q is not None))
+
+    def block(i, j):
+        quadrant = quadrants[2 * (i // n) + j // n]
+        return None if quadrant is None else quadrant[i % n, j % n]
+
+    best = 0.0
+    for j in range(2 * n):
+        col = 0.0
+        for i in range(2 * n):
+            if block(i, j) is not None:
+                col += comparison._sigma_max(block(i, j))
+        best = max(best, col)
+    return best
+
+
+class TestOperatorNormEstimate:
     def test_zero_matrix(self):
-        f = self.frame([np.zeros((5, 5))])
-        assert estimate_operator_norm(f) == 0.0
+        assert estimate_operator_norm(single(np.zeros((5, 5)))) == 0.0
+        # every quadrant vanishing is the zero operator too
+        vanishing = WeightedOperatorFrame(((None, None), (None, None)))
+        assert estimate_operator_norm(vanishing) == 0.0
 
     def test_identity_matrix(self):
-        f = self.frame([np.eye(7)])
-        assert estimate_operator_norm(f) == pytest.approx(1.0, rel=1e-8)
+        assert estimate_operator_norm(single(np.eye(7))) == pytest.approx(1.0, rel=1e-8)
 
     def test_matches_direct_svd_on_random_matrices(self, rng):
         for size in (50, 120, 200):
             m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-            est = estimate_operator_norm(self.frame([m]))
+            est = estimate_operator_norm(single(m))
             exact = np.linalg.svd(m, compute_uv=False)[0]
             assert est == pytest.approx(exact, rel=1e-6)
 
@@ -102,14 +122,14 @@ class TestOperatorNormEstimate:
         # contributes the sum of their spectral norms
         a = rng.normal(size=(10, 10))
         b = rng.normal(size=(10, 10))
-        f = WeightedOperatorFrame(blocks=((a, None), (b, None)))
+        f = WeightedOperatorFrame(((a[None, None], None), (b[None, None], None)))
         expected = (np.linalg.svd(a, compute_uv=False)[0]
                     + np.linalg.svd(b, compute_uv=False)[0])
         assert estimate_operator_norm(f) == pytest.approx(expected, rel=1e-6)
 
     def test_diagonal_block_norm_is_exact(self, rng):
         d = rng.normal(size=40) + 1j * rng.normal(size=40)
-        assert estimate_operator_norm(self.frame([d])) == np.max(np.abs(d))
+        assert estimate_operator_norm(single(d)) == np.max(np.abs(d))
 
     def test_pair_block_norm_is_the_antisymmetric_blocks_norm(self, rng):
         # the pair (X, Y) stands for [[0, X], [-Y^T, 0]], whose singular
@@ -118,9 +138,9 @@ class TestOperatorNormEstimate:
         y = rng.normal(size=(6, 15)) + 1j * rng.normal(size=(6, 15))
         for x, y in ((3.0 * x, y), (x, 3.0 * y)):
             full = np.block([[np.zeros((6, 6)), x], [-y.T, np.zeros((15, 15))]])
-            est = estimate_operator_norm(self.frame([np.stack([x, y])]))
+            est = estimate_operator_norm(single(np.stack([x, y])))
             assert est == pytest.approx(np.linalg.norm(full, 2), rel=1e-6)
-        assert estimate_operator_norm(self.frame([np.zeros((2, 6, 0))])) == 0.0
+        assert estimate_operator_norm(single(np.zeros((2, 6, 0)))) == 0.0
 
     def test_dense_block_norm_allocates_less_than_the_block(self, rng):
         # the power step takes b^H b v as ((b v)^H b)^H, from vector
@@ -142,8 +162,88 @@ class TestOperatorNormEstimate:
         monkeypatch.setattr(comparison, "_POWER_MAX_ITER", 3)
         m = rng.normal(size=(6, 6))
         with pytest.raises(NormEstimateError) as info:
-            estimate_operator_norm(self.frame([m]))
+            estimate_operator_norm(single(m))
         assert info.value.iterations == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_quadrant_norm_equals_the_column_loop_over_the_block_table(self, rng, n):
+        def quadrant(kind):
+            r, c = rng.integers(1, 9, size=2)
+            shape = {"none": None, "diagonal": (n, n, r), "dense": (n, n, r, c),
+                     "pair": (n, n, 2, r, c)}[kind]
+            if shape is None:
+                return None
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        kinds = ("none", "diagonal", "dense", "pair")
+        for _ in range(20):
+            quadrants = [quadrant(kind) for kind in rng.choice(kinds, size=4)]
+            if all(q is None for q in quadrants):
+                quadrants[rng.integers(4)] = quadrant("dense")
+            a, b, c, d = quadrants
+            frame = WeightedOperatorFrame(((a, b), (c, d)))
+            assert estimate_operator_norm(frame) == column_loop_norm(quadrants)
+
+    def test_quadrant_that_is_not_an_n_by_n_stack_rejected(self, rng):
+        m = rng.normal(size=(4, 4))
+        stack = rng.normal(size=(2, 2, 4, 4))
+        with pytest.raises(ValueError, match=r"quadrant B of shape \(2, 3, 4, 4\)"):
+            estimate_operator_norm(WeightedOperatorFrame(
+                ((stack, rng.normal(size=(2, 3, 4, 4))), (None, None))))
+        # a 2-D block in the place of a quadrant is not read as a stack of rows
+        with pytest.raises(ValueError, match=r"quadrant C of shape \(4, 4\)"):
+            estimate_operator_norm(WeightedOperatorFrame(((None, None), (m, None))))
+        # nor is a block table in the layout of the 2n x 2n frame
+        with pytest.raises(ValueError):
+            estimate_operator_norm(WeightedOperatorFrame(((m,),)))
+
+    @pytest.mark.parametrize("mode, sweep", [("section_gap", section_gap_rate_sweep),
+                                             ("commutator", commutator_rate_sweep)])
+    def test_shipped_sweep_norms_equal_the_column_loop(self, monkeypatch, mode, sweep):
+        checked = []
+        estimate = comparison.estimate_operator_norm
+
+        def compared(frame):
+            value = estimate(frame)
+            assert value == column_loop_norm([q for row in frame.blocks for q in row])
+            checked.append(value)
+            return value
+
+        monkeypatch.setattr(comparison, "estimate_operator_norm", compared)
+        cfg = load_config(ROOT / "configs" / f"{mode}.ini")
+        rep = sweep(cfg.problem, cfg.h_values, nodes_per_window=cfg.nodes_per_window,
+                    lambda_factor=cfg.lambda_factor)
+        assert checked == list(rep.norms) and len(checked) == len(cfg.h_values)
+
+
+class TestWeigh:
+    @staticmethod
+    def per_block(stack, w_out, w_in, quad):
+        """Oracle: each block of the stack weighed on its own."""
+        for j, k in np.ndindex(stack.shape[:2]):
+            s_out = np.sqrt(w_out[j] * quad)
+            block = stack[j, k]
+            block *= s_out[:, None] if stack.ndim == 4 else s_out
+            block /= np.sqrt(w_in[k] * quad)
+        return stack
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_weighing_equals_the_per_block_weighing(self, rng, n):
+        r, c, quad = 5, 7, 0.3
+        w_r = [rng.uniform(0.5, 4.0, size=r) for _ in range(n)]
+        w_c = [rng.uniform(0.5, 4.0, size=c) for _ in range(n)]
+        for shape, w_out, w_in in (((n, n, r), w_r, w_r), ((n, n, r, c), w_r, w_c)):
+            stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = self.per_block(stack.copy(), w_out, w_in, quad)
+            got = stack.copy()
+            assert comparison._weigh(got, w_out, w_in, quad) is got
+            assert np.array_equal(got, want)
+        # in place on a strided view, as the commutator weighs its strips
+        strip = rng.normal(size=(n, n, 2, c, r)) + 1j * rng.normal(size=(n, n, 2, c, r))
+        want = strip.copy()
+        self.per_block(want[:, :, 1].swapaxes(-1, -2), w_r, w_c, quad)
+        comparison._weigh(strip[:, :, 1].swapaxes(-1, -2), w_r, w_c, quad)
+        assert np.array_equal(strip, want)
 
 
 class TestFitRate:
@@ -445,7 +545,7 @@ class TestStripAssembly:
                         full_l[(...,) + square] - lattice_l,
                         full.left_mult[:, :, win] - lattice.left_mult)
             assert np.array_equal(wnodes, grid.axis_nodes[win])
-            for got, want in zip(gaps, gathered):
+            for got, want in zip((gap for row in gaps for gap in row), gathered):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), h
 
@@ -528,14 +628,12 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         assert [pair.shape for pair in strips] == [(2, 2, 2, R, N)] * 2
         bottom, left = strips
         for w, frame in zip(rep.window_nodes, frames):
-            for i, j in np.ndindex(4, 4):
-                block = frame.blocks[i][j]
-                if (i < 2) == (j < 2):
-                    assert block is None
-                    continue
-                # bottom equations take left traces and left equations bottom ones
-                assert type(block) is np.ndarray and block.shape == (2, w, N - w)
-                assert np.shares_memory(block, bottom if i < 2 else left), (w, i, j)
+            (a, b), (c, d) = frame.blocks
+            assert a is None and d is None
+            # bottom equations take left traces and left equations bottom ones
+            for quadrant, strip in ((b, bottom), (c, left)):
+                assert type(quadrant) is np.ndarray and quadrant.shape == (2, 2, 2, w, N - w)
+                assert np.shares_memory(quadrant, strip), w
 
     def test_commutator_pairs_are_slices_of_the_full_weighted_kernels(self, monkeypatch):
         frames = []
@@ -552,14 +650,14 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         for h, frame in zip(hs, frames):
             win = window_mask(grid, h)
             outside = line[~win[line]]
-            for i, j in np.ndindex(4, 4):
-                block = frame.blocks[i][j]
-                if full[i][j] is None:
-                    assert block is None
+            for quadrant, kernels in zip([q for row in frame.blocks for q in row],
+                                         [k for row in full for k in row]):
+                if kernels is None:
+                    assert quadrant is None
                     continue
-                k = full[i][j]
-                assert np.array_equal(block[0], k[win][:, outside]), (h, i, j)
-                assert np.array_equal(block[1], k[outside][:, win].T), (h, i, j)
+                assert np.array_equal(quadrant[:, :, 0], kernels[:, :, win][..., outside]), h
+                assert np.array_equal(quadrant[:, :, 1],
+                                      kernels[:, :, outside][..., win].swapaxes(-1, -2)), h
 
     def test_kernel_strips_are_slices_of_the_full_assembly(self, rng):
         problem = skewed_problem()
@@ -601,17 +699,18 @@ class TestSweepsAssembleOnlyWhatTheyRead:
 
 
 def weighted_frame(quadrants, weights, quad):
-    """Frame of the quadrants, each weighted with the same line weights."""
-    return comparison._frame(tuple(
-        None if q is None else comparison._weigh(q, weights, weights, quad)
-        for q in quadrants))
+    """Frame of the quadrants ``((A, B), (C, D))``, each weighted with the
+    same line weights."""
+    return WeightedOperatorFrame(tuple(
+        tuple(None if q is None else comparison._weigh(q, weights, weights, quad)
+              for q in row) for row in quadrants))
 
 
 def full_weighted_kernels(problem, grid):
-    """Weighted frame blocks of the continuous kernels on the whole line."""
+    """Weighted quadrants of the continuous kernels on the whole line."""
     bottom, left = kernel_stacks(assemble_continuous_system(problem, grid))
     weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in problem.trace_exponents]
-    return weighted_frame((None, bottom, left, None),
+    return weighted_frame(((None, bottom), (left, None)),
                           weights, grid.axis_weight).blocks
 
 
@@ -624,7 +723,7 @@ def per_h_commutator_norms(problem, hs, nodes_per_window, lambda_factor=4.0):
     for h in hs:
         chi = window_mask(grid, h).astype(float)
         sign = chi[:, None] - chi[None, :]
-        quadrants = (None, sign * bottom, sign * left, None)
+        quadrants = ((None, sign * bottom), (sign * left, None))
         norms.append(estimate_operator_norm(
             weighted_frame(quadrants, weights, grid.axis_weight)))
     return norms

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadbvp import (FrequencyGrid, LatticeFunction, MeshMismatchError,
+from quadbvp import (FrequencyGrid, LatticeFunction, LineGrid, MeshMismatchError,
                      SpectralFunction, discrete_fourier,
                      inverse_discrete_fourier, sobolev_norm_1d,
                      sobolev_norm_2d, zeta, zeta_squared_2d)
@@ -38,6 +38,24 @@ class TestFrequencyGrid:
     def test_non_finite_mesh_rejected(self, h):
         with pytest.raises(ValueError, match="mesh size h must be positive and finite"):
             FrequencyGrid(h, 8)
+
+
+class TestLineGrid:
+    @pytest.mark.parametrize("half_width, count, message", [
+        (math.nan, 8, "half_width must be positive and finite, got nan"),
+        (math.inf, 8, "half_width must be positive and finite, got inf"),
+        (0.0, 8, "half_width must be positive and finite, got 0.0"),
+        (-1.0, 8, "half_width must be positive and finite, got -1.0"),
+        (1.0, 3, "nodes_count must be a positive even integer, got 3"),
+        (1.0, 0, "nodes_count must be a positive even integer, got 0"),
+        (1.0, -2, "nodes_count must be a positive even integer, got -2")])
+    def test_invalid_grid_rejected(self, half_width, count, message):
+        with pytest.raises(ValueError, match=message):
+            LineGrid(half_width, count)
+
+    def test_origin_is_never_a_node(self):
+        for n in (2, 8, 64):
+            assert np.all(LineGrid(1.0, n).axis_nodes != 0.0)
 
 
 class TestDiscreteFourier:
