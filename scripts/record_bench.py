@@ -18,8 +18,10 @@ K`` sets the number of pairs (or of runs, without ``--src``) for every
 workload, default 3, and ``--pairs WORKLOAD=K`` for one of them;
 ``--workload`` restricts the workloads.  The file holds every run's JSON
 result line and ``# facts`` line, the git revision of each tree, per
-workload and metric each tree's median and quartiles over its runs and the
-number of pairs in which this checkout did better, and the traced runs
+workload and metric each tree's median and quartiles over its runs (a
+metric a run reports as null is left out of them and counted) and the
+number of pairs in which this checkout did better (a null counting as the
+worst value), and the traced runs
 with their per-layer metrics side by side.  ``--out`` (default: this
 checkout) is created, with its parents, before the first run.  Exits 1 if
 a run failed or verified wrongly; the file is written either way.
@@ -86,11 +88,25 @@ def run_once(tree: Path, workload: str, seed: int, args, trace: int = 0) -> dict
     return record
 
 
-def quartiles(values: list[float]) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
+def quartiles(values: list[float | None]) -> dict:
+    """Median and quartiles of one tree's runs, leaving out the nulls a run
+    reports for a metric it could not measure (a percentile that falls on
+    failed problems), and the count of those nulls."""
+    numbers = [v for v in values if v is not None]
+    nulls = len(values) - len(numbers)
+    if len(numbers) < 2:
+        value = numbers[0] if numbers else None
+        return {"median": value, "q1": value, "q3": value, "nulls": nulls}
+    q1, median, q3 = statistics.quantiles(numbers, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "nulls": nulls}
+
+
+def beats(value: float | None, other: float | None, better: str) -> bool:
+    """Whether ``value`` is better than ``other``; a null counts as the
+    metric's worst value."""
+    if value is None or other is None:
+        return other is None and value is not None
+    return value < other if better == "lower" else value > other
 
 
 def summarize(runs: list[dict], sides: list[str]) -> dict:
@@ -107,7 +123,7 @@ def summarize(runs: list[dict], sides: list[str]) -> dict:
             if len(sides) == 2:
                 paired = [(values["head"][p], values["src"][p])
                           for p in values["head"] if p in values["src"]]
-                wins = sum(h < s if better == "lower" else h > s for h, s in paired)
+                wins = sum(beats(h, s, better) for h, s in paired)
                 row["head_better_pairs"] = f"{wins}/{len(paired)}"
             metrics[name] = row
         summary[workload] = metrics

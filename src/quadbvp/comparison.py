@@ -355,9 +355,9 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
 
     The gap comes as the quadrants ``((mult_b, ker_b), (ker_l, mult_l))``,
     continuous minus lattice: the multiplier gaps ``(n, n, w)`` diagonals,
-    the kernel gaps ``(n, n, w, w)`` stacks of matrices
-    (:func:`_kernel_blocks`, one family at a time), all with the quadrature
-    weight folded in.  The continuous side is sliced from one square strip
+    the kernel gaps ``(n, n, w, w)`` stacks of matrices (:func:`_kernel_blocks`
+    less the lattice blocks, one at a time), all with the quadrature weight
+    folded in.  The continuous side is sliced from one square strip
     on the finest window, which holds the coarser ones; its multipliers
     integrate over the whole truncated line.  The lattice side uses the
     restriction of the continuous symbols to the window (their periodic
@@ -375,8 +375,9 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
 
     def kernel_gap(strip_core, lattice, lattice_core, out):
         gap = _kernel_blocks(strip_core[:, out, out], strip_powers[out], grid.axis_weight)
-        gap -= _kernel_blocks(lattice_core, _power_base(lattice.nodes, lattice.h),
-                              grid.axis_weight)
+        powers = _power_base(lattice.nodes, lattice.h)
+        for j, k in np.ndindex(gap.shape[:2]):  # in _kernel_blocks' arithmetic
+            gap[j, k] -= lattice_core[j] * (powers ** k)[:, None] * grid.axis_weight
         return gap
 
     for h in h_values:

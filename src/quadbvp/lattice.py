@@ -58,8 +58,8 @@ def zeta_squared_2d(xi1, xi2, h: float):
 def _open_mesh(axis1: np.ndarray, axis2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Open ``ij`` mesh of two node axes, shapes ``(len(axis1), 1)`` and
     ``(1, len(axis2))``: the layout every symbol, factor and weight evaluator
-    receives.  Broadcasting evaluates each one-axis piece once per node and
-    only the combination on the whole mesh.
+    receives, in this order or swapped.  Broadcasting evaluates each one-axis
+    piece once per node and only the combination on the whole mesh.
     """
     return np.meshgrid(axis1, axis2, indexing="ij", sparse=True)
 

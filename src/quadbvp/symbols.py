@@ -33,9 +33,9 @@ __all__ = [
 class PeriodicSymbol:
     """Symbol of a digital operator: a ``2 pi / h``-periodic evaluator.
 
-    ``evaluate`` takes ``(xi1, xi2)`` as an open mesh, arrays of shapes
-    ``(R, 1)`` and ``(1, N)``, and may return any array that broadcasts to
-    ``(R, N)``: a symbol of one axis can ignore the other.
+    ``evaluate`` acts elementwise on ``(xi1, xi2)``, an open mesh of arrays
+    of shapes ``(R, 1)`` and ``(1, N)`` in either order, and may return any
+    array that broadcasts to the mesh: a one-axis symbol can ignore the other.
     """
 
     evaluate: Callable[..., np.ndarray]
@@ -54,8 +54,8 @@ class WaveFactorization:
     and nonvanishing there; ``minus_factor`` the opposite tube.  ``index``
     is the growth order of the plus factor.  ``h`` is None for
     factorizations of continuous symbols.  Both factors are evaluated like
-    :class:`PeriodicSymbol`: on an open mesh, returning any array that
-    broadcasts to it.
+    :class:`PeriodicSymbol`: elementwise on an open mesh in either
+    orientation, returning any array that broadcasts to it.
     """
 
     plus_factor: Callable[..., np.ndarray]

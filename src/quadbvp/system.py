@@ -122,10 +122,10 @@ class ProblemSpec:
 class ContinuousProblem:
     """Continuous counterpart: symbols on the frequency plane, truncated line.
 
-    Symbol and factor evaluators take ``(xi1, xi2)`` as an open mesh, arrays
-    of shapes ``(R, 1)`` and ``(1, N)``, and may return any array that
-    broadcasts to ``(R, N)``.  Orders are declared, not checked: the growth
-    sandwich is a hypothesis of the problem.
+    Symbol and factor evaluators act elementwise on ``(xi1, xi2)`` given as
+    an open mesh in either orientation, like :class:`PeriodicSymbol`'s.
+    Orders are declared, not checked: the growth sandwich is a hypothesis
+    of the problem.
     """
 
     s: float
@@ -165,7 +165,9 @@ def radial_power_problem(s: float, n: int, delta: float,
 
     def radial(order: float) -> Callable[..., np.ndarray]:
         def ev(x1, x2, _o=order):
-            return (1.0 + np.asarray(x1) ** 2 + np.asarray(x2) ** 2) ** (_o / 2.0)
+            r2 = 1.0 + np.asarray(x1) ** 2 + np.asarray(x2) ** 2
+            r2 **= _o / 2.0  # in place: no second mesh-sized array
+            return r2
         return ev
 
     return ContinuousProblem(
@@ -308,36 +310,28 @@ def _core(symbol, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
 
 
 def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
-                   powers: np.ndarray, weight: float, transpose: bool = False,
-                   inputs: np.ndarray | None = None):
-    """One kernel family on one open mesh of node pairs ``(x1, x2)``: its
-    multipliers and its n cores.
+                   powers: np.ndarray, weight: float, inputs: np.ndarray | None = None):
+    """One kernel family on an open mesh of node pairs ``(x1, x2)`` laid out
+    in the family's ``(out, in)`` order (swapped for the left family, whose
+    output nodes are on xi2): its multipliers and its n cores.
 
-    The output nodes run along the mesh's first axis (bottom equations,
-    collocated in xi1) or, with ``transpose``, its second (left equations,
-    collocated in xi2); the input nodes along the other axis, where
-    ``powers`` holds the power base.  Returns the multipliers
-    ``mult[j, k] = weight * sum_in core_j p^k``, shape ``(n, n, out)``, and
-    the cores, shape ``(n, out, in)`` for either edge.  A boolean mask
-    ``inputs`` keeps only the masked input nodes of the cores,
-    ``core[..., inputs]``; the multipliers integrate over all of them.
+    ``powers`` holds the power base at the input nodes, the mesh's second
+    axis.  Returns the multipliers ``mult[j, k] = weight * (core_j @
+    p^k)``, shape ``(n, n, out)``, and the cores, shape ``(n, out, in)``.
+    A boolean mask ``inputs`` keeps only the masked input nodes of the
+    cores, ``core[:, inputs]``; the multipliers integrate over all of them.
     """
     n = len(symbols)
-    axis = 0 if transpose else 1  # the mesh axis of the input nodes
-    mesh = inv_plus.shape
-    kept = mesh[axis] if inputs is None else int(np.count_nonzero(inputs))
-    mult = np.empty((n, n, mesh[1 - axis]), dtype=complex)
-    cores = np.empty((n, mesh[1 - axis], kept), dtype=complex)
-    weighted = np.empty(mesh, dtype=complex)
+    rows, cols = inv_plus.shape
+    kept = cols if inputs is None else int(np.count_nonzero(inputs))
+    mult = np.empty((n, n, rows), dtype=complex)
+    cores = np.empty((n, rows, kept), dtype=complex)
     for j, symbol in enumerate(symbols):
-        # in mesh order, written straight into its slot when it is kept whole
-        slot = cores[j].T if transpose else cores[j]
-        core = _core(symbol, inv_plus, x1, x2, out=slot if inputs is None else None)
+        core = _core(symbol, inv_plus, x1, x2, out=cores[j] if inputs is None else None)
         for k in range(n):
-            np.multiply(core, np.expand_dims(powers ** k, 1 - axis), out=weighted)
-            mult[j, k] = weighted.sum(axis=axis) * weight
+            mult[j, k] = (core @ powers ** k) * weight
         if inputs is not None:
-            cores[j] = (core.T if transpose else core)[:, inputs]
+            cores[j] = core[:, inputs]
     return mult, cores
 
 
@@ -369,25 +363,28 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     A boolean mask ``rows`` makes a square strip, the full assembly sliced
     to the R masked nodes: multipliers ``[..., rows]``, ``(n, n, R)``, still
     integrating over all N nodes, and cores ``[..., rows, :][..., rows]``,
-    ``(n, R, R)``.  The cores are evaluated on the ``(R x N)`` and
-    ``(N x R)`` meshes; only the stored cores shrink.  The plus factor on
-    the ``(N x R)`` mesh is evaluated once the bottom family is done with
-    the ``(R x N)`` one, so one mesh's factor is alive at a time.
+    ``(n, R, R)``.  Each family is evaluated in its ``(out, in)`` order,
+    the bottom one on the ``(R x N)`` open mesh of ``(xi1, xi2)`` pairs,
+    the left one on that mesh swapped; a strip evaluates the plus factor on
+    the swapped mesh once the bottom family is done, so one mesh's factor
+    is alive at a time.
     """
     out = nodes if rows is None else nodes[rows]
     powers = _power_base(nodes, h)
-    # bottom equations on the (R x N) mesh, integrating over xi2
+    # bottom equations, integrating over xi2
     x1, x2 = _open_mesh(out, nodes)
     inv_plus = 1.0 / _plus_values(plus_factor, x1, x2)
     bottom_mult, bottom_core = _kernel_family(bottom_symbols, inv_plus, x1, x2,
                                               powers, weight, inputs=rows)
-    if rows is not None:
-        # left equations on the (N x R) mesh, integrating over xi1
+    # left equations on the swapped mesh, integrating over xi1
+    x1, x2 = x2, x1
+    if rows is None:
+        inv_plus = inv_plus.T
+    else:
         del inv_plus
-        x1, x2 = _open_mesh(nodes, out)
         inv_plus = 1.0 / _plus_values(plus_factor, x1, x2)
     left_mult, left_core = _kernel_family(left_symbols, inv_plus, x1, x2,
-                                          powers, weight, transpose=True, inputs=rows)
+                                          powers, weight, inputs=rows)
     return BlockSystem(n=n, nodes=nodes, weight=weight, h=h,
                        bottom_mult=bottom_mult, bottom_core=bottom_core,
                        left_core=left_core, left_mult=left_mult)
@@ -403,25 +400,27 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
     entry equals the full assembly's :func:`_kernel_blocks` at its node
     pair.
 
-    The mesh ``(window x line)`` of ``(xi1, xi2)`` pairs carries the bottom
-    ``K[window, line]`` and the left ``K[line, window]``, ``(line x
-    window)`` the other two; the plus factor is evaluated once per mesh,
-    one mesh at a time.  Each core is written straight into its slot,
-    through the slot's transpose where the mesh runs the other way, and
-    scaled there with :func:`_kernel_blocks`' arithmetic.
+    The ``(window x line)`` open mesh of ``(xi1, xi2)`` pairs carries the
+    bottom ``K[window, line]`` and the left ``K[line, window]^T``, the same
+    mesh swapped the other two, so each core is written straight into its
+    slot in the slot's order; the plus factor is evaluated once per mesh,
+    one mesh at a time.  The cores are scaled in their slots with
+    :func:`_kernel_blocks`' arithmetic.
     """
     n, R, N = problem.n, len(window), len(line)
     families = (problem.bottom_symbols, problem.left_symbols)
     pairs = tuple(np.empty((n, n, 2, R, N), dtype=complex) for _ in families)
-    for mesh, (x1, x2) in enumerate((_open_mesh(window, line), _open_mesh(line, window))):
+    window_line = _open_mesh(window, line)
+    for mesh, (x1, x2) in enumerate((window_line, window_line[::-1])):
         inv_plus = 1.0 / _plus_values(problem.plus_factor, x1, x2)
         for f, (symbols, pair) in enumerate(zip(families, pairs)):
-            # bottom kernels have their output nodes on xi1, left ones on xi2;
-            # each slot in (out, in) order
+            # bottom kernels have their output nodes on xi1, left ones on
+            # xi2: those on the window's axis fill slot 0
             into_window = mesh == f
-            slots = pair[:, :, 0] if into_window else pair[:, :, 1].swapaxes(-1, -2)
             for j, symbol in enumerate(symbols):
-                _core(symbol, inv_plus, x1, x2, out=slots[j, 0].T if f else slots[j, 0])
+                _core(symbol, inv_plus, x1, x2, out=pair[j, 0, 0 if into_window else 1])
+            # each stack in (out, in) order
+            slots = pair[:, :, 0] if into_window else pair[:, :, 1].swapaxes(-1, -2)
             _kernel_blocks(slots[:, 0], _power_base(window if into_window else line, None),
                            weight, out=slots)
         del inv_plus

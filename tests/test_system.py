@@ -490,27 +490,36 @@ def stored_kernel_family(symbols, inv_plus, x1, x2, powers, weight, transpose=Fa
 
 def stored_assembly(n, nodes, weight, h, plus_factor, bottom_symbols, left_symbols,
                     rows=None):
-    """Reference: ``(bottom_mult, bottom_kernel, left_kernel, left_mult)``
-    as ``_assemble`` returned them when it stored kernel stacks."""
+    """Reference: ``(bottom_kernel, left_kernel)`` as ``_assemble`` stored
+    them when it kept kernel stacks, and the uncut bottom and left cores in
+    ``(out, in)`` order, whose rows the multipliers integrate."""
     out = nodes if rows is None else nodes[rows]
     xb1, xb2 = _open_mesh(out, nodes)
     xl1, xl2 = (xb1, xb2) if rows is None else _open_mesh(nodes, out)
     inv_plus_b = 1.0 / _plus_values(plus_factor, xb1, xb2)
     inv_plus_l = inv_plus_b if rows is None else 1.0 / _plus_values(plus_factor, xl1, xl2)
-    powers = _power_base(nodes, h)
-    powers_out = powers if rows is None else powers[rows]
-    bottom_mult = np.empty((n, n, len(out)), dtype=complex)
-    left_mult = np.empty((n, n, len(out)), dtype=complex)
-    cores, bottom_kernel = stored_kernel_family(bottom_symbols, inv_plus_b, xb1, xb2,
-                                                powers_out, weight, inputs=rows)
+    powers_out = _power_base(out, h)
+    bottom_cores, bottom_kernel = stored_kernel_family(bottom_symbols, inv_plus_b, xb1, xb2,
+                                                       powers_out, weight, inputs=rows)
+    left_cores, left_kernel = stored_kernel_family(left_symbols, inv_plus_l, xl1, xl2,
+                                                   powers_out, weight, transpose=True,
+                                                   inputs=rows)
+    return bottom_kernel, left_kernel, bottom_cores, [core.T for core in left_cores]
+
+
+def fsum_multipliers(cores, powers, weight):
+    """Oracle: ``mult[j, k, i]``, the correctly rounded sums of the terms
+    ``core_j[i, :] * p^k * weight`` (real and imaginary parts apart), and
+    the bound ``N eps sum|terms|`` on the rounding of any order of summing
+    them."""
+    n, (R, N) = len(cores), cores[0].shape
+    want = np.empty((n, n, R), dtype=complex)
+    bound = np.empty((n, n, R))
     for j, k in np.ndindex(n, n):
-        bottom_mult[j, k] = (cores[j] * (powers ** k)[None, :]).sum(axis=1) * weight
-    cores, left_kernel = stored_kernel_family(left_symbols, inv_plus_l, xl1, xl2,
-                                              powers_out, weight, transpose=True,
-                                              inputs=rows)
-    for j, k in np.ndindex(n, n):
-        left_mult[j, k] = (cores[j] * (powers ** k)[:, None]).sum(axis=0) * weight
-    return bottom_mult, bottom_kernel, left_kernel, left_mult
+        terms = cores[j] * powers ** k * weight
+        want[j, k] = [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms]
+        bound[j, k] = N * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    return want, bound
 
 
 def skewed_assembly(h, lattice_window):
@@ -562,6 +571,8 @@ class TestOperatorLayout:
     @pytest.mark.parametrize("strip", [False, True], ids=["full", "rows"])
     @pytest.mark.parametrize("kind", sorted(ASSEMBLIES))
     def test_kernel_blocks_equal_the_stored_stacks(self, rng, kind, strip):
+        # the kernel stacks bit for bit; the multipliers, whose summing
+        # order is the assembly's choice, to the rounding of a sum
         args = ASSEMBLIES[kind]()
         N = len(args["nodes"])
         rows = rng.random(N) < 0.4 if strip else None
@@ -570,11 +581,18 @@ class TestOperatorLayout:
         assert system.n == 2 and 0 < R <= N
         for core in (system.bottom_core, system.left_core):
             assert core.shape == (2, R, R) and core.flags.c_contiguous
-        got = (system.bottom_mult, *kernel_stacks(system, rows), system.left_mult)
-        for field, g, want in zip(("bottom_mult", "bottom_kernel", "left_kernel", "left_mult"),
-                                  got, stored_assembly(**args, rows=rows)):
+        *stacks, bottom_cores, left_cores = stored_assembly(**args, rows=rows)
+        for field, g, want in zip(("bottom_kernel", "left_kernel"),
+                                  kernel_stacks(system, rows), stacks):
             assert g.shape == want.shape, field
             assert np.array_equal(g, want), field
+        powers = _power_base(args["nodes"], args["h"])
+        for field, cores in (("bottom_mult", bottom_cores), ("left_mult", left_cores)):
+            g = getattr(system, field)
+            want, bound = fsum_multipliers(cores, powers, args["weight"])
+            assert g.shape == want.shape == (2, 2, R), field
+            assert np.all(np.abs(g.real - want.real) <= bound), field
+            assert np.all(np.abs(g.imag - want.imag) <= bound), field
 
     @pytest.mark.parametrize("kind", sorted(LAYOUT_SYSTEMS))
     def test_core_products_match_the_dense_matrix(self, rng, kind):
@@ -631,7 +649,9 @@ class TestOperatorLayout:
     def test_assembly_retains_only_the_cores(self):
         # n cores per edge, 2 n N^2 complex values in all, and no stack of
         # the n^2 blocks at any time: at (n, N) = (2, 384) the cores take
-        # 9 MiB and one kernel stack alone would take 9 MiB more
+        # 9 MiB and one kernel stack alone would take 9 MiB more; a
+        # mesh-sized temporary per multiplier sum peaked at 13.8 MiB, the
+        # multipliers as matrix-vector products at 11.9 MiB
         n, N = 2, 384
         fac = builtin_factor_family("geometric", 1.0, a=0.5, p=1, q=1)
         bottom, left = row_trace_boundary_operators(n, 1.0)
@@ -650,7 +670,7 @@ class TestOperatorLayout:
         assert system.bottom_core.nbytes + system.left_core.nbytes == cores
         # the cores plus the (n, n, N) multipliers of both edges
         assert retained - start <= cores + 2 * n * n * N * 16 + 2 ** 16
-        assert peak - start < 16 * 2 ** 20
+        assert peak - start < 13 * 2 ** 20
 
     def test_solve_allocates_less_than_one_kernel_stack(self):
         # the kernels are applied from the cores in place, and neither a
@@ -1009,6 +1029,35 @@ class TestOpenMesh:
             step()
             assert sizes, name
             assert max(sizes) <= N, (name, max(sizes))
+
+    def test_evaluators_see_open_meshes_in_both_orientations(self):
+        # each kernel family is evaluated on a mesh in its (out, in) order:
+        # an evaluator gets one (a, 1) and one (1, b) array, either way round
+        shapes = []
+
+        def record(ev):
+            def recorded(x1, x2):
+                shapes.append((np.shape(x1), np.shape(x2)))
+                return ev(x1, x2)
+            return recorded
+
+        problem = with_continuous_evaluators(record, skewed_problem())
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        rows = window_mask(grid, 0.25)
+        steps = {
+            "full": lambda: strip(problem, nodes, None),
+            "rows": lambda: strip(problem, nodes, rows),
+            "_kernel_strips": lambda: _kernel_strips(problem, nodes[rows], nodes, 0.1),
+        }
+        for name, step in steps.items():
+            shapes.clear()
+            step()
+            for s1, s2 in shapes:
+                assert len(s1) == len(s2) == 2, (name, s1, s2)
+                column, row = (s1, s2) if s1[1] == 1 else (s2, s1)
+                assert column[1] == row[0] == 1 < min(column[0], row[1]), (name, s1, s2)
+            assert {s1[1] == 1 for s1, _ in shapes} == {True, False}, name
 
     @pytest.mark.parametrize("family,params", [
         ("geometric", dict(a=0.5, p=2, q=0)),
