@@ -581,20 +581,20 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         assert all(np.all(np.isfinite(r)) for r in ratios.values())
         assert strips[1:] == [(16, 16)]
 
-    @pytest.mark.parametrize("mode, sweep, mib", [
+    @pytest.mark.parametrize("mode, sweep", [
         # the square strip's cores take 2 MiB on section_gap.ini and one
         # mesh's plus factor 4 MiB, beside the (n, n, N) multipliers; both
         # meshes' complex plus factors at once peaked at 28 MiB, a mesh-sized
         # temporary per multiplier sum and a second lattice kernel stack per
         # window at 22.2 MiB (19.2 MiB without them)
-        ("section_gap", section_gap_rate_sweep, 21),
+        ("section_gap", section_gap_rate_sweep),
         # the two weighted pair strips take 16 MiB on commutator.ini and the
         # frame blocks are views of them; the finest window's gathered
         # rectangles and an adjoint copy per block peaked at 31 MiB, and a
         # second mesh-sized array per radial symbol value at 22.1 MiB (20.3
         # MiB with the power taken in place)
-        ("commutator", commutator_rate_sweep, 22)])
-    def test_shipped_sweep_allocates_only_the_blocks_it_reads(self, mode, sweep, mib):
+        ("commutator", commutator_rate_sweep)])
+    def test_shipped_sweep_allocates_only_the_blocks_it_reads(self, mode, sweep):
         cfg = load_config(ROOT / "configs" / f"{mode}.ini")
         tracemalloc.start()
         try:
@@ -605,7 +605,7 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         finally:
             tracemalloc.stop()
         assert rep.slope is not None
-        assert peak - start < mib * 2 ** 20
+        assert peak - start < {"section_gap": 21, "commutator": 22}[mode] * 2 ** 20
 
     def test_commutator_builds_no_full_continuous_stack(self, monkeypatch):
         strips, frames = [], []
