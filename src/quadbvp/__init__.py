@@ -9,9 +9,8 @@ shrinks.
 from .errors import (AssemblyError, ConfigError, InvalidConfigurationError,
                      MeshMismatchError, NearSingularError, NormEstimateError)
 from .lattice import (FrequencyGrid, LatticeFunction, LineGrid,
-                      SpectralFunction, discrete_fourier,
-                      inverse_discrete_fourier, sobolev_norm_1d,
-                      sobolev_norm_2d, zeta, zeta_squared_2d)
+                      SpectralFunction, inverse_discrete_fourier,
+                      sobolev_norm_1d, sobolev_norm_2d, zeta, zeta_squared_2d)
 from .symbols import PeriodicSymbol, WaveFactorization, builtin_factor_family
 from .operators import apply_symbol_to_spectrum, boundary_trace_spectrum
 from .system import (BlockSystem, ContinuousProblem, GaussianBumps,

@@ -350,44 +350,52 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
 
 def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     """For each ``h``, the window nodes and the gap between the
-    window-restricted continuous operator and the lattice operator
-    assembled on the same window nodes.
+    window-restricted continuous operator and the lattice operator on the
+    same window nodes.
 
     The gap comes as the quadrants ``((mult_b, ker_b), (ker_l, mult_l))``,
     continuous minus lattice: the multiplier gaps ``(n, n, w)`` diagonals,
-    the kernel gaps ``(n, n, w, w)`` stacks of matrices (:func:`_kernel_blocks`
-    less the lattice blocks, one at a time), all with the quadrature weight
-    folded in.  The continuous side is sliced from one square strip
-    on the finest window, which holds the coarser ones; its multipliers
-    integrate over the whole truncated line.  The lattice side uses the
-    restriction of the continuous symbols to the window (their periodic
-    continuation agrees there) and difference-symbol powers.
+    the kernel gaps ``(n, n, w, w)`` stacks of matrices, all with the
+    quadrature weight folded in.  Both sides are sliced from one square
+    strip on the finest window, which holds the coarser ones: on a window
+    they sample the same cores ``symbol_j / plus`` at the same nodes (the
+    symbols' periodic continuation agrees there), and differ only in the
+    powers, ``(i xi)^k`` against ``zeta^k``, and in the range of the
+    multiplier sums, the whole truncated line against the window.  Each
+    lattice kernel block is formed in :func:`_kernel_blocks`' arithmetic
+    and subtracted in place; blocks ``(j, 0)`` coincide, so their gap is 0.
     """
-    def assemble(nodes, h, rows=None):
-        return _assemble(n=problem.n, nodes=nodes, weight=grid.axis_weight, h=h,
-                         plus_factor=problem.plus_factor,
-                         bottom_symbols=problem.bottom_symbols,
-                         left_symbols=problem.left_symbols, rows=rows)
-
+    quad = grid.axis_weight
     rows = window_mask(grid, min(h_values))
-    strip = assemble(grid.axis_nodes, None, rows)
+    strip = _assemble(n=problem.n, nodes=grid.axis_nodes, weight=quad, h=None,
+                      plus_factor=problem.plus_factor,
+                      bottom_symbols=problem.bottom_symbols,
+                      left_symbols=problem.left_symbols, rows=rows)
     strip_powers = _power_base(grid.axis_nodes[rows], None)
 
-    def kernel_gap(strip_core, lattice, lattice_core, out):
-        gap = _kernel_blocks(strip_core[:, out, out], strip_powers[out], grid.axis_weight)
-        powers = _power_base(lattice.nodes, lattice.h)
-        for j, k in np.ndindex(gap.shape[:2]):  # in _kernel_blocks' arithmetic
-            gap[j, k] -= lattice_core[j] * (powers ** k)[:, None] * grid.axis_weight
-        return gap
+    def family_gaps(strip_mult, strip_core, out, zetas):
+        core = strip_core[:, out, out]
+        mult = strip_mult[:, :, out].copy()
+        kernel = _kernel_blocks(core, strip_powers[out], quad)
+        lattice = np.empty(core.shape[1:], dtype=complex)
+        for j, k in np.ndindex(mult.shape[:2]):
+            powers = zetas ** k
+            # the lattice multiplier sums core j's rows over the window only
+            mult[j, k] -= (core[j] @ powers) * quad
+            if k:  # in _kernel_blocks' arithmetic, through one reused buffer
+                np.multiply(core[j], powers[:, None], out=lattice)
+                lattice *= quad
+                kernel[j, k] -= lattice
+        kernel[:, 0] = 0.0
+        return mult, kernel
 
     for h in h_values:
         win = window_mask(grid, h)
-        lattice = assemble(grid.axis_nodes[win], float(h))
-        out = _run(win[rows])
-        ker_b = kernel_gap(strip.bottom_core, lattice, lattice.bottom_core, out)
-        ker_l = kernel_gap(strip.left_core, lattice, lattice.left_core, out)
-        yield lattice.nodes, ((strip.bottom_mult[:, :, out] - lattice.bottom_mult, ker_b),
-                              (ker_l, strip.left_mult[:, :, out] - lattice.left_mult))
+        out, wnodes = _run(win[rows]), grid.axis_nodes[win]
+        zetas = _power_base(wnodes, float(h))
+        mult_b, ker_b = family_gaps(strip.bottom_mult, strip.bottom_core, out, zetas)
+        mult_l, ker_l = family_gaps(strip.left_mult, strip.left_core, out, zetas)
+        yield wnodes, ((mult_b, ker_b), (ker_l, mult_l))
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
@@ -423,6 +431,7 @@ def kernel_gap_ratios(problem: ContinuousProblem, h: float,
     and ``+ 2`` for multipliers.  The max over window nodes is returned as
     an ``(n, n)`` array indexed by ``(j, k)`` under the keys
     ``bottom_mult``, ``bottom_kernel``, ``left_kernel``, ``left_mult``.
+    Both sides are sliced from one continuous strip (:func:`_window_gaps`).
     """
     _hypotheses(problem, 2.0, 2.0, "kernel gap ratios")
     grid = aligned_line_grid([h], nodes_per_window, lambda_factor=lambda_factor)

@@ -4,8 +4,8 @@ The discrete side of the library lives on the square lattice ``h Z^2``.  Its
 Fourier dual is the frequency torus ``[-pi/h, pi/h]^2``, discretized with a
 composite midpoint rule.  The midpoint layout keeps both the origin and the
 torus seam off the node set, and the rule is exact for lattice exponentials
-up to the grid bandwidth, which makes the transform pair below exactly
-mutually inverse on resolved support windows (and Parseval exact).
+up to the grid bandwidth, which makes the inverse transform below exactly
+invert the forward one on resolved support windows (and Parseval exact).
 
 Conventions, used uniformly across the package:
 
@@ -23,14 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshMismatchError
-
 __all__ = [
     "FrequencyGrid",
     "LineGrid",
     "LatticeFunction",
     "SpectralFunction",
-    "discrete_fourier",
     "inverse_discrete_fourier",
     "zeta",
     "zeta_squared_2d",
@@ -173,10 +170,6 @@ class LatticeFunction:
             raise ValueError(f"values shape {vals.shape} does not match box shape {shape}")
         object.__setattr__(self, "values", vals)
 
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        (a1, b1), (a2, b2) = self.support_box
-        return np.arange(a1, b1 + 1), np.arange(a2, b2 + 1)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralFunction:
@@ -198,23 +191,6 @@ class SpectralFunction:
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape}, expected {expected}")
         object.__setattr__(self, "values", vals)
-
-
-def discrete_fourier(u: LatticeFunction, grid: FrequencyGrid) -> SpectralFunction:
-    """Forward transform ``sum_x exp(+i x.xi) u(x) h^2`` at every grid node.
-
-    Exact (no truncation beyond the support box of ``u``).
-    """
-    if grid.ndim != 2:
-        raise ValueError("discrete_fourier requires a 2D grid")
-    if not grid.matches_mesh(u.h):
-        raise MeshMismatchError(f"lattice mesh {u.h} does not match grid mesh {grid.h}")
-    i1, i2 = u.index_arrays()
-    xi = grid.axis_nodes
-    e1 = np.exp(1j * u.h * np.outer(i1, xi))   # (n1, N)
-    e2 = np.exp(1j * u.h * np.outer(i2, xi))   # (n2, N)
-    vals = u.h ** 2 * (e1.T @ u.values @ e2)
-    return SpectralFunction(grid, vals)
 
 
 def inverse_discrete_fourier(f: SpectralFunction,

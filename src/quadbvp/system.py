@@ -21,7 +21,10 @@ so the solver compresses them to their numerical rank and solves by a
 Woodbury update; see :func:`solve_block_system`.
 
 The continuous counterpart replaces ``zeta(xi)^k`` by ``(i xi)^k`` and the
-torus by the full frequency line, truncated to a symmetric segment.
+torus by the full frequency line, truncated to a symmetric segment.  On a
+torus window both sample the same cores at the same nodes: the lattice
+operator there is a continuous strip's cores with the other powers, its
+multipliers the window's partial sums of the cores' rows.
 
 The trace representation is not unique: adding the m-th transverse power to
 a bottom trace and subtracting the matching k-th power from a left trace
@@ -341,16 +344,19 @@ def _kernel_blocks(core, powers: np.ndarray, weight: float,
     * weight``, shape ``(n, n, out, in)``, with ``p`` the power base
     ``powers`` at the output nodes.  ``core`` is an ``(n, out, in)`` array
     or a sequence of n ``(out, in)`` matrices.  The stack is written into
-    ``out`` when given, whose blocks ``out[:, 0]`` may hold the cores."""
+    ``out`` when given, whose blocks ``out[:, 0]`` may hold the cores.
+    Block ``(j, 0)`` is ``core[j] * weight``: ``p^0 = 1`` is not multiplied
+    in, which changes at most the sign of a zero."""
     n = len(core)
     blocks = np.empty((n, n) + core[0].shape, dtype=complex) if out is None else out
     for j in range(n):
         # block (j, 0) last, so that it may be core j itself; in place: no
         # mesh-sized temporary per block
-        for k in range(n - 1, -1, -1):
+        for k in range(n - 1, 0, -1):
             block = blocks[j, k]
             np.multiply(core[j], (powers ** k)[:, None], out=block)
             block *= weight
+        np.multiply(core[j], weight, out=blocks[j, 0])
     return blocks
 
 

@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
 
-from quadbvp import ContinuousProblem, LatticeFunction, WaveFactorization
+from quadbvp import (ContinuousProblem, FrequencyGrid, LatticeFunction, MeshMismatchError,
+                     SpectralFunction, WaveFactorization)
 from quadbvp.system import _kernel_blocks, _power_base
+
+
+def discrete_fourier(u: LatticeFunction, grid: FrequencyGrid) -> SpectralFunction:
+    """Forward transform ``sum_x exp(+i x.xi) u(x) h^2`` at every grid node,
+    exact (no truncation beyond the support box of ``u``): the spectrum
+    ``apply_symbol_to_spectrum`` takes, from a lattice function, and the
+    input ``inverse_discrete_fourier`` inverts."""
+    if grid.ndim != 2:
+        raise ValueError("discrete_fourier requires a 2D grid")
+    if not grid.matches_mesh(u.h):
+        raise MeshMismatchError(f"lattice mesh {u.h} does not match grid mesh {grid.h}")
+    (a1, b1), (a2, b2) = u.support_box
+    xi = grid.axis_nodes
+    e1 = np.exp(1j * u.h * np.outer(np.arange(a1, b1 + 1), xi))   # (n1, N)
+    e2 = np.exp(1j * u.h * np.outer(np.arange(a2, b2 + 1), xi))   # (n2, N)
+    return SpectralFunction(grid, u.h ** 2 * (e1.T @ u.values @ e2))
 
 
 def lattice_function(h, points):

@@ -33,14 +33,14 @@ from quadbvp import (FrequencyGrid, LatticeFunction, PeriodicSymbol,
                      ProblemSpec, SpectralFunction, TraceVector,
                      WeightedOperatorFrame, apply_symbol_to_spectrum,
                      assemble_discrete_system, builtin_factor_family,
-                     commutator_rate_sweep, discrete_fourier,
-                     estimate_operator_norm, identity_boundary_operators,
-                     kernel_gap_ratios, manufactured_roundtrip,
-                     radial_power_problem, random_bumps, random_trace_vector,
-                     reconstruct_solution, section_gap_rate_sweep,
-                     sobolev_norm_1d, sobolev_norm_2d, solve_block_system,
-                     trace_exponents, zeta_boundary_operators,
-                     zeta_power_gap)
+                     commutator_rate_sweep, estimate_operator_norm,
+                     identity_boundary_operators, kernel_gap_ratios,
+                     manufactured_roundtrip, radial_power_problem, random_bumps,
+                     random_trace_vector, reconstruct_solution,
+                     section_gap_rate_sweep, sobolev_norm_1d, sobolev_norm_2d,
+                     solve_block_system, trace_exponents,
+                     zeta_boundary_operators, zeta_power_gap)
+from conftest import discrete_fourier
 
 
 def check(name: str, passed: bool, detail: str) -> None:

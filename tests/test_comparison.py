@@ -524,7 +524,9 @@ class TestStripAssembly:
                 assert mult.shape == (2, 2, R)
                 assert np.array_equal(mult, getattr(full, field)[..., rows]), (name, field)
 
-    @pytest.mark.parametrize("hs", [[0.5, 0.25, 0.125], [0.7, 0.45, 0.3]])
+    @pytest.mark.parametrize("hs", [[0.5, 0.25, 0.125], [0.7, 0.45, 0.3],
+                                    # the shipped four-halving sweep
+                                    [0.5, 0.25, 0.125, 0.0625]])
     def test_window_gaps_equal_the_gathered_strip(self, hs):
         # the window's rows and columns sliced from the square strip, bit
         # for bit what gathering them from the full assembly gives
@@ -580,6 +582,29 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         ratios = kernel_gap_ratios(skewed_problem(), 0.5, nodes_per_window=16)
         assert all(np.all(np.isfinite(r)) for r in ratios.values())
         assert strips[1:] == [(16, 16)]
+
+    def test_gap_sweeps_assemble_one_strip_per_call(self, monkeypatch):
+        # each window's lattice operator is sliced from the continuous
+        # strip, so nothing is assembled on a torus window
+        calls = []
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return _assemble(**kwargs)
+
+        monkeypatch.setattr(comparison, "_assemble", recording)
+        cfg = load_config(ROOT / "configs" / "section_gap.ini")
+        section_gap_rate_sweep(cfg.problem, cfg.h_values, nodes_per_window=cfg.nodes_per_window,
+                               lambda_factor=cfg.lambda_factor)
+        counts = [len(calls)]
+        cfg = load_config(ROOT / "configs" / "kernel_gap.ini")
+        for h in cfg.h_values:
+            kernel_gap_ratios(cfg.problem, h, nodes_per_window=cfg.nodes_per_window,
+                              lambda_factor=cfg.lambda_factor)
+            counts.append(len(calls) - sum(counts))
+        assert counts == [1] * (1 + len(cfg.h_values))
+        for kwargs in calls:
+            assert kwargs["h"] is None and kwargs["rows"] is not None
 
     @pytest.mark.parametrize("mode, sweep", [
         # the square strip's cores take 2 MiB on section_gap.ini and one

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadbvp import (FrequencyGrid, LatticeFunction, LineGrid, MeshMismatchError,
-                     SpectralFunction, discrete_fourier,
-                     inverse_discrete_fourier, sobolev_norm_1d,
-                     sobolev_norm_2d, zeta, zeta_squared_2d)
-from conftest import lattice_function, unit_mass
+                     SpectralFunction, inverse_discrete_fourier,
+                     sobolev_norm_1d, sobolev_norm_2d, zeta, zeta_squared_2d)
+from conftest import discrete_fourier, lattice_function, unit_mass
 
 
 class TestFrequencyGrid:

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from quadbvp import (FrequencyGrid, LatticeFunction,
                      MeshMismatchError, PeriodicSymbol, SpectralFunction,
-                     apply_symbol_to_spectrum, boundary_trace_spectrum,
-                     discrete_fourier, zeta)
-from conftest import lattice_function, unit_mass
+                     apply_symbol_to_spectrum, boundary_trace_spectrum, zeta)
+from conftest import discrete_fourier, lattice_function, unit_mass
 
 
 def const_symbol(h, value=1.0):
