@@ -490,8 +490,9 @@ def project_out_gauge(system: BlockSystem, x: np.ndarray) -> np.ndarray:
 
 # Randomized block Krylov estimate of a largest singular value (Halko,
 # Martinsson & Tropp 2011, range finder with power steps; Musco & Musco
-# 2015, Rayleigh-Ritz on the whole block Krylov space).  Fixed seed, so a
-# rerun reports the same condition.
+# 2015, Rayleigh-Ritz on the whole block Krylov space), built as a block
+# Arnoldi run on ``M M^H``: each block is orthonormalized as it is made.
+# Fixed seed, so a rerun reports the same condition.
 _ESTIMATE_BLOCK = 8
 _ESTIMATE_POWER_STEPS = 4
 _ESTIMATE_SEED = 0
@@ -504,19 +505,30 @@ def _sigma_max_estimate(apply: Callable[[np.ndarray], np.ndarray],
     M^H v`` on column blocks; from below, about 1% low at worst on the
     block systems' flat top spectra.
 
-    The blocks are only rescaled between steps: the final QR spans the same
-    Krylov space as orthonormalizing every step would.
+    Each new block ``M M^H q`` is projected twice against the basis so far
+    and orthonormalized by a QR of its own columns; the images ``M^H q`` are
+    kept, and the Rayleigh-Ritz value is the top eigenvalue of their Gram
+    matrix.  It bounds ``sigma_max`` from below only while the basis is
+    orthonormal, so a basis off by more than 1e-12 (a block that fell
+    inside the space already built) is orthonormalized again as a whole.
     """
     rng = np.random.default_rng(_ESTIMATE_SEED)
-    shape = (dim, _ESTIMATE_BLOCK)
-    block = apply(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    blocks = [block / np.linalg.norm(block)]
-    for _ in range(_ESTIMATE_POWER_STEPS):
-        block = apply(adjoint(blocks[-1]))
-        blocks.append(block / np.linalg.norm(block))
-    basis, _ = np.linalg.qr(np.hstack(blocks))
-    projected = adjoint(basis)
-    top = np.linalg.eigvalsh(projected.conj().T @ projected)[-1]
+    cols = min(_ESTIMATE_BLOCK, dim)  # a block QR keeps at most dim columns
+    width = cols * (_ESTIMATE_POWER_STEPS + 1)
+    basis = np.empty((dim, width), dtype=complex)
+    images = np.empty((dim, width), dtype=complex)
+    block = apply(rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols)))
+    for i in range(0, width, cols):
+        if i:
+            block = apply(image)
+            for _ in range(2):
+                block -= basis[:, :i] @ _adjoint_mul(basis[:, :i], block)
+        basis[:, i:i + cols] = q = np.linalg.qr(block)[0]
+        images[:, i:i + cols] = image = adjoint(q)
+    if np.abs(_adjoint_mul(basis, basis) - np.eye(width)).max() > 1e-12:
+        basis = np.linalg.qr(basis)[0]
+        images = adjoint(basis)
+    top = np.linalg.eigvalsh(_adjoint_mul(images, images))[-1]
     return math.sqrt(max(float(top), 0.0))
 
 
@@ -830,13 +842,13 @@ def reconstruct_solution(traces: TraceVector, fac: WaveFactorization,
     _check_on_grid("bottom trace", traces.bottom, grid)
     _check_on_grid("left trace", traces.left, grid)
     x1, x2 = grid.nodes_2d()
-    powers = zeta(grid.axis_nodes, grid.h)
+    powers = zeta(grid.axis_nodes, grid.h) ** np.arange(traces.n)[:, None]
     plus = _plus_values(fac, x1, x2)
-    num = np.zeros(plus.shape, dtype=complex)
-    for k in range(traces.n):
-        num += traces.bottom[k].values[:, None] * powers[None, :] ** k
-        num += traces.left[k].values[None, :] * powers[:, None] ** k
-    return SpectralFunction(grid, num / plus)
+    # sum_k b_k(xi1) p^k(xi2) + p^k(xi1) l_k(xi2) as one (N, 2n) @ (2n, N) product
+    num = (np.concatenate([[f.values for f in traces.bottom], powers]).T
+           @ np.concatenate([powers, [f.values for f in traces.left]]))
+    num /= plus
+    return SpectralFunction(grid, num)
 
 
 @dataclass(frozen=True)

@@ -464,7 +464,9 @@ class TestShippedOutputs:
         # a solve-mode run at (n, N) = (2, 384): the cores take 9 MiB, as
         # one stack of the n^2 kernel blocks would; the planted spectrum is
         # released once its boundary data are synthesized, which took the
-        # peak from 17 to 15 MiB
+        # peak from 17 to 15 MiB, and the condition estimate orthonormalizes
+        # its Krylov blocks one by one, with no 2nN x 40 QR, which took it
+        # to 14.3 MiB
         text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out").replace(
             "mode = roundtrip", "mode = solve").replace("N = 64", "N = 384").replace(
             "boundary = zeta", "boundary = row_trace").replace(
@@ -479,7 +481,7 @@ class TestShippedOutputs:
         finally:
             tracemalloc.stop()
         assert report.all_passed
-        assert peak - start < 16 * 2 ** 20
+        assert peak - start < 15 * 2 ** 20
 
 
 class TestOtherCommands:

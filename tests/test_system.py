@@ -22,9 +22,10 @@ from quadbvp import (AssemblyError, ContinuousProblem, FrequencyGrid, MeshMismat
                      aligned_line_grid, boundary_trace_spectrum, window_mask)
 from quadbvp import lattice
 from quadbvp.lattice import _open_mesh
-from quadbvp.system import (_CompressedSystem, _assemble, _compress, _kernel_adjoint,
-                            _kernel_apply, _kernel_norm, _kernel_strips, _plus_values,
-                            _power_base, _sigma_max_estimate)
+from quadbvp.system import (_ESTIMATE_BLOCK, _ESTIMATE_POWER_STEPS, _ESTIMATE_SEED,
+                            _CompressedSystem, _assemble, _compress, _invert_multipliers,
+                            _kernel_adjoint, _kernel_apply, _kernel_norm, _kernel_strips,
+                            _plus_values, _power_base, _sigma_max_estimate)
 from conftest import full_matrix, kernel_stacks, ones_symbol, skewed_problem
 
 
@@ -308,11 +309,10 @@ def test_solver_properties(family, n, zeta_ops, h, N, seed):
     assert rep.condition == pytest.approx(condition, rel=0.05)
 
 
-def dense_bordered_solve(system, b):
-    """Oracle: the dense bordered-inverse algorithm, ``B = [[A, Q], [Q^H,
-    0]]`` formed and inverted at full size, ``x = P b`` with one refinement
-    step and the condition ``sigma_max(A) sigma_max(P)`` from the same
-    seeded estimator on the dense matrices."""
+def dense_operators(system):
+    """Dense ``A`` and ``P``, the leading ``2nN x 2nN`` block of the inverse
+    of the bordered matrix ``B = [[A, Q], [Q^H, 0]]``, formed and inverted
+    at full size."""
     a = full_matrix(system)
     size = system.size
     q, _ = np.linalg.qr(structural_null_basis(system))
@@ -320,7 +320,15 @@ def dense_bordered_solve(system, b):
     bordered[:size, :size] = a
     bordered[:size, size:] = q
     bordered[size:, :size] = q.conj().T
-    p = np.linalg.inv(bordered)[:size, :size]
+    return a, np.linalg.inv(bordered)[:size, :size]
+
+
+def dense_bordered_solve(system, b):
+    """Oracle: the dense bordered-inverse algorithm (:func:`dense_operators`),
+    ``x = P b`` with one refinement step and the condition ``sigma_max(A)
+    sigma_max(P)`` from the same seeded estimator on the dense matrices."""
+    a, p = dense_operators(system)
+    size = system.size
     x = p @ b
     x = x + p @ (b - a @ x)
 
@@ -463,6 +471,92 @@ class TestEliminatedSolve:
         for r_small, r_large in zip(*ranks):
             assert 1 <= r_small < 2 * 128
             assert abs(r_large - r_small) <= 2
+
+
+def krylov_qr_estimate(apply, adjoint, dim):
+    """Oracle: the condition estimate as one QR of the whole Krylov matrix.
+    The same seeded blocks span the same Krylov space as
+    :func:`_sigma_max_estimate`'s, but are only rescaled between power
+    steps; the ``dim x 40`` matrix of all blocks is orthonormalized at once,
+    and the Rayleigh-Ritz value is taken on that basis."""
+    rng = np.random.default_rng(_ESTIMATE_SEED)
+    shape = (dim, _ESTIMATE_BLOCK)
+    block = apply(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    blocks = [block / np.linalg.norm(block)]
+    for _ in range(_ESTIMATE_POWER_STEPS):
+        block = apply(adjoint(blocks[-1]))
+        blocks.append(block / np.linalg.norm(block))
+    basis, _ = np.linalg.qr(np.hstack(blocks))
+    projected = adjoint(basis)
+    return math.sqrt(np.linalg.eigvalsh(projected.conj().T @ projected)[-1])
+
+
+def estimated_operators(system):
+    """The solver's compressed ``A`` and Woodbury ``P``, each as the pair of
+    products ``(M v, M^H v)`` its condition estimate takes."""
+    ops = _CompressedSystem(system, system.gauge_basis, _invert_multipliers(system)[0])
+    return {"A": (ops.a_low, ops.a_low_h), "P": (ops.p, ops.p_h)}
+
+
+def recorded_qr_widths(monkeypatch):
+    """Record the column count of every ``np.linalg.qr`` call."""
+    widths = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        widths.append(np.shape(a)[1])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    return widths
+
+
+class TestConditionEstimate:
+    @pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
+    def test_matches_one_qr_of_the_krylov_matrix(self, rng, case):
+        # block by block, the basis spans the same Krylov space as one QR
+        # of all its blocks, so the Rayleigh-Ritz values agree to rounding
+        system, _ = ELIMINATION_CASES[case](rng)
+        for apply, adjoint in estimated_operators(system).values():
+            want = krylov_qr_estimate(apply, adjoint, system.size)
+            assert _sigma_max_estimate(apply, adjoint, system.size) == \
+                pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["row_trace_n2", "shifted_zeta"])
+    def test_factors_no_block_wider_than_the_estimate_block(self, monkeypatch, case):
+        # each estimate orthonormalizes its 5 Krylov blocks one by one, and
+        # no QR of the whole 2nN x 40 Krylov matrix is made; the only other
+        # QR is the n^2 = 4 column gauge basis
+        system, data = ELIMINATION_CASES[case](None)
+        widths = recorded_qr_widths(monkeypatch)
+        solve_block_system(system, data)
+        assert max(widths) == _ESTIMATE_BLOCK
+        assert widths.count(_ESTIMATE_BLOCK) == 2 * (_ESTIMATE_POWER_STEPS + 1)
+
+    def test_block_inside_the_basis_keeps_a_lower_bound(self, monkeypatch):
+        # geometric a = 0, p = q = 0: a projected Krylov block falls
+        # numerically inside the basis built so far, and its QR returns
+        # directions that are not orthogonal to that basis; the basis is
+        # orthonormalized again as a whole, so the estimate stays a lower
+        # bound and meets the dense SVD
+        system, _ = compatible_problem(builtin_factor_family("geometric", 1.0, a=0.0, p=0, q=0),
+                                       row_trace_boundary_operators, 1, 32, 1.0, 0)[2:]
+        widths = recorded_qr_widths(monkeypatch)
+        for name, dense in zip("AP", dense_operators(system)):
+            apply, adjoint = estimated_operators(system)[name]
+            sigma = np.linalg.svd(dense, compute_uv=False)[0]
+            got = _sigma_max_estimate(apply, adjoint, system.size)
+            assert got <= sigma * (1 + 1e-12), name
+            assert got == pytest.approx(sigma, rel=1e-12), name
+        # the whole basis was orthonormalized again in each estimate
+        assert widths.count(_ESTIMATE_BLOCK * (_ESTIMATE_POWER_STEPS + 1)) == 2
+
+    def test_operator_smaller_than_one_block(self, rng):
+        # 2nN = 4 (n = 1, N = 2, which a config may ask for) is below the
+        # block's 8 columns: the first block spans the whole space
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        got = _sigma_max_estimate(lambda v: m @ v, lambda v: m.conj().T @ v, 4)
+        assert got == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
 
 
 def stored_kernel_family(symbols, inv_plus, x1, x2, powers, weight, transpose=False,
