@@ -539,11 +539,13 @@ class TestConditionEstimate:
         # directions that are not orthogonal to that basis; the basis is
         # orthonormalized again as a whole, so the estimate stays a lower
         # bound and meets the dense SVD
-        system, _ = compatible_problem(builtin_factor_family("geometric", 1.0, a=0.0, p=0, q=0),
-                                       row_trace_boundary_operators, 1, 32, 1.0, 0)[2:]
+        system, _ = compatible_problem(
+            builtin_factor_family("geometric", 1.0, a=0.0, p=0, q=0),
+            row_trace_boundary_operators, 1, 32, 1.0, 0)[2:]
         widths = recorded_qr_widths(monkeypatch)
+        estimated = estimated_operators(system)
         for name, dense in zip("AP", dense_operators(system)):
-            apply, adjoint = estimated_operators(system)[name]
+            apply, adjoint = estimated[name]
             sigma = np.linalg.svd(dense, compute_uv=False)[0]
             got = _sigma_max_estimate(apply, adjoint, system.size)
             assert got <= sigma * (1 + 1e-12), name
