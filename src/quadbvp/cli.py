@@ -155,10 +155,6 @@ def _lattice_problem(cfg: ExperimentConfig) -> ProblemSpec:
 
 
 def _continuous_problem(cfg: ExperimentConfig):
-    if len(cfg.betas) != cfg.n or len(cfg.gammas) != cfg.n:
-        raise ConfigError(
-            f"betas and gammas must each have n = {cfg.n} entries, got "
-            f"{len(cfg.betas)} and {len(cfg.gammas)}")
     return radial_power_problem(s=cfg.s, n=cfg.n, delta=cfg.delta,
                                 bottom_orders=cfg.betas, left_orders=cfg.gammas)
 

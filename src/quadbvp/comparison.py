@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, NormEstimateError
 from .lattice import LineGrid, _open_mesh, zeta
-from .system import (ContinuousProblem, _assemble, _kernel_blocks, _kernel_strips,
-                     _power_base)
+from .system import (ContinuousProblem, _assemble, _kernel_block, _kernel_strips,
+                     _power_base, _real_or_complex)
 
 __all__ = [
     "PowerGap",
@@ -126,10 +126,10 @@ class WeightedOperatorFrame:
     some ordering of its rows and columns) given by the pair ``(X, Y)``,
     whose largest singular value is ``max(sigma_max(X), sigma_max(Y))``.  A
     quadrant may be a strided view of a larger array, as the commutator's
-    are.  Entries already include the quadrature and weight scalings, so
-    each block's contribution to the operator norm is its largest singular
-    value, and the direct-sum (sum of block norms) convention makes the
-    full norm the largest column sum of those values.
+    are, and real, its norms then taken in real arithmetic.  Entries already
+    include the quadrature and weight scalings, so each block's contribution
+    to the operator norm is its largest singular value, and the direct-sum
+    convention makes the full norm the largest column sum of those values.
     """
 
     blocks: tuple[tuple[np.ndarray | None, ...], ...]
@@ -165,7 +165,7 @@ def _sigma_max(block: np.ndarray) -> float:
         return float(np.max(np.abs(b)))
     if b.ndim == 3:
         return max(_sigma_max(part) for part in b)
-    v = np.ones(b.shape[1], dtype=complex)
+    v = np.ones(b.shape[1], dtype=np.result_type(b, float))
     v /= np.linalg.norm(v)
     lam_prev = None
     lam = 0.0
@@ -260,8 +260,8 @@ def _torus_weights(nodes: np.ndarray, exponent: float, h: float) -> np.ndarray:
 
 
 def _weigh(stack: np.ndarray, w_out, w_in, quad: float) -> np.ndarray:
-    """Weigh a complex ``(n, n, ...)`` stack of blocks (diagonals or
-    matrices), or a strided view of one, in place and return it: block
+    """Weigh a real or complex ``(n, n, ...)`` stack of blocks (diagonals
+    or matrices), or a strided view of one, in place and return it: block
     ``(j, k)`` has its rows scaled by ``sqrt(w_out[j] quad)`` and its
     columns by ``1 / sqrt(w_in[k] quad)``, broadcast over the whole stack."""
     s_out = np.sqrt(np.asarray(w_out) * quad)
@@ -361,9 +361,9 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     they sample the same cores ``symbol_j / plus`` at the same nodes (the
     symbols' periodic continuation agrees there), and differ only in the
     powers, ``(i xi)^k`` against ``zeta^k``, and in the range of the
-    multiplier sums, the whole truncated line against the window.  Each
-    lattice kernel block is formed in :func:`_kernel_blocks`' arithmetic
-    and subtracted in place; blocks ``(j, 0)`` coincide, so their gap is 0.
+    multiplier sums, the whole truncated line against the window.  Blocks
+    ``(j, 0)`` coincide, so a kernel-gap stack is allocated zeroed and only
+    its blocks ``k >= 1`` are formed, in :func:`_kernel_blocks`' arithmetic.
     """
     quad = grid.axis_weight
     rows = window_mask(grid, min(h_values))
@@ -376,26 +376,24 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     def family_gaps(strip_mult, strip_core, out, zetas):
         core = strip_core[:, out, out]
         mult = strip_mult[:, :, out].copy()
-        kernel = _kernel_blocks(core, strip_powers[out], quad)
+        kernel = np.zeros(mult.shape[:2] + core.shape[1:], dtype=complex)
         lattice = np.empty(core.shape[1:], dtype=complex)
         for j, k in np.ndindex(mult.shape[:2]):
             powers = zetas ** k
             # the lattice multiplier sums core j's rows over the window only
-            mult[j, k] -= (core[j] @ powers) * quad
-            if k:  # in _kernel_blocks' arithmetic, through one reused buffer
-                np.multiply(core[j], powers[:, None], out=lattice)
-                lattice *= quad
-                kernel[j, k] -= lattice
-        kernel[:, 0] = 0.0
+            mult[j, k] -= _real_or_complex(np.matmul, core[j], powers, np.empty_like(powers)) * quad
+            if k:  # the lattice block through one reused buffer
+                _kernel_block(core[j], strip_powers[out] ** k, quad, kernel[j, k])
+                kernel[j, k] -= _kernel_block(core[j], powers, quad, lattice)
         return mult, kernel
 
     for h in h_values:
         win = window_mask(grid, h)
         out, wnodes = _run(win[rows]), grid.axis_nodes[win]
         zetas = _power_base(wnodes, float(h))
-        mult_b, ker_b = family_gaps(strip.bottom_mult, strip.bottom_core, out, zetas)
-        mult_l, ker_l = family_gaps(strip.left_mult, strip.left_core, out, zetas)
-        yield wnodes, ((mult_b, ker_b), (ker_l, mult_l))
+        # unbound, so that no window's gaps outlive it
+        yield wnodes, (family_gaps(strip.bottom_mult, strip.bottom_core, out, zetas),
+                       family_gaps(strip.left_mult, strip.left_core, out, zetas)[::-1])
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
@@ -409,11 +407,15 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
     grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
 
     norms = []
-    for h, (wnodes, gaps) in zip(h_values, _window_gaps(problem, grid, h_values)):
+    windows = _window_gaps(problem, grid, h_values)
+    for h in h_values:  # not zip(), which holds one window's gaps into the next's
+        wnodes, gaps = next(windows)
         weights = [_torus_weights(wnodes, e, float(h)) for e in problem.trace_exponents]
-        norms.append(estimate_operator_norm(WeightedOperatorFrame(tuple(
-            tuple(_weigh(gap, weights, weights, grid.axis_weight) for gap in row)
-            for row in gaps))))
+        for mult, kernel in (gaps[0], gaps[1][::-1]):
+            _weigh(mult, weights, weights, grid.axis_weight)
+            _weigh(kernel[:, 1:], weights, weights[1:], grid.axis_weight)  # (j, 0) are 0
+        norms.append(estimate_operator_norm(WeightedOperatorFrame(gaps)))
+        del gaps, mult, kernel
 
     return _report(h_values, norms, 1.0, grid)
 

@@ -204,6 +204,8 @@ class BlockSystem:
     weight``, with ``p`` the power base (``zeta`` on the torus, ``i xi`` on
     the line) at the output nodes: :func:`_kernel_blocks` forms the
     ``(n, n, out, in)`` stack, the solver applies the blocks without it.
+    The cores take the dtype of the symbol values over the plus factor,
+    float64 where both are real (the radial family); multipliers are complex.
 
     A strip (``_assemble`` with ``rows``) holds ``(n, n, R)`` multipliers
     and ``(n, R, R)`` cores on R of the N nodes, but its multipliers
@@ -302,14 +304,14 @@ def _power_base(nodes: np.ndarray, h: float | None) -> np.ndarray:
     return zeta(nodes, h) if h is not None else 1j * nodes
 
 
-def _core(symbol, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """The core ``symbol / plus`` of one kernel on the open mesh ``(x1,
-    x2)``, in mesh order, with ``inv_plus`` the inverse plus factor on the
-    whole mesh.  Real symbol values and factors enter the complex product
-    as they are: multiplying by ``c + 0j`` rounds as the real product does.
-    """
-    return np.multiply(np.asarray(symbol(x1, x2)), inv_plus, out=out, dtype=complex)
+def _real_or_complex(op, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``op(a, b)`` of an array ``a`` and a complex ``b`` into the complex
+    ``out``; a real ``a`` is not cast to complex, but enters through
+    ``out``'s real and imaginary views by real arithmetic."""
+    real = not np.iscomplexobj(a)
+    for part, into in ((b.real, out.real), (b.imag, out.imag)) if real else ((b, out),):
+        op(a, part, out=into)
+    return out
 
 
 def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
@@ -320,22 +322,35 @@ def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray
 
     ``powers`` holds the power base at the input nodes, the mesh's second
     axis.  Returns the multipliers ``mult[j, k] = weight * (core_j @
-    p^k)``, shape ``(n, n, out)``, and the cores, shape ``(n, out, in)``.
-    A boolean mask ``inputs`` keeps only the masked input nodes of the
-    cores, ``core[:, inputs]``; the multipliers integrate over all of them.
+    p^k)``, shape ``(n, n, out)``, and the cores, shape ``(n, out, in)``,
+    real for real values over a real factor.  A boolean mask ``inputs``
+    keeps only the masked input nodes of the cores, ``core[:, inputs]``; the
+    multipliers integrate over all of them.
     """
     n = len(symbols)
     rows, cols = inv_plus.shape
     kept = cols if inputs is None else int(np.count_nonzero(inputs))
     mult = np.empty((n, n, rows), dtype=complex)
-    cores = np.empty((n, rows, kept), dtype=complex)
+    cores = np.empty((n, rows, kept), dtype=inv_plus.dtype)
     for j, symbol in enumerate(symbols):
-        core = _core(symbol, inv_plus, x1, x2, out=cores[j] if inputs is None else None)
+        values = np.asarray(symbol(x1, x2))
+        if not np.can_cast(values.dtype, cores.dtype):  # complex values, a real factor
+            cores = cores.astype(complex)
+        core = np.multiply(values, inv_plus, out=cores[j] if inputs is None else None)
+        del values
         for k in range(n):
-            mult[j, k] = (core @ powers ** k) * weight
+            _real_or_complex(np.matmul, core, powers ** k, mult[j, k])
         if inputs is not None:
             cores[j] = core[:, inputs]
+    mult *= weight
     return mult, cores
+
+
+def _kernel_block(core, power: np.ndarray, weight: float, out: np.ndarray) -> np.ndarray:
+    """Kernel block ``core * power[:, None] * weight`` into ``out``."""
+    _real_or_complex(np.multiply, core, power[:, None], out)
+    out *= weight
+    return out
 
 
 def _kernel_blocks(core, powers: np.ndarray, weight: float,
@@ -343,21 +358,21 @@ def _kernel_blocks(core, powers: np.ndarray, weight: float,
     """The kernel stack of n cores: ``block[j, k] = core[j] * p^k[:, None]
     * weight``, shape ``(n, n, out, in)``, with ``p`` the power base
     ``powers`` at the output nodes.  ``core`` is an ``(n, out, in)`` array
-    or a sequence of n ``(out, in)`` matrices.  The stack is written into
+    or a sequence of n ``(out, in)`` matrices.  The stack is real only
+    where every block is, at n = 1 with a real core.  It is written into
     ``out`` when given, whose blocks ``out[:, 0]`` may hold the cores.
     Block ``(j, 0)`` is ``core[j] * weight``: ``p^0 = 1`` is not multiplied
     in, which changes at most the sign of a zero."""
     n = len(core)
-    blocks = np.empty((n, n) + core[0].shape, dtype=complex) if out is None else out
+    if out is None:
+        out = np.empty((n, n) + core[0].shape, dtype=core[0].dtype if n == 1 else complex)
     for j in range(n):
         # block (j, 0) last, so that it may be core j itself; in place: no
         # mesh-sized temporary per block
         for k in range(n - 1, 0, -1):
-            block = blocks[j, k]
-            np.multiply(core[j], (powers ** k)[:, None], out=block)
-            block *= weight
-        np.multiply(core[j], weight, out=blocks[j, 0])
-    return blocks
+            _kernel_block(core[j], powers ** k, weight, out[j, k])
+        np.multiply(core[j], weight, out=out[j, 0])
+    return out
 
 
 def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
@@ -411,28 +426,35 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
     mesh swapped the other two, so each core is written straight into its
     slot in the slot's order; the plus factor is evaluated once per mesh,
     one mesh at a time.  The cores are scaled in their slots with
-    :func:`_kernel_blocks`' arithmetic.
+    :func:`_kernel_blocks`' arithmetic; a strip is real at n = 1 for real
+    values over a real factor, its dtype taken from its first core's values.
     """
     n, R, N = problem.n, len(window), len(line)
     families = (problem.bottom_symbols, problem.left_symbols)
-    pairs = tuple(np.empty((n, n, 2, R, N), dtype=complex) for _ in families)
+    pairs = [None, None]
     window_line = _open_mesh(window, line)
     for mesh, (x1, x2) in enumerate((window_line, window_line[::-1])):
         inv_plus = 1.0 / _plus_values(problem.plus_factor, x1, x2)
-        for f, (symbols, pair) in enumerate(zip(families, pairs)):
+        for f, symbols in enumerate(families):
             # bottom kernels have their output nodes on xi1, left ones on
             # xi2: those on the window's axis fill slot 0
             into_window = mesh == f
             for j, symbol in enumerate(symbols):
-                _core(symbol, inv_plus, x1, x2, out=pair[j, 0, 0 if into_window else 1])
+                values = np.asarray(symbol(x1, x2))
+                if pairs[f] is None:
+                    dtype = np.result_type(values, inv_plus) if n == 1 else complex
+                    pairs[f] = np.empty((n, n, 2, R, N), dtype=dtype)
+                np.multiply(values, inv_plus, out=pairs[f][j, 0, 0 if into_window else 1])
+                del values
             # each stack in (out, in) order
+            pair = pairs[f]
             slots = pair[:, :, 0] if into_window else pair[:, :, 1].swapaxes(-1, -2)
             _kernel_blocks(slots[:, 0], _power_base(window if into_window else line, None),
                            weight, out=slots)
         del inv_plus
     for name, pair in zip(("bottom", "left"), pairs):
         _require_finite(f"{name} kernel strip", pair)
-    return pairs
+    return tuple(pairs)
 
 
 def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSystem:
@@ -673,10 +695,10 @@ class _CompressedSystem:
         self.dinv = mult_inv
         self.dinv_h = np.ascontiguousarray(mult_inv.transpose(0, 2, 1, 3).conj())
         self.kernel = (_power_base(system.nodes, system.h), system.weight)
-        # cores in C order, so that a stacked core is a view and the kernel
-        # products round alike in any layout; assembled cores are not copied
-        self.cores = (np.ascontiguousarray(system.bottom_core),
-                      np.ascontiguousarray(system.left_core))
+        # complex cores in C order, so that a stacked core is a view and the kernel
+        # products round alike in any layout; complex C-order cores are not copied
+        self.cores = (np.ascontiguousarray(system.bottom_core, dtype=complex),
+                      np.ascontiguousarray(system.left_core, dtype=complex))
         (ub, vb), (ul, vl) = (_compress(core, *self.kernel) for core in self.cores)
         rb, rl = ub.shape[1], ul.shape[1]
         self.rank = (rb, rl)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,13 @@ def full_matrix(system):
 def ones_symbol(*args):
     return np.ones(np.broadcast(*args).shape) if len(args) > 1 \
         else np.ones(np.asarray(args[0]).shape)
+
+
+def with_continuous_evaluators(wrap, problem):
+    """The continuous problem with its plus factor and symbols wrapped."""
+    return replace(problem, plus_factor=wrap(problem.plus_factor),
+                   bottom_symbols=tuple(map(wrap, problem.bottom_symbols)),
+                   left_symbols=tuple(map(wrap, problem.left_symbols)))
 
 
 def skewed_problem():

@@ -17,7 +17,7 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      zeta_power_gap)
 from quadbvp.cli import load_config
 from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips
-from conftest import kernel_stacks, skewed_problem
+from conftest import kernel_stacks, skewed_problem, with_continuous_evaluators
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,6 +156,20 @@ class TestOperatorNormEstimate:
             tracemalloc.stop()
         assert value == pytest.approx(np.linalg.norm(b, 2), rel=1e-6)
         assert peak - start < b.nbytes
+
+    def test_real_block_norm_allocates_less_than_the_block(self, rng):
+        # a real block starts from a real vector: b @ v never casts b
+        b = rng.normal(size=(256, 768))
+        b += 40.0 * np.outer(rng.normal(size=256), rng.normal(size=768))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            value = comparison._sigma_max(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(np.linalg.norm(b, 2), rel=1e-6)
+        assert peak - start < b.nbytes // 4
 
     def test_iteration_budget_exhaustion_is_reported(self, rng, monkeypatch):
         monkeypatch.setattr(comparison, "_POWER_TOL", 0.0)
@@ -607,18 +621,21 @@ class TestSweepsAssembleOnlyWhatTheyRead:
             assert kwargs["h"] is None and kwargs["rows"] is not None
 
     @pytest.mark.parametrize("mode, sweep", [
-        # the square strip's cores take 2 MiB on section_gap.ini and one
-        # mesh's plus factor 4 MiB, beside the (n, n, N) multipliers; both
-        # meshes' complex plus factors at once peaked at 28 MiB, a mesh-sized
-        # temporary per multiplier sum and a second lattice kernel stack per
-        # window at 22.2 MiB, a lattice system assembled per window at 19.2
-        # MiB (16.3 MiB with the window sliced from the strip)
+        # the finest window's two kernel-gap stacks take 8 MiB on
+        # section_gap.ini, beside the square strip's 1 MiB of real cores;
+        # both meshes' complex plus factors at once peaked at 28 MiB, a
+        # mesh-sized temporary per multiplier sum and a second lattice
+        # kernel stack per window at 22.2 MiB, a lattice system assembled
+        # per window at 19.2 MiB, complex cores at 16.3 MiB, and the
+        # coarser window's gaps held while the finest one's were formed
+        # at 13.2 MiB (11.2 MiB without)
         ("section_gap", section_gap_rate_sweep),
-        # the two weighted pair strips take 16 MiB on commutator.ini and the
-        # frame blocks are views of them; the finest window's gathered
-        # rectangles and an adjoint copy per block peaked at 31 MiB, and a
-        # second mesh-sized array per radial symbol value at 22.1 MiB (20.3
-        # MiB with the power taken in place)
+        # the two weighted pair strips, real for the radial n = 1 problem,
+        # take 8 MiB on commutator.ini and the frame blocks are views of
+        # them; the finest window's gathered rectangles and an adjoint copy
+        # per block peaked at 31 MiB, a second mesh-sized array per radial
+        # symbol value at 22.1 MiB, complex strips at 20.3 MiB (12.3 MiB
+        # with real ones)
         ("commutator", commutator_rate_sweep)])
     def test_shipped_sweep_allocates_only_the_blocks_it_reads(self, mode, sweep):
         cfg = load_config(ROOT / "configs" / f"{mode}.ini")
@@ -631,7 +648,7 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         finally:
             tracemalloc.stop()
         assert rep.slope is not None
-        assert peak - start < {"section_gap": 18, "commutator": 22}[mode] * 2 ** 20
+        assert peak - start < {"section_gap": 12.75, "commutator": 13.75}[mode] * 2 ** 20
 
     def test_commutator_builds_no_full_continuous_stack(self, monkeypatch):
         strips, frames = [], []
@@ -726,6 +743,51 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         assert rep.slope is None
         for got, want in zip(rep.norms[:-1], expected[:-1]):
             assert want > 0.0 and abs(got - want) <= 1e-12 * want
+
+
+class TestRealArithmetic:
+    @pytest.mark.parametrize("mode, sweep", [("section_gap", section_gap_rate_sweep),
+                                             ("commutator", commutator_rate_sweep)])
+    def test_norms_of_a_real_problem_equal_those_of_its_complex_cast(self, mode, sweep):
+        # the shipped radial problems are real, and their kernels float64
+        # where every block is real; the complex casts take the complex
+        # arithmetic of every step
+        cfg = load_config(ROOT / "configs" / f"{mode}.ini")
+        cast = with_continuous_evaluators(
+            lambda ev: lambda x1, x2: np.asarray(ev(x1, x2), dtype=complex), cfg.problem)
+        real, complex_ = (sweep(problem, cfg.h_values, nodes_per_window=cfg.nodes_per_window,
+                                lambda_factor=cfg.lambda_factor)
+                          for problem in (cfg.problem, cast))
+        for got, want in zip(real.norms, complex_.norms):
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_section_gap_neither_forms_nor_weighs_the_zero_blocks(self, monkeypatch):
+        # kernel-gap blocks (j, 0) are exactly zero: no block is formed
+        # with p^0 = 1, and only blocks k >= 1 of a kernel-gap stack are
+        # weighed
+        powers, weighed = [], []
+        kernel_block, weigh = comparison._kernel_block, comparison._weigh
+
+        def recording_block(core, power, weight, out):
+            powers.append(power)
+            return kernel_block(core, power, weight, out)
+
+        def recording_weigh(stack, w_out, w_in, quad):
+            weighed.append(stack.shape)
+            return weigh(stack, w_out, w_in, quad)
+
+        monkeypatch.setattr(comparison, "_kernel_block", recording_block)
+        monkeypatch.setattr(comparison, "_weigh", recording_weigh)
+        hs = [0.5, 0.25, 0.125]
+        rep = section_gap_rate_sweep(skewed_problem(), hs, nodes_per_window=8)
+        assert all(v > 0.0 for v in rep.norms)
+        # per window and family, blocks (0, 1) and (1, 1), each continuous
+        # and lattice
+        assert len(powers) == 2 * 2 * 2 * len(hs)
+        assert not any(np.all(p == 1.0) for p in powers)
+        kernels = [shape for shape in weighed if len(shape) == 4]
+        assert len(kernels) == 2 * len(hs)
+        assert all(shape[:2] == (2, 1) for shape in kernels)
 
 
 def weighted_frame(quadrants, weights, quad):

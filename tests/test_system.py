@@ -24,9 +24,10 @@ from quadbvp import lattice
 from quadbvp.lattice import _open_mesh
 from quadbvp.system import (_ESTIMATE_BLOCK, _ESTIMATE_POWER_STEPS, _ESTIMATE_SEED,
                             _CompressedSystem, _assemble, _compress, _invert_multipliers,
-                            _kernel_adjoint, _kernel_apply, _kernel_norm, _kernel_strips,
-                            _plus_values, _power_base, _sigma_max_estimate)
-from conftest import full_matrix, kernel_stacks, ones_symbol, skewed_problem
+                            _kernel_adjoint, _kernel_apply, _kernel_blocks, _kernel_norm,
+                            _kernel_strips, _plus_values, _power_base, _sigma_max_estimate)
+from conftest import (full_matrix, kernel_stacks, ones_symbol, skewed_problem,
+                      with_continuous_evaluators)
 
 
 def trivial_spec(n=1, h=1.0, delta=0.25, boundary="identity"):
@@ -1063,12 +1064,6 @@ def with_evaluators(wrap, fac, ops):
     return fac, tuple(tuple(map(wrapped, edge)) for edge in ops)
 
 
-def with_continuous_evaluators(wrap, problem):
-    return replace(problem, plus_factor=wrap(problem.plus_factor),
-                   bottom_symbols=tuple(map(wrap, problem.bottom_symbols)),
-                   left_symbols=tuple(map(wrap, problem.left_symbols)))
-
-
 def strip(problem, nodes, rows, h=None):
     return _assemble(n=problem.n, nodes=nodes, weight=0.1, h=h,
                      plus_factor=problem.plus_factor,
@@ -1194,8 +1189,11 @@ class TestOpenMesh:
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_real_evaluators_give_the_cores_of_their_complex_casts(self):
-        # a real plus factor and real symbols stay real up to the complex
-        # core product, which rounds as the product of the complex casts
+        # a real plus factor and real symbols give real cores, equal in
+        # value to those of the complex casts (a real product rounds as the
+        # real part of the complex one), and n = 2 strips equal to the
+        # casts' bit for bit; the multipliers are summed in real arithmetic,
+        # within the rounding of a sum of the oracle's
         problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
                                        left_orders=[0.5, 0.0])
         grid = aligned_line_grid([0.5, 0.25], 8)
@@ -1204,14 +1202,25 @@ class TestOpenMesh:
         assert not np.iscomplexobj(problem.plus_factor(*_open_mesh(nodes, nodes)))
         cast = with_continuous_evaluators(
             lambda ev: lambda x1, x2: np.asarray(ev(x1, x2), dtype=complex), problem)
-        pairs = [(assemble_continuous_system(problem, grid),
-                  assemble_continuous_system(cast, grid)),
-                 (strip(problem, nodes, rows), strip(cast, nodes, rows))]
-        for got, want in pairs:
-            for field in BLOCKS:
+        full = assemble_continuous_system(problem, grid)
+        powers = _power_base(nodes, None)
+        # the rows a system holds and its weight; strips integrate over all N
+        cases = [(full, assemble_continuous_system(cast, grid), slice(None), grid.axis_weight),
+                 (strip(problem, nodes, rows), strip(cast, nodes, rows), rows, 0.1)]
+        for got, want, cut, weight in cases:
+            for field in ("bottom_core", "left_core"):
+                assert getattr(got, field).dtype == np.float64, field
+                assert getattr(want, field).dtype == np.complex128, field
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            for field, cores in (("bottom_mult", full.bottom_core),
+                                 ("left_mult", full.left_core)):
+                oracle, bound = fsum_multipliers(cores[:, cut], powers, weight)
+                for mult in (getattr(got, field), getattr(want, field)):
+                    assert np.all(np.abs(mult.real - oracle.real) <= bound), field
+                    assert np.all(np.abs(mult.imag - oracle.imag) <= bound), field
         for got, want in zip(_kernel_strips(problem, nodes[rows], nodes, 0.1),
                              _kernel_strips(cast, nodes[rows], nodes, 0.1)):
+            assert got.dtype == want.dtype == np.complex128
             assert np.array_equal(got, want)
 
     def test_vanishing_plus_factor_names_both_coordinates(self, rng):
@@ -1245,3 +1254,92 @@ class TestOpenMesh:
         traces = random_trace_vector(rng, FrequencyGrid(h, N, ndim=1), 1)
         with pytest.raises(AssemblyError, match=where):
             reconstruct_solution(traces, fac, grid)
+
+
+class TestRealKernels:
+    """The kernel dtype follows the evaluated values: real symbols over a
+    real plus factor give float64 cores, a kernel stack is real only where
+    every block is (n = 1), and the solver takes any core as complex."""
+
+    def test_radial_n1_cores_and_strips_are_real(self):
+        problem = radial_power_problem(s=2.25, n=1, delta=-0.25, bottom_orders=[0.0],
+                                       left_orders=[0.0])
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        rows = window_mask(grid, 0.25)
+        for system, cut in ((assemble_continuous_system(problem, grid), None),
+                            (strip(problem, nodes, rows), rows)):
+            assert system.bottom_core.dtype == system.left_core.dtype == np.float64
+            assert system.bottom_mult.dtype == system.left_mult.dtype == np.complex128
+            assert all(stack.dtype == np.float64 for stack in kernel_stacks(system, cut))
+        for pair in _kernel_strips(problem, nodes[rows], nodes, 0.1):
+            assert pair.dtype == np.float64
+
+    def test_radial_n2_kernel_stacks_are_complex_and_those_of_the_cast(self):
+        # blocks k >= 1 of a real core are formed by real multiplies into
+        # the stack's real and imaginary parts: the blocks of the complex
+        # cast core, up to the sign of a zero
+        problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
+                                       left_orders=[0.5, 0.0])
+        system = assemble_continuous_system(problem, aligned_line_grid([0.5, 0.25], 8))
+        powers = _power_base(system.nodes, None)
+        for core, stack in zip((system.bottom_core, system.left_core), kernel_stacks(system)):
+            assert core.dtype == np.float64 and stack.dtype == np.complex128
+            assert np.array_equal(stack, _kernel_blocks(core.astype(complex), powers,
+                                                        system.weight))
+
+    def test_a_complex_symbol_after_a_real_one_makes_the_cores_complex(self):
+        problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
+                                       left_orders=[0.5, 0.0])
+        second = problem.bottom_symbols[1]
+        mixed = replace(problem, bottom_symbols=(
+            problem.bottom_symbols[0], lambda x1, x2: second(x1, x2) * (1.0 + 0.5j)))
+        cast = with_continuous_evaluators(
+            lambda ev: lambda x1, x2: np.asarray(ev(x1, x2), dtype=complex), mixed)
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        rows = window_mask(grid, 0.25)
+        for got, want in ((assemble_continuous_system(mixed, grid),
+                           assemble_continuous_system(cast, grid)),
+                          (strip(mixed, nodes, rows), strip(cast, nodes, rows))):
+            assert got.bottom_core.dtype == np.complex128
+            assert got.left_core.dtype == np.float64
+            for field in ("bottom_core", "left_core"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    @pytest.mark.parametrize("family,params", [
+        ("geometric", dict(a=0.5, p=1, q=1)),
+        ("shifted_zeta", dict(c=9.5, kappa=1.5)),
+    ])
+    @pytest.mark.parametrize("operators", [row_trace_boundary_operators,
+                                           zeta_boundary_operators,
+                                           identity_boundary_operators])
+    def test_lattice_systems_keep_complex_cores(self, family, params, operators):
+        h, n = 1.0, 1
+        fac = builtin_factor_family(family, h, **params)
+        bottom, left = operators(n, h)
+        spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=fac, n=n, delta=0.25,
+                           bottom_ops=bottom, left_ops=left)
+        system = assemble_discrete_system(spec, FrequencyGrid(h, 16))
+        assert system.bottom_core.dtype == system.left_core.dtype == np.complex128
+
+    @pytest.mark.parametrize("kind", ["unit lattice", "radial line"])
+    def test_a_real_system_solves_as_its_complex_cast(self, rng, kind):
+        # the solver casts real cores to complex: the same bits as cores
+        # stored complex
+        if kind == "unit lattice":
+            system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
+        else:
+            system = assemble_continuous_system(
+                radial_power_problem(s=0.75, n=1, delta=0.25, bottom_orders=[0.0],
+                                     left_orders=[0.0]),
+                aligned_line_grid([1.0], 32, lambda_factor=2.0))
+        assert system.bottom_core.dtype == np.float64
+        bump = random_bumps(rng, math.pi)(system.nodes)
+        data = trace_data(system, [bump], [bump])
+        cast = replace(system, bottom_core=system.bottom_core.astype(complex),
+                       left_core=system.left_core.astype(complex))
+        traces, rep = solve_block_system(system, data)
+        traces_c, rep_c = solve_block_system(cast, data)
+        assert np.array_equal(stacked_values(traces), stacked_values(traces_c))
+        assert rep == rep_c and rep.residual <= 1e-10
