@@ -622,7 +622,7 @@ class TestSweepsAssembleOnlyWhatTheyRead:
 
     @pytest.mark.parametrize("mode, sweep", [
         # the finest window's two kernel-gap stacks take 8 MiB on
-        # section_gap.ini, beside the square strip's 1 MiB of real cores;
+        # section_gap.ini, beside the square strip's 2 MiB of real cores;
         # both meshes' complex plus factors at once peaked at 28 MiB, a
         # mesh-sized temporary per multiplier sum and a second lattice
         # kernel stack per window at 22.2 MiB, a lattice system assembled
