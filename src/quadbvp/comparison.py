@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InvalidConfigurationError, NormEstimateError
 from .lattice import LineGrid, _open_mesh, zeta
 from .system import (ContinuousProblem, _assemble, _kernel_block, _kernel_strips,
-                     _power_base, _real_or_complex)
+                     _matvec, _power_base)
 
 __all__ = [
     "PowerGap",
@@ -353,7 +353,7 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     window-restricted continuous operator and the lattice operator on the
     same window nodes.
 
-    The gap comes as the quadrants ``((mult_b, ker_b), (ker_l, mult_l))``,
+    The gap comes per family, ``((mult_b, ker_b), (mult_l, ker_l))``,
     continuous minus lattice: the multiplier gaps ``(n, n, w)`` diagonals,
     the kernel gaps ``(n, n, w, w)`` stacks of matrices, all with the
     quadrature weight folded in.  Both sides are sliced from one square
@@ -381,7 +381,7 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
         for j, k in np.ndindex(mult.shape[:2]):
             powers = zetas ** k
             # the lattice multiplier sums core j's rows over the window only
-            mult[j, k] -= _real_or_complex(np.matmul, core[j], powers, np.empty_like(powers)) * quad
+            mult[j, k] -= _matvec(core[j], powers, np.empty_like(powers)) * quad
             if k:  # the lattice block through one reused buffer
                 _kernel_block(core[j], strip_powers[out] ** k, quad, kernel[j, k])
                 kernel[j, k] -= _kernel_block(core[j], powers, quad, lattice)
@@ -393,7 +393,7 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
         zetas = _power_base(wnodes, float(h))
         # unbound, so that no window's gaps outlive it
         yield wnodes, (family_gaps(strip.bottom_mult, strip.bottom_core, out, zetas),
-                       family_gaps(strip.left_mult, strip.left_core, out, zetas)[::-1])
+                       family_gaps(strip.left_mult, strip.left_core, out, zetas))
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
@@ -406,18 +406,18 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
     _hypotheses(problem, 3.0, 3.0, "section gap sweep")
     grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
 
-    norms = []
-    windows = _window_gaps(problem, grid, h_values)
-    for h in h_values:  # not zip(), which holds one window's gaps into the next's
-        wnodes, gaps = next(windows)
-        weights = [_torus_weights(wnodes, e, float(h)) for e in problem.trace_exponents]
-        for mult, kernel in (gaps[0], gaps[1][::-1]):
+    def window_norm(h, wnodes, families):
+        # (n, w) weights, whose rows 1: are (0, w) at n = 1
+        weights = np.array([_torus_weights(wnodes, e, float(h)) for e in problem.trace_exponents])
+        for mult, kernel in families:
             _weigh(mult, weights, weights, grid.axis_weight)
             _weigh(kernel[:, 1:], weights, weights[1:], grid.axis_weight)  # (j, 0) are 0
-        norms.append(estimate_operator_norm(WeightedOperatorFrame(gaps)))
-        del gaps, mult, kernel
+        (mult_b, ker_b), (mult_l, ker_l) = families
+        return estimate_operator_norm(WeightedOperatorFrame(((mult_b, ker_b), (ker_l, mult_l))))
 
-    return _report(h_values, norms, 1.0, grid)
+    windows = _window_gaps(problem, grid, h_values)
+    # next(), not zip(), which would hold one window's gaps into the next's
+    return _report(h_values, [window_norm(h, *next(windows)) for h in h_values], 1.0, grid)
 
 
 def kernel_gap_ratios(problem: ContinuousProblem, h: float,
@@ -437,7 +437,7 @@ def kernel_gap_ratios(problem: ContinuousProblem, h: float,
     """
     _hypotheses(problem, 2.0, 2.0, "kernel gap ratios")
     grid = aligned_line_grid([h], nodes_per_window, lambda_factor=lambda_factor)
-    wnodes, ((mult_b, ker_b), (ker_l, mult_l)) = next(_window_gaps(problem, grid, [h]))
+    wnodes, ((mult_b, ker_b), (mult_l, ker_l)) = next(_window_gaps(problem, grid, [h]))
     weight_2d = 1.0 + np.hypot(*_open_mesh(wnodes, wnodes))
     weight_1d = 1.0 + np.abs(wnodes)
     quad = grid.axis_weight

@@ -304,14 +304,17 @@ def _power_base(nodes: np.ndarray, h: float | None) -> np.ndarray:
     return zeta(nodes, h) if h is not None else 1j * nodes
 
 
-def _real_or_complex(op, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``op(a, b)`` of an array ``a`` and a complex ``b`` into the complex
-    ``out``; a real ``a`` is not cast to complex, but enters through
-    ``out``'s real and imaginary views by real arithmetic."""
-    real = not np.iscomplexobj(a)
-    for part, into in ((b.real, out.real), (b.imag, out.imag)) if real else ((b, out),):
-        op(a, part, out=into)
+def _matvec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` of a matrix ``a`` and a complex vector ``b`` into ``out``; a
+    real ``a`` takes two real products into ``out``'s real and imaginary views."""
+    for part, into in ((b, out),) if np.iscomplexobj(a) else ((b.real, out.real), (b.imag, out.imag)):
+        np.matmul(a, part, out=into)
     return out
+
+
+def _stack_dtype(n: int, core_dtype) -> np.dtype:
+    """Kernel stacks are real only where every block is: n = 1, a real core."""
+    return np.dtype(core_dtype if n == 1 else complex)
 
 
 def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
@@ -322,10 +325,9 @@ def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray
 
     ``powers`` holds the power base at the input nodes, the mesh's second
     axis.  Returns the multipliers ``mult[j, k] = weight * (core_j @
-    p^k)``, shape ``(n, n, out)``, and the cores, shape ``(n, out, in)``,
-    real for real values over a real factor.  A boolean mask ``inputs``
-    keeps only the masked input nodes of the cores, ``core[:, inputs]``; the
-    multipliers integrate over all of them.
+    p^k)``, shape ``(n, n, out)``, and the cores, shape ``(n, out, in)``.
+    A boolean mask ``inputs`` keeps only the masked input nodes of the
+    cores, ``core[:, inputs]``; the multipliers integrate over all of them.
     """
     n = len(symbols)
     rows, cols = inv_plus.shape
@@ -339,7 +341,7 @@ def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray
         core = np.multiply(values, inv_plus, out=cores[j] if inputs is None else None)
         del values
         for k in range(n):
-            _real_or_complex(np.matmul, core, powers ** k, mult[j, k])
+            _matvec(core, powers ** k, mult[j, k])
         if inputs is not None:
             cores[j] = core[:, inputs]
     mult *= weight
@@ -348,9 +350,7 @@ def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray
 
 def _kernel_block(core, power: np.ndarray, weight: float, out: np.ndarray) -> np.ndarray:
     """Kernel block ``core * power[:, None] * weight`` into ``out``."""
-    _real_or_complex(np.multiply, core, power[:, None], out)
-    out *= weight
-    return out
+    return np.multiply(np.multiply(core, power[:, None], out=out), weight, out=out)
 
 
 def _kernel_blocks(core, powers: np.ndarray, weight: float,
@@ -365,7 +365,7 @@ def _kernel_blocks(core, powers: np.ndarray, weight: float,
     in, which changes at most the sign of a zero."""
     n = len(core)
     if out is None:
-        out = np.empty((n, n) + core[0].shape, dtype=core[0].dtype if n == 1 else complex)
+        out = np.empty((n, n) + core[0].shape, dtype=_stack_dtype(n, core[0].dtype))
     for j in range(n):
         # block (j, 0) last, so that it may be core j itself; in place: no
         # mesh-sized temporary per block
@@ -442,7 +442,7 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
             for j, symbol in enumerate(symbols):
                 values = np.asarray(symbol(x1, x2))
                 if pairs[f] is None:
-                    dtype = np.result_type(values, inv_plus) if n == 1 else complex
+                    dtype = _stack_dtype(n, np.result_type(values, inv_plus))
                     pairs[f] = np.empty((n, n, 2, R, N), dtype=dtype)
                 np.multiply(values, inv_plus, out=pairs[f][j, 0, 0 if into_window else 1])
                 del values

@@ -394,6 +394,23 @@ class TestSectionGapSweep:
         assert rep.epsilon == 1.0
         assert rep.monotone_violations == ()
 
+    def test_single_trace_gap_is_its_multiplier_gap(self):
+        # at n = 1 the kernel gap is its one zero block (0, 0) and no block
+        # is weighed; each multiplier gap is diagonal with equal weights on
+        # both sides, so the norm is the larger max modulus of the two
+        problem = radial_power_problem(s=3.25, n=1, delta=-0.25,
+                                       bottom_orders=[0.0], left_orders=[0.0])
+        hs = [0.5, 0.25, 0.125]
+        rep = section_gap_rate_sweep(problem, hs, nodes_per_window=16)
+        grid = aligned_line_grid(hs, 16)
+        for norm, (_, ((mult_b, ker_b), (mult_l, ker_l))) in zip(
+                rep.norms, comparison._window_gaps(problem, grid, hs)):
+            assert ker_b.shape[:2] == ker_l.shape[:2] == (1, 1)
+            assert not np.any(ker_b) and not np.any(ker_l)
+            want = max(np.max(np.abs(mult_b)), np.max(np.abs(mult_l)))
+            assert want > 0.0 and norm == pytest.approx(want, rel=1e-13)
+        assert rep.slope >= 0.8
+
     def test_hypothesis_violation_rejected(self):
         problem = radial_power_problem(s=2.25, n=1, delta=-0.25,
                                        bottom_orders=[0.0], left_orders=[0.0])
@@ -558,8 +575,8 @@ class TestStripAssembly:
             lattice_b, lattice_l = kernel_stacks(lattice)
             gathered = (full.bottom_mult[:, :, win] - lattice.bottom_mult,
                         full_b[(...,) + square] - lattice_b,
-                        full_l[(...,) + square] - lattice_l,
-                        full.left_mult[:, :, win] - lattice.left_mult)
+                        full.left_mult[:, :, win] - lattice.left_mult,
+                        full_l[(...,) + square] - lattice_l)
             assert np.array_equal(wnodes, grid.axis_nodes[win])
             for got, want in zip((gap for row in gaps for gap in row), gathered):
                 assert got.shape == want.shape

@@ -1276,9 +1276,8 @@ class TestRealKernels:
             assert pair.dtype == np.float64
 
     def test_radial_n2_kernel_stacks_are_complex_and_those_of_the_cast(self):
-        # blocks k >= 1 of a real core are formed by real multiplies into
-        # the stack's real and imaginary parts: the blocks of the complex
-        # cast core, up to the sign of a zero
+        # blocks k >= 1 of a real core take numpy's real x complex product,
+        # which casts the core: the blocks of the complex cast core
         problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
                                        left_orders=[0.5, 0.0])
         system = assemble_continuous_system(problem, aligned_line_grid([0.5, 0.25], 8))
