@@ -155,6 +155,10 @@ def _lattice_problem(cfg: ExperimentConfig) -> ProblemSpec:
 
 
 def _continuous_problem(cfg: ExperimentConfig):
+    for key in ("betas", "gammas"):
+        if len(getattr(cfg, key)) != cfg.n:
+            raise ConfigError(f"{key} in [continuous] must have n = {cfg.n} entries, "
+                              f"got {len(getattr(cfg, key))}")
     return radial_power_problem(s=cfg.s, n=cfg.n, delta=cfg.delta,
                                 bottom_orders=cfg.betas, left_orders=cfg.gammas)
 

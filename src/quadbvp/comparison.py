@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, NormEstimateError
 from .lattice import LineGrid, _open_mesh, zeta
-from .system import (ContinuousProblem, _assemble, _kernel_block, _kernel_strips,
-                     _matvec, _power_base)
+from .system import ContinuousProblem, _assemble, _kernel_strips, _matvec, _power_base
 
 __all__ = [
     "PowerGap",
@@ -348,52 +347,63 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     return _report(h_values, norms, epsilon, grid)
 
 
-def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
+def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: bool = False):
     """For each ``h``, the window nodes and the gap between the
     window-restricted continuous operator and the lattice operator on the
-    same window nodes.
+    same window nodes, continuous minus lattice, with the quadrature weight
+    and, if ``weighed``, the frame's torus weights (:func:`_weigh`) in it.
 
-    The gap comes per family, ``((mult_b, ker_b), (mult_l, ker_l))``,
-    continuous minus lattice: the multiplier gaps ``(n, n, w)`` diagonals,
-    the kernel gaps ``(n, n, w, w)`` stacks of matrices, all with the
-    quadrature weight folded in.  Both sides are sliced from one square
-    strip on the finest window, which holds the coarser ones: on a window
-    they sample the same cores ``symbol_j / plus`` at the same nodes (the
-    symbols' periodic continuation agrees there), and differ only in the
-    powers, ``(i xi)^k`` against ``zeta^k``, and in the range of the
-    multiplier sums, the whole truncated line against the window.  Blocks
-    ``(j, 0)`` coincide, so a kernel-gap stack is allocated zeroed and only
-    its blocks ``k >= 1`` are formed, in :func:`_kernel_blocks`' arithmetic.
+    Yields ``(wnodes, (mult_b, mult_l), blocks)``: the multiplier gaps,
+    ``(n, n, w)`` diagonals, and an iterator over the kernel-gap blocks
+    ``(f, j, k, block)``, bottom (``f`` 0) then left, each ``(w, w)`` block
+    formed in one product into the sweep's one buffer and valid until the
+    next.  Both sides are sliced from one square strip on the finest window:
+    on a window they sample the same cores ``symbol_j / plus`` at the same
+    nodes (the symbols' periodic continuation agrees there), and differ only
+    in the powers, ``(i xi)^k`` against ``zeta^k``, and in the range of the
+    multiplier sums, the whole truncated line against the window.  So a
+    kernel-gap block is ``core_j * ((i xi)^k - zeta^k) * quad``, zero at
+    ``k = 0`` and not formed, and a multiplier gap the strip's sum outside
+    the finest window plus the core's row against ``p^k`` on the rest of it
+    and ``(i xi)^k - zeta^k`` on the window: at ``k = 0`` exactly the sum
+    over the nodes outside the window.
     """
-    quad = grid.axis_weight
+    n, quad = problem.n, grid.axis_weight
     rows = window_mask(grid, min(h_values))
-    strip = _assemble(n=problem.n, nodes=grid.axis_nodes, weight=quad, h=None,
+    strip = _assemble(n=n, nodes=grid.axis_nodes, weight=quad, h=None,
                       plus_factor=problem.plus_factor,
                       bottom_symbols=problem.bottom_symbols,
                       left_symbols=problem.left_symbols, rows=rows)
-    strip_powers = _power_base(grid.axis_nodes[rows], None)
+    cores = (strip.bottom_core, strip.left_core)
+    powers = _power_base(grid.axis_nodes[rows], None) ** np.arange(n)[:, None]
+    buffer = np.empty(powers.shape[1] ** 2, dtype=complex)
 
-    def family_gaps(strip_mult, strip_core, out, zetas):
-        core = strip_core[:, out, out]
-        mult = strip_mult[:, :, out].copy()
-        kernel = np.zeros(mult.shape[:2] + core.shape[1:], dtype=complex)
-        lattice = np.empty(core.shape[1:], dtype=complex)
-        for j, k in np.ndindex(mult.shape[:2]):
-            powers = zetas ** k
-            # the lattice multiplier sums core j's rows over the window only
-            mult[j, k] -= _matvec(core[j], powers, np.empty_like(powers)) * quad
-            if k:  # the lattice block through one reused buffer
-                _kernel_block(core[j], strip_powers[out] ** k, quad, kernel[j, k])
-                kernel[j, k] -= _kernel_block(core[j], powers, quad, lattice)
-        return mult, kernel
+    def kernel_gaps(out, gaps, scale):
+        w = out.stop - out.start
+        for f, j, k in np.ndindex(2, n, n):
+            if k:
+                block = np.multiply(cores[f][j, out, out], (gaps[k, out] * scale[j])[:, None],
+                                    out=buffer[:w * w].reshape(w, w))
+                yield f, j, k, np.divide(block, scale[k], out=block)
 
     for h in h_values:
         win = window_mask(grid, h)
         out, wnodes = _run(win[rows]), grid.axis_nodes[win]
-        zetas = _power_base(wnodes, float(h))
+        # times quad: p^k on the finest window, (i xi)^k - zeta^k on this one
+        gaps = powers.copy()
+        gaps[:, out] -= _power_base(wnodes, float(h)) ** np.arange(n)[:, None]
+        gaps *= quad
+        mults = strip.outer_mult[..., out].copy()
+        for f, j, k in np.ndindex(mults.shape[:3]):
+            mults[f, j, k] += _matvec(cores[f][j, out], gaps[k], np.empty(len(wnodes), complex))
+        scale = np.ones((n, 1))
+        if weighed:
+            scale = np.sqrt(np.array([_torus_weights(wnodes, e, float(h)) * quad
+                                      for e in problem.trace_exponents]))
+        mults *= scale[:, None]
+        mults /= scale
         # unbound, so that no window's gaps outlive it
-        yield wnodes, (family_gaps(strip.bottom_mult, strip.bottom_core, out, zetas),
-                       family_gaps(strip.left_mult, strip.left_core, out, zetas))
+        yield wnodes, tuple(mults), kernel_gaps(out, gaps, scale)
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
@@ -401,23 +411,23 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
                            lambda_factor: float = 4.0) -> RateReport:
     """Rate of the gap between the window-restricted continuous operator and
     the lattice operator assembled on the same window nodes; the predicted
-    rate is first order in ``h``.
+    rate is first order in ``h``.  Each kernel-gap block's norm is taken as
+    :func:`_window_gaps` forms it, and the frame holds the block as that
+    norm alone, a one-entry diagonal, which the frame's norm reads alike.
     """
     _hypotheses(problem, 3.0, 3.0, "section gap sweep")
     grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
 
-    def window_norm(h, wnodes, families):
-        # (n, w) weights, whose rows 1: are (0, w) at n = 1
-        weights = np.array([_torus_weights(wnodes, e, float(h)) for e in problem.trace_exponents])
-        for mult, kernel in families:
-            _weigh(mult, weights, weights, grid.axis_weight)
-            _weigh(kernel[:, 1:], weights, weights[1:], grid.axis_weight)  # (j, 0) are 0
-        (mult_b, ker_b), (mult_l, ker_l) = families
-        return estimate_operator_norm(WeightedOperatorFrame(((mult_b, ker_b), (ker_l, mult_l))))
+    def window_norm(wnodes, mults, blocks):
+        norms = np.zeros((2, problem.n, problem.n, 1))  # blocks (j, 0) are 0
+        for f, j, k, block in blocks:
+            norms[f, j, k] = _sigma_max(block)
+        return estimate_operator_norm(WeightedOperatorFrame(((mults[0], norms[0]),
+                                                             (norms[1], mults[1]))))
 
-    windows = _window_gaps(problem, grid, h_values)
+    windows = _window_gaps(problem, grid, h_values, weighed=True)
     # next(), not zip(), which would hold one window's gaps into the next's
-    return _report(h_values, [window_norm(h, *next(windows)) for h in h_values], 1.0, grid)
+    return _report(h_values, [window_norm(*next(windows)) for _ in h_values], 1.0, grid)
 
 
 def kernel_gap_ratios(problem: ContinuousProblem, h: float,
@@ -437,22 +447,18 @@ def kernel_gap_ratios(problem: ContinuousProblem, h: float,
     """
     _hypotheses(problem, 2.0, 2.0, "kernel gap ratios")
     grid = aligned_line_grid([h], nodes_per_window, lambda_factor=lambda_factor)
-    wnodes, ((mult_b, ker_b), (mult_l, ker_l)) = next(_window_gaps(problem, grid, [h]))
+    wnodes, mults, blocks = next(_window_gaps(problem, grid, [h]))
     weight_2d = 1.0 + np.hypot(*_open_mesh(wnodes, wnodes))
     weight_1d = 1.0 + np.abs(wnodes)
-    quad = grid.axis_weight
-    # family: |gap|, growth weight, exponent offset, symbol orders
-    families = {
-        "bottom_mult": (np.abs(mult_b), weight_1d, 2, problem.bottom_orders),
-        "bottom_kernel": (np.abs(ker_b) / quad, weight_2d, 1, problem.bottom_orders),
-        "left_kernel": (np.abs(ker_l) / quad, weight_2d, 1, problem.left_orders),
-        "left_mult": (np.abs(mult_l), weight_1d, 2, problem.left_orders),
-    }
-    n = problem.n
-    ratios = {}
-    for family, (gap, weight, offset, orders) in families.items():
-        ratios[family] = np.empty((n, n))
-        for j, k in np.ndindex(n, n):
-            e = orders[j] - problem.index + k + offset
-            ratios[family][j, k] = np.max(gap[j, k] / (h * weight ** e))
-    return ratios
+
+    def exponent(f, j, k):
+        return (problem.bottom_orders, problem.left_orders)[f][j] - problem.index + k
+
+    kernel, mult = np.zeros((2, problem.n, problem.n)), np.empty((2, problem.n, problem.n))
+    for f, j, k, block in blocks:  # per unit quadrature weight; blocks (j, 0) are 0
+        kernel[f, j, k] = np.max(np.abs(block) / grid.axis_weight
+                                 / (h * weight_2d ** (exponent(f, j, k) + 1)))
+    for f, j, k in np.ndindex(mult.shape):
+        mult[f, j, k] = np.max(np.abs(mults[f][j, k]) / (h * weight_1d ** (exponent(f, j, k) + 2)))
+    return {"bottom_mult": mult[0], "bottom_kernel": kernel[0],
+            "left_kernel": kernel[1], "left_mult": mult[1]}

@@ -33,9 +33,11 @@ __all__ = [
 class PeriodicSymbol:
     """Symbol of a digital operator: a ``2 pi / h``-periodic evaluator.
 
-    ``evaluate`` acts elementwise on ``(xi1, xi2)``, an open mesh of arrays
-    of shapes ``(R, 1)`` and ``(1, N)`` in either order, and may return any
-    array that broadcasts to the mesh: a one-axis symbol can ignore the other.
+    ``evaluate`` must be pure and elementwise: assembly calls it on row
+    tiles of a mesh, possibly several times each, as open meshes ``(xi1,
+    xi2)`` of shapes ``(R, 1)`` and ``(1, N)``, ``R >= 2``, in either order.
+    It may return any array that broadcasts to the tile: a one-axis symbol
+    can ignore the other.
     """
 
     evaluate: Callable[..., np.ndarray]
@@ -54,8 +56,9 @@ class WaveFactorization:
     and nonvanishing there; ``minus_factor`` the opposite tube.  ``index``
     is the growth order of the plus factor.  ``h`` is None for
     factorizations of continuous symbols.  Both factors are evaluated like
-    :class:`PeriodicSymbol`: elementwise on an open mesh in either
-    orientation, returning any array that broadcasts to it.
+    :class:`PeriodicSymbol`'s, so they must be pure and elementwise: on row
+    tiles of a mesh, open meshes with at least 2 rows in either
+    orientation, possibly several times per assembly.
     """
 
     plus_factor: Callable[..., np.ndarray]

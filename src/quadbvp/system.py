@@ -125,10 +125,11 @@ class ProblemSpec:
 class ContinuousProblem:
     """Continuous counterpart: symbols on the frequency plane, truncated line.
 
-    Symbol and factor evaluators act elementwise on ``(xi1, xi2)`` given as
-    an open mesh in either orientation, like :class:`PeriodicSymbol`'s.
-    Orders are declared, not checked: the growth sandwich is a hypothesis
-    of the problem.
+    Symbol and factor evaluators are called like :class:`PeriodicSymbol`'s,
+    on row tiles of a mesh, open meshes with at least 2 rows in either
+    orientation, possibly several times per assembly: they must be pure
+    and elementwise.  Orders are declared, not checked: the growth sandwich
+    is a hypothesis of the problem.
     """
 
     s: float
@@ -210,7 +211,8 @@ class BlockSystem:
     A strip (``_assemble`` with ``rows``) holds ``(n, n, R)`` multipliers
     and ``(n, R, R)`` cores on R of the N nodes, but its multipliers
     integrate over all N: it is not a system on the R nodes, and ``size``,
-    ``gauge_basis`` and the solver do not apply to it.
+    ``gauge_basis`` and the solver do not apply to it.  Its ``outer_mult``,
+    ``(2, n, n, R)``, bottom then left, are the sums over the other N - R.
     """
 
     n: int
@@ -221,6 +223,7 @@ class BlockSystem:
     bottom_core: np.ndarray    # (n, N, N)
     left_core: np.ndarray      # (n, N, N)
     left_mult: np.ndarray      # (n, n, N)
+    outer_mult: np.ndarray | None = None  # (2, n, n, R), strips only
 
     def __post_init__(self) -> None:
         for name in ("bottom_mult", "bottom_core", "left_core", "left_mult"):
@@ -261,8 +264,8 @@ class TraceVector:
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
-    # ravel in memory order: a view for C and Fortran layouts alike
-    if not np.all(np.isfinite(arr.ravel(order="K").view(float))):
+    # C and Fortran layouts as a real view in memory order, others in place
+    if not np.all(np.isfinite(arr.ravel(order="K").view(float) if arr.flags.forc else arr)):
         raise AssemblyError(f"non-finite entries in block {name}")
 
 
@@ -317,42 +320,6 @@ def _stack_dtype(n: int, core_dtype) -> np.dtype:
     return np.dtype(core_dtype if n == 1 else complex)
 
 
-def _kernel_family(symbols, inv_plus: np.ndarray, x1: np.ndarray, x2: np.ndarray,
-                   powers: np.ndarray, weight: float, inputs: np.ndarray | None = None):
-    """One kernel family on an open mesh of node pairs ``(x1, x2)`` laid out
-    in the family's ``(out, in)`` order (swapped for the left family, whose
-    output nodes are on xi2): its multipliers and its n cores.
-
-    ``powers`` holds the power base at the input nodes, the mesh's second
-    axis.  Returns the multipliers ``mult[j, k] = weight * (core_j @
-    p^k)``, shape ``(n, n, out)``, and the cores, shape ``(n, out, in)``.
-    A boolean mask ``inputs`` keeps only the masked input nodes of the
-    cores, ``core[:, inputs]``; the multipliers integrate over all of them.
-    """
-    n = len(symbols)
-    rows, cols = inv_plus.shape
-    kept = cols if inputs is None else int(np.count_nonzero(inputs))
-    mult = np.empty((n, n, rows), dtype=complex)
-    cores = np.empty((n, rows, kept), dtype=inv_plus.dtype)
-    for j, symbol in enumerate(symbols):
-        values = np.asarray(symbol(x1, x2))
-        if not np.can_cast(values.dtype, cores.dtype):  # complex values, a real factor
-            cores = cores.astype(complex)
-        core = np.multiply(values, inv_plus, out=cores[j] if inputs is None else None)
-        del values
-        for k in range(n):
-            _matvec(core, powers ** k, mult[j, k])
-        if inputs is not None:
-            cores[j] = core[:, inputs]
-    mult *= weight
-    return mult, cores
-
-
-def _kernel_block(core, power: np.ndarray, weight: float, out: np.ndarray) -> np.ndarray:
-    """Kernel block ``core * power[:, None] * weight`` into ``out``."""
-    return np.multiply(np.multiply(core, power[:, None], out=out), weight, out=out)
-
-
 def _kernel_blocks(core, powers: np.ndarray, weight: float,
                    out: np.ndarray | None = None) -> np.ndarray:
     """The kernel stack of n cores: ``block[j, k] = core[j] * p^k[:, None]
@@ -370,9 +337,26 @@ def _kernel_blocks(core, powers: np.ndarray, weight: float,
         # block (j, 0) last, so that it may be core j itself; in place: no
         # mesh-sized temporary per block
         for k in range(n - 1, 0, -1):
-            _kernel_block(core[j], powers ** k, weight, out[j, k])
+            np.multiply(np.multiply(core[j], (powers ** k)[:, None], out=out[j, k]), weight,
+                        out=out[j, k])
         np.multiply(core[j], weight, out=out[j, 0])
     return out
+
+
+# Meshes are assembled in row tiles of at most this many entries, each run
+# through the whole chain while in cache, so no temporary is mesh-sized;
+# 16k to 64k entries measured alike, 8k slower from per-tile overhead.
+_TILE = 32768
+
+
+def _row_tiles(rows: int, cols: int) -> list[slice]:
+    """Slices of the output rows of a ``(rows x cols)`` open mesh, of at most
+    ``_TILE`` entries where 8 rows fit (one slice for a smaller mesh), each
+    of at least 2 rows and starting on a multiple of 8: BLAS groups the rows
+    of a tile's products as it groups them in one tile, to the same bits."""
+    step = max(8, _TILE // cols // 8 * 8)
+    bounds = list(range(0, max(rows - 1, 1), step)) + [rows]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
@@ -381,34 +365,55 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     """Shared assembly core; ``h`` selects difference powers (set) or
     ``(i xi)`` powers (None).
 
+    Each family is evaluated in its ``(out, in)`` order, the bottom one on
+    the open mesh of ``(xi1, xi2)`` pairs, the left one on it swapped, in
+    row tiles (:func:`_row_tiles`): a tile's factor is checked and
+    inverted, and its cores and multipliers ``weight * (core_j @ p^k)``,
+    ``p`` at the input nodes, formed before the next tile.  A full assembly
+    keeps the bottom inverse factor, whose transpose is the left one's.
+
     A boolean mask ``rows`` makes a square strip, the full assembly sliced
     to the R masked nodes: multipliers ``[..., rows]``, ``(n, n, R)``, still
     integrating over all N nodes, and cores ``[..., rows, :][..., rows]``,
-    ``(n, R, R)``.  Each family is evaluated in its ``(out, in)`` order,
-    the bottom one on the ``(R x N)`` open mesh of ``(xi1, xi2)`` pairs,
-    the left one on that mesh swapped; a strip evaluates the plus factor on
-    the swapped mesh once the bottom family is done, so one mesh's factor
-    is alive at a time.
+    ``(n, R, R)``, and ``outer_mult``, the multipliers' sums outside them.
     """
+    N = len(nodes)
     out = nodes if rows is None else nodes[rows]
-    powers = _power_base(nodes, h)
-    # bottom equations, integrating over xi2
-    x1, x2 = _open_mesh(out, nodes)
-    inv_plus = 1.0 / _plus_values(plus_factor, x1, x2)
-    bottom_mult, bottom_core = _kernel_family(bottom_symbols, inv_plus, x1, x2,
-                                              powers, weight, inputs=rows)
-    # left equations on the swapped mesh, integrating over xi1
-    x1, x2 = x2, x1
-    if rows is None:
-        inv_plus = inv_plus.T
-    else:
-        del inv_plus
-        inv_plus = 1.0 / _plus_values(plus_factor, x1, x2)
-    left_mult, left_core = _kernel_family(left_symbols, inv_plus, x1, x2,
-                                          powers, weight, inputs=rows)
-    return BlockSystem(n=n, nodes=nodes, weight=weight, h=h,
-                       bottom_mult=bottom_mult, bottom_core=bottom_core,
-                       left_core=left_core, left_mult=left_mult)
+    powers = [_power_base(nodes, h) ** k for k in range(n)]
+    # weighted powers zeroed on the rows: the sums over the nodes outside them
+    outside = [] if rows is None else [p * ~rows * weight for p in powers]
+    outer = None if rows is None else np.empty((2, n, n, len(out)), dtype=complex)
+    x_out, x_in = _open_mesh(out, nodes)
+    inv_plus, families = None, []
+    for swap, symbols in enumerate((bottom_symbols, left_symbols)):
+        mult, cores = np.empty((n, n, len(out)), dtype=complex), None
+        for t in _row_tiles(len(out), N):
+            x1, x2 = (x_in, x_out[t]) if swap else (x_out[t], x_in)
+            if swap and rows is None:
+                inv = inv_plus[:, t].T
+            else:
+                vals = _plus_values(plus_factor, x1, x2)
+                if rows is None and inv_plus is None:
+                    inv_plus = np.empty((N, N), dtype=vals.dtype)
+                inv = np.divide(1.0, vals, out=None if rows is not None else inv_plus[t])
+            for j, symbol in enumerate(symbols):
+                values = np.asarray(symbol(x1, x2))
+                if cores is None:
+                    cores = np.empty((n, len(out), len(out)), dtype=inv.dtype)
+                if not np.can_cast(values.dtype, cores.dtype):  # complex values, a real factor
+                    cores = cores.astype(complex)
+                core = np.multiply(values, inv, out=cores[j, t] if rows is None else None)
+                del values
+                for k in range(n):
+                    _matvec(core, powers[k], mult[j, k, t])
+                for k, part in enumerate(outside):
+                    _matvec(core, part, outer[swap, j, k, t])
+                if rows is not None:
+                    cores[j, t] = core[:, rows]
+        mult *= weight
+        families.append((mult, cores))
+    (bottom_mult, bottom_core), (left_mult, left_core) = families
+    return BlockSystem(n, nodes, weight, h, bottom_mult, bottom_core, left_core, left_mult, outer)
 
 
 def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndarray,
@@ -424,36 +429,38 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
     The ``(window x line)`` open mesh of ``(xi1, xi2)`` pairs carries the
     bottom ``K[window, line]`` and the left ``K[line, window]^T``, the same
     mesh swapped the other two, so each core is written straight into its
-    slot in the slot's order; the plus factor is evaluated once per mesh,
-    one mesh at a time.  The cores are scaled in their slots with
-    :func:`_kernel_blocks`' arithmetic; a strip is real at n = 1 for real
-    values over a real factor, its dtype taken from its first core's values.
+    slot in the slot's order.  Both meshes go in the same row tiles of the
+    window (:func:`_row_tiles`): a tile's factor once per mesh, its cores
+    scaled in their slots in :func:`_kernel_blocks`' arithmetic and checked
+    before the next tile.  A strip is real at n = 1 for real values over a
+    real factor, its dtype taken from its first core's values.
     """
     n, R, N = problem.n, len(window), len(line)
-    families = (problem.bottom_symbols, problem.left_symbols)
-    pairs = [None, None]
-    window_line = _open_mesh(window, line)
-    for mesh, (x1, x2) in enumerate((window_line, window_line[::-1])):
-        inv_plus = 1.0 / _plus_values(problem.plus_factor, x1, x2)
-        for f, symbols in enumerate(families):
-            # bottom kernels have their output nodes on xi1, left ones on
-            # xi2: those on the window's axis fill slot 0
-            into_window = mesh == f
-            for j, symbol in enumerate(symbols):
-                values = np.asarray(symbol(x1, x2))
-                if pairs[f] is None:
-                    dtype = _stack_dtype(n, np.result_type(values, inv_plus))
-                    pairs[f] = np.empty((n, n, 2, R, N), dtype=dtype)
-                np.multiply(values, inv_plus, out=pairs[f][j, 0, 0 if into_window else 1])
-                del values
-            # each stack in (out, in) order
-            pair = pairs[f]
-            slots = pair[:, :, 0] if into_window else pair[:, :, 1].swapaxes(-1, -2)
-            _kernel_blocks(slots[:, 0], _power_base(window if into_window else line, None),
-                           weight, out=slots)
-        del inv_plus
-    for name, pair in zip(("bottom", "left"), pairs):
-        _require_finite(f"{name} kernel strip", pair)
+    families, pairs = (problem.bottom_symbols, problem.left_symbols), [None, None]
+    x_window, x_line = _open_mesh(window, line)
+    window_powers, line_powers = _power_base(window, None), _power_base(line, None)
+    for t in _row_tiles(R, N):
+        for mesh, (x1, x2) in enumerate(((x_window[t], x_line), (x_line, x_window[t]))):
+            inv_plus = 1.0 / _plus_values(problem.plus_factor, x1, x2)
+            for f, symbols in enumerate(families):
+                # bottom kernels have their output nodes on xi1, left ones on
+                # xi2: those on the window's axis fill slot 0
+                into_window = mesh == f
+                for j, symbol in enumerate(symbols):
+                    values = np.asarray(symbol(x1, x2))
+                    if pairs[f] is None:
+                        dtype = _stack_dtype(n, np.result_type(values, inv_plus))
+                        pairs[f] = np.empty((n, n, 2, R, N), dtype=dtype)
+                    np.multiply(values, inv_plus, out=pairs[f][j, 0, 0 if into_window else 1, t])
+                    del values
+                # each stack in (out, in) order
+                pair = pairs[f][..., t, :]
+                slots = pair[:, :, 0] if into_window else pair[:, :, 1].swapaxes(-1, -2)
+                _kernel_blocks(slots[:, 0], window_powers[t] if into_window else line_powers,
+                               weight, out=slots)
+            del inv_plus
+        for name, pair in zip(("bottom", "left"), pairs):
+            _require_finite(f"{name} kernel strip", pair[..., t, :])
     return tuple(pairs)
 
 

@@ -201,26 +201,28 @@ def test_a8_numerics_hygiene(monkeypatch):
         exact = float(np.linalg.svd(m, compute_uv=False)[0])
         svd_err = max(svd_err, abs(est - exact) / exact)
 
-    # ... and on every block of every quadrant of the frames the rate sweeps
-    # build: the whole A5 section gap sweep and the coarsest frame of the A6
-    # commutator sweep
-    frames = []
-    estimate = comparison.estimate_operator_norm
-    monkeypatch.setattr(comparison, "estimate_operator_norm",
-                        lambda frame: frames.append(frame) or estimate(frame))
+    # ... and on every block the rate sweeps take a norm of, as it is
+    # taken: the whole A5 section gap sweep, whose kernel-gap blocks are
+    # formed one at a time into one buffer, and the A6 commutator sweep,
+    # whose 3-D blocks are pairs of rectangles, each one against its own SVD
+    sweep_err, checked = 0.0, []
+    sigma_max = comparison._sigma_max
+
+    def against_svd(block):
+        nonlocal sweep_err
+        est = sigma_max(block)
+        if block.ndim < 3:
+            exact = np.linalg.norm(np.diag(block) if block.ndim == 1 else block, 2)
+            sweep_err = max(sweep_err, abs(est - exact) / exact if exact else est)
+            checked.append(block.ndim)
+        return est
+
+    monkeypatch.setattr(comparison, "_sigma_max", against_svd)
     section_gap_rate_sweep(section_gap_problem(), RATE_SWEEP, nodes_per_window=32)
     commutator_rate_sweep(commutator_problem(), RATE_SWEEP, nodes_per_window=32)
-    assert len(frames) == 2 * len(RATE_SWEEP)
-    sweep_err = 0.0
-    for frame in frames[:len(RATE_SWEEP) + 1]:
-        quadrants = [q for row in frame.blocks for q in row if q is not None]
-        for block in (b for q in quadrants for row in q for b in row):
-            # a 3-D commutator block is a pair of rectangles: each one
-            # against its own SVD
-            for part in (block if block.ndim == 3 else (block,)):
-                est = comparison._sigma_max(part)
-                exact = np.linalg.norm(np.diag(part) if part.ndim == 1 else part, 2)
-                sweep_err = max(sweep_err, abs(est - exact) / exact if exact else est)
+    # per window: the section gap's 8 diagonals and 4 formed kernel-gap
+    # blocks, the commutator's two pairs of rectangles
+    assert checked.count(2) == (4 + 2 * 2) * len(RATE_SWEEP)
 
     # linear-solve residual at moderate condition
     residual_worst = 0.0

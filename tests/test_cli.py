@@ -108,7 +108,12 @@ class TestLoadConfig:
 
     def test_order_list_length_must_match_n(self, tmp_path):
         text = """[experiment]\nmode = kernel_gap\n[continuous]\nn = 2\ns = 8.25\ndelta = -0.25\nbetas = 0\ngammas = 0 -1\n"""
-        with pytest.raises(ConfigError, match="bottom_symbols must have n = 2 entries"):
+        with pytest.raises(ConfigError, match=re.escape("betas in [continuous] must have "
+                                                        "n = 2 entries, got 1")):
+            load_config(write_config(tmp_path, text))
+        text = text.replace("betas = 0\n", "betas = 0 -1\n").replace("gammas = 0 -1", "gammas = 0 -1 1")
+        with pytest.raises(ConfigError, match=re.escape("gammas in [continuous] must have "
+                                                        "n = 2 entries, got 3")):
             load_config(write_config(tmp_path, text))
 
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):

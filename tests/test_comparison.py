@@ -16,7 +16,7 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      section_gap_rate_sweep, window_mask, zeta,
                      zeta_power_gap)
 from quadbvp.cli import load_config
-from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips
+from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips, _power_base
 from conftest import kernel_stacks, skewed_problem, with_continuous_evaluators
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -395,18 +395,18 @@ class TestSectionGapSweep:
         assert rep.monotone_violations == ()
 
     def test_single_trace_gap_is_its_multiplier_gap(self):
-        # at n = 1 the kernel gap is its one zero block (0, 0) and no block
-        # is weighed; each multiplier gap is diagonal with equal weights on
+        # at n = 1 the kernel gap is its one zero block (0, 0), which is
+        # not formed; each multiplier gap is diagonal with equal weights on
         # both sides, so the norm is the larger max modulus of the two
         problem = radial_power_problem(s=3.25, n=1, delta=-0.25,
                                        bottom_orders=[0.0], left_orders=[0.0])
         hs = [0.5, 0.25, 0.125]
         rep = section_gap_rate_sweep(problem, hs, nodes_per_window=16)
         grid = aligned_line_grid(hs, 16)
-        for norm, (_, ((mult_b, ker_b), (mult_l, ker_l))) in zip(
+        for norm, (wnodes, (mult_b, mult_l), blocks) in zip(
                 rep.norms, comparison._window_gaps(problem, grid, hs)):
-            assert ker_b.shape[:2] == ker_l.shape[:2] == (1, 1)
-            assert not np.any(ker_b) and not np.any(ker_l)
+            assert list(blocks) == []
+            assert mult_b.shape == mult_l.shape == (1, 1, len(wnodes))
             want = max(np.max(np.abs(mult_b)), np.max(np.abs(mult_l)))
             assert want > 0.0 and norm == pytest.approx(want, rel=1e-13)
         assert rep.slope >= 0.8
@@ -559,28 +559,49 @@ class TestStripAssembly:
                                     # the shipped four-halving sweep
                                     [0.5, 0.25, 0.125, 0.0625]])
     def test_window_gaps_equal_the_gathered_strip(self, hs):
-        # the window's rows and columns sliced from the square strip, bit
-        # for bit what gathering them from the full assembly gives
+        # the window's rows and columns of the full assembly minus the
+        # lattice operator on the window, against correctly rounded sums:
+        # each kernel-gap block to the rounding of its difference, each
+        # multiplier gap to the rounding of a sum of all its terms, and
+        # the (j, 0) ones, exactly the sums over the nodes outside the
+        # window, to the rounding of a sum of those terms alone
         problem = skewed_problem()
         grid = aligned_line_grid(hs, 8)
+        nodes, quad = grid.axis_nodes, grid.axis_weight
         full = assemble_continuous_system(problem, grid)
-        full_b, full_l = kernel_stacks(full)
-        for h, (wnodes, gaps) in zip(hs, comparison._window_gaps(problem, grid, hs)):
+        full_stacks = kernel_stacks(full)
+        full_cores = (full.bottom_core, full.left_core)
+        eps = np.finfo(float).eps
+        for h, (wnodes, mults, blocks) in zip(hs, comparison._window_gaps(problem, grid, hs)):
             win = window_mask(grid, h)
-            lattice = _assemble(n=problem.n, nodes=wnodes, weight=grid.axis_weight, h=h,
+            assert np.array_equal(wnodes, nodes[win])
+            lattice = _assemble(n=problem.n, nodes=wnodes, weight=quad, h=h,
                                 plus_factor=problem.plus_factor,
                                 bottom_symbols=problem.bottom_symbols,
                                 left_symbols=problem.left_symbols)
-            square = np.ix_(win, win)
-            lattice_b, lattice_l = kernel_stacks(lattice)
-            gathered = (full.bottom_mult[:, :, win] - lattice.bottom_mult,
-                        full_b[(...,) + square] - lattice_b,
-                        full.left_mult[:, :, win] - lattice.left_mult,
-                        full_l[(...,) + square] - lattice_l)
-            assert np.array_equal(wnodes, grid.axis_nodes[win])
-            for got, want in zip((gap for row in gaps for gap in row), gathered):
-                assert got.shape == want.shape
-                assert np.array_equal(got, want), h
+            lattice_stacks = kernel_stacks(lattice)
+            formed = []
+            for f, j, k, block in blocks:
+                formed.append((f, j, k))
+                continuous = full_stacks[f][j, k][np.ix_(win, win)]
+                want = continuous - lattice_stacks[f][j, k]
+                bound = 4 * eps * (np.abs(continuous) + np.abs(lattice_stacks[f][j, k]))
+                assert np.all(np.abs(block - want) <= bound), (h, f, j, k)
+            assert formed == [(f, j, 1) for f in range(2) for j in range(2)]
+            zetas = _power_base(wnodes, h)
+            for f, mult in enumerate(mults):
+                assert mult.shape == (2, 2, win.sum())
+                core = full_cores[f][:, win]
+                for j, k in np.ndindex(2, 2):
+                    terms = np.concatenate([core[j] * (1j * nodes) ** k * quad,
+                                            -core[j][:, win] * zetas ** k * quad], axis=1)
+                    if k == 0:  # the terms on the window cancel exactly
+                        terms = core[j][:, ~win] * quad
+                    want = np.array([complex(math.fsum(t.real), math.fsum(t.imag))
+                                     for t in terms])
+                    bound = len(nodes) * eps * np.abs(terms).sum(axis=1)
+                    assert np.all(np.abs(mult[j, k].real - want.real) <= bound), (h, f, j, k)
+                    assert np.all(np.abs(mult[j, k].imag - want.imag) <= bound), (h, f, j, k)
 
     def test_skewed_problem_is_not_symmetric(self):
         # the exactness test catches a transposed mesh only because every
@@ -638,21 +659,25 @@ class TestSweepsAssembleOnlyWhatTheyRead:
             assert kwargs["h"] is None and kwargs["rows"] is not None
 
     @pytest.mark.parametrize("mode, sweep", [
-        # the finest window's two kernel-gap stacks take 8 MiB on
-        # section_gap.ini, beside the square strip's 2 MiB of real cores;
+        # the square strip's real cores take 2 MiB on section_gap.ini and
+        # the one (w*, w*) buffer the kernel-gap blocks are formed in 1 MiB;
         # both meshes' complex plus factors at once peaked at 28 MiB, a
         # mesh-sized temporary per multiplier sum and a second lattice
         # kernel stack per window at 22.2 MiB, a lattice system assembled
-        # per window at 19.2 MiB, complex cores at 16.3 MiB, and the
-        # coarser window's gaps held while the finest one's were formed
-        # at 13.2 MiB (11.2 MiB without)
+        # per window at 19.2 MiB, complex cores at 16.3 MiB, the coarser
+        # window's gaps held while the finest one's were formed at 13.2
+        # MiB, the finest window's two (n, n, w, w) kernel-gap stacks (8
+        # MiB) at 11.2 MiB, and the strip's mesh-sized factor, values and
+        # cores, before they were assembled in row tiles, at 11.35 MiB
+        # with the stacks (3.43 MiB with neither)
         ("section_gap", section_gap_rate_sweep),
         # the two weighted pair strips, real for the radial n = 1 problem,
         # take 8 MiB on commutator.ini and the frame blocks are views of
         # them; the finest window's gathered rectangles and an adjoint copy
         # per block peaked at 31 MiB, a second mesh-sized array per radial
-        # symbol value at 22.1 MiB, complex strips at 20.3 MiB (12.3 MiB
-        # with real ones)
+        # symbol value at 22.1 MiB, complex strips at 20.3 MiB, real ones
+        # with a mesh-sized plus factor and symbol value at 12.3 MiB (8.69
+        # MiB with the meshes evaluated in row tiles)
         ("commutator", commutator_rate_sweep)])
     def test_shipped_sweep_allocates_only_the_blocks_it_reads(self, mode, sweep):
         cfg = load_config(ROOT / "configs" / f"{mode}.ini")
@@ -665,7 +690,7 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         finally:
             tracemalloc.stop()
         assert rep.slope is not None
-        assert peak - start < {"section_gap": 12.75, "commutator": 13.75}[mode] * 2 ** 20
+        assert peak - start < {"section_gap": 4.5, "commutator": 10.5}[mode] * 2 ** 20
 
     def test_commutator_builds_no_full_continuous_stack(self, monkeypatch):
         strips, frames = [], []
@@ -779,32 +804,29 @@ class TestRealArithmetic:
             assert got == pytest.approx(want, rel=1e-13)
 
     def test_section_gap_neither_forms_nor_weighs_the_zero_blocks(self, monkeypatch):
-        # kernel-gap blocks (j, 0) are exactly zero: no block is formed
-        # with p^0 = 1, and only blocks k >= 1 of a kernel-gap stack are
-        # weighed
-        powers, weighed = [], []
-        kernel_block, weigh = comparison._kernel_block, comparison._weigh
+        # kernel-gap blocks (j, 0) are exactly zero: only blocks k >= 1 are
+        # formed and their norms taken; the weights are folded in as each
+        # gap is formed, so no stack is weighed afterwards
+        norms, weighed = [], []
+        sigma_max, weigh = comparison._sigma_max, comparison._weigh
 
-        def recording_block(core, power, weight, out):
-            powers.append(power)
-            return kernel_block(core, power, weight, out)
+        def recording_norm(block):
+            if np.ndim(block) == 2:
+                norms.append(block.shape)
+            return sigma_max(block)
 
         def recording_weigh(stack, w_out, w_in, quad):
             weighed.append(stack.shape)
             return weigh(stack, w_out, w_in, quad)
 
-        monkeypatch.setattr(comparison, "_kernel_block", recording_block)
+        monkeypatch.setattr(comparison, "_sigma_max", recording_norm)
         monkeypatch.setattr(comparison, "_weigh", recording_weigh)
         hs = [0.5, 0.25, 0.125]
         rep = section_gap_rate_sweep(skewed_problem(), hs, nodes_per_window=8)
         assert all(v > 0.0 for v in rep.norms)
-        # per window and family, blocks (0, 1) and (1, 1), each continuous
-        # and lattice
-        assert len(powers) == 2 * 2 * 2 * len(hs)
-        assert not any(np.all(p == 1.0) for p in powers)
-        kernels = [shape for shape in weighed if len(shape) == 4]
-        assert len(kernels) == 2 * len(hs)
-        assert all(shape[:2] == (2, 1) for shape in kernels)
+        # per window and family, blocks (0, 1) and (1, 1)
+        assert norms == [(w, w) for w in rep.window_nodes for _ in range(2 * 2)]
+        assert weighed == []
 
 
 def weighted_frame(quadrants, weights, quad):

@@ -20,7 +20,7 @@ from quadbvp import (AssemblyError, ContinuousProblem, FrequencyGrid, MeshMismat
                      structural_null_basis, trace_exponents, zeta,
                      zeta_boundary_operators, apply_symbol_to_spectrum,
                      aligned_line_grid, boundary_trace_spectrum, window_mask)
-from quadbvp import lattice
+from quadbvp import lattice, system
 from quadbvp.lattice import _open_mesh
 from quadbvp.system import (_ESTIMATE_BLOCK, _ESTIMATE_POWER_STEPS, _ESTIMATE_SEED,
                             _CompressedSystem, _assemble, _compress, _invert_multipliers,
@@ -171,6 +171,97 @@ class TestAssembly:
             with pytest.raises(AssemblyError, match="non-finite"):
                 assemble_discrete_system(spec, FrequencyGrid(h, 8))
 
+
+
+def counted_evaluators(problem, calls):
+    """The problem with each evaluator counting its calls by name."""
+    def wrap(name, ev):
+        def counted(x1, x2):
+            calls[name] = calls.get(name, 0) + 1
+            return ev(x1, x2)
+        return counted
+
+    return replace(problem, plus_factor=wrap("plus", problem.plus_factor),
+                   bottom_symbols=tuple(wrap(f"bottom {j}", ev)
+                                        for j, ev in enumerate(problem.bottom_symbols)),
+                   left_symbols=tuple(wrap(f"left {j}", ev)
+                                      for j, ev in enumerate(problem.left_symbols)))
+
+
+class TestRowTiles:
+    """Meshes are assembled in row tiles: the tile size changes no bit, and a
+    mesh of one tile evaluates each factor and symbol once per mesh."""
+
+    @staticmethod
+    def radial_strip():
+        problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
+                                       left_orders=[0.5, 0.0])
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        args = dict(n=2, nodes=grid.axis_nodes, weight=grid.axis_weight, h=None,
+                    plus_factor=problem.plus_factor, bottom_symbols=problem.bottom_symbols,
+                    left_symbols=problem.left_symbols)
+        return args, np.arange(grid.nodes_count) % 3 > 0  # 42 of 64 nodes
+
+    @staticmethod
+    def lattice_spec():
+        # a full lattice assembly, complex cores
+        args = factorization_assembly(N=26)
+        return args, None
+
+    @pytest.mark.parametrize("kind", ["lattice", "radial strip"])
+    def test_tile_size_changes_no_assembled_bit(self, monkeypatch, kind):
+        args, rows = {"lattice": self.lattice_spec, "radial strip": self.radial_strip}[kind]()
+        N = len(args["nodes"])
+        R = N if rows is None else int(rows.sum())
+        assert len(system._row_tiles(R, N)) == 1
+        whole = _assemble(**args, rows=rows)
+        # tiles of 8 rows and a last one of 2: the rows do not split evenly
+        monkeypatch.setattr(system, "_TILE", 8 * N)
+        tiles = system._row_tiles(R, N)
+        assert [t.stop - t.start for t in tiles] == [8] * (R // 8) + [2]
+        tiled = _assemble(**args, rows=rows)
+        dtype = np.float64 if rows is not None else np.complex128
+        assert whole.bottom_core.dtype == whole.left_core.dtype == dtype
+        for field in BLOCKS + ("outer_mult",):
+            got, want = getattr(tiled, field), getattr(whole, field)
+            assert (got is None) == (want is None) == (rows is None and field == "outer_mult")
+            assert got is None or np.array_equal(got, want), field
+
+    @pytest.mark.parametrize("make", [
+        lambda: radial_power_problem(s=2.25, n=1, delta=-0.25, bottom_orders=[0.0],
+                                     left_orders=[0.0]),
+        skewed_problem,
+    ], ids=["radial n1", "skewed"])
+    def test_tile_size_changes_no_strip_bit(self, monkeypatch, make):
+        problem = make()
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        rows = np.arange(len(nodes)) % 3 > 0
+        whole = _kernel_strips(problem, nodes[rows], nodes, 0.1)
+        monkeypatch.setattr(system, "_TILE", 8 * len(nodes))
+        tiles = system._row_tiles(int(rows.sum()), len(nodes))
+        assert [t.stop - t.start for t in tiles] == [8] * 5 + [2]
+        for got, want in zip(_kernel_strips(problem, nodes[rows], nodes, 0.1), whole):
+            assert got.dtype == want.dtype == (np.float64 if problem.n == 1 else np.complex128)
+            assert np.array_equal(got, want)
+
+    def test_one_tile_evaluates_each_evaluator_once_per_mesh(self):
+        calls = {}
+        problem = counted_evaluators(skewed_problem(), calls)
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        rows = window_mask(grid, 0.25)
+        symbols = {f"{edge} {j}": 1 for edge in ("bottom", "left") for j in range(2)}
+        # a full system reuses the bottom mesh's inverse factor for the left
+        # family; a strip and the pair strips evaluate it on both meshes
+        for step, plus in ((lambda: assemble_continuous_system(problem, grid), 1),
+                           (lambda: strip(problem, nodes, rows), 2)):
+            calls.clear()
+            step()
+            assert calls == {"plus": plus, **symbols}
+        calls.clear()
+        _kernel_strips(problem, nodes[rows], nodes, 0.1)
+        assert calls == {"plus": 2, **{name: 2 for name in symbols}}
 
 class TestSolve:
     def test_all_unit_system_has_symmetric_solution(self):
