@@ -33,11 +33,11 @@ __all__ = [
 class PeriodicSymbol:
     """Symbol of a digital operator: a ``2 pi / h``-periodic evaluator.
 
-    ``evaluate`` must be pure and elementwise: assembly calls it on row
-    tiles of a mesh, possibly several times each, as open meshes ``(xi1,
-    xi2)`` of shapes ``(R, 1)`` and ``(1, N)``, ``R >= 2``, in either order.
-    It may return any array that broadcasts to the tile: a one-axis symbol
-    can ignore the other.
+    ``evaluate`` must be pure and elementwise: an assembly may call it
+    several times, on row tiles of a mesh, each an open mesh ``(xi1, xi2)``
+    of shapes ``(R, 1)`` and ``(1, N)``, ``R >= 2``, in either order.  It
+    may return any array that broadcasts to the tile: a one-axis symbol can
+    ignore the other.
     """
 
     evaluate: Callable[..., np.ndarray]
