@@ -263,6 +263,7 @@ class TestRowTiles:
         _kernel_strips(problem, nodes[rows], nodes, 0.1)
         assert calls == {"plus": 2, **{name: 2 for name in symbols}}
 
+
 class TestSolve:
     def test_all_unit_system_has_symmetric_solution(self):
         # both equations read 2 pi (c + d) = 2 pi; the gauge-orthogonal
