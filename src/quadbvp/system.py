@@ -350,10 +350,10 @@ _TILE = 32768
 
 
 def _row_tiles(rows: int, cols: int) -> list[slice]:
-    """Slices of the output rows of a ``(rows x cols)`` open mesh, of at most
-    ``_TILE`` entries where 8 rows fit (one slice for a smaller mesh), each
-    of at least 2 rows and starting on a multiple of 8: BLAS groups the rows
-    of a tile's products as it groups them in one tile, to the same bits."""
+    """Slices of the output rows of a ``(rows x cols)`` open mesh: one for a
+    mesh of at most ``_TILE`` entries, else tiles of at most ``_TILE`` where
+    8 rows fit (the last up to a row more), of at least 2 rows and starting
+    on multiples of 8, where BLAS groups the rows of products to the same bits."""
     step = max(8, _TILE // cols // 8 * 8)
     bounds = list(range(0, max(rows - 1, 1), step)) + [rows]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
