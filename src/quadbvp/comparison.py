@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, NormEstimateError
 from .lattice import LineGrid, _open_mesh, zeta
-from .system import ContinuousProblem, _assemble, _kernel_strips, _matvec, _power_base
+from .system import ContinuousProblem, _assemble, _kernel_strips, _power_base, _products
 
 __all__ = [
     "PowerGap",
@@ -258,21 +258,6 @@ def _torus_weights(nodes: np.ndarray, exponent: float, h: float) -> np.ndarray:
     return (1.0 + np.abs(zeta(nodes, h)) ** 2) ** exponent
 
 
-def _weigh(stack: np.ndarray, w_out, w_in, quad: float) -> np.ndarray:
-    """Weigh a real or complex ``(n, n, ...)`` stack of blocks (diagonals
-    or matrices), or a strided view of one, in place and return it: block
-    ``(j, k)`` has its rows scaled by ``sqrt(w_out[j] quad)`` and its
-    columns by ``1 / sqrt(w_in[k] quad)``, broadcast over the whole stack."""
-    s_out = np.sqrt(np.asarray(w_out) * quad)
-    s_in = np.sqrt(np.asarray(w_in) * quad)
-    if stack.ndim == 4:
-        s_out, s_in = s_out[:, :, None], s_in[:, None]
-    # s_out runs along axis j and the rows, s_in along axis k and the columns
-    stack *= s_out[:, None]
-    stack /= s_in
-    return stack
-
-
 def _sweep_grid(h_values, nodes_per_window: int, lambda_factor: float) -> LineGrid:
     """The rate sweep's line grid, its mesh sizes checked before any assembly."""
     check_sweep_length(len(h_values), FIT_MIN_SIZES)
@@ -315,8 +300,8 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     complement of every window is one run, ``a : N - a`` with ``a`` the
     window's count of positive nodes, so each frame block is a view of the
     strip, ``pair[j, k, :, inside, a:N - a]``: ``K[W, W^c]`` and ``K[W^c,
-    W]^T`` as one ``(2, w, N - w)`` array.  The strips are weighted once,
-    in place, and nothing is copied per window.
+    W]^T`` as one ``(2, w, N - w)`` array.  The strips are weighted tile by
+    tile as they are formed, and nothing is copied per window.
     """
     _hypotheses(problem, 1.0, 2.0, "commutator sweep")
     grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
@@ -325,12 +310,9 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     finest = window_mask(grid, min(h_values))
     # the line from 0 out to +lam, then from -lam back to 0
     line = np.roll(np.arange(N), N // 2)
-    weights = [_line_weights(nodes, e) for e in problem.trace_exponents]
-    inner, outer = [w[finest] for w in weights], [w[line] for w in weights]
-    strips = _kernel_strips(problem, nodes[finest], nodes[line], quad)
-    for pair in strips:
-        _weigh(pair[:, :, 0], inner, outer, quad)
-        _weigh(pair[:, :, 1].swapaxes(-1, -2), outer, inner, quad)
+    weights = np.array([_line_weights(nodes, e) for e in problem.trace_exponents])
+    scales = tuple(np.sqrt(weights[:, at] * quad) for at in (finest, line))
+    strips = _kernel_strips(problem, nodes[finest], nodes[line], quad, scales)
 
     def window_norm(h):
         win = window_mask(grid, h)
@@ -351,7 +333,8 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: 
     """For each ``h``, the window nodes and the gap between the
     window-restricted continuous operator and the lattice operator on the
     same window nodes, continuous minus lattice, with the quadrature weight
-    and, if ``weighed``, the frame's torus weights (:func:`_weigh`) in it.
+    and, if ``weighed``, the frame's torus weights in it: block ``(j, k)``
+    times ``sqrt(w_j quad)`` at its outputs, over ``sqrt(w_k quad)`` at its inputs.
 
     Yields ``(wnodes, (mult_b, mult_l), blocks)``: the multiplier gaps,
     ``(n, n, w)`` diagonals, and an iterator over the kernel-gap blocks
@@ -362,11 +345,14 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: 
     nodes (the symbols' periodic continuation agrees there), and differ only
     in the powers, ``(i xi)^k`` against ``zeta^k``, and in the range of the
     multiplier sums, the whole truncated line against the window.  So a
-    kernel-gap block is ``core_j * ((i xi)^k - zeta^k) * quad``, zero at
-    ``k = 0`` and not formed, and a multiplier gap the strip's sum outside
-    the finest window plus the core's row against ``p^k`` on the rest of it
-    and ``(i xi)^k - zeta^k`` on the window: at ``k = 0`` exactly the sum
-    over the nodes outside the window.
+    kernel-gap block is ``core_j * g_k * quad``, ``g_k = (i xi)^k - zeta^k``
+    at its outputs, zero at ``k = 0`` and not formed, and a multiplier gap
+    the strip's sum outside the finest window plus the core's row against
+    ``p^k`` on the rest of it and ``g_k`` on the window, in one product
+    (:func:`_products`): at ``k = 0`` exactly the sum outside the window.
+    A block is given up to a row phase, as ``core_j * |g_k| * quad``, real
+    for a real core: a diagonal of unit-modulus factors changes neither its
+    singular values nor its entries' moduli, all that the sweeps read.
     """
     n, quad = problem.n, grid.axis_weight
     rows = window_mask(grid, min(h_values))
@@ -375,14 +361,14 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: 
                       bottom_symbols=problem.bottom_symbols,
                       left_symbols=problem.left_symbols, rows=rows)
     cores = (strip.bottom_core, strip.left_core)
-    powers = _power_base(grid.axis_nodes[rows], None) ** np.arange(n)[:, None]
-    buffer = np.empty(powers.shape[1] ** 2, dtype=complex)
+    powers = _power_base(grid.axis_nodes[rows], None)[:, None] ** np.arange(n)
+    buffer = np.empty(len(powers) ** 2, dtype=np.result_type(*cores))
 
-    def kernel_gaps(out, gaps, scale):
+    def kernel_gaps(out, moduli, scale):
         w = out.stop - out.start
         for f, j, k in np.ndindex(2, n, n):
             if k:
-                block = np.multiply(cores[f][j, out, out], (gaps[k, out] * scale[j])[:, None],
+                block = np.multiply(cores[f][j, out, out], (moduli[:, k] * scale[j])[:, None],
                                     out=buffer[:w * w].reshape(w, w))
                 yield f, j, k, np.divide(block, scale[k], out=block)
 
@@ -391,11 +377,11 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: 
         out, wnodes = _run(win[rows]), grid.axis_nodes[win]
         # times quad: p^k on the finest window, (i xi)^k - zeta^k on this one
         gaps = powers.copy()
-        gaps[:, out] -= _power_base(wnodes, float(h)) ** np.arange(n)[:, None]
+        gaps[out] -= _power_base(wnodes, float(h))[:, None] ** np.arange(n)
         gaps *= quad
         mults = strip.outer_mult[..., out].copy()
-        for f, j, k in np.ndindex(mults.shape[:3]):
-            mults[f, j, k] += _matvec(cores[f][j, out], gaps[k], np.empty(len(wnodes), complex))
+        for f, j in np.ndindex(2, n):
+            mults[f, j] += _products(cores[f][j, out], gaps)
         scale = np.ones((n, 1))
         if weighed:
             scale = np.sqrt(np.array([_torus_weights(wnodes, e, float(h)) * quad
@@ -403,7 +389,7 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: 
         mults *= scale[:, None]
         mults /= scale
         # unbound, so that no window's gaps outlive it
-        yield wnodes, tuple(mults), kernel_gaps(out, gaps, scale)
+        yield wnodes, tuple(mults), kernel_gaps(out, np.abs(gaps[out]), scale)
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,

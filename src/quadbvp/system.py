@@ -163,11 +163,15 @@ def radial_power_problem(s: float, n: int, delta: float,
 
     Plus factor ``(1 + |xi|^2)^(index/2)`` with ``index = s + n + delta``,
     boundary symbols ``(1 + |xi|^2)^(order/2)``.  All satisfy the growth
-    sandwich with constants independent of any mesh.
+    sandwich with constants independent of any mesh.  As ``pow(x, 0)`` is
+    exactly 1, an evaluator of order 0 returns a one that broadcasts.
     """
     index = s + n + delta
 
     def radial(order: float) -> Callable[..., np.ndarray]:
+        if order == 0:
+            return lambda x1, x2: np.ones((1, 1))
+
         def ev(x1, x2, _o=order):
             r2 = 1.0 + np.asarray(x1) ** 2 + np.asarray(x2) ** 2
             r2 **= _o / 2.0  # in place: no second mesh-sized array
@@ -206,13 +210,15 @@ class BlockSystem:
     the line) at the output nodes: :func:`_kernel_blocks` forms the
     ``(n, n, out, in)`` stack, the solver applies the blocks without it.
     The cores take the dtype of the symbol values over the plus factor,
-    float64 where both are real (the radial family); multipliers are complex.
+    float64 where both are real (the radial family); multipliers are complex,
+    ``mult[j, k] = core[j] @ (p^k * weight)`` with ``p`` at the input nodes.
 
     A strip (``_assemble`` with ``rows``) holds ``(n, n, R)`` multipliers
     and ``(n, R, R)`` cores on R of the N nodes, but its multipliers
     integrate over all N: it is not a system on the R nodes, and ``size``,
     ``gauge_basis`` and the solver do not apply to it.  Its ``outer_mult``,
-    ``(2, n, n, R)``, bottom then left, are the sums over the other N - R.
+    ``(2, n, n, R)``, bottom then left, are the sums over the other N - R,
+    formed apart so that the strip's multipliers are the full system's bits.
     """
 
     n: int
@@ -307,12 +313,12 @@ def _power_base(nodes: np.ndarray, h: float | None) -> np.ndarray:
     return zeta(nodes, h) if h is not None else 1j * nodes
 
 
-def _matvec(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ b`` of a matrix ``a`` and a complex vector ``b`` into ``out``; a
-    real ``a`` takes two real products into ``out``'s real and imaginary views."""
-    for part, into in ((b, out),) if np.iscomplexobj(a) else ((b.real, out.real), (b.imag, out.imag)):
-        np.matmul(a, part, out=into)
-    return out
+def _products(core: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``(core @ columns).T`` for C-ordered complex columns in one product,
+    for a real core against their real view: real and imaginary parts apart."""
+    if np.iscomplexobj(core):
+        return (core @ columns).T
+    return (core @ columns.view(float)).view(complex).T
 
 
 def _stack_dtype(n: int, core_dtype) -> np.dtype:
@@ -368,25 +374,29 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     Each family is evaluated in its ``(out, in)`` order, the bottom one on
     the open mesh of ``(xi1, xi2)`` pairs, the left one on it swapped, in
     row tiles (:func:`_row_tiles`): a tile's factor is checked and
-    inverted, and its cores and multipliers ``weight * (core_j @ p^k)``,
-    ``p`` at the input nodes, formed before the next tile.  A full assembly
-    keeps the bottom inverse factor, whose transpose is the left one's.
+    inverted, and its cores formed before the next tile, each with its n
+    multipliers ``core_j @ (p^k * weight)``, ``p`` at the input nodes, in
+    one matrix product (:func:`_products`) against the weighted powers as
+    columns.  A full assembly keeps the bottom inverse factor, whose
+    transpose is the left one's.
 
     A boolean mask ``rows`` makes a square strip, the full assembly sliced
     to the R masked nodes: multipliers ``[..., rows]``, ``(n, n, R)``, still
     integrating over all N nodes, and cores ``[..., rows, :][..., rows]``,
-    ``(n, R, R)``, and ``outer_mult``, the multipliers' sums outside them.
+    ``(n, R, R)``, and ``outer_mult``, the multipliers' sums outside them,
+    in a second product against the weighted powers zeroed on the rows.
     """
     N = len(nodes)
     out = nodes if rows is None else nodes[rows]
-    powers = [_power_base(nodes, h) ** k for k in range(n)]
-    # weighted powers zeroed on the rows: the sums over the nodes outside them
-    outside = [] if rows is None else [p * ~rows * weight for p in powers]
-    outer = None if rows is None else np.empty((2, n, n, len(out)), dtype=complex)
+    weighted = _power_base(nodes, h)[:, None] ** np.arange(n) * weight
+    # a product of its own: BLAS picks its kernel by the column count, and a
+    # strip's multipliers stay the full system's bit for bit
+    parts = (weighted,) if rows is None else (weighted, weighted * ~rows[:, None])
+    sums = np.empty((len(parts), 2, n, n, len(out)), dtype=complex)  # per part and family
     x_out, x_in = _open_mesh(out, nodes)
     inv_plus, families = None, []
     for swap, symbols in enumerate((bottom_symbols, left_symbols)):
-        mult, cores = np.empty((n, n, len(out)), dtype=complex), None
+        cores = None
         for t in _row_tiles(len(out), N):
             x1, x2 = (x_in, x_out[t]) if swap else (x_out[t], x_in)
             if swap and rows is None:
@@ -404,36 +414,37 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
                     cores = cores.astype(complex)
                 core = np.multiply(values, inv, out=cores[j, t] if rows is None else None)
                 del values
-                for k in range(n):
-                    _matvec(core, powers[k], mult[j, k, t])
-                for k, part in enumerate(outside):
-                    _matvec(core, part, outer[swap, j, k, t])
+                for into, part in zip(sums, parts):
+                    into[swap, j, :, t] = _products(core, part)
                 if rows is not None:
                     cores[j, t] = core[:, rows]
-        mult *= weight
-        families.append((mult, cores))
-    (bottom_mult, bottom_core), (left_mult, left_core) = families
-    return BlockSystem(n, nodes, weight, h, bottom_mult, bottom_core, left_core, left_mult, outer)
+        families.append(cores)
+    outer = None if rows is None else sums[1]
+    return BlockSystem(n, nodes, weight, h, sums[0, 0], *families, sums[0, 1], outer)
 
 
 def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndarray,
-                   weight: float) -> tuple[np.ndarray, np.ndarray]:
+                   weight: float, scales: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Pair strips of the continuous kernel stacks between the ``window``
     and the ``line`` nodes, for the bottom and then the left family: each
     of shape ``(n, n, 2, R, N)``, with ``[..., 0, :, :]`` the stack
     ``K[window, line]`` and ``[..., 1, :, :]`` the transposed stack
-    ``K[line, window]^T``, both in the order the nodes are given.  Every
-    entry equals the full assembly's :func:`_kernel_blocks` at its node
-    pair.
+    ``K[line, window]^T``, both in the order the nodes are given.
+    ``scales`` are the ``(n, R)`` and ``(n, N)`` scales of the window and
+    the line nodes.  Every entry of block ``(j, k)`` equals the full
+    assembly's :func:`_kernel_blocks` at its node pair, multiplied by scale
+    j of its output node, then divided by scale k of its input node.
 
     The ``(window x line)`` open mesh of ``(xi1, xi2)`` pairs carries the
     bottom ``K[window, line]`` and the left ``K[line, window]^T``, the same
     mesh swapped the other two, so each core is written straight into its
     slot in the slot's order.  Both meshes go in the same row tiles of the
     window (:func:`_row_tiles`): a tile's factor once per mesh, its cores
-    scaled in their slots in :func:`_kernel_blocks`' arithmetic and checked
-    before the next tile.  A strip is real at n = 1 for real values over a
-    real factor, its dtype taken from its first core's values.
+    scaled in their slots in :func:`_kernel_blocks`' arithmetic, then by
+    the node scales, and checked before the next tile.  A strip is real at
+    n = 1 for real values over a real factor, its dtype taken from its
+    first core's values.
     """
     n, R, N = problem.n, len(window), len(line)
     families, pairs = (problem.bottom_symbols, problem.left_symbols), [None, None]
@@ -458,6 +469,10 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
                 slots = pair[:, :, 0] if into_window else pair[:, :, 1].swapaxes(-1, -2)
                 _kernel_blocks(slots[:, 0], window_powers[t] if into_window else line_powers,
                                weight, out=slots)
+                ends = (scales[0][:, t], scales[1])
+                s_out, s_in = ends if into_window else ends[::-1]
+                slots *= s_out[:, None, :, None]
+                slots /= s_in[None, :, None, :]
             del inv_plus
         for name, pair in zip(("bottom", "left"), pairs):
             _require_finite(f"{name} kernel strip", pair[..., t, :])

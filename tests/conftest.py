@@ -51,6 +51,12 @@ def kernel_stacks(system, rows=None):
                  for core in (system.bottom_core, system.left_core))
 
 
+def unit_scales(problem, window, line):
+    """``_kernel_strips``' scales at the window and line nodes that leave
+    every entry as the kernel stacks have it."""
+    return np.ones((problem.n, len(window))), np.ones((problem.n, len(line)))
+
+
 def full_matrix(system):
     """Dense oracle: the ``(2nN, 2nN)`` matrix of a square block system,
     rows ordered bottom then left equations, columns bottom then left

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadbvp import comparison
+from quadbvp import comparison, system
 from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      NormEstimateError, WeightedOperatorFrame,
                      aligned_line_grid, assemble_continuous_system,
@@ -17,7 +17,7 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      zeta_power_gap)
 from quadbvp.cli import load_config
 from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips, _power_base
-from conftest import kernel_stacks, skewed_problem, with_continuous_evaluators
+from conftest import kernel_stacks, skewed_problem, unit_scales, with_continuous_evaluators
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -230,34 +230,50 @@ class TestOperatorNormEstimate:
         assert checked == list(rep.norms) and len(checked) == len(cfg.h_values)
 
 
-class TestWeigh:
-    @staticmethod
-    def per_block(stack, w_out, w_in, quad):
-        """Oracle: each block of the stack weighed on its own."""
-        for j, k in np.ndindex(stack.shape[:2]):
-            s_out = np.sqrt(w_out[j] * quad)
-            block = stack[j, k]
-            block *= s_out[:, None] if stack.ndim == 4 else s_out
-            block /= np.sqrt(w_in[k] * quad)
-        return stack
+def per_block(stack, w_out, w_in, quad):
+    """Oracle: each block of an ``(n, n, ...)`` stack of diagonals or
+    matrices weighed on its own, in place: block ``(j, k)`` multiplied by
+    ``sqrt(w_out[j] quad)`` along its rows, then divided by ``sqrt(w_in[k]
+    quad)`` along its columns."""
+    for j, k in np.ndindex(stack.shape[:2]):
+        s_out = np.sqrt(w_out[j] * quad)
+        block = stack[j, k]
+        block *= s_out[:, None] if stack.ndim == 4 else s_out
+        block /= np.sqrt(w_in[k] * quad)
+    return stack
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_stack_weighing_equals_the_per_block_weighing(self, rng, n):
-        r, c, quad = 5, 7, 0.3
-        w_r = [rng.uniform(0.5, 4.0, size=r) for _ in range(n)]
-        w_c = [rng.uniform(0.5, 4.0, size=c) for _ in range(n)]
-        for shape, w_out, w_in in (((n, n, r), w_r, w_r), ((n, n, r, c), w_r, w_c)):
-            stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            want = self.per_block(stack.copy(), w_out, w_in, quad)
-            got = stack.copy()
-            assert comparison._weigh(got, w_out, w_in, quad) is got
-            assert np.array_equal(got, want)
-        # in place on a strided view, as the commutator weighs its strips
-        strip = rng.normal(size=(n, n, 2, c, r)) + 1j * rng.normal(size=(n, n, 2, c, r))
-        want = strip.copy()
-        self.per_block(want[:, :, 1].swapaxes(-1, -2), w_r, w_c, quad)
-        comparison._weigh(strip[:, :, 1].swapaxes(-1, -2), w_r, w_c, quad)
-        assert np.array_equal(strip, want)
+
+class TestStripWeights:
+    @pytest.mark.parametrize("make", [
+        lambda: radial_power_problem(s=2.25, n=1, delta=-0.25, bottom_orders=[-1.0],
+                                     left_orders=[0.0]),
+        skewed_problem,
+        lambda: with_continuous_evaluators(
+            lambda ev: lambda x1, x2: np.asarray(ev(x1, x2), dtype=complex),
+            radial_power_problem(s=3.25, n=3, delta=-0.25, bottom_orders=[0.0, -1.0, -0.5],
+                                 left_orders=[0.5, 0.0, -1.0])),
+    ], ids=["real n1", "complex n2", "complex n3"])
+    @pytest.mark.parametrize("tile_rows", [None, 8])
+    def test_scaled_slots_equal_the_per_block_weighing(self, monkeypatch, rng, make, tile_rows):
+        # the slots weighed tile by tile as they are formed equal the
+        # unscaled slots weighed block by block afterwards, bit for bit
+        problem = make()
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes, quad = grid.axis_nodes, grid.axis_weight
+        window, line = nodes[window_mask(grid, 0.25)], np.roll(nodes, len(nodes) // 2)
+        w_window, w_line = ([rng.uniform(0.5, 4.0, size=len(x)) for _ in range(problem.n)]
+                            for x in (window, line))
+        want = _kernel_strips(problem, window, line, quad, unit_scales(problem, window, line))
+        for pair in want:
+            per_block(pair[:, :, 0], w_window, w_line, quad)
+            per_block(pair[:, :, 1].swapaxes(-1, -2), w_line, w_window, quad)
+        if tile_rows:
+            monkeypatch.setattr(system, "_TILE", tile_rows * len(line))
+            assert len(system._row_tiles(len(window), len(line))) > 1
+        scales = tuple(np.sqrt(np.array(w) * quad) for w in (w_window, w_line))
+        for got, pair in zip(_kernel_strips(problem, window, line, quad, scales), want):
+            assert got.dtype == pair.dtype == (np.float64 if problem.n == 1 else np.complex128)
+            assert np.array_equal(got, pair)
 
 
 class TestFitRate:
@@ -561,10 +577,12 @@ class TestStripAssembly:
     def test_window_gaps_equal_the_gathered_strip(self, hs):
         # the window's rows and columns of the full assembly minus the
         # lattice operator on the window, against correctly rounded sums:
-        # each kernel-gap block to the rounding of its difference, each
-        # multiplier gap to the rounding of a sum of all its terms, and
-        # the (j, 0) ones, exactly the sums over the nodes outside the
-        # window, to the rounding of a sum of those terms alone
+        # each kernel-gap block, up to its row phase, the conjugate phase
+        # of g = (i xi)^k - zeta^k at its output node, to the rounding of
+        # its difference, each multiplier gap to the rounding of a sum of
+        # all its terms, and the (j, 0) ones, exactly the sums over the
+        # nodes outside the window, to the rounding of a sum of those
+        # terms alone
         problem = skewed_problem()
         grid = aligned_line_grid(hs, 8)
         nodes, quad = grid.axis_nodes, grid.axis_weight
@@ -580,15 +598,16 @@ class TestStripAssembly:
                                 bottom_symbols=problem.bottom_symbols,
                                 left_symbols=problem.left_symbols)
             lattice_stacks = kernel_stacks(lattice)
+            zetas = _power_base(wnodes, h)
             formed = []
             for f, j, k, block in blocks:
                 formed.append((f, j, k))
                 continuous = full_stacks[f][j, k][np.ix_(win, win)]
-                want = continuous - lattice_stacks[f][j, k]
+                g = (1j * wnodes) ** k - zetas ** k
+                want = (continuous - lattice_stacks[f][j, k]) * np.conj(g / np.abs(g))[:, None]
                 bound = 4 * eps * (np.abs(continuous) + np.abs(lattice_stacks[f][j, k]))
                 assert np.all(np.abs(block - want) <= bound), (h, f, j, k)
             assert formed == [(f, j, 1) for f in range(2) for j in range(2)]
-            zetas = _power_base(wnodes, h)
             for f, mult in enumerate(mults):
                 assert mult.shape == (2, 2, win.sum())
                 core = full_cores[f][:, win]
@@ -659,16 +678,18 @@ class TestSweepsAssembleOnlyWhatTheyRead:
             assert kwargs["h"] is None and kwargs["rows"] is not None
 
     @pytest.mark.parametrize("mode, sweep", [
-        # the square strip's real cores take 2 MiB on section_gap.ini and
-        # the one (w*, w*) buffer the kernel-gap blocks are formed in 1 MiB;
-        # both meshes' complex plus factors at once peaked at 28 MiB, a
-        # mesh-sized temporary per multiplier sum and a second lattice
-        # kernel stack per window at 22.2 MiB, a lattice system assembled
-        # per window at 19.2 MiB, complex cores at 16.3 MiB, the coarser
-        # window's gaps held while the finest one's were formed at 13.2
-        # MiB, the finest window's two (n, n, w, w) kernel-gap stacks (8
-        # MiB) at 11.2 MiB, and the strip's mesh-sized factor, values and
-        # cores, before they were assembled in row tiles, at 11.35 MiB
+        # the square strip's real cores take 2 MiB on section_gap.ini, and
+        # the peak, 3.49 MiB, is their assembly's last row tile; the one
+        # (w*, w*) buffer the kernel-gap blocks are formed in, real since
+        # they are given up to a row phase, takes 0.5 MiB after it (1 MiB
+        # complex); both meshes' complex plus factors at once peaked at 28
+        # MiB, a mesh-sized temporary per multiplier sum and a second
+        # lattice kernel stack per window at 22.2 MiB, a lattice system
+        # assembled per window at 19.2 MiB, complex cores at 16.3 MiB, the
+        # coarser window's gaps held while the finest one's were formed at
+        # 13.2 MiB, the finest window's two (n, n, w, w) kernel-gap stacks
+        # (8 MiB) at 11.2 MiB, and the strip's mesh-sized factor, values
+        # and cores, before they were assembled in row tiles, at 11.35 MiB
         # with the stacks (3.43 MiB with neither)
         ("section_gap", section_gap_rate_sweep),
         # the two weighted pair strips, real for the radial n = 1 problem,
@@ -677,7 +698,8 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         # per block peaked at 31 MiB, a second mesh-sized array per radial
         # symbol value at 22.1 MiB, complex strips at 20.3 MiB, real ones
         # with a mesh-sized plus factor and symbol value at 12.3 MiB (8.69
-        # MiB with the meshes evaluated in row tiles)
+        # MiB with the meshes evaluated in row tiles, 8.61 MiB with the
+        # order-0 symbol a broadcast one and the strips weighed per tile)
         ("commutator", commutator_rate_sweep)])
     def test_shipped_sweep_allocates_only_the_blocks_it_reads(self, mode, sweep):
         cfg = load_config(ROOT / "configs" / f"{mode}.ini")
@@ -690,7 +712,7 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         finally:
             tracemalloc.stop()
         assert rep.slope is not None
-        assert peak - start < {"section_gap": 4.5, "commutator": 10.5}[mode] * 2 ** 20
+        assert peak - start < {"section_gap": 4.0, "commutator": 9.0}[mode] * 2 ** 20
 
     def test_commutator_builds_no_full_continuous_stack(self, monkeypatch):
         strips, frames = [], []
@@ -756,7 +778,8 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         bottom, left = kernel_stacks(assemble_continuous_system(problem, grid))
         for rows in (window_mask(grid, 0.25), rng.random(N) < 0.3):
             for line in (np.roll(np.arange(N), N // 2), rng.permutation(N)):
-                pairs = _kernel_strips(problem, nodes[rows], nodes[line], grid.axis_weight)
+                pairs = _kernel_strips(problem, nodes[rows], nodes[line], grid.axis_weight,
+                                       unit_scales(problem, nodes[rows], nodes[line]))
                 for pair, full in zip(pairs, (bottom, left)):
                     assert pair.shape == (2, 2, 2, rows.sum(), N)
                     assert np.array_equal(pair[:, :, 0], full[:, :, rows][..., line])
@@ -805,35 +828,33 @@ class TestRealArithmetic:
 
     def test_section_gap_neither_forms_nor_weighs_the_zero_blocks(self, monkeypatch):
         # kernel-gap blocks (j, 0) are exactly zero: only blocks k >= 1 are
-        # formed and their norms taken; the weights are folded in as each
-        # gap is formed, so no stack is weighed afterwards
-        norms, weighed = [], []
-        sigma_max, weigh = comparison._sigma_max, comparison._weigh
+        # formed, weighed as they are formed, and their norms taken; they
+        # are given up to a row phase, so the shipped problem's real cores
+        # give real blocks
+        norms = []
+        sigma_max = comparison._sigma_max
 
         def recording_norm(block):
             if np.ndim(block) == 2:
-                norms.append(block.shape)
+                norms.append((block.shape, block.dtype))
             return sigma_max(block)
 
-        def recording_weigh(stack, w_out, w_in, quad):
-            weighed.append(stack.shape)
-            return weigh(stack, w_out, w_in, quad)
-
         monkeypatch.setattr(comparison, "_sigma_max", recording_norm)
-        monkeypatch.setattr(comparison, "_weigh", recording_weigh)
         hs = [0.5, 0.25, 0.125]
-        rep = section_gap_rate_sweep(skewed_problem(), hs, nodes_per_window=8)
-        assert all(v > 0.0 for v in rep.norms)
-        # per window and family, blocks (0, 1) and (1, 1)
-        assert norms == [(w, w) for w in rep.window_nodes for _ in range(2 * 2)]
-        assert weighed == []
+        shipped = load_config(ROOT / "configs" / "section_gap.ini").problem
+        for problem, dtype in ((skewed_problem(), np.complex128), (shipped, np.float64)):
+            norms.clear()
+            rep = section_gap_rate_sweep(problem, hs, nodes_per_window=8)
+            assert all(v > 0.0 for v in rep.norms)
+            # per window and family, blocks (0, 1) and (1, 1)
+            assert norms == [((w, w), dtype) for w in rep.window_nodes for _ in range(2 * 2)]
 
 
 def weighted_frame(quadrants, weights, quad):
     """Frame of the quadrants ``((A, B), (C, D))``, each weighted with the
     same line weights."""
     return WeightedOperatorFrame(tuple(
-        tuple(None if q is None else comparison._weigh(q, weights, weights, quad)
+        tuple(None if q is None else per_block(q, weights, weights, quad)
               for q in row) for row in quadrants))
 
 

@@ -26,7 +26,7 @@ from quadbvp.system import (_ESTIMATE_BLOCK, _ESTIMATE_POWER_STEPS, _ESTIMATE_SE
                             _CompressedSystem, _assemble, _compress, _invert_multipliers,
                             _kernel_adjoint, _kernel_apply, _kernel_blocks, _kernel_norm,
                             _kernel_strips, _plus_values, _power_base, _sigma_max_estimate)
-from conftest import (full_matrix, kernel_stacks, ones_symbol, skewed_problem,
+from conftest import (full_matrix, kernel_stacks, ones_symbol, skewed_problem, unit_scales,
                       with_continuous_evaluators)
 
 
@@ -237,13 +237,47 @@ class TestRowTiles:
         grid = aligned_line_grid([0.5, 0.25], 8)
         nodes = grid.axis_nodes
         rows = np.arange(len(nodes)) % 3 > 0
-        whole = _kernel_strips(problem, nodes[rows], nodes, 0.1)
+        whole = pair_strips(problem, nodes, rows)
         monkeypatch.setattr(system, "_TILE", 8 * len(nodes))
         tiles = system._row_tiles(int(rows.sum()), len(nodes))
         assert [t.stop - t.start for t in tiles] == [8] * 5 + [2]
-        for got, want in zip(_kernel_strips(problem, nodes[rows], nodes, 0.1), whole):
+        for got, want in zip(pair_strips(problem, nodes, rows), whole):
             assert got.dtype == want.dtype == (np.float64 if problem.n == 1 else np.complex128)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tile_rows", [None, 8])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_multipliers_are_within_rounding_of_correctly_rounded_sums(self, monkeypatch, n,
+                                                                       dtype, tile_rows):
+        # each multiplier of a full assembly and a strip, and each of a
+        # strip's sums outside its rows, within N eps sum|terms| of the
+        # correctly rounded sum of its N terms, in tiles of 8 rows and a
+        # last one of 2 too
+        orders = [0.0, -1.0, -0.5][:n]
+        problem = with_continuous_evaluators(
+            lambda ev: lambda x1, x2: np.asarray(ev(x1, x2), dtype=dtype),
+            radial_power_problem(s=3.25, n=n, delta=-0.25, bottom_orders=orders,
+                                 left_orders=orders[::-1]))
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes, N = grid.axis_nodes, grid.nodes_count
+        rows = np.arange(N) % 3 > 0  # 42 of 64 nodes
+        if tile_rows:
+            monkeypatch.setattr(system, "_TILE", tile_rows * N)
+            assert system._row_tiles(int(rows.sum()), N)[-1] == slice(40, 42)
+        full, part = assemble_continuous_system(problem, grid), strip(problem, nodes, rows)
+        assert full.bottom_core.dtype == full.left_core.dtype == dtype
+        powers = _power_base(nodes, None)
+        for f, cores in enumerate((full.bottom_core, full.left_core)):
+            field = ("bottom_mult", "left_mult")[f]
+            for got, cut, weight, inputs in (
+                    (getattr(full, field), slice(None), grid.axis_weight, slice(None)),
+                    (getattr(part, field), rows, 0.1, slice(None)),
+                    (part.outer_mult[f], rows, 0.1, ~rows)):
+                oracle, bound = fsum_multipliers(cores[:, cut][..., inputs], powers[inputs],
+                                                 weight)
+                assert np.all(np.abs(got.real - oracle.real) <= bound), field
+                assert np.all(np.abs(got.imag - oracle.imag) <= bound), field
 
     def test_one_tile_evaluates_each_evaluator_once_per_mesh(self):
         calls = {}
@@ -260,7 +294,7 @@ class TestRowTiles:
             step()
             assert calls == {"plus": plus, **symbols}
         calls.clear()
-        _kernel_strips(problem, nodes[rows], nodes, 0.1)
+        pair_strips(problem, nodes, rows)
         assert calls == {"plus": 2, **{name: 2 for name in symbols}}
 
 
@@ -1163,6 +1197,13 @@ def strip(problem, nodes, rows, h=None):
                      left_symbols=problem.left_symbols, rows=rows)
 
 
+def pair_strips(problem, nodes, rows):
+    """``_kernel_strips`` between the masked nodes and all of them, with
+    unit scales: the kernel stacks' entries."""
+    window = nodes[rows]
+    return _kernel_strips(problem, window, nodes, 0.1, unit_scales(problem, window, nodes))
+
+
 BLOCKS = ("bottom_mult", "bottom_core", "left_core", "left_mult")
 
 
@@ -1202,7 +1243,7 @@ class TestOpenMesh:
                 for ops, side in ((bottom, "bottom"), (left, "left")) for op in ops],
             "assemble_discrete_system": lambda: assemble_discrete_system(spec, grid),
             "rows strip": lambda: strip(problem, nodes, rows),
-            "_kernel_strips": lambda: _kernel_strips(problem, nodes[rows], nodes, 0.1),
+            "_kernel_strips": lambda: pair_strips(problem, nodes, rows),
             "apply_symbol_to_spectrum": lambda: apply_symbol_to_spectrum(
                 full, u_hat, [(2, 2), (3, 4)]),
             "sobolev_norm_2d": lambda: sobolev_norm_2d(u_hat, -2.25),
@@ -1231,7 +1272,7 @@ class TestOpenMesh:
         steps = {
             "full": lambda: strip(problem, nodes, None),
             "rows": lambda: strip(problem, nodes, rows),
-            "_kernel_strips": lambda: _kernel_strips(problem, nodes[rows], nodes, 0.1),
+            "_kernel_strips": lambda: pair_strips(problem, nodes, rows),
         }
         for name, step in steps.items():
             shapes.clear()
@@ -1261,6 +1302,31 @@ class TestOpenMesh:
             blocks.append(assemble_discrete_system(spec, grid))
         for field in BLOCKS:
             assert np.array_equal(getattr(blocks[0], field), getattr(blocks[1], field)), field
+
+    @pytest.mark.parametrize("orders", [[0.0], [0.0, -1.0]], ids=["n1", "n2"])
+    def test_order_zero_radial_symbols_are_a_one_that_broadcasts(self, orders):
+        # pow(r2, 0) is exactly 1: the order-0 evaluators return a (1, 1)
+        # one, and strips and pair strips equal those of evaluators that
+        # return the mesh of ones, bit for bit
+        problem = radial_power_problem(s=2.25, n=len(orders), delta=-0.25,
+                                       bottom_orders=orders, left_orders=orders)
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        rows = window_mask(grid, 0.25)
+        mesh = _open_mesh(nodes[rows], nodes)
+        for ev, order in zip(problem.bottom_symbols + problem.left_symbols, orders * 2):
+            values = ev(*mesh)
+            assert values.shape == ((1, 1) if order == 0.0 else (rows.sum(), len(nodes)))
+            assert order != 0.0 or values[0, 0] == 1.0
+        ones = tuple(ones_symbol if order == 0.0 else ev
+                     for ev, order in zip(problem.bottom_symbols, orders))
+        meshed = replace(problem, bottom_symbols=ones, left_symbols=ones)
+        got, want = strip(problem, nodes, rows), strip(meshed, nodes, rows)
+        for field in BLOCKS + ("outer_mult",):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for got, want in zip(pair_strips(problem, nodes, rows), pair_strips(meshed, nodes, rows)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("make", [
         lambda: radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
@@ -1310,8 +1376,8 @@ class TestOpenMesh:
                 for mult in (getattr(got, field), getattr(want, field)):
                     assert np.all(np.abs(mult.real - oracle.real) <= bound), field
                     assert np.all(np.abs(mult.imag - oracle.imag) <= bound), field
-        for got, want in zip(_kernel_strips(problem, nodes[rows], nodes, 0.1),
-                             _kernel_strips(cast, nodes[rows], nodes, 0.1)):
+        for got, want in zip(pair_strips(problem, nodes, rows),
+                             pair_strips(cast, nodes, rows)):
             assert got.dtype == want.dtype == np.complex128
             assert np.array_equal(got, want)
 
@@ -1364,7 +1430,7 @@ class TestRealKernels:
             assert system.bottom_core.dtype == system.left_core.dtype == np.float64
             assert system.bottom_mult.dtype == system.left_mult.dtype == np.complex128
             assert all(stack.dtype == np.float64 for stack in kernel_stacks(system, cut))
-        for pair in _kernel_strips(problem, nodes[rows], nodes, 0.1):
+        for pair in pair_strips(problem, nodes, rows):
             assert pair.dtype == np.float64
 
     def test_radial_n2_kernel_stacks_are_complex_and_those_of_the_cast(self):
