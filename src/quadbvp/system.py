@@ -469,8 +469,8 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
                 slots = pair[:, :, 0] if into_window else pair[:, :, 1].swapaxes(-1, -2)
                 _kernel_blocks(slots[:, 0], window_powers[t] if into_window else line_powers,
                                weight, out=slots)
-                ends = (scales[0][:, t], scales[1])
-                s_out, s_in = ends if into_window else ends[::-1]
+                tile_scales = (scales[0][:, t], scales[1])
+                s_out, s_in = tile_scales if into_window else tile_scales[::-1]
                 slots *= s_out[:, None, :, None]
                 slots /= s_in[None, :, None, :]
             del inv_plus
