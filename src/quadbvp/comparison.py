@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError, NormEstimateError
-from .lattice import LineGrid, _open_mesh, zeta
-from .system import ContinuousProblem, _assemble, _kernel_strips, _power_base, _products
+from .lattice import LineGrid, _open_mesh, _power_base, _trace_weight, zeta
+from .system import ContinuousProblem, _assemble, _kernel_strips, _products
 
 __all__ = [
     "PowerGap",
@@ -250,14 +250,6 @@ def _hypotheses(problem: ContinuousProblem, bottom_gap: float, left_gap: float,
                 f"violated at j={j} (s={problem.s}, order={gamma})")
 
 
-def _line_weights(nodes: np.ndarray, exponent: float) -> np.ndarray:
-    return (1.0 + nodes ** 2) ** exponent
-
-
-def _torus_weights(nodes: np.ndarray, exponent: float, h: float) -> np.ndarray:
-    return (1.0 + np.abs(zeta(nodes, h)) ** 2) ** exponent
-
-
 def _sweep_grid(h_values, nodes_per_window: int, lambda_factor: float) -> LineGrid:
     """The rate sweep's line grid, its mesh sizes checked before any assembly."""
     check_sweep_length(len(h_values), FIT_MIN_SIZES)
@@ -305,14 +297,14 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     """
     _hypotheses(problem, 1.0, 2.0, "commutator sweep")
     grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
-    nodes, quad = grid.axis_nodes, grid.axis_weight
+    nodes = grid.axis_nodes
     N = len(nodes)
     finest = window_mask(grid, min(h_values))
     # the line from 0 out to +lam, then from -lam back to 0
     line = np.roll(np.arange(N), N // 2)
-    weights = np.array([_line_weights(nodes, e) for e in problem.trace_exponents])
-    scales = tuple(np.sqrt(weights[:, at] * quad) for at in (finest, line))
-    strips = _kernel_strips(problem, nodes[finest], nodes[line], quad, scales)
+    weights = np.array([_trace_weight(nodes, None, e) for e in problem.trace_exponents])
+    scales = tuple(np.sqrt(weights[:, at]) for at in (finest, line))
+    strips = _kernel_strips(problem, nodes[finest], nodes[line], grid.axis_weight, scales)
 
     def window_norm(h):
         win = window_mask(grid, h)
@@ -332,35 +324,36 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
 def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: bool = False):
     """For each ``h``, the window nodes and the gap between the
     window-restricted continuous operator and the lattice operator on the
-    same window nodes, continuous minus lattice, with the quadrature weight
-    and, if ``weighed``, the frame's torus weights in it: block ``(j, k)``
-    times ``sqrt(w_j quad)`` at its outputs, over ``sqrt(w_k quad)`` at its inputs.
+    same window nodes, continuous minus lattice, with, if ``weighed``, the
+    frame's torus weights in it: block ``(j, k)`` times ``sqrt(w_j)`` at
+    its outputs, over ``sqrt(w_k)`` at its inputs.
 
     Yields ``(wnodes, (mult_b, mult_l), blocks)``: the multiplier gaps,
     ``(n, n, w)`` diagonals, and an iterator over the kernel-gap blocks
     ``(f, j, k, block)``, bottom (``f`` 0) then left, each ``(w, w)`` block
     formed in one product into the sweep's one buffer and valid until the
     next.  Both sides are sliced from one square strip on the finest window:
-    on a window they sample the same cores ``symbol_j / plus`` at the same
-    nodes (the symbols' periodic continuation agrees there), and differ only
-    in the powers, ``(i xi)^k`` against ``zeta^k``, and in the range of the
-    multiplier sums, the whole truncated line against the window.  So a
-    kernel-gap block is ``core_j * g_k * quad``, ``g_k = (i xi)^k - zeta^k``
-    at its outputs, zero at ``k = 0`` and not formed, and a multiplier gap
-    the strip's sum outside the finest window plus the core's row against
-    ``p^k`` on the rest of it and ``g_k`` on the window, in one product
-    (:func:`_products`): at ``k = 0`` exactly the sum outside the window.
-    A block is given up to a row phase, as ``core_j * |g_k| * quad``, real
-    for a real core: a diagonal of unit-modulus factors changes neither its
-    singular values nor its entries' moduli, all that the sweeps read.
+    on a window they sample the same cores ``symbol_j * weight / plus`` at
+    the same nodes (the symbols' periodic continuation agrees there), and
+    differ only in the powers, ``(i xi)^k`` against ``zeta^k``, and in the
+    range of the multiplier sums, the whole truncated line against the
+    window.  So a kernel-gap block is ``core_j * g_k``, ``g_k = (i xi)^k -
+    zeta^k`` at its outputs, zero at ``k = 0`` and not formed, and a
+    multiplier gap the strip's multiplier, its sum outside the finest
+    window, plus the core's row against ``p^k`` on the rest of it and
+    ``g_k`` on the window, in one product (:func:`_products`): at ``k = 0``
+    exactly the sum outside the window.  A block is given up to a row
+    phase, as ``core_j * |g_k|``, real for a real core: a diagonal of
+    unit-modulus factors changes neither its singular values nor its
+    entries' moduli, all that the sweeps read.
     """
-    n, quad = problem.n, grid.axis_weight
+    n = problem.n
     rows = window_mask(grid, min(h_values))
-    strip = _assemble(n=n, nodes=grid.axis_nodes, weight=quad, h=None,
+    strip = _assemble(n=n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=None,
                       plus_factor=problem.plus_factor,
                       bottom_symbols=problem.bottom_symbols,
                       left_symbols=problem.left_symbols, rows=rows)
-    cores = (strip.bottom_core, strip.left_core)
+    cores, outside = (strip.bottom_core, strip.left_core), (strip.bottom_mult, strip.left_mult)
     powers = _power_base(grid.axis_nodes[rows], None)[:, None] ** np.arange(n)
     buffer = np.empty(len(powers) ** 2, dtype=np.result_type(*cores))
 
@@ -375,16 +368,15 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: 
     for h in h_values:
         win = window_mask(grid, h)
         out, wnodes = _run(win[rows]), grid.axis_nodes[win]
-        # times quad: p^k on the finest window, (i xi)^k - zeta^k on this one
+        # p^k on the finest window, (i xi)^k - zeta^k on this one
         gaps = powers.copy()
         gaps[out] -= _power_base(wnodes, float(h))[:, None] ** np.arange(n)
-        gaps *= quad
-        mults = strip.outer_mult[..., out].copy()
+        mults = np.stack([mult[..., out] for mult in outside])
         for f, j in np.ndindex(2, n):
             mults[f, j] += _products(cores[f][j, out], gaps)
         scale = np.ones((n, 1))
         if weighed:
-            scale = np.sqrt(np.array([_torus_weights(wnodes, e, float(h)) * quad
+            scale = np.sqrt(np.array([_trace_weight(wnodes, float(h), e)
                                       for e in problem.trace_exponents]))
         mults *= scale[:, None]
         mults /= scale

@@ -47,6 +47,18 @@ def zeta(xi, h: float):
     return (np.exp(1j * h * np.asarray(xi)) - 1.0) / h
 
 
+def _power_base(nodes: np.ndarray, h: float | None) -> np.ndarray:
+    """``zeta(xi, h)`` on the torus, ``i xi`` on the line (``h`` None)."""
+    return zeta(nodes, h) if h is not None else 1j * nodes
+
+
+def _trace_weight(nodes: np.ndarray, h: float | None, exponent: float) -> np.ndarray:
+    """Trace-norm weight ``(1 + |p|^2)^exponent`` at the nodes, ``p`` the
+    power base (:func:`_power_base`): ``|zeta|`` on the torus, ``|xi|`` on
+    the line, where ``|i xi|`` is ``|xi|`` exactly."""
+    return (1.0 + np.abs(_power_base(nodes, h)) ** 2) ** exponent
+
+
 def zeta_squared_2d(xi1, xi2, h: float):
     """Two-dimensional aggregate ``zeta(xi1)^2 + zeta(xi2)^2`` (complex)."""
     return zeta(xi1, h) ** 2 + zeta(xi2, h) ** 2
@@ -234,6 +246,6 @@ def sobolev_norm_1d(f: SpectralFunction, s_k: float) -> float:
     grid = f.grid
     if not isinstance(grid, FrequencyGrid) or grid.ndim != 1:
         raise ValueError("sobolev_norm_1d requires a 1D frequency grid")
-    w = (1.0 + np.abs(zeta(grid.axis_nodes, grid.h)) ** 2) ** s_k
+    w = _trace_weight(grid.axis_nodes, grid.h, s_k)
     total = np.sum(w * np.abs(f.values) ** 2) * grid.axis_weight
     return float(np.sqrt(total))

@@ -12,11 +12,11 @@ Feeding this into the boundary conditions written in Fourier images yields a
 diagonal multiplier blocks on the own-axis unknowns and integral-kernel
 blocks on the cross-axis unknowns.  The system is discretized by a Nystrom
 rule on the same midpoint grid that carries the unknowns.  Kernel block
-``(j, k)`` of an edge is one core, ``symbol_j / plus`` on the node pairs,
-times the k-th transverse power at the output node and the quadrature
-weight, so a system stores the n cores of each edge and applies the powers
-where the cores are used (:func:`_kernel_blocks`).  The kernels are
-analytic when the plus factor is holomorphic and nonvanishing in the tube,
+``(j, k)`` of an edge is one core, ``symbol_j * weight / plus`` on the node
+pairs with the quadrature weight in it, times the k-th transverse power at
+the output node, so a system stores the n cores of each edge and applies
+the powers where the cores are used (:func:`_kernel_blocks`).  The kernels
+are analytic when the plus factor is holomorphic and nonvanishing in the tube,
 so the solver compresses them to their numerical rank and solves by a
 Woodbury update; see :func:`solve_block_system`.
 
@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AssemblyError, MeshMismatchError, NearSingularError
-from .lattice import (FrequencyGrid, LineGrid, SpectralFunction, _open_mesh,
+from .lattice import (FrequencyGrid, LineGrid, SpectralFunction, _open_mesh, _power_base,
                       sobolev_norm_1d, zeta)
 from .operators import SIDE_BOTTOM, SIDE_LEFT, boundary_trace_spectrum
 from .symbols import PeriodicSymbol, WaveFactorization
@@ -193,32 +193,31 @@ class BlockSystem:
     """Nystrom discretization of the reduced block operator, without data.
 
     Multiplier blocks are diagonals, kernel blocks matrices acting on
-    node-value vectors (quadrature weights folded in), each kernel family
-    stored as its n cores:
+    node-value vectors, each kernel family stored as its n cores, the
+    quadrature ``weight`` folded into them:
 
     * ``bottom_mult[j, k]`` diagonal values multiplying the bottom traces
       in the bottom equations,
     * ``bottom_core[j]``    core of the kernels applying the left traces in
-      the bottom equations, ``symbol_j / plus`` on the ``(xi1, xi2)`` node
-      pairs, indexed ``(out, in)``,
+      the bottom equations, ``symbol_j * weight / plus`` on the ``(xi1,
+      xi2)`` node pairs, indexed ``(out, in)``,
     * ``left_core[j]``      core of the kernels applying the bottom traces
       in the left equations, indexed ``(out, in)`` = ``(xi2, xi1)``,
     * ``left_mult[j, k]``   diagonal values multiplying the left traces.
 
-    Kernel block ``(j, k)`` of an edge is ``core[j] * p^k[:, None] *
-    weight``, with ``p`` the power base (``zeta`` on the torus, ``i xi`` on
-    the line) at the output nodes: :func:`_kernel_blocks` forms the
-    ``(n, n, out, in)`` stack, the solver applies the blocks without it.
-    The cores take the dtype of the symbol values over the plus factor,
-    float64 where both are real (the radial family); multipliers are complex,
-    ``mult[j, k] = core[j] @ (p^k * weight)`` with ``p`` at the input nodes.
+    Kernel block ``(j, k)`` of an edge is ``core[j] * p^k[:, None]``, with
+    ``p`` the power base (``zeta`` on the torus, ``i xi`` on the line) at
+    the output nodes, so a core is its kernel's block ``(j, 0)``:
+    :func:`_kernel_blocks` fills the ``(n, n, out, in)`` stack, the solver
+    applies the blocks without it.  The cores take the dtype of the symbol
+    values over the plus factor, float64 where both are real (the radial
+    family); multipliers are complex, ``mult[j, k] = core[j] @ p^k`` with
+    ``p`` at the input nodes.
 
     A strip (``_assemble`` with ``rows``) holds ``(n, n, R)`` multipliers
-    and ``(n, R, R)`` cores on R of the N nodes, but its multipliers
-    integrate over all N: it is not a system on the R nodes, and ``size``,
-    ``gauge_basis`` and the solver do not apply to it.  Its ``outer_mult``,
-    ``(2, n, n, R)``, bottom then left, are the sums over the other N - R,
-    formed apart so that the strip's multipliers are the full system's bits.
+    and ``(n, R, R)`` cores on R of the N nodes, its multipliers the sums
+    over the other N - R nodes only: it is not a system on the R nodes, and
+    ``size``, ``gauge_basis`` and the solver do not apply to it.
     """
 
     n: int
@@ -229,7 +228,6 @@ class BlockSystem:
     bottom_core: np.ndarray    # (n, N, N)
     left_core: np.ndarray      # (n, N, N)
     left_mult: np.ndarray      # (n, n, N)
-    outer_mult: np.ndarray | None = None  # (2, n, n, R), strips only
 
     def __post_init__(self) -> None:
         for name in ("bottom_mult", "bottom_core", "left_core", "left_mult"):
@@ -291,11 +289,10 @@ def _check_on_grid(what: str, functions, grid: FrequencyGrid | LineGrid) -> None
                 f"{what} component {j} has {f.values.size} nodes, the grid {N}")
 
 
-def _plus_values(fac, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Evaluate an inverse-safe plus factor on the open mesh ``(x1, x2)``,
-    broadcast to the whole mesh, flagging zeros.  A real factor stays real,
-    in double precision."""
-    plus = fac.plus_factor if isinstance(fac, WaveFactorization) else fac
+def _plus_values(plus, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Evaluate an inverse-safe plus factor evaluator on the open mesh
+    ``(x1, x2)``, broadcast to the whole mesh, flagging zeros.  A real
+    factor stays real, in double precision."""
     vals = np.asarray(plus(x1, x2))
     vals = np.broadcast_to(vals.astype(np.result_type(vals, float), copy=False),
                            np.broadcast_shapes(x1.shape, x2.shape))
@@ -308,11 +305,6 @@ def _plus_values(fac, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _power_base(nodes: np.ndarray, h: float | None) -> np.ndarray:
-    """``zeta(xi, h)`` on the torus, ``i xi`` on the line (``h`` None)."""
-    return zeta(nodes, h) if h is not None else 1j * nodes
-
-
 def _products(core: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """``(core @ columns).T`` for C-ordered complex columns in one product,
     for a real core against their real view: real and imaginary parts apart."""
@@ -321,32 +313,17 @@ def _products(core: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return (core @ columns.view(float)).view(complex).T
 
 
-def _stack_dtype(n: int, core_dtype) -> np.dtype:
-    """Kernel stacks are real only where every block is: n = 1, a real core."""
-    return np.dtype(core_dtype if n == 1 else complex)
-
-
-def _kernel_blocks(core, powers: np.ndarray, weight: float,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """The kernel stack of n cores: ``block[j, k] = core[j] * p^k[:, None]
-    * weight``, shape ``(n, n, out, in)``, with ``p`` the power base
-    ``powers`` at the output nodes.  ``core`` is an ``(n, out, in)`` array
-    or a sequence of n ``(out, in)`` matrices.  The stack is real only
-    where every block is, at n = 1 with a real core.  It is written into
-    ``out`` when given, whose blocks ``out[:, 0]`` may hold the cores.
-    Block ``(j, 0)`` is ``core[j] * weight``: ``p^0 = 1`` is not multiplied
-    in, which changes at most the sign of a zero."""
-    n = len(core)
-    if out is None:
-        out = np.empty((n, n) + core[0].shape, dtype=_stack_dtype(n, core[0].dtype))
-    for j in range(n):
-        # block (j, 0) last, so that it may be core j itself; in place: no
-        # mesh-sized temporary per block
-        for k in range(n - 1, 0, -1):
-            np.multiply(np.multiply(core[j], (powers ** k)[:, None], out=out[j, k]), weight,
-                        out=out[j, k])
-        np.multiply(core[j], weight, out=out[j, 0])
-    return out
+def _kernel_blocks(stack: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Fill the kernel stack ``block[j, k] = core[j] * p^k[:, None]``, shape
+    ``(n, n, out, in)``, in place from the n cores in its blocks ``(j, 0)``,
+    with ``p`` the power base ``powers`` at the output nodes; returns it.
+    ``p^0 = 1`` is not multiplied in, which changes at most the sign of a
+    zero."""
+    n = len(stack)
+    for j, k in np.ndindex(n, n):
+        if k:  # in place: no mesh-sized temporary per block
+            np.multiply(stack[j, 0], (powers ** k)[:, None], out=stack[j, k])
+    return stack
 
 
 # Meshes are assembled in row tiles of at most this many entries, each run
@@ -373,26 +350,24 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
 
     Each family is evaluated in its ``(out, in)`` order, the bottom one on
     the open mesh of ``(xi1, xi2)`` pairs, the left one on it swapped, in
-    row tiles (:func:`_row_tiles`): a tile's factor is checked and
-    inverted, and its cores formed before the next tile, each with its n
-    multipliers ``core_j @ (p^k * weight)``, ``p`` at the input nodes, in
-    one matrix product (:func:`_products`) against the weighted powers as
-    columns.  A full assembly keeps the bottom inverse factor, whose
-    transpose is the left one's.
+    row tiles (:func:`_row_tiles`): a tile's factor is checked and its
+    inverse scaled by the quadrature weight, and its cores formed before
+    the next tile, each with its n multipliers ``core_j @ p^k``, ``p`` at
+    the input nodes, in one matrix product (:func:`_products`) against the
+    powers as columns.  A full assembly keeps the bottom inverse factor,
+    whose transpose is the left one's.
 
-    A boolean mask ``rows`` makes a square strip, the full assembly sliced
-    to the R masked nodes: multipliers ``[..., rows]``, ``(n, n, R)``, still
-    integrating over all N nodes, and cores ``[..., rows, :][..., rows]``,
-    ``(n, R, R)``, and ``outer_mult``, the multipliers' sums outside them,
-    in a second product against the weighted powers zeroed on the rows.
+    A boolean mask ``rows`` makes a square strip on the R masked nodes: the
+    full assembly's cores ``[..., rows, :][..., rows]``, ``(n, R, R)``, and
+    as multipliers, ``(n, n, R)``, their sums over the other N - R nodes
+    only, against the powers zeroed on the rows.
     """
     N = len(nodes)
     out = nodes if rows is None else nodes[rows]
-    weighted = _power_base(nodes, h)[:, None] ** np.arange(n) * weight
-    # a product of its own: BLAS picks its kernel by the column count, and a
-    # strip's multipliers stay the full system's bit for bit
-    parts = (weighted,) if rows is None else (weighted, weighted * ~rows[:, None])
-    sums = np.empty((len(parts), 2, n, n, len(out)), dtype=complex)  # per part and family
+    powers = _power_base(nodes, h)[:, None] ** np.arange(n)
+    if rows is not None:
+        powers *= ~rows[:, None]
+    mults = np.empty((2, n, n, len(out)), dtype=complex)
     x_out, x_in = _open_mesh(out, nodes)
     inv_plus, families = None, []
     for swap, symbols in enumerate((bottom_symbols, left_symbols)):
@@ -406,6 +381,7 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
                 if rows is None and inv_plus is None:
                     inv_plus = np.empty((N, N), dtype=vals.dtype)
                 inv = np.divide(1.0, vals, out=None if rows is not None else inv_plus[t])
+                inv *= weight
             for j, symbol in enumerate(symbols):
                 values = np.asarray(symbol(x1, x2))
                 if cores is None:
@@ -414,13 +390,11 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
                     cores = cores.astype(complex)
                 core = np.multiply(values, inv, out=cores[j, t] if rows is None else None)
                 del values
-                for into, part in zip(sums, parts):
-                    into[swap, j, :, t] = _products(core, part)
+                mults[swap, j, :, t] = _products(core, powers)
                 if rows is not None:
                     cores[j, t] = core[:, rows]
         families.append(cores)
-    outer = None if rows is None else sums[1]
-    return BlockSystem(n, nodes, weight, h, sums[0, 0], *families, sums[0, 1], outer)
+    return BlockSystem(n, nodes, weight, h, mults[0], *families, mults[1])
 
 
 def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndarray,
@@ -433,15 +407,16 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
     ``K[line, window]^T``, both in the order the nodes are given.
     ``scales`` are the ``(n, R)`` and ``(n, N)`` scales of the window and
     the line nodes.  Every entry of block ``(j, k)`` equals the full
-    assembly's :func:`_kernel_blocks` at its node pair, multiplied by scale
-    j of its output node, then divided by scale k of its input node.
+    assembly's kernel block at its node pair, multiplied by scale j of its
+    output node, then divided by scale k of its input node.
 
     The ``(window x line)`` open mesh of ``(xi1, xi2)`` pairs carries the
     bottom ``K[window, line]`` and the left ``K[line, window]^T``, the same
-    mesh swapped the other two, so each core is written straight into its
-    slot in the slot's order.  Both meshes go in the same row tiles of the
-    window (:func:`_row_tiles`): a tile's factor once per mesh, its cores
-    scaled in their slots in :func:`_kernel_blocks`' arithmetic, then by
+    mesh swapped the other two, so each core, ``symbol_j * weight / plus``
+    in :func:`_assemble`'s arithmetic, is written straight into its block
+    ``(j, 0)`` in the slot's order.  Both meshes go in the same row tiles
+    of the window (:func:`_row_tiles`): a tile's factor once per mesh, its
+    stacks filled from the cores (:func:`_kernel_blocks`), then scaled by
     the node scales, and checked before the next tile.  A strip is real at
     n = 1 for real values over a real factor, its dtype taken from its
     first core's values.
@@ -453,6 +428,7 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
     for t in _row_tiles(R, N):
         for mesh, (x1, x2) in enumerate(((x_window[t], x_line), (x_line, x_window[t]))):
             inv_plus = 1.0 / _plus_values(problem.plus_factor, x1, x2)
+            inv_plus *= weight
             for f, symbols in enumerate(families):
                 # bottom kernels have their output nodes on xi1, left ones on
                 # xi2: those on the window's axis fill slot 0
@@ -460,15 +436,15 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
                 for j, symbol in enumerate(symbols):
                     values = np.asarray(symbol(x1, x2))
                     if pairs[f] is None:
-                        dtype = _stack_dtype(n, np.result_type(values, inv_plus))
+                        # real only where every block is: n = 1, a real core
+                        dtype = np.result_type(values, inv_plus) if n == 1 else complex
                         pairs[f] = np.empty((n, n, 2, R, N), dtype=dtype)
                     np.multiply(values, inv_plus, out=pairs[f][j, 0, 0 if into_window else 1, t])
                     del values
                 # each stack in (out, in) order
                 pair = pairs[f][..., t, :]
                 slots = pair[:, :, 0] if into_window else pair[:, :, 1].swapaxes(-1, -2)
-                _kernel_blocks(slots[:, 0], window_powers[t] if into_window else line_powers,
-                               weight, out=slots)
+                _kernel_blocks(slots, window_powers[t] if into_window else line_powers)
                 tile_scales = (scales[0][:, t], scales[1])
                 s_out, s_in = tile_scales if into_window else tile_scales[::-1]
                 slots *= s_out[:, None, :, None]
@@ -486,7 +462,7 @@ def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSys
         _check_mesh("boundary symbol", symbol.h, grid)
     return _assemble(
         n=spec.n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=grid.h,
-        plus_factor=spec.factorization,
+        plus_factor=spec.factorization.plus_factor,
         bottom_symbols=spec.bottom_ops, left_symbols=spec.left_ops)
 
 
@@ -592,13 +568,12 @@ def _adjoint_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m.T @ v.conj()).conj()
 
 
-def _kernel_apply(core: np.ndarray, powers: np.ndarray, weight: float,
-                  v: np.ndarray) -> np.ndarray:
+def _kernel_apply(core: np.ndarray, powers: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``K v`` for the kernel matrix of n cores ``core``, ``(n, N, N)``, with
-    blocks ``core[j] * p^k[:, None] * weight`` (:func:`_kernel_blocks`),
-    applied to blocks ``v`` of shape ``(n N, c)``: output block j is
-    ``weight * sum_k p^k * (core[j] @ v_k)``, summed in Horner form over one
-    product of the stacked cores with each input block."""
+    blocks ``core[j] * p^k[:, None]`` (:func:`_kernel_blocks`), applied to
+    blocks ``v`` of shape ``(n N, c)``: output block j is ``sum_k p^k *
+    (core[j] @ v_k)``, summed in Horner form over one product of the
+    stacked cores with each input block."""
     n, N = core.shape[:2]
     stacked = core.reshape(n * N, N)
     out = stacked @ v[(n - 1) * N:]
@@ -606,15 +581,13 @@ def _kernel_apply(core: np.ndarray, powers: np.ndarray, weight: float,
         rows = out.reshape(n, N, -1)
         rows *= powers[:, None]
         out += stacked @ v[k * N:(k + 1) * N]
-    out *= weight
     return out
 
 
-def _kernel_adjoint(core: np.ndarray, powers: np.ndarray, weight: float,
-                    u: np.ndarray) -> np.ndarray:
+def _kernel_adjoint(core: np.ndarray, powers: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``K^H u`` for the kernel of :func:`_kernel_apply`: input block k is
-    ``weight * sum_j core[j]^H (conj(p)^k * u_j)``, one product of the
-    stacked cores' adjoint with the scaled output blocks per k."""
+    ``sum_j core[j]^H (conj(p)^k * u_j)``, one product of the stacked
+    cores' adjoint with the scaled output blocks per k."""
     n, N = core.shape[:2]
     stacked = core.reshape(n * N, N)
     # core^H x = conj(core^T conj(x)), with conj(conj(p)^k u) = p^k conj(u)
@@ -625,17 +598,16 @@ def _kernel_adjoint(core: np.ndarray, powers: np.ndarray, weight: float,
             scaled = (scaled.reshape(n, N, -1) * powers[:, None]).reshape(u.shape)
         np.matmul(stacked.T, scaled, out=out[k])
     np.conjugate(out, out=out)
-    out *= weight
     return out.reshape(u.shape)
 
 
-def _kernel_norm(core: np.ndarray, powers: np.ndarray, weight: float) -> float:
+def _kernel_norm(core: np.ndarray, powers: np.ndarray) -> float:
     """Frobenius norm of the kernel of :func:`_kernel_apply`, from the
     cores' squared row norms and the powers, with no block formed."""
     parts = np.ascontiguousarray(core).view(float)  # real and imaginary parts
     rows = np.einsum("jix,jix->i", parts, parts)
     gains = sum(np.abs(powers) ** (2 * k) for k in range(len(core)))
-    return weight * math.sqrt(float(rows @ gains))
+    return math.sqrt(float(rows @ gains))
 
 
 # Adaptive randomized range finder (Halko, Martinsson & Tropp 2011) in
@@ -647,11 +619,10 @@ _RANGE_BLOCK = 16
 _RANGE_TOL = 1e-13
 
 
-def _compress(core: np.ndarray, powers: np.ndarray,
-              weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """Low-rank factors of the square kernel matrix ``K`` of n cores, the
-    powers and the weight (:func:`_kernel_apply`): ``U`` with orthonormal columns
-    spanning its numerical range and ``V = K^H U``, so that ``K`` is ``U
+def _compress(core: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low-rank factors of the square kernel matrix ``K`` of n cores and the
+    powers (:func:`_kernel_apply`): ``U`` with orthonormal columns spanning
+    its numerical range and ``V = K^H U``, so that ``K`` is ``U
     V^H`` to ``_RANGE_TOL`` times its Frobenius norm.  ``K`` is applied
     through its cores, never formed.
 
@@ -662,11 +633,11 @@ def _compress(core: np.ndarray, powers: np.ndarray,
     """
     m = core.shape[0] * core.shape[1]
     rng = np.random.default_rng(_ESTIMATE_SEED)
-    floor = _RANGE_TOL * _kernel_norm(core, powers, weight)
+    floor = _RANGE_TOL * _kernel_norm(core, powers)
     u = np.empty((m, 0), dtype=complex)
     while u.shape[1] < m:
         cols = min(_RANGE_BLOCK, m - u.shape[1])
-        y = _kernel_apply(core, powers, weight, rng.standard_normal((m, cols)))
+        y = _kernel_apply(core, powers, rng.standard_normal((m, cols)))
         for _ in range(2):
             y -= u @ (u.conj().T @ y)
         dirs, sig, _ = np.linalg.svd(y, full_matrices=False)
@@ -678,7 +649,7 @@ def _compress(core: np.ndarray, powers: np.ndarray,
         u = np.hstack([u, kept])
         if not keep.all():
             break
-    return u, _kernel_adjoint(core, powers, weight, u)
+    return u, _kernel_adjoint(core, powers, u)
 
 
 class _CompressedSystem:
@@ -697,9 +668,9 @@ class _CompressedSystem:
     (Hager 1989) gives ``P = (I - G Z^H) D^-1`` with ``G = D^-1 W C^-1``.
     ``D`` is inverted node by node (``mult_inv``, shape ``(2, n, n, N)``)
     and only ``C`` densely.  The kernels are applied from the system's
-    cores: block j of ``K v`` is ``weight * sum_k p^k * (core_j v_k)``,
-    with ``p`` the power base on the grid, which carries the output nodes of
-    both edges (:func:`_kernel_apply`).
+    cores: block j of ``K v`` is ``sum_k p^k * (core_j v_k)``, with ``p``
+    the power base on the grid, which carries the output nodes of both
+    edges (:func:`_kernel_apply`).
 
     ``a`` applies the exact ``A``; ``a_low`` and ``a_low_h`` apply the
     compressed one and its adjoint, ``p`` and ``p_h`` the Woodbury ``P``
@@ -716,12 +687,12 @@ class _CompressedSystem:
         self.mult_h = np.ascontiguousarray(self.mult.transpose(0, 2, 1, 3).conj())
         self.dinv = mult_inv
         self.dinv_h = np.ascontiguousarray(mult_inv.transpose(0, 2, 1, 3).conj())
-        self.kernel = (_power_base(system.nodes, system.h), system.weight)
+        self.powers = _power_base(system.nodes, system.h)
         # complex cores in C order, so that a stacked core is a view and the kernel
         # products round alike in any layout; complex C-order cores are not copied
         self.cores = (np.ascontiguousarray(system.bottom_core, dtype=complex),
                       np.ascontiguousarray(system.left_core, dtype=complex))
-        (ub, vb), (ul, vl) = (_compress(core, *self.kernel) for core in self.cores)
+        (ub, vb), (ul, vl) = (_compress(core, self.powers) for core in self.cores)
         rb, rl = ub.shape[1], ul.shape[1]
         self.rank = (rb, rl)
         r = rb + rl
@@ -741,8 +712,8 @@ class _CompressedSystem:
         v2 = v.reshape(2, self.m, -1)
         out = _per_node(self.mult, v2)
         bottom, left = self.cores
-        out[0] += _kernel_apply(bottom, *self.kernel, v2[1])
-        out[1] += _kernel_apply(left, *self.kernel, v2[0])
+        out[0] += _kernel_apply(bottom, self.powers, v2[1])
+        out[1] += _kernel_apply(left, self.powers, v2[0])
         return out.reshape(v.shape)
 
     def a_low(self, v: np.ndarray) -> np.ndarray:
@@ -811,8 +782,9 @@ def solve_block_system(system: BlockSystem,
 
     ``data`` are the boundary data ``b``: n bottom and n left functions on
     the system's trace grid (:meth:`BlockSystem.trace_grid`), each measured
-    in the trace norm with exponent ``s - order - 1/2``, ``order`` that of
-    its boundary operator.  They are checked before any factorization: a
+    in the trace norm with exponent ``s - order - 3/2``, ``order`` that of
+    its boundary operator: the exponent that bounds the multipliers on the
+    trace space of exponent ``trace_exponents[0]``.  They are checked before any factorization: a
     wrong component count raises ``ValueError``, another mesh or node count
     :class:`MeshMismatchError`, non-finite values :class:`AssemblyError`.
 
@@ -887,7 +859,7 @@ def reconstruct_solution(traces: TraceVector, fac: WaveFactorization,
     _check_on_grid("left trace", traces.left, grid)
     x1, x2 = grid.nodes_2d()
     powers = zeta(grid.axis_nodes, grid.h) ** np.arange(traces.n)[:, None]
-    plus = _plus_values(fac, x1, x2)
+    plus = _plus_values(fac.plus_factor, x1, x2)
     # sum_k b_k(xi1) p^k(xi2) + p^k(xi1) l_k(xi2) as one (N, 2n) @ (2n, N) product
     num = (np.concatenate([[f.values for f in traces.bottom], powers]).T
            @ np.concatenate([powers, [f.values for f in traces.left]]))

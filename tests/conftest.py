@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from quadbvp import (ContinuousProblem, FrequencyGrid, LatticeFunction, MeshMismatchError,
                      SpectralFunction, WaveFactorization)
-from quadbvp.system import _kernel_blocks, _power_base
+from quadbvp.lattice import _power_base
+from quadbvp.system import _kernel_blocks
 
 
 def discrete_fourier(u: LatticeFunction, grid: FrequencyGrid) -> SpectralFunction:
@@ -47,8 +49,31 @@ def kernel_stacks(system, rows=None):
     assembled with, which sets the output nodes of its powers."""
     nodes = system.nodes if rows is None else system.nodes[rows]
     powers = _power_base(nodes, system.h)
-    return tuple(_kernel_blocks(core, powers, system.weight)
-                 for core in (system.bottom_core, system.left_core))
+    return tuple(kernel_stack(core, powers) for core in (system.bottom_core, system.left_core))
+
+
+def kernel_stack(core, powers):
+    """The ``(n, n, out, in)`` kernel stack of n cores, real only at n = 1
+    with a real core, filled by ``_kernel_blocks`` from the cores placed in
+    its blocks ``(j, 0)``."""
+    n = len(core)
+    stack = np.empty((n, n) + core.shape[1:], dtype=core.dtype if n == 1 else complex)
+    stack[:, 0] = core
+    return _kernel_blocks(stack, powers)
+
+
+def fsum_multipliers(cores, powers):
+    """Oracle: ``mult[j, k, i]``, the correctly rounded sums of the terms
+    ``core_j[i, :] * p^k`` (real and imaginary parts apart), and the bound
+    ``N eps sum|terms|`` on the rounding of any order of summing them."""
+    n, (R, N) = len(cores), cores[0].shape
+    want = np.empty((n, n, R), dtype=complex)
+    bound = np.empty((n, n, R))
+    for j, k in np.ndindex(n, n):
+        terms = cores[j] * powers ** k
+        want[j, k] = [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms]
+        bound[j, k] = N * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    return want, bound
 
 
 def unit_scales(problem, window, line):

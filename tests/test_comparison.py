@@ -16,8 +16,10 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      section_gap_rate_sweep, window_mask, zeta,
                      zeta_power_gap)
 from quadbvp.cli import load_config
-from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips, _power_base
-from conftest import kernel_stacks, skewed_problem, unit_scales, with_continuous_evaluators
+from quadbvp.lattice import _power_base
+from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips
+from conftest import (fsum_multipliers, kernel_stacks, skewed_problem, unit_scales,
+                      with_continuous_evaluators)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -230,16 +232,16 @@ class TestOperatorNormEstimate:
         assert checked == list(rep.norms) and len(checked) == len(cfg.h_values)
 
 
-def per_block(stack, w_out, w_in, quad):
+def per_block(stack, w_out, w_in):
     """Oracle: each block of an ``(n, n, ...)`` stack of diagonals or
     matrices weighed on its own, in place: block ``(j, k)`` multiplied by
-    ``sqrt(w_out[j] quad)`` along its rows, then divided by ``sqrt(w_in[k]
-    quad)`` along its columns."""
+    ``sqrt(w_out[j])`` along its rows, then divided by ``sqrt(w_in[k])``
+    along its columns."""
     for j, k in np.ndindex(stack.shape[:2]):
-        s_out = np.sqrt(w_out[j] * quad)
+        s_out = np.sqrt(w_out[j])
         block = stack[j, k]
         block *= s_out[:, None] if stack.ndim == 4 else s_out
-        block /= np.sqrt(w_in[k] * quad)
+        block /= np.sqrt(w_in[k])
     return stack
 
 
@@ -265,12 +267,12 @@ class TestStripWeights:
                             for x in (window, line))
         want = _kernel_strips(problem, window, line, quad, unit_scales(problem, window, line))
         for pair in want:
-            per_block(pair[:, :, 0], w_window, w_line, quad)
-            per_block(pair[:, :, 1].swapaxes(-1, -2), w_line, w_window, quad)
+            per_block(pair[:, :, 0], w_window, w_line)
+            per_block(pair[:, :, 1].swapaxes(-1, -2), w_line, w_window)
         if tile_rows:
             monkeypatch.setattr(system, "_TILE", tile_rows * len(line))
             assert len(system._row_tiles(len(window), len(line))) > 1
-        scales = tuple(np.sqrt(np.array(w) * quad) for w in (w_window, w_line))
+        scales = tuple(np.sqrt(np.array(w)) for w in (w_window, w_line))
         for got, pair in zip(_kernel_strips(problem, window, line, quad, scales), want):
             assert got.dtype == pair.dtype == (np.float64 if problem.n == 1 else np.complex128)
             assert np.array_equal(got, pair)
@@ -556,8 +558,8 @@ class TestStripAssembly:
             R = rows.sum()
             assert 0 < R <= 40, name
             strip = self.assemble(problem, nodes, h, rows)
-            # square cores and kernels; the multipliers still integrate over
-            # all nodes
+            # square cores and kernels; the multipliers integrate over the
+            # nodes outside the rows only
             for field in ("bottom_core", "left_core"):
                 core = getattr(strip, field)
                 assert core.shape == (2, R, R)
@@ -566,10 +568,15 @@ class TestStripAssembly:
             for kernel, whole in zip(kernel_stacks(strip, rows), kernel_stacks(full)):
                 assert kernel.shape == (2, 2, R, R)
                 assert np.array_equal(kernel, whole[..., rows, :][..., rows]), name
-            for field in ("bottom_mult", "left_mult"):
+            powers = _power_base(nodes[~rows], h)
+            for field, cores in (("bottom_mult", full.bottom_core), ("left_mult", full.left_core)):
+                # the full assembly's sums outside the rows, correctly
+                # rounded: for every node no term, and exactly 0
                 mult = getattr(strip, field)
-                assert mult.shape == (2, 2, R)
-                assert np.array_equal(mult, getattr(full, field)[..., rows]), (name, field)
+                want, bound = fsum_multipliers(cores[:, rows][..., ~rows], powers)
+                assert mult.shape == want.shape == (2, 2, R)
+                assert np.all(np.abs(mult.real - want.real) <= bound), (name, field)
+                assert np.all(np.abs(mult.imag - want.imag) <= bound), (name, field)
 
     @pytest.mark.parametrize("hs", [[0.5, 0.25, 0.125], [0.7, 0.45, 0.3],
                                     # the shipped four-halving sweep
@@ -612,10 +619,10 @@ class TestStripAssembly:
                 assert mult.shape == (2, 2, win.sum())
                 core = full_cores[f][:, win]
                 for j, k in np.ndindex(2, 2):
-                    terms = np.concatenate([core[j] * (1j * nodes) ** k * quad,
-                                            -core[j][:, win] * zetas ** k * quad], axis=1)
+                    terms = np.concatenate([core[j] * (1j * nodes) ** k,
+                                            -core[j][:, win] * zetas ** k], axis=1)
                     if k == 0:  # the terms on the window cancel exactly
-                        terms = core[j][:, ~win] * quad
+                        terms = core[j][:, ~win]
                     want = np.array([complex(math.fsum(t.real), math.fsum(t.imag))
                                      for t in terms])
                     bound = len(nodes) * eps * np.abs(terms).sum(axis=1)
@@ -850,11 +857,11 @@ class TestRealArithmetic:
             assert norms == [((w, w), dtype) for w in rep.window_nodes for _ in range(2 * 2)]
 
 
-def weighted_frame(quadrants, weights, quad):
+def weighted_frame(quadrants, weights):
     """Frame of the quadrants ``((A, B), (C, D))``, each weighted with the
     same line weights."""
     return WeightedOperatorFrame(tuple(
-        tuple(None if q is None else per_block(q, weights, weights, quad)
+        tuple(None if q is None else per_block(q, weights, weights)
               for q in row) for row in quadrants))
 
 
@@ -862,8 +869,7 @@ def full_weighted_kernels(problem, grid):
     """Weighted quadrants of the continuous kernels on the whole line."""
     bottom, left = kernel_stacks(assemble_continuous_system(problem, grid))
     weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in problem.trace_exponents]
-    return weighted_frame(((None, bottom), (left, None)),
-                          weights, grid.axis_weight).blocks
+    return weighted_frame(((None, bottom), (left, None)), weights).blocks
 
 
 def per_h_commutator_norms(problem, hs, nodes_per_window, lambda_factor=4.0):
@@ -876,6 +882,5 @@ def per_h_commutator_norms(problem, hs, nodes_per_window, lambda_factor=4.0):
         chi = window_mask(grid, h).astype(float)
         sign = chi[:, None] - chi[None, :]
         quadrants = ((None, sign * bottom), (sign * left, None))
-        norms.append(estimate_operator_norm(
-            weighted_frame(quadrants, weights, grid.axis_weight)))
+        norms.append(estimate_operator_norm(weighted_frame(quadrants, weights)))
     return norms

@@ -21,13 +21,13 @@ from quadbvp import (AssemblyError, ContinuousProblem, FrequencyGrid, MeshMismat
                      zeta_boundary_operators, apply_symbol_to_spectrum,
                      aligned_line_grid, boundary_trace_spectrum, window_mask)
 from quadbvp import lattice, system
-from quadbvp.lattice import _open_mesh
+from quadbvp.lattice import _open_mesh, _power_base
 from quadbvp.system import (_ESTIMATE_BLOCK, _ESTIMATE_POWER_STEPS, _ESTIMATE_SEED,
                             _CompressedSystem, _assemble, _compress, _invert_multipliers,
-                            _kernel_adjoint, _kernel_apply, _kernel_blocks, _kernel_norm,
-                            _kernel_strips, _plus_values, _power_base, _sigma_max_estimate)
-from conftest import (full_matrix, kernel_stacks, ones_symbol, skewed_problem, unit_scales,
-                      with_continuous_evaluators)
+                            _kernel_adjoint, _kernel_apply, _kernel_norm, _kernel_strips,
+                            _plus_values, _sigma_max_estimate)
+from conftest import (fsum_multipliers, full_matrix, kernel_stack, kernel_stacks, ones_symbol,
+                      skewed_problem, unit_scales, with_continuous_evaluators)
 
 
 def trivial_spec(n=1, h=1.0, delta=0.25, boundary="identity"):
@@ -222,10 +222,8 @@ class TestRowTiles:
         tiled = _assemble(**args, rows=rows)
         dtype = np.float64 if rows is not None else np.complex128
         assert whole.bottom_core.dtype == whole.left_core.dtype == dtype
-        for field in BLOCKS + ("outer_mult",):
-            got, want = getattr(tiled, field), getattr(whole, field)
-            assert (got is None) == (want is None) == (rows is None and field == "outer_mult")
-            assert got is None or np.array_equal(got, want), field
+        for field in BLOCKS:
+            assert np.array_equal(getattr(tiled, field), getattr(whole, field)), field
 
     @pytest.mark.parametrize("make", [
         lambda: radial_power_problem(s=2.25, n=1, delta=-0.25, bottom_orders=[0.0],
@@ -250,10 +248,10 @@ class TestRowTiles:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_multipliers_are_within_rounding_of_correctly_rounded_sums(self, monkeypatch, n,
                                                                        dtype, tile_rows):
-        # each multiplier of a full assembly and a strip, and each of a
-        # strip's sums outside its rows, within N eps sum|terms| of the
-        # correctly rounded sum of its N terms, in tiles of 8 rows and a
-        # last one of 2 too
+        # each multiplier of a full assembly, within N eps sum|terms| of the
+        # correctly rounded sum of its N terms, and each of a strip, its sum
+        # outside its rows, of the sum of those terms alone, in tiles of 8
+        # rows and a last one of 2 too
         orders = [0.0, -1.0, -0.5][:n]
         problem = with_continuous_evaluators(
             lambda ev: lambda x1, x2: np.asarray(ev(x1, x2), dtype=dtype),
@@ -265,17 +263,16 @@ class TestRowTiles:
         if tile_rows:
             monkeypatch.setattr(system, "_TILE", tile_rows * N)
             assert system._row_tiles(int(rows.sum()), N)[-1] == slice(40, 42)
-        full, part = assemble_continuous_system(problem, grid), strip(problem, nodes, rows)
+        # the strip takes the full system's weight, so the full cores are
+        # the terms of both
+        full = assemble_continuous_system(problem, grid)
+        part = strip(problem, nodes, rows, weight=grid.axis_weight)
         assert full.bottom_core.dtype == full.left_core.dtype == dtype
         powers = _power_base(nodes, None)
-        for f, cores in enumerate((full.bottom_core, full.left_core)):
-            field = ("bottom_mult", "left_mult")[f]
-            for got, cut, weight, inputs in (
-                    (getattr(full, field), slice(None), grid.axis_weight, slice(None)),
-                    (getattr(part, field), rows, 0.1, slice(None)),
-                    (part.outer_mult[f], rows, 0.1, ~rows)):
-                oracle, bound = fsum_multipliers(cores[:, cut][..., inputs], powers[inputs],
-                                                 weight)
+        for field, cores in (("bottom_mult", full.bottom_core), ("left_mult", full.left_core)):
+            for got, cut, inputs in ((getattr(full, field), slice(None), slice(None)),
+                                     (getattr(part, field), rows, ~rows)):
+                oracle, bound = fsum_multipliers(cores[:, cut][..., inputs], powers[inputs])
                 assert np.all(np.abs(got.real - oracle.real) <= bound), field
                 assert np.all(np.abs(got.imag - oracle.imag) <= bound), field
 
@@ -577,7 +574,7 @@ class TestEliminatedSolve:
         for core, stack in zip((system.bottom_core, system.left_core),
                                kernel_stacks(system)):
             k = stack.transpose(0, 2, 1, 3).reshape(m, m)
-            u, v = _compress(core, powers, system.weight)
+            u, v = _compress(core, powers)
             assert u.shape == v.shape and 1 <= u.shape[1] < m
             assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2) <= 1e-14
             assert np.linalg.norm(k - u @ v.conj().T, 2) <= 1e-12 * np.linalg.norm(k)
@@ -688,11 +685,11 @@ class TestConditionEstimate:
         assert got == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
 
 
-def stored_kernel_family(symbols, inv_plus, x1, x2, powers, weight, transpose=False,
-                         inputs=None):
+def stored_kernel_family(symbols, inv_plus, x1, x2, powers, transpose=False, inputs=None):
     """Reference: one kernel family as assembly stored it before it kept
-    cores, all n^2 blocks ``core_j * p^k * weight`` written in place, with
-    ``p`` the power base at the output nodes."""
+    cores, all n^2 blocks ``core_j * p^k`` written in place, with ``p`` the
+    power base at the output nodes and ``inv_plus`` the inverse factor
+    with the quadrature weight in it."""
     n = len(symbols)
     cores = [np.asarray(sym(x1, x2), dtype=complex) * inv_plus for sym in symbols]
     out, inp = inv_plus.T.shape if transpose else inv_plus.shape
@@ -707,7 +704,6 @@ def stored_kernel_family(symbols, inv_plus, x1, x2, powers, weight, transpose=Fa
             pk = powers ** k
             block = kernels[j, k]
             np.multiply(core, pk[:, None], out=block)
-            block *= weight
     return cores, kernels
 
 
@@ -715,34 +711,26 @@ def stored_assembly(n, nodes, weight, h, plus_factor, bottom_symbols, left_symbo
                     rows=None):
     """Reference: ``(bottom_kernel, left_kernel)`` as ``_assemble`` stored
     them when it kept kernel stacks, and the uncut bottom and left cores in
-    ``(out, in)`` order, whose rows the multipliers integrate."""
+    ``(out, in)`` order, whose rows the multipliers integrate, a strip's
+    outside its rows.  The weight
+    is folded as assembly folds it: the reciprocal of the factor, times the
+    weight, times the symbol."""
+    def weighted_inverse(x1, x2):
+        inv = 1.0 / _plus_values(plus_factor, x1, x2)
+        inv *= weight
+        return inv
+
     out = nodes if rows is None else nodes[rows]
     xb1, xb2 = _open_mesh(out, nodes)
     xl1, xl2 = (xb1, xb2) if rows is None else _open_mesh(nodes, out)
-    inv_plus_b = 1.0 / _plus_values(plus_factor, xb1, xb2)
-    inv_plus_l = inv_plus_b if rows is None else 1.0 / _plus_values(plus_factor, xl1, xl2)
+    inv_plus_b = weighted_inverse(xb1, xb2)
+    inv_plus_l = inv_plus_b if rows is None else weighted_inverse(xl1, xl2)
     powers_out = _power_base(out, h)
     bottom_cores, bottom_kernel = stored_kernel_family(bottom_symbols, inv_plus_b, xb1, xb2,
-                                                       powers_out, weight, inputs=rows)
+                                                       powers_out, inputs=rows)
     left_cores, left_kernel = stored_kernel_family(left_symbols, inv_plus_l, xl1, xl2,
-                                                   powers_out, weight, transpose=True,
-                                                   inputs=rows)
+                                                   powers_out, transpose=True, inputs=rows)
     return bottom_kernel, left_kernel, bottom_cores, [core.T for core in left_cores]
-
-
-def fsum_multipliers(cores, powers, weight):
-    """Oracle: ``mult[j, k, i]``, the correctly rounded sums of the terms
-    ``core_j[i, :] * p^k * weight`` (real and imaginary parts apart), and
-    the bound ``N eps sum|terms|`` on the rounding of any order of summing
-    them."""
-    n, (R, N) = len(cores), cores[0].shape
-    want = np.empty((n, n, R), dtype=complex)
-    bound = np.empty((n, n, R))
-    for j, k in np.ndindex(n, n):
-        terms = cores[j] * powers ** k * weight
-        want[j, k] = [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms]
-        bound[j, k] = N * np.finfo(float).eps * np.abs(terms).sum(axis=1)
-    return want, bound
 
 
 def skewed_assembly(h, lattice_window):
@@ -763,7 +751,7 @@ def factorization_assembly(h=0.5, N=24):
     bottom, left = row_trace_boundary_operators(2, h)
     grid = FrequencyGrid(h, N)
     return dict(n=2, nodes=grid.axis_nodes, weight=grid.axis_weight, h=h,
-                plus_factor=fac, bottom_symbols=bottom, left_symbols=left)
+                plus_factor=fac.plus_factor, bottom_symbols=bottom, left_symbols=left)
 
 
 ASSEMBLIES = {
@@ -795,7 +783,8 @@ class TestOperatorLayout:
     @pytest.mark.parametrize("kind", sorted(ASSEMBLIES))
     def test_kernel_blocks_equal_the_stored_stacks(self, rng, kind, strip):
         # the kernel stacks bit for bit; the multipliers, whose summing
-        # order is the assembly's choice, to the rounding of a sum
+        # order is the assembly's choice, to the rounding of a sum, a
+        # strip's over the nodes outside its rows
         args = ASSEMBLIES[kind]()
         N = len(args["nodes"])
         rows = rng.random(N) < 0.4 if strip else None
@@ -809,10 +798,11 @@ class TestOperatorLayout:
                                   kernel_stacks(system, rows), stacks):
             assert g.shape == want.shape, field
             assert np.array_equal(g, want), field
-        powers = _power_base(args["nodes"], args["h"])
+        inputs = slice(None) if rows is None else ~rows
+        powers = _power_base(args["nodes"], args["h"])[inputs]
         for field, cores in (("bottom_mult", bottom_cores), ("left_mult", left_cores)):
             g = getattr(system, field)
-            want, bound = fsum_multipliers(cores, powers, args["weight"])
+            want, bound = fsum_multipliers([core[:, inputs] for core in cores], powers)
             assert g.shape == want.shape == (2, 2, R), field
             assert np.all(np.abs(g.real - want.real) <= bound), field
             assert np.all(np.abs(g.imag - want.imag) <= bound), field
@@ -833,11 +823,10 @@ class TestOperatorLayout:
         assert relative_gap(ops.a(v), a @ v) <= 1e-13
         u = v[:m]
         for core, k in zip(ops.cores, dense):
-            assert relative_gap(_kernel_apply(core, *ops.kernel, u), k @ u) <= 1e-13
-            assert relative_gap(_kernel_adjoint(core, *ops.kernel, u),
+            assert relative_gap(_kernel_apply(core, ops.powers, u), k @ u) <= 1e-13
+            assert relative_gap(_kernel_adjoint(core, ops.powers, u),
                                 k.conj().T @ u) <= 1e-13
-            assert _kernel_norm(core, *ops.kernel) == pytest.approx(np.linalg.norm(k),
-                                                                    rel=1e-13)
+            assert _kernel_norm(core, ops.powers) == pytest.approx(np.linalg.norm(k), rel=1e-13)
 
     @pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
     def test_contiguous_stacks_solve_to_the_same_bits(self, rng, case):
@@ -1153,6 +1142,29 @@ class TestContinuousAssembly:
         scale = np.max(np.abs(sys.bottom_mult[0, 0]))
         assert np.max(np.abs(sys.bottom_mult[0, 1])) <= 1e-12 * scale
 
+    def test_multipliers_map_trace_zero_onto_data_of_exponent_s_minus_order_minus_3_2(self):
+        # the section gap problem: |mult[j, 0]| grows like <xi>^(order_j -
+        # index + 1), so <xi>^(s - order_j - e) |mult[j, 0]| <xi>^(-te_0),
+        # the multiplier block between the trace space of exponent te_0 and
+        # data of exponent s - order_j - e, is flat over 10 < |xi| < 200 at
+        # e = 3/2 and grows like <xi> at e = 1/2; the multipliers at those
+        # nodes are a strip's sums outside them plus its cores' row sums
+        problem = radial_power_problem(s=3.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
+                                       left_orders=[0.0, -1.0])
+        grid = lattice.LineGrid(1000.0, 2000)
+        rows = (np.abs(grid.axis_nodes) > 10.0) & (np.abs(grid.axis_nodes) < 200.0)
+        part = strip(problem, grid.axis_nodes, rows, weight=grid.axis_weight)
+        log_bracket = 0.5 * np.log1p(grid.axis_nodes[rows] ** 2)
+        te_0 = problem.trace_exponents[0]
+        for orders, mult, core in ((problem.bottom_orders, part.bottom_mult, part.bottom_core),
+                                   (problem.left_orders, part.left_mult, part.left_core)):
+            for j, order in enumerate(orders):
+                log_mult = np.log(np.abs(mult[j, 0] + core[j].sum(axis=1)))
+                for e, slope in ((1.5, 0.0), (0.5, 1.0)):
+                    fitted = np.polyfit(log_bracket, (problem.s - order - e - te_0) * log_bracket
+                                        + log_mult, 1)[0]
+                    assert abs(fitted - slope) <= 0.05, (order, e, fitted)
+
     def test_continuous_solve_runs_and_reports(self, rng):
         problem = radial_power_problem(
             s=0.75, n=1, delta=0.25, bottom_orders=[0.0], left_orders=[0.0])
@@ -1190,8 +1202,8 @@ def with_evaluators(wrap, fac, ops):
     return fac, tuple(tuple(map(wrapped, edge)) for edge in ops)
 
 
-def strip(problem, nodes, rows, h=None):
-    return _assemble(n=problem.n, nodes=nodes, weight=0.1, h=h,
+def strip(problem, nodes, rows, h=None, weight=0.1):
+    return _assemble(n=problem.n, nodes=nodes, weight=weight, h=h,
                      plus_factor=problem.plus_factor,
                      bottom_symbols=problem.bottom_symbols,
                      left_symbols=problem.left_symbols, rows=rows)
@@ -1322,7 +1334,7 @@ class TestOpenMesh:
                      for ev, order in zip(problem.bottom_symbols, orders))
         meshed = replace(problem, bottom_symbols=ones, left_symbols=ones)
         got, want = strip(problem, nodes, rows), strip(meshed, nodes, rows)
-        for field in BLOCKS + ("outer_mult",):
+        for field in BLOCKS:
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         for got, want in zip(pair_strips(problem, nodes, rows), pair_strips(meshed, nodes, rows)):
             assert got.dtype == want.dtype
@@ -1351,7 +1363,8 @@ class TestOpenMesh:
         # value to those of the complex casts (a real product rounds as the
         # real part of the complex one), and n = 2 strips equal to the
         # casts' bit for bit; the multipliers are summed in real arithmetic,
-        # within the rounding of a sum of the oracle's
+        # within the rounding of a sum of the oracle's, the strip's over the
+        # nodes outside its rows
         problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
                                        left_orders=[0.5, 0.0])
         grid = aligned_line_grid([0.5, 0.25], 8)
@@ -1362,17 +1375,20 @@ class TestOpenMesh:
             lambda ev: lambda x1, x2: np.asarray(ev(x1, x2), dtype=complex), problem)
         full = assemble_continuous_system(problem, grid)
         powers = _power_base(nodes, None)
-        # the rows a system holds and its weight; strips integrate over all N
-        cases = [(full, assemble_continuous_system(cast, grid), slice(None), grid.axis_weight),
-                 (strip(problem, nodes, rows), strip(cast, nodes, rows), rows, 0.1)]
-        for got, want, cut, weight in cases:
+        # the rows a system holds and the nodes its multipliers sum over;
+        # strips take the full system's weight, so its cores are the terms
+        weight = grid.axis_weight
+        cases = [(full, assemble_continuous_system(cast, grid), slice(None), slice(None)),
+                 (strip(problem, nodes, rows, weight=weight),
+                  strip(cast, nodes, rows, weight=weight), rows, ~rows)]
+        for got, want, cut, inputs in cases:
             for field in ("bottom_core", "left_core"):
                 assert getattr(got, field).dtype == np.float64, field
                 assert getattr(want, field).dtype == np.complex128, field
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
             for field, cores in (("bottom_mult", full.bottom_core),
                                  ("left_mult", full.left_core)):
-                oracle, bound = fsum_multipliers(cores[:, cut], powers, weight)
+                oracle, bound = fsum_multipliers(cores[:, cut][..., inputs], powers[inputs])
                 for mult in (getattr(got, field), getattr(want, field)):
                     assert np.all(np.abs(mult.real - oracle.real) <= bound), field
                     assert np.all(np.abs(mult.imag - oracle.imag) <= bound), field
@@ -1442,8 +1458,7 @@ class TestRealKernels:
         powers = _power_base(system.nodes, None)
         for core, stack in zip((system.bottom_core, system.left_core), kernel_stacks(system)):
             assert core.dtype == np.float64 and stack.dtype == np.complex128
-            assert np.array_equal(stack, _kernel_blocks(core.astype(complex), powers,
-                                                        system.weight))
+            assert np.array_equal(stack, kernel_stack(core.astype(complex), powers))
 
     def test_a_complex_symbol_after_a_real_one_makes_the_cores_complex(self):
         problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
