@@ -56,8 +56,9 @@ from .system import (ProblemSpec, RoundtripReport, identity_boundary_operators,
                      manufactured_roundtrip, radial_power_problem,
                      random_trace_vector, reconstruct_solution,
                      row_trace_boundary_operators, zeta_boundary_operators)
-from .comparison import (FIT_MIN_SIZES, check_sweep_length, commutator_rate_sweep,
-                         kernel_gap_ratios, section_gap_rate_sweep, zeta_power_gap)
+from .comparison import (FIT_MIN_SIZES, check_aligned_sweep, check_sweep,
+                         commutator_rate_sweep, kernel_gap_ratios, section_gap_rate_sweep,
+                         zeta_power_gap)
 
 OUTPUT_ENV_VAR = "QUADBVP_OUTPUT_DIR"
 
@@ -120,16 +121,8 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _mesh_sizes(minimum: int) -> Callable[[str], tuple[float, ...]]:
-    """Parser of a mesh sweep of at least ``minimum`` sizes."""
-    def parse(text: str) -> tuple[float, ...]:
-        hs = _floats(text)
-        if not all(0.0 < h < math.inf for h in hs):
-            raise ValueError(f"mesh sizes must be positive and finite, got {_fmt(hs)}")
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("mesh sizes must be strictly decreasing")
-        check_sweep_length(len(hs), minimum)
-        return hs
-    return parse
+    """Parser of a mesh sweep of at least ``minimum`` sizes (:func:`check_sweep`)."""
+    return lambda text: check_sweep(_floats(text), minimum)
 
 
 def _checked(convert: Callable[[str], object], ok: Callable[[object], bool],
@@ -161,6 +154,13 @@ def _continuous_problem(cfg: ExperimentConfig):
                               f"got {len(getattr(cfg, key))}")
     return radial_power_problem(s=cfg.s, n=cfg.n, delta=cfg.delta,
                                 bottom_orders=cfg.betas, left_orders=cfg.gammas)
+
+
+def _section_gap_problem(cfg: ExperimentConfig):
+    """The continuous problem, once the sweep's windows are known to be the
+    midpoint grids of their tori (:func:`check_aligned_sweep`)."""
+    check_aligned_sweep(cfg.h_values, cfg.nodes_per_window)
+    return _continuous_problem(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,7 @@ MODES = {
     "section_gap": Mode(
         lambda cfg: _rate_mode(cfg, section_gap_rate_sweep, "section_gap_slope",
                                lambda rep: SECTION_GAP_SLOPE_MIN),
-        _continuous_problem, _RATE_COLUMNS,
+        _section_gap_problem, _RATE_COLUMNS,
         (f"section_gap_slope: fitted slope >= {SECTION_GAP_SLOPE_MIN:g}",)),
 }
 

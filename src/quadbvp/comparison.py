@@ -40,6 +40,8 @@ __all__ = [
     "commutator_rate_sweep",
     "section_gap_rate_sweep",
     "fit_rate",
+    "check_sweep",
+    "check_aligned_sweep",
     "aligned_line_grid",
     "window_mask",
 ]
@@ -75,22 +77,55 @@ def zeta_power_gap(xi, k: int, h: float) -> PowerGap:
     return PowerGap(gap=gap, bound=bound)
 
 
+# a fitted slope needs at least this many mesh sizes
+FIT_MIN_SIZES = 3
+
+
+def check_sweep(h_values, minimum: int = 1) -> tuple[float, ...]:
+    """The mesh sizes of a sweep as floats, checked: each positive and
+    finite, strictly decreasing, and at least ``max(minimum, 1)`` of them.
+    The one rule for ``h_values``, in the library and in the CLI."""
+    hs = tuple(float(v) for v in h_values)
+    if not all(0.0 < h < math.inf for h in hs):
+        raise InvalidConfigurationError(f"h_values must be positive and finite, got {hs}")
+    if any(b >= a for a, b in zip(hs, hs[1:])):
+        raise InvalidConfigurationError("h_values must be strictly decreasing")
+    if len(hs) < max(minimum, 1):
+        raise InvalidConfigurationError(
+            f"h_values needs at least {max(minimum, 1)} mesh sizes, got {len(hs)}")
+    return hs
+
+
+def check_aligned_sweep(h_values, nodes_per_window: int) -> None:
+    """Reject a sweep whose torus windows are not whole midpoint grids.
+
+    On :func:`aligned_line_grid`'s grid the window of ``h`` spans ``max(h) /
+    h * nodes_per_window / 2`` cells on each side of 0.  Only when that is
+    an integer, to rounding, are the window's nodes the midpoint grid of its
+    torus, on which the lattice operator is a Nystrom rule; every halving
+    sweep is aligned, and so is every one-size sweep.
+    """
+    for h in h_values:
+        cells = max(h_values) / h * nodes_per_window / 2
+        if not math.isclose(cells, round(cells), rel_tol=1e-9):
+            raise InvalidConfigurationError(
+                f"h_values are not aligned with nodes_per_window = {nodes_per_window}: "
+                f"the window at h = {h:g} spans {cells:.4g} grid cells on each side "
+                f"of 0, not a whole number (max(h) / h * nodes_per_window / 2)")
+
+
 def aligned_line_grid(h_values, nodes_per_window: int,
                       lambda_factor: float = 4.0) -> LineGrid:
     """Midpoint grid on ``[-lam, lam]``, ``lam = lambda_factor * pi / min(h)``,
-    whose spacing subdivides every torus window of the sweep.
+    whose spacing is the coarsest window width over ``nodes_per_window``.
 
-    The spacing is the coarsest window width over ``nodes_per_window``; for
-    halving sweeps every window boundary then falls on a cell edge and the
-    window nodes form exact midpoint grids of their tori.  This is where the
-    sweep's ``h_values`` are checked: positive, finite and strictly
-    decreasing.
+    The ``h_values`` are checked (:func:`check_sweep`).  The cell edges are
+    the multiples of the spacing, so a window's nodes form the exact
+    midpoint grid of its torus when its edges ``+-pi/h`` are multiples too:
+    when the sweep is aligned (:func:`check_aligned_sweep`), as every
+    halving sweep is.
     """
-    hs = [float(v) for v in h_values]
-    if not all(0.0 < h < math.inf for h in hs):
-        raise InvalidConfigurationError(f"h_values must be positive and finite, got {hs}")
-    if not hs or any(b >= a for a, b in zip(hs, hs[1:])):
-        raise InvalidConfigurationError("h_values must be strictly decreasing")
+    hs = check_sweep(h_values)
     if nodes_per_window <= 0 or nodes_per_window % 2 != 0:
         raise InvalidConfigurationError("nodes_per_window must be a positive even integer")
     widest = math.pi / min(hs)
@@ -132,17 +167,6 @@ class WeightedOperatorFrame:
     """
 
     blocks: tuple[tuple[np.ndarray | None, ...], ...]
-
-
-# a fitted slope needs at least this many mesh sizes
-FIT_MIN_SIZES = 3
-
-
-def check_sweep_length(count: int, minimum: int) -> None:
-    """Reject a mesh sweep of ``count`` sizes, fewer than ``minimum``."""
-    if count < minimum:
-        raise InvalidConfigurationError(
-            f"h_values needs at least {minimum} mesh sizes, got {count}")
 
 
 # power iteration on dense blocks: relative tolerance on the squared value
@@ -204,11 +228,11 @@ def estimate_operator_norm(frame: WeightedOperatorFrame) -> float:
 
 
 def fit_rate(h_values, norms) -> float | None:
-    """Least-squares slope of ``log(norm)`` against ``log(h)``; None (a
-    degenerate sweep) when a norm is not positive and finite."""
-    hs = np.asarray(list(h_values), dtype=float)
+    """Least-squares slope of ``log(norm)`` against ``log(h)`` over a sweep
+    of at least ``FIT_MIN_SIZES`` (:func:`check_sweep`); None (a degenerate
+    sweep) when a norm is not positive and finite."""
+    hs = np.asarray(check_sweep(h_values, FIT_MIN_SIZES))
     ns = np.asarray(list(norms), dtype=float)
-    check_sweep_length(len(hs), FIT_MIN_SIZES)
     if len(ns) != len(hs):
         raise ValueError(f"need one norm per mesh size, got {len(ns)} for {len(hs)}")
     if np.any(~np.isfinite(ns)) or np.any(ns <= 0.0):
@@ -238,26 +262,16 @@ class RateReport:
 
 def _hypotheses(problem: ContinuousProblem, bottom_gap: float, left_gap: float,
                 what: str) -> None:
-    for j, beta in enumerate(problem.bottom_orders):
-        if not problem.s - beta > bottom_gap:
-            raise InvalidConfigurationError(
-                f"{what} needs s - bottom order > {bottom_gap}; "
-                f"violated at j={j} (s={problem.s}, order={beta})")
-    for j, gamma in enumerate(problem.left_orders):
-        if not problem.s - gamma > left_gap:
-            raise InvalidConfigurationError(
-                f"{what} needs s - left order > {left_gap}; "
-                f"violated at j={j} (s={problem.s}, order={gamma})")
+    for edge, orders, gap in (("bottom", problem.bottom_orders, bottom_gap),
+                              ("left", problem.left_orders, left_gap)):
+        for j, order in enumerate(orders):
+            if not problem.s - order > gap:
+                raise InvalidConfigurationError(
+                    f"{what} needs s - {edge} order > {gap}; "
+                    f"violated at j={j} (s={problem.s}, order={order})")
 
 
-def _sweep_grid(h_values, nodes_per_window: int, lambda_factor: float) -> LineGrid:
-    """The rate sweep's line grid, its mesh sizes checked before any assembly."""
-    check_sweep_length(len(h_values), FIT_MIN_SIZES)
-    return aligned_line_grid(h_values, nodes_per_window, lambda_factor)
-
-
-def _report(h_values, norms, epsilon, grid: LineGrid) -> RateReport:
-    hs = tuple(float(v) for v in h_values)
+def _report(hs: tuple[float, ...], norms, epsilon, grid: LineGrid) -> RateReport:
     ns = tuple(float(v) for v in norms)
     window_nodes = tuple(int(window_mask(grid, h).sum()) for h in hs)
     violations = tuple(i for i in range(1, len(ns)) if ns[i] > ns[i - 1])
@@ -296,7 +310,8 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     tile as they are formed, and nothing is copied per window.
     """
     _hypotheses(problem, 1.0, 2.0, "commutator sweep")
-    grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
+    h_values = check_sweep(h_values, FIT_MIN_SIZES)
+    grid = aligned_line_grid(h_values, nodes_per_window, lambda_factor)
     nodes = grid.axis_nodes
     N = len(nodes)
     finest = window_mask(grid, min(h_values))
@@ -321,29 +336,27 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     return _report(h_values, norms, epsilon, grid)
 
 
-def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: bool = False):
-    """For each ``h``, the window nodes and the gap between the
-    window-restricted continuous operator and the lattice operator on the
-    same window nodes, continuous minus lattice, with, if ``weighed``, the
-    frame's torus weights in it: block ``(j, k)`` times ``sqrt(w_j)`` at
-    its outputs, over ``sqrt(w_k)`` at its inputs.
+def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
+    """For each ``h``, the pieces of the gap between the window-restricted
+    continuous operator and the lattice operator on the same window nodes,
+    continuous minus lattice: ``(wnodes, mults, cores, moduli)``.
 
-    Yields ``(wnodes, (mult_b, mult_l), blocks)``: the multiplier gaps,
-    ``(n, n, w)`` diagonals, and an iterator over the kernel-gap blocks
-    ``(f, j, k, block)``, bottom (``f`` 0) then left, each ``(w, w)`` block
-    formed in one product into the sweep's one buffer and valid until the
-    next.  Both sides are sliced from one square strip on the finest window:
-    on a window they sample the same cores ``symbol_j * weight / plus`` at
-    the same nodes (the symbols' periodic continuation agrees there), and
+    ``mults`` holds the multiplier gaps of both families, ``(2, n, n, w)``
+    diagonals; ``cores`` the two families' ``(n, w, w)`` cores on the
+    window, views; ``moduli`` the ``(w, n)`` array of ``|g_k|``, ``g_k =
+    (i xi)^k - zeta^k`` at the window nodes.  All are unweighted.  Both
+    sides are sliced from one square strip on the finest window: on a
+    window they sample the same cores ``symbol_j * weight / plus`` at the
+    same nodes (the symbols' periodic continuation agrees there), and
     differ only in the powers, ``(i xi)^k`` against ``zeta^k``, and in the
     range of the multiplier sums, the whole truncated line against the
-    window.  So a kernel-gap block is ``core_j * g_k``, ``g_k = (i xi)^k -
-    zeta^k`` at its outputs, zero at ``k = 0`` and not formed, and a
-    multiplier gap the strip's multiplier, its sum outside the finest
-    window, plus the core's row against ``p^k`` on the rest of it and
-    ``g_k`` on the window, in one product (:func:`_products`): at ``k = 0``
-    exactly the sum outside the window.  A block is given up to a row
-    phase, as ``core_j * |g_k|``, real for a real core: a diagonal of
+    window.  So kernel-gap block ``(j, k)`` is ``core_j * g_k`` at its
+    outputs, zero at ``k = 0``, and a multiplier gap the strip's
+    multiplier, its sum outside the finest window, plus the core's row
+    against ``p^k`` on the rest of it and ``g_k`` on the window, in one
+    product (:func:`_products`): at ``k = 0`` exactly the sum outside the
+    window.  A kernel-gap block may be formed up to a row phase, as
+    ``core_j * |g_k|[:, None]``, real for a real core: a diagonal of
     unit-modulus factors changes neither its singular values nor its
     entries' moduli, all that the sweeps read.
     """
@@ -355,16 +368,6 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: 
                       left_symbols=problem.left_symbols, rows=rows)
     cores, outside = (strip.bottom_core, strip.left_core), (strip.bottom_mult, strip.left_mult)
     powers = _power_base(grid.axis_nodes[rows], None)[:, None] ** np.arange(n)
-    buffer = np.empty(len(powers) ** 2, dtype=np.result_type(*cores))
-
-    def kernel_gaps(out, moduli, scale):
-        w = out.stop - out.start
-        for f, j, k in np.ndindex(2, n, n):
-            if k:
-                block = np.multiply(cores[f][j, out, out], (moduli[:, k] * scale[j])[:, None],
-                                    out=buffer[:w * w].reshape(w, w))
-                yield f, j, k, np.divide(block, scale[k], out=block)
-
     for h in h_values:
         win = window_mask(grid, h)
         out, wnodes = _run(win[rows]), grid.axis_nodes[win]
@@ -374,14 +377,7 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values, weighed: 
         mults = np.stack([mult[..., out] for mult in outside])
         for f, j in np.ndindex(2, n):
             mults[f, j] += _products(cores[f][j, out], gaps)
-        scale = np.ones((n, 1))
-        if weighed:
-            scale = np.sqrt(np.array([_trace_weight(wnodes, float(h), e)
-                                      for e in problem.trace_exponents]))
-        mults *= scale[:, None]
-        mults /= scale
-        # unbound, so that no window's gaps outlive it
-        yield wnodes, tuple(mults), kernel_gaps(out, np.abs(gaps[out]), scale)
+        yield wnodes, mults, tuple(core[:, out, out] for core in cores), np.abs(gaps[out])
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
@@ -389,23 +385,41 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
                            lambda_factor: float = 4.0) -> RateReport:
     """Rate of the gap between the window-restricted continuous operator and
     the lattice operator assembled on the same window nodes; the predicted
-    rate is first order in ``h``.  Each kernel-gap block's norm is taken as
-    :func:`_window_gaps` forms it, and the frame holds the block as that
-    norm alone, a one-entry diagonal, which the frame's norm reads alike.
+    rate is first order in ``h``.  The sweep must be aligned
+    (:func:`check_aligned_sweep`), so that each window's lattice operator is
+    the Nystrom rule of its torus.
+
+    The pieces come from :func:`_window_gaps`, weighed here with the
+    frame's torus weights: block ``(j, k)`` times ``sqrt(w_j)`` at its
+    outputs, over ``sqrt(w_k)`` at its inputs.  Each kernel-gap block
+    ``(j, k)``, ``k >= 1``, is formed as ``core_j * (|g_k| sqrt(w_j))[:,
+    None]``, then divided by ``sqrt(w_k)``, into one buffer of the finest
+    window's size, and its norm taken before the next is formed; the frame
+    holds the block as that norm alone, a one-entry diagonal, which the
+    frame's norm reads alike.  The blocks ``(j, 0)`` are zero.
     """
     _hypotheses(problem, 3.0, 3.0, "section gap sweep")
-    grid = _sweep_grid(h_values, nodes_per_window, lambda_factor)
-
-    def window_norm(wnodes, mults, blocks):
-        norms = np.zeros((2, problem.n, problem.n, 1))  # blocks (j, 0) are 0
-        for f, j, k, block in blocks:
-            norms[f, j, k] = _sigma_max(block)
-        return estimate_operator_norm(WeightedOperatorFrame(((mults[0], norms[0]),
-                                                             (norms[1], mults[1]))))
-
-    windows = _window_gaps(problem, grid, h_values, weighed=True)
-    # next(), not zip(), which would hold one window's gaps into the next's
-    return _report(h_values, [window_norm(*next(windows)) for _ in h_values], 1.0, grid)
+    h_values = check_sweep(h_values, FIT_MIN_SIZES)
+    grid = aligned_line_grid(h_values, nodes_per_window, lambda_factor)
+    check_aligned_sweep(h_values, nodes_per_window)
+    buffer, norms = None, []
+    for h, (wnodes, mults, cores, moduli) in zip(h_values, _window_gaps(problem, grid, h_values)):
+        scale = np.sqrt(np.array([_trace_weight(wnodes, h, e) for e in problem.trace_exponents]))
+        mults *= scale[:, None]
+        mults /= scale
+        if buffer is None:  # one, of the finest window's size
+            buffer = np.empty(np.count_nonzero(window_mask(grid, h_values[-1])) ** 2,
+                              dtype=np.result_type(*cores))
+        w = len(wnodes)
+        kernel = np.zeros((2, problem.n, problem.n, 1))
+        for f, j, k in np.ndindex(2, problem.n, problem.n):
+            if k:
+                block = np.multiply(cores[f][j], (moduli[:, k] * scale[j])[:, None],
+                                    out=buffer[:w * w].reshape(w, w))
+                kernel[f, j, k] = _sigma_max(np.divide(block, scale[k], out=block))
+        norms.append(estimate_operator_norm(WeightedOperatorFrame(((mults[0], kernel[0]),
+                                                                   (kernel[1], mults[1])))))
+    return _report(h_values, norms, 1.0, grid)
 
 
 def kernel_gap_ratios(problem: ContinuousProblem, h: float,
@@ -425,7 +439,7 @@ def kernel_gap_ratios(problem: ContinuousProblem, h: float,
     """
     _hypotheses(problem, 2.0, 2.0, "kernel gap ratios")
     grid = aligned_line_grid([h], nodes_per_window, lambda_factor=lambda_factor)
-    wnodes, mults, blocks = next(_window_gaps(problem, grid, [h]))
+    wnodes, mults, cores, moduli = next(_window_gaps(problem, grid, [h]))
     weight_2d = 1.0 + np.hypot(*_open_mesh(wnodes, wnodes))
     weight_1d = 1.0 + np.abs(wnodes)
 
@@ -433,10 +447,11 @@ def kernel_gap_ratios(problem: ContinuousProblem, h: float,
         return (problem.bottom_orders, problem.left_orders)[f][j] - problem.index + k
 
     kernel, mult = np.zeros((2, problem.n, problem.n)), np.empty((2, problem.n, problem.n))
-    for f, j, k, block in blocks:  # per unit quadrature weight; blocks (j, 0) are 0
-        kernel[f, j, k] = np.max(np.abs(block) / grid.axis_weight
-                                 / (h * weight_2d ** (exponent(f, j, k) + 1)))
     for f, j, k in np.ndindex(mult.shape):
-        mult[f, j, k] = np.max(np.abs(mults[f][j, k]) / (h * weight_1d ** (exponent(f, j, k) + 2)))
+        if k:  # per unit quadrature weight; blocks (j, 0) are 0
+            block = cores[f][j] * moduli[:, k][:, None]
+            kernel[f, j, k] = np.max(np.abs(block) / grid.axis_weight
+                                     / (h * weight_2d ** (exponent(f, j, k) + 1)))
+        mult[f, j, k] = np.max(np.abs(mults[f, j, k]) / (h * weight_1d ** (exponent(f, j, k) + 2)))
     return {"bottom_mult": mult[0], "bottom_kernel": kernel[0],
             "left_kernel": kernel[1], "left_mult": mult[1]}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -139,11 +140,12 @@ class LineGrid:
     Used for truncations of improper integrals over the whole frequency
     line; carries no mesh size.  ``half_width`` must be positive and
     finite, and ``nodes_count`` even, so that ``xi = 0`` is never a node.
+    A line is one-dimensional: ``ndim`` is a class constant, not a field.
     """
 
     half_width: float
     nodes_count: int
-    ndim: int = 1
+    ndim: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.half_width < math.inf:

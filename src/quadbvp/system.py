@@ -129,14 +129,14 @@ class ContinuousProblem:
     on row tiles of a mesh, open meshes with at least 2 rows in either
     orientation, possibly several times per assembly: they must be pure
     and elementwise.  Orders are declared, not checked: the growth sandwich
-    is a hypothesis of the problem.
+    is a hypothesis of the problem.  The plus factor's index is ``s + n +
+    delta`` (:attr:`index`).
     """
 
     s: float
     n: int
     delta: float
     plus_factor: Callable[..., np.ndarray]
-    index: float
     bottom_symbols: tuple[Callable[..., np.ndarray], ...]
     left_symbols: tuple[Callable[..., np.ndarray], ...]
     bottom_orders: tuple[float, ...]
@@ -150,6 +150,10 @@ class ContinuousProblem:
                           (self.left_orders, "left_orders")):
             if len(seq) != self.n:
                 raise ValueError(f"{name} must have n = {self.n} entries")
+
+    @property
+    def index(self) -> float:
+        return self.s + self.n + self.delta
 
     @property
     def trace_exponents(self) -> tuple[float, ...]:
@@ -180,7 +184,7 @@ def radial_power_problem(s: float, n: int, delta: float,
 
     return ContinuousProblem(
         s=s, n=n, delta=delta,
-        plus_factor=radial(index), index=index,
+        plus_factor=radial(index),
         bottom_symbols=tuple(radial(b) for b in bottom_orders),
         left_symbols=tuple(radial(g) for g in left_orders),
         bottom_orders=tuple(float(b) for b in bottom_orders),
@@ -868,13 +872,12 @@ def reconstruct_solution(traces: TraceVector, fac: WaveFactorization,
 
 
 @dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(SolveReport):
+    """The solve's report, with the ``recovered`` traces and ``rel_error``,
+    their worst component-wise relative trace-norm error."""
+
     recovered: TraceVector
     rel_error: float
-    condition: float
-    residual: float
-    multiplier_condition: float
-    kernel_rank: tuple[int, int]
 
 
 def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
@@ -908,10 +911,7 @@ def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
         scale = sobolev_norm_1d(SpectralFunction(grid1, want), s_k)
         err = sobolev_norm_1d(diff, s_k)
         worst = max(worst, err / scale if scale > 0 else err)
-    return RoundtripReport(recovered=recovered, rel_error=worst,
-                           condition=report.condition, residual=report.residual,
-                           multiplier_condition=report.multiplier_condition,
-                           kernel_rank=report.kernel_rank)
+    return RoundtripReport(**vars(report), recovered=recovered, rel_error=worst)
 
 
 def identity_boundary_operators(n: int, h: float) -> tuple[tuple[PeriodicSymbol, ...],

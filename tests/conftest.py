@@ -125,7 +125,7 @@ def skewed_problem():
         return lambda x1, x2: (1.0 + a * x1 ** 2 + b * x2 ** 2) ** -0.5 * (2.0 + 1j * c * x1)
 
     return ContinuousProblem(
-        s=3.25, n=2, delta=-0.25, plus_factor=plus, index=5.0,
+        s=3.25, n=2, delta=-0.25, plus_factor=plus,
         bottom_symbols=(symbol(0.5, 1.0, 0.2), symbol(1.0, 3.0, -0.4)),
         left_symbols=(symbol(2.0, 0.7, 0.1), symbol(0.3, 1.5, 0.6)),
         bottom_orders=(0.0, -1.0), left_orders=(0.0, -1.0))

@@ -196,6 +196,25 @@ class TestRunCommand:
             assert "line 5: bad value for 'h_values'" in err
             assert reason in err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unaligned_section_gap_sweep_exits_2(self, tmp_path, capsys, command):
+        text = (f"[experiment]\nmode = section_gap\noutput = {tmp_path / 'out'}\n"
+                "[sweep]\nh_values = 0.5 0.3 0.2 0.1\n")
+        assert main([command, str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "at h = 0.3 " in err
+        assert not (tmp_path / "out").exists()
+        # the commutator's windows are restrictions: it takes the sweep
+        text = text.replace("section_gap", "commutator")
+        assert main(["validate", str(write_config(tmp_path, text))]) == 0
+
+    def test_aligned_non_halving_section_gap_sweep_runs(self, tmp_path):
+        text = (f"[experiment]\nmode = section_gap\noutput = {tmp_path / 'out'}\n"
+                "[sweep]\nh_values = 0.6 0.3 0.2\n")
+        assert main(["run", str(write_config(tmp_path, text))]) == 0
+        rows = (tmp_path / "out" / "section_gap.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[1] for row in rows] == ["32", "64", "96"]
+
     @pytest.mark.parametrize("mode", ["kernel_gap", "commutator", "section_gap"])
     @pytest.mark.parametrize("key, value, reason", [
         ("nodes_per_window", "31", "positive even"),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      section_gap_rate_sweep, window_mask, zeta,
                      zeta_power_gap)
 from quadbvp.cli import load_config
+from quadbvp.comparison import check_aligned_sweep, check_sweep
 from quadbvp.lattice import _power_base
 from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips
 from conftest import (fsum_multipliers, kernel_stacks, skewed_problem, unit_scales,
@@ -296,6 +298,46 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate((1.0, 0.5), (1.0, 0.5))
 
+    @pytest.mark.parametrize("hs, reason", [((0.25, 0.5, 1.0), "strictly decreasing"),
+                                            ((1.0, 0.5, 0.0), "h_values must be positive")])
+    def test_the_sweep_rule_applies(self, hs, reason):
+        with pytest.raises(InvalidConfigurationError, match=reason):
+            fit_rate(hs, (1.0, 0.5, 0.25))
+
+
+class TestSweepRules:
+    def test_sizes_come_back_as_floats(self):
+        hs = check_sweep(np.array([1, 0.5, 0.25], dtype=np.float32), 3)
+        assert hs == (1.0, 0.5, 0.25) and all(type(h) is float for h in hs)
+
+    @pytest.mark.parametrize("minimum", [0, 1])
+    def test_empty_sweep_needs_one_size(self, minimum):
+        with pytest.raises(InvalidConfigurationError,
+                           match=re.escape("h_values needs at least 1 mesh sizes, got 0")):
+            check_sweep([], minimum)
+
+    @pytest.mark.parametrize("hs, nodes_per_window", [
+        ([0.6, 0.3, 0.2], 32), ([0.7], 6), ([0.45, 0.3], 4)])
+    def test_aligned_windows_are_their_torus_grids(self, hs, nodes_per_window):
+        # beyond the halving sweeps of test_window_nodes_form_exact_torus_grids
+        check_aligned_sweep(hs, nodes_per_window)
+        grid = aligned_line_grid(hs, nodes_per_window)
+        for h in hs:
+            mask = window_mask(grid, h)
+            torus = FrequencyGrid(h, int(mask.sum()), ndim=1)
+            assert np.allclose(grid.axis_nodes[mask], torus.axis_nodes, atol=1e-12), h
+
+    def test_unaligned_window_overhangs_its_torus(self):
+        # 26.67 cells a side: the h = 0.3 window holds 54 nodes of width
+        # 0.3927, 21.21 in all, where its torus is 20.94 wide
+        hs = [0.5, 0.3, 0.2, 0.1]
+        with pytest.raises(InvalidConfigurationError, match=r"at h = 0\.3 spans 26\.67"):
+            check_aligned_sweep(hs, 32)
+        grid = aligned_line_grid(hs, 32)
+        mask = window_mask(grid, 0.3)
+        assert mask.sum() * grid.axis_weight == pytest.approx(21.21, abs=0.01)
+        assert mask.sum() * grid.axis_weight > 2 * math.pi / 0.3 + 0.2
+
 
 class TestGridsAndMasks:
     def test_window_nodes_form_exact_torus_grids(self):
@@ -363,7 +405,7 @@ class TestCommutatorSweep:
     def test_all_zero_kernels_flagged_degenerate(self):
         zero = lambda x1, x2: np.zeros(np.broadcast(x1, x2).shape)
         problem = ContinuousProblem(
-            s=2.25, n=1, delta=-0.25, plus_factor=radial(3.0), index=3.0,
+            s=2.25, n=1, delta=-0.25, plus_factor=radial(3.0),
             bottom_symbols=(zero,), left_symbols=(zero,),
             bottom_orders=(0.0,), left_orders=(0.0,))
         rep = commutator_rate_sweep(problem, [1.0, 0.5, 0.25], nodes_per_window=8)
@@ -394,6 +436,17 @@ class TestCommutatorSweep:
         with pytest.raises(InvalidConfigurationError, match="commutator"):
             commutator_rate_sweep(problem, [1.0, 0.5, 0.25])
 
+    @pytest.mark.parametrize("betas, gammas, message", [
+        ([1.5], [0.0], "commutator sweep needs s - bottom order > 1.0; "
+                       "violated at j=0 (s=2.25, order=1.5)"),
+        ([0.0], [0.5], "commutator sweep needs s - left order > 2.0; "
+                       "violated at j=0 (s=2.25, order=0.5)")])
+    def test_hypothesis_message_names_the_edge(self, betas, gammas, message):
+        problem = radial_power_problem(s=2.25, n=1, delta=-0.25,
+                                       bottom_orders=betas, left_orders=gammas)
+        with pytest.raises(InvalidConfigurationError, match=re.escape(message)):
+            commutator_rate_sweep(problem, [1.0, 0.5, 0.25])
+
     def test_short_sweep_rejected_before_any_work(self, monkeypatch):
         calls = count_assembly_calls(monkeypatch)
         with pytest.raises(InvalidConfigurationError, match="h_values needs at least 3"):
@@ -413,17 +466,20 @@ class TestSectionGapSweep:
         assert rep.monotone_violations == ()
 
     def test_single_trace_gap_is_its_multiplier_gap(self):
-        # at n = 1 the kernel gap is its one zero block (0, 0), which is
-        # not formed; each multiplier gap is diagonal with equal weights on
-        # both sides, so the norm is the larger max modulus of the two
+        # at n = 1 the kernel gap is its one block (0, 0), zero as its
+        # modulus |g_0| is; each multiplier gap is diagonal with equal
+        # weights on both sides, so the norm is the larger max modulus of
+        # the two
         problem = radial_power_problem(s=3.25, n=1, delta=-0.25,
                                        bottom_orders=[0.0], left_orders=[0.0])
         hs = [0.5, 0.25, 0.125]
         rep = section_gap_rate_sweep(problem, hs, nodes_per_window=16)
         grid = aligned_line_grid(hs, 16)
-        for norm, (wnodes, (mult_b, mult_l), blocks) in zip(
+        for norm, (wnodes, (mult_b, mult_l), cores, moduli) in zip(
                 rep.norms, comparison._window_gaps(problem, grid, hs)):
-            assert list(blocks) == []
+            w = len(wnodes)
+            assert [core.shape for core in cores] == [(1, w, w)] * 2
+            assert moduli.shape == (w, 1) and not np.any(moduli)
             assert mult_b.shape == mult_l.shape == (1, 1, len(wnodes))
             want = max(np.max(np.abs(mult_b)), np.max(np.abs(mult_l)))
             assert want > 0.0 and norm == pytest.approx(want, rel=1e-13)
@@ -440,6 +496,21 @@ class TestSectionGapSweep:
         with pytest.raises(InvalidConfigurationError, match="h_values needs at least 3"):
             section_gap_rate_sweep(skewed_problem(), [0.5, 0.25], nodes_per_window=8)
         assert calls == []
+
+    def test_unaligned_sweep_rejected_before_any_work(self, monkeypatch):
+        # the commutator takes this sweep; the section gap's windows must
+        # be their tori's midpoint grids
+        calls = count_assembly_calls(monkeypatch)
+        with pytest.raises(InvalidConfigurationError, match=r"at h = 0\.3 "):
+            section_gap_rate_sweep(skewed_problem(), [0.5, 0.3, 0.2, 0.1])
+        assert calls == []
+
+    def test_aligned_non_halving_sweep_runs(self):
+        problem = radial_power_problem(s=3.25, n=2, delta=-0.25,
+                                       bottom_orders=[0.0, -1.0], left_orders=[0.0, -1.0])
+        rep = section_gap_rate_sweep(problem, [0.6, 0.3, 0.2])
+        assert rep.window_nodes == (32, 64, 96)
+        assert rep.slope >= 0.9 and rep.monotone_violations == ()
 
     def test_restricted_multiplier_gap_matches_arctan_tail(self):
         # with unit boundary symbol and squared-radius factor, the gap
@@ -597,7 +668,8 @@ class TestStripAssembly:
         full_stacks = kernel_stacks(full)
         full_cores = (full.bottom_core, full.left_core)
         eps = np.finfo(float).eps
-        for h, (wnodes, mults, blocks) in zip(hs, comparison._window_gaps(problem, grid, hs)):
+        windows = comparison._window_gaps(problem, grid, hs)
+        for h, (wnodes, mults, cores, moduli) in zip(hs, windows):
             win = window_mask(grid, h)
             assert np.array_equal(wnodes, nodes[win])
             lattice = _assemble(n=problem.n, nodes=wnodes, weight=quad, h=h,
@@ -606,15 +678,16 @@ class TestStripAssembly:
                                 left_symbols=problem.left_symbols)
             lattice_stacks = kernel_stacks(lattice)
             zetas = _power_base(wnodes, h)
-            formed = []
-            for f, j, k, block in blocks:
-                formed.append((f, j, k))
+            # |g_0| = |1 - 1|, so the blocks (j, 0) are exactly 0
+            assert moduli.shape == (win.sum(), 2) and not np.any(moduli[:, 0])
+            for f, j in np.ndindex(2, 2):
+                k = 1
+                block = cores[f][j] * moduli[:, k][:, None]
                 continuous = full_stacks[f][j, k][np.ix_(win, win)]
                 g = (1j * wnodes) ** k - zetas ** k
                 want = (continuous - lattice_stacks[f][j, k]) * np.conj(g / np.abs(g))[:, None]
                 bound = 4 * eps * (np.abs(continuous) + np.abs(lattice_stacks[f][j, k]))
                 assert np.all(np.abs(block - want) <= bound), (h, f, j, k)
-            assert formed == [(f, j, 1) for f in range(2) for j in range(2)]
             for f, mult in enumerate(mults):
                 assert mult.shape == (2, 2, win.sum())
                 core = full_cores[f][:, win]

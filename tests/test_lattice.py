@@ -56,6 +56,14 @@ class TestLineGrid:
         for n in (2, 8, 64):
             assert np.all(LineGrid(1.0, n).axis_nodes != 0.0)
 
+    def test_ndim_is_not_a_field(self):
+        # a line is one-dimensional; no argument can say otherwise
+        assert LineGrid(1.0, 4).ndim == LineGrid.ndim == 1
+        with pytest.raises(TypeError):
+            LineGrid(1.0, 4, 7)
+        with pytest.raises(TypeError):
+            LineGrid(1.0, 4, ndim=2)
+
 
 class TestDiscreteFourier:
     def test_unit_mass_at_origin_gives_constant_one(self):

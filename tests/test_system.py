@@ -1414,7 +1414,7 @@ class TestOpenMesh:
         spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
                            bottom_ops=bottom, left_ops=left)
         problem = ContinuousProblem(
-            s=-1.25, n=1, delta=0.25, plus_factor=plus, index=0.0,
+            s=-1.25, n=1, delta=0.25, plus_factor=plus,
             bottom_symbols=(ones_symbol,), left_symbols=(ones_symbol,),
             bottom_orders=(0.0,), left_orders=(0.0,))
         with pytest.raises(AssemblyError, match=where):
