@@ -337,15 +337,14 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
 
 
 def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
-    """For each ``h``, the pieces of the gap between the window-restricted
-    continuous operator and the lattice operator on the same window nodes,
-    continuous minus lattice: ``(wnodes, mults, cores, moduli)``.
+    """For each ``h``, the gap between the window-restricted continuous
+    operator and the lattice operator on the same window nodes, continuous
+    minus lattice, unweighted, as ``(wnodes, mults, cores, moduli)``: the
+    multiplier gaps of both families, ``(2, n, n, w)`` diagonals; views of
+    the two families' ``(n, w, w)`` cores on the window; and the ``(w, n)``
+    moduli ``|g_k|``, ``g_k = (i xi)^k - zeta^k`` at the window nodes.
 
-    ``mults`` holds the multiplier gaps of both families, ``(2, n, n, w)``
-    diagonals; ``cores`` the two families' ``(n, w, w)`` cores on the
-    window, views; ``moduli`` the ``(w, n)`` array of ``|g_k|``, ``g_k =
-    (i xi)^k - zeta^k`` at the window nodes.  All are unweighted.  Both
-    sides are sliced from one square strip on the finest window: on a
+    Both sides are sliced from one square strip on the finest window: on a
     window they sample the same cores ``symbol_j * weight / plus`` at the
     same nodes (the symbols' periodic continuation agrees there), and
     differ only in the powers, ``(i xi)^k`` against ``zeta^k``, and in the
@@ -384,19 +383,17 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
                            nodes_per_window: int = 32,
                            lambda_factor: float = 4.0) -> RateReport:
     """Rate of the gap between the window-restricted continuous operator and
-    the lattice operator assembled on the same window nodes; the predicted
-    rate is first order in ``h``.  The sweep must be aligned
-    (:func:`check_aligned_sweep`), so that each window's lattice operator is
-    the Nystrom rule of its torus.
+    the lattice operator on the same window nodes, predicted first order in
+    ``h``, over an aligned sweep (:func:`check_aligned_sweep`), whose every
+    window's lattice operator is the Nystrom rule of its torus.
 
-    The pieces come from :func:`_window_gaps`, weighed here with the
-    frame's torus weights: block ``(j, k)`` times ``sqrt(w_j)`` at its
-    outputs, over ``sqrt(w_k)`` at its inputs.  Each kernel-gap block
-    ``(j, k)``, ``k >= 1``, is formed as ``core_j * (|g_k| sqrt(w_j))[:,
-    None]``, then divided by ``sqrt(w_k)``, into one buffer of the finest
-    window's size, and its norm taken before the next is formed; the frame
-    holds the block as that norm alone, a one-entry diagonal, which the
-    frame's norm reads alike.  The blocks ``(j, 0)`` are zero.
+    The pieces of :func:`_window_gaps` are weighed with the frame's torus
+    weights: block ``(j, k)`` times ``sqrt(w_j)`` at its outputs, over
+    ``sqrt(w_k)`` at its inputs.  Each kernel-gap block, ``k >= 1``, is
+    formed in that order into one buffer of the finest window's size, and
+    its norm taken before the next is formed; the frame holds the block as
+    that norm alone, a one-entry diagonal, which the frame's norm reads
+    alike.
     """
     _hypotheses(problem, 3.0, 3.0, "section gap sweep")
     h_values = check_sweep(h_values, FIT_MIN_SIZES)
