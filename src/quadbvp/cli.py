@@ -49,16 +49,16 @@ import numpy as np
 
 from .errors import (AssemblyError, ConfigError, InvalidConfigurationError,
                      NearSingularError, NormEstimateError)
-from .lattice import FrequencyGrid, sobolev_norm_1d, sobolev_norm_2d
+from .lattice import FrequencyGrid, SpectralFunction, sobolev_norm_1d, sobolev_norm_2d
 from .symbols import PeriodicSymbol, builtin_factor_family
 from .operators import apply_symbol_to_spectrum
 from .system import (ProblemSpec, RoundtripReport, identity_boundary_operators,
                      manufactured_roundtrip, radial_power_problem,
                      random_trace_vector, reconstruct_solution,
                      row_trace_boundary_operators, zeta_boundary_operators)
-from .comparison import (FIT_MIN_SIZES, check_aligned_sweep, check_sweep,
-                         commutator_rate_sweep, kernel_gap_ratios, section_gap_rate_sweep,
-                         zeta_power_gap)
+from .comparison import (FIT_MIN_SIZES, check_lambda_factor, check_rate_sweep, check_sweep,
+                         check_window_nodes, commutator_rate_sweep, kernel_gap_ratios,
+                         section_gap_rate_sweep, zeta_power_gap)
 
 OUTPUT_ENV_VAR = "QUADBVP_OUTPUT_DIR"
 
@@ -147,20 +147,17 @@ def _lattice_problem(cfg: ExperimentConfig) -> ProblemSpec:
                        bottom_ops=bottom, left_ops=left)
 
 
-def _continuous_problem(cfg: ExperimentConfig):
+def _rate_problem(cfg: ExperimentConfig):
+    """The continuous problem, once it and the sweep pass the checks the
+    mode's measurement opens with (:func:`check_rate_sweep`)."""
     for key in ("betas", "gammas"):
         if len(getattr(cfg, key)) != cfg.n:
             raise ConfigError(f"{key} in [continuous] must have n = {cfg.n} entries, "
                               f"got {len(getattr(cfg, key))}")
-    return radial_power_problem(s=cfg.s, n=cfg.n, delta=cfg.delta,
-                                bottom_orders=cfg.betas, left_orders=cfg.gammas)
-
-
-def _section_gap_problem(cfg: ExperimentConfig):
-    """The continuous problem, once the sweep's windows are known to be the
-    midpoint grids of their tori (:func:`check_aligned_sweep`)."""
-    check_aligned_sweep(cfg.h_values, cfg.nodes_per_window)
-    return _continuous_problem(cfg)
+    problem = radial_power_problem(s=cfg.s, n=cfg.n, delta=cfg.delta,
+                                   bottom_orders=cfg.betas, left_orders=cfg.gammas)
+    check_rate_sweep(cfg.mode, problem, cfg.h_values, cfg.nodes_per_window, cfg.lambda_factor)
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +280,10 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     summary = {**_solver_summary(cfg, rep), "solution_norm": u_norm,
                "max_interior_residual": worst}
+    functions = [SpectralFunction(traces.grid, row) for row in traces.values]
     for k, s_k in enumerate(spec.trace_exponents):
-        summary[f"bottom_trace_norm_{k}"] = sobolev_norm_1d(traces.bottom[k], s_k)
-        summary[f"left_trace_norm_{k}"] = sobolev_norm_1d(traces.left[k], s_k)
+        summary[f"bottom_trace_norm_{k}"] = sobolev_norm_1d(functions[k], s_k)
+        summary[f"left_trace_norm_{k}"] = sobolev_norm_1d(functions[spec.n + k], s_k)
     return ExperimentReport("solve", rows, verdicts, summary)
 
 
@@ -405,20 +403,20 @@ MODES = {
         ("h", "k", "max_gap", "max_bound", "max_ratio", "violations"),
         ("power_gap_bound: zero pointwise violations of the first-order bound",)),
     "kernel_gap": Mode(
-        _run_kernel_gap, _continuous_problem,
+        _run_kernel_gap, _rate_problem,
         ("h", "j", "k", "family", "ratio"),
         (f"kernel_gap_growth: per-family max ratio grows <= {KERNEL_GAP_GROWTH_TOL:.0%} "
          "per h halving",)),
     "commutator": Mode(
         lambda cfg: _rate_mode(cfg, commutator_rate_sweep, "commutator_slope",
                                lambda rep: COMMUTATOR_SLOPE_FACTOR * rep.epsilon),
-        _continuous_problem, _RATE_COLUMNS,
+        _rate_problem, _RATE_COLUMNS,
         (f"commutator_slope: fitted slope >= {COMMUTATOR_SLOPE_FACTOR:g} "
          "* predicted exponent",)),
     "section_gap": Mode(
         lambda cfg: _rate_mode(cfg, section_gap_rate_sweep, "section_gap_slope",
                                lambda rep: SECTION_GAP_SLOPE_MIN),
-        _section_gap_problem, _RATE_COLUMNS,
+        _rate_problem, _RATE_COLUMNS,
         (f"section_gap_slope: fitted slope >= {SECTION_GAP_SLOPE_MIN:g}",)),
 }
 
@@ -467,10 +465,9 @@ FIELDS = (
     Field("sweep", "h_values", _mesh_sizes(2), ("kernel_gap",), (1.0, 0.5, 0.25)),
     Field("sweep", "h_values", _mesh_sizes(FIT_MIN_SIZES), ("commutator", "section_gap"),
           (0.5, 0.25, 0.125, 0.0625)),
-    Field("sweep", "nodes_per_window", _POSITIVE_EVEN, RATES,
+    Field("sweep", "nodes_per_window", lambda text: check_window_nodes(int(text)), RATES,
           {"kernel_gap": 64, "commutator": 32, "section_gap": 32}),
-    Field("sweep", "lambda_factor", _checked(float, lambda v: 1.0 <= v < math.inf,
-                                             "finite and >= 1"), RATES, 4.0),
+    Field("sweep", "lambda_factor", lambda text: check_lambda_factor(float(text)), RATES, 4.0),
     Field("sweep", "k_max", _AT_LEAST_ONE, ("power_gap",), 4),
     Field("sweep", "samples", _AT_LEAST_ONE, ("power_gap",), 10000),
 )

@@ -41,7 +41,10 @@ __all__ = [
     "section_gap_rate_sweep",
     "fit_rate",
     "check_sweep",
+    "check_window_nodes",
+    "check_lambda_factor",
     "check_aligned_sweep",
+    "check_rate_sweep",
     "aligned_line_grid",
     "window_mask",
 ]
@@ -96,6 +99,25 @@ def check_sweep(h_values, minimum: int = 1) -> tuple[float, ...]:
     return hs
 
 
+def check_window_nodes(nodes_per_window: int) -> int:
+    """The node count of the coarsest window, checked: a positive even
+    integer.  The one rule for ``nodes_per_window``."""
+    if not (nodes_per_window > 0 and nodes_per_window % 2 == 0):
+        raise InvalidConfigurationError(
+            f"nodes_per_window must be a positive even integer, got {nodes_per_window}")
+    return nodes_per_window
+
+
+def check_lambda_factor(lambda_factor: float) -> float:
+    """The truncation of the line in units of the widest window, checked:
+    finite and at least 1, so the line holds every window.  The one rule
+    for ``lambda_factor``."""
+    if not 1.0 <= lambda_factor < math.inf:
+        raise InvalidConfigurationError(
+            f"lambda_factor must be finite and >= 1, got {lambda_factor}")
+    return lambda_factor
+
+
 def check_aligned_sweep(h_values, nodes_per_window: int) -> None:
     """Reject a sweep whose torus windows are not whole midpoint grids.
 
@@ -119,22 +141,23 @@ def aligned_line_grid(h_values, nodes_per_window: int,
     """Midpoint grid on ``[-lam, lam]``, ``lam = lambda_factor * pi / min(h)``,
     whose spacing is the coarsest window width over ``nodes_per_window``.
 
-    The ``h_values`` are checked (:func:`check_sweep`).  The cell edges are
-    the multiples of the spacing, so a window's nodes form the exact
+    The ``h_values``, ``nodes_per_window`` and ``lambda_factor`` are
+    checked (:func:`check_sweep`, :func:`check_window_nodes`,
+    :func:`check_lambda_factor`), and so is the line's cell count, which a
+    finite factor can still overflow; no node is allocated.  The cell edges
+    are the multiples of the spacing, so a window's nodes form the exact
     midpoint grid of its torus when its edges ``+-pi/h`` are multiples too:
     when the sweep is aligned (:func:`check_aligned_sweep`), as every
     halving sweep is.
     """
     hs = check_sweep(h_values)
-    if nodes_per_window <= 0 or nodes_per_window % 2 != 0:
-        raise InvalidConfigurationError("nodes_per_window must be a positive even integer")
-    widest = math.pi / min(hs)
-    lam = lambda_factor * widest
-    if not widest <= lam < math.inf:
-        raise InvalidConfigurationError(f"truncation half-width {lam:g} must be finite "
-                                        f"and at least the widest window {widest:g}")
-    delta = (2.0 * math.pi / max(hs)) / nodes_per_window
-    count = int(math.ceil(2.0 * lam / delta))
+    delta = (2.0 * math.pi / max(hs)) / check_window_nodes(nodes_per_window)
+    lam = check_lambda_factor(lambda_factor) * (math.pi / min(hs))
+    cells = 2.0 * lam / delta
+    if not cells < math.inf:
+        raise InvalidConfigurationError(f"truncation half-width {lam:g} must be finite and "
+                                        f"span a finite number of cells of width {delta:g}")
+    count = int(math.ceil(cells))
     count += count % 2
     return LineGrid(half_width=count * delta / 2.0, nodes_count=count)
 
@@ -260,15 +283,35 @@ class RateReport:
     window_nodes: tuple[int, ...] = ()
 
 
-def _hypotheses(problem: ContinuousProblem, bottom_gap: float, left_gap: float,
-                what: str) -> None:
+# Each rate measurement's order hypotheses, ``s - order > gap`` on the
+# bottom and on the left edge, and the name it reports them under.
+_HYPOTHESES = {"commutator": ("commutator sweep", 1.0, 2.0),
+               "section_gap": ("section gap sweep", 3.0, 3.0),
+               "kernel_gap": ("kernel gap ratios", 2.0, 2.0)}
+
+
+def check_rate_sweep(kind: str, problem: ContinuousProblem, h_values, nodes_per_window: int,
+                     lambda_factor: float) -> tuple[tuple[float, ...], LineGrid]:
+    """The opening checks of the rate measurement ``kind``, ``"commutator"``,
+    ``"section_gap"`` or ``"kernel_gap"``, in the order it runs them: its
+    order hypotheses, the mesh sizes (:func:`check_sweep`, at least
+    ``FIT_MIN_SIZES`` for a fitted rate), the line grid
+    (:func:`aligned_line_grid`) and, for the section gap, the alignment
+    (:func:`check_aligned_sweep`).  Returns the sizes and the grid; as the
+    grid allocates no nodes, the checks cost nothing to run before a run.
+    """
+    what, bottom_gap, left_gap = _HYPOTHESES[kind]
     for edge, orders, gap in (("bottom", problem.bottom_orders, bottom_gap),
                               ("left", problem.left_orders, left_gap)):
         for j, order in enumerate(orders):
             if not problem.s - order > gap:
-                raise InvalidConfigurationError(
-                    f"{what} needs s - {edge} order > {gap}; "
-                    f"violated at j={j} (s={problem.s}, order={order})")
+                raise InvalidConfigurationError(f"{what} needs s - {edge} order > {gap}; violated "
+                                                f"at j={j} (s={problem.s}, order={order})")
+    hs = check_sweep(h_values, 1 if kind == "kernel_gap" else FIT_MIN_SIZES)
+    grid = aligned_line_grid(hs, nodes_per_window, lambda_factor)
+    if kind == "section_gap":
+        check_aligned_sweep(hs, nodes_per_window)
+    return hs, grid
 
 
 def _report(hs: tuple[float, ...], norms, epsilon, grid: LineGrid) -> RateReport:
@@ -309,9 +352,8 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     W]^T`` as one ``(2, w, N - w)`` array.  The strips are weighted tile by
     tile as they are formed, and nothing is copied per window.
     """
-    _hypotheses(problem, 1.0, 2.0, "commutator sweep")
-    h_values = check_sweep(h_values, FIT_MIN_SIZES)
-    grid = aligned_line_grid(h_values, nodes_per_window, lambda_factor)
+    h_values, grid = check_rate_sweep("commutator", problem, h_values, nodes_per_window,
+                                      lambda_factor)
     nodes = grid.axis_nodes
     N = len(nodes)
     finest = window_mask(grid, min(h_values))
@@ -395,10 +437,8 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
     that norm alone, a one-entry diagonal, which the frame's norm reads
     alike.
     """
-    _hypotheses(problem, 3.0, 3.0, "section gap sweep")
-    h_values = check_sweep(h_values, FIT_MIN_SIZES)
-    grid = aligned_line_grid(h_values, nodes_per_window, lambda_factor)
-    check_aligned_sweep(h_values, nodes_per_window)
+    h_values, grid = check_rate_sweep("section_gap", problem, h_values, nodes_per_window,
+                                      lambda_factor)
     buffer, norms = None, []
     for h, (wnodes, mults, cores, moduli) in zip(h_values, _window_gaps(problem, grid, h_values)):
         scale = np.sqrt(np.array([_trace_weight(wnodes, h, e) for e in problem.trace_exponents]))
@@ -434,8 +474,7 @@ def kernel_gap_ratios(problem: ContinuousProblem, h: float,
     ``bottom_mult``, ``bottom_kernel``, ``left_kernel``, ``left_mult``.
     Both sides are sliced from one continuous strip (:func:`_window_gaps`).
     """
-    _hypotheses(problem, 2.0, 2.0, "kernel gap ratios")
-    grid = aligned_line_grid([h], nodes_per_window, lambda_factor=lambda_factor)
+    _, grid = check_rate_sweep("kernel_gap", problem, [h], nodes_per_window, lambda_factor)
     wnodes, mults, cores, moduli = next(_window_gaps(problem, grid, [h]))
     weight_2d = 1.0 + np.hypot(*_open_mesh(wnodes, wnodes))
     weight_1d = 1.0 + np.abs(wnodes)

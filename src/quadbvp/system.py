@@ -82,14 +82,14 @@ def trace_exponents(s: float, index: float, n: int) -> tuple[float, ...]:
     return tuple(s - index + k - 0.5 for k in range(n))
 
 
-def _check_index_split(index: float, s: float, n: int, delta: float) -> None:
+def _check_split(s: float, n: int, delta: float) -> None:
+    """The parameters of the index split ``index = s + n + delta``."""
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     if not abs(delta) < 0.5:
         raise ValueError(f"delta must satisfy |delta| < 1/2, got {delta}")
-    if not math.isclose(index - s, n + delta, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError(
-            f"index - s = {index - s} must equal n + delta = {n + delta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +110,10 @@ class ProblemSpec:
     left_ops: tuple[PeriodicSymbol, ...]
 
     def __post_init__(self) -> None:
-        _check_index_split(self.factorization.index, self.s, self.n, self.delta)
+        _check_split(self.s, self.n, self.delta)
+        gap = self.factorization.index - self.s
+        if not math.isclose(gap, self.n + self.delta, rel_tol=0.0, abs_tol=1e-9):
+            raise ValueError(f"index - s = {gap} must equal n + delta = {self.n + self.delta}")
         if len(self.bottom_ops) != self.n or len(self.left_ops) != self.n:
             raise ValueError(
                 f"need n = {self.n} boundary operators per edge, got "
@@ -143,7 +146,7 @@ class ContinuousProblem:
     left_orders: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_index_split(self.index, self.s, self.n, self.delta)
+        _check_split(self.s, self.n, self.delta)  # the index is the split's sum
         for seq, name in ((self.bottom_symbols, "bottom_symbols"),
                           (self.left_symbols, "left_symbols"),
                           (self.bottom_orders, "bottom_orders"),
@@ -198,7 +201,7 @@ class BlockSystem:
 
     Multiplier blocks are diagonals, kernel blocks matrices acting on
     node-value vectors, each kernel family stored as its n cores, the
-    quadrature ``weight`` folded into them:
+    quadrature weight folded into them:
 
     * ``bottom_mult[j, k]`` diagonal values multiplying the bottom traces
       in the bottom equations,
@@ -222,11 +225,14 @@ class BlockSystem:
     and ``(n, R, R)`` cores on R of the N nodes, its multipliers the sums
     over the other N - R nodes only: it is not a system on the R nodes, and
     ``size``, ``gauge_basis`` and the solver do not apply to it.
+
+    A system keeps its ``nodes`` and torus mesh ``h`` (None on the line),
+    but no grid: the data bring theirs (:class:`TraceVector`), and the
+    solve returns its traces on it.
     """
 
     n: int
     nodes: np.ndarray
-    weight: float
     h: float | None
     bottom_mult: np.ndarray    # (n, n, N)
     bottom_core: np.ndarray    # (n, N, N)
@@ -248,27 +254,30 @@ class BlockSystem:
         q, _ = np.linalg.qr(structural_null_basis(self))
         return q
 
-    def trace_grid(self) -> FrequencyGrid | LineGrid:
-        if self.h is not None:
-            return FrequencyGrid(self.h, len(self.nodes), ndim=1)
-        return LineGrid(float(-self.nodes[0] + 0.5 * self.weight), len(self.nodes))
-
 
 @dataclass(frozen=True, eq=False)
 class TraceVector:
-    """n bottom and n left one-axis functions on a block system's trace grid:
-    the traces the solve returns, or the boundary data it takes."""
+    """2n one-axis functions on one 1-D grid, the traces the solve returns
+    or the boundary data it takes: ``values`` is ``(2n, N)``, its rows the
+    bottom traces 0..n-1 and then the left ones, the order of the block
+    system's unknowns, each row one value per grid node."""
 
-    bottom: tuple[SpectralFunction, ...]
-    left: tuple[SpectralFunction, ...]
+    grid: FrequencyGrid | LineGrid
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.bottom) != len(self.left):
-            raise ValueError("bottom and left trace counts differ")
+        if self.grid.ndim != 1:
+            raise ValueError("a trace vector needs a 1D grid")
+        vals = np.asarray(self.values, dtype=complex)
+        N = len(self.grid.axis_nodes)
+        if vals.ndim != 2 or not len(vals) or len(vals) % 2 or vals.shape[1] != N:
+            raise ValueError(f"trace values of shape {vals.shape} are not 2n > 0 rows "
+                             f"of the grid's {N} nodes")
+        object.__setattr__(self, "values", vals)
 
     @property
     def n(self) -> int:
-        return len(self.bottom)
+        return len(self.values) // 2
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
@@ -282,15 +291,14 @@ def _check_mesh(what: str, h: float | None, grid: FrequencyGrid) -> None:
         raise MeshMismatchError(f"{what} mesh {h} does not match grid mesh {grid.h}")
 
 
-def _check_on_grid(what: str, functions, grid: FrequencyGrid | LineGrid) -> None:
-    """Reject one-axis functions off the grid's node count or torus mesh."""
-    N = len(grid.axis_nodes)
-    for j, f in enumerate(functions):
-        if isinstance(grid, FrequencyGrid):
-            _check_mesh(f"{what} component {j}", getattr(f.grid, "h", None), grid)
-        if f.values.shape != (N,):
-            raise MeshMismatchError(
-                f"{what} component {j} has {f.values.size} nodes, the grid {N}")
+def _check_on_grid(what: str, traces: TraceVector, N: int, h: float | None) -> None:
+    """Reject a trace vector off ``N`` nodes or, with a mesh ``h``, off the
+    torus of that mesh."""
+    mesh = getattr(traces.grid, "h", None)
+    if h is not None and (mesh is None or not traces.grid.matches_mesh(h)):
+        raise MeshMismatchError(f"{what} mesh {mesh} does not match grid mesh {h}")
+    if traces.values.shape[1] != N:
+        raise MeshMismatchError(f"{what} have {traces.values.shape[1]} nodes, the grid {N}")
 
 
 def _plus_values(plus, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -398,7 +406,7 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
                 if rows is not None:
                     cores[j, t] = core[:, rows]
         families.append(cores)
-    return BlockSystem(n, nodes, weight, h, mults[0], *families, mults[1])
+    return BlockSystem(n, nodes, h, mults[0], *families, mults[1])
 
 
 def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndarray,
@@ -784,13 +792,16 @@ def solve_block_system(system: BlockSystem,
                        data: TraceVector) -> tuple[TraceVector, SolveReport]:
     """Minimum-norm solve of the Nystrom system on compressed kernels.
 
-    ``data`` are the boundary data ``b``: n bottom and n left functions on
-    the system's trace grid (:meth:`BlockSystem.trace_grid`), each measured
-    in the trace norm with exponent ``s - order - 3/2``, ``order`` that of
-    its boundary operator: the exponent that bounds the multipliers on the
-    trace space of exponent ``trace_exponents[0]``.  They are checked before any factorization: a
-    wrong component count raises ``ValueError``, another mesh or node count
+    ``data`` are the boundary data ``b``: a trace vector of n bottom and n
+    left rows on the system's nodes, each measured in the trace norm with
+    exponent ``s - order - 3/2``, ``order`` that of its boundary operator:
+    the exponent that bounds the multipliers on the trace space of exponent
+    ``trace_exponents[0]``.  They are checked once, as one vector, before
+    any factorization: another component count raises ``ValueError``,
+    another node count or, on the torus, another mesh
     :class:`MeshMismatchError`, non-finite values :class:`AssemblyError`.
+    Their rows stacked are the right-hand side, and the traces come back as
+    a trace vector on the data's own grid.
 
     With ``Q`` the system's ``gauge_basis``, ``x = P b`` with ``P`` the
     leading ``2nN x 2nN`` block of the inverse of the bordered matrix ``B =
@@ -813,12 +824,10 @@ def solve_block_system(system: BlockSystem,
     """
     if data.n != system.n:
         raise ValueError(f"data must have n = {system.n} components per edge, got {data.n}")
-    grid = system.trace_grid()
-    _check_on_grid("bottom data", data.bottom, grid)
-    _check_on_grid("left data", data.left, grid)
-    rhs = np.concatenate([f.values for f in data.bottom + data.left])[:, None]
-    for name, part in zip(("rhs_bottom", "rhs_left"), np.split(rhs, 2)):
+    _check_on_grid("data", data, len(system.nodes), system.h)
+    for name, part in zip(("rhs_bottom", "rhs_left"), np.split(data.values, 2)):
         _require_finite(name, part)
+    rhs = data.values.reshape(-1, 1)
     mult_inv, mult_cond = _invert_multipliers(system)
     try:
         ops = _CompressedSystem(system, system.gauge_basis, mult_inv)
@@ -840,33 +849,29 @@ def solve_block_system(system: BlockSystem,
     res = float(np.linalg.norm(rhs - ops.a(x)))
     residual = res / rhs_norm if rhs_norm > 0 else res
 
-    parts = x.reshape(2 * system.n, len(system.nodes))
-    traces = TraceVector(
-        bottom=tuple(SpectralFunction(grid, parts[k]) for k in range(system.n)),
-        left=tuple(SpectralFunction(grid, parts[system.n + k]) for k in range(system.n)))
+    traces = TraceVector(data.grid, x.reshape(data.values.shape))
     return traces, SolveReport(condition=cond, residual=residual,
                                multiplier_condition=mult_cond, kernel_rank=ops.rank)
 
 
 def reconstruct_solution(traces: TraceVector, fac: WaveFactorization,
                          grid: FrequencyGrid) -> SpectralFunction:
-    """Build the two-axis spectrum from trace functions and the plus factor,
+    """Build the two-axis spectrum from a trace vector and the plus factor,
     pairing each trace with powers of the difference symbol.
 
     The traces and the factorization must be on the grid's mesh, the traces
-    with its node count.
+    with its node count; the bottom and left row blocks enter one product.
     """
     if grid.ndim != 2:
         raise ValueError("reconstruct_solution requires a 2D grid")
     _check_mesh("factorization", fac.h, grid)
-    _check_on_grid("bottom trace", traces.bottom, grid)
-    _check_on_grid("left trace", traces.left, grid)
+    _check_on_grid("traces", traces, grid.nodes_per_axis, grid.h)
     x1, x2 = grid.nodes_2d()
+    bottom, left = np.split(traces.values, 2)
     powers = zeta(grid.axis_nodes, grid.h) ** np.arange(traces.n)[:, None]
     plus = _plus_values(fac.plus_factor, x1, x2)
     # sum_k b_k(xi1) p^k(xi2) + p^k(xi1) l_k(xi2) as one (N, 2n) @ (2n, N) product
-    num = (np.concatenate([[f.values for f in traces.bottom], powers]).T
-           @ np.concatenate([powers, [f.values for f in traces.left]]))
+    num = np.concatenate([bottom, powers]).T @ np.concatenate([powers, left])
     num /= plus
     return SpectralFunction(grid, num)
 
@@ -884,32 +889,29 @@ def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
                            grid: FrequencyGrid) -> RoundtripReport:
     """Plant traces, synthesize boundary data from them, solve, compare.
 
-    The planted traces are first projected onto the gauge complement (this
+    The data are synthesized as one trace vector on the planted vector's
+    grid, so the recovered traces come back on it too.  The planted traces
+    are projected onto the gauge complement as one stacked vector (this
     does not change the spectrum they reconstruct), so that the comparison
     against the solver's minimum-norm representative is well posed.  The
-    relative error is the worst component-wise trace-norm error, each
-    component measured with its own exponent.
+    relative error is the worst row-wise trace-norm error, each row
+    measured with its own exponent.
     """
     u_hat = reconstruct_solution(planted, spec.factorization, grid)
-    data = TraceVector(
-        bottom=tuple(boundary_trace_spectrum(op, u_hat, SIDE_BOTTOM) for op in spec.bottom_ops),
-        left=tuple(boundary_trace_spectrum(op, u_hat, SIDE_LEFT) for op in spec.left_ops))
+    edges = ((spec.bottom_ops, SIDE_BOTTOM), (spec.left_ops, SIDE_LEFT))
+    data = TraceVector(planted.grid, [boundary_trace_spectrum(op, u_hat, side).values
+                                      for ops, side in edges for op in ops])
     # the planted spectrum is not needed past its boundary data
     del u_hat
     system = assemble_discrete_system(spec, grid)
     recovered, report = solve_block_system(system, data)
 
-    stacked = np.concatenate([f.values for f in planted.bottom + planted.left])
-    gauged = project_out_gauge(system, stacked).reshape(2 * spec.n, -1)
-
-    grid1 = recovered.bottom[0].grid
+    gauged = project_out_gauge(system, planted.values.ravel()).reshape(planted.values.shape)
     worst = 0.0
-    # bottom components, then left ones, each with its own exponent
-    for got, want, s_k in zip(recovered.bottom + recovered.left, gauged,
-                              spec.trace_exponents * 2):
-        diff = SpectralFunction(grid1, got.values - want)
-        scale = sobolev_norm_1d(SpectralFunction(grid1, want), s_k)
-        err = sobolev_norm_1d(diff, s_k)
+    # bottom rows, then left ones, each with its own exponent
+    for got, want, s_k in zip(recovered.values, gauged, spec.trace_exponents * 2):
+        scale = sobolev_norm_1d(SpectralFunction(planted.grid, want), s_k)
+        err = sobolev_norm_1d(SpectralFunction(planted.grid, got - want), s_k)
         worst = max(worst, err / scale if scale > 0 else err)
     return RoundtripReport(**vars(report), recovered=recovered, rel_error=worst)
 
@@ -988,13 +990,8 @@ def random_bumps(rng: np.random.Generator, half_width: float) -> GaussianBumps:
 
 def random_trace_vector(rng: np.random.Generator, grid: FrequencyGrid,
                         n: int) -> TraceVector:
-    """Seeded random trace vector of smooth bumps on the grid's 1D node set,
-    their centers within three quarters of the torus half-width."""
-    if grid.ndim != 1:
-        raise ValueError("random_trace_vector requires a 1D grid")
+    """Seeded random trace vector of smooth bumps on a 1D grid, their centers
+    within three quarters of the torus half-width: one bump set per row,
+    drawn in row order, the n bottom rows first."""
     nodes = grid.axis_nodes
-    return TraceVector(
-        bottom=tuple(SpectralFunction(grid, random_bumps(rng, grid.half_width)(nodes))
-                     for _ in range(n)),
-        left=tuple(SpectralFunction(grid, random_bumps(rng, grid.half_width)(nodes))
-                   for _ in range(n)))
+    return TraceVector(grid, [random_bumps(rng, grid.half_width)(nodes) for _ in range(2 * n)])

@@ -169,13 +169,11 @@ def test_a7_norm_ratio_mesh_stability():
         fac = builtin_factor_family("geometric", h, a=0.25, p=1, q=1)
         grid = FrequencyGrid(h, N)
         grid1 = FrequencyGrid(h, N, ndim=1)
-        traces = TraceVector(
-            bottom=(SpectralFunction(grid1, bumps_bottom(grid1.axis_nodes)),),
-            left=(SpectralFunction(grid1, bumps_left(grid1.axis_nodes)),))
+        traces = TraceVector(grid1, [bumps_bottom(grid1.axis_nodes),
+                                     bumps_left(grid1.axis_nodes)])
         u = reconstruct_solution(traces, fac, grid)
         s0 = trace_exponents(-1.25, fac.index, 1)[0]
-        denom = sobolev_norm_1d(traces.bottom[0], s0) \
-            + sobolev_norm_1d(traces.left[0], s0)
+        denom = sum(sobolev_norm_1d(SpectralFunction(grid1, row), s0) for row in traces.values)
         ratios.append(sobolev_norm_2d(u, -1.25) / denom)
     span = max(ratios) / min(ratios)
     check("A7 norm-ratio mesh stability", span <= 2.0,

@@ -234,6 +234,39 @@ class TestRunCommand:
         assert f"line 5: bad value for '{key}'" in err
         assert reason in err
 
+    @pytest.mark.parametrize("mode, needs", [
+        ("commutator", "commutator sweep needs s - left order > 2.0"),
+        ("section_gap", "section gap sweep needs s - bottom order > 3.0"),
+        ("kernel_gap", "kernel gap ratios needs s - bottom order > 2.0")])
+    def test_order_hypotheses_fail_at_validate_as_at_run(self, tmp_path, capsys, mode, needs):
+        # the build opens with the checks the measurement opens with, so a
+        # config that validates does not then fail them at run
+        text = (f"[experiment]\nmode = {mode}\noutput = {tmp_path / 'out'}\n"
+                "[continuous]\ns = 1.5\n")
+        path = str(write_config(tmp_path, text))
+        errors = []
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("config error:") and needs in errors[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("s", ["inf", "nan"])
+    def test_non_finite_s_exits_2_at_validate(self, tmp_path, capsys, s):
+        text = f"[experiment]\nmode = commutator\n[continuous]\ns = {s}\n"
+        assert main(["validate", str(write_config(tmp_path, text))]) == 2
+        assert f"s must be finite, got {s}" in capsys.readouterr().err
+
+    def test_overflowing_truncation_exits_2_at_validate(self, tmp_path, capsys):
+        # a finite lambda_factor whose line is wider than the largest float;
+        # a large line that fits would be allocated by run, so none is tried
+        text = ("[experiment]\nmode = commutator\n"
+                "[sweep]\nlambda_factor = 1e307\n")
+        assert main(["validate", str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "truncation half-width inf" in err
+
     @pytest.mark.parametrize("old, new, named", [
         ("h = 1", "h = nan", "mesh size h"), ("h = 1", "h = inf", "mesh size h"),
         ("a = 0.5", "a = nan", "a=nan"),

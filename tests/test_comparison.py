@@ -364,15 +364,33 @@ class TestGridsAndMasks:
         assert np.array_equal(chi * chi, chi)
 
     def test_truncation_narrower_than_window_rejected(self):
-        with pytest.raises(InvalidConfigurationError, match="half-width"):
+        with pytest.raises(InvalidConfigurationError,
+                           match="^lambda_factor must be finite and >= 1, got 0.5$"):
             aligned_line_grid([0.5], 16, lambda_factor=0.5)
 
     @pytest.mark.parametrize("kwargs", [
         {"lambda_factor": math.nan}, {"lambda_factor": math.inf},
         {"lambda_factor": -math.inf}])
     def test_non_finite_truncation_rejected(self, kwargs):
-        with pytest.raises(InvalidConfigurationError, match="half-width .* finite"):
+        with pytest.raises(InvalidConfigurationError,
+                           match="^lambda_factor must be finite and >= 1"):
             aligned_line_grid([0.5], 16, **kwargs)
+
+    @pytest.mark.parametrize("lambda_factor, half_width", [(1e308, "inf"), (1e307, "6.28319e+307")])
+    def test_truncation_overflowing_the_line_rejected(self, lambda_factor, half_width):
+        # a finite factor whose half-width, or whose count of cells, is past
+        # the largest float: no grid is built, and nothing raises but this
+        with pytest.raises(InvalidConfigurationError,
+                           match=f"^truncation half-width {re.escape(half_width)} must be "
+                                 "finite and span a finite number of cells"):
+            aligned_line_grid([0.5], 64, lambda_factor=lambda_factor)
+
+    @pytest.mark.parametrize("nodes_per_window", [0, -4, 7])
+    def test_odd_or_empty_window_rejected(self, nodes_per_window):
+        with pytest.raises(InvalidConfigurationError,
+                           match=f"^nodes_per_window must be a positive even integer, "
+                                 f"got {nodes_per_window}$"):
+            aligned_line_grid([0.5], nodes_per_window)
 
     def test_nondecreasing_sweep_rejected(self):
         with pytest.raises(InvalidConfigurationError, match="decreasing"):

@@ -68,3 +68,28 @@ def test_recorder_summarizes_runs_that_report_null_metrics(tmp_path, monkeypatch
     assert summary["setup_s"]["src"] == {"median": None, "q1": None, "q3": None, "nulls": 3}
     assert summary["setup_s"]["head_better_pairs"] == "3/3"
     assert summary["problems_per_s"]["head_better_pairs"] == "0/3"
+
+
+def test_code_lines_skip_blank_comment_and_docstring_lines(tmp_path, capsys):
+    code_lines = load_script("code_lines")
+    snippet = '''"""Module docstring,
+on two lines."""
+
+import math  # a comment after code counts
+
+# a comment on its own line does not
+
+
+def area(r):
+    """Function docstring."""
+    text = """a string that is not a docstring
+    counts on every line"""
+    return (math.pi
+            * r ** 2)
+'''
+    # import, def, the two lines of the string, the two of the return
+    assert code_lines.code_lines(snippet) == 6
+    (tmp_path / "a.py").write_text(snippet)
+    (tmp_path / "b.py").write_text("x = 1\n\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "a 6\nb 1\ntotal 7\n"

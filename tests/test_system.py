@@ -38,17 +38,14 @@ def trivial_spec(n=1, h=1.0, delta=0.25, boundary="identity"):
                        bottom_ops=ops[0], left_ops=ops[1])
 
 
-def trace_data(system, bottom, left):
-    """Boundary data on the system's trace grid, one value array per
-    component."""
-    grid = system.trace_grid()
-    return TraceVector(bottom=tuple(SpectralFunction(grid, v) for v in bottom),
-                       left=tuple(SpectralFunction(grid, v) for v in left))
+def torus_data(system, rows):
+    """Boundary data on the 1D grid of a lattice system's torus, one row per
+    value array: the bottom rows, then the left ones."""
+    return TraceVector(FrequencyGrid(system.h, len(system.nodes), ndim=1), rows)
 
 
 def zero_data(system):
-    zeros = [np.zeros(len(system.nodes))] * system.n
-    return trace_data(system, zeros, zeros)
+    return torus_data(system, np.zeros((2 * system.n, len(system.nodes))))
 
 
 class TestProblemSpecValidation:
@@ -61,6 +58,19 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError, match="n \\+ delta"):
             ProblemSpec(s=-2.0, factorization=fac, n=1, delta=0.25,
                         bottom_ops=bottom, left_ops=left)
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_s_must_be_finite(self, s):
+        # a continuous problem's index is s + n + delta, so only this check,
+        # not the split's sum, tells a non-finite s
+        fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
+        bottom, left = identity_boundary_operators(1, 1.0)
+        with pytest.raises(ValueError, match=f"s must be finite, got {s}"):
+            ProblemSpec(s=s, factorization=fac, n=1, delta=0.25,
+                        bottom_ops=bottom, left_ops=left)
+        with pytest.raises(ValueError, match=f"s must be finite, got {s}"):
+            radial_power_problem(s=s, n=1, delta=0.25, bottom_orders=[0.0],
+                                 left_orders=[0.0])
 
     def test_delta_bound_enforced(self):
         fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
@@ -76,14 +86,41 @@ class TestProblemSpecValidation:
             ProblemSpec(s=-2.25, factorization=fac, n=2, delta=0.25,
                         bottom_ops=bottom, left_ops=left)
 
-    def test_non_finite_data_rejected(self):
+    @pytest.mark.parametrize("row, edge", [(0, "bottom"), (1, "left")])
+    def test_non_finite_data_rejected(self, row, edge):
         # data are the solve's input, checked there, not the problem's
-        grid1 = FrequencyGrid(1.0, 8, ndim=1)
-        bad = SpectralFunction(grid1, np.full(8, np.nan, dtype=complex))
-        ok = SpectralFunction(grid1, np.ones(8))
+        rows = np.ones((2, 8), dtype=complex)
+        rows[row] = np.nan
         system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 8))
-        with pytest.raises(AssemblyError, match="non-finite entries in block rhs_bottom"):
-            solve_block_system(system, TraceVector(bottom=(bad,), left=(ok,)))
+        with pytest.raises(AssemblyError, match=f"non-finite entries in block rhs_{edge}"):
+            solve_block_system(system, torus_data(system, rows))
+
+
+class TestTraceVector:
+    def test_holds_2n_complex_rows_on_its_grid(self):
+        grid1 = FrequencyGrid(1.0, 8, ndim=1)
+        traces = TraceVector(grid1, np.arange(32).reshape(4, 8))
+        assert traces.n == 2 and traces.grid is grid1
+        assert traces.values.dtype == complex and traces.values.shape == (4, 8)
+
+    @pytest.mark.parametrize("shape", [(3, 8), (0, 8), (2, 6), (8,), (2, 2, 8)])
+    def test_values_must_be_2n_rows_of_the_grid(self, shape):
+        with pytest.raises(ValueError, match="not 2n > 0 rows of the grid's 8 nodes"):
+            TraceVector(FrequencyGrid(1.0, 8, ndim=1), np.ones(shape))
+
+    def test_grid_must_be_1d(self):
+        with pytest.raises(ValueError, match="a trace vector needs a 1D grid"):
+            TraceVector(FrequencyGrid(1.0, 8), np.ones((2, 8)))
+
+    def test_random_rows_are_the_seeded_bump_draws_in_row_order(self):
+        # one bump set per row, the n bottom rows first: the draws of
+        # random_bumps in sequence, to the bit
+        grid1 = FrequencyGrid(0.5, 16, ndim=1)
+        traces = random_trace_vector(np.random.default_rng(3), grid1, 2)
+        rng = np.random.default_rng(3)
+        want = [random_bumps(rng, grid1.half_width)(grid1.axis_nodes) for _ in range(4)]
+        assert traces.grid is grid1
+        assert np.array_equal(traces.values, want)
 
 
 class TestAssembly:
@@ -124,25 +161,21 @@ class TestAssembly:
                            match="boundary symbol mesh 0.5 does not match grid mesh 1.0"):
             assemble_discrete_system(spec, FrequencyGrid(1.0, 8))
 
-    @pytest.mark.parametrize("edge", ["bottom", "left"])
-    def test_data_on_another_mesh_rejected(self, edge):
-        # same node count, so only the mesh tells the data apart
-        ok = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
-        other = SpectralFunction(FrequencyGrid(0.5, 16, ndim=1), np.ones(16))
-        data = {"bottom": (ok,), "left": (ok,), edge: (other,)}
+    @pytest.mark.parametrize("grid1, mesh", [(FrequencyGrid(0.5, 16, ndim=1), "0.5"),
+                                             (lattice.LineGrid(math.pi, 16), "None")])
+    def test_data_on_another_mesh_rejected(self, grid1, mesh):
+        # same node count, so only the mesh tells the data apart: one vector
+        # has one grid, checked once
         system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
         with pytest.raises(MeshMismatchError,
-                           match=f"{edge} data component 0 mesh 0.5 does not match "
-                                 "grid mesh 1.0"):
-            solve_block_system(system, TraceVector(**data))
+                           match=f"^data mesh {mesh} does not match grid mesh 1.0$"):
+            solve_block_system(system, TraceVector(grid1, np.ones((2, 16))))
 
     def test_data_of_wrong_length_rejected(self):
-        ok = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
-        short = SpectralFunction(FrequencyGrid(1.0, 8, ndim=1), np.ones(8))
         system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
-        with pytest.raises(MeshMismatchError,
-                           match="left data component 0 has 8 nodes, the grid 16"):
-            solve_block_system(system, TraceVector(bottom=(ok,), left=(short,)))
+        with pytest.raises(MeshMismatchError, match="^data have 8 nodes, the grid 16$"):
+            solve_block_system(system, TraceVector(FrequencyGrid(1.0, 8, ndim=1),
+                                                   np.ones((2, 8))))
 
     def test_vanishing_plus_factor_names_the_node(self):
         h = 1.0
@@ -300,18 +333,22 @@ class TestSolve:
         # both equations read 2 pi (c + d) = 2 pi; the gauge-orthogonal
         # representative is c = d = 1/2
         sys = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
-        data = [np.full(16, 2 * math.pi, dtype=complex)]
-        traces, rep = solve_block_system(sys, trace_data(sys, data, data))
-        assert np.allclose(traces.bottom[0].values, 0.5, atol=1e-12)
-        assert np.allclose(traces.left[0].values, 0.5, atol=1e-12)
+        traces, rep = solve_block_system(sys, torus_data(sys, np.full((2, 16), 2 * math.pi)))
+        assert np.allclose(traces.values, 0.5, atol=1e-12)
         assert rep.residual <= 1e-10
+
+    def test_traces_come_back_on_the_data_grid(self):
+        sys = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
+        data = torus_data(sys, np.ones((2, 16)))
+        traces, _ = solve_block_system(sys, data)
+        assert traces.grid is data.grid
+        assert traces.values.shape == (2, 16)
 
     def test_zero_data_gives_zero_solution(self):
         grid = FrequencyGrid(1.0, 16)
         sys = assemble_discrete_system(trivial_spec(), grid)
         traces, rep = solve_block_system(sys, zero_data(sys))
-        assert np.allclose(traces.bottom[0].values, 0.0, atol=1e-14)
-        assert np.allclose(traces.left[0].values, 0.0, atol=1e-14)
+        assert np.allclose(traces.values, 0.0, atol=1e-14)
         assert rep.residual == 0.0
 
     def test_duplicated_boundary_rows_are_near_singular(self):
@@ -326,10 +363,9 @@ class TestSolve:
     def test_data_with_another_component_count_rejected(self, n):
         system = assemble_discrete_system(trivial_spec(n=2, boundary="zeta"),
                                           FrequencyGrid(1.0, 8))
-        ones = [np.ones(8)] * n
         with pytest.raises(ValueError, match=f"data must have n = 2 components per "
                                              f"edge, got {n}"):
-            solve_block_system(system, trace_data(system, ones, ones))
+            solve_block_system(system, torus_data(system, np.ones((2 * n, 8))))
 
     def test_corner_incompatible_data_leave_a_gauge_residual(self, rng):
         # two-edge data drawn independently disagree at the corner, so they
@@ -338,7 +374,7 @@ class TestSolve:
         sys, data = corner_incompatible_system(rng)
         traces, rep = solve_block_system(sys, data)
         assert rep.residual >= 1e-3
-        r = stacked_values(data) - full_matrix(sys) @ stacked_values(traces)
+        r = data.values.ravel() - full_matrix(sys) @ traces.values.ravel()
         q, _ = np.linalg.qr(structural_null_basis(sys))
         assert np.linalg.norm(r - q @ (q.conj().T @ r)) <= 1e-12 * np.linalg.norm(r)
 
@@ -373,10 +409,6 @@ def svd_min_norm_solve(system, b):
     return x, float(sig[0] / sig[rank - 1])
 
 
-def stacked_values(traces):
-    return np.concatenate([f.values for f in traces.bottom + traces.left])
-
-
 def compatible_problem(fac, operators, n, N, h, seed):
     """A problem spec, seeded planted traces, the assembled system, and the
     corner-compatible data synthesized from the traces."""
@@ -387,9 +419,9 @@ def compatible_problem(fac, operators, n, N, h, seed):
     planted = random_trace_vector(np.random.default_rng(seed),
                                   FrequencyGrid(h, N, ndim=1), n)
     u_hat = reconstruct_solution(planted, fac, grid)
-    data = TraceVector(
-        bottom=tuple(boundary_trace_spectrum(op, u_hat, "bottom") for op in bottom),
-        left=tuple(boundary_trace_spectrum(op, u_hat, "left") for op in left))
+    data = TraceVector(planted.grid, [boundary_trace_spectrum(op, u_hat, side).values
+                                      for ops, side in ((bottom, "bottom"), (left, "left"))
+                                      for op in ops])
     return spec, planted, assemble_discrete_system(spec, grid), data
 
 
@@ -427,8 +459,8 @@ def test_solver_properties(family, n, zeta_ops, h, N, seed):
     q, _ = np.linalg.qr(structural_null_basis(system))
     assert np.linalg.norm(a @ q, 2) <= 1e-12 * np.linalg.norm(a, 2)
 
-    want, condition = svd_min_norm_solve(system, stacked_values(data))
-    got = stacked_values(traces)
+    want, condition = svd_min_norm_solve(system, data.values.ravel())
+    got = traces.values.ravel()
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert rep.condition == pytest.approx(condition, rel=0.05)
 
@@ -467,13 +499,10 @@ def corner_incompatible_system(rng):
     fac = builtin_factor_family("geometric", h, a=0.5, p=1, q=1)
     bottom, left = row_trace_boundary_operators(1, h)
     grid1 = FrequencyGrid(h, N, ndim=1)
-    data_bottom, data_left = (
-        SpectralFunction(grid1, random_bumps(rng, math.pi)(grid1.axis_nodes))
-        for _ in range(2))
+    data = TraceVector(grid1, [random_bumps(rng, math.pi)(grid1.axis_nodes) for _ in range(2)])
     spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
                        bottom_ops=bottom, left_ops=left)
-    return (assemble_discrete_system(spec, FrequencyGrid(h, N)),
-            TraceVector(bottom=(data_bottom,), left=(data_left,)))
+    return assemble_discrete_system(spec, FrequencyGrid(h, N)), data
 
 
 ELIMINATION_CASES = {
@@ -511,8 +540,8 @@ class TestEliminatedSolve:
     def test_matches_the_dense_bordered_inverse(self, rng, case):
         system, data = ELIMINATION_CASES[case](rng)
         traces, rep = solve_block_system(system, data)
-        want, condition = dense_bordered_solve(system, stacked_values(data))
-        got = stacked_values(traces)
+        want, condition = dense_bordered_solve(system, data.values.ravel())
+        got = traces.values.ravel()
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert rep.condition == pytest.approx(condition, rel=1e-12)
 
@@ -839,7 +868,7 @@ class TestOperatorLayout:
                           left_core=np.asfortranarray(system.left_core))
         assert not fortran.bottom_core.flags.c_contiguous
         traces_f, rep_f = solve_block_system(fortran, data)
-        assert np.array_equal(stacked_values(traces), stacked_values(traces_f))
+        assert np.array_equal(traces.values, traces_f.values)
         assert rep == rep_f
 
     @pytest.mark.parametrize("field", ["bottom_core", "left_core"])
@@ -925,11 +954,8 @@ class TestStructuralGauge:
             ProblemSpec(s=-2.25, factorization=fac, n=2, delta=0.25,
                         bottom_ops=row_trace_boundary_operators(2, h)[0],
                         left_ops=row_trace_boundary_operators(2, h)[1]), grid)
-        stacked = np.concatenate([f.values for f in planted.bottom + planted.left])
-        gauged = project_out_gauge(sys, stacked).reshape(4, 16)
-        projected = TraceVector(
-            bottom=tuple(SpectralFunction(grid1, gauged[k]) for k in range(2)),
-            left=tuple(SpectralFunction(grid1, gauged[2 + k]) for k in range(2)))
+        projected = TraceVector(grid1, project_out_gauge(sys, planted.values.ravel())
+                                .reshape(4, 16))
         u1 = reconstruct_solution(planted, fac, grid)
         u2 = reconstruct_solution(projected, fac, grid)
         assert np.max(np.abs(u1.values - u2.values)) <= 1e-12 * np.max(np.abs(u1.values))
@@ -960,18 +986,15 @@ class TestReconstruction:
     def test_constant_bottom_trace_with_unit_factor(self, trivial_factorization):
         grid = FrequencyGrid(1.0, 8)
         grid1 = FrequencyGrid(1.0, 8, ndim=1)
-        traces = TraceVector(
-            bottom=(SpectralFunction(grid1, np.ones(8)),),
-            left=(SpectralFunction(grid1, np.zeros(8)),))
+        traces = TraceVector(grid1, [np.ones(8), np.zeros(8)])
         u = reconstruct_solution(traces, trivial_factorization, grid)
         assert np.allclose(u.values, 1.0)
 
     def test_single_surviving_power_term(self, trivial_factorization):
         grid = FrequencyGrid(1.0, 8)
         grid1 = FrequencyGrid(1.0, 8, ndim=1)
-        zero = SpectralFunction(grid1, np.zeros(8))
-        one = SpectralFunction(grid1, np.ones(8))
-        traces = TraceVector(bottom=(zero, zero), left=(zero, one))
+        # bottom rows 0 and 1, left rows 0 and 1: only the left trace 1
+        traces = TraceVector(grid1, [np.zeros(8)] * 3 + [np.ones(8)])
         u = reconstruct_solution(traces, trivial_factorization, grid)
         x1, _ = grid.nodes_2d()
         assert np.allclose(u.values, zeta(x1, 1.0), atol=1e-14)
@@ -984,16 +1007,12 @@ class TestReconstruction:
                            bottom_ops=bottom, left_ops=left)
         planted = random_trace_vector(rng, FrequencyGrid(0.5, 32, ndim=1), 1)
         with pytest.raises(MeshMismatchError,
-                           match="bottom trace component 0 mesh 0.5 does not match "
-                                 "grid mesh 1.0"):
+                           match="^traces mesh 0.5 does not match grid mesh 1.0$"):
             manufactured_roundtrip(spec, planted, FrequencyGrid(1.0, 32))
 
     def test_traces_with_another_node_count_rejected(self, trivial_factorization):
-        one = SpectralFunction(FrequencyGrid(1.0, 32, ndim=1), np.ones(32))
-        short = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
-        traces = TraceVector(bottom=(one, one), left=(one, short))
-        with pytest.raises(MeshMismatchError,
-                           match="left trace component 1 has 16 nodes, the grid 32"):
+        traces = TraceVector(FrequencyGrid(1.0, 16, ndim=1), np.ones((4, 16)))
+        with pytest.raises(MeshMismatchError, match="^traces have 16 nodes, the grid 32$"):
             reconstruct_solution(traces, trivial_factorization, FrequencyGrid(1.0, 32))
 
     def test_factorization_on_another_mesh_rejected(self, rng):
@@ -1033,11 +1052,10 @@ class TestManufacturedRoundtrip:
     def test_zero_traces_recover_zero(self):
         grid = FrequencyGrid(1.0, 16)
         grid1 = FrequencyGrid(1.0, 16, ndim=1)
-        zero = SpectralFunction(grid1, np.zeros(16))
-        planted = TraceVector(bottom=(zero,), left=(zero,))
+        planted = TraceVector(grid1, np.zeros((2, 16)))
         rep = manufactured_roundtrip(trivial_spec(), planted, grid)
-        for f in rep.recovered.bottom + rep.recovered.left:
-            assert np.allclose(f.values, 0.0, atol=1e-12)
+        assert rep.recovered.grid is grid1
+        assert np.allclose(rep.recovered.values, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("family,params,index", [
         ("geometric", dict(a=0.5, p=1, q=1), 0.0),
@@ -1106,13 +1124,12 @@ def test_solution_norm_to_trace_norm_ratio_is_mesh_stable(rng):
         fac = builtin_factor_family("geometric", h, a=0.25, p=1, q=1)
         grid = FrequencyGrid(h, N)
         grid1 = FrequencyGrid(h, N, ndim=1)
-        traces = TraceVector(
-            bottom=(SpectralFunction(grid1, bumps_bottom(grid1.axis_nodes)),),
-            left=(SpectralFunction(grid1, bumps_left(grid1.axis_nodes)),))
+        traces = TraceVector(grid1, [bumps_bottom(grid1.axis_nodes),
+                                     bumps_left(grid1.axis_nodes)])
         u = reconstruct_solution(traces, fac, grid)
         s = -1.25
         s0 = trace_exponents(s, fac.index, 1)[0]
-        denom = sobolev_norm_1d(traces.bottom[0], s0) + sobolev_norm_1d(traces.left[0], s0)
+        denom = sum(sobolev_norm_1d(SpectralFunction(grid1, row), s0) for row in traces.values)
         ratios.append(sobolev_norm_2d(u, s) / denom)
     assert max(ratios) / min(ratios) <= 2.0
 
@@ -1171,20 +1188,19 @@ class TestContinuousAssembly:
         grid = aligned_line_grid([1.0], 32, lambda_factor=2.0)
         bump = random_bumps(rng, math.pi)(grid.axis_nodes)
         sys = assemble_continuous_system(problem, grid)
-        traces, rep = solve_block_system(sys, trace_data(sys, [bump], [bump]))
+        traces, rep = solve_block_system(sys, TraceVector(grid, [bump, bump]))
         assert rep.residual <= 1e-10
-        assert traces.bottom[0].grid.ndim == 1
+        assert traces.grid is grid
 
     def test_continuous_data_with_another_node_count_rejected(self):
         # a line has no mesh to compare, only its node count
         problem = radial_power_problem(
             s=0.75, n=1, delta=0.25, bottom_orders=[0.0], left_orders=[0.0])
         sys = assemble_continuous_system(problem, aligned_line_grid([1.0], 32, 2.0))
-        ok = SpectralFunction(sys.trace_grid(), np.ones(len(sys.nodes)))
-        short = SpectralFunction(FrequencyGrid(1.0, 16, ndim=1), np.ones(16))
-        with pytest.raises(MeshMismatchError, match="bottom data component 0 has 16 "
-                                                    f"nodes, the grid {len(sys.nodes)}"):
-            solve_block_system(sys, TraceVector(bottom=(short,), left=(ok,)))
+        short = TraceVector(lattice.LineGrid(math.pi, 16), np.ones((2, 16)))
+        with pytest.raises(MeshMismatchError,
+                           match=f"^data have 16 nodes, the grid {len(sys.nodes)}$"):
+            solve_block_system(sys, short)
 
 
 def dense(ev):
@@ -1500,18 +1516,19 @@ class TestRealKernels:
         # the solver casts real cores to complex: the same bits as cores
         # stored complex
         if kind == "unit lattice":
+            grid1 = FrequencyGrid(1.0, 16, ndim=1)
             system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
         else:
+            grid1 = aligned_line_grid([1.0], 32, lambda_factor=2.0)
             system = assemble_continuous_system(
                 radial_power_problem(s=0.75, n=1, delta=0.25, bottom_orders=[0.0],
-                                     left_orders=[0.0]),
-                aligned_line_grid([1.0], 32, lambda_factor=2.0))
+                                     left_orders=[0.0]), grid1)
         assert system.bottom_core.dtype == np.float64
         bump = random_bumps(rng, math.pi)(system.nodes)
-        data = trace_data(system, [bump], [bump])
+        data = TraceVector(grid1, [bump, bump])
         cast = replace(system, bottom_core=system.bottom_core.astype(complex),
                        left_core=system.left_core.astype(complex))
         traces, rep = solve_block_system(system, data)
         traces_c, rep_c = solve_block_system(cast, data)
-        assert np.array_equal(stacked_values(traces), stacked_values(traces_c))
+        assert np.array_equal(traces.values, traces_c.values)
         assert rep == rep_c and rep.residual <= 1e-10
