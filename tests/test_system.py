@@ -162,7 +162,8 @@ class TestAssembly:
             assemble_discrete_system(spec, FrequencyGrid(1.0, 8))
 
     @pytest.mark.parametrize("grid1, mesh", [(FrequencyGrid(0.5, 16, ndim=1), "0.5"),
-                                             (lattice.LineGrid(math.pi, 16), "None")])
+                                             (lattice.LineGrid(math.pi, 16), "None")],
+                             ids=["torus", "line"])
     def test_data_on_another_mesh_rejected(self, grid1, mesh):
         # same node count, so only the mesh tells the data apart: one vector
         # has one grid, checked once
