@@ -136,6 +136,11 @@ def check_aligned_sweep(h_values, nodes_per_window: int) -> None:
                 f"of 0, not a whole number (max(h) / h * nodes_per_window / 2)")
 
 
+# the most nodes a line may hold: 1024 times the shipped sweeps' 1024, and
+# a float array of them 8 MiB
+LINE_NODES_MAX = 2 ** 20
+
+
 def aligned_line_grid(h_values, nodes_per_window: int,
                       lambda_factor: float = 4.0) -> LineGrid:
     """Midpoint grid on ``[-lam, lam]``, ``lam = lambda_factor * pi / min(h)``,
@@ -144,7 +149,8 @@ def aligned_line_grid(h_values, nodes_per_window: int,
     The ``h_values``, ``nodes_per_window`` and ``lambda_factor`` are
     checked (:func:`check_sweep`, :func:`check_window_nodes`,
     :func:`check_lambda_factor`), and so is the line's cell count, which a
-    finite factor can still overflow; no node is allocated.  The cell edges
+    finite factor can still overflow, and then its node count, at most
+    ``LINE_NODES_MAX``; no node is allocated.  The cell edges
     are the multiples of the spacing, so a window's nodes form the exact
     midpoint grid of its torus when its edges ``+-pi/h`` are multiples too:
     when the sweep is aligned (:func:`check_aligned_sweep`), as every
@@ -159,6 +165,10 @@ def aligned_line_grid(h_values, nodes_per_window: int,
                                         f"span a finite number of cells of width {delta:g}")
     count = int(math.ceil(cells))
     count += count % 2
+    if count > LINE_NODES_MAX:
+        raise InvalidConfigurationError(
+            f"lambda_factor = {lambda_factor:g} makes a line of {count} nodes, more than "
+            f"LINE_NODES_MAX = {LINE_NODES_MAX}")
     return LineGrid(half_width=count * delta / 2.0, nodes_count=count)
 
 
@@ -402,7 +412,7 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     entries' moduli, all that the sweeps read.
     """
     n = problem.n
-    rows = window_mask(grid, min(h_values))
+    rows = _run(window_mask(grid, min(h_values)))
     strip = _assemble(n=n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=None,
                       plus_factor=problem.plus_factor,
                       bottom_symbols=problem.bottom_symbols,

@@ -48,6 +48,45 @@ def zeta(xi, h: float):
     return (np.exp(1j * h * np.asarray(xi)) - 1.0) / h
 
 
+# exponents that are multiples of 1/2 up to this modulus are taken by products
+_PRODUCT_POWER_MAX = 8
+
+
+def _power(base, exponent: float) -> np.ndarray:
+    """``base ** exponent`` as a new array, on the principal branch, for a
+    float or complex array ``base``.
+
+    A nonzero multiple of 1/2 of modulus at most ``_PRODUCT_POWER_MAX`` is
+    taken from products of the base and at most one square root, then
+    inverted for a negative exponent: ``sqrt(base)`` times the base once
+    per whole unit, or for a whole exponent binary powering, left to right.
+    All of it is done in place in the one array returned, as a second array
+    of the base's size costs more in fresh pages than the products do.  The
+    result is within a few ulp of ``**`` where no product overflows, at
+    half its cost or less, and on its branch, as ``z^k sqrt(z) = exp((k +
+    1/2) Log z)`` for every complex ``z != 0``.  Any other exponent goes to
+    ``**``.
+    """
+    base = np.asarray(base)
+    twice = 2.0 * abs(float(exponent))
+    if base.ndim == 0 or not (twice.is_integer() and 0 < twice <= 2 * _PRODUCT_POWER_MAX):
+        return base ** exponent
+    whole, half = divmod(int(twice), 2)
+    if half:
+        out = np.sqrt(base)
+        for _ in range(whole):
+            out *= base
+    else:
+        out = base.copy()
+        for bit in bin(whole)[3:]:  # the bits after the leading one
+            out *= out
+            if bit == "1":
+                out *= base
+    if exponent < 0:
+        np.reciprocal(out, out=out)
+    return out
+
+
 def _power_base(nodes: np.ndarray, h: float | None) -> np.ndarray:
     """``zeta(xi, h)`` on the torus, ``i xi`` on the line (``h`` None)."""
     return zeta(nodes, h) if h is not None else 1j * nodes

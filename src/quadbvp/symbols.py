@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import zeta
+from .lattice import _power, zeta
 
 __all__ = [
     "PeriodicSymbol",
@@ -88,6 +88,11 @@ def builtin_factor_family(kind: str, h: float, *, a: float | None = None,
         keeps a positive real part on the closed tube and the principal
         power is holomorphic; the minus factor uses the conjugate
         differences ``(e^{-i h xi} - 1)/h``.  Index ``kappa``.
+
+    A ``shifted_zeta`` factor whose ``kappa`` is a multiple of 1/2 of
+    modulus at most 8 is taken as products of its base and at most one
+    square root, within a few ulp of ``pow``; any other ``kappa`` by
+    ``pow`` (``lattice._power``).
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"mesh size h must be positive and finite, got {h}")
@@ -117,11 +122,11 @@ def builtin_factor_family(kind: str, h: float, *, a: float | None = None,
             raise ValueError(f"family 'shifted_zeta' needs a finite kappa, got kappa={kappa}")
 
         def plus(x1, x2, _c=c, _k=kappa, _h=h):
-            return (_c + zeta(x1, _h) + zeta(x2, _h)) ** _k
+            return _power(_c + zeta(x1, _h) + zeta(x2, _h), _k)
 
         def minus(x1, x2, _c=c, _k=kappa, _h=h):
             zbar = lambda x: (np.exp(-1j * _h * np.asarray(x)) - 1.0) / _h
-            return (_c + zbar(x1) + zbar(x2)) ** _k
+            return _power(_c + zbar(x1) + zbar(x2), _k)
 
         return WaveFactorization(plus, minus, index=float(kappa), h=h,
                                  label=f"shifted_zeta(c={c}, kappa={kappa})")

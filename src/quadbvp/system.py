@@ -44,8 +44,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AssemblyError, MeshMismatchError, NearSingularError
-from .lattice import (FrequencyGrid, LineGrid, SpectralFunction, _open_mesh, _power_base,
-                      sobolev_norm_1d, zeta)
+from .lattice import (FrequencyGrid, LineGrid, SpectralFunction, _open_mesh, _power,
+                      _power_base, sobolev_norm_1d, zeta)
 from .operators import SIDE_BOTTOM, SIDE_LEFT, boundary_trace_spectrum
 from .symbols import PeriodicSymbol, WaveFactorization
 
@@ -171,7 +171,11 @@ def radial_power_problem(s: float, n: int, delta: float,
     Plus factor ``(1 + |xi|^2)^(index/2)`` with ``index = s + n + delta``,
     boundary symbols ``(1 + |xi|^2)^(order/2)``.  All satisfy the growth
     sandwich with constants independent of any mesh.  As ``pow(x, 0)`` is
-    exactly 1, an evaluator of order 0 returns a one that broadcasts.
+    exactly 1, an evaluator of order 0 returns a one that broadcasts.  The
+    power of an integer order up to 16 in modulus, every shipped order, is
+    taken as products of ``1 + |xi|^2`` and at most one square root,
+    within a few ulp of ``pow``; of any other order by ``pow``
+    (``lattice._power``).
     """
     index = s + n + delta
 
@@ -180,9 +184,7 @@ def radial_power_problem(s: float, n: int, delta: float,
             return lambda x1, x2: np.ones((1, 1))
 
         def ev(x1, x2, _o=order):
-            r2 = 1.0 + np.asarray(x1) ** 2 + np.asarray(x2) ** 2
-            r2 **= _o / 2.0  # in place: no second mesh-sized array
-            return r2
+            return _power(1.0 + np.asarray(x1) ** 2 + np.asarray(x2) ** 2, _o / 2.0)
         return ev
 
     return ContinuousProblem(
@@ -291,26 +293,44 @@ def _check_mesh(what: str, h: float | None, grid: FrequencyGrid) -> None:
         raise MeshMismatchError(f"{what} mesh {h} does not match grid mesh {grid.h}")
 
 
-def _check_on_grid(what: str, traces: TraceVector, N: int, h: float | None) -> None:
-    """Reject a trace vector off ``N`` nodes or, with a mesh ``h``, off the
-    torus of that mesh."""
+def _check_on_grid(what: str, traces: TraceVector, nodes: np.ndarray, h: float | None) -> None:
+    """Reject a trace vector off the grid of ``nodes``: with a mesh ``h``,
+    off the torus of that mesh or with another node count; on the line
+    (``h`` None), on other nodes, compared exactly, as a grid and the
+    system assembled on it take the same ``_midpoint_nodes``."""
     mesh = getattr(traces.grid, "h", None)
     if h is not None and (mesh is None or not traces.grid.matches_mesh(h)):
         raise MeshMismatchError(f"{what} mesh {mesh} does not match grid mesh {h}")
-    if traces.values.shape[1] != N:
-        raise MeshMismatchError(f"{what} have {traces.values.shape[1]} nodes, the grid {N}")
+    N = traces.values.shape[1]
+    if N != len(nodes):
+        raise MeshMismatchError(f"{what} have {N} nodes, the grid {len(nodes)}")
+    if h is None:
+        differ = np.flatnonzero(traces.grid.axis_nodes != nodes)
+        if len(differ):
+            at = differ[0]
+            raise MeshMismatchError(f"{what} node {at} is {traces.grid.axis_nodes[at]:.6g}, "
+                                    f"the grid's {nodes[at]:.6g}")
 
 
 def _plus_values(plus, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Evaluate an inverse-safe plus factor evaluator on the open mesh
     ``(x1, x2)``, broadcast to the whole mesh, flagging zeros.  A real
-    factor stays real, in double precision."""
+    factor stays real, in double precision.
+
+    A value passes when its modulus is finite and at least 1e-300.  A real
+    factor is read by its least and largest values alone; one that fails
+    that reading, or is negative somewhere, and every complex factor by
+    the extremes of their moduli.  A NaN fails every comparison.  The first
+    failing node is named."""
     vals = np.asarray(plus(x1, x2))
     vals = np.broadcast_to(vals.astype(np.result_type(vals, float), copy=False),
                            np.broadcast_shapes(x1.shape, x2.shape))
+    if vals.dtype.kind == "f" and vals.min() >= 1e-300 and vals.max() < math.inf:
+        return vals
     mags = np.abs(vals)
-    if np.min(mags) < 1e-300 or not np.all(np.isfinite(mags)):
-        at = np.unravel_index(int(np.argmin(mags)), mags.shape)
+    if not (mags.min() >= 1e-300 and mags.max() < math.inf):
+        fails = ~((mags >= 1e-300) & (mags < math.inf))
+        at = np.unravel_index(int(np.argmax(fails)), mags.shape)
         x1, x2 = np.broadcast_arrays(x1, x2)
         raise AssemblyError(
             f"plus factor vanishes at node (xi1={x1[at]:.6g}, xi2={x2[at]:.6g})")
@@ -356,7 +376,7 @@ def _row_tiles(rows: int, cols: int) -> list[slice]:
 
 def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
               plus_factor, bottom_symbols, left_symbols,
-              rows: np.ndarray | None = None) -> BlockSystem:
+              rows: slice | np.ndarray | None = None) -> BlockSystem:
     """Shared assembly core; ``h`` selects difference powers (set) or
     ``(i xi)`` powers (None).
 
@@ -369,16 +389,21 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     powers as columns.  A full assembly keeps the bottom inverse factor,
     whose transpose is the left one's.
 
-    A boolean mask ``rows`` makes a square strip on the R masked nodes: the
-    full assembly's cores ``[..., rows, :][..., rows]``, ``(n, R, R)``, and
-    as multipliers, ``(n, n, R)``, their sums over the other N - R nodes
-    only, against the powers zeroed on the rows.
+    ``rows``, a slice or a boolean mask of the nodes, makes a square strip
+    on the R nodes it selects: the full assembly's cores ``[..., rows,
+    :][..., rows]``, ``(n, R, R)``, and as multipliers, ``(n, n, R)``,
+    their sums over the other N - R nodes only, against the powers zeroed
+    on the rows.  A slice takes each tile's window columns as a view, where
+    a mask gathers them.  In a strip over a real factor, a symbol whose
+    value is a real one that broadcasts (the radial family's order 0)
+    multiplies nothing: its core is the weighted inverse factor itself, the
+    same bits as their product.
     """
     N = len(nodes)
     out = nodes if rows is None else nodes[rows]
     powers = _power_base(nodes, h)[:, None] ** np.arange(n)
     if rows is not None:
-        powers *= ~rows[:, None]
+        powers[rows] = 0
     mults = np.empty((2, n, n, len(out)), dtype=complex)
     x_out, x_in = _open_mesh(out, nodes)
     inv_plus, families = None, []
@@ -400,7 +425,11 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
                     cores = np.empty((n, len(out), len(out)), dtype=inv.dtype)
                 if not np.can_cast(values.dtype, cores.dtype):  # complex values, a real factor
                     cores = cores.astype(complex)
-                core = np.multiply(values, inv, out=cores[j, t] if rows is None else None)
+                if rows is not None and values.dtype.kind == inv.dtype.kind == "f" \
+                        and values.size == 1 and values.item() == 1:
+                    core = inv  # 1 * x is x, bit for bit, for a real x
+                else:
+                    core = np.multiply(values, inv, out=cores[j, t] if rows is None else None)
                 del values
                 mults[swap, j, :, t] = _products(core, powers)
                 if rows is not None:
@@ -798,8 +827,9 @@ def solve_block_system(system: BlockSystem,
     the exponent that bounds the multipliers on the trace space of exponent
     ``trace_exponents[0]``.  They are checked once, as one vector, before
     any factorization: another component count raises ``ValueError``,
-    another node count or, on the torus, another mesh
-    :class:`MeshMismatchError`, non-finite values :class:`AssemblyError`.
+    another node count, on the torus another mesh and on the line other
+    nodes :class:`MeshMismatchError`, non-finite values
+    :class:`AssemblyError`.
     Their rows stacked are the right-hand side, and the traces come back as
     a trace vector on the data's own grid.
 
@@ -824,7 +854,7 @@ def solve_block_system(system: BlockSystem,
     """
     if data.n != system.n:
         raise ValueError(f"data must have n = {system.n} components per edge, got {data.n}")
-    _check_on_grid("data", data, len(system.nodes), system.h)
+    _check_on_grid("data", data, system.nodes, system.h)
     for name, part in zip(("rhs_bottom", "rhs_left"), np.split(data.values, 2)):
         _require_finite(name, part)
     rhs = data.values.reshape(-1, 1)
@@ -865,7 +895,7 @@ def reconstruct_solution(traces: TraceVector, fac: WaveFactorization,
     if grid.ndim != 2:
         raise ValueError("reconstruct_solution requires a 2D grid")
     _check_mesh("factorization", fac.h, grid)
-    _check_on_grid("traces", traces, grid.nodes_per_axis, grid.h)
+    _check_on_grid("traces", traces, grid.axis_nodes, grid.h)
     x1, x2 = grid.nodes_2d()
     bottom, left = np.split(traces.values, 2)
     powers = zeta(grid.axis_nodes, grid.h) ** np.arange(traces.n)[:, None]

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,16 @@ from quadbvp import (ContinuousProblem, FrequencyGrid, LatticeFunction, MeshMism
                      SpectralFunction, WaveFactorization)
 from quadbvp.lattice import _power_base
 from quadbvp.system import _kernel_blocks
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def discrete_fourier(u: LatticeFunction, grid: FrequencyGrid) -> SpectralFunction:

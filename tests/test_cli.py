@@ -10,8 +10,8 @@ from quadbvp import cli
 from quadbvp.cli import (MODES, OUTPUT_ENV_VAR, load_config, main, parse_config_text,
                          run_experiment)
 from quadbvp.errors import ConfigError
+from conftest import ROOT, load_script
 
-ROOT = Path(__file__).resolve().parent.parent
 # the shipped configs' outputs as scripts/run_all.py writes them to out/,
 # kept as the reference a rerun is compared with
 REFERENCE_OUT = Path(__file__).resolve().parent / "reference_out"
@@ -267,6 +267,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "truncation half-width inf" in err
 
+    @pytest.mark.parametrize("mode", ["commutator", "section_gap", "kernel_gap"])
+    def test_line_too_long_to_allocate_exits_2_at_validate_and_run(self, tmp_path, capsys,
+                                                                   mode):
+        # a finite line of 1e22 and more nodes, which np.arange cannot make:
+        # both commands stop at the node count with the same message
+        text = f"[experiment]\nmode = {mode}\noutput = {tmp_path / 'out'}\n" \
+               "[sweep]\nlambda_factor = 1e20\n"
+        path = write_config(tmp_path, text)
+        errs = []
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert re.fullmatch(r"config error: lambda_factor = 1e\+20 makes a line of \d{22,} "
+                            r"nodes, more than LINE_NODES_MAX = 1048576\n", errs[0])
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("old, new, named", [
         ("h = 1", "h = nan", "mesh size h"), ("h = 1", "h = inf", "mesh size h"),
         ("a = 0.5", "a = nan", "a=nan"),
@@ -453,41 +470,8 @@ NOISE_BOUND = 1e-13
 RATE_MODES = {"section_gap", "commutator", "kernel_gap", "power_gap"}
 RATE_RTOL = 1e-7
 SOLVER_RTOL = 1e-10
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
-
-
-def parse_cell(text):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def output_cells(mode, path):
-    """``(name, cells)`` per line of a CSV or summary: the schema line, the
-    columns, each row's cells by column, each summary key's tokens, and each
-    gate's verdict with its detail's numbers masked.  ``wall_seconds`` is
-    left out."""
-    lines = path.read_text().splitlines()
-    if path.suffix == ".csv":
-        columns = lines[1].split(",")
-        yield "schema", [lines[0]]
-        yield "columns", columns
-        for line in lines[2:]:
-            yield from zip(columns, ([parse_cell(c)] for c in line.split(",")))
-        return
-    for line in lines:
-        key, _, value = line.partition(" = ")
-        if key == "wall_seconds":
-            continue
-        if key.startswith("gate_"):
-            yield key, [NUMBER.sub("#", value)]
-        else:
-            yield key, [parse_cell(token) for token in value.split()]
+# the outputs' parser, shared with the comparison script
+output_cells = load_script("compare_outputs").output_cells
 
 
 def check_output_cell(mode, name, got, want):
@@ -509,8 +493,8 @@ class TestShippedOutputs:
         cfg = load_config(ROOT / "configs" / f"{mode}.ini")
         _, csv_path, summary_path = run_experiment(cfg)
         for path in (csv_path, summary_path):
-            got = list(output_cells(mode, path))
-            want = list(output_cells(mode, REFERENCE_OUT / mode / path.name))
+            got = list(output_cells(path))
+            want = list(output_cells(REFERENCE_OUT / mode / path.name))
             assert [name for name, _ in got] == [name for name, _ in want], path.name
             for (name, got_cells), (_, want_cells) in zip(got, want):
                 assert len(got_cells) == len(want_cells), name

@@ -17,7 +17,7 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      section_gap_rate_sweep, window_mask, zeta,
                      zeta_power_gap)
 from quadbvp.cli import load_config
-from quadbvp.comparison import check_aligned_sweep, check_sweep
+from quadbvp.comparison import LINE_NODES_MAX, check_aligned_sweep, check_sweep
 from quadbvp.lattice import _power_base
 from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips
 from conftest import (fsum_multipliers, kernel_stacks, skewed_problem, unit_scales,
@@ -384,6 +384,16 @@ class TestGridsAndMasks:
                            match=f"^truncation half-width {re.escape(half_width)} must be "
                                  "finite and span a finite number of cells"):
             aligned_line_grid([0.5], 64, lambda_factor=lambda_factor)
+
+    @pytest.mark.parametrize("lambda_factor", [1e15, 1e300])
+    def test_line_of_more_nodes_than_the_ceiling_rejected(self, lambda_factor):
+        # finite lines of 6.4e16 nodes and more, which no memory holds:
+        # named by their factor and count, before any node is allocated
+        with pytest.raises(InvalidConfigurationError,
+                           match=rf"^lambda_factor = {re.escape(f'{lambda_factor:g}')} makes "
+                                 r"a line of \d{17,} nodes, more than LINE_NODES_MAX = 1048576$"):
+            aligned_line_grid([0.5], 64, lambda_factor=lambda_factor)
+        assert LINE_NODES_MAX == 2 ** 20
 
     @pytest.mark.parametrize("nodes_per_window", [0, -4, 7])
     def test_odd_or_empty_window_rejected(self, nodes_per_window):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quadbvp import (FrequencyGrid, LatticeFunction, LineGrid, MeshMismatchError,
                      SpectralFunction, inverse_discrete_fourier,
                      sobolev_norm_1d, sobolev_norm_2d, zeta, zeta_squared_2d)
+from quadbvp.lattice import _power
 from conftest import discrete_fourier, lattice_function, unit_mass
 
 
@@ -159,6 +160,57 @@ class TestZeta:
 def test_zeta_first_order_gap_bound(t, h):
     xi = t * math.pi / h
     assert abs(zeta(xi, h) - 1j * xi) <= math.exp(math.pi) * h * xi ** 2 + 1e-300
+
+
+class TestPower:
+    """``_power`` takes a multiple of 1/2 up to 8 from products and one
+    square root, within a few ulp of ``**``, and any other exponent by
+    ``**`` itself."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def bases(kind):
+        rng = np.random.default_rng(5)
+        if kind == "real":
+            return 10.0 ** rng.uniform(0.0, 4.0, (40, 50))
+        # positive real parts, the half-plane of the shifted-zeta bases
+        return rng.uniform(1e-3, 10.0, (40, 50)) + 1j * rng.uniform(-10.0, 10.0, (40, 50))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("exponent", [0.5, -0.5, 1, -1, 1.5, -1.5, 2.5, 5, 8])
+    def test_products_agree_with_pow(self, kind, exponent):
+        # numpy's complex ** goes through exp and log and is itself up to 5
+        # ulp off the long double value, where the products stay within 4:
+        # two results that close to the truth can be 8 ulp apart
+        base = self.bases(kind)
+        got, want = _power(base, exponent), base ** exponent
+        assert got.dtype == want.dtype and got.shape == want.shape
+        ulps = 4 if kind == "real" else 8
+        assert np.all(np.abs(got - want) <= ulps * self.EPS * np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("exponent", [0.3, -1.25, 8.5, 0])
+    def test_other_exponents_are_pow(self, kind, exponent):
+        base = self.bases(kind)
+        assert np.array_equal(_power(base, exponent), base ** exponent)
+
+    def test_the_result_is_a_new_array_and_the_base_kept(self):
+        base = self.bases("real")
+        before = base.copy()
+        for exponent in (1, 2, 2.5, -3):
+            got = _power(base, exponent)
+            assert not np.shares_memory(got, base)
+        assert np.array_equal(base, before)
+
+    def test_negative_reals_take_the_principal_branch(self):
+        # a half power of a negative float is NaN, as **'s; of its complex
+        # cast, the principal value, as **'s
+        base = -np.linspace(1.0, 4.0, 8)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_power(base, 2.5)).all() and np.isnan(base ** 2.5).all()
+        got, want = _power(base + 0j, 2.5), (base + 0j) ** 2.5
+        assert np.all(np.abs(got - want) <= 8 * self.EPS * np.abs(want))
 
 
 class TestSobolevNorms:

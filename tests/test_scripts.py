@@ -1,15 +1,8 @@
-import importlib.util
 import json
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import pytest
 
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import ROOT, load_script
 
 
 def test_recorder_writes_into_an_out_directory_it_creates(tmp_path, monkeypatch):
@@ -93,3 +86,60 @@ def area(r):
     (tmp_path / "b.py").write_text("x = 1\n\n")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "a 6\nb 1\ntotal 7\n"
+
+
+SUMMARY = """\
+mode = kernel_gap
+N = 256
+norms = 1.5 2.25
+wall_seconds = 0.5
+gate_kernel_ratios = PASS (max ratio 0.25 <= 1)
+"""
+CSV = "# schema=kernel_gap-v1\nh,j,k,ratio\n1,0,1,0.125\n0.5,0,1,3e-5\n"
+
+
+def write_outputs(root, summary=SUMMARY, csv=CSV):
+    (root / "kernel_gap").mkdir(parents=True)
+    (root / "kernel_gap" / "kernel_gap_summary.txt").write_text(summary)
+    (root / "kernel_gap" / "kernel_gap.csv").write_text(csv)
+    return root
+
+
+def test_compare_outputs_counts_the_numbers_that_differ(tmp_path, capsys):
+    # numbers only counted, whatever their difference; wall_seconds and a
+    # gate's numbers not read
+    compare_outputs = load_script("compare_outputs")
+    a = write_outputs(tmp_path / "a")
+    b = write_outputs(tmp_path / "b", SUMMARY.replace("2.25", "2.5").replace(
+        "0.5\n", "9.5\n").replace("0.25 <=", "0.5 <="), CSV.replace("3e-5", "3.000003e-5"))
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "kernel_gap/kernel_gap.csv: 1 of 3 numbers differ, largest relative difference 1e-06",
+        "kernel_gap/kernel_gap_summary.txt: 1 of 2 numbers differ, "
+        "largest relative difference 0.1"]
+    assert compare_outputs.main([str(a), str(a)]) == 0
+    assert "0 of 3 numbers differ, largest relative difference 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("N = 256", "N = 257", "N: 256 against 257"),
+    ("PASS", "FAIL", "gate_kernel_ratios: 'PASS (max ratio # <= #)' against"),
+    ("norms = 1.5 2.25", "norms = 1.5", "norms: 2 against 1 values"),
+    ("mode = kernel_gap\n", "", "keys or columns differ"),
+], ids=["integer", "text", "count", "key"])
+def test_compare_outputs_fails_on_keys_text_and_integers(tmp_path, capsys, old, new, named):
+    compare_outputs = load_script("compare_outputs")
+    a = write_outputs(tmp_path / "a")
+    b = write_outputs(tmp_path / "b", SUMMARY.replace(old, new))
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert f"kernel_gap/kernel_gap_summary.txt: {named}" in capsys.readouterr().out
+
+
+def test_compare_outputs_fails_without_twins_or_outputs(tmp_path, capsys):
+    compare_outputs = load_script("compare_outputs")
+    a = write_outputs(tmp_path / "a")
+    (tmp_path / "b").mkdir()
+    assert compare_outputs.main([str(a), str(tmp_path / "b")]) == 1
+    assert "kernel_gap/kernel_gap.csv: no twin in" in capsys.readouterr().out
+    assert compare_outputs.main([str(tmp_path / "b"), str(a)]) == 1
+    assert capsys.readouterr().out.startswith("no outputs under")

@@ -21,6 +21,7 @@ from quadbvp import (AssemblyError, ContinuousProblem, FrequencyGrid, MeshMismat
                      zeta_boundary_operators, apply_symbol_to_spectrum,
                      aligned_line_grid, boundary_trace_spectrum, window_mask)
 from quadbvp import lattice, system
+from quadbvp.comparison import _run
 from quadbvp.lattice import _open_mesh, _power_base
 from quadbvp.system import (_ESTIMATE_BLOCK, _ESTIMATE_POWER_STEPS, _ESTIMATE_SEED,
                             _CompressedSystem, _assemble, _compress, _invert_multipliers,
@@ -276,6 +277,28 @@ class TestRowTiles:
         for got, want in zip(pair_strips(problem, nodes, rows), whole):
             assert got.dtype == want.dtype == (np.float64 if problem.n == 1 else np.complex128)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tile_rows", [None, 8])
+    @pytest.mark.parametrize("make", [
+        lambda: radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
+                                     left_orders=[0.5, 0.0]),
+        skewed_problem,
+    ], ids=["radial n2", "skewed"])
+    def test_a_slice_of_rows_builds_the_strip_of_its_mask(self, monkeypatch, make, tile_rows):
+        # a window's rows as the slice of their run, as the sweeps pass
+        # them, give the strip of their mask bit for bit, in one tile and
+        # in tiles of 8 rows
+        problem = make()
+        grid = aligned_line_grid([0.5, 0.25, 0.125], 8)
+        nodes, N = grid.axis_nodes, grid.nodes_count
+        mask = window_mask(grid, 0.125)
+        if tile_rows:
+            monkeypatch.setattr(system, "_TILE", tile_rows * N)
+            assert len(system._row_tiles(int(mask.sum()), N)) == 4
+        got, want = strip(problem, nodes, _run(mask)), strip(problem, nodes, mask)
+        for field in BLOCKS:
+            assert getattr(got, field).dtype == getattr(want, field).dtype, field
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     @pytest.mark.parametrize("tile_rows", [None, 8])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
@@ -1193,6 +1216,22 @@ class TestContinuousAssembly:
         assert rep.residual <= 1e-10
         assert traces.grid is grid
 
+    def test_continuous_data_on_another_line_rejected(self, rng):
+        # the same node count on a line half as wide: the data are not on
+        # the system's nodes, where the system's own grid solves
+        problem = radial_power_problem(
+            s=0.75, n=1, delta=0.25, bottom_orders=[0.0], left_orders=[0.0])
+        grid = aligned_line_grid([1.0], 32, 2.0)
+        sys = assemble_continuous_system(problem, grid)
+        other = lattice.LineGrid(math.pi, grid.nodes_count)
+        assert grid.nodes_count == 64 and grid.half_width == 2.0 * math.pi
+        bump = random_bumps(rng, math.pi)(sys.nodes)
+        where = f"data node 0 is {other.axis_nodes[0]:.6g}, the grid's {sys.nodes[0]:.6g}"
+        with pytest.raises(MeshMismatchError, match=f"^{re.escape(where)}$"):
+            solve_block_system(sys, TraceVector(other, [bump, bump]))
+        traces, rep = solve_block_system(sys, TraceVector(grid, [bump, bump]))
+        assert rep.residual <= 1e-10 and traces.grid is grid
+
     def test_continuous_data_with_another_node_count_rejected(self):
         # a line has no mesh to compare, only its node count
         problem = radial_power_problem(
@@ -1332,20 +1371,24 @@ class TestOpenMesh:
         for field in BLOCKS:
             assert np.array_equal(getattr(blocks[0], field), getattr(blocks[1], field)), field
 
+    @pytest.mark.parametrize("cut", ["mask", "slice"])
     @pytest.mark.parametrize("orders", [[0.0], [0.0, -1.0]], ids=["n1", "n2"])
-    def test_order_zero_radial_symbols_are_a_one_that_broadcasts(self, orders):
+    def test_order_zero_radial_symbols_are_a_one_that_broadcasts(self, orders, cut):
         # pow(r2, 0) is exactly 1: the order-0 evaluators return a (1, 1)
-        # one, and strips and pair strips equal those of evaluators that
-        # return the mesh of ones, bit for bit
+        # one, which multiplies nothing in a strip, and strips and pair
+        # strips equal those of evaluators that return the mesh of ones,
+        # bit for bit, with the strip's rows a mask or a slice
         problem = radial_power_problem(s=2.25, n=len(orders), delta=-0.25,
                                        bottom_orders=orders, left_orders=orders)
         grid = aligned_line_grid([0.5, 0.25], 8)
         nodes = grid.axis_nodes
         rows = window_mask(grid, 0.25)
+        if cut == "slice":
+            rows = _run(rows)
         mesh = _open_mesh(nodes[rows], nodes)
         for ev, order in zip(problem.bottom_symbols + problem.left_symbols, orders * 2):
             values = ev(*mesh)
-            assert values.shape == ((1, 1) if order == 0.0 else (rows.sum(), len(nodes)))
+            assert values.shape == ((1, 1) if order == 0.0 else (len(nodes[rows]), len(nodes)))
             assert order != 0.0 or values[0, 0] == 1.0
         ones = tuple(ones_symbol if order == 0.0 else ev
                      for ev, order in zip(problem.bottom_symbols, orders))
@@ -1414,16 +1457,21 @@ class TestOpenMesh:
             assert got.dtype == want.dtype == np.complex128
             assert np.array_equal(got, want)
 
-    def test_vanishing_plus_factor_names_both_coordinates(self, rng):
-        # the factor vanishes at exactly one node, (3, 11); each mesh that
-        # contains it names the node's two coordinates
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf, 1e-310],
+                             ids=["zero", "nan", "inf", "-inf", "1e-310"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_a_plus_factor_failing_at_one_node_names_both_coordinates(self, rng, kind, bad):
+        # the factor vanishes, is below 1e-300 in modulus or is not finite
+        # at exactly one node, (3, 11); each mesh that contains it names the
+        # node's two coordinates, for a real factor as for a complex one
         h, N = 1.0, 16
         grid = FrequencyGrid(h, N)
         nodes = grid.axis_nodes
         a, b = nodes[3], nodes[11]
 
         def plus(x1, x2):
-            return (x1 - a) + 1j * (x2 - b)
+            vals = (1.0 + x1 ** 2 + x2 ** 2) if kind == "real" else (x1 - a) + 1j * (x2 - b)
+            return np.where((x1 == a) & (x2 == b), bad, vals)
 
         where = re.escape(f"plus factor vanishes at node (xi1={a:.6g}, xi2={b:.6g})")
         fac = WaveFactorization(plus, ones_symbol, index=0.0, h=h)
@@ -1445,6 +1493,19 @@ class TestOpenMesh:
         traces = random_trace_vector(rng, FrequencyGrid(h, N, ndim=1), 1)
         with pytest.raises(AssemblyError, match=where):
             reconstruct_solution(traces, fac, grid)
+
+    @pytest.mark.parametrize("low", [1e-300, 2.5])
+    def test_a_negative_real_plus_factor_is_accepted(self, low):
+        # moduli of at least 1e-300 pass whatever their sign: a real factor
+        # negative at some nodes is read by its moduli and kept as it is
+        x1, x2 = _open_mesh(np.linspace(-2.0, 2.0, 4), np.linspace(-3.0, 3.0, 6))
+
+        def plus(x1, x2):
+            return np.where(x1 * x2 > 0, -low, low) * (1.0 + x1 ** 2 + x2 ** 2)
+
+        vals = _plus_values(plus, x1, x2)
+        assert vals.dtype == np.float64 and (vals < 0).any()
+        assert np.array_equal(vals, plus(x1, x2))
 
 
 class TestRealKernels:
