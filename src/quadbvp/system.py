@@ -304,12 +304,10 @@ def _check_on_grid(what: str, traces: TraceVector, nodes: np.ndarray, h: float |
     N = traces.values.shape[1]
     if N != len(nodes):
         raise MeshMismatchError(f"{what} have {N} nodes, the grid {len(nodes)}")
-    if h is None:
-        differ = np.flatnonzero(traces.grid.axis_nodes != nodes)
-        if len(differ):
-            at = differ[0]
-            raise MeshMismatchError(f"{what} node {at} is {traces.grid.axis_nodes[at]:.6g}, "
-                                    f"the grid's {nodes[at]:.6g}")
+    if h is None and not np.array_equal(traces.grid.axis_nodes, nodes):
+        theirs = traces.grid.axis_nodes
+        at = int(np.argmax(theirs != nodes))
+        raise MeshMismatchError(f"{what} node {at} is {theirs[at]:.6g}, the grid's {nodes[at]:.6g}")
 
 
 def _plus_values(plus, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
