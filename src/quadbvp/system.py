@@ -319,7 +319,8 @@ def _plus_values(plus, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     factor is read by its least and largest values alone; one that fails
     that reading, or is negative somewhere, and every complex factor by
     the extremes of their moduli.  A NaN fails every comparison.  The first
-    failing node is named."""
+    failing node is named: the factor vanishes there, its modulus below
+    1e-300, or is not finite, its value given."""
     vals = np.asarray(plus(x1, x2))
     vals = np.broadcast_to(vals.astype(np.result_type(vals, float), copy=False),
                            np.broadcast_shapes(x1.shape, x2.shape))
@@ -330,8 +331,10 @@ def _plus_values(plus, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         fails = ~((mags >= 1e-300) & (mags < math.inf))
         at = np.unravel_index(int(np.argmax(fails)), mags.shape)
         x1, x2 = np.broadcast_arrays(x1, x2)
-        raise AssemblyError(
-            f"plus factor vanishes at node (xi1={x1[at]:.6g}, xi2={x2[at]:.6g})")
+        node = f"node (xi1={x1[at]:.6g}, xi2={x2[at]:.6g})"
+        if mags[at] < 1e-300:
+            raise AssemblyError(f"plus factor vanishes at {node}")
+        raise AssemblyError(f"plus factor is not finite at {node}: {vals[at]}")
     return vals
 
 
@@ -456,12 +459,20 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
     ``(j, 0)`` in the slot's order.  Both meshes go in the same row tiles
     of the window (:func:`_row_tiles`): a tile's factor once per mesh, its
     stacks filled from the cores (:func:`_kernel_blocks`), then scaled by
-    the node scales, and checked before the next tile.  A strip is real at
-    n = 1 for real values over a real factor, its dtype taken from its
-    first core's values.
+    the node scales, and checked before the next tile.
+
+    The two strips are the halves of one ``(2, n, n, 2, R, N)`` array, real
+    only at n = 1 for real values over a real factor: its dtype is taken
+    from the first core's values, and the whole array is cast to complex
+    when a later core's are complex.  One allocation, because two strips
+    allocated apart had their pages faulted in again on every sweep after
+    the first in a process: 833 minor faults per ``commutator.ini`` run in
+    the benchmark's order, 0 as one array.  The likely cause is glibc's
+    adaptive trim threshold (mallopt(3)), twice the largest mapped block
+    freed so far, which two strips freed together reach and one does not.
     """
     n, R, N = problem.n, len(window), len(line)
-    families, pairs = (problem.bottom_symbols, problem.left_symbols), [None, None]
+    families, strips = (problem.bottom_symbols, problem.left_symbols), None
     x_window, x_line = _open_mesh(window, line)
     window_powers, line_powers = _power_base(window, None), _power_base(line, None)
     for t in _row_tiles(R, N):
@@ -474,14 +485,16 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
                 into_window = mesh == f
                 for j, symbol in enumerate(symbols):
                     values = np.asarray(symbol(x1, x2))
-                    if pairs[f] is None:
-                        # real only where every block is: n = 1, a real core
-                        dtype = np.result_type(values, inv_plus) if n == 1 else complex
-                        pairs[f] = np.empty((n, n, 2, R, N), dtype=dtype)
-                    np.multiply(values, inv_plus, out=pairs[f][j, 0, 0 if into_window else 1, t])
+                    # real only where every block is: n = 1, a real core
+                    dtype = np.result_type(values, inv_plus) if n == 1 else complex
+                    if strips is None:
+                        strips = np.empty((2, n, n, 2, R, N), dtype=dtype)
+                    elif not np.can_cast(dtype, strips.dtype):
+                        strips = strips.astype(complex)
+                    np.multiply(values, inv_plus, out=strips[f, j, 0, 0 if into_window else 1, t])
                     del values
                 # each stack in (out, in) order
-                pair = pairs[f][..., t, :]
+                pair = strips[f][..., t, :]
                 slots = pair[:, :, 0] if into_window else pair[:, :, 1].swapaxes(-1, -2)
                 _kernel_blocks(slots, window_powers[t] if into_window else line_powers)
                 tile_scales = (scales[0][:, t], scales[1])
@@ -489,9 +502,9 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
                 slots *= s_out[:, None, :, None]
                 slots /= s_in[None, :, None, :]
             del inv_plus
-        for name, pair in zip(("bottom", "left"), pairs):
+        for name, pair in zip(("bottom", "left"), strips):
             _require_finite(f"{name} kernel strip", pair[..., t, :])
-    return tuple(pairs)
+    return strips[0], strips[1]
 
 
 def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSystem:

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,19 @@ class TestOperatorNormEstimate:
         assert value == pytest.approx(np.linalg.norm(b, 2), rel=1e-6)
         assert peak - start < b.nbytes // 4
 
+    @pytest.mark.parametrize("rows", [[[1.0, -1.0]], [[1.0, -1.0], [2.0, -2.0]],
+                                      [[0.0, 0.0], [2j, -2j]], [[1.0, -1.0, 0.0], [0.5, 0.5, -1.0]]])
+    def test_a_block_whose_rows_sum_to_zero_is_not_read_as_zero(self, rows):
+        # the rows annihilate the all-ones start, and the iteration restarts
+        # from the conjugate of the largest row
+        b = np.array(rows)
+        assert comparison._sigma_max(b) == pytest.approx(np.linalg.norm(b, 2), rel=1e-8)
+
+    def test_zero_blocks_of_every_kind_are_zero(self):
+        for block in (np.zeros(4), np.zeros((3, 5)), np.zeros((2, 3, 5)), np.zeros((0, 3)),
+                      np.zeros((3, 5), dtype=complex)):
+            assert comparison._sigma_max(block) == 0.0
+
     def test_iteration_budget_exhaustion_is_reported(self, rng, monkeypatch):
         monkeypatch.setattr(comparison, "_POWER_TOL", 0.0)
         monkeypatch.setattr(comparison, "_POWER_MAX_ITER", 3)
@@ -277,6 +291,66 @@ class TestStripWeights:
         scales = tuple(np.sqrt(np.array(w)) for w in (w_window, w_line))
         for got, pair in zip(_kernel_strips(problem, window, line, quad, scales), want):
             assert got.dtype == pair.dtype == (np.float64 if problem.n == 1 else np.complex128)
+            assert np.array_equal(got, pair)
+
+
+class TestPairStripsArray:
+    @pytest.mark.parametrize("make", [
+        lambda: radial_power_problem(s=2.25, n=1, delta=-0.25, bottom_orders=[0.0],
+                                     left_orders=[0.0]),
+        skewed_problem,
+    ], ids=["real n1", "complex n2"])
+    def test_the_two_strips_are_one_allocation(self, make):
+        # two strips of 4 MiB each, freed together after a sweep, reached
+        # glibc's heap trim threshold and were given back to the system, so
+        # every later sweep faulted their pages in again: 833 minor faults
+        # per commutator run in benchmark order, 0 with one array
+        problem = make()
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        window, line = nodes[window_mask(grid, 0.25)], np.roll(nodes, len(nodes) // 2)
+        bottom, left = _kernel_strips(problem, window, line, grid.axis_weight,
+                                      unit_scales(problem, window, line))
+        whole = bottom.base
+        assert whole is not None and left.base is whole
+        assert np.shares_memory(whole, bottom) and np.shares_memory(whole, left)
+        assert whole.nbytes == bottom.nbytes + left.nbytes
+
+    @pytest.mark.parametrize("complex_family", [0, 1], ids=["bottom", "left"])
+    @pytest.mark.parametrize("tile_rows", [None, 8])
+    def test_one_complex_family_at_n1_makes_both_strips_complex(self, monkeypatch, complex_family,
+                                                                tile_rows):
+        # n = 1 strips over a real factor, one family's values real and the
+        # other's complex: both strips are complex, each equal entry for
+        # entry to the strip of a problem whose families are both as its own
+        real = radial_power_problem(s=2.25, n=1, delta=-0.25, bottom_orders=[-1.0],
+                                    left_orders=[-0.5])
+
+        def cast(symbols):
+            return tuple(lambda x1, x2, ev=ev: np.asarray(ev(x1, x2), dtype=complex)
+                         for ev in symbols)
+
+        complex_ = replace(real, bottom_symbols=cast(real.bottom_symbols),
+                           left_symbols=cast(real.left_symbols))
+        families = ("bottom_symbols", "left_symbols")
+        mixed = replace(real, **{families[complex_family]:
+                                 getattr(complex_, families[complex_family])})
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        window, line = nodes[window_mask(grid, 0.25)], np.roll(nodes, len(nodes) // 2)
+        if tile_rows:
+            monkeypatch.setattr(system, "_TILE", tile_rows * len(line))
+            assert len(system._row_tiles(len(window), len(line))) > 1
+
+        def strips(problem):
+            return _kernel_strips(problem, window, line, grid.axis_weight,
+                                  unit_scales(problem, window, line))
+
+        want = [strips(complex_ if f == complex_family else real)[f] for f in (0, 1)]
+        assert want[complex_family].dtype == np.complex128
+        assert want[1 - complex_family].dtype == np.float64
+        for got, pair in zip(strips(mixed), want):
+            assert got.dtype == np.complex128
             assert np.array_equal(got, pair)
 
 

@@ -1463,7 +1463,8 @@ class TestOpenMesh:
     def test_a_plus_factor_failing_at_one_node_names_both_coordinates(self, rng, kind, bad):
         # the factor vanishes, is below 1e-300 in modulus or is not finite
         # at exactly one node, (3, 11); each mesh that contains it names the
-        # node's two coordinates, for a real factor as for a complex one
+        # node's two coordinates, for a real factor as for a complex one,
+        # and says which: it vanishes, or it is not finite and has this value
         h, N = 1.0, 16
         grid = FrequencyGrid(h, N)
         nodes = grid.axis_nodes
@@ -1473,7 +1474,10 @@ class TestOpenMesh:
             vals = (1.0 + x1 ** 2 + x2 ** 2) if kind == "real" else (x1 - a) + 1j * (x2 - b)
             return np.where((x1 == a) & (x2 == b), bad, vals)
 
-        where = re.escape(f"plus factor vanishes at node (xi1={a:.6g}, xi2={b:.6g})")
+        node = f"node (xi1={a:.6g}, xi2={b:.6g})"
+        value = bad if kind == "real" else complex(bad)
+        where = re.escape(f"plus factor vanishes at {node}" if abs(bad) < 1e-300
+                          else f"plus factor is not finite at {node}: {value}")
         fac = WaveFactorization(plus, ones_symbol, index=0.0, h=h)
         bottom, left = row_trace_boundary_operators(1, h)
         spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
