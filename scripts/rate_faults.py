@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Print the minor page faults of each shipped rate run, for the log.
 
-Usage: python3 scripts/rate_faults.py [--rounds K] [--out DIR]
+Usage: python3 scripts/rate_faults.py [--rounds K]
 
 Runs the shipped ``section_gap``, ``commutator`` and ``kernel_gap``
 configs, in that order (the ``rate_sweeps`` benchmark's), for ``K`` rounds
 (default 5) in one process, through ``cli.run_experiment``, with every
-report written under ``DIR`` (default a temporary directory).  Prints one
+report written into a temporary directory.  Prints one
 ``<round> <mode> <faults>`` line per run, the process's ``ru_minflt``
 (``getrusage``) over the run, then ``<mode> warm median <faults>`` over
 the rounds after the first.  The first round also pays the process's
@@ -55,12 +55,11 @@ def count_faults(rounds: int, out: Path) -> dict[str, list[int]]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
-        counts = count_faults(args.rounds, args.out or Path(tmp))
+        counts = count_faults(args.rounds, Path(tmp))
     for mode, faults in counts.items():
         if len(faults) > 1:
             print(f"{mode} warm median {statistics.median(faults[1:]):g}")

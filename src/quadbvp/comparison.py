@@ -231,20 +231,18 @@ def _sigma_max(block: np.ndarray) -> float:
         return max(_sigma_max(part) for part in b)
     v = np.ones(b.shape[1], dtype=np.result_type(b, float))
     value = _power_iteration(b, v / np.linalg.norm(v))
-    if value is None:
-        if not np.any(b):
-            return 0.0
+    if value == 0.0 and np.any(b):
         # rows scaled to a largest entry of one, so no row norm underflows
         scaled = b / np.max(np.abs(b))
         row = scaled[np.argmax(np.linalg.norm(scaled, axis=1))].conj()
         value = _power_iteration(b, row / np.linalg.norm(row))
-    return 0.0 if value is None else value
+    return value
 
 
-def _power_iteration(b: np.ndarray, v: np.ndarray) -> float | None:
+def _power_iteration(b: np.ndarray, v: np.ndarray) -> float:
     """The square root of the largest eigenvalue of ``b^H b`` by power
-    iteration from the unit vector ``v``; None when the first image ``b^H b
-    v`` is zero, 0.0 when a later one is."""
+    iteration from the unit vector ``v``; 0.0 when an image ``b^H b v`` is
+    zero."""
     lam_prev = None
     lam = 0.0
     for _ in range(_POWER_MAX_ITER):
@@ -253,7 +251,7 @@ def _power_iteration(b: np.ndarray, v: np.ndarray) -> float | None:
         lam = float(np.real(np.vdot(v, w)))
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
-            return None if lam_prev is None else 0.0
+            return 0.0
         v = w / norm_w
         if lam_prev is not None and abs(lam - lam_prev) <= _POWER_TOL * max(abs(lam), 1e-300):
             return math.sqrt(max(lam, 0.0))

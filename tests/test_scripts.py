@@ -88,6 +88,24 @@ def area(r):
     assert capsys.readouterr().out == "a 6\nb 1\ntotal 7\n"
 
 
+def test_rate_faults_prints_a_count_per_run_and_the_warm_medians(tmp_path, monkeypatch, capsys):
+    # the script points the reports at a temporary directory through the
+    # environment; monkeypatch restores the variable afterwards
+    rate_faults = load_script("rate_faults")
+    monkeypatch.setenv(rate_faults.cli.OUTPUT_ENV_VAR, str(tmp_path / "unused"))
+    assert rate_faults.main(["--rounds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    runs = [line.split() for line in lines[:6]]
+    assert [(r, mode) for r, mode, _ in runs] == [
+        (str(r), mode) for r in range(2) for mode in rate_faults.MODES]
+    assert all(faults.isdigit() for _, _, faults in runs)
+    assert [line.rsplit(" ", 1)[0] for line in lines[6:]] == [
+        f"{mode} warm median" for mode in rate_faults.MODES]
+    assert not (tmp_path / "unused").exists()
+    with pytest.raises(SystemExit):
+        rate_faults.main(["--rounds", "0"])
+
+
 SUMMARY = """\
 mode = kernel_gap
 N = 256
