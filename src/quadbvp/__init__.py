@@ -15,8 +15,7 @@ from .symbols import PeriodicSymbol, WaveFactorization, builtin_factor_family
 from .operators import apply_symbol_to_spectrum, boundary_trace_spectrum
 from .system import (BlockSystem, ContinuousProblem, GaussianBumps,
                      ProblemSpec, RoundtripReport, SolveReport, TraceVector,
-                     assemble_continuous_system, assemble_discrete_system,
-                     identity_boundary_operators, manufactured_roundtrip,
+                     assemble, identity_boundary_operators, manufactured_roundtrip,
                      project_out_gauge, radial_power_problem, random_bumps,
                      random_trace_vector, reconstruct_solution,
                      row_trace_boundary_operators, solve_block_system,

@@ -436,7 +436,22 @@ RATES = ("kernel_gap", "commutator", "section_gap")
 _ORDERS = {"kernel_gap": (0.0, -1.0), "commutator": (0.0,), "section_gap": (0.0, -1.0)}
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, "a non-negative integer")
-_POSITIVE_EVEN = _checked(int, lambda v: v > 0 and v % 2 == 0, "a positive even integer")
+
+# Ceilings on the sizes a config asks for, each checked when its field is
+# read, so that a size no run could allocate exits 2 at validate.  The most
+# nodes a torus axis may hold: the lattice modes keep (N, N) complex arrays
+# (the spectrum, the inverse plus factor, each kernel core), 64 MiB each at
+# 2^11, over 5 times the largest shipped or benchmarked N, 384.
+GRID_NODES_MAX = 2 ** 11
+# The most boundary operators per edge: the multipliers are (2, n, n, N)
+# complex stacks, 8 MiB at n = 8 and N = GRID_NODES_MAX, 4 times the
+# largest shipped n, 2.  The ceilings bound each size alone: a run at both
+# would still keep 8 cores of 64 MiB per edge.
+PROBLEM_N_MAX = 8
+# The most power_gap samples per mesh size: each is drawn as one float array
+# and its gaps and bounds taken in arrays of its length, a float array of
+# 2^20 being 8 MiB, about 100 times the shipped 10000.
+SAMPLES_MAX = 2 ** 20
 
 FIELDS = (
     Field("experiment", "mode", tuple(MODES), tuple(MODES)),
@@ -450,9 +465,11 @@ FIELDS = (
     Field("symbols", "kappa", float, LATTICE, None),
     Field("symbols", "boundary", tuple(BOUNDARY_OPERATORS), LATTICE, "row_trace"),
     Field("problem", "s", float, LATTICE),
-    Field("problem", "n", int, LATTICE),
+    Field("problem", "n", _checked(int, lambda v: v <= PROBLEM_N_MAX, f"<= {PROBLEM_N_MAX}"),
+          LATTICE),
     Field("problem", "delta", float, LATTICE),
-    Field("grid", "N", _POSITIVE_EVEN, LATTICE),
+    Field("grid", "N", _checked(int, lambda v: 0 < v <= GRID_NODES_MAX and v % 2 == 0,
+                                f"a positive even integer <= {GRID_NODES_MAX}"), LATTICE),
     Field("grid", "h", float, LATTICE),
     Field("continuous", "s", float, RATES,
           {"kernel_gap": 8.25, "commutator": 2.25, "section_gap": 3.25}),
@@ -469,7 +486,8 @@ FIELDS = (
           {"kernel_gap": 64, "commutator": 32, "section_gap": 32}),
     Field("sweep", "lambda_factor", lambda text: check_lambda_factor(float(text)), RATES, 4.0),
     Field("sweep", "k_max", _AT_LEAST_ONE, ("power_gap",), 4),
-    Field("sweep", "samples", _AT_LEAST_ONE, ("power_gap",), 10000),
+    Field("sweep", "samples", _checked(int, lambda v: 1 <= v <= SAMPLES_MAX,
+                                       f"from 1 to {SAMPLES_MAX}"), ("power_gap",), 10000),
 )
 
 

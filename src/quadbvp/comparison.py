@@ -14,9 +14,10 @@ Three empirical measurements back the discrete-to-continuous passage:
 Operator norms are taken on finite Nystrom discretizations, which
 understates the true norms; slopes, not absolute constants, are the
 verifiable content.  The weighted frames use ``(1 + xi^2)^s_k`` on the
-truncated line and ``(1 + |zeta|^2)^s_k`` on the torus window, and the
-direct-sum norm adds block norms, so the operator norm of a block matrix is
-the largest column sum of per-block spectral norms.
+truncated line and ``(1 + |zeta|^2)^s_k`` on the torus window
+(:func:`_rate_frame`), and the direct-sum norm adds block norms, so the
+operator norm of a block matrix is the largest column sum of per-block
+spectral norms.
 """
 
 from __future__ import annotations
@@ -352,6 +353,15 @@ def _report(hs: tuple[float, ...], norms, epsilon, grid: LineGrid) -> RateReport
                       monotone_violations=violations, window_nodes=window_nodes)
 
 
+def _rate_frame(problem: ContinuousProblem, nodes: np.ndarray, h: float | None) -> np.ndarray:
+    """The rate frame's node scales, ``(n, N)``: row k is ``sqrt((1 +
+    |p|^2)^te_k)`` at the nodes, with ``te_k`` the trace exponents and ``p``
+    the power base, ``zeta`` on the torus of mesh ``h`` and ``i xi`` on the
+    line (``h`` None).  Block ``(j, k)`` of an operator enters the frame
+    times row j at its outputs, over row k at its inputs."""
+    return np.sqrt([_trace_weight(nodes, h, e) for e in problem.trace_exponents])
+
+
 def _run(mask: np.ndarray) -> slice:
     """The slice of a mask that is one contiguous run, as a window on
     sorted nodes is: a slice is a view where a mask gathers a copy."""
@@ -392,8 +402,7 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     finest = window_mask(grid, min(h_values))
     # the line from 0 out to +lam, then from -lam back to 0
     line = np.roll(np.arange(N), N // 2)
-    weights = np.array([_trace_weight(nodes, None, e) for e in problem.trace_exponents])
-    scales = tuple(np.sqrt(weights[:, at]) for at in (finest, line))
+    scales = tuple(_rate_frame(problem, nodes[at], None) for at in (finest, line))
     strips = _kernel_strips(problem, nodes[finest], nodes[line], grid.axis_weight, scales)
 
     def window_norm(h):
@@ -462,19 +471,19 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
     ``h``, over an aligned sweep (:func:`check_aligned_sweep`), whose every
     window's lattice operator is the Nystrom rule of its torus.
 
-    The pieces of :func:`_window_gaps` are weighed with the frame's torus
-    weights: block ``(j, k)`` times ``sqrt(w_j)`` at its outputs, over
-    ``sqrt(w_k)`` at its inputs.  Each kernel-gap block, ``k >= 1``, is
-    formed in that order into one buffer of the finest window's size, and
-    its norm taken before the next is formed; the frame holds the block as
-    that norm alone, a one-entry diagonal, which the frame's norm reads
-    alike.
+    The pieces of :func:`_window_gaps` are weighed with the rate frame's
+    torus scales (:func:`_rate_frame`): block ``(j, k)`` times scale j at
+    its outputs, over scale k at its inputs.  Each kernel-gap block, ``k >=
+    1``, is formed in that order into one buffer of the finest window's
+    size, and its norm taken before the next is formed; the frame holds the
+    block as that norm alone, a one-entry diagonal, which the frame's norm
+    reads alike.
     """
     h_values, grid = check_rate_sweep("section_gap", problem, h_values, nodes_per_window,
                                       lambda_factor)
     buffer, norms = None, []
     for h, (wnodes, mults, cores, moduli) in zip(h_values, _window_gaps(problem, grid, h_values)):
-        scale = np.sqrt(np.array([_trace_weight(wnodes, h, e) for e in problem.trace_exponents]))
+        scale = _rate_frame(problem, wnodes, h)
         mults *= scale[:, None]
         mults /= scale
         if buffer is None:  # one, of the finest window's size

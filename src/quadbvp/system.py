@@ -24,7 +24,10 @@ The continuous counterpart replaces ``zeta(xi)^k`` by ``(i xi)^k`` and the
 torus by the full frequency line, truncated to a symmetric segment.  On a
 torus window both sample the same cores at the same nodes: the lattice
 operator there is a continuous strip's cores with the other powers, its
-multipliers the window's partial sums of the cores' rows.
+multipliers the window's partial sums of the cores' rows.  One
+:func:`assemble` builds all three systems, the grid choosing the nodes,
+the weight and the powers: a lattice problem on its torus, a continuous
+one on a line or, with difference powers, on a torus window.
 
 The trace representation is not unique: adding the m-th transverse power to
 a bottom trace and subtracting the matching k-th power from a left trace
@@ -57,8 +60,7 @@ __all__ = [
     "SolveReport",
     "RoundtripReport",
     "GaussianBumps",
-    "assemble_discrete_system",
-    "assemble_continuous_system",
+    "assemble",
     "solve_block_system",
     "structural_null_basis",
     "project_out_gauge",
@@ -288,7 +290,10 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
         raise AssemblyError(f"non-finite entries in block {name}")
 
 
-def _check_mesh(what: str, h: float | None, grid: FrequencyGrid) -> None:
+def _check_mesh(what: str, h: float | None, grid: FrequencyGrid | LineGrid) -> None:
+    if isinstance(grid, LineGrid):
+        raise MeshMismatchError(f"{what} mesh {h} does not match a line of half width "
+                                f"{grid.half_width:.6g}, which has none")
     if h is None or not grid.matches_mesh(h):
         raise MeshMismatchError(f"{what} mesh {h} does not match grid mesh {grid.h}")
 
@@ -507,28 +512,33 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
     return strips[0], strips[1]
 
 
-def assemble_discrete_system(spec: ProblemSpec, grid: FrequencyGrid) -> BlockSystem:
-    """Assemble the lattice block system on the grid's midpoint nodes."""
-    _check_mesh("factorization", spec.factorization.h, grid)
-    for symbol in spec.bottom_ops + spec.left_ops:
-        _check_mesh("boundary symbol", symbol.h, grid)
-    return _assemble(
-        n=spec.n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=grid.h,
-        plus_factor=spec.factorization.plus_factor,
-        bottom_symbols=spec.bottom_ops, left_symbols=spec.left_ops)
+def assemble(problem: ProblemSpec | ContinuousProblem,
+             grid: FrequencyGrid | LineGrid) -> BlockSystem:
+    """Assemble the block system of a problem on the midpoint nodes of a
+    grid, with its quadrature weight.
 
+    The grid selects the powers:
 
-def assemble_continuous_system(problem: ContinuousProblem, grid: LineGrid) -> BlockSystem:
-    """Assemble the continuous block system on a truncated frequency line.
-
-    The truncation must be wide enough for the negative trace exponents to
-    tame the tails; the half width is the caller's choice.
+    * a :class:`ProblemSpec` on a torus of its own mesh gives the lattice
+      system, ``zeta`` powers; every symbol's mesh is checked against the
+      grid's, and a line raises :class:`MeshMismatchError`;
+    * a :class:`ContinuousProblem` on a :class:`LineGrid` gives the
+      continuous system on the truncated line, ``(i xi)`` powers; the
+      truncation must be wide enough for the negative trace exponents to
+      tame the tails, the half width is the caller's choice;
+    * a :class:`ContinuousProblem` on a :class:`FrequencyGrid` gives the
+      window system: the continuous symbols' cores on the torus nodes with
+      ``zeta`` powers, the system's ``h`` the grid's.
     """
-    return _assemble(
-        n=problem.n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=None,
-        plus_factor=problem.plus_factor,
-        bottom_symbols=problem.bottom_symbols,
-        left_symbols=problem.left_symbols)
+    if isinstance(problem, ProblemSpec):
+        _check_mesh("factorization", problem.factorization.h, grid)
+        for symbol in problem.bottom_ops + problem.left_ops:
+            _check_mesh("boundary symbol", symbol.h, grid)
+        evaluators = (problem.factorization.plus_factor, problem.bottom_ops, problem.left_ops)
+    else:
+        evaluators = (problem.plus_factor, problem.bottom_symbols, problem.left_symbols)
+    return _assemble(problem.n, grid.axis_nodes, grid.axis_weight, getattr(grid, "h", None),
+                     *evaluators)
 
 
 def structural_null_basis(system: BlockSystem) -> np.ndarray:
@@ -944,7 +954,7 @@ def manufactured_roundtrip(spec: ProblemSpec, planted: TraceVector,
                                       for ops, side in edges for op in ops])
     # the planted spectrum is not needed past its boundary data
     del u_hat
-    system = assemble_discrete_system(spec, grid)
+    system = assemble(spec, grid)
     recovered, report = solve_block_system(system, data)
 
     gauged = project_out_gauge(system, planted.values.ravel()).reshape(planted.values.shape)

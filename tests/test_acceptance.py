@@ -32,8 +32,7 @@ from quadbvp import comparison
 from quadbvp import (FrequencyGrid, LatticeFunction, PeriodicSymbol,
                      ProblemSpec, SpectralFunction, TraceVector,
                      WeightedOperatorFrame, apply_symbol_to_spectrum,
-                     assemble_discrete_system, builtin_factor_family,
-                     commutator_rate_sweep, estimate_operator_norm,
+                     builtin_factor_family, commutator_rate_sweep, estimate_operator_norm,
                      identity_boundary_operators, kernel_gap_ratios,
                      manufactured_roundtrip, radial_power_problem, random_bumps,
                      random_trace_vector, reconstruct_solution,

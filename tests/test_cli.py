@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import re
 import tracemalloc
@@ -283,6 +284,60 @@ class TestRunCommand:
         assert re.fullmatch(r"config error: lambda_factor = 1e\+20 makes a line of \d{22,} "
                             r"nodes, more than LINE_NODES_MAX = 1048576\n", errs[0])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, key, value", [
+        ("roundtrip", "N", "1000000"), ("solve", "N", str(cli.GRID_NODES_MAX + 2)),
+        ("roundtrip", "n", "1000000"), ("solve", "n", str(cli.PROBLEM_N_MAX + 1)),
+        ("power_gap", "samples", "1000000000000"),
+        ("power_gap", "samples", str(cli.SAMPLES_MAX + 1)),
+    ], ids=["N-huge", "N-over", "n-huge", "n-over", "samples-huge", "samples-over"])
+    def test_size_over_its_ceiling_exits_2_at_validate_and_run(self, tmp_path, capsys,
+                                                               mode, key, value):
+        # a size whose arrays no run could allocate, terabytes for the huge
+        # ones: both commands stop at its field, naming the key, and write
+        # nothing
+        text = SMALL_CONFIGS[mode].format(mode=mode, out=tmp_path / "out")
+        path = write_config(tmp_path, re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text))
+        errs = []
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert re.match(rf"config error: line \d+: bad value for '{key}': must be .*, "
+                        rf"got {value}\n", errs[0])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, replaced", [
+        ("solve", {"N = 64": f"N = {cli.GRID_NODES_MAX}"}),
+        ("roundtrip", {"n = 1": f"n = {cli.PROBLEM_N_MAX}",
+                       "s = -1.25": f"s = {-cli.PROBLEM_N_MAX - 0.25}"}),
+        ("power_gap", {"samples = 100": f"samples = {cli.SAMPLES_MAX}"}),
+    ], ids=["N", "n", "samples"])
+    def test_size_at_its_ceiling_validates(self, tmp_path, mode, replaced):
+        text = SMALL_CONFIGS[mode].format(mode=mode, out=tmp_path / "out")
+        for old, new in replaced.items():
+            assert old in text
+            text = text.replace(old, new)
+        assert main(["validate", str(write_config(tmp_path, text))]) == 0
+
+    def test_ceilings_leave_room_for_every_shipped_and_benchmarked_size(self):
+        # each ceiling at least 4 times the largest size a shipped config or
+        # a benchmark workload runs
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        configs = [load_config(path) for path in sorted((ROOT / "configs").glob("*.ini"))]
+        sizes = [size for ladder in workloads.SOLVE_LADDER.values() for size in ladder]
+        Ns = [N for _, N in sizes] + [N for Ns in workloads.ROUNDTRIP_N.values() for N in Ns]
+        Ns += [cfg.N for cfg in configs if cfg.mode in cli.LATTICE]
+        ns = [n for n, _ in sizes] + list(workloads.ROUNDTRIP_ORDERS)
+        ns += [cfg.n for cfg in configs if cfg.mode in cli.LATTICE]
+        samples = [cfg.samples for cfg in configs if cfg.mode == "power_gap"]
+        assert max(Ns) == 384 and max(ns) == 2 and samples == [10000]
+        for largest, ceiling in ((max(Ns), cli.GRID_NODES_MAX), (max(ns), cli.PROBLEM_N_MAX),
+                                 (max(samples), cli.SAMPLES_MAX)):
+            assert 4 * largest <= ceiling
 
     @pytest.mark.parametrize("old, new, named", [
         ("h = 1", "h = nan", "mesh size h"), ("h = 1", "h = inf", "mesh size h"),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from quadbvp import comparison, system
 from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      NormEstimateError, WeightedOperatorFrame,
-                     aligned_line_grid, assemble_continuous_system,
+                     aligned_line_grid, assemble,
                      commutator_rate_sweep, estimate_operator_norm, fit_rate,
                      kernel_gap_ratios, radial_power_problem,
                      section_gap_rate_sweep, window_mask, zeta,
@@ -622,13 +622,10 @@ class TestSectionGapSweep:
         problem = radial_power_problem(s=0.75, n=1, delta=0.25,
                                        bottom_orders=[0.0], left_orders=[0.0])
         grid = aligned_line_grid([h], 256, lambda_factor=4.0)
-        q_full = assemble_continuous_system(problem, grid)
+        q_full = assemble(problem, grid)
         win = window_mask(grid, h)
         wnodes = grid.axis_nodes[win]
-        lattice = _assemble(n=1, nodes=wnodes, weight=grid.axis_weight, h=h,
-                            plus_factor=problem.plus_factor,
-                            bottom_symbols=problem.bottom_symbols,
-                            left_symbols=problem.left_symbols)
+        lattice = assemble(problem, FrequencyGrid(h, len(wnodes), ndim=1))
         gap = q_full.bottom_mult[0, 0][win] - lattice.bottom_mult[0, 0]
         a = np.sqrt(1.0 + wnodes ** 2)
         exact = 2.0 / a * (np.arctan(grid.half_width / a)
@@ -766,7 +763,7 @@ class TestStripAssembly:
         problem = skewed_problem()
         grid = aligned_line_grid(hs, 8)
         nodes, quad = grid.axis_nodes, grid.axis_weight
-        full = assemble_continuous_system(problem, grid)
+        full = assemble(problem, grid)
         full_stacks = kernel_stacks(full)
         full_cores = (full.bottom_core, full.left_core)
         eps = np.finfo(float).eps
@@ -804,6 +801,33 @@ class TestStripAssembly:
                     assert np.all(np.abs(mult[j, k].real - want.real) <= bound), (h, f, j, k)
                     assert np.all(np.abs(mult[j, k].imag - want.imag) <= bound), (h, f, j, k)
 
+    def test_window_systems_are_the_lattice_side_of_the_shipped_sweep(self):
+        # on each window of section_gap.ini's sweep, the continuous problem
+        # assembled on the window's torus holds the lattice side of the
+        # gaps: the gaps' window cores, and as multipliers their rows
+        # against zeta powers; the window nodes differ from the torus nodes
+        # by rounding, so the two agree to rounding, not bit for bit
+        cfg = load_config(ROOT / "configs" / "section_gap.ini")
+        problem = cfg.problem
+        _, grid = comparison.check_rate_sweep("section_gap", problem, cfg.h_values,
+                                              cfg.nodes_per_window, cfg.lambda_factor)
+        gaps = comparison._window_gaps(problem, grid, cfg.h_values)
+        for h, (wnodes, _, cores, moduli) in zip(cfg.h_values, gaps):
+            system = assemble(problem, FrequencyGrid(h, len(wnodes), ndim=1))
+            assert system.h == h
+            np.testing.assert_allclose(system.nodes, wnodes, rtol=0, atol=1e-13)
+            zetas = _power_base(system.nodes, h)
+            np.testing.assert_allclose(np.abs(1j * system.nodes - zetas), moduli[:, 1],
+                                       rtol=1e-12)
+            for got, core, mult in ((system.bottom_core, cores[0], system.bottom_mult),
+                                    (system.left_core, cores[1], system.left_mult)):
+                assert got.dtype == core.dtype
+                np.testing.assert_allclose(got, core, rtol=2e-13, atol=0)
+                for j, k in np.ndindex(problem.n, problem.n):
+                    want = core[j] @ zetas ** k
+                    bound = 2e-13 * np.abs(core[j]) @ np.abs(zetas) ** k
+                    assert np.all(np.abs(mult[j, k] - want) <= bound), (h, j, k)
+
     def test_skewed_problem_is_not_symmetric(self):
         # the exactness test catches a transposed mesh only because every
         # symbol changes when (xi1, xi2) are swapped
@@ -816,7 +840,8 @@ class TestStripAssembly:
 class TestSweepsAssembleOnlyWhatTheyRead:
     def test_gap_sweeps_never_assemble_the_full_continuous_system(self, monkeypatch):
         # the full assembly is not even in reach of the sweeps
-        assert not hasattr(comparison, "assemble_continuous_system")
+        for name in ("assemble", "assemble_continuous_system", "assemble_discrete_system"):
+            assert not hasattr(comparison, name), name
         strips = []  # core shapes of the continuous assemblies
 
         def recording(**kwargs):
@@ -957,7 +982,7 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         grid = aligned_line_grid([0.5, 0.25], 8)
         nodes = grid.axis_nodes
         N = len(nodes)
-        bottom, left = kernel_stacks(assemble_continuous_system(problem, grid))
+        bottom, left = kernel_stacks(assemble(problem, grid))
         for rows in (window_mask(grid, 0.25), rng.random(N) < 0.3):
             for line in (np.roll(np.arange(N), N // 2), rng.permutation(N)):
                 pairs = _kernel_strips(problem, nodes[rows], nodes[line], grid.axis_weight,
@@ -1042,7 +1067,7 @@ def weighted_frame(quadrants, weights):
 
 def full_weighted_kernels(problem, grid):
     """Weighted quadrants of the continuous kernels on the whole line."""
-    bottom, left = kernel_stacks(assemble_continuous_system(problem, grid))
+    bottom, left = kernel_stacks(assemble(problem, grid))
     weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in problem.trace_exponents]
     return weighted_frame(((None, bottom), (left, None)), weights).blocks
 
@@ -1050,7 +1075,7 @@ def full_weighted_kernels(problem, grid):
 def per_h_commutator_norms(problem, hs, nodes_per_window, lambda_factor=4.0):
     """Reference: the signed full kernels formed and weighted anew for every h."""
     grid = aligned_line_grid(hs, nodes_per_window, lambda_factor=lambda_factor)
-    bottom, left = kernel_stacks(assemble_continuous_system(problem, grid))
+    bottom, left = kernel_stacks(assemble(problem, grid))
     weights = [(1.0 + grid.axis_nodes ** 2) ** e for e in problem.trace_exponents]
     norms = []
     for h in hs:

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from quadbvp import (AssemblyError, ContinuousProblem, FrequencyGrid, MeshMismatchError,
                      NearSingularError, PeriodicSymbol, ProblemSpec,
                      SpectralFunction, TraceVector, WaveFactorization,
-                     assemble_continuous_system, assemble_discrete_system,
-                     builtin_factor_family, identity_boundary_operators,
+                     assemble, builtin_factor_family, identity_boundary_operators,
                      manufactured_roundtrip, project_out_gauge,
                      radial_power_problem, random_bumps, random_trace_vector,
                      reconstruct_solution, row_trace_boundary_operators,
@@ -92,7 +91,7 @@ class TestProblemSpecValidation:
         # data are the solve's input, checked there, not the problem's
         rows = np.ones((2, 8), dtype=complex)
         rows[row] = np.nan
-        system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 8))
+        system = assemble(trivial_spec(), FrequencyGrid(1.0, 8))
         with pytest.raises(AssemblyError, match=f"non-finite entries in block rhs_{edge}"):
             solve_block_system(system, torus_data(system, rows))
 
@@ -127,13 +126,13 @@ class TestTraceVector:
 class TestAssembly:
     def test_unit_symbols_give_torus_width_multiplier(self):
         grid = FrequencyGrid(1.0, 16)
-        sys = assemble_discrete_system(trivial_spec(), grid)
+        sys = assemble(trivial_spec(), grid)
         assert np.allclose(sys.bottom_mult[0, 0], 2 * math.pi, rtol=1e-14)
         assert np.allclose(sys.left_mult[0, 0], 2 * math.pi, rtol=1e-14)
 
     def test_unit_symbols_give_unit_kernel(self):
         grid = FrequencyGrid(1.0, 16)
-        sys = assemble_discrete_system(trivial_spec(), grid)
+        sys = assemble(trivial_spec(), grid)
         # quadrature weight folded into the operator matrix
         for stack in kernel_stacks(sys):
             assert np.allclose(stack[0, 0], grid.axis_weight, rtol=1e-14)
@@ -145,13 +144,22 @@ class TestAssembly:
         spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
                            bottom_ops=(sym,), left_ops=(sym,))
         grid = FrequencyGrid(h, 16)
-        sys = assemble_discrete_system(spec, grid)
+        sys = assemble(spec, grid)
         assert np.allclose(kernel_stacks(sys)[0][0, 0], grid.axis_weight, rtol=1e-12)
 
     def test_factorization_mesh_must_match_grid(self):
         with pytest.raises(MeshMismatchError,
                            match="factorization mesh 0.5 does not match grid mesh 1.0"):
-            assemble_discrete_system(trivial_spec(h=0.5), FrequencyGrid(1.0, 8))
+            assemble(trivial_spec(h=0.5), FrequencyGrid(1.0, 8))
+
+    @pytest.mark.parametrize("grid, where", [
+        (lattice.LineGrid(3.0, 8), "a line of half width 3, which has none"),
+        (FrequencyGrid(0.5, 8), "grid mesh 0.5")], ids=["line", "other torus"])
+    def test_lattice_problem_off_its_torus_rejected(self, grid, where):
+        # a lattice problem has a system only on the torus of its own mesh
+        with pytest.raises(MeshMismatchError,
+                           match=f"^factorization mesh 1.0 does not match {where}$"):
+            assemble(trivial_spec(), grid)
 
     def test_boundary_symbol_mesh_must_match_grid(self):
         fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
@@ -160,7 +168,7 @@ class TestAssembly:
                            bottom_ops=bottom, left_ops=left)
         with pytest.raises(MeshMismatchError,
                            match="boundary symbol mesh 0.5 does not match grid mesh 1.0"):
-            assemble_discrete_system(spec, FrequencyGrid(1.0, 8))
+            assemble(spec, FrequencyGrid(1.0, 8))
 
     @pytest.mark.parametrize("grid1, mesh", [(FrequencyGrid(0.5, 16, ndim=1), "0.5"),
                                              (lattice.LineGrid(math.pi, 16), "None")],
@@ -168,13 +176,13 @@ class TestAssembly:
     def test_data_on_another_mesh_rejected(self, grid1, mesh):
         # same node count, so only the mesh tells the data apart: one vector
         # has one grid, checked once
-        system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
+        system = assemble(trivial_spec(), FrequencyGrid(1.0, 16))
         with pytest.raises(MeshMismatchError,
                            match=f"^data mesh {mesh} does not match grid mesh 1.0$"):
             solve_block_system(system, TraceVector(grid1, np.ones((2, 16))))
 
     def test_data_of_wrong_length_rejected(self):
-        system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
+        system = assemble(trivial_spec(), FrequencyGrid(1.0, 16))
         with pytest.raises(MeshMismatchError, match="^data have 8 nodes, the grid 16$"):
             solve_block_system(system, TraceVector(FrequencyGrid(1.0, 8, ndim=1),
                                                    np.ones((2, 8))))
@@ -192,7 +200,7 @@ class TestAssembly:
         spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
                            bottom_ops=bottom, left_ops=left)
         with pytest.raises(AssemblyError, match=f"xi1={bad_node:.6g}"):
-            assemble_discrete_system(spec, grid)
+            assemble(spec, grid)
 
     def test_non_finite_symbol_rejected(self):
         h = 1.0
@@ -204,7 +212,7 @@ class TestAssembly:
                            bottom_ops=(inf_symbol,), left_ops=left)
         with np.errstate(invalid="ignore"):
             with pytest.raises(AssemblyError, match="non-finite"):
-                assemble_discrete_system(spec, FrequencyGrid(h, 8))
+                assemble(spec, FrequencyGrid(h, 8))
 
 
 
@@ -240,8 +248,7 @@ class TestRowTiles:
     @staticmethod
     def lattice_spec():
         # a full lattice assembly, complex cores
-        args = factorization_assembly(N=26)
-        return args, None
+        return core_args(*factorization_problem(N=26)), None
 
     @pytest.mark.parametrize("kind", ["lattice", "radial strip"])
     def test_tile_size_changes_no_assembled_bit(self, monkeypatch, kind):
@@ -322,7 +329,7 @@ class TestRowTiles:
             assert system._row_tiles(int(rows.sum()), N)[-1] == slice(40, 42)
         # the strip takes the full system's weight, so the full cores are
         # the terms of both
-        full = assemble_continuous_system(problem, grid)
+        full = assemble(problem, grid)
         part = strip(problem, nodes, rows, weight=grid.axis_weight)
         assert full.bottom_core.dtype == full.left_core.dtype == dtype
         powers = _power_base(nodes, None)
@@ -342,7 +349,7 @@ class TestRowTiles:
         symbols = {f"{edge} {j}": 1 for edge in ("bottom", "left") for j in range(2)}
         # a full system reuses the bottom mesh's inverse factor for the left
         # family; a strip and the pair strips evaluate it on both meshes
-        for step, plus in ((lambda: assemble_continuous_system(problem, grid), 1),
+        for step, plus in ((lambda: assemble(problem, grid), 1),
                            (lambda: strip(problem, nodes, rows), 2)):
             calls.clear()
             step()
@@ -356,13 +363,13 @@ class TestSolve:
     def test_all_unit_system_has_symmetric_solution(self):
         # both equations read 2 pi (c + d) = 2 pi; the gauge-orthogonal
         # representative is c = d = 1/2
-        sys = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
+        sys = assemble(trivial_spec(), FrequencyGrid(1.0, 16))
         traces, rep = solve_block_system(sys, torus_data(sys, np.full((2, 16), 2 * math.pi)))
         assert np.allclose(traces.values, 0.5, atol=1e-12)
         assert rep.residual <= 1e-10
 
     def test_traces_come_back_on_the_data_grid(self):
-        sys = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
+        sys = assemble(trivial_spec(), FrequencyGrid(1.0, 16))
         data = torus_data(sys, np.ones((2, 16)))
         traces, _ = solve_block_system(sys, data)
         assert traces.grid is data.grid
@@ -370,7 +377,7 @@ class TestSolve:
 
     def test_zero_data_gives_zero_solution(self):
         grid = FrequencyGrid(1.0, 16)
-        sys = assemble_discrete_system(trivial_spec(), grid)
+        sys = assemble(trivial_spec(), grid)
         traces, rep = solve_block_system(sys, zero_data(sys))
         assert np.allclose(traces.values, 0.0, atol=1e-14)
         assert rep.residual == 0.0
@@ -378,15 +385,14 @@ class TestSolve:
     def test_duplicated_boundary_rows_are_near_singular(self):
         # identical order-zero operators in both rows leave the system rank
         # deficient beyond its structural gauge space
-        sys = assemble_discrete_system(trivial_spec(n=2), FrequencyGrid(1.0, 16))
+        sys = assemble(trivial_spec(n=2), FrequencyGrid(1.0, 16))
         with pytest.raises(NearSingularError) as err:
             solve_block_system(sys, zero_data(sys))
         assert err.value.condition > 1e12
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_data_with_another_component_count_rejected(self, n):
-        system = assemble_discrete_system(trivial_spec(n=2, boundary="zeta"),
-                                          FrequencyGrid(1.0, 8))
+        system = assemble(trivial_spec(n=2, boundary="zeta"), FrequencyGrid(1.0, 8))
         with pytest.raises(ValueError, match=f"data must have n = 2 components per "
                                              f"edge, got {n}"):
             solve_block_system(system, torus_data(system, np.ones((2 * n, 8))))
@@ -446,7 +452,7 @@ def compatible_problem(fac, operators, n, N, h, seed):
     data = TraceVector(planted.grid, [boundary_trace_spectrum(op, u_hat, side).values
                                       for ops, side in ((bottom, "bottom"), (left, "left"))
                                       for op in ops])
-    return spec, planted, assemble_discrete_system(spec, grid), data
+    return spec, planted, assemble(spec, grid), data
 
 
 families = st.one_of(
@@ -526,7 +532,7 @@ def corner_incompatible_system(rng):
     data = TraceVector(grid1, [random_bumps(rng, math.pi)(grid1.axis_nodes) for _ in range(2)])
     spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
                        bottom_ops=bottom, left_ops=left)
-    return assemble_discrete_system(spec, FrequencyGrid(h, N)), data
+    return assemble(spec, FrequencyGrid(h, N)), data
 
 
 ELIMINATION_CASES = {
@@ -786,39 +792,42 @@ def stored_assembly(n, nodes, weight, h, plus_factor, bottom_symbols, left_symbo
     return bottom_kernel, left_kernel, bottom_cores, [core.T for core in left_cores]
 
 
-def skewed_assembly(h, lattice_window):
-    """``_assemble``'s arguments for the skewed problem: on the whole line
-    (``h`` None), or on a torus window with difference powers."""
-    problem = skewed_problem()
-    grid = aligned_line_grid([0.5, 0.25], 8)
-    nodes = grid.axis_nodes[window_mask(grid, lattice_window)] if h else grid.axis_nodes
-    return dict(n=problem.n, nodes=nodes, weight=grid.axis_weight, h=h,
-                plus_factor=problem.plus_factor, bottom_symbols=problem.bottom_symbols,
-                left_symbols=problem.left_symbols)
+def core_args(problem, grid):
+    """``_assemble``'s arguments for a problem on a grid's nodes: a lattice
+    problem's factor and boundary symbols, or a continuous problem's
+    evaluators, with the grid's weight and mesh (None on a line)."""
+    if isinstance(problem, ProblemSpec):
+        evaluators = (problem.factorization.plus_factor, problem.bottom_ops, problem.left_ops)
+    else:
+        evaluators = (problem.plus_factor, problem.bottom_symbols, problem.left_symbols)
+    return dict(zip(("plus_factor", "bottom_symbols", "left_symbols"), evaluators),
+                n=problem.n, nodes=grid.axis_nodes, weight=grid.axis_weight,
+                h=getattr(grid, "h", None))
 
 
-def factorization_assembly(h=0.5, N=24):
-    """``_assemble``'s arguments for an n = 2 lattice problem of a factor
-    family with row-trace operators."""
+def factorization_problem(h=0.5, N=24):
+    """An n = 2 lattice problem of a factor family with row-trace operators,
+    and its torus of N nodes."""
     fac = builtin_factor_family("geometric", h, a=-0.4, p=2, q=1)
     bottom, left = row_trace_boundary_operators(2, h)
-    grid = FrequencyGrid(h, N)
-    return dict(n=2, nodes=grid.axis_nodes, weight=grid.axis_weight, h=h,
-                plus_factor=fac.plus_factor, bottom_symbols=bottom, left_symbols=left)
+    spec = ProblemSpec(s=fac.index - 2.25, factorization=fac, n=2, delta=0.25,
+                       bottom_ops=bottom, left_ops=left)
+    return spec, FrequencyGrid(h, N)
 
 
+# problems on grids: the skewed problem on the line and, with difference
+# powers, on its coarsest window's torus; a lattice problem on its torus
 ASSEMBLIES = {
-    "continuous": lambda: skewed_assembly(None, None),
-    "lattice": lambda: skewed_assembly(0.5, 0.5),
-    "factorization": factorization_assembly,
+    "continuous": lambda: (skewed_problem(), aligned_line_grid([0.5, 0.25], 8)),
+    "lattice": lambda: (skewed_problem(), FrequencyGrid(0.5, 8)),
+    "factorization": factorization_problem,
 }
 
 
 LAYOUT_SYSTEMS = {
     "lattice": lambda: ELIMINATION_CASES["row_trace_n2"](None)[0],
-    "continuous": lambda: assemble_continuous_system(
-        skewed_problem(), aligned_line_grid([0.5, 0.25], 8)),
-    "window": lambda: _assemble(**ASSEMBLIES["lattice"]()),
+    "continuous": lambda: assemble(*ASSEMBLIES["continuous"]()),
+    "window": lambda: assemble(*ASSEMBLIES["lattice"]()),
     "shifted_zeta_n3": lambda: ELIMINATION_CASES["shifted_zeta_n3_low_kappa"](None)[0],
 }
 
@@ -838,10 +847,11 @@ class TestOperatorLayout:
         # the kernel stacks bit for bit; the multipliers, whose summing
         # order is the assembly's choice, to the rounding of a sum, a
         # strip's over the nodes outside its rows
-        args = ASSEMBLIES[kind]()
+        problem, grid = ASSEMBLIES[kind]()
+        args = core_args(problem, grid)
         N = len(args["nodes"])
         rows = rng.random(N) < 0.4 if strip else None
-        system = _assemble(**args, rows=rows)
+        system = _assemble(**args, rows=rows) if strip else assemble(problem, grid)
         R = N if rows is None else int(rows.sum())
         assert system.n == 2 and 0 < R <= N
         for core in (system.bottom_core, system.left_core):
@@ -927,7 +937,7 @@ class TestOperatorLayout:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            system = assemble_discrete_system(spec, grid)
+            system = assemble(spec, grid)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -961,7 +971,7 @@ class TestStructuralGauge:
         bottom, left = row_trace_boundary_operators(2, h)
         spec = ProblemSpec(s=-2.25, factorization=fac, n=2, delta=0.25,
                            bottom_ops=bottom, left_ops=left)
-        sys = assemble_discrete_system(spec, FrequencyGrid(h, 16))
+        sys = assemble(spec, FrequencyGrid(h, 16))
         a = full_matrix(sys)
         z = structural_null_basis(sys)
         assert z.shape[1] == 4
@@ -974,7 +984,7 @@ class TestStructuralGauge:
         grid = FrequencyGrid(h, 16)
         grid1 = FrequencyGrid(h, 16, ndim=1)
         planted = random_trace_vector(rng, grid1, 2)
-        sys = assemble_discrete_system(
+        sys = assemble(
             ProblemSpec(s=-2.25, factorization=fac, n=2, delta=0.25,
                         bottom_ops=row_trace_boundary_operators(2, h)[0],
                         left_ops=row_trace_boundary_operators(2, h)[1]), grid)
@@ -1166,7 +1176,7 @@ class TestContinuousAssembly:
                                        bottom_orders=[0.0], left_orders=[0.0])
         assert problem.index == pytest.approx(2.0)
         grid = aligned_line_grid([0.5], 256, lambda_factor=4.0)
-        sys = assemble_continuous_system(problem, grid)
+        sys = assemble(problem, grid)
         nodes = grid.axis_nodes
         a = np.sqrt(1.0 + nodes ** 2)
         exact = 2.0 / a * np.arctan(grid.half_width / a)
@@ -1179,7 +1189,7 @@ class TestContinuousAssembly:
                                        bottom_orders=[0.0, 0.0],
                                        left_orders=[0.0, 0.0])
         grid = aligned_line_grid([1.0], 64, lambda_factor=4.0)
-        sys = assemble_continuous_system(problem, grid)
+        sys = assemble(problem, grid)
         scale = np.max(np.abs(sys.bottom_mult[0, 0]))
         assert np.max(np.abs(sys.bottom_mult[0, 1])) <= 1e-12 * scale
 
@@ -1211,7 +1221,7 @@ class TestContinuousAssembly:
             s=0.75, n=1, delta=0.25, bottom_orders=[0.0], left_orders=[0.0])
         grid = aligned_line_grid([1.0], 32, lambda_factor=2.0)
         bump = random_bumps(rng, math.pi)(grid.axis_nodes)
-        sys = assemble_continuous_system(problem, grid)
+        sys = assemble(problem, grid)
         traces, rep = solve_block_system(sys, TraceVector(grid, [bump, bump]))
         assert rep.residual <= 1e-10
         assert traces.grid is grid
@@ -1222,7 +1232,7 @@ class TestContinuousAssembly:
         problem = radial_power_problem(
             s=0.75, n=1, delta=0.25, bottom_orders=[0.0], left_orders=[0.0])
         grid = aligned_line_grid([1.0], 32, 2.0)
-        sys = assemble_continuous_system(problem, grid)
+        sys = assemble(problem, grid)
         other = lattice.LineGrid(math.pi, grid.nodes_count)
         assert grid.nodes_count == 64 and grid.half_width == 2.0 * math.pi
         bump = random_bumps(rng, math.pi)(sys.nodes)
@@ -1236,11 +1246,35 @@ class TestContinuousAssembly:
         # a line has no mesh to compare, only its node count
         problem = radial_power_problem(
             s=0.75, n=1, delta=0.25, bottom_orders=[0.0], left_orders=[0.0])
-        sys = assemble_continuous_system(problem, aligned_line_grid([1.0], 32, 2.0))
+        sys = assemble(problem, aligned_line_grid([1.0], 32, 2.0))
         short = TraceVector(lattice.LineGrid(math.pi, 16), np.ones((2, 16)))
         with pytest.raises(MeshMismatchError,
                            match=f"^data have 16 nodes, the grid {len(sys.nodes)}$"):
             solve_block_system(sys, short)
+
+
+class TestWindowSystem:
+    """A continuous problem on a torus is its window system: the cores on
+    the torus nodes with difference powers."""
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("make", [
+        lambda: radial_power_problem(s=3.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
+                                     left_orders=[0.0, -1.0]),
+        skewed_problem,
+    ], ids=["radial", "skewed"])
+    def test_is_the_core_assembly_with_the_grid_mesh(self, make, ndim):
+        problem, grid = make(), FrequencyGrid(0.5, 16, ndim=ndim)
+        system = assemble(problem, grid)
+        assert system.h == grid.h and np.array_equal(system.nodes, grid.axis_nodes)
+        want = _assemble(n=problem.n, nodes=grid.axis_nodes, weight=grid.axis_weight,
+                         h=grid.h, plus_factor=problem.plus_factor,
+                         bottom_symbols=problem.bottom_symbols,
+                         left_symbols=problem.left_symbols)
+        for field in BLOCKS:
+            got = getattr(system, field)
+            assert got.dtype == getattr(want, field).dtype, field
+            assert np.array_equal(got, getattr(want, field)), field
 
 
 def dense(ev):
@@ -1309,7 +1343,7 @@ class TestOpenMesh:
             "boundary_trace_spectrum": lambda: [
                 boundary_trace_spectrum(op, u_hat, side)
                 for ops, side in ((bottom, "bottom"), (left, "left")) for op in ops],
-            "assemble_discrete_system": lambda: assemble_discrete_system(spec, grid),
+            "assemble": lambda: assemble(spec, grid),
             "rows strip": lambda: strip(problem, nodes, rows),
             "_kernel_strips": lambda: pair_strips(problem, nodes, rows),
             "apply_symbol_to_spectrum": lambda: apply_symbol_to_spectrum(
@@ -1367,7 +1401,7 @@ class TestOpenMesh:
             wfac, (bottom, left) = with_evaluators(wrap, fac, operators(n, h))
             spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=wfac, n=n,
                                delta=0.25, bottom_ops=bottom, left_ops=left)
-            blocks.append(assemble_discrete_system(spec, grid))
+            blocks.append(assemble(spec, grid))
         for field in BLOCKS:
             assert np.array_equal(getattr(blocks[0], field), getattr(blocks[1], field)), field
 
@@ -1411,8 +1445,7 @@ class TestOpenMesh:
         nodes = grid.axis_nodes
         rows = window_mask(grid, 0.25)
         open_, dense_ = problem, with_continuous_evaluators(dense, problem)
-        pairs = [(assemble_continuous_system(open_, grid),
-                  assemble_continuous_system(dense_, grid)),
+        pairs = [(assemble(open_, grid), assemble(dense_, grid)),
                  (strip(open_, nodes, rows), strip(dense_, nodes, rows))]
         for got, want in pairs:
             for field in BLOCKS:
@@ -1433,12 +1466,12 @@ class TestOpenMesh:
         assert not np.iscomplexobj(problem.plus_factor(*_open_mesh(nodes, nodes)))
         cast = with_continuous_evaluators(
             lambda ev: lambda x1, x2: np.asarray(ev(x1, x2), dtype=complex), problem)
-        full = assemble_continuous_system(problem, grid)
+        full = assemble(problem, grid)
         powers = _power_base(nodes, None)
         # the rows a system holds and the nodes its multipliers sum over;
         # strips take the full system's weight, so its cores are the terms
         weight = grid.axis_weight
-        cases = [(full, assemble_continuous_system(cast, grid), slice(None), slice(None)),
+        cases = [(full, assemble(cast, grid), slice(None), slice(None)),
                  (strip(problem, nodes, rows, weight=weight),
                   strip(cast, nodes, rows, weight=weight), rows, ~rows)]
         for got, want, cut, inputs in cases:
@@ -1487,7 +1520,7 @@ class TestOpenMesh:
             bottom_symbols=(ones_symbol,), left_symbols=(ones_symbol,),
             bottom_orders=(0.0,), left_orders=(0.0,))
         with pytest.raises(AssemblyError, match=where):
-            assemble_discrete_system(spec, grid)
+            assemble(spec, grid)
         # as an equation row of the bottom strip, then of the left one
         for node in (3, 11):
             rows = np.zeros(N, dtype=bool)
@@ -1523,7 +1556,7 @@ class TestRealKernels:
         grid = aligned_line_grid([0.5, 0.25], 8)
         nodes = grid.axis_nodes
         rows = window_mask(grid, 0.25)
-        for system, cut in ((assemble_continuous_system(problem, grid), None),
+        for system, cut in ((assemble(problem, grid), None),
                             (strip(problem, nodes, rows), rows)):
             assert system.bottom_core.dtype == system.left_core.dtype == np.float64
             assert system.bottom_mult.dtype == system.left_mult.dtype == np.complex128
@@ -1536,7 +1569,7 @@ class TestRealKernels:
         # which casts the core: the blocks of the complex cast core
         problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
                                        left_orders=[0.5, 0.0])
-        system = assemble_continuous_system(problem, aligned_line_grid([0.5, 0.25], 8))
+        system = assemble(problem, aligned_line_grid([0.5, 0.25], 8))
         powers = _power_base(system.nodes, None)
         for core, stack in zip((system.bottom_core, system.left_core), kernel_stacks(system)):
             assert core.dtype == np.float64 and stack.dtype == np.complex128
@@ -1553,8 +1586,7 @@ class TestRealKernels:
         grid = aligned_line_grid([0.5, 0.25], 8)
         nodes = grid.axis_nodes
         rows = window_mask(grid, 0.25)
-        for got, want in ((assemble_continuous_system(mixed, grid),
-                           assemble_continuous_system(cast, grid)),
+        for got, want in ((assemble(mixed, grid), assemble(cast, grid)),
                           (strip(mixed, nodes, rows), strip(cast, nodes, rows))):
             assert got.bottom_core.dtype == np.complex128
             assert got.left_core.dtype == np.float64
@@ -1574,7 +1606,7 @@ class TestRealKernels:
         bottom, left = operators(n, h)
         spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=fac, n=n, delta=0.25,
                            bottom_ops=bottom, left_ops=left)
-        system = assemble_discrete_system(spec, FrequencyGrid(h, 16))
+        system = assemble(spec, FrequencyGrid(h, 16))
         assert system.bottom_core.dtype == system.left_core.dtype == np.complex128
 
     @pytest.mark.parametrize("kind", ["unit lattice", "radial line"])
@@ -1583,10 +1615,10 @@ class TestRealKernels:
         # stored complex
         if kind == "unit lattice":
             grid1 = FrequencyGrid(1.0, 16, ndim=1)
-            system = assemble_discrete_system(trivial_spec(), FrequencyGrid(1.0, 16))
+            system = assemble(trivial_spec(), FrequencyGrid(1.0, 16))
         else:
             grid1 = aligned_line_grid([1.0], 32, lambda_factor=2.0)
-            system = assemble_continuous_system(
+            system = assemble(
                 radial_power_problem(s=0.75, n=1, delta=0.25, bottom_orders=[0.0],
                                      left_orders=[0.0]), grid1)
         assert system.bottom_core.dtype == np.float64
