@@ -156,7 +156,10 @@ def _rate_problem(cfg: ExperimentConfig):
                               f"got {len(getattr(cfg, key))}")
     problem = radial_power_problem(s=cfg.s, n=cfg.n, delta=cfg.delta,
                                    bottom_orders=cfg.betas, left_orders=cfg.gammas)
-    check_rate_sweep(cfg.mode, problem, cfg.h_values, cfg.nodes_per_window, cfg.lambda_factor)
+    # kernel_gap measures each mesh size on a line of its own
+    sweeps = [(h,) for h in cfg.h_values] if cfg.mode == "kernel_gap" else [cfg.h_values]
+    for hs in sweeps:
+        check_rate_sweep(cfg.mode, problem, hs, cfg.nodes_per_window, cfg.lambda_factor)
     return problem
 
 
@@ -443,15 +446,25 @@ _NON_NEGATIVE = _checked(int, lambda v: v >= 0, "a non-negative integer")
 # (the spectrum, the inverse plus factor, each kernel core), 64 MiB each at
 # 2^11, over 5 times the largest shipped or benchmarked N, 384.
 GRID_NODES_MAX = 2 ** 11
-# The most boundary operators per edge: the multipliers are (2, n, n, N)
-# complex stacks, 8 MiB at n = 8 and N = GRID_NODES_MAX, 4 times the
-# largest shipped n, 2.  The ceilings bound each size alone: a run at both
-# would still keep 8 cores of 64 MiB per edge.
+# The most boundary operators per edge, [problem] n and [continuous] n: the
+# multipliers are (2, n, n, N) complex stacks, 8 MiB at n = 8 and N =
+# GRID_NODES_MAX, 4 times the largest shipped n, 2.  The ceilings bound each
+# size alone: a run at both would still keep 8 cores of 64 MiB per edge.  A
+# rate sweep's arrays are bounded as a whole (comparison.STRIP_ENTRIES_MAX).
 PROBLEM_N_MAX = 8
+# The range of [grid] h.  The seeded trace data are Gaussian bumps whose
+# widths, 0.08 to 0.25 times the torus half width pi/h, are squared: the
+# square overflows past a width of 1.3e154 (h = 1e-200 raises so), is
+# subnormal below 1.5e-154 and 0 below 2.2e-162, which makes the data NaN
+# (h = 1e300).  Within 1e-150 and 1e150 every squared width is a normal
+# float with a factor over 1e6 to spare; the shipped and benchmarked h
+# are 1 and 0.5.
+GRID_H_RANGE = (1e-150, 1e150)
 # The most power_gap samples per mesh size: each is drawn as one float array
 # and its gaps and bounds taken in arrays of its length, a float array of
 # 2^20 being 8 MiB, about 100 times the shipped 10000.
 SAMPLES_MAX = 2 ** 20
+_PROBLEM_N = _checked(int, lambda v: v <= PROBLEM_N_MAX, f"<= {PROBLEM_N_MAX}")
 
 FIELDS = (
     Field("experiment", "mode", tuple(MODES), tuple(MODES)),
@@ -465,15 +478,17 @@ FIELDS = (
     Field("symbols", "kappa", float, LATTICE, None),
     Field("symbols", "boundary", tuple(BOUNDARY_OPERATORS), LATTICE, "row_trace"),
     Field("problem", "s", float, LATTICE),
-    Field("problem", "n", _checked(int, lambda v: v <= PROBLEM_N_MAX, f"<= {PROBLEM_N_MAX}"),
-          LATTICE),
+    Field("problem", "n", _PROBLEM_N, LATTICE),
     Field("problem", "delta", float, LATTICE),
     Field("grid", "N", _checked(int, lambda v: 0 < v <= GRID_NODES_MAX and v % 2 == 0,
                                 f"a positive even integer <= {GRID_NODES_MAX}"), LATTICE),
-    Field("grid", "h", float, LATTICE),
+    Field("grid", "h", _checked(float, lambda v: GRID_H_RANGE[0] <= v <= GRID_H_RANGE[1],
+                                f"a mesh size h from {GRID_H_RANGE[0]:g} to {GRID_H_RANGE[1]:g}"),
+          LATTICE),
     Field("continuous", "s", float, RATES,
           {"kernel_gap": 8.25, "commutator": 2.25, "section_gap": 3.25}),
-    Field("continuous", "n", int, RATES, {"kernel_gap": 2, "commutator": 1, "section_gap": 2}),
+    Field("continuous", "n", _PROBLEM_N, RATES,
+          {"kernel_gap": 2, "commutator": 1, "section_gap": 2}),
     Field("continuous", "delta", float, RATES, -0.25),
     Field("continuous", "betas", _floats, RATES, _ORDERS),
     Field("continuous", "gammas", _floats, RATES, _ORDERS),

@@ -140,6 +140,14 @@ def check_aligned_sweep(h_values, nodes_per_window: int) -> None:
 # the most nodes a line may hold: 1024 times the shipped sweeps' 1024, and
 # a float array of them 8 MiB
 LINE_NODES_MAX = 2 ** 20
+# The most entries of the largest array a rate sweep holds, the commutator's
+# pair strips, 4 n^2 R N values over the R nodes of the finest window and the
+# N of the line, complex from n = 2: 512 MiB at the ceiling.  The gap sweeps'
+# strip holds 2 n R^2 cores, fewer, and sums over tiles of the same R x N
+# mesh, so one ceiling serves every kind.  The shipped and benchmarked sweeps
+# hold 2^20 (commutator.ini), 2^22 (section_gap.ini) and 2^18 per mesh size
+# (kernel_gap.ini, one line per size).
+STRIP_ENTRIES_MAX = 2 ** 25
 
 
 def aligned_line_grid(h_values, nodes_per_window: int,
@@ -168,8 +176,9 @@ def aligned_line_grid(h_values, nodes_per_window: int,
     count += count % 2
     if count > LINE_NODES_MAX:
         raise InvalidConfigurationError(
-            f"lambda_factor = {lambda_factor:g} makes a line of {count} nodes, more than "
-            f"LINE_NODES_MAX = {LINE_NODES_MAX}")
+            f"lambda_factor * nodes_per_window * max(h_values) / min(h_values) = "
+            f"{lambda_factor:g} * {nodes_per_window} * {max(hs):g} / {min(hs):g} makes a line "
+            f"of {count} nodes, more than LINE_NODES_MAX = {LINE_NODES_MAX}")
     return LineGrid(half_width=count * delta / 2.0, nodes_count=count)
 
 
@@ -327,8 +336,11 @@ def check_rate_sweep(kind: str, problem: ContinuousProblem, h_values, nodes_per_
     ``"section_gap"`` or ``"kernel_gap"``, in the order it runs them: its
     order hypotheses, the mesh sizes (:func:`check_sweep`, at least
     ``FIT_MIN_SIZES`` for a fitted rate), the line grid
-    (:func:`aligned_line_grid`) and, for the section gap, the alignment
-    (:func:`check_aligned_sweep`).  Returns the sizes and the grid; as the
+    (:func:`aligned_line_grid`), the size of the pair strips, ``4 n^2 R
+    N`` entries, at most ``STRIP_ENTRIES_MAX``, and, for the section gap,
+    the alignment (:func:`check_aligned_sweep`).  R, the finest window's
+    node count, is taken as ``nodes_per_window * max(h) / min(h)`` rounded
+    up, exact on an aligned sweep.  Returns the sizes and the grid; as the
     grid allocates no nodes, the checks cost nothing to run before a run.
     """
     what, bottom_gap, left_gap = _HYPOTHESES[kind]
@@ -340,6 +352,14 @@ def check_rate_sweep(kind: str, problem: ContinuousProblem, h_values, nodes_per_
                                                 f"at j={j} (s={problem.s}, order={order})")
     hs = check_sweep(h_values, 1 if kind == "kernel_gap" else FIT_MIN_SIZES)
     grid = aligned_line_grid(hs, nodes_per_window, lambda_factor)
+    n, N = problem.n, grid.nodes_count
+    R = min(N, math.ceil(nodes_per_window * max(hs) / min(hs)))
+    if 4 * n * n * R * N > STRIP_ENTRIES_MAX:
+        raise InvalidConfigurationError(
+            f"{what} would hold 4 n^2 R N = {4 * n * n * R * N} kernel strip entries, more "
+            f"than STRIP_ENTRIES_MAX = {STRIP_ENTRIES_MAX}: n = {n}, R = {R} nodes in the "
+            f"finest window (nodes_per_window * max(h_values) / min(h_values)) and "
+            f"N = {N} on the line (about lambda_factor * R)")
     if kind == "section_gap":
         check_aligned_sweep(hs, nodes_per_window)
     return hs, grid
@@ -391,9 +411,9 @@ def commutator_rate_sweep(problem: ContinuousProblem, h_values,
     strip, ``pair[j, k, :, inside, a:N - a]``: ``K[W, W^c]`` and ``K[W^c,
     W]^T`` as one ``(2, w, N - w)`` array.  The strips are weighted tile by
     tile as they are formed, and nothing is copied per window.  Both
-    families' strips are the halves of one allocation, so a later sweep in
-    the same process reuses their pages instead of faulting them in again
-    (833 minor faults per run as two allocations, 0 as one).
+    families' strips are one allocation, so a later sweep in the same
+    process reuses their pages instead of faulting them in again (833
+    minor faults per run as two allocations, 0 as one).
     """
     h_values, grid = check_rate_sweep("commutator", problem, h_values, nodes_per_window,
                                       lambda_factor)
@@ -424,9 +444,10 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     """For each ``h``, the gap between the window-restricted continuous
     operator and the lattice operator on the same window nodes, continuous
     minus lattice, unweighted, as ``(wnodes, mults, cores, moduli)``: the
-    multiplier gaps of both families, ``(2, n, n, w)`` diagonals; views of
-    the two families' ``(n, w, w)`` cores on the window; and the ``(w, n)``
-    moduli ``|g_k|``, ``g_k = (i xi)^k - zeta^k`` at the window nodes.
+    multiplier gaps of both families, ``(2, n, n, w)`` diagonals; a view of
+    both families' cores on the window, ``(2, n, w, w)``, family first as
+    in a block system; and the ``(w, n)`` moduli ``|g_k|``, ``g_k = (i
+    xi)^k - zeta^k`` at the window nodes.
 
     Both sides are sliced from one square strip on the finest window: on a
     window they sample the same cores ``symbol_j * weight / plus`` at the
@@ -445,11 +466,10 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
     """
     n = problem.n
     rows = _run(window_mask(grid, min(h_values)))
-    strip = _assemble(n=n, nodes=grid.axis_nodes, weight=grid.axis_weight, h=None,
+    strip = _assemble(nodes=grid.axis_nodes, weight=grid.axis_weight, h=None,
                       plus_factor=problem.plus_factor,
                       bottom_symbols=problem.bottom_symbols,
                       left_symbols=problem.left_symbols, rows=rows)
-    cores, outside = (strip.bottom_core, strip.left_core), (strip.bottom_mult, strip.left_mult)
     powers = _power_base(grid.axis_nodes[rows], None)[:, None] ** np.arange(n)
     for h in h_values:
         win = window_mask(grid, h)
@@ -457,10 +477,10 @@ def _window_gaps(problem: ContinuousProblem, grid: LineGrid, h_values):
         # p^k on the finest window, (i xi)^k - zeta^k on this one
         gaps = powers.copy()
         gaps[out] -= _power_base(wnodes, float(h))[:, None] ** np.arange(n)
-        mults = np.stack([mult[..., out] for mult in outside])
+        mults = strip.mult[..., out].copy()
         for f, j in np.ndindex(2, n):
-            mults[f, j] += _products(cores[f][j, out], gaps)
-        yield wnodes, mults, tuple(core[:, out, out] for core in cores), np.abs(gaps[out])
+            mults[f, j] += _products(strip.core[f, j, out], gaps)
+        yield wnodes, mults, strip.core[:, :, out, out], np.abs(gaps[out])
 
 
 def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
@@ -488,12 +508,12 @@ def section_gap_rate_sweep(problem: ContinuousProblem, h_values,
         mults /= scale
         if buffer is None:  # one, of the finest window's size
             buffer = np.empty(np.count_nonzero(window_mask(grid, h_values[-1])) ** 2,
-                              dtype=np.result_type(*cores))
+                              dtype=cores.dtype)
         w = len(wnodes)
         kernel = np.zeros((2, problem.n, problem.n, 1))
         for f, j, k in np.ndindex(2, problem.n, problem.n):
             if k:
-                block = np.multiply(cores[f][j], (moduli[:, k] * scale[j])[:, None],
+                block = np.multiply(cores[f, j], (moduli[:, k] * scale[j])[:, None],
                                     out=buffer[:w * w].reshape(w, w))
                 kernel[f, j, k] = _sigma_max(np.divide(block, scale[k], out=block))
         norms.append(estimate_operator_norm(WeightedOperatorFrame(((mults[0], kernel[0]),
@@ -527,7 +547,7 @@ def kernel_gap_ratios(problem: ContinuousProblem, h: float,
     kernel, mult = np.zeros((2, problem.n, problem.n)), np.empty((2, problem.n, problem.n))
     for f, j, k in np.ndindex(mult.shape):
         if k:  # per unit quadrature weight; blocks (j, 0) are 0
-            block = cores[f][j] * moduli[:, k][:, None]
+            block = cores[f, j] * moduli[:, k][:, None]
             kernel[f, j, k] = np.max(np.abs(block) / grid.axis_weight
                                      / (h * weight_2d ** (exponent(f, j, k) + 1)))
         mult[f, j, k] = np.max(np.abs(mults[f, j, k]) / (h * weight_1d ** (exponent(f, j, k) + 2)))

@@ -203,49 +203,53 @@ def radial_power_problem(s: float, n: int, delta: float,
 class BlockSystem:
     """Nystrom discretization of the reduced block operator, without data.
 
-    Multiplier blocks are diagonals, kernel blocks matrices acting on
-    node-value vectors, each kernel family stored as its n cores, the
-    quadrature weight folded into them:
+    One array per block kind, its leading axis the edge whose equations
+    the blocks belong to, 0 the bottom and 1 the left, the order of the
+    traces (:class:`TraceVector`):
 
-    * ``bottom_mult[j, k]`` diagonal values multiplying the bottom traces
-      in the bottom equations,
-    * ``bottom_core[j]``    core of the kernels applying the left traces in
-      the bottom equations, ``symbol_j * weight / plus`` on the ``(xi1,
-      xi2)`` node pairs, indexed ``(out, in)``,
-    * ``left_core[j]``      core of the kernels applying the bottom traces
-      in the left equations, indexed ``(out, in)`` = ``(xi2, xi1)``,
-    * ``left_mult[j, k]``   diagonal values multiplying the left traces.
+    * ``mult[e, j, k]`` diagonal values multiplying edge e's own trace k in
+      its equation j, shape ``(2, n, n, N)``;
+    * ``core[e, j]``    core of the kernels applying the other edge's traces
+      in edge e's equation j, ``symbol_j * weight / plus`` on the node
+      pairs, shape ``(2, n, N, N)``, indexed ``(out, in)``: ``(xi1, xi2)``
+      for the bottom edge, ``(xi2, xi1)`` for the left.
 
-    Kernel block ``(j, k)`` of an edge is ``core[j] * p^k[:, None]``, with
-    ``p`` the power base (``zeta`` on the torus, ``i xi`` on the line) at
-    the output nodes, so a core is its kernel's block ``(j, 0)``:
+    Kernel block ``(j, k)`` of an edge is ``core[e, j] * p^k[:, None]``,
+    with ``p`` the power base (``zeta`` on the torus, ``i xi`` on the line)
+    at the output nodes, so a core is its kernel's block ``(j, 0)``:
     :func:`_kernel_blocks` fills the ``(n, n, out, in)`` stack, the solver
     applies the blocks without it.  The cores take the dtype of the symbol
-    values over the plus factor, float64 where both are real (the radial
-    family); multipliers are complex, ``mult[j, k] = core[j] @ p^k`` with
-    ``p`` at the input nodes.
+    values over the plus factor, float64 where every one is real (the
+    radial family); multipliers are complex, ``mult[e, j, k] = core[e, j]
+    @ p^k`` with ``p`` at the input nodes.  The finiteness check names an
+    edge's slice as its block: ``bottom_mult``, ``bottom_core``,
+    ``left_core`` or ``left_mult``.
 
-    A strip (``_assemble`` with ``rows``) holds ``(n, n, R)`` multipliers
-    and ``(n, R, R)`` cores on R of the N nodes, its multipliers the sums
-    over the other N - R nodes only: it is not a system on the R nodes, and
-    ``size``, ``gauge_basis`` and the solver do not apply to it.
+    A strip (``_assemble`` with ``rows``) holds ``(2, n, n, R)``
+    multipliers and ``(2, n, R, R)`` cores on R of the N nodes, its
+    multipliers the sums over the other N - R nodes only: it is not a
+    system on the R nodes, and ``size``, ``gauge_basis`` and the solver do
+    not apply to it.
 
     A system keeps its ``nodes`` and torus mesh ``h`` (None on the line),
     but no grid: the data bring theirs (:class:`TraceVector`), and the
     solve returns its traces on it.
     """
 
-    n: int
     nodes: np.ndarray
     h: float | None
-    bottom_mult: np.ndarray    # (n, n, N)
-    bottom_core: np.ndarray    # (n, N, N)
-    left_core: np.ndarray      # (n, N, N)
-    left_mult: np.ndarray      # (n, n, N)
+    mult: np.ndarray    # (2, n, n, N)
+    core: np.ndarray    # (2, n, N, N)
 
     def __post_init__(self) -> None:
-        for name in ("bottom_mult", "bottom_core", "left_core", "left_mult"):
-            _require_finite(name, getattr(self, name))
+        # the blocks of [[A, B], [C, D]] in reading order
+        for name, part in (("bottom_mult", self.mult[0]), ("bottom_core", self.core[0]),
+                           ("left_core", self.core[1]), ("left_mult", self.mult[1])):
+            _require_finite(name, part)
+
+    @property
+    def n(self) -> int:
+        return self.mult.shape[1]
 
     @property
     def size(self) -> int:
@@ -380,11 +384,11 @@ def _row_tiles(rows: int, cols: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
+def _assemble(nodes: np.ndarray, weight: float, h: float | None,
               plus_factor, bottom_symbols, left_symbols,
               rows: slice | np.ndarray | None = None) -> BlockSystem:
     """Shared assembly core; ``h`` selects difference powers (set) or
-    ``(i xi)`` powers (None).
+    ``(i xi)`` powers (None), and n is the number of bottom symbols.
 
     Each family is evaluated in its ``(out, in)`` order, the bottom one on
     the open mesh of ``(xi1, xi2)`` pairs, the left one on it swapped, in
@@ -395,27 +399,33 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
     powers as columns.  A full assembly keeps the bottom inverse factor,
     whose transpose is the left one's.
 
+    Both families' multipliers are one ``(2, n, n, R)`` array and their
+    cores one ``(2, n, R, R)`` array, a full assembly's cores written in
+    place.  The cores are real only where every family's values are real
+    over a real factor: their dtype is taken from the first values, and
+    the whole array, both families, is cast to complex when a later
+    family's values are complex.
+
     ``rows``, a slice or a boolean mask of the nodes, makes a square strip
     on the R nodes it selects: the full assembly's cores ``[..., rows,
-    :][..., rows]``, ``(n, R, R)``, and as multipliers, ``(n, n, R)``,
-    their sums over the other N - R nodes only, against the powers zeroed
-    on the rows.  A slice takes each tile's window columns as a view, where
-    a mask gathers them.  In a strip over a real factor, a symbol whose
-    value is a real one that broadcasts (the radial family's order 0)
-    multiplies nothing: its core is the weighted inverse factor itself, the
-    same bits as their product.
+    :][..., rows]`` and as multipliers their sums over the other N - R
+    nodes only, against the powers zeroed on the rows.  A slice takes each
+    tile's window columns as a view, where a mask gathers them.  In a strip
+    over a real factor, a symbol whose value is a real one that broadcasts
+    (the radial family's order 0) multiplies nothing: its core is the
+    weighted inverse factor itself, the same bits as their product.
     """
-    N = len(nodes)
+    n, N = len(bottom_symbols), len(nodes)
     out = nodes if rows is None else nodes[rows]
+    R = len(out)
     powers = _power_base(nodes, h)[:, None] ** np.arange(n)
     if rows is not None:
         powers[rows] = 0
-    mults = np.empty((2, n, n, len(out)), dtype=complex)
+    mults = np.empty((2, n, n, R), dtype=complex)
     x_out, x_in = _open_mesh(out, nodes)
-    inv_plus, families = None, []
+    inv_plus, cores = None, None
     for swap, symbols in enumerate((bottom_symbols, left_symbols)):
-        cores = None
-        for t in _row_tiles(len(out), N):
+        for t in _row_tiles(R, N):
             x1, x2 = (x_in, x_out[t]) if swap else (x_out[t], x_in)
             if swap and rows is None:
                 inv = inv_plus[:, t].T
@@ -428,30 +438,30 @@ def _assemble(n: int, nodes: np.ndarray, weight: float, h: float | None,
             for j, symbol in enumerate(symbols):
                 values = np.asarray(symbol(x1, x2))
                 if cores is None:
-                    cores = np.empty((n, len(out), len(out)), dtype=inv.dtype)
+                    cores = np.empty((2, n, R, R), dtype=inv.dtype)
                 if not np.can_cast(values.dtype, cores.dtype):  # complex values, a real factor
                     cores = cores.astype(complex)
                 if rows is not None and values.dtype.kind == inv.dtype.kind == "f" \
                         and values.size == 1 and values.item() == 1:
                     core = inv  # 1 * x is x, bit for bit, for a real x
                 else:
-                    core = np.multiply(values, inv, out=cores[j, t] if rows is None else None)
+                    core = np.multiply(values, inv,
+                                       out=cores[swap, j, t] if rows is None else None)
                 del values
                 mults[swap, j, :, t] = _products(core, powers)
                 if rows is not None:
-                    cores[j, t] = core[:, rows]
-        families.append(cores)
-    return BlockSystem(n, nodes, h, mults[0], *families, mults[1])
+                    cores[swap, j, t] = core[:, rows]
+    return BlockSystem(nodes, h, mults, cores)
 
 
 def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndarray,
-                   weight: float, scales: tuple[np.ndarray, np.ndarray]
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   weight: float, scales: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Pair strips of the continuous kernel stacks between the ``window``
-    and the ``line`` nodes, for the bottom and then the left family: each
-    of shape ``(n, n, 2, R, N)``, with ``[..., 0, :, :]`` the stack
-    ``K[window, line]`` and ``[..., 1, :, :]`` the transposed stack
-    ``K[line, window]^T``, both in the order the nodes are given.
+    and the ``line`` nodes, as one ``(2, n, n, 2, R, N)`` array whose
+    leading axis is the family, 0 the bottom and 1 the left, as in a block
+    system.  In a family's strip ``[..., 0, :, :]`` is the stack ``K[window,
+    line]`` and ``[..., 1, :, :]`` the transposed stack ``K[line,
+    window]^T``, both in the order the nodes are given.
     ``scales`` are the ``(n, R)`` and ``(n, N)`` scales of the window and
     the line nodes.  Every entry of block ``(j, k)`` equals the full
     assembly's kernel block at its node pair, multiplied by scale j of its
@@ -466,10 +476,9 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
     stacks filled from the cores (:func:`_kernel_blocks`), then scaled by
     the node scales, and checked before the next tile.
 
-    The two strips are the halves of one ``(2, n, n, 2, R, N)`` array, real
-    only at n = 1 for real values over a real factor: its dtype is taken
-    from the first core's values, and the whole array is cast to complex
-    when a later core's are complex.  One allocation, because two strips
+    The array is real only at n = 1 for real values over a real factor: its
+    dtype is taken from the first core's values, and the whole array is
+    cast to complex when a later core's are complex.  One allocation, because two strips
     allocated apart had their pages faulted in again on every sweep after
     the first in a process: 833 minor faults per ``commutator.ini`` run in
     the benchmark's order, 0 as one array.  The likely cause is glibc's
@@ -509,7 +518,7 @@ def _kernel_strips(problem: ContinuousProblem, window: np.ndarray, line: np.ndar
             del inv_plus
         for name, pair in zip(("bottom", "left"), strips):
             _require_finite(f"{name} kernel strip", pair[..., t, :])
-    return strips[0], strips[1]
+    return strips
 
 
 def assemble(problem: ProblemSpec | ContinuousProblem,
@@ -537,8 +546,7 @@ def assemble(problem: ProblemSpec | ContinuousProblem,
         evaluators = (problem.factorization.plus_factor, problem.bottom_ops, problem.left_ops)
     else:
         evaluators = (problem.plus_factor, problem.bottom_symbols, problem.left_symbols)
-    return _assemble(problem.n, grid.axis_nodes, grid.axis_weight, getattr(grid, "h", None),
-                     *evaluators)
+    return _assemble(grid.axis_nodes, grid.axis_weight, getattr(grid, "h", None), *evaluators)
 
 
 def structural_null_basis(system: BlockSystem) -> np.ndarray:
@@ -743,17 +751,16 @@ class _CompressedSystem:
         n, N = system.n, len(system.nodes)
         m, g = n * N, q.shape[1]
         self.m = m
-        # the per-node multipliers of both edges, one stack; the per-node
-        # stacks are kept C-contiguous, einsum is ~2x slower on transposes
-        self.mult = np.stack([system.bottom_mult, system.left_mult])
+        # the per-node stacks are kept C-contiguous, einsum is ~2x slower on
+        # transposes; the system's own are not copied
+        self.mult = np.ascontiguousarray(system.mult)
         self.mult_h = np.ascontiguousarray(self.mult.transpose(0, 2, 1, 3).conj())
         self.dinv = mult_inv
         self.dinv_h = np.ascontiguousarray(mult_inv.transpose(0, 2, 1, 3).conj())
         self.powers = _power_base(system.nodes, system.h)
         # complex cores in C order, so that a stacked core is a view and the kernel
         # products round alike in any layout; complex C-order cores are not copied
-        self.cores = (np.ascontiguousarray(system.bottom_core, dtype=complex),
-                      np.ascontiguousarray(system.left_core, dtype=complex))
+        self.cores = np.ascontiguousarray(system.core, dtype=complex)
         (ub, vb), (ul, vl) = (_compress(core, self.powers) for core in self.cores)
         rb, rl = ub.shape[1], ul.shape[1]
         self.rank = (rb, rl)
@@ -797,12 +804,11 @@ class _CompressedSystem:
 
 def _invert_multipliers(system: BlockSystem) -> tuple[np.ndarray, float]:
     """Invert the per-node multiplier matrices of both edges,
-    ``bottom_mult[:, :, i]`` and ``left_mult[:, :, i]``, in one batch;
-    returns the inverses, shape ``(2, n, n, N)`` (bottom, then left), and
-    their largest 2-norm condition.  Raises :class:`NearSingularError`
-    naming the edge and the node where a matrix is singular to working
-    precision."""
-    stack = np.stack([system.bottom_mult, system.left_mult]).transpose(0, 3, 1, 2)
+    ``mult[e, :, :, i]``, in one batch; returns the inverses, shape ``(2,
+    n, n, N)`` (bottom, then left), and their largest 2-norm condition.
+    Raises :class:`NearSingularError` naming the edge and the node where a
+    matrix is singular to working precision."""
+    stack = system.mult.transpose(0, 3, 1, 2)
     sig = np.linalg.svd(stack, compute_uv=False)
     cond = np.full(sig.shape[:2], math.inf)
     np.divide(sig[..., 0], sig[..., -1], out=cond, where=sig[..., -1] > 0)

@@ -61,7 +61,7 @@ def kernel_stacks(system, rows=None):
     assembled with, which sets the output nodes of its powers."""
     nodes = system.nodes if rows is None else system.nodes[rows]
     powers = _power_base(nodes, system.h)
-    return tuple(kernel_stack(core, powers) for core in (system.bottom_core, system.left_core))
+    return tuple(kernel_stack(core, powers) for core in system.core)
 
 
 def kernel_stack(core, powers):
@@ -108,10 +108,10 @@ def full_matrix(system):
         for k in range(n):
             cb = k * N        # bottom trace columns
             cl = (n + k) * N  # left trace columns
-            a[rb + idx, cb + idx] = system.bottom_mult[j, k]
+            a[rb + idx, cb + idx] = system.mult[0, j, k]
             a[rb:rb + N, cl:cl + N] = bottom_kernel[j, k]
             a[rl:rl + N, cb:cb + N] = left_kernel[j, k]
-            a[rl + idx, cl + idx] = system.left_mult[j, k]
+            a[rl + idx, cl + idx] = system.mult[1, j, k]
     return a
 
 

@@ -10,6 +10,7 @@ import pytest
 from quadbvp import cli
 from quadbvp.cli import (MODES, OUTPUT_ENV_VAR, load_config, main, parse_config_text,
                          run_experiment)
+from quadbvp.comparison import STRIP_ENTRIES_MAX, aligned_line_grid, window_mask
 from quadbvp.errors import ConfigError
 from conftest import ROOT, load_script
 
@@ -48,7 +49,7 @@ SMALL_CONFIGS = {
                   "[sweep]\nh_values = 1 0.5\nnodes_per_window = 16\n",
     "commutator": "[experiment]\nmode = {mode}\noutput = {out}\n"
                   "[sweep]\nh_values = 0.5 0.25 0.125\nnodes_per_window = 8\n",
-    "section_gap": "[experiment]\nmode = {mode}\noutput = {out}\n"
+    "section_gap": "[experiment]\nmode = {mode}\noutput = {out}\n[continuous]\nn = 2\n"
                    "[sweep]\nh_values = 0.5 0.25 0.125\nnodes_per_window = 8\n",
 }
 
@@ -281,16 +282,30 @@ class TestRunCommand:
             assert main([command, str(path)]) == 2
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
-        assert re.fullmatch(r"config error: lambda_factor = 1e\+20 makes a line of \d{22,} "
-                            r"nodes, more than LINE_NODES_MAX = 1048576\n", errs[0])
+        assert re.fullmatch(r"config error: lambda_factor \* nodes_per_window \* max\(h_values\) "
+                            r"/ min\(h_values\) = 1e\+20 \* \d+ \* [\d.]+ / [\d.]+ makes a line "
+                            r"of \d{22,} nodes, more than LINE_NODES_MAX = 1048576\n", errs[0])
         assert not (tmp_path / "out").exists()
+
+    def test_line_ceiling_names_every_key_that_sets_the_node_count(self, tmp_path, capsys):
+        # a line too long from nodes_per_window alone, at the default
+        # lambda_factor: the message gives the three keys and their values
+        text = SMALL_CONFIGS["commutator"].format(mode="commutator", out=tmp_path / "out")
+        text = text.replace("nodes_per_window = 8", "nodes_per_window = 131072")
+        assert main(["validate", str(write_config(tmp_path, text))]) == 2
+        assert capsys.readouterr().err == (
+            "config error: lambda_factor * nodes_per_window * max(h_values) / min(h_values) "
+            "= 4 * 131072 * 0.5 / 0.125 makes a line of 2097152 nodes, more than "
+            "LINE_NODES_MAX = 1048576\n")
 
     @pytest.mark.parametrize("mode, key, value", [
         ("roundtrip", "N", "1000000"), ("solve", "N", str(cli.GRID_NODES_MAX + 2)),
         ("roundtrip", "n", "1000000"), ("solve", "n", str(cli.PROBLEM_N_MAX + 1)),
         ("power_gap", "samples", "1000000000000"),
         ("power_gap", "samples", str(cli.SAMPLES_MAX + 1)),
-    ], ids=["N-huge", "N-over", "n-huge", "n-over", "samples-huge", "samples-over"])
+        ("section_gap", "n", "100"), ("section_gap", "n", str(cli.PROBLEM_N_MAX + 1)),
+    ], ids=["N-huge", "N-over", "n-huge", "n-over", "samples-huge", "samples-over",
+            "continuous-n-huge", "continuous-n-over"])
     def test_size_over_its_ceiling_exits_2_at_validate_and_run(self, tmp_path, capsys,
                                                                mode, key, value):
         # a size whose arrays no run could allocate, terabytes for the huge
@@ -312,7 +327,9 @@ class TestRunCommand:
         ("roundtrip", {"n = 1": f"n = {cli.PROBLEM_N_MAX}",
                        "s = -1.25": f"s = {-cli.PROBLEM_N_MAX - 0.25}"}),
         ("power_gap", {"samples = 100": f"samples = {cli.SAMPLES_MAX}"}),
-    ], ids=["N", "n", "samples"])
+        ("section_gap", {"n = 2": f"n = {cli.PROBLEM_N_MAX}\nbetas =" + " 0" * cli.PROBLEM_N_MAX
+                         + "\ngammas =" + " 0" * cli.PROBLEM_N_MAX}),
+    ], ids=["N", "n", "samples", "continuous-n"])
     def test_size_at_its_ceiling_validates(self, tmp_path, mode, replaced):
         text = SMALL_CONFIGS[mode].format(mode=mode, out=tmp_path / "out")
         for old, new in replaced.items():
@@ -322,7 +339,8 @@ class TestRunCommand:
 
     def test_ceilings_leave_room_for_every_shipped_and_benchmarked_size(self):
         # each ceiling at least 4 times the largest size a shipped config or
-        # a benchmark workload runs
+        # a benchmark workload runs, the strip ceiling 8 times, and the mesh
+        # sizes far inside their range
         spec = importlib.util.spec_from_file_location(
             "workloads", ROOT / "perfbench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
@@ -332,12 +350,85 @@ class TestRunCommand:
         Ns = [N for _, N in sizes] + [N for Ns in workloads.ROUNDTRIP_N.values() for N in Ns]
         Ns += [cfg.N for cfg in configs if cfg.mode in cli.LATTICE]
         ns = [n for n, _ in sizes] + list(workloads.ROUNDTRIP_ORDERS)
-        ns += [cfg.n for cfg in configs if cfg.mode in cli.LATTICE]
+        ns += [cfg.n for cfg in configs if cfg.mode in cli.LATTICE + cli.RATES]
         samples = [cfg.samples for cfg in configs if cfg.mode == "power_gap"]
         assert max(Ns) == 384 and max(ns) == 2 and samples == [10000]
         for largest, ceiling in ((max(Ns), cli.GRID_NODES_MAX), (max(ns), cli.PROBLEM_N_MAX),
                                  (max(samples), cli.SAMPLES_MAX)):
             assert 4 * largest <= ceiling
+        # 4 n^2 R N strip entries, R and N counted on the nodes themselves;
+        # the rate workload runs the shipped rate configs
+        assert set(workloads.RATE_CONFIGS["tiny"]) <= set(workloads.RATE_CONFIGS["full"])
+        entries = {}
+        for cfg in configs:
+            if cfg.mode in cli.RATES:  # kernel_gap takes a line per mesh size
+                for hs in ([(h,) for h in cfg.h_values] if cfg.mode == "kernel_gap"
+                           else [cfg.h_values]):
+                    grid = aligned_line_grid(hs, cfg.nodes_per_window, cfg.lambda_factor)
+                    R = int(window_mask(grid, min(hs)).sum())
+                    entries[cfg.mode] = max(entries.get(cfg.mode, 0),
+                                            4 * cfg.n ** 2 * R * grid.nodes_count)
+        assert entries == {"commutator": 2 ** 20, "section_gap": 2 ** 22, "kernel_gap": 2 ** 18}
+        assert set(workloads.RATE_CONFIGS["full"]) == set(entries)
+        assert 8 * max(entries.values()) <= STRIP_ENTRIES_MAX
+        hs = [cfg.h for cfg in configs if cfg.mode in cli.LATTICE] + list(workloads.ROUNDTRIP_H)
+        assert sorted(set(hs)) == [0.5, 1.0]
+        assert cli.GRID_H_RANGE[0] * 1e100 <= min(hs) and max(hs) * 1e100 <= cli.GRID_H_RANGE[1]
+
+    @staticmethod
+    def stops_at_validate_and_run(tmp_path, capsys, text):
+        """Both commands exit 2 with the same message and write nothing;
+        returns the message."""
+        path = write_config(tmp_path, text)
+        errs = []
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+        return errs[0]
+
+    @pytest.mark.parametrize("mode, replaced", [
+        ("commutator", {"nodes_per_window = 32": "nodes_per_window = 65536",
+                        "lambda_factor = 4": "lambda_factor = 1"}),
+        ("section_gap", {"n = 2": "n = 8", "betas = 0 -1": "betas =" + " 0" * 8,
+                         "gammas = 0 -1": "gammas =" + " 0" * 8}),
+        ("kernel_gap", {"nodes_per_window = 64": "nodes_per_window = 1024"}),
+    ], ids=["commutator-window", "section_gap-n", "kernel_gap-window"])
+    def test_sweep_over_the_strip_ceiling_exits_2_at_validate_and_run(self, tmp_path, capsys,
+                                                                      mode, replaced):
+        # a shipped rate config made too large by one or two keys: pair
+        # strips of 8 TiB, or twice the ceiling; the message
+        # names every key that sizes them
+        text = (ROOT / "configs" / f"{mode}.ini").read_text()
+        text = re.sub(r"(?m)^output = .*$", f"output = {tmp_path / 'out'}", text)
+        for old, new in replaced.items():
+            assert old in text
+            text = text.replace(old, new)
+        err = self.stops_at_validate_and_run(tmp_path, capsys, text)
+        assert f"more than STRIP_ENTRIES_MAX = {2 ** 25}" in err
+        for key in ("n = ", "nodes_per_window", "h_values", "lambda_factor"):
+            assert key in err, key
+
+    def test_kernel_gap_is_sized_per_mesh_size(self, tmp_path):
+        # its run takes one line per mesh size, 256 nodes here: a sweep
+        # down to h = 1/64 validates, where one line for the whole sweep
+        # would hold 2^14 nodes and its strips 2^30 entries
+        text = (ROOT / "configs" / "kernel_gap.ini").read_text()
+        text = text.replace("h_values = 1 0.5 0.25", "h_values = 1 0.5 0.25 0.125 0.0625 0.03125 "
+                                                      "0.015625")
+        assert main(["validate", str(write_config(tmp_path, text))]) == 0
+
+    @pytest.mark.parametrize("h", ["1e-200", "1e-320", "1e300", "0", "-1"])
+    def test_mesh_size_outside_its_range_exits_2_at_validate_and_run(self, tmp_path, capsys,
+                                                                     h):
+        # 1e-200 overflows the seeded bumps' squared widths, 1e-320 the
+        # torus half width pi/h, and 1e300 underflows the squared widths
+        # to 0, NaN data: each is stopped at its field
+        text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out").replace("h = 1", f"h = {h}")
+        err = self.stops_at_validate_and_run(tmp_path, capsys, text)
+        assert re.match(r"config error: line \d+: bad value for 'h': must be a mesh size h "
+                        rf"from 1e-150 to 1e\+150, got {re.escape(repr(float(h)))}\n$", err)
 
     @pytest.mark.parametrize("old, new, named", [
         ("h = 1", "h = nan", "mesh size h"), ("h = 1", "h = inf", "mesh size h"),

@@ -18,7 +18,8 @@ from quadbvp import (FrequencyGrid, InvalidConfigurationError,
                      section_gap_rate_sweep, window_mask, zeta,
                      zeta_power_gap)
 from quadbvp.cli import load_config
-from quadbvp.comparison import LINE_NODES_MAX, check_aligned_sweep, check_sweep
+from quadbvp.comparison import (LINE_NODES_MAX, STRIP_ENTRIES_MAX, check_aligned_sweep,
+                                check_rate_sweep, check_sweep)
 from quadbvp.lattice import _power_base
 from quadbvp.system import ContinuousProblem, _assemble, _kernel_strips
 from conftest import (fsum_multipliers, kernel_stacks, skewed_problem, unit_scales,
@@ -459,13 +460,41 @@ class TestGridsAndMasks:
                                  "finite and span a finite number of cells"):
             aligned_line_grid([0.5], 64, lambda_factor=lambda_factor)
 
+    @pytest.mark.parametrize("kind", ["commutator", "section_gap", "kernel_gap"])
+    def test_sweep_of_more_strip_entries_than_the_ceiling_rejected(self, kind):
+        # a line of 2^19 nodes and a finest window as wide: pair strips of
+        # 2^40 entries, 8 TiB, rejected with no node allocated
+        problem = radial_power_problem(s=8.25, n=1, delta=-0.25, bottom_orders=[0.0],
+                                       left_orders=[0.0])
+        hs = [0.5, 0.25, 0.125, 0.0625]
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidConfigurationError,
+                               match=r"^[a-z_ ]+ would hold 4 n\^2 R N = 1099511627776 kernel "
+                                     r"strip entries, more than STRIP_ENTRIES_MAX = 33554432: "
+                                     r"n = 1, R = 524288 nodes in the finest window"):
+                check_rate_sweep(kind, problem, hs, 65536, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+        assert STRIP_ENTRIES_MAX == 2 ** 25
+        # R = 2048 and N = 4096 make 2^25 entries, the ceiling, which
+        # passes; two more line nodes do not
+        _, grid = check_rate_sweep(kind, problem, [1.0, 0.5, 0.25], 512, 2.0)
+        assert grid.nodes_count == 4096
+        with pytest.raises(InvalidConfigurationError, match="R = 2048 .* N = 4098 on"):
+            check_rate_sweep(kind, problem, [1.0, 0.5, 0.25], 512, 2.0005)
+
     @pytest.mark.parametrize("lambda_factor", [1e15, 1e300])
     def test_line_of_more_nodes_than_the_ceiling_rejected(self, lambda_factor):
         # finite lines of 6.4e16 nodes and more, which no memory holds:
         # named by their factor and count, before any node is allocated
         with pytest.raises(InvalidConfigurationError,
-                           match=rf"^lambda_factor = {re.escape(f'{lambda_factor:g}')} makes "
-                                 r"a line of \d{17,} nodes, more than LINE_NODES_MAX = 1048576$"):
+                           match=r"^lambda_factor \* nodes_per_window \* max\(h_values\) / "
+                                 rf"min\(h_values\) = {re.escape(f'{lambda_factor:g}')} \* 64 \* "
+                                 r"0.5 / 0.5 makes a line of \d{17,} nodes, more than "
+                                 r"LINE_NODES_MAX = 1048576$"):
             aligned_line_grid([0.5], 64, lambda_factor=lambda_factor)
         assert LINE_NODES_MAX == 2 ** 20
 
@@ -626,7 +655,7 @@ class TestSectionGapSweep:
         win = window_mask(grid, h)
         wnodes = grid.axis_nodes[win]
         lattice = assemble(problem, FrequencyGrid(h, len(wnodes), ndim=1))
-        gap = q_full.bottom_mult[0, 0][win] - lattice.bottom_mult[0, 0]
+        gap = q_full.mult[0, 0, 0][win] - lattice.mult[0, 0, 0]
         a = np.sqrt(1.0 + wnodes ** 2)
         exact = 2.0 / a * (np.arctan(grid.half_width / a)
                            - np.arctan(math.pi / h / a))
@@ -712,7 +741,7 @@ class TestKernelGapRatios:
 class TestStripAssembly:
     @staticmethod
     def assemble(problem, nodes, h, rows=None):
-        return _assemble(n=problem.n, nodes=nodes, weight=0.1, h=h,
+        return _assemble(nodes=nodes, weight=0.1, h=h,
                          plus_factor=problem.plus_factor,
                          bottom_symbols=problem.bottom_symbols,
                          left_symbols=problem.left_symbols, rows=rows)
@@ -730,23 +759,19 @@ class TestStripAssembly:
             strip = self.assemble(problem, nodes, h, rows)
             # square cores and kernels; the multipliers integrate over the
             # nodes outside the rows only
-            for field in ("bottom_core", "left_core"):
-                core = getattr(strip, field)
-                assert core.shape == (2, R, R)
-                sliced = getattr(full, field)[..., rows, :][..., rows]
-                assert np.array_equal(core, sliced), (name, field)
+            assert strip.core.shape == (2, 2, R, R)
+            assert np.array_equal(strip.core, full.core[..., rows, :][..., rows]), name
             for kernel, whole in zip(kernel_stacks(strip, rows), kernel_stacks(full)):
                 assert kernel.shape == (2, 2, R, R)
                 assert np.array_equal(kernel, whole[..., rows, :][..., rows]), name
             powers = _power_base(nodes[~rows], h)
-            for field, cores in (("bottom_mult", full.bottom_core), ("left_mult", full.left_core)):
+            for edge, (mult, cores) in enumerate(zip(strip.mult, full.core)):
                 # the full assembly's sums outside the rows, correctly
                 # rounded: for every node no term, and exactly 0
-                mult = getattr(strip, field)
                 want, bound = fsum_multipliers(cores[:, rows][..., ~rows], powers)
                 assert mult.shape == want.shape == (2, 2, R)
-                assert np.all(np.abs(mult.real - want.real) <= bound), (name, field)
-                assert np.all(np.abs(mult.imag - want.imag) <= bound), (name, field)
+                assert np.all(np.abs(mult.real - want.real) <= bound), (name, edge)
+                assert np.all(np.abs(mult.imag - want.imag) <= bound), (name, edge)
 
     @pytest.mark.parametrize("hs", [[0.5, 0.25, 0.125], [0.7, 0.45, 0.3],
                                     # the shipped four-halving sweep
@@ -765,13 +790,12 @@ class TestStripAssembly:
         nodes, quad = grid.axis_nodes, grid.axis_weight
         full = assemble(problem, grid)
         full_stacks = kernel_stacks(full)
-        full_cores = (full.bottom_core, full.left_core)
         eps = np.finfo(float).eps
         windows = comparison._window_gaps(problem, grid, hs)
         for h, (wnodes, mults, cores, moduli) in zip(hs, windows):
             win = window_mask(grid, h)
             assert np.array_equal(wnodes, nodes[win])
-            lattice = _assemble(n=problem.n, nodes=wnodes, weight=quad, h=h,
+            lattice = _assemble(nodes=wnodes, weight=quad, h=h,
                                 plus_factor=problem.plus_factor,
                                 bottom_symbols=problem.bottom_symbols,
                                 left_symbols=problem.left_symbols)
@@ -781,7 +805,7 @@ class TestStripAssembly:
             assert moduli.shape == (win.sum(), 2) and not np.any(moduli[:, 0])
             for f, j in np.ndindex(2, 2):
                 k = 1
-                block = cores[f][j] * moduli[:, k][:, None]
+                block = cores[f, j] * moduli[:, k][:, None]
                 continuous = full_stacks[f][j, k][np.ix_(win, win)]
                 g = (1j * wnodes) ** k - zetas ** k
                 want = (continuous - lattice_stacks[f][j, k]) * np.conj(g / np.abs(g))[:, None]
@@ -789,7 +813,7 @@ class TestStripAssembly:
                 assert np.all(np.abs(block - want) <= bound), (h, f, j, k)
             for f, mult in enumerate(mults):
                 assert mult.shape == (2, 2, win.sum())
-                core = full_cores[f][:, win]
+                core = full.core[f][:, win]
                 for j, k in np.ndindex(2, 2):
                     terms = np.concatenate([core[j] * (1j * nodes) ** k,
                                             -core[j][:, win] * zetas ** k], axis=1)
@@ -819,8 +843,7 @@ class TestStripAssembly:
             zetas = _power_base(system.nodes, h)
             np.testing.assert_allclose(np.abs(1j * system.nodes - zetas), moduli[:, 1],
                                        rtol=1e-12)
-            for got, core, mult in ((system.bottom_core, cores[0], system.bottom_mult),
-                                    (system.left_core, cores[1], system.left_mult)):
+            for got, core, mult in zip(system.core, cores, system.mult):
                 assert got.dtype == core.dtype
                 np.testing.assert_allclose(got, core, rtol=2e-13, atol=0)
                 for j, k in np.ndindex(problem.n, problem.n):
@@ -847,7 +870,7 @@ class TestSweepsAssembleOnlyWhatTheyRead:
         def recording(**kwargs):
             system = _assemble(**kwargs)
             if kwargs["h"] is None:
-                strips.append(system.bottom_core.shape[-2:])
+                strips.append(system.core.shape[-2:])
             return system
 
         monkeypatch.setattr(comparison, "_assemble", recording)

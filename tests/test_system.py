@@ -1,15 +1,15 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadbvp import (AssemblyError, ContinuousProblem, FrequencyGrid, MeshMismatchError,
-                     NearSingularError, PeriodicSymbol, ProblemSpec,
+from quadbvp import (AssemblyError, BlockSystem, ContinuousProblem, FrequencyGrid,
+                     MeshMismatchError, NearSingularError, PeriodicSymbol, ProblemSpec,
                      SpectralFunction, TraceVector, WaveFactorization,
                      assemble, builtin_factor_family, identity_boundary_operators,
                      manufactured_roundtrip, project_out_gauge,
@@ -127,8 +127,8 @@ class TestAssembly:
     def test_unit_symbols_give_torus_width_multiplier(self):
         grid = FrequencyGrid(1.0, 16)
         sys = assemble(trivial_spec(), grid)
-        assert np.allclose(sys.bottom_mult[0, 0], 2 * math.pi, rtol=1e-14)
-        assert np.allclose(sys.left_mult[0, 0], 2 * math.pi, rtol=1e-14)
+        assert np.allclose(sys.mult[0, 0, 0], 2 * math.pi, rtol=1e-14)
+        assert np.allclose(sys.mult[1, 0, 0], 2 * math.pi, rtol=1e-14)
 
     def test_unit_symbols_give_unit_kernel(self):
         grid = FrequencyGrid(1.0, 16)
@@ -240,7 +240,7 @@ class TestRowTiles:
         problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
                                        left_orders=[0.5, 0.0])
         grid = aligned_line_grid([0.5, 0.25], 8)
-        args = dict(n=2, nodes=grid.axis_nodes, weight=grid.axis_weight, h=None,
+        args = dict(nodes=grid.axis_nodes, weight=grid.axis_weight, h=None,
                     plus_factor=problem.plus_factor, bottom_symbols=problem.bottom_symbols,
                     left_symbols=problem.left_symbols)
         return args, np.arange(grid.nodes_count) % 3 > 0  # 42 of 64 nodes
@@ -263,7 +263,7 @@ class TestRowTiles:
         assert [t.stop - t.start for t in tiles] == [8] * (R // 8) + [2]
         tiled = _assemble(**args, rows=rows)
         dtype = np.float64 if rows is not None else np.complex128
-        assert whole.bottom_core.dtype == whole.left_core.dtype == dtype
+        assert whole.core.dtype == dtype
         for field in BLOCKS:
             assert np.array_equal(getattr(tiled, field), getattr(whole, field)), field
 
@@ -331,14 +331,14 @@ class TestRowTiles:
         # the terms of both
         full = assemble(problem, grid)
         part = strip(problem, nodes, rows, weight=grid.axis_weight)
-        assert full.bottom_core.dtype == full.left_core.dtype == dtype
+        assert full.core.dtype == dtype
         powers = _power_base(nodes, None)
-        for field, cores in (("bottom_mult", full.bottom_core), ("left_mult", full.left_core)):
-            for got, cut, inputs in ((getattr(full, field), slice(None), slice(None)),
-                                     (getattr(part, field), rows, ~rows)):
+        for edge, cores in enumerate(full.core):
+            for got, cut, inputs in ((full.mult[edge], slice(None), slice(None)),
+                                     (part.mult[edge], rows, ~rows)):
                 oracle, bound = fsum_multipliers(cores[:, cut][..., inputs], powers[inputs])
-                assert np.all(np.abs(got.real - oracle.real) <= bound), field
-                assert np.all(np.abs(got.imag - oracle.imag) <= bound), field
+                assert np.all(np.abs(got.real - oracle.real) <= bound), edge
+                assert np.all(np.abs(got.imag - oracle.imag) <= bound), edge
 
     def test_one_tile_evaluates_each_evaluator_once_per_mesh(self):
         calls = {}
@@ -599,15 +599,15 @@ class TestEliminatedSolve:
         system, data = ELIMINATION_CASES[case](None)
         _, rep = solve_block_system(system, data)
         per_node = [np.linalg.cond(mult[:, :, i])
-                    for mult in (system.bottom_mult, system.left_mult)
+                    for mult in system.mult
                     for i in range(len(system.nodes))]
         assert rep.multiplier_condition == pytest.approx(max(per_node), rel=1e-12)
 
     def test_vanishing_multiplier_names_the_node(self):
         system, data = ELIMINATION_CASES["row_trace_n2"](None)
-        bottom_mult = system.bottom_mult.copy()
-        bottom_mult[:, :, 5] = 0.0
-        bad = replace(system, bottom_mult=bottom_mult)
+        mult = system.mult.copy()
+        mult[0, :, :, 5] = 0.0
+        bad = replace(system, mult=mult)
         with pytest.raises(NearSingularError,
                            match=f"bottom multiplier.*xi1={system.nodes[5]:.6g}") as err:
             solve_block_system(bad, data)
@@ -615,9 +615,9 @@ class TestEliminatedSolve:
 
     def test_vanishing_left_multiplier_names_the_node(self):
         system, data = ELIMINATION_CASES["row_trace_n2"](None)
-        left_mult = system.left_mult.copy()
-        left_mult[:, :, 5] = 0.0
-        bad = replace(system, left_mult=left_mult)
+        mult = system.mult.copy()
+        mult[1, :, :, 5] = 0.0
+        bad = replace(system, mult=mult)
         with pytest.raises(NearSingularError,
                            match=f"left multiplier.*xi2={system.nodes[5]:.6g}") as err:
             solve_block_system(bad, data)
@@ -630,8 +630,7 @@ class TestEliminatedSolve:
         system, _ = ELIMINATION_CASES[case](None)
         m = system.n * len(system.nodes)
         powers = _power_base(system.nodes, system.h)
-        for core, stack in zip((system.bottom_core, system.left_core),
-                               kernel_stacks(system)):
+        for core, stack in zip(system.core, kernel_stacks(system)):
             k = stack.transpose(0, 2, 1, 3).reshape(m, m)
             u, v = _compress(core, powers)
             assert u.shape == v.shape and 1 <= u.shape[1] < m
@@ -766,8 +765,7 @@ def stored_kernel_family(symbols, inv_plus, x1, x2, powers, transpose=False, inp
     return cores, kernels
 
 
-def stored_assembly(n, nodes, weight, h, plus_factor, bottom_symbols, left_symbols,
-                    rows=None):
+def stored_assembly(nodes, weight, h, plus_factor, bottom_symbols, left_symbols, rows=None):
     """Reference: ``(bottom_kernel, left_kernel)`` as ``_assemble`` stored
     them when it kept kernel stacks, and the uncut bottom and left cores in
     ``(out, in)`` order, whose rows the multipliers integrate, a strip's
@@ -801,8 +799,7 @@ def core_args(problem, grid):
     else:
         evaluators = (problem.plus_factor, problem.bottom_symbols, problem.left_symbols)
     return dict(zip(("plus_factor", "bottom_symbols", "left_symbols"), evaluators),
-                n=problem.n, nodes=grid.axis_nodes, weight=grid.axis_weight,
-                h=getattr(grid, "h", None))
+                nodes=grid.axis_nodes, weight=grid.axis_weight, h=getattr(grid, "h", None))
 
 
 def factorization_problem(h=0.5, N=24):
@@ -854,8 +851,7 @@ class TestOperatorLayout:
         system = _assemble(**args, rows=rows) if strip else assemble(problem, grid)
         R = N if rows is None else int(rows.sum())
         assert system.n == 2 and 0 < R <= N
-        for core in (system.bottom_core, system.left_core):
-            assert core.shape == (2, R, R) and core.flags.c_contiguous
+        assert system.core.shape == (2, 2, R, R) and system.core.flags.c_contiguous
         *stacks, bottom_cores, left_cores = stored_assembly(**args, rows=rows)
         for field, g, want in zip(("bottom_kernel", "left_kernel"),
                                   kernel_stacks(system, rows), stacks):
@@ -863,8 +859,8 @@ class TestOperatorLayout:
             assert np.array_equal(g, want), field
         inputs = slice(None) if rows is None else ~rows
         powers = _power_base(args["nodes"], args["h"])[inputs]
-        for field, cores in (("bottom_mult", bottom_cores), ("left_mult", left_cores)):
-            g = getattr(system, field)
+        for field, g, cores in zip(("bottom_mult", "left_mult"), system.mult,
+                                   (bottom_cores, left_cores)):
             want, bound = fsum_multipliers([core[:, inputs] for core in cores], powers)
             assert g.shape == want.shape == (2, 2, R), field
             assert np.all(np.abs(g.real - want.real) <= bound), field
@@ -898,28 +894,75 @@ class TestOperatorLayout:
         # ones, at n = 1 too, where the stacked core is the core itself
         system, data = ELIMINATION_CASES[case](rng)
         traces, rep = solve_block_system(system, data)
-        fortran = replace(system, bottom_core=np.asfortranarray(system.bottom_core),
-                          left_core=np.asfortranarray(system.left_core))
-        assert not fortran.bottom_core.flags.c_contiguous
+        fortran = replace(system, core=np.asfortranarray(system.core))
+        assert not fortran.core.flags.c_contiguous
         traces_f, rep_f = solve_block_system(fortran, data)
         assert np.array_equal(traces.values, traces_f.values)
         assert rep == rep_f
 
-    @pytest.mark.parametrize("field", ["bottom_core", "left_core"])
+    @pytest.mark.parametrize("edge", [0, 1], ids=["bottom_core", "left_core"])
     @pytest.mark.parametrize("layout", ["fortran", "swapped"])
-    def test_finiteness_check_takes_any_layout(self, field, layout):
-        # a non-finite core raises, naming its field, in any memory layout
+    def test_finiteness_check_takes_any_layout(self, edge, layout):
+        # a non-finite core raises, naming its edge's block, in any memory
+        # layout
         system = LAYOUT_SYSTEMS["lattice"]()
         arrange = {"fortran": np.asfortranarray,
                    "swapped": lambda a: np.ascontiguousarray(a).swapaxes(-1, -2)}[layout]
-        core = arrange(getattr(system, field))
+        core = arrange(system.core)
         assert not core.flags.c_contiguous
-        replace(system, **{field: core})  # finite: constructs
+        replace(system, core=core)  # finite: constructs
         bad = core.copy(order="K")
         assert not bad.flags.c_contiguous
-        bad[0, 0, 1] = np.nan
-        with pytest.raises(AssemblyError, match=f"non-finite entries in block {field}"):
-            replace(system, **{field: bad})
+        bad[edge, 0, 0, 1] = np.nan
+        name = ("bottom_core", "left_core")[edge]
+        with pytest.raises(AssemblyError, match=f"non-finite entries in block {name}"):
+            replace(system, core=bad)
+
+    @pytest.mark.parametrize("kind, edge, name", [("mult", 0, "bottom_mult"),
+                                                  ("core", 0, "bottom_core"),
+                                                  ("core", 1, "left_core"),
+                                                  ("mult", 1, "left_mult")])
+    def test_a_non_finite_entry_names_its_edge(self, kind, edge, name):
+        # each edge's slice of an array is checked as its own block
+        blocks = LAYOUT_SYSTEMS["lattice"]()
+        bad = getattr(blocks, kind).copy()
+        bad[edge, 0, 0, 1] = np.inf
+        with pytest.raises(AssemblyError, match=f"^non-finite entries in block {name}$"):
+            replace(blocks, **{kind: bad})
+
+    def test_a_system_holds_one_array_per_block_kind(self):
+        # the edge axis first, bottom then left as in the traces; n is the
+        # multipliers' second axis
+        blocks = LAYOUT_SYSTEMS["shifted_zeta_n3"]()
+        N = len(blocks.nodes)
+        assert [f.name for f in fields(BlockSystem)] == ["nodes", "h", "mult", "core"]
+        assert blocks.n == 3 and blocks.size == 6 * N
+        assert blocks.mult.shape == (2, 3, 3, N) and blocks.core.shape == (2, 3, N, N)
+
+    def test_the_solver_reads_the_blocks_in_place(self, monkeypatch):
+        # the multiplier inversion and the compressed system take the
+        # system's own arrays: no stack or copy of them is made
+        blocks, data = ELIMINATION_CASES["row_trace_n2"](None)
+        assert blocks.core.dtype == np.complex128 and blocks.core.flags.c_contiguous
+        inverted, built = [], []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            if np.shape(a) == (2, len(blocks.nodes), 2, 2):  # the per-node multipliers
+                inverted.append(a)
+            return svd(a, *args, **kwargs)
+
+        class Recording(_CompressedSystem):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(system, "_CompressedSystem", Recording)
+        solve_block_system(blocks, data)
+        assert len(inverted) == len(built) == 1
+        assert np.shares_memory(inverted[0], blocks.mult)
+        assert built[0].mult is blocks.mult and built[0].cores is blocks.core
 
     def test_assembly_retains_only_the_cores(self):
         # n cores per edge, 2 n N^2 complex values in all, and no stack of
@@ -942,7 +985,7 @@ class TestOperatorLayout:
         finally:
             tracemalloc.stop()
         cores = 2 * n * N * N * 16
-        assert system.bottom_core.nbytes + system.left_core.nbytes == cores
+        assert system.core.nbytes == cores
         # the cores plus the (n, n, N) multipliers of both edges
         assert retained - start <= cores + 2 * n * n * N * 16 + 2 ** 16
         assert peak - start < 13 * 2 ** 20
@@ -1180,7 +1223,7 @@ class TestContinuousAssembly:
         nodes = grid.axis_nodes
         a = np.sqrt(1.0 + nodes ** 2)
         exact = 2.0 / a * np.arctan(grid.half_width / a)
-        assert np.max(np.abs(sys.bottom_mult[0, 0] - exact)) <= 1e-5
+        assert np.max(np.abs(sys.mult[0, 0, 0] - exact)) <= 1e-5
 
     def test_odd_power_multiplier_vanishes_by_symmetry(self):
         # for an even kernel the first-power row integrand is odd and the
@@ -1190,8 +1233,8 @@ class TestContinuousAssembly:
                                        left_orders=[0.0, 0.0])
         grid = aligned_line_grid([1.0], 64, lambda_factor=4.0)
         sys = assemble(problem, grid)
-        scale = np.max(np.abs(sys.bottom_mult[0, 0]))
-        assert np.max(np.abs(sys.bottom_mult[0, 1])) <= 1e-12 * scale
+        scale = np.max(np.abs(sys.mult[0, 0, 0]))
+        assert np.max(np.abs(sys.mult[0, 0, 1])) <= 1e-12 * scale
 
     def test_multipliers_map_trace_zero_onto_data_of_exponent_s_minus_order_minus_3_2(self):
         # the section gap problem: |mult[j, 0]| grows like <xi>^(order_j -
@@ -1207,8 +1250,8 @@ class TestContinuousAssembly:
         part = strip(problem, grid.axis_nodes, rows, weight=grid.axis_weight)
         log_bracket = 0.5 * np.log1p(grid.axis_nodes[rows] ** 2)
         te_0 = problem.trace_exponents[0]
-        for orders, mult, core in ((problem.bottom_orders, part.bottom_mult, part.bottom_core),
-                                   (problem.left_orders, part.left_mult, part.left_core)):
+        for orders, mult, core in zip((problem.bottom_orders, problem.left_orders),
+                                      part.mult, part.core):
             for j, order in enumerate(orders):
                 log_mult = np.log(np.abs(mult[j, 0] + core[j].sum(axis=1)))
                 for e, slope in ((1.5, 0.0), (0.5, 1.0)):
@@ -1267,7 +1310,7 @@ class TestWindowSystem:
         problem, grid = make(), FrequencyGrid(0.5, 16, ndim=ndim)
         system = assemble(problem, grid)
         assert system.h == grid.h and np.array_equal(system.nodes, grid.axis_nodes)
-        want = _assemble(n=problem.n, nodes=grid.axis_nodes, weight=grid.axis_weight,
+        want = _assemble(nodes=grid.axis_nodes, weight=grid.axis_weight,
                          h=grid.h, plus_factor=problem.plus_factor,
                          bottom_symbols=problem.bottom_symbols,
                          left_symbols=problem.left_symbols)
@@ -1293,7 +1336,7 @@ def with_evaluators(wrap, fac, ops):
 
 
 def strip(problem, nodes, rows, h=None, weight=0.1):
-    return _assemble(n=problem.n, nodes=nodes, weight=weight, h=h,
+    return _assemble(nodes=nodes, weight=weight, h=h,
                      plus_factor=problem.plus_factor,
                      bottom_symbols=problem.bottom_symbols,
                      left_symbols=problem.left_symbols, rows=rows)
@@ -1306,7 +1349,7 @@ def pair_strips(problem, nodes, rows):
     return _kernel_strips(problem, window, nodes, 0.1, unit_scales(problem, window, nodes))
 
 
-BLOCKS = ("bottom_mult", "bottom_core", "left_core", "left_mult")
+BLOCKS = ("mult", "core")
 
 
 class TestOpenMesh:
@@ -1475,16 +1518,13 @@ class TestOpenMesh:
                  (strip(problem, nodes, rows, weight=weight),
                   strip(cast, nodes, rows, weight=weight), rows, ~rows)]
         for got, want, cut, inputs in cases:
-            for field in ("bottom_core", "left_core"):
-                assert getattr(got, field).dtype == np.float64, field
-                assert getattr(want, field).dtype == np.complex128, field
-                assert np.array_equal(getattr(got, field), getattr(want, field)), field
-            for field, cores in (("bottom_mult", full.bottom_core),
-                                 ("left_mult", full.left_core)):
+            assert got.core.dtype == np.float64 and want.core.dtype == np.complex128
+            assert np.array_equal(got.core, want.core)
+            for edge, cores in enumerate(full.core):
                 oracle, bound = fsum_multipliers(cores[:, cut][..., inputs], powers[inputs])
-                for mult in (getattr(got, field), getattr(want, field)):
-                    assert np.all(np.abs(mult.real - oracle.real) <= bound), field
-                    assert np.all(np.abs(mult.imag - oracle.imag) <= bound), field
+                for mult in (got.mult[edge], want.mult[edge]):
+                    assert np.all(np.abs(mult.real - oracle.real) <= bound), edge
+                    assert np.all(np.abs(mult.imag - oracle.imag) <= bound), edge
         for got, want in zip(pair_strips(problem, nodes, rows),
                              pair_strips(cast, nodes, rows)):
             assert got.dtype == want.dtype == np.complex128
@@ -1558,8 +1598,8 @@ class TestRealKernels:
         rows = window_mask(grid, 0.25)
         for system, cut in ((assemble(problem, grid), None),
                             (strip(problem, nodes, rows), rows)):
-            assert system.bottom_core.dtype == system.left_core.dtype == np.float64
-            assert system.bottom_mult.dtype == system.left_mult.dtype == np.complex128
+            assert system.core.dtype == np.float64
+            assert system.mult.dtype == np.complex128
             assert all(stack.dtype == np.float64 for stack in kernel_stacks(system, cut))
         for pair in pair_strips(problem, nodes, rows):
             assert pair.dtype == np.float64
@@ -1571,11 +1611,13 @@ class TestRealKernels:
                                        left_orders=[0.5, 0.0])
         system = assemble(problem, aligned_line_grid([0.5, 0.25], 8))
         powers = _power_base(system.nodes, None)
-        for core, stack in zip((system.bottom_core, system.left_core), kernel_stacks(system)):
+        for core, stack in zip(system.core, kernel_stacks(system)):
             assert core.dtype == np.float64 and stack.dtype == np.complex128
             assert np.array_equal(stack, kernel_stack(core.astype(complex), powers))
 
     def test_a_complex_symbol_after_a_real_one_makes_the_cores_complex(self):
+        # one complex bottom symbol makes the one array of both families'
+        # cores complex, the left family's real values stored as their cast
         problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
                                        left_orders=[0.5, 0.0])
         second = problem.bottom_symbols[1]
@@ -1588,10 +1630,9 @@ class TestRealKernels:
         rows = window_mask(grid, 0.25)
         for got, want in ((assemble(mixed, grid), assemble(cast, grid)),
                           (strip(mixed, nodes, rows), strip(cast, nodes, rows))):
-            assert got.bottom_core.dtype == np.complex128
-            assert got.left_core.dtype == np.float64
-            for field in ("bottom_core", "left_core"):
-                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            assert got.core.dtype == want.core.dtype == np.complex128
+            for edge in range(2):
+                assert np.array_equal(got.core[edge], want.core[edge]), edge
 
     @pytest.mark.parametrize("family,params", [
         ("geometric", dict(a=0.5, p=1, q=1)),
@@ -1607,7 +1648,28 @@ class TestRealKernels:
         spec = ProblemSpec(s=fac.index - (n + 0.25), factorization=fac, n=n, delta=0.25,
                            bottom_ops=bottom, left_ops=left)
         system = assemble(spec, FrequencyGrid(h, 16))
-        assert system.bottom_core.dtype == system.left_core.dtype == np.complex128
+        assert system.core.dtype == np.complex128
+
+    @pytest.mark.parametrize("family", ["bottom", "left"])
+    def test_one_complex_family_stores_both_families_complex(self, family):
+        # both families' cores are one array: a complex family, assembled
+        # first or second, makes all of it complex, the real family's
+        # values stored as their complex cast, in a full assembly and a
+        # strip
+        problem = radial_power_problem(s=2.25, n=2, delta=-0.25, bottom_orders=[0.0, -1.0],
+                                       left_orders=[0.5, 0.0])
+        key = f"{family}_symbols"
+        mixed = replace(problem, **{key: tuple(
+            lambda x1, x2, _ev=ev: _ev(x1, x2) * (1.0 + 0.5j) for ev in getattr(problem, key))})
+        cast = with_continuous_evaluators(
+            lambda ev: lambda x1, x2: np.asarray(ev(x1, x2), dtype=complex), mixed)
+        grid = aligned_line_grid([0.5, 0.25], 8)
+        nodes = grid.axis_nodes
+        rows = window_mask(grid, 0.25)
+        for got, want in ((assemble(mixed, grid), assemble(cast, grid)),
+                          (strip(mixed, nodes, rows), strip(cast, nodes, rows))):
+            assert got.core.dtype == want.core.dtype == np.complex128
+            assert np.array_equal(got.core, want.core)
 
     @pytest.mark.parametrize("kind", ["unit lattice", "radial line"])
     def test_a_real_system_solves_as_its_complex_cast(self, rng, kind):
@@ -1621,11 +1683,10 @@ class TestRealKernels:
             system = assemble(
                 radial_power_problem(s=0.75, n=1, delta=0.25, bottom_orders=[0.0],
                                      left_orders=[0.0]), grid1)
-        assert system.bottom_core.dtype == np.float64
+        assert system.core.dtype == np.float64
         bump = random_bumps(rng, math.pi)(system.nodes)
         data = TraceVector(grid1, [bump, bump])
-        cast = replace(system, bottom_core=system.bottom_core.astype(complex),
-                       left_core=system.left_core.astype(complex))
+        cast = replace(system, core=system.core.astype(complex))
         traces, rep = solve_block_system(system, data)
         traces_c, rep_c = solve_block_system(cast, data)
         assert np.array_equal(traces.values, traces_c.values)
