@@ -21,7 +21,7 @@ from .system import (BlockSystem, ContinuousProblem, GaussianBumps,
                      row_trace_boundary_operators, solve_block_system,
                      structural_null_basis, trace_exponents,
                      zeta_boundary_operators)
-from .comparison import (PowerGap, RateReport, WeightedOperatorFrame,
+from .comparison import (RateReport, WeightedOperatorFrame,
                          aligned_line_grid, commutator_rate_sweep,
                          estimate_operator_norm, fit_rate, kernel_gap_ratios,
                          section_gap_rate_sweep, window_mask, zeta_power_gap)

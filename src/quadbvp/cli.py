@@ -16,14 +16,12 @@ Modes:
     solve        solve one problem with seeded compatible data, report
                  solution norms, solver diagnostics and interior residuals
     roundtrip    plant seeded traces, synthesize data, solve, compare
-    power_gap    sampled bound check for |(i xi)^k - zeta^k|, up to a k_max
-                 whose bound stays finite
     kernel_gap   lattice-vs-continuous kernel gap ratios over a mesh sweep
     commutator   decay rate of the restriction commutator
     section_gap  decay rate of the restricted-minus-lattice operator gap
 
-Only solve, roundtrip and power_gap draw random numbers and take
-``[experiment] seed``, a non-negative integer.
+Only solve and roundtrip draw random numbers and take ``[experiment]
+seed``, a non-negative integer.
 
 Each run writes ``<mode>.csv`` (first line ``# schema=<mode>-v1``) and
 ``<mode>_summary.txt`` (key = value lines, one gate verdict per line) into
@@ -58,7 +56,7 @@ from .system import (ProblemSpec, RoundtripReport, identity_boundary_operators,
                      row_trace_boundary_operators, zeta_boundary_operators)
 from .comparison import (FIT_MIN_SIZES, check_lambda_factor, check_rate_sweep, check_sweep,
                          check_window_nodes, commutator_rate_sweep, kernel_gap_ratios,
-                         section_gap_rate_sweep, zeta_power_gap)
+                         section_gap_rate_sweep)
 
 OUTPUT_ENV_VAR = "QUADBVP_OUTPUT_DIR"
 
@@ -110,7 +108,7 @@ class ExperimentConfig(SimpleNamespace):
     """Validated experiment: one attribute per field of the mode, named by
     its key, with ``output`` as a path, plus ``problem``, the library problem
     the fields describe (a ``ProblemSpec`` for solve and roundtrip, a
-    ``ContinuousProblem`` for the rate modes, None for power_gap)."""
+    ``ContinuousProblem`` for the rate modes)."""
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -290,36 +288,6 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("solve", rows, verdicts, summary)
 
 
-def _check_power_gap_bound(cfg: ExperimentConfig) -> None:
-    """Reject a ``k_max`` whose bound overflows before any sweep: the bound is
-    largest at ``|xi| = pi/h`` and, wherever it can overflow, grows with k."""
-    for h in cfg.h_values:
-        zeta_power_gap(math.pi / h, cfg.k_max, h)
-
-
-def _run_power_gap(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    total_violations = 0
-    for h in cfg.h_values:
-        xi = rng.uniform(-math.pi / h, math.pi / h, size=cfg.samples)
-        for k in range(1, cfg.k_max + 1):
-            res = zeta_power_gap(xi, k, h)
-            positive = res.bound > 0
-            ratio = float(np.max(res.gap[positive] / res.bound[positive])) \
-                if np.any(positive) else 0.0
-            violations = int(np.sum(res.gap > res.bound * (1 + 1e-12) + 1e-300))
-            total_violations += violations
-            rows.append((float(h), k, float(np.max(res.gap)),
-                         float(np.max(res.bound)), ratio, violations))
-    verdicts = [GateVerdict("power_gap_bound", total_violations == 0,
-                            f"{total_violations} violations over "
-                            f"{len(cfg.h_values) * cfg.k_max * cfg.samples} samples")]
-    summary = {"seed": cfg.seed, "samples": cfg.samples, "k_max": cfg.k_max,
-               "h_values": cfg.h_values, "total_violations": total_violations}
-    return ExperimentReport("power_gap", rows, verdicts, summary)
-
-
 def _run_kernel_gap(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     per_family: dict[str, list[float]] = {}
@@ -401,10 +369,6 @@ MODES = {
         ("h", "N", "rel_error", "condition", "residual"),
         (f"roundtrip_rel_error: recovered traces within {ROUNDTRIP_TOL:.0e} of planted",
          _SOLVE_GATE)),
-    "power_gap": Mode(
-        _run_power_gap, _check_power_gap_bound,
-        ("h", "k", "max_gap", "max_bound", "max_ratio", "violations"),
-        ("power_gap_bound: zero pointwise violations of the first-order bound",)),
     "kernel_gap": Mode(
         _run_kernel_gap, _rate_problem,
         ("h", "j", "k", "family", "ratio"),
@@ -437,7 +401,6 @@ class Field(NamedTuple):
 LATTICE = ("solve", "roundtrip")
 RATES = ("kernel_gap", "commutator", "section_gap")
 _ORDERS = {"kernel_gap": (0.0, -1.0), "commutator": (0.0,), "section_gap": (0.0, -1.0)}
-_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 # Ceilings on the sizes a config asks for, each checked when its field is
@@ -460,15 +423,11 @@ PROBLEM_N_MAX = 8
 # float with a factor over 1e6 to spare; the shipped and benchmarked h
 # are 1 and 0.5.
 GRID_H_RANGE = (1e-150, 1e150)
-# The most power_gap samples per mesh size: each is drawn as one float array
-# and its gaps and bounds taken in arrays of its length, a float array of
-# 2^20 being 8 MiB, about 100 times the shipped 10000.
-SAMPLES_MAX = 2 ** 20
 _PROBLEM_N = _checked(int, lambda v: v <= PROBLEM_N_MAX, f"<= {PROBLEM_N_MAX}")
 
 FIELDS = (
     Field("experiment", "mode", tuple(MODES), tuple(MODES)),
-    Field("experiment", "seed", _NON_NEGATIVE, ("solve", "roundtrip", "power_gap"), 0),
+    Field("experiment", "seed", _NON_NEGATIVE, LATTICE, 0),
     Field("experiment", "output", str, tuple(MODES), "out"),
     Field("symbols", "family", tuple(FAMILY_FIELDS), LATTICE),
     Field("symbols", "a", float, LATTICE, None),
@@ -493,16 +452,12 @@ FIELDS = (
     Field("continuous", "betas", _floats, RATES, _ORDERS),
     Field("continuous", "gammas", _floats, RATES, _ORDERS),
     # a growth needs two sizes, a fitted slope three
-    Field("sweep", "h_values", _mesh_sizes(1), ("power_gap",), (1.0, 0.5, 0.25, 0.125)),
     Field("sweep", "h_values", _mesh_sizes(2), ("kernel_gap",), (1.0, 0.5, 0.25)),
     Field("sweep", "h_values", _mesh_sizes(FIT_MIN_SIZES), ("commutator", "section_gap"),
           (0.5, 0.25, 0.125, 0.0625)),
     Field("sweep", "nodes_per_window", lambda text: check_window_nodes(int(text)), RATES,
           {"kernel_gap": 64, "commutator": 32, "section_gap": 32}),
     Field("sweep", "lambda_factor", lambda text: check_lambda_factor(float(text)), RATES, 4.0),
-    Field("sweep", "k_max", _AT_LEAST_ONE, ("power_gap",), 4),
-    Field("sweep", "samples", _checked(int, lambda v: 1 <= v <= SAMPLES_MAX,
-                                       f"from 1 to {SAMPLES_MAX}"), ("power_gap",), 10000),
 )
 
 
@@ -583,6 +538,10 @@ def _cmd_run(path: str) -> int:
     except (NearSingularError, NormEstimateError, AssemblyError) as exc:
         print(f"numerical failure in mode {cfg.mode}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"config error: mode {cfg.mode} ran out of memory: the config's sizes pass "
+              "their ceilings but do not fit in memory", file=sys.stderr)
+        return 2
     for v in report.verdicts:
         print(f"[{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail}")
     print(f"wrote {csv_path} and {summary_path}")

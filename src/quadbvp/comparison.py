@@ -3,7 +3,7 @@
 Three empirical measurements back the discrete-to-continuous passage:
 
 * the pointwise gap between ``(i xi)^k`` and the difference-symbol power
-  ``zeta^k``, with its explicit first-order bound;
+  ``zeta^k``, with its sharp first-order bound ``(k/2) h |xi|^(k+1)``;
 * the gaps between the four continuous kernel families and their lattice
   counterparts, normalized by the predicted ``h`` rate and growth weight;
 * operator-level rates: the commutator of the continuous block operator
@@ -32,7 +32,6 @@ from .lattice import LineGrid, _open_mesh, _power_base, _trace_weight, zeta
 from .system import ContinuousProblem, _assemble, _kernel_strips, _products
 
 __all__ = [
-    "PowerGap",
     "RateReport",
     "WeightedOperatorFrame",
     "zeta_power_gap",
@@ -51,34 +50,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerGap:
-    """Pointwise gap ``|(i xi)^k - zeta^k|`` and its proof-chain bound."""
+def zeta_power_gap(xi, k: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The gap ``|(i xi)^k - zeta^k|`` between the k-th powers of ``i xi``
+    and ``zeta(xi, h)``, and its first-order bound ``(k/2) h |xi|^(k+1)``.
 
-    gap: np.ndarray
-    bound: np.ndarray
-
-
-def zeta_power_gap(xi, k: int, h: float) -> PowerGap:
-    """Gap between the k-th powers of ``i xi`` and ``zeta(xi, h)``.
-
-    The bound ``k e^(k pi) h |xi|^(k+1)`` assembles the chain
-    ``|zeta - i xi| <= e^pi h xi^2`` and ``|zeta| <= e^pi |xi|``, both valid
-    for ``|xi| <= pi / h``.  A bound that overflows would pass any check, so
-    it raises :class:`InvalidConfigurationError` naming ``k`` and ``h``.
+    The bound holds for every real ``xi``, from ``|zeta - i xi| <= h xi^2 /
+    2`` and ``|zeta| <= |xi|``, and is sharp as ``h xi`` goes to 0.  A bound
+    that is not finite would pass any check, so it raises ``ValueError``
+    naming ``k`` and ``h``.
     """
     if k < 1 or int(k) != k:
         raise ValueError(f"power k must be a positive integer, got {k}")
     xi = np.asarray(xi, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            bound = k * math.exp(k * math.pi) * h * np.abs(xi) ** (k + 1)
-        except OverflowError:  # from math.exp
-            bound = None
-    if bound is None or not np.all(np.isfinite(bound)):
-        raise InvalidConfigurationError(f"the first-order bound overflows at k = {k}, h = {h:g}")
-    gap = np.abs((1j * xi) ** k - zeta(xi, h) ** k)
-    return PowerGap(gap=gap, bound=bound)
+    with np.errstate(over="ignore"):
+        bound = k / 2 * h * np.abs(xi) ** (k + 1)
+    if not np.all(np.isfinite(bound)):
+        raise ValueError(f"the first-order bound overflows at k = {k}, h = {h:g}")
+    return np.abs((1j * xi) ** k - zeta(xi, h) ** k), bound
 
 
 # a fitted slope needs at least this many mesh sizes
@@ -223,14 +211,17 @@ def _sigma_max(block: np.ndarray) -> float:
     given as its diagonal ``d``, the larger of its two slices' values for a
     3-D pair block, power iteration on the normal matrix for a dense one.
 
-    The iteration starts from the deterministic all-ones vector.  A block
-    whose rows each sum to zero annihilates it; such a block, unless it is
-    zero, is iterated again from the conjugate of its largest-norm row
-    ``r``, whose image ``B v`` holds ``|r|`` and so does not vanish, nor
-    does ``B^H B v``.  Only then is the block scanned for a nonzero entry.
-    A start that is orthogonal to the top right singular vector without
-    being annihilated still converges to a lower value: ``[[3, -3], [1,
-    1]]`` gives ``sqrt(2)``, not ``3 sqrt(2)``.
+    The iteration starts from the deterministic ramp ``linspace(1, 2, m)``,
+    which has components of both parities under the reflection of the
+    nodes, ``xi -> -xi``: an all-ones start is even, and on a block that
+    commutes with the reflection it cannot reach an odd top singular
+    vector (``[[3, -3], [1, 1]]`` gave ``sqrt(2)`` from it, not ``3
+    sqrt(2)``).  A block that annihilates the start, unless it is zero, is
+    iterated again from the conjugate of its largest-norm row ``r``, whose
+    image ``B v`` holds ``|r|`` and so does not vanish, nor does ``B^H B
+    v``.  Only then is the block scanned for a nonzero entry.  A start that
+    is orthogonal to the top right singular vector without being
+    annihilated still converges to a lower value.
     """
     b = np.asarray(block)
     if b.size == 0:
@@ -239,7 +230,7 @@ def _sigma_max(block: np.ndarray) -> float:
         return float(np.max(np.abs(b)))
     if b.ndim == 3:
         return max(_sigma_max(part) for part in b)
-    v = np.ones(b.shape[1], dtype=np.result_type(b, float))
+    v = np.linspace(1.0, 2.0, b.shape[1], dtype=np.result_type(b, float))
     value = _power_iteration(b, v / np.linalg.norm(v))
     if value == 0.0 and np.any(b):
         # rows scaled to a largest entry of one, so no row norm underflows

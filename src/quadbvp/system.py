@@ -775,7 +775,13 @@ class _CompressedSystem:
         self.w_r, self.z_r = w[:, :r], self.z[:, :r]
         c = _adjoint_mul(self.z, dw)
         c[np.arange(r), np.arange(r)] += 1.0
-        self.g = dw @ np.linalg.inv(c)
+        # C's rows equilibrated before it is inverted: its gauge rows scale
+        # like h^2 against the identity's 1, and the rounding of an unscaled
+        # inverse swamps them, so the solve leaks into the gauge at small h.
+        # A zero row is left as it is, and C stays singular.
+        rows = np.abs(c).max(axis=1)
+        rows[rows == 0.0] = 1.0
+        self.g = dw @ (np.linalg.inv(c / rows[:, None]) / rows)
 
     def a(self, v: np.ndarray) -> np.ndarray:
         v2 = v.reshape(2, self.m, -1)
@@ -877,7 +883,9 @@ def solve_block_system(system: BlockSystem,
     multiplier matrix of either edge is singular to working precision
     (``condition`` is then ``inf``), when the capacitance matrix is
     singular, or when the condition estimate exceeds ``CONDITION_LIMIT``
-    (read: the system is not uniquely solvable even modulo gauge).
+    (read: the system is not uniquely solvable even modulo gauge), and,
+    with ``condition`` ``inf``, when LAPACK fails inside the condition
+    estimate, as its Gram matrix does on a system scaled past about 1e154.
     """
     if data.n != system.n:
         raise ValueError(f"data must have n = {system.n} components per edge, got {data.n}")
@@ -891,9 +899,15 @@ def solve_block_system(system: BlockSystem,
     except np.linalg.LinAlgError:  # C singular: rank loss beyond the gauge
         ops = None
     size = system.size
-    cond = (_sigma_max_estimate(ops.a_low, ops.a_low_h, size)
-            * _sigma_max_estimate(ops.p, ops.p_h, size)
-            if ops is not None and np.isfinite(ops.g).all() else math.inf)
+    try:
+        # an estimate that overflows is not finite, and so rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = (_sigma_max_estimate(ops.a_low, ops.a_low_h, size)
+                    * _sigma_max_estimate(ops.p, ops.p_h, size)
+                    if ops is not None and np.isfinite(ops.g).all() else math.inf)
+    except np.linalg.LinAlgError as exc:
+        raise NearSingularError(f"the deflated condition estimate failed: LAPACK error "
+                                f"{exc!r}", condition=math.inf) from None
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise NearSingularError(
             f"deflated condition estimate {cond:.3e} exceeds "

@@ -6,8 +6,9 @@ and asserts at its stated tolerance.  Gates A1..A8:
 A1  manufactured round trip recovers planted traces to 1e-6 within 10 s
 A2  reconstructed solutions satisfy the homogeneous equation at interior
     points to 1e-6 times the solution norm, for 5 seeded trace vectors
-A3  the first-order difference-power bound is never violated over
-    10^4 samples per (h, k), within 5 s
+A3  the sharp first-order difference-power bound is never violated over
+    10^4 samples per (h, k), and is reached to 1e-3 at each h's smallest
+    sampled |h xi|, within 5 s
 A4  lattice-vs-continuous kernel gap ratios grow at most 10% per mesh
     halving for all four block families
 A5  the restricted-minus-lattice operator gap decays with fitted slope
@@ -28,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from quadbvp import comparison
+from quadbvp import comparison, lattice
 from quadbvp import (FrequencyGrid, LatticeFunction, PeriodicSymbol,
                      ProblemSpec, SpectralFunction, TraceVector,
                      WeightedOperatorFrame, apply_symbol_to_spectrum,
@@ -86,21 +87,46 @@ def test_a2_homogeneous_residual():
           f"5 seeds x 25 interior points")
 
 
-def test_a3_power_gap_bound():
-    start = time.perf_counter()
+def a3_check():
+    """A3's check of the first-order bound on its seed-123 sample: the count
+    of gaps over ``bound * (1 + 1e-6)``, the least gap-to-bound ratio at
+    the sample of smallest ``|h xi|`` of each h, where the sharp bound is
+    reached to first order, and the sample count."""
     rng = np.random.default_rng(123)
-    violations = 0
-    total = 0
+    violations = total = 0
+    lowest = math.inf
     for h in (1.0, 0.5, 0.25, 0.125):
         xi = rng.uniform(-math.pi / h, math.pi / h, size=10000)
+        smallest = np.argmin(np.abs(xi))  # |h xi| <= 5.1e-4 at every h
         for k in range(1, 5):
-            res = zeta_power_gap(xi, k, h)
-            violations += int(np.sum(res.gap > res.bound * (1 + 1e-12) + 1e-300))
+            gap, bound = zeta_power_gap(xi, k, h)
+            violations += int(np.sum(gap > bound * (1 + 1e-6)))
+            lowest = min(lowest, gap[smallest] / bound[smallest])
             total += xi.size
+    return violations, lowest, total
+
+
+def test_a3_power_gap_bound():
+    start = time.perf_counter()
+    violations, lowest, total = a3_check()
     wall = time.perf_counter() - start
     check("A3 difference-power bound",
-          violations == 0 and wall <= 5.0,
-          f"{violations} violations over {total} samples, {wall:.2f}s (limit 5s)")
+          violations == 0 and lowest >= 1 - 1e-3 and wall <= 5.0,
+          f"{violations} violations over {total} samples, least ratio at the smallest "
+          f"|h xi| {lowest:.6f} (floor 0.999), {wall:.2f}s (limit 5s)")
+
+
+@pytest.mark.parametrize("wrong_zeta", [
+    lambda xi, h: lattice.zeta(xi, h / 2),
+    lambda xi, h: 2 * lattice.zeta(xi, h),
+    lambda xi, h: np.conj(lattice.zeta(xi, h)),
+], ids=["half-mesh", "doubled", "conjugate"])
+def test_a3_rejects_a_wrong_difference_symbol(monkeypatch, wrong_zeta):
+    # zeta on mesh h/2 halves the gap, so only the lower check sees it;
+    # 2 zeta and conj(zeta) break the upper one
+    monkeypatch.setattr(comparison, "zeta", wrong_zeta)
+    violations, lowest, _ = a3_check()
+    assert violations > 0 or lowest < 1 - 1e-3
 
 
 def test_a4_kernel_gap_growth():

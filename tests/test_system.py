@@ -390,6 +390,17 @@ class TestSolve:
             solve_block_system(sys, zero_data(sys))
         assert err.value.condition > 1e12
 
+    def test_a_zero_capacitance_row_is_near_singular_without_a_warning(self, monkeypatch):
+        # a zero gauge basis leaves the capacitance matrix's gauge rows
+        # zero: its row equilibration keeps them zero, with no division by
+        # zero, and the singular matrix is reported as such
+        sys = assemble(trivial_spec(), FrequencyGrid(1.0, 16))
+        monkeypatch.setattr(BlockSystem, "gauge_basis",
+                            property(lambda self: np.zeros((self.size, self.n ** 2))))
+        with pytest.raises(NearSingularError) as err:
+            solve_block_system(sys, zero_data(sys))
+        assert err.value.condition == math.inf
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_data_with_another_component_count_rejected(self, n):
         system = assemble(trivial_spec(n=2, boundary="zeta"), FrequencyGrid(1.0, 8))
