@@ -55,9 +55,10 @@ def zeta_power_gap(xi, k: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     and ``zeta(xi, h)``, and its first-order bound ``(k/2) h |xi|^(k+1)``.
 
     The bound holds for every real ``xi``, from ``|zeta - i xi| <= h xi^2 /
-    2`` and ``|zeta| <= |xi|``, and is sharp as ``h xi`` goes to 0.  A bound
-    that is not finite would pass any check, so it raises ``ValueError``
-    naming ``k`` and ``h``.
+    2`` and ``|zeta| <= |xi|``, and is sharp as ``h xi`` goes to 0.  The gap
+    is the product ``|i xi - zeta| |sum_j (i xi)^j zeta^(k-1-j)|``, so that
+    no difference of the two powers cancels.  A bound that is not finite
+    would pass any check, so it raises ``ValueError`` naming ``k`` and ``h``.
     """
     if k < 1 or int(k) != k:
         raise ValueError(f"power k must be a positive integer, got {k}")
@@ -66,7 +67,11 @@ def zeta_power_gap(xi, k: int, h: float) -> tuple[np.ndarray, np.ndarray]:
         bound = k / 2 * h * np.abs(xi) ** (k + 1)
     if not np.all(np.isfinite(bound)):
         raise ValueError(f"the first-order bound overflows at k = {k}, h = {h:g}")
-    return np.abs((1j * xi) ** k - zeta(xi, h) ** k), bound
+    a, b = 1j * xi, zeta(xi, h)
+    total, power = 0, 1
+    for _ in range(k):
+        total, power = a * total + power, power * b
+    return np.abs(a - b) * np.abs(total), bound
 
 
 # a fitted slope needs at least this many mesh sizes

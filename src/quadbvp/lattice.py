@@ -43,9 +43,10 @@ def zeta(xi, h: float):
     This is the lattice stand-in for ``i xi``: it agrees with ``i xi`` to
     first order in ``h`` and is ``2 pi / h``-periodic.  Accepts real or
     complex ``xi`` (complex arguments are used when sampling holomorphic
-    continuations into tube domains).
+    continuations into tube domains).  ``expm1`` keeps the real part
+    ``(cos(h xi) - 1) / h`` free of cancellation as ``h xi`` goes to 0.
     """
-    return (np.exp(1j * h * np.asarray(xi)) - 1.0) / h
+    return np.expm1(1j * h * np.asarray(xi)) / h
 
 
 # exponents that are multiples of 1/2 up to this modulus are taken by products

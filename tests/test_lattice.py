@@ -149,6 +149,11 @@ class TestZeta:
         assert zeta(1.0, 0.1) == pytest.approx(
             -0.04995834721974234 + 0.9983341664682815j, abs=1e-15)
 
+    def test_real_part_survives_small_h_xi(self):
+        # (cos(h xi) - 1) / h = -h xi^2 / 2 to first order; exp(i h xi) - 1
+        # rounded it to 0 here
+        assert zeta(1e-8, 1.0).real == pytest.approx(-5e-17, rel=1e-12, abs=0.0)
+
     def test_2d_aggregate_is_sum_of_squares(self):
         x1, x2 = 0.7, -1.3
         expected = zeta(x1, 0.5) ** 2 + zeta(x2, 0.5) ** 2
