@@ -68,9 +68,7 @@ def zeta_power_gap(xi, k: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(bound)):
         raise ValueError(f"the first-order bound overflows at k = {k}, h = {h:g}")
     a, b = 1j * xi, zeta(xi, h)
-    total, power = 0, 1
-    for _ in range(k):
-        total, power = a * total + power, power * b
+    total = sum(a ** j * b ** (k - 1 - j) for j in range(k))
     return np.abs(a - b) * np.abs(total), bound
 
 
