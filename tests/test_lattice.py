@@ -151,7 +151,7 @@ class TestZeta:
 
     def test_real_part_survives_small_h_xi(self):
         # (cos(h xi) - 1) / h = -h xi^2 / 2 to first order; exp(i h xi) - 1
-        # rounded it to 0 here
+        # would round it to 0 here
         assert zeta(1e-8, 1.0).real == pytest.approx(-5e-17, rel=1e-12, abs=0.0)
 
     def test_2d_aggregate_is_sum_of_squares(self):
