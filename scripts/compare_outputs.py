@@ -8,7 +8,8 @@ twin at the same relative path under B, prints how many of its numbers
 differ and the largest relative difference, ``|a - b| / max(|a|, |b|)``.
 ``wall_seconds`` is left out, and a gate's verdict is compared as text
 with the numbers of its detail masked.  Exits 1 when A holds no output,
-when a file has no twin, or when keys, columns, text or integers differ.
+when an output under either tree has no twin under the other, or when
+keys, columns, text or integers differ.
 Numbers that differ are only counted: the script has no tolerance, the
 tests keep theirs.
 """
@@ -89,24 +90,33 @@ def compare(a: Path, b: Path) -> tuple[list[str], int, int, float]:
     return mismatches, numbers, differ, largest
 
 
+def outputs(root: Path) -> list[Path]:
+    """The outputs under ``root``, as paths relative to it."""
+    return sorted(p.relative_to(root) for pattern in ("*.csv", "*_summary.txt")
+                  for p in root.rglob(pattern))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     a, b = map(Path, argv)
-    failed = False
-    files = sorted(p for pattern in ("*.csv", "*_summary.txt") for p in a.rglob(pattern))
+    files = outputs(a)
     if not files:
         print(f"no outputs under {a}")
         return 1
-    for path in files:
-        rel = path.relative_to(a)
+    # an output B holds with no twin under A is not compared: it fails
+    unmatched = sorted(set(outputs(b)) - set(files))
+    for rel in unmatched:
+        print(f"{rel}: no twin in {a}")
+    failed = bool(unmatched)
+    for rel in files:
         twin = b / rel
         if not twin.is_file():
             print(f"{rel}: no twin in {b}")
             failed = True
             continue
-        mismatches, numbers, differ, largest = compare(path, twin)
+        mismatches, numbers, differ, largest = compare(a / rel, twin)
         for line in mismatches:
             print(f"{rel}: {line}")
         failed |= bool(mismatches)

@@ -15,11 +15,10 @@ from .symbols import PeriodicSymbol, WaveFactorization, builtin_factor_family
 from .operators import apply_symbol_to_spectrum, boundary_trace_spectrum
 from .system import (BlockSystem, ContinuousProblem, GaussianBumps,
                      ProblemSpec, RoundtripReport, SolveReport, TraceVector,
-                     assemble, identity_boundary_operators, manufactured_roundtrip,
-                     project_out_gauge, radial_power_problem, random_bumps,
-                     random_trace_vector, reconstruct_solution,
-                     row_trace_boundary_operators, solve_block_system,
-                     structural_null_basis, trace_exponents,
+                     assemble, manufactured_roundtrip, project_out_gauge,
+                     radial_power_problem, random_bumps, random_trace_vector,
+                     reconstruct_solution, row_trace_boundary_operators,
+                     solve_block_system, structural_null_basis, trace_exponents,
                      zeta_boundary_operators)
 from .comparison import (RateReport, WeightedOperatorFrame,
                          aligned_line_grid, commutator_rate_sweep,

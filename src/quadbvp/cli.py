@@ -13,15 +13,16 @@ value, so values cannot contain those characters.  A key the mode does not
 accept is an error.  ``[symbols] boundary`` defaults to ``row_trace``.
 Modes:
 
-    solve        solve one problem with seeded compatible data, report
-                 solution norms, solver diagnostics and interior residuals
-    roundtrip    plant seeded traces, synthesize data, solve, compare
+    solve        plant seeded traces, synthesize their boundary data, solve,
+                 gate the recovered traces against the planted ones, and
+                 report solution norms, solver diagnostics and interior
+                 residuals
     kernel_gap   lattice-vs-continuous kernel gap ratios over a mesh sweep
     commutator   decay rate of the restriction commutator
     section_gap  decay rate of the restricted-minus-lattice operator gap
 
-Only solve and roundtrip draw random numbers and take ``[experiment]
-seed``, a non-negative integer.
+Only solve draws random numbers and takes ``[experiment] seed``, a
+non-negative integer.
 
 Each run writes ``<mode>.csv`` (first line ``# schema=<mode>-v1``) and
 ``<mode>_summary.txt`` (key = value lines, one gate verdict per line) into
@@ -50,8 +51,7 @@ from .errors import (AssemblyError, ConfigError, InvalidConfigurationError,
 from .lattice import FrequencyGrid, SpectralFunction, sobolev_norm_1d, sobolev_norm_2d
 from .symbols import PeriodicSymbol, builtin_factor_family
 from .operators import apply_symbol_to_spectrum
-from .system import (ProblemSpec, RoundtripReport, identity_boundary_operators,
-                     manufactured_roundtrip, radial_power_problem,
+from .system import (ProblemSpec, manufactured_roundtrip, radial_power_problem,
                      random_trace_vector, reconstruct_solution,
                      row_trace_boundary_operators, zeta_boundary_operators)
 from .comparison import (FIT_MIN_SIZES, check_lambda_factor, check_rate_sweep, check_sweep,
@@ -63,13 +63,11 @@ OUTPUT_ENV_VAR = "QUADBVP_OUTPUT_DIR"
 ROUNDTRIP_TOL = 1.0e-6
 RESIDUAL_TOL = 1.0e-10
 RESIDUAL_COND_LIMIT = 1.0e8
-HOMOGENEOUS_TOL = 1.0e-6
 KERNEL_GAP_GROWTH_TOL = 0.10
 SECTION_GAP_SLOPE_MIN = 0.9
 COMMUTATOR_SLOPE_FACTOR = 0.9
 
-BOUNDARY_OPERATORS = {"identity": identity_boundary_operators,
-                      "zeta": zeta_boundary_operators,
+BOUNDARY_OPERATORS = {"zeta": zeta_boundary_operators,
                       "row_trace": row_trace_boundary_operators}
 # the [symbols] parameters each factor family needs
 FAMILY_FIELDS = {"geometric": ("a",), "shifted_zeta": ("c", "kappa")}
@@ -107,7 +105,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 class ExperimentConfig(SimpleNamespace):
     """Validated experiment: one attribute per field of the mode, named by
     its key, with ``output`` as a path, plus ``problem``, the library problem
-    the fields describe (a ``ProblemSpec`` for solve and roundtrip, a
+    the fields describe (a ``ProblemSpec`` for solve, a
     ``ContinuousProblem`` for the rate modes)."""
 
 
@@ -213,52 +211,21 @@ def write_report(report: ExperimentReport, outdir: Path,
     return csv_path, summary_path
 
 
-def _solve_residual_gate(condition: float, residual: float) -> GateVerdict:
-    if condition <= RESIDUAL_COND_LIMIT:
-        return GateVerdict(
-            "solve_residual", residual <= RESIDUAL_TOL,
-            f"residual {residual:.3e} vs {RESIDUAL_TOL:.0e} at condition {condition:.3e}")
-    return GateVerdict("solve_residual", True,
-                       f"not applicable: condition {condition:.3e} > {RESIDUAL_COND_LIMIT:.0e}")
-
-
 # ---------------------------------------------------------------------------
 # mode runners
 
-def _planted_roundtrip(cfg: ExperimentConfig) -> RoundtripReport:
-    """Round trip of seeded planted traces.  Two-edge data must agree at the
-    corner, so the data are synthesized from a planted spectrum rather than
-    drawn independently."""
-    grid1 = FrequencyGrid(cfg.h, cfg.N, ndim=1)
-    planted = random_trace_vector(np.random.default_rng(cfg.seed), grid1, cfg.n)
-    return manufactured_roundtrip(cfg.problem, planted, FrequencyGrid(cfg.h, cfg.N))
-
-
-def _solver_summary(cfg: ExperimentConfig, rep: RoundtripReport) -> dict[str, object]:
-    """The leading summary keys of the solve and roundtrip modes."""
-    return {"h": cfg.h, "N": cfg.N, "seed": cfg.seed,
-            "family": cfg.problem.factorization.label, "boundary": cfg.boundary,
-            "rel_error": rep.rel_error, "condition": rep.condition, "residual": rep.residual,
-            "multiplier_condition": rep.multiplier_condition,
-            "kernel_rank_bottom": rep.kernel_rank[0], "kernel_rank_left": rep.kernel_rank[1]}
-
-
-def _run_roundtrip(cfg: ExperimentConfig) -> ExperimentReport:
-    rep = _planted_roundtrip(cfg)
-    rows = [(cfg.h, cfg.N, rep.rel_error, rep.condition, rep.residual)]
-    verdicts = [
-        GateVerdict("roundtrip_rel_error", rep.rel_error <= ROUNDTRIP_TOL,
-                    f"rel_error {rep.rel_error:.3e} vs {ROUNDTRIP_TOL:.0e}"),
-        _solve_residual_gate(rep.condition, rep.residual),
-    ]
-    return ExperimentReport("roundtrip", rows, verdicts, _solver_summary(cfg, rep))
-
-
 def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
+    """Round trip of seeded planted traces, gated on their recovery and on
+    the solve's residual, then the solution's interior residuals.  Two-edge
+    data must agree at the corner, so the data are synthesized from a
+    planted spectrum rather than drawn independently."""
     spec = cfg.problem
-    rep = _planted_roundtrip(cfg)
+    grid = FrequencyGrid(cfg.h, cfg.N)
+    planted = random_trace_vector(np.random.default_rng(cfg.seed),
+                                  FrequencyGrid(cfg.h, cfg.N, ndim=1), cfg.n)
+    rep = manufactured_roundtrip(spec, planted, grid)
     traces = rep.recovered
-    u_hat = reconstruct_solution(traces, spec.factorization, FrequencyGrid(cfg.h, cfg.N))
+    u_hat = reconstruct_solution(traces, spec.factorization, grid)
     u_norm = sobolev_norm_2d(u_hat, cfg.s)
 
     full = PeriodicSymbol(lambda a, b: spec.factorization.full_symbol(a, b),
@@ -273,14 +240,21 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
         worst = max(worst, r)
         rows.append((cfg.h, cfg.N, i, j, r))
 
+    applies = rep.condition <= RESIDUAL_COND_LIMIT
     verdicts = [
-        _solve_residual_gate(rep.condition, rep.residual),
-        GateVerdict("homogeneous_residual", worst <= HOMOGENEOUS_TOL * u_norm,
-                    f"max |A u| {worst:.3e} vs {HOMOGENEOUS_TOL:.0e} * ||u|| "
-                    f"= {HOMOGENEOUS_TOL * u_norm:.3e}"),
+        GateVerdict("roundtrip_rel_error", rep.rel_error <= ROUNDTRIP_TOL,
+                    f"rel_error {rep.rel_error:.3e} vs {ROUNDTRIP_TOL:.0e}"),
+        GateVerdict("solve_residual", not applies or rep.residual <= RESIDUAL_TOL,
+                    f"residual {rep.residual:.3e} vs {RESIDUAL_TOL:.0e} at condition "
+                    f"{rep.condition:.3e}" if applies else
+                    f"not applicable: condition {rep.condition:.3e} > {RESIDUAL_COND_LIMIT:.0e}"),
     ]
-    summary = {**_solver_summary(cfg, rep), "solution_norm": u_norm,
-               "max_interior_residual": worst}
+    summary = {"h": cfg.h, "N": cfg.N, "seed": cfg.seed,
+               "family": spec.factorization.label, "boundary": cfg.boundary,
+               "rel_error": rep.rel_error, "condition": rep.condition, "residual": rep.residual,
+               "multiplier_condition": rep.multiplier_condition,
+               "kernel_rank_bottom": rep.kernel_rank[0], "kernel_rank_left": rep.kernel_rank[1],
+               "solution_norm": u_norm, "max_interior_residual": worst}
     functions = [SpectralFunction(traces.grid, row) for row in traces.values]
     for k, s_k in enumerate(spec.trace_exponents):
         summary[f"bottom_trace_norm_{k}"] = sobolev_norm_1d(functions[k], s_k)
@@ -352,8 +326,6 @@ class Mode(NamedTuple):
     gates: tuple[str, ...]
 
 
-_SOLVE_GATE = (f"solve_residual: linear-solve residual <= {RESIDUAL_TOL:.0e} "
-               f"when condition <= {RESIDUAL_COND_LIMIT:.0e}")
 _RATE_COLUMNS = ("h", "window_nodes", "norm")
 
 # The sweeps are looked up when a run starts, not bound here, so that
@@ -362,13 +334,9 @@ MODES = {
     "solve": Mode(
         _run_solve, _lattice_problem,
         ("h", "N", "point_i1", "point_i2", "abs_residual"),
-        (_SOLVE_GATE, f"homogeneous_residual: |A u| <= {HOMOGENEOUS_TOL:.0e} ||u|| "
-                      "at interior points")),
-    "roundtrip": Mode(
-        _run_roundtrip, _lattice_problem,
-        ("h", "N", "rel_error", "condition", "residual"),
         (f"roundtrip_rel_error: recovered traces within {ROUNDTRIP_TOL:.0e} of planted",
-         _SOLVE_GATE)),
+         f"solve_residual: linear-solve residual <= {RESIDUAL_TOL:.0e} "
+         f"when condition <= {RESIDUAL_COND_LIMIT:.0e}")),
     "kernel_gap": Mode(
         _run_kernel_gap, _rate_problem,
         ("h", "j", "k", "family", "ratio"),
@@ -398,7 +366,7 @@ class Field(NamedTuple):
     default: object = REQUIRED  # a value, REQUIRED, or {mode: value}
 
 
-LATTICE = ("solve", "roundtrip")
+LATTICE = ("solve",)
 RATES = ("kernel_gap", "commutator", "section_gap")
 _ORDERS = {"kernel_gap": (0.0, -1.0), "commutator": (0.0,), "section_gap": (0.0, -1.0)}
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, "a non-negative integer")

@@ -34,12 +34,11 @@ from quadbvp import (FrequencyGrid, LatticeFunction, PeriodicSymbol,
                      ProblemSpec, SpectralFunction, TraceVector,
                      WeightedOperatorFrame, apply_symbol_to_spectrum,
                      builtin_factor_family, commutator_rate_sweep, estimate_operator_norm,
-                     identity_boundary_operators, kernel_gap_ratios,
-                     manufactured_roundtrip, radial_power_problem, random_bumps,
-                     random_trace_vector, reconstruct_solution,
-                     section_gap_rate_sweep, sobolev_norm_1d, sobolev_norm_2d,
-                     solve_block_system, trace_exponents,
-                     zeta_boundary_operators, zeta_power_gap)
+                     kernel_gap_ratios, manufactured_roundtrip, radial_power_problem,
+                     random_bumps, random_trace_vector, reconstruct_solution,
+                     row_trace_boundary_operators, section_gap_rate_sweep,
+                     sobolev_norm_1d, sobolev_norm_2d, solve_block_system,
+                     trace_exponents, zeta_boundary_operators, zeta_power_gap)
 from conftest import discrete_fourier
 
 
@@ -252,7 +251,7 @@ def test_a8_numerics_hygiene(monkeypatch):
     # linear-solve residual at moderate condition
     residual_worst = 0.0
     for n, boundary in ((1, zeta_boundary_operators),
-                        (1, identity_boundary_operators)):
+                        (1, row_trace_boundary_operators)):
         spec = geometric_spec(n, 1.0, boundary)
         grid = FrequencyGrid(1.0, 64)
         planted = random_trace_vector(rng, FrequencyGrid(1.0, 64, ndim=1), n)

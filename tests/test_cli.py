@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadbvp import cli
+from quadbvp import cli, system
 from quadbvp.cli import (MODES, OUTPUT_ENV_VAR, load_config, main, parse_config_text,
                          run_experiment)
 from quadbvp.comparison import STRIP_ENTRIES_MAX, aligned_line_grid, window_mask
@@ -18,9 +18,9 @@ from conftest import ROOT, load_script
 # kept as the reference a rerun is compared with
 REFERENCE_OUT = Path(__file__).resolve().parent / "reference_out"
 
-ROUNDTRIP_CONFIG = """\
+SOLVE_CONFIG = """\
 [experiment]
-mode = roundtrip
+mode = solve
 seed = 11
 output = {out}
 
@@ -41,8 +41,7 @@ h = 1
 
 
 SMALL_CONFIGS = {
-    "solve": ROUNDTRIP_CONFIG.replace("mode = roundtrip", "mode = {mode}"),
-    "roundtrip": ROUNDTRIP_CONFIG.replace("mode = roundtrip", "mode = {mode}"),
+    "solve": SOLVE_CONFIG.replace("mode = solve", "mode = {mode}"),
     "kernel_gap": "[experiment]\nmode = {mode}\noutput = {out}\n"
                   "[sweep]\nh_values = 1 0.5\nnodes_per_window = 16\n",
     "commutator": "[experiment]\nmode = {mode}\noutput = {out}\n"
@@ -79,12 +78,12 @@ class TestConfigParsing:
 
 class TestLoadConfig:
     def test_missing_required_field_names_it(self, tmp_path):
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path).replace("n = 1\n", "")
+        text = SOLVE_CONFIG.format(out=tmp_path).replace("n = 1\n", "")
         with pytest.raises(ConfigError, match="missing required field 'n'"):
             load_config(write_config(tmp_path, text))
 
     def test_unknown_key_is_line_referenced(self, tmp_path):
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path) + "\n[grid]\n"
+        text = SOLVE_CONFIG.format(out=tmp_path) + "\n[grid]\n"
         text = text.replace("h = 1", "h = 1\nwat = 3")
         with pytest.raises(ConfigError, match=r"line \d+: unknown key 'wat'"):
             load_config(write_config(tmp_path, text))
@@ -97,12 +96,12 @@ class TestLoadConfig:
          r"line 3: bad value for 'seed': must be a non-negative integer, got -1"),
     ], ids=["N", "boundary", "family", "negative-seed"])
     def test_bad_value_is_line_referenced(self, tmp_path, old, new, pattern):
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path).replace(old, new)
+        text = SOLVE_CONFIG.format(out=tmp_path).replace(old, new)
         with pytest.raises(ConfigError, match=pattern):
             load_config(write_config(tmp_path, text))
 
     def test_index_split_mismatch_rejected(self, tmp_path):
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path).replace("s = -1.25", "s = -2.0")
+        text = SOLVE_CONFIG.format(out=tmp_path).replace("s = -1.25", "s = -2.0")
         with pytest.raises(ConfigError, match="n \\+ delta"):
             load_config(write_config(tmp_path, text))
 
@@ -118,7 +117,7 @@ class TestLoadConfig:
 
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "elsewhere"))
-        cfg = load_config(write_config(tmp_path, ROUNDTRIP_CONFIG.format(out=tmp_path)))
+        cfg = load_config(write_config(tmp_path, SOLVE_CONFIG.format(out=tmp_path)))
         assert cfg.output == tmp_path / "elsewhere"
 
     def test_comparison_defaults_fill_in(self, tmp_path):
@@ -129,29 +128,64 @@ class TestLoadConfig:
 
 
 class TestRunCommand:
-    def test_roundtrip_run_passes_and_writes_reports(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, ROUNDTRIP_CONFIG.format(out=tmp_path / "out"))
+    def test_solve_run_passes_and_writes_reports(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SOLVE_CONFIG.format(out=tmp_path / "out"))
         assert main(["run", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert "[PASS] roundtrip_rel_error" in out
-        csv_text = (tmp_path / "out" / "roundtrip.csv").read_text()
-        assert csv_text.startswith("# schema=roundtrip-v1\n")
-        assert csv_text.splitlines()[1] == "h,N,rel_error,condition,residual"
-        summary = (tmp_path / "out" / "roundtrip_summary.txt").read_text()
-        assert "gate_roundtrip_rel_error = PASS" in summary
-        assert "gate_solve_residual = PASS" in summary
+        assert "[PASS] roundtrip_rel_error" in out and "[PASS] solve_residual" in out
+        csv_text = (tmp_path / "out" / "solve.csv").read_text()
+        assert csv_text.startswith("# schema=solve-v1\n")
+        assert csv_text.splitlines()[1] == "h,N,point_i1,point_i2,abs_residual"
+        summary = (tmp_path / "out" / "solve_summary.txt").read_text()
+        assert re.findall(r"^gate_(\w+) = PASS", summary, re.M) == [
+            "roundtrip_rel_error", "solve_residual"]
         assert "all_gates = PASS" in summary
 
+    def test_a_solver_that_scales_its_traces_fails_the_roundtrip_gate(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # negative control: traces returned 1.5 times too large leave the
+        # solution's interior residuals at rounding level, as for any
+        # traces, but not the recovery of the planted ones
+        solve = system.solve_block_system
+
+        def scaled(*args, **kwargs):
+            traces, report = solve(*args, **kwargs)
+            return system.TraceVector(traces.grid, 1.5 * traces.values), report
+
+        monkeypatch.setattr(system, "solve_block_system", scaled)
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "out"))
+        assert main(["run", str(ROOT / "configs" / "solve.ini")]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] roundtrip_rel_error: rel_error 5.000e-01 vs 1e-06" in out
+        assert "[PASS] solve_residual" in out
+        summary = (tmp_path / "out" / "solve_summary.txt").read_text()
+        assert "all_gates = FAIL" in summary
+        worst = float(re.search(r"^max_interior_residual = (\S+)$", summary, re.M).group(1))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("old, new, choices", [
+        ("mode = solve", "mode = roundtrip",
+         "unknown mode 'roundtrip'; expected one of solve, kernel_gap, commutator, "
+         "section_gap"),
+        ("boundary = zeta", "boundary = identity",
+         "unknown boundary 'identity'; expected one of zeta, row_trace"),
+    ], ids=["roundtrip-mode", "identity-boundary"])
+    def test_retired_choices_exit_2_at_validate_and_run(self, tmp_path, capsys, old, new,
+                                                        choices):
+        text = SOLVE_CONFIG.format(out=tmp_path / "out").replace(old, new)
+        err = self.stops_at_validate_and_run(tmp_path, capsys, text)
+        assert re.fullmatch(rf"config error: line \d+: {re.escape(choices)}\n", err)
+
     def test_rerun_is_byte_identical(self, tmp_path):
-        cfg1 = write_config(tmp_path, ROUNDTRIP_CONFIG.format(out=tmp_path / "r1"), "a.ini")
-        cfg2 = write_config(tmp_path, ROUNDTRIP_CONFIG.format(out=tmp_path / "r2"), "b.ini")
+        cfg1 = write_config(tmp_path, SOLVE_CONFIG.format(out=tmp_path / "r1"), "a.ini")
+        cfg2 = write_config(tmp_path, SOLVE_CONFIG.format(out=tmp_path / "r2"), "b.ini")
         assert main(["run", str(cfg1)]) == 0
         assert main(["run", str(cfg2)]) == 0
-        assert (tmp_path / "r1" / "roundtrip.csv").read_bytes() == \
-            (tmp_path / "r2" / "roundtrip.csv").read_bytes()
+        assert (tmp_path / "r1" / "solve.csv").read_bytes() == \
+            (tmp_path / "r2" / "solve.csv").read_bytes()
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path).replace("n = 1\n", "")
+        text = SOLVE_CONFIG.format(out=tmp_path).replace("n = 1\n", "")
         assert main(["run", str(write_config(tmp_path, text))]) == 2
         assert "missing required field 'n'" in capsys.readouterr().err
 
@@ -164,7 +198,7 @@ class TestRunCommand:
                                               family, params, missing):
         kept = "".join(line + "\n" for line in params.splitlines()
                        if not line.startswith(missing + " "))
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path).replace(
+        text = SOLVE_CONFIG.format(out=tmp_path).replace(
             "family = geometric\na = 0.5\n", f"family = {family}\n{kept}")
         if family == "shifted_zeta":
             text = text.replace("s = -1.25", "s = -0.25")
@@ -297,8 +331,8 @@ class TestRunCommand:
             "LINE_NODES_MAX = 1048576\n")
 
     @pytest.mark.parametrize("mode, key, value", [
-        ("roundtrip", "N", "1000000"), ("solve", "N", str(cli.GRID_NODES_MAX + 2)),
-        ("roundtrip", "n", "1000000"), ("solve", "n", str(cli.PROBLEM_N_MAX + 1)),
+        ("solve", "N", "1000000"), ("solve", "N", str(cli.GRID_NODES_MAX + 2)),
+        ("solve", "n", "1000000"), ("solve", "n", str(cli.PROBLEM_N_MAX + 1)),
         ("section_gap", "n", "100"), ("section_gap", "n", str(cli.PROBLEM_N_MAX + 1)),
     ], ids=["N-huge", "N-over", "n-huge", "n-over", "continuous-n-huge", "continuous-n-over"])
     def test_size_over_its_ceiling_exits_2_at_validate_and_run(self, tmp_path, capsys,
@@ -319,8 +353,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("mode, replaced", [
         ("solve", {"N = 64": f"N = {cli.GRID_NODES_MAX}"}),
-        ("roundtrip", {"n = 1": f"n = {cli.PROBLEM_N_MAX}",
-                       "s = -1.25": f"s = {-cli.PROBLEM_N_MAX - 0.25}"}),
+        ("solve", {"n = 1": f"n = {cli.PROBLEM_N_MAX}",
+                   "s = -1.25": f"s = {-cli.PROBLEM_N_MAX - 0.25}"}),
         ("section_gap", {"n = 2": f"n = {cli.PROBLEM_N_MAX}\nbetas =" + " 0" * cli.PROBLEM_N_MAX
                          + "\ngammas =" + " 0" * cli.PROBLEM_N_MAX}),
     ], ids=["N", "n", "continuous-n"])
@@ -417,7 +451,7 @@ class TestRunCommand:
         # 1e-200 overflows the seeded bumps' squared widths, 1e-320 the
         # torus half width pi/h, and 1e300 underflows the squared widths
         # to 0, NaN data: each is stopped at its field
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out").replace("h = 1", f"h = {h}")
+        text = SOLVE_CONFIG.format(out=tmp_path / "out").replace("h = 1", f"h = {h}")
         err = self.stops_at_validate_and_run(tmp_path, capsys, text)
         assert re.match(r"config error: line \d+: bad value for 'h': must be a mesh size h "
                         rf"from 1e-150 to 1e\+150, got {re.escape(repr(float(h)))}\n$", err)
@@ -435,7 +469,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_non_finite_symbol_parameter_exits_2(self, tmp_path, capsys, old, new,
                                                  named, command):
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out").replace(old, new)
+        text = SOLVE_CONFIG.format(out=tmp_path / "out").replace(old, new)
         if "shifted_zeta" in new:
             text = text.replace("s = -1.25", "s = -0.25")
         assert main([command, str(write_config(tmp_path, text))]) == 2
@@ -444,48 +478,70 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     def test_singular_problem_exits_3(self, tmp_path, capsys):
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out")
-        text = text.replace("boundary = zeta", "boundary = identity")
-        text = text.replace("s = -1.25", "s = -2.25").replace("n = 1", "n = 2")
+        text = SOLVE_CONFIG.format(out=tmp_path / "out").replace(
+            "family = geometric\na = 0.5", "family = shifted_zeta\nc = 5\nkappa = 1")
+        text = text.replace("n = 1", "n = 2")
         assert main(["run", str(write_config(tmp_path, text))]) == 3
         err = capsys.readouterr().err
         assert "not uniquely solvable" in err
-        # identical order-zero rows make every per-node bottom multiplier
-        # matrix rank one; the message names the node
-        assert re.search(r"bottom multiplier matrix at node xi1=\S+ has condition", err)
+        # at n = 2 the difference-power operators leave a per-node left
+        # multiplier matrix singular; the message names the node
+        assert re.search(r"left multiplier matrix at node xi2=\S+ has condition inf", err)
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
-    def shipped_roundtrip(tmp_path, h, N=256):
-        """configs/roundtrip.ini at mesh size ``h`` and ``N`` nodes, written
-        under ``tmp_path`` with its output there too."""
-        text = (ROOT / "configs" / "roundtrip.ini").read_text()
-        text = text.replace("h = 1\n", f"h = {h}\n").replace("N = 256\n", f"N = {N}\n")
+    def shipped_solve(tmp_path, h, N, replaced=()):
+        """configs/solve.ini at mesh size ``h`` and ``N`` nodes, with the
+        ``replaced`` lines, written under ``tmp_path`` with its output
+        there too."""
+        text = (ROOT / "configs" / "solve.ini").read_text()
+        text = text.replace("h = 1\n", f"h = {h}\n").replace("N = 128\n", f"N = {N}\n")
         text = re.sub(r"(?m)^output = .*$", f"output = {tmp_path / 'out'}", text)
+        for old, new in replaced:
+            assert old in text
+            text = text.replace(old, new)
         return str(write_config(tmp_path, text))
 
-    @pytest.mark.parametrize("h", ["1e-8", "1e-10", "1e-70"])
-    def test_shipped_roundtrip_passes_at_small_mesh_sizes(self, tmp_path, h):
+    @pytest.mark.parametrize("N", [16, 256])
+    @pytest.mark.parametrize("h", ["1e-8", "1e-10", "1e-70", "1e10"])
+    def test_shipped_solve_passes_at_extreme_mesh_sizes(self, tmp_path, h, N):
         # the system is h^-2 times the one at h = 1, and its condition the
         # same; the capacitance matrix's gauge rows scale like h^2, and
         # inverted without equilibrating its rows the solve leaked into the
         # gauge: rel_error 0.18 at h = 1e-8 and 0.031 at 1e-10
-        assert main(["run", self.shipped_roundtrip(tmp_path, h)]) == 0
-        summary = (tmp_path / "out" / "roundtrip_summary.txt").read_text()
-        reference = (REFERENCE_OUT / "roundtrip" / "roundtrip_summary.txt").read_text()
-        assert "all_gates = PASS" in summary
-        condition = [float(re.search(r"^condition = (\S+)$", text, re.M).group(1))
-                     for text in (summary, reference)]
-        assert math.isclose(*condition, rel_tol=1e-6)
+        conditions = []
+        for mesh in (h, 1):
+            assert main(["run", self.shipped_solve(tmp_path, mesh, N)]) == 0
+            summary = (tmp_path / "out" / "solve_summary.txt").read_text()
+            assert "all_gates = PASS" in summary
+            conditions.append(float(re.search(r"^condition = (\S+)$", summary, re.M).group(1)))
+        assert math.isclose(*conditions, rel_tol=1e-6)
 
+    @pytest.mark.parametrize("N", [16, 256])
     @pytest.mark.parametrize("h", ["1e-77", "1e80"])
-    def test_condition_estimate_out_of_float_range_exits_3(self, tmp_path, capsys, h):
+    def test_condition_estimate_out_of_float_range_exits_3(self, tmp_path, capsys, h, N):
         # the condition estimate's Gram matrix squares the system's scale,
         # h^-2, past the float range, and LAPACK fails on it: a numerical
-        # failure naming the estimate, with nothing written
-        assert main(["run", self.shipped_roundtrip(tmp_path, h, N=16)]) == 3
+        # failure naming the estimate, with nothing written.  At N = 256
+        # and h = 1e-77 the kernels' squared row norms overflow first, and
+        # their norm is taken on the scaled cores
+        assert main(["run", self.shipped_solve(tmp_path, h, N)]) == 3
         assert capsys.readouterr().err.startswith(
-            "numerical failure in mode roundtrip: the deflated condition estimate failed: "
+            "numerical failure in mode solve: the deflated condition estimate failed: "
             "LAPACK error LinAlgError(")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("N", [16, 256])
+    @pytest.mark.parametrize("h", ["1e-77", "1e80"])
+    def test_two_row_traces_out_of_float_range_exit_3(self, tmp_path, capsys, h, N):
+        # at n = 2 the row-trace multipliers pair powers 0 and 1 of zeta,
+        # whose condition grows like 1/h or h: a numerical failure naming
+        # the node, with nothing written
+        replaced = (("boundary = zeta", "boundary = row_trace"),
+                    ("s = -1.25\nn = 1", "s = -2.25\nn = 2"))
+        assert main(["run", self.shipped_solve(tmp_path, h, N, replaced)]) == 3
+        assert re.match(r"numerical failure in mode solve: bottom multiplier matrix at node "
+                        r"xi1=\S+ has condition \S+ > 1e\+12", capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -494,28 +550,26 @@ class TestRunCommand:
         def out_of_memory(*args, **kwargs):
             raise MemoryError
         monkeypatch.setattr(cli, "manufactured_roundtrip", out_of_memory)
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out")
+        text = SOLVE_CONFIG.format(out=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: mode roundtrip ran out of memory")
+        assert err.startswith("config error: mode solve ran out of memory")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("mode", ["solve", "roundtrip"])
-    def test_solver_modes_report_the_multiplier_condition(self, tmp_path, mode):
-        text = SMALL_CONFIGS[mode].format(mode=mode, out=tmp_path / "out")
+    def test_solve_mode_reports_the_multiplier_condition(self, tmp_path):
+        text = SOLVE_CONFIG.format(out=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 0
-        summary = (tmp_path / "out" / f"{mode}_summary.txt").read_text()
+        summary = (tmp_path / "out" / "solve_summary.txt").read_text()
         value = re.search(r"^multiplier_condition = (\S+)$", summary, re.M).group(1)
         assert 1.0 <= float(value) < 1e12
-        # both modes plant and recover traces; both report how well
+        # the mode plants and recovers traces, and reports how well
         rel_error = re.search(r"^rel_error = (\S+)$", summary, re.M).group(1)
         assert 0.0 <= float(rel_error) <= 1e-6
 
-    @pytest.mark.parametrize("mode", ["solve", "roundtrip"])
-    def test_solver_modes_report_the_kernel_ranks(self, tmp_path, mode):
-        text = SMALL_CONFIGS[mode].format(mode=mode, out=tmp_path / "out")
+    def test_solve_mode_reports_the_kernel_ranks(self, tmp_path):
+        text = SOLVE_CONFIG.format(out=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 0
-        summary = (tmp_path / "out" / f"{mode}_summary.txt").read_text()
+        summary = (tmp_path / "out" / "solve_summary.txt").read_text()
         n = int(re.search(r"^n = (\d+)$", text, re.M).group(1))
         N = int(re.search(r"^N = (\d+)$", text, re.M).group(1))
         for edge in ("bottom", "left"):
@@ -523,8 +577,7 @@ class TestRunCommand:
             assert 1 <= int(rank) < n * N
 
     def test_solve_mode_reports_interior_residuals(self, tmp_path):
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out")
-        text = text.replace("mode = roundtrip", "mode = solve")
+        text = SOLVE_CONFIG.format(out=tmp_path / "out")
         assert main(["run", str(write_config(tmp_path, text))]) == 0
         lines = (tmp_path / "out" / "solve.csv").read_text().splitlines()
         assert lines[1] == "h,N,point_i1,point_i2,abs_residual"
@@ -654,8 +707,7 @@ class TestShippedOutputs:
         # peak from 17 to 15 MiB, and the condition estimate orthonormalizes
         # its Krylov blocks one by one, with no 2nN x 40 QR, which took it
         # to 14.3 MiB
-        text = ROUNDTRIP_CONFIG.format(out=tmp_path / "out").replace(
-            "mode = roundtrip", "mode = solve").replace("N = 64", "N = 384").replace(
+        text = SOLVE_CONFIG.format(out=tmp_path / "out").replace("N = 64", "N = 384").replace(
             "boundary = zeta", "boundary = row_trace").replace(
             "s = -1.25\nn = 1", "s = -2.25\nn = 2")
         cfg = load_config(write_config(tmp_path, text))
@@ -680,13 +732,13 @@ class TestOtherCommands:
     def test_validate_prints_the_seed_of_seeded_modes(self, tmp_path, capsys, mode):
         text = SMALL_CONFIGS[mode].format(mode=mode, out=tmp_path / "out")
         assert main(["validate", str(write_config(tmp_path, text))]) == 0
-        seeded = mode in ("solve", "roundtrip")
+        seeded = mode in cli.LATTICE
         assert ("seed=" in capsys.readouterr().out) == seeded
 
     @pytest.mark.parametrize("mode, seed, message", [
         (mode, "5", "line 3: unknown key 'seed' in [experiment]")
         for mode in ("kernel_gap", "commutator", "section_gap")
-    ] + [("roundtrip", "-1", "line 3: bad value for 'seed': must be a non-negative integer")])
+    ] + [("solve", "-1", "line 3: bad value for 'seed': must be a non-negative integer")])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_seed_exits_2_line_referenced(self, tmp_path, capsys, mode, seed, message,
                                               command):
@@ -715,10 +767,10 @@ class TestOtherCommands:
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_schema_prints_columns_and_gates(self, capsys):
-        assert main(["schema", "roundtrip"]) == 0
+        assert main(["schema", "solve"]) == 0
         out = capsys.readouterr().out
-        assert "# schema=roundtrip-v1" in out
-        assert "rel_error" in out
+        assert "# schema=solve-v1" in out
+        assert "abs_residual" in out
         assert "gates:" in out
 
     @staticmethod
@@ -731,10 +783,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("mode, gate, values", [
         ("solve", "solve_residual",
          (f"{cli.RESIDUAL_TOL:.0e}", f"{cli.RESIDUAL_COND_LIMIT:.0e}")),
-        ("solve", "homogeneous_residual", (f"{cli.HOMOGENEOUS_TOL:.0e}",)),
-        ("roundtrip", "roundtrip_rel_error", (f"{cli.ROUNDTRIP_TOL:.0e}",)),
-        ("roundtrip", "solve_residual",
-         (f"{cli.RESIDUAL_TOL:.0e}", f"{cli.RESIDUAL_COND_LIMIT:.0e}")),
+        ("solve", "roundtrip_rel_error", (f"{cli.ROUNDTRIP_TOL:.0e}",)),
         ("kernel_gap", "kernel_gap_growth", (f"{cli.KERNEL_GAP_GROWTH_TOL:.0%}",)),
         ("commutator", "commutator_slope", (f"{cli.COMMUTATOR_SLOPE_FACTOR:g}",)),
         ("section_gap", "section_gap_slope", (f"{cli.SECTION_GAP_SLOPE_MIN:g}",))])

@@ -161,3 +161,19 @@ def test_compare_outputs_fails_without_twins_or_outputs(tmp_path, capsys):
     assert "kernel_gap/kernel_gap.csv: no twin in" in capsys.readouterr().out
     assert compare_outputs.main([str(tmp_path / "b"), str(a)]) == 1
     assert capsys.readouterr().out.startswith("no outputs under")
+
+
+def test_compare_outputs_fails_on_an_output_of_b_with_no_twin_in_a(tmp_path, capsys):
+    # a rerun's output that has no reference is named and fails the run,
+    # while every output of A is still compared
+    compare_outputs = load_script("compare_outputs")
+    a = write_outputs(tmp_path / "a")
+    b = write_outputs(tmp_path / "b")
+    (b / "extra").mkdir()
+    (b / "extra" / "extra_summary.txt").write_text(SUMMARY)
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"extra/extra_summary.txt: no twin in {a}",
+        "kernel_gap/kernel_gap.csv: 0 of 3 numbers differ, largest relative difference 0",
+        "kernel_gap/kernel_gap_summary.txt: 0 of 2 numbers differ, "
+        "largest relative difference 0"]

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from quadbvp import (AssemblyError, BlockSystem, ContinuousProblem, FrequencyGrid,
                      MeshMismatchError, NearSingularError, PeriodicSymbol, ProblemSpec,
                      SpectralFunction, TraceVector, WaveFactorization,
-                     assemble, builtin_factor_family, identity_boundary_operators,
-                     manufactured_roundtrip, project_out_gauge,
+                     assemble, builtin_factor_family, manufactured_roundtrip, project_out_gauge,
                      radial_power_problem, random_bumps, random_trace_vector,
                      reconstruct_solution, row_trace_boundary_operators,
                      sobolev_norm_1d, sobolev_norm_2d, solve_block_system,
@@ -30,12 +29,19 @@ from conftest import (fsum_multipliers, full_matrix, kernel_stack, kernel_stacks
                       skewed_problem, unit_scales, with_continuous_evaluators)
 
 
-def trivial_spec(n=1, h=1.0, delta=0.25, boundary="identity"):
+def real_unit_operators(n, h):
+    """Order-zero boundary operators of the real symbol one on both edges:
+    at n = 1 the row-trace operators with real values, at n >= 2 identical
+    rows."""
+    one = PeriodicSymbol(ones_symbol, 0.0, h)
+    return (one,) * n, (one,) * n
+
+
+def trivial_spec(n=1, h=1.0, delta=0.25, boundary=row_trace_boundary_operators):
     fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=h)
-    ops = identity_boundary_operators(n, h) if boundary == "identity" \
-        else zeta_boundary_operators(n, h)
+    bottom, left = boundary(n, h)
     return ProblemSpec(s=-(n + delta), factorization=fac, n=n, delta=delta,
-                       bottom_ops=ops[0], left_ops=ops[1])
+                       bottom_ops=bottom, left_ops=left)
 
 
 def torus_data(system, rows):
@@ -54,7 +60,7 @@ class TestProblemSpecValidation:
 
     def test_index_split_must_hold(self):
         fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
-        bottom, left = identity_boundary_operators(1, 1.0)
+        bottom, left = row_trace_boundary_operators(1, 1.0)
         with pytest.raises(ValueError, match="n \\+ delta"):
             ProblemSpec(s=-2.0, factorization=fac, n=1, delta=0.25,
                         bottom_ops=bottom, left_ops=left)
@@ -64,7 +70,7 @@ class TestProblemSpecValidation:
         # a continuous problem's index is s + n + delta, so only this check,
         # not the split's sum, tells a non-finite s
         fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
-        bottom, left = identity_boundary_operators(1, 1.0)
+        bottom, left = row_trace_boundary_operators(1, 1.0)
         with pytest.raises(ValueError, match=f"s must be finite, got {s}"):
             ProblemSpec(s=s, factorization=fac, n=1, delta=0.25,
                         bottom_ops=bottom, left_ops=left)
@@ -74,14 +80,14 @@ class TestProblemSpecValidation:
 
     def test_delta_bound_enforced(self):
         fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
-        bottom, left = identity_boundary_operators(1, 1.0)
+        bottom, left = row_trace_boundary_operators(1, 1.0)
         with pytest.raises(ValueError, match="delta"):
             ProblemSpec(s=-1.6, factorization=fac, n=1, delta=0.6,
                         bottom_ops=bottom, left_ops=left)
 
     def test_operator_count_must_match_n(self):
         fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
-        bottom, left = identity_boundary_operators(1, 1.0)
+        bottom, left = row_trace_boundary_operators(1, 1.0)
         with pytest.raises(ValueError, match="boundary operators"):
             ProblemSpec(s=-2.25, factorization=fac, n=2, delta=0.25,
                         bottom_ops=bottom, left_ops=left)
@@ -163,7 +169,7 @@ class TestAssembly:
 
     def test_boundary_symbol_mesh_must_match_grid(self):
         fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=1.0)
-        bottom, left = identity_boundary_operators(1, 0.5)
+        bottom, left = row_trace_boundary_operators(1, 0.5)
         spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
                            bottom_ops=bottom, left_ops=left)
         with pytest.raises(MeshMismatchError,
@@ -196,7 +202,7 @@ class TestAssembly:
             return zeta(x1, h) - zeta(bad_node, h)
 
         fac = WaveFactorization(plus, ones_symbol, index=0.0, h=h)
-        bottom, left = identity_boundary_operators(1, h)
+        bottom, left = row_trace_boundary_operators(1, h)
         spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
                            bottom_ops=bottom, left_ops=left)
         with pytest.raises(AssemblyError, match=f"xi1={bad_node:.6g}"):
@@ -207,7 +213,7 @@ class TestAssembly:
         inf_symbol = PeriodicSymbol(
             lambda x1, x2: np.where(np.asarray(x1) > 0, np.inf, 1.0), 0.0, h)
         fac = WaveFactorization(ones_symbol, ones_symbol, index=0.0, h=h)
-        left = identity_boundary_operators(1, h)[1]
+        left = row_trace_boundary_operators(1, h)[1]
         spec = ProblemSpec(s=-1.25, factorization=fac, n=1, delta=0.25,
                            bottom_ops=(inf_symbol,), left_ops=left)
         with np.errstate(invalid="ignore"):
@@ -385,7 +391,7 @@ class TestSolve:
     def test_duplicated_boundary_rows_are_near_singular(self):
         # identical order-zero operators in both rows leave the system rank
         # deficient beyond its structural gauge space
-        sys = assemble(trivial_spec(n=2), FrequencyGrid(1.0, 16))
+        sys = assemble(trivial_spec(n=2, boundary=real_unit_operators), FrequencyGrid(1.0, 16))
         with pytest.raises(NearSingularError) as err:
             solve_block_system(sys, zero_data(sys))
         assert err.value.condition > 1e12
@@ -403,7 +409,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_data_with_another_component_count_rejected(self, n):
-        system = assemble(trivial_spec(n=2, boundary="zeta"), FrequencyGrid(1.0, 8))
+        system = assemble(trivial_spec(n=2, boundary=zeta_boundary_operators),
+                          FrequencyGrid(1.0, 8))
         with pytest.raises(ValueError, match=f"data must have n = 2 components per "
                                              f"edge, got {n}"):
             solve_block_system(system, torus_data(system, np.ones((2 * n, 8))))
@@ -897,6 +904,10 @@ class TestOperatorLayout:
             assert relative_gap(_kernel_adjoint(core, ops.powers, u),
                                 k.conj().T @ u) <= 1e-13
             assert _kernel_norm(core, ops.powers) == pytest.approx(np.linalg.norm(k), rel=1e-13)
+            # squared, cores past 1e154 overflow: the norm is taken again on
+            # the cores scaled by their largest modulus, with no warning
+            assert _kernel_norm(core * 1e160, ops.powers) == pytest.approx(
+                1e160 * np.linalg.norm(k), rel=1e-13)
 
     @pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
     def test_contiguous_stacks_solve_to_the_same_bits(self, rng, case):
@@ -1651,7 +1662,7 @@ class TestRealKernels:
     ])
     @pytest.mark.parametrize("operators", [row_trace_boundary_operators,
                                            zeta_boundary_operators,
-                                           identity_boundary_operators])
+                                           real_unit_operators])
     def test_lattice_systems_keep_complex_cores(self, family, params, operators):
         h, n = 1.0, 1
         fac = builtin_factor_family(family, h, **params)
@@ -1688,7 +1699,8 @@ class TestRealKernels:
         # stored complex
         if kind == "unit lattice":
             grid1 = FrequencyGrid(1.0, 16, ndim=1)
-            system = assemble(trivial_spec(), FrequencyGrid(1.0, 16))
+            system = assemble(trivial_spec(boundary=real_unit_operators),
+                              FrequencyGrid(1.0, 16))
         else:
             grid1 = aligned_line_grid([1.0], 32, lambda_factor=2.0)
             system = assemble(
